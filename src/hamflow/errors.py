@@ -68,10 +68,6 @@ class CollarTooDeep(HamflowError):
     """Gluing collar depth exceeds the validity range of the boundary coordinates."""
 
 
-class OffAttachingRegion(HamflowError):
-    """Point mapped through a gluing transition lies outside the glued region."""
-
-
 class BadRamp(HamflowError):
     """Collar ramp profile is not monotone or not C^2 at the seam."""
 

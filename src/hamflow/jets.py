@@ -18,8 +18,6 @@ treated as constants (zero derivatives of every order).
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
-
 import numpy as np
 
 from .errors import JetOrderError
@@ -260,8 +258,3 @@ def constant(value, like: Jet) -> Jet:
     grad = None if like.grad is None else np.zeros_like(like.grad)
     hess = None if like.hess is None else np.zeros_like(like.hess)
     return Jet(v, grad, hess)
-
-
-def evaluate(fn: Callable[[Sequence[Jet]], Jet], points: Array, order: int = 2) -> Jet:
-    """Evaluate a jet-valued function of coordinates at raw points."""
-    return fn(seed(points, order=order))

@@ -44,16 +44,6 @@ def solve_spd_jet(mat: list[list[Jet]], rhs: list[Jet]) -> list[Jet]:
     return x  # type: ignore[return-value]
 
 
-def mat_vec_jet(mat: list[list[Jet]], vec: list[Jet]) -> list[Jet]:
-    out = []
-    for row in mat:
-        acc = row[0] * vec[0]
-        for j in range(1, len(vec)):
-            acc = acc + row[j] * vec[j]
-        out.append(acc)
-    return out
-
-
 def pfaffian(mats: Array) -> Array:
     """Pfaffian of a batch of antisymmetric matrices, dimensions 2, 4 or 6.
 
@@ -155,14 +145,3 @@ def compatible_structure(omega_mats: Array, metric_mats: Array) -> Array:
     m_sq, m_isq = spd_sqrt_and_inv_sqrt(m)
     j_frame = b @ m_isq
     return g_isq @ j_frame @ g_sq
-
-
-def jet_matrix_values(mat: list[list[Jet]]) -> Array:
-    """Stack the values of a jet matrix into an (n, d, d) array."""
-    d = len(mat)
-    n = mat[0][0].n
-    out = np.empty((n, d, d))
-    for i in range(d):
-        for j in range(d):
-            out[:, i, j] = mat[i][j].value
-    return out

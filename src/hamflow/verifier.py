@@ -17,6 +17,17 @@ reproducible and prefix-stable in the sample count:
   uniformly nonvanishing on the kernel of dF with a consistent sign, and
   the expanding field crosses the boundary outward.
 
+Each check seeds the lowest jet order it consumes; jet values never depend
+on the seeded order, and a missing order raises JetOrderError, so the order
+sets a check's cost, never its report.  ``invariance`` compares values only,
+so it seeds order 1 (a pullback's Jacobian minors, the action Jacobian and
+fields taking a partial inside each consume one) and evaluates omega, alpha
+and H once per chart.  The other checks seed order 2: d of a form or a
+bracket of fields consumes one order on top of the partial some catalog
+forms and fields already take (``hamiltonian`` needs only order 1 on every
+catalog model, but not for a 2-form given as d of such a primitive).  A NaN
+or infinite residual fails its check (see :class:`CheckResult`).
+
 Charts missing an ingredient are skipped with a reason; a check is marked
 skipped only when no chart could run it.  Fields declared valid away from a
 margin (``liouville_domain``) are checked only inside it, per the chart's
@@ -63,6 +74,7 @@ DEFAULT_TOLERANCES = {
 NONDEGENERACY_FLOOR = 1e-6
 CONTACT_FLOOR = 1e-6
 DEFAULT_ANGLES = 16
+NONFINITE_RESIDUAL = float(np.finfo(float).max)
 
 _CHECK_INDEX = {cid: k for k, cid in enumerate(CHECK_IDS)}
 
@@ -101,7 +113,12 @@ class RunConfig:
 
 @dataclass
 class CheckResult:
-    """Outcome of one check aggregated over all charts of a model."""
+    """Outcome of one check aggregated over all charts of a model.
+
+    A NaN or infinite residual fails the check and reads as the finite
+    sentinel NONFINITE_RESIDUAL (the largest double), at the first such
+    sample, with the note naming every chart where one occurred.
+    """
 
     check_id: str
     max_residual: float
@@ -173,20 +190,29 @@ class VerificationReport:
 
 
 class _Worst:
-    """Track the largest residual and the point where it occurred."""
+    """Largest residual and its point; non-finite ones outrank all, counted per ``chart``."""
 
     def __init__(self):
         self.value = 0.0
         self.point: Array | None = None
         self.ran = False
+        self.chart = ""
+        self.nonfinite: dict[str, int] = {}
 
-    def update(self, res: Array, pts: Array, mask: Array | None = None):
+    def update(self, res: Array, pts: Array):
         res = np.asarray(res, dtype=float)
-        if mask is not None:
-            res, pts = res[mask], pts[mask]
         if res.size == 0:
             return
         self.ran = True
+        bad = ~np.isfinite(res)
+        if bad.any():
+            if not self.nonfinite:
+                self.value = NONFINITE_RESIDUAL
+                self.point = np.array(pts[int(np.argmax(bad))], dtype=float)
+            self.nonfinite[self.chart] = self.nonfinite.get(self.chart, 0) + int(bad.sum())
+            return
+        if self.nonfinite:
+            return
         i = int(np.argmax(res))
         if self.point is None or float(res[i]) > self.value:
             self.value = float(res[i])
@@ -224,13 +250,12 @@ def _sample_inside_margin(cd, n: int, rng: np.random.Generator) -> Array:
 
 
 def _finish(check_id, spec, worst, passed, skipped_charts, notes) -> CheckResult:
-    note_parts = list(notes)
-    note_parts.extend(skipped_charts)
-    note = "; ".join(note_parts)
+    bad = [f"chart {c!r}: {k} non-finite residuals" for c, k in worst.nonfinite.items()]
+    note = "; ".join(bad + list(notes) + list(skipped_charts))
     if not worst.ran:
         reason = "; ".join(skipped_charts) or "no chart provides the required data"
         return CheckResult(check_id, 0.0, None, None, skipped=reason)
-    passed = passed and worst.value < spec.tolerance
+    passed = passed and not worst.nonfinite and worst.value < spec.tolerance
     return CheckResult(check_id, worst.value, worst.point_list(), passed, note=note)
 
 
@@ -244,6 +269,7 @@ def check_symplectic(model: HamiltonianModel, spec: CheckSpec) -> CheckResult:
     passed = True
     notes: list[str] = []
     for ci, cd in enumerate(model.charts):
+        worst.chart = cd.chart.name
         rng = _rng(spec.seed, "symplectic", ci)
         pts = sample_domain(cd.chart, spec.sample_count, rng)
         jc = jets.seed(pts, order=2)
@@ -271,6 +297,7 @@ def check_liouville(model: HamiltonianModel, spec: CheckSpec) -> CheckResult:
     worst = _Worst()
     skipped: list[str] = []
     for ci, cd in enumerate(model.charts):
+        worst.chart = cd.chart.name
         if cd.liouville is None:
             skipped.append(f"chart {cd.chart.name!r}: no expanding field")
             continue
@@ -289,6 +316,7 @@ def check_hamiltonian(model: HamiltonianModel, spec: CheckSpec) -> CheckResult:
     """Moment identity i_X omega + dH = 0 on every chart."""
     worst = _Worst()
     for ci, cd in enumerate(model.charts):
+        worst.chart = cd.chart.name
         rng = _rng(spec.seed, "hamiltonian", ci)
         pts = sample_domain(cd.chart, spec.sample_count, rng)
         jc = jets.seed(pts, order=2)
@@ -307,20 +335,23 @@ def check_invariance(
     worst = _Worst()
     notes: list[str] = []
     for ci, cd in enumerate(model.charts):
+        worst.chart = cd.chart.name
         rng = _rng(spec.seed, "invariance", ci)
         pts = sample_domain(cd.chart, spec.sample_count, rng)
-        jc = jets.seed(pts, order=2)
+        jc = jets.seed(pts, order=1)
+        omega0 = cd.omega.coefficients(jc)
         h0 = cd.hamiltonian(jc).value
         mask = _margin_mask(cd, pts)
         mpts = pts[mask]
-        mjc = jets.seed(mpts, order=2) if mpts.shape[0] else None
+        mjc = jets.seed(mpts, order=1) if mpts.shape[0] else None
         if mpts.shape[0] < pts.shape[0]:
             notes.append(
                 f"chart {cd.chart.name!r}: field comparisons on {mpts.shape[0]} of {pts.shape[0]} samples inside the declared margin"
             )
-        alpha = None
-        if cd.boundary_alpha is not None or cd.liouville is not None:
+        alpha = alpha0 = None
+        if mjc is not None and (cd.boundary_alpha is not None or cd.liouville is not None):
             alpha = cd.alpha()
+            alpha0 = alpha.coefficients(mjc)
         y_vals = None
         if cd.liouville is not None and mjc is not None:
             y_vals = forms.field_values(cd.liouville, mjc)
@@ -329,13 +360,15 @@ def check_invariance(
             g_vals = forms.metric_matrix(cd.metric, mjc)
         for k in range(1, angles + 1):
             amap = cd.action_map(2 * np.pi * k / angles)
-            worst.update(forms.form_residual(forms.pullback(amap, cd.omega), cd.omega, jc), pts)
+            pulled = forms.pullback(amap, cd.omega).coefficients(jc)
+            worst.update(forms.coeff_residual(pulled, omega0), pts)
             img_full = amap.forward(jc)
             worst.update(np.abs(cd.hamiltonian(img_full).value - h0), pts)
             if mjc is None:
                 continue
             if alpha is not None:
-                worst.update(forms.form_residual(forms.pullback(amap, alpha), alpha, mjc), mpts)
+                pulled = forms.pullback(amap, alpha).coefficients(mjc)
+                worst.update(forms.coeff_residual(pulled, alpha0), mpts)
             if y_vals is None and g_vals is None:
                 continue
             img_jets = amap.forward(mjc)
@@ -344,7 +377,7 @@ def check_invariance(
             keep = _margin_mask(cd, img_pts)
             if not keep.any():
                 continue
-            img_jc = jets.seed(img_pts[keep], order=2)
+            img_jc = jets.seed(img_pts[keep], order=1)
             if y_vals is not None:
                 pushed = np.einsum("nij,nj->ni", jac, y_vals)[keep]
                 res = np.abs(pushed - forms.field_values(cd.liouville, img_jc)).max(axis=1)
@@ -362,6 +395,7 @@ def check_commutation(model: HamiltonianModel, spec: CheckSpec) -> CheckResult:
     worst = _Worst()
     skipped: list[str] = []
     for ci, cd in enumerate(model.charts):
+        worst.chart = cd.chart.name
         if cd.metric is None:
             skipped.append(f"chart {cd.chart.name!r}: no metric")
             continue
@@ -394,6 +428,7 @@ def check_contact_boundary(model: HamiltonianModel, spec: CheckSpec) -> CheckRes
     skipped: list[str] = []
     notes: list[str] = []
     for ci, cd in enumerate(model.charts):
+        worst.chart = cd.chart.name
         if cd.chart.boundary is None:
             skipped.append(f"chart {cd.chart.name!r}: no boundary")
             continue
@@ -449,11 +484,7 @@ def check_contact_boundary(model: HamiltonianModel, spec: CheckSpec) -> CheckRes
         notes.append(
             f"chart {cd.chart.name!r}: min contact volume margin {margin_vol.min():.3e}"
         )
-    if not worst.ran:
-        reason = "; ".join(skipped) or "no chart provides boundary data"
-        return CheckResult("contact_boundary", 0.0, None, None, skipped=reason)
-    note = "; ".join(notes + skipped)
-    return CheckResult("contact_boundary", worst.value, worst.point_list(), passed, note=note)
+    return _finish("contact_boundary", spec, worst, passed, skipped, notes)
 
 
 _CHECKS = {

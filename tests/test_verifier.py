@@ -1,13 +1,16 @@
-"""Verifier checks: zoo spot checks, negative controls, report determinism."""
+"""Verifier checks: zoo spot checks, negative controls, report determinism and
+pinned bytes, order-independent values, fail-closed non-finite residuals."""
 
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from hamflow import registry, verifier
-from hamflow.verifier import CheckSpec, RunConfig, run_all
+from hamflow import forms, jets, registry, verifier
+from hamflow.chart import sample_domain
+from hamflow.verifier import NONFINITE_RESIDUAL, CheckSpec, RunConfig, run_all
 
 
 QUICK = RunConfig(samples=120)
@@ -132,3 +135,129 @@ def test_contact_margins_reported():
     assert contact.passed
     assert contact.max_residual == 0.0
     assert "min contact volume margin" in contact.note
+
+
+# sha256 of run_all(..., RunConfig(seed=0, samples=64)).to_json(); a fast
+# path must leave every report byte as it is
+REPORT_SHA256 = {
+    "disc_d4(1,1)": "6b52b1e827284d421674159162115210302903065b557e9aead7706c0c3cbe10",
+    "disc_d4(1,-1)": "623e0beab9633b3c53ef3de35465ef757f5e629a3b23bd0179f11acd387c60a9",
+    "disc_d4(2,3)": "406a2ef0993195250d9bc974077fa4d4f3c876a30b070600e2ca2eda1a9b6006",
+    "disc_d4(1,0)": "7908b0766ecb44888f942221f43108d8a089288361bf218ec5aa4b28b797e453",
+    "s1_d3(1,0)": "fe36acf2974b05e26f85cc1563bc81bb7eb24df9fe2b0bb909902bf188deafc6",
+    "s1_d3(0,1)": "048e6a36ca11d4b72ffeaf342b52f96725c6899f88a2eae46ca7d9f04b7240d9",
+    "s1_d3(2,1)": "6f55ca011ca9ed95ebb67ed860bc4e8d1ae304f872c396eb85352f10fb710e05",
+    "cotangent_t2(1,0)": "1e7c674897aa76b4be5f102f33a6261e0153eee6ba5229f26cab633ebd08b7d3",
+    "cotangent_s2()": "e38faafdbd7a930b452258d41c4e2a6a4cbc179cac864a36efc791f30e0439a7",
+    "weinstein_2handle()": "416c7d234b43819d73cefba03af25a985d9b3d8923f4115a327d69841560abbd",
+    "weinstein_1handle(1)": "5b4b5709874bcec37b3de31eba48fe93c183c48ff2e89fe394b7da612e3e26db",
+    "free_action_planar(1)": "be9c0b630d51d7593c21bb7c226fcd8a1eeed7afb46296c55ab8aa0a2211dd4e",
+    "free_action_planar(2)": "f66c85ccc94cde5d0632a98f16fed4fc699c02846623fa09fb2dbc24e109d433",
+    "free_action_planar(3)": "68356aff4d97f26cb6793f41dab5457e6c7164d2ee0739445c337a440e798a02",
+    "disc_bundle_over_surface()": "e6257f5fea19cb50cec5bf1d7da4015260da704d734aadf7b41b42af4f12326a",
+    "prequantization_s2()": "c413e0b48358b57988fbc6fb36fa14e43a6313f9e9268a2a4ee5d5add8022335",
+    "blowup_d4(1,-1,0.2)": "c03831096f9466d5f3aef089bee3d65e6fc3ab7060a3451196a116bc0015a5fd",
+    "attach_2handle(s1_d3(1,0))": "9d9ea24c7a7de174852330dcd86bc25b2a5c69e8a0351d7aee399673c95c3c53",
+    "control_nonclosed_omega": "f1270363aae73d8ffc56880ddc230264d081fb9446633ba08b9b1603ae7ccec5",
+    "control_scaled_liouville": "2d5898d29916417b42a19a21bf3225439666d2be925cf97a871f3e0ebc088ca6",
+    "control_unbalanced_handle": "3281656e6c69f305d3afba14e60154423e85df39abe0ed4b6d3898292f00922d",
+}
+
+
+def test_report_bytes_match_pins():
+    cfg = RunConfig(seed=0, samples=64)
+    builders = {spec: (lambda s=spec: registry.build(s)) for spec in registry.ZOO}
+    builders.update({name: builder for name, (_, builder) in verifier.CONTROLS.items()})
+    assert builders.keys() == REPORT_SHA256.keys()
+    changed = [
+        name
+        for name, build in builders.items()
+        if hashlib.sha256(run_all(build(), cfg).to_json()).hexdigest() != REPORT_SHA256[name]
+    ]
+    assert not changed
+
+
+def _assert_same_values(a, b):
+    if isinstance(a, dict):
+        assert a.keys() == b.keys()
+        for key in a:
+            assert np.array_equal(a[key].value, b[key].value), key
+    else:
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("spec", registry.ZOO)
+def test_values_do_not_depend_on_seeded_order(spec):
+    """Order-1 jets (the invariance check) give the order-2 values bitwise."""
+    for ci, cd in enumerate(registry.build(spec).charts):
+        pts = sample_domain(cd.chart, 12, np.random.default_rng([3, ci]))
+        mpts = pts[verifier._margin_mask(cd, pts)]
+        has_alpha = cd.boundary_alpha is not None or cd.liouville is not None
+        probes = [(pts, lambda jc: cd.hamiltonian(jc).value), (pts, cd.omega.coefficients)]
+        for theta in (2 * np.pi / 16, np.pi, 2 * np.pi * 11 / 16):
+            amap = cd.action_map(theta)
+            probes.append((pts, forms.pullback(amap, cd.omega).coefficients))
+            if has_alpha:
+                probes.append((mpts, forms.pullback(amap, cd.alpha()).coefficients))
+        if has_alpha:
+            probes.append((mpts, cd.alpha().coefficients))
+        if cd.liouville is not None:
+            probes.append((mpts, lambda jc: forms.field_values(cd.liouville, jc)))
+        if cd.metric is not None:
+            probes.append((mpts, lambda jc: forms.metric_matrix(cd.metric, jc)))
+        for points, fn in probes:
+            if points.shape[0]:
+                reference = fn(jets.seed(points, order=2))
+                _assert_same_values(fn(jets.seed(points, order=1)), reference)
+
+
+def _poison(jc):
+    """NaN where the second coordinate is positive, 1 elsewhere."""
+    return np.where(jc[1].value > 0, np.nan, 1.0)
+
+
+def _poisoned_field(field):
+    return lambda jc: [c * _poison(jc) for c in field(jc)]
+
+
+def _with_field(model, chart_index, **fields):
+    charts = list(model.charts)
+    charts[chart_index] = dataclasses.replace(charts[chart_index], **fields)
+    return dataclasses.replace(model, charts=charts)
+
+
+@pytest.mark.parametrize(
+    "spec, chart_index",
+    [("disc_d4(1,1)", 0), ("cotangent_s2()", 2)],
+    ids=["nan_first", "nan_after_finite"],
+)
+def test_nonfinite_residual_fails_closed(spec, chart_index):
+    model = registry.build(spec)
+    cd = model.charts[chart_index]
+    broken = _with_field(model, chart_index, generator=_poisoned_field(cd.generator))
+    rep = run_all(broken, RunConfig(samples=60))
+    ham = [r for r in rep.results if r.check_id == "hamiltonian"][0]
+    assert ham.passed is False
+    assert ham.max_residual == NONFINITE_RESIDUAL
+    assert f"chart {cd.chart.name!r}" in ham.note and "non-finite" in ham.note
+    doc = json.loads(rep.to_json())
+    assert not doc["overall"]
+
+
+@pytest.mark.parametrize("field", ["liouville", "boundary_alpha"])
+def test_nonfinite_contact_shortfall_fails(field):
+    model = registry.build("disc_d4(1,1)")
+    cd = model.charts[0]
+    if field == "liouville":
+        broken = _with_field(model, 0, liouville=_poisoned_field(cd.liouville))
+    else:
+        alpha = cd.boundary_alpha
+        poisoned = forms.KForm(
+            1, 4, lambda jc: {k: c * _poison(jc) for k, c in alpha.coefficients(jc).items()}
+        )
+        broken = _with_field(model, 0, boundary_alpha=poisoned)
+    res = verifier.check_contact_boundary(broken, RunConfig(samples=60).spec_for("contact_boundary"))
+    assert res.passed is False
+    assert res.max_residual == NONFINITE_RESIDUAL
+    assert "chart 'ball'" in res.note and "non-finite" in res.note
+    json.dumps(res.to_entry(), allow_nan=False)
