@@ -4,10 +4,13 @@ The central object is the flow of the metric gradient of the moment map.
 Trajectories are integrated chart by chart with an adaptive fourth-order
 stepper; crossing into another chart goes through the model's declared
 transitions, and hitting the boundary hypersurface is resolved by bisection
-on the step time.  On top of the integrator sit classifiers: the orbit type
-swept by a trajectory under the circle action, the finite stabilizer of a
-point, a sign portrait of the moment map on the boundary, and a detector
-that finds and groups the closed zero-level orbit sets on the boundary.
+on the step time.  Velocities are solved on metric values (order-1 jets),
+and all Runge-Kutta steps from one point share their first stage, which the
+previous step's speed test already computed.  On top of the integrator sit
+classifiers: the orbit type swept by a trajectory under the circle action,
+the finite stabilizer of a point, a sign portrait of the moment map on the
+boundary, and a detector that finds and groups the closed zero-level orbit
+sets on the boundary.
 """
 
 from __future__ import annotations
@@ -59,8 +62,9 @@ def _velocity_fn(cd: ChartData, direction: int):
     return vel
 
 
-def _rk4(vel, p: Array, h: float) -> Array:
-    k1 = vel(p)
+def _rk4(vel, p: Array, h: float, k1: Array | None = None) -> Array:
+    if k1 is None:
+        k1 = vel(p)
     k2 = vel(p + 0.5 * h * k1)
     k3 = vel(p + 0.5 * h * k2)
     k4 = vel(p + h * k3)
@@ -102,13 +106,15 @@ def integrate(
     cd = model.charts[ci]
     p = cd.chart.wrap(np.asarray(start, dtype=float))
     vel = _velocity_fn(cd, direction)
+    k1 = None  # vel(p) at the current point, once computed
 
     if cd.chart.boundary is not None:
         f0 = _boundary_value(cd, p)
         if f0 > -1e-9:
             jc = jets.seed(p[None, :], order=1)
             df = cd.chart.boundary(jc).grad[0]
-            if float(df @ vel(p)) >= -tangent_tol:
+            k1 = vel(p)
+            if float(df @ k1) >= -tangent_tol:
                 raise ImmediateExit(
                     f"start lies on the boundary of chart {cd.chart.name!r} "
                     "with outward or grazing initial velocity"
@@ -130,9 +136,11 @@ def integrate(
         if t >= max_time:
             break
         h = min(h, max_time - t)
+        if k1 is None:
+            k1 = vel(p)
         while True:
-            full = _rk4(vel, p, h)
-            half = _rk4(vel, _rk4(vel, p, 0.5 * h), 0.5 * h)
+            full = _rk4(vel, p, h, k1)
+            half = _rk4(vel, _rk4(vel, p, 0.5 * h, k1), 0.5 * h)
             err = np.abs(full - half).max()
             if err <= tol * (1.0 + np.abs(p).max()):
                 break
@@ -147,16 +155,16 @@ def integrate(
             lo_t, hi_t = 0.0, h
             for _ in range(80):
                 mid = 0.5 * (lo_t + hi_t)
-                q = _rk4(vel, p, mid)
+                q = _rk4(vel, p, mid, k1)
                 if _boundary_value(cd, q) > 0.0:
                     hi_t = mid
                 else:
                     lo_t = mid
                 if hi_t - lo_t < 1e-16:
                     break
-            p_new = _rk4(vel, p, lo_t)
+            p_new = _rk4(vel, p, lo_t, k1)
             if abs(_boundary_value(cd, p_new)) > 1e-10:
-                q = _rk4(vel, p, hi_t)
+                q = _rk4(vel, p, hi_t, k1)
                 if abs(_boundary_value(cd, q)) < abs(_boundary_value(cd, p_new)):
                     p_new = q
             t += lo_t
@@ -177,7 +185,8 @@ def integrate(
         if crossed:
             termination = "boundary"
             break
-        speed = float(np.abs(vel(p_new)).max())
+        k1 = vel(p_new)
+        speed = float(np.abs(k1).max())
         if speed < speed_floor and abs(gain) < gain_floor:
             termination = "critical_set"
             p = p_new
@@ -193,6 +202,7 @@ def integrate(
                     ci = tr.dst
                     cd = model.charts[ci]
                     vel = _velocity_fn(cd, direction)
+                    k1 = None
                     p = q
                     pts[-1] = p.copy()
                     charts[-1] = ci

@@ -22,7 +22,7 @@ import numpy as np
 from . import jets as J
 from .errors import DegreeOverflow, DegreeUnderflow, DimensionMismatch
 from .jets import Jet
-from .linalg import solve_spd_jet
+from .linalg import solve_spd_jet, solve_spd_values
 
 Array = np.ndarray
 Coeffs = dict[tuple[int, ...], Jet]
@@ -259,13 +259,22 @@ def lie_bracket(v: VectorField, w: VectorField, dim: int) -> VectorField:
 
 
 def metric_gradient(metric: MetricField, scalar: ScalarField, dim: int) -> VectorField:
-    """Gradient field of a scalar with respect to a Riemannian metric."""
+    """Gradient field of a scalar with respect to a Riemannian metric.
+
+    ``dh`` is one jet order lower than the coordinates.  Order-1 jets thus
+    give an order-0 gradient, solved on metric values (``solve_spd_values``,
+    bitwise the jet solve's values); order 2 keeps the jet LU, whose result
+    carries first derivatives.  The metric always sees the given jets: some
+    metrics need order-1 coordinates.
+    """
 
     def fn(jc: Sequence[Jet]) -> list[Jet]:
         h = scalar(jc)
+        if h.order == 1:
+            x = solve_spd_values(metric_matrix(metric, jc), h.grad)
+            return [Jet(x[:, i], None, None) for i in range(dim)]
         dh = [h.partial(i) for i in range(dim)]
-        g = metric(jc)
-        return solve_spd_jet(g, dh)
+        return solve_spd_jet(metric(jc), dh)
 
     return fn
 

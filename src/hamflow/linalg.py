@@ -28,7 +28,7 @@ def solve_spd_jet(mat: list[list[Jet]], rhs: list[Jet]) -> list[Jet]:
     b = rhs[:]
     for k in range(d):
         piv = a[k][k]
-        if np.any(piv.value <= 0.0) or np.any(np.abs(piv.value) < 1e-14):
+        if np.any(piv.value < 1e-14):  # non-positive or tiny; NaN passes
             raise SingularMetric(f"non-positive pivot at elimination step {k}")
         for i in range(k + 1, d):
             factor = a[i][k] / piv
@@ -42,6 +42,30 @@ def solve_spd_jet(mat: list[list[Jet]], rhs: list[Jet]) -> list[Jet]:
             acc = acc - a[i][j] * x[j]
         x[i] = acc / a[i][i]
     return x  # type: ignore[return-value]
+
+
+def solve_spd_values(mat: Array, rhs: Array) -> Array:
+    """:func:`solve_spd_jet` on value stacks ``(n, d, d)`` and ``(n, d)``.
+
+    Each entry sees the same pivot test and the same operations in the same
+    order as in the jet solve, so the values agree bitwise.
+    """
+    a = np.array(mat, dtype=float)
+    b = np.array(rhs, dtype=float)
+    d = a.shape[-1]
+    for k in range(d):
+        piv = a[:, k, k]
+        if (piv < 1e-14).any():
+            raise SingularMetric(f"non-positive pivot at elimination step {k}")
+        factor = a[:, k + 1 :, k] * (1.0 / piv)[:, None]
+        a[:, k + 1 :, k + 1 :] -= factor[:, :, None] * a[:, k, None, k + 1 :]
+        b[:, k + 1 :] -= factor * b[:, k, None]
+    for i in range(d - 1, -1, -1):  # b[:, j] holds x_j for j > i
+        acc = b[:, i]
+        for j in range(i + 1, d):
+            acc = acc - a[:, i, j] * b[:, j]
+        b[:, i] = acc * (1.0 / a[:, i, i])
+    return b
 
 
 def pfaffian(mats: Array) -> Array:

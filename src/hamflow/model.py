@@ -97,49 +97,6 @@ class HamiltonianModel:
     def transitions_from(self, i: int) -> list[Transition]:
         return [t for t in self.transitions if t.src == i]
 
-    def map_point(self, src: int, point: Array, dst: int) -> Array | None:
-        """Map a point between charts through a declared transition, if any."""
-        if src == dst:
-            return np.asarray(point, dtype=float)
-        for t in self.transitions:
-            if t.src == src and t.dst == dst and t.applicable(point):
-                q = t.map.apply(point)[0]
-                if self.charts[dst].chart.contains(q, slack=1e-9)[0]:
-                    return q
-        return None
-
-    def to_descriptor(self) -> dict:
-        return {
-            "name": self.name,
-            "params": {k: _plain(v) for k, v in self.params.items()},
-            "description": self.description,
-            "charts": [
-                {
-                    "name": cd.chart.name,
-                    "coords": list(cd.chart.coords),
-                    "periodic": list(cd.chart.periodic),
-                    "dim": cd.chart.dim,
-                    "has_boundary": cd.chart.boundary is not None,
-                    "has_metric": cd.metric is not None,
-                    "has_liouville": cd.liouville is not None,
-                    "has_kernel": cd.kernel is not None,
-                    "note": cd.note,
-                }
-                for cd in self.charts
-            ],
-            "transitions": [[t.src, t.dst] for t in self.transitions],
-        }
-
-
-def _plain(v):
-    if isinstance(v, (np.floating,)):
-        return float(v)
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    if isinstance(v, (tuple, list)):
-        return [_plain(x) for x in v]
-    return v
-
 
 @dataclass(frozen=True)
 class Decomposition:

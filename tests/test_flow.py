@@ -1,11 +1,14 @@
 """Gradient-flow integration, orbit classification, boundary censuses."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from hamflow import flow
+from hamflow import flow, registry
 from hamflow.basic import cotangent_t2, disc_d4, s1_d3
 from hamflow.blowup import blowup_d4
+from hamflow.chart import sample_domain
 from hamflow.errors import ImmediateExit
 from hamflow.planar import free_action_planar
 
@@ -135,3 +138,69 @@ def test_legendrian_level_value():
     h_level = 2.0 - np.sqrt(5.0)
     loop = res.components[0].loop
     assert np.abs(loop[:, 3] - h_level).max() < 1e-8
+
+
+# (termination, sha256 of the times, points, h_values and chart_indices
+# bytes) of each trajectory, keyed by "spec/chart/start/direction"; a faster
+# integrator must reproduce every trajectory bit for bit
+PINNED_STARTS = {
+    "disc_d4(1,1)": 2,
+    "s1_d3(2,1)": 2,
+    "attach_2handle(s1_d3(1,0))": 1,
+    "prequantization_s2()": 1,
+}
+TRAJECTORY_PINS = {
+    "disc_d4(1,1)/0/0/1": ("boundary", "83dd519228b91ef4b960a70d852c9de02f88316ab88e4b3f0115bcef935d87a9"),
+    "disc_d4(1,1)/0/0/-1": ("critical_set", "1033395a042948a3982c47e7c73e6647ff6798b5a2d79ee76e0acef29284766d"),
+    "disc_d4(1,1)/0/1/1": ("boundary", "b18cb632b7997303ad500641fc405b68837ff75790e58e89bb309ddd0f6a0d7f"),
+    "disc_d4(1,1)/0/1/-1": ("critical_set", "f8aeabedefc0a4120b23ccaa9632c1b96e1671e07e6d225109b382f40174ff61"),
+    "s1_d3(2,1)/0/0/1": ("boundary", "23802e2c655b8f9138efe170345339d4bdc29da274512de8aea0c0c513d0bd40"),
+    "s1_d3(2,1)/0/0/-1": ("boundary", "1788629971c7c5d4baf86b3c0315a12fbde2afcff79df1466e96826458c87955"),
+    "s1_d3(2,1)/0/1/1": ("boundary", "41b01472b656e39155eafd324def1f57ccb4fb8b9fd5212263e86ecc9b719799"),
+    "s1_d3(2,1)/0/1/-1": ("boundary", "87961d21749922ca77016ce0a3a56f3e92de092ad03aabddd9fa3744a6bf6de2"),
+    "attach_2handle(s1_d3(1,0))/0/0/1": ("boundary", "5cabb2f58a84b71c4f47e9681d36d6853e2fd4a3755ba158c6024901269229ef"),
+    "attach_2handle(s1_d3(1,0))/0/0/-1": ("boundary", "cd5c558a9471172ed205b013f037acfdbb4d075bfb6bd4c9c7b6826efcc4afee"),
+    "attach_2handle(s1_d3(1,0))/1/0/1": ("boundary", "611c6147fbbbcec07143cf7299918951e3129f09292bbad211661f44b5b1a1d6"),
+    "attach_2handle(s1_d3(1,0))/1/0/-1": ("boundary", "1712633c6f635bf1f31bed9de23cd0a36e8677ce851a222375f1d8310ebdfb9c"),
+    "prequantization_s2()/0/0/1": ("boundary", "01c5a7d67af70384fe14bac83fc288d30f5fd48220819e01ca436c1d14ab246c"),
+    "prequantization_s2()/0/0/-1": ("critical_set", "a7db0a13f096a33c5c27648d777b094f66d62fed461413f69d8781a3548073d7"),
+    "prequantization_s2()/1/0/1": ("boundary", "8836e376d80d1bb182ccd7636c8dcac0db6baddffaada3d8c22c8eca4b8c7259"),
+    "prequantization_s2()/1/0/-1": ("critical_set", "15295bd45538819cc94913bc37a918f460456496eff69810333f40a710d0572b"),
+    "prequantization_s2()/2/0/1": ("boundary", "b0a27ff00145cc7e13232754c3e9b4720f4db4ed8bed82c62ac19fcdfac7ff2c"),
+    "prequantization_s2()/2/0/-1": ("critical_set", "e1b16899ee62d85c1c4ce15193dd84ba137a103cbfdba73813da8ebefe0774c5"),
+    # the start of test_sphere_flow_switches_chart; downward it crosses
+    # into chart 1
+    "blowup_d4(3,1,0.2)/0/-/1": ("critical_set", "80534a6309d7aecc39ff3be47f664dda03d18c1bc748f26763bec319205da63a"),
+    "blowup_d4(3,1,0.2)/0/-/-1": ("critical_set", "5a0ff9aa6e889da1ad01465e9ccd3ea206423ed0f4a15a997eda27eb28526435"),
+}
+
+
+def _trajectory_pin(res):
+    digest = hashlib.sha256()
+    for arr in (res.times, res.points, res.h_values, np.array(res.chart_indices)):
+        digest.update(np.ascontiguousarray(arr).tobytes())
+    return res.termination, digest.hexdigest()
+
+
+def test_integrate_matches_pins():
+    runs = {}
+    for spec, count in PINNED_STARTS.items():
+        model = registry.build(spec)
+        for ci, cd in enumerate(model.charts):
+            if cd.metric is None:
+                continue
+            starts = sample_domain(cd.chart, count, np.random.default_rng([7, ci]))
+            for k, start in enumerate(starts):
+                for direction in (1, -1):
+                    runs[f"{spec}/{ci}/{k}/{direction}"] = (model, ci, start, direction)
+    sphere = blowup_d4(3, 1, 0.2)
+    for direction in (1, -1):
+        runs[f"blowup_d4(3,1,0.2)/0/-/{direction}"] = (sphere, 0, [0.0, 0.0, 0.5, -0.2], direction)
+    assert runs.keys() == TRAJECTORY_PINS.keys()
+    changed = [
+        key
+        for key, (model, ci, start, direction) in runs.items()
+        if _trajectory_pin(flow.integrate(model, ci, start, direction=direction))
+        != TRAJECTORY_PINS[key]
+    ]
+    assert not changed

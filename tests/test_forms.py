@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from hamflow import forms, jets
-from hamflow.chart import Chart, SmoothMap
+from hamflow import forms, jets, registry
+from hamflow.chart import Chart, SmoothMap, sample_domain
 from hamflow.errors import DegreeOverflow, DegreeUnderflow
 
 
@@ -250,3 +250,22 @@ def test_metric_gradient_diagonal_metric():
     pts = np.array([[1.1, 0.3]])
     vals = forms.field_values(grad, jets.seed(pts, order=1))
     assert vals[0] == pytest.approx([1.1, 6.0], abs=1e-13)
+
+
+def _no_jet_solve(mat, rhs):
+    raise AssertionError("order-1 gradient must not run the jet LU")
+
+
+@pytest.mark.parametrize("spec", registry.ZOO)
+def test_order1_gradient_matches_order2(spec, monkeypatch):
+    """The value-level gradient (order-1 jets) gives the jet LU's values bitwise."""
+    for ci, cd in enumerate(registry.build(spec).charts):
+        if cd.metric is None:
+            continue
+        pts = sample_domain(cd.chart, 64, np.random.default_rng([5, ci]))
+        grad = cd.gradient_field()
+        slow = forms.field_values(grad, jets.seed(pts, order=2))
+        with monkeypatch.context() as patch:
+            patch.setattr(forms, "solve_spd_jet", _no_jet_solve)
+            fast = forms.field_values(grad, jets.seed(pts, order=1))
+        assert fast.tobytes() == slow.tobytes(), cd.chart.name

@@ -53,6 +53,50 @@ def test_singular_metric_raises():
         linalg.solve_spd_jet(mat, [anchor, anchor])
 
 
+def _jet_solve_values(mat, rhs):
+    """solve_spd_jet on order-1 constant jets, as the values it returns."""
+    (anchor,) = jets.seed(np.zeros((mat.shape[0], 1)), order=1)
+    d = mat.shape[-1]
+    jm = [[jets.constant(mat[:, i, j], anchor) for j in range(d)] for i in range(d)]
+    x = linalg.solve_spd_jet(jm, [jets.constant(rhs[:, i], anchor) for i in range(d)])
+    return np.stack([xi.value for xi in x], axis=1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.sampled_from([1, 7]),
+    st.sampled_from([2, 4]),
+)
+def test_value_solve_matches_jet_solve_bitwise(seed, n, d):
+    rng = np.random.default_rng(seed)
+    b = rng.normal(size=(n, d, d)) * rng.uniform(0.1, 10.0, size=(n, 1, d))
+    spd = b @ np.swapaxes(b, 1, 2) + 1e-3 * np.eye(d)
+    rhs = rng.normal(size=(n, d))
+    got = linalg.solve_spd_values(spd, rhs)
+    assert got.tobytes() == _jet_solve_values(spd, rhs).tobytes()
+    assert np.allclose(got, np.linalg.solve(spd, rhs[:, :, None])[:, :, 0])
+
+
+@pytest.mark.parametrize("pivot", [0.0, -1.0, 1e-15])
+def test_value_solve_rejects_nonpositive_or_tiny_pivot(pivot):
+    mat = np.array([np.eye(3), np.diag([1.0, pivot, 1.0])])
+    rhs = np.ones((2, 3))
+    with pytest.raises(SingularMetric, match="step 1"):
+        linalg.solve_spd_values(mat, rhs)
+    with pytest.raises(SingularMetric, match="step 1"):
+        _jet_solve_values(mat, rhs)
+
+
+def test_value_solve_passes_nan_pivot_like_jet_solve():
+    mat = np.array([[[np.nan, 0.0], [0.0, 2.0]], [[2.0, 1.0], [1.0, 2.0]]])
+    rhs = np.array([[1.0, 1.0], [1.0, 0.0]])
+    got = linalg.solve_spd_values(mat, rhs)
+    assert np.isnan(got[0]).all()
+    assert np.isfinite(got[1]).all()
+    assert got.tobytes() == _jet_solve_values(mat, rhs).tobytes()
+
+
 def test_pfaffian_frozen_values():
     j2 = np.array([[0.0, 5.0], [-5.0, 0.0]])
     assert linalg.pfaffian(j2)[0] == pytest.approx(5.0)
