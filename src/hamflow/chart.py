@@ -46,6 +46,9 @@ class Chart:
             raise ValueError(f"chart dimension {d} outside supported range 1..6")
         if len(self.periodic) != d or len(self.box_lo) != d or len(self.box_hi) != d:
             raise ValueError("coords/periodic/box lengths disagree")
+        for per, lo, hi in zip(self.periodic, self.box_lo, self.box_hi):
+            if per and (lo, hi) != (0.0, TWO_PI):
+                raise ValueError(f"periodic coordinate box [{lo}, {hi}] is not [0, 2*pi]")
 
     @property
     def dim(self) -> int:
@@ -85,6 +88,14 @@ class Chart:
             for fn in self.domain:
                 ok &= fn(j).value <= slack
         return ok
+
+    def in_box(self, point: Array, slack: float) -> bool:
+        """Whether one point lies in the box up to ``slack``; a periodic box is [0, 2*pi]."""
+        free = ~np.asarray(self.periodic)
+        p = np.asarray(point, dtype=float)[free]
+        lo = np.asarray(self.box_lo)[free] - slack
+        hi = np.asarray(self.box_hi)[free] + slack
+        return bool(np.all(p >= lo) and np.all(p <= hi))
 
     def boundary_values(self, points: Array, order: int = 0) -> Jet:
         if self.boundary is None:

@@ -129,11 +129,7 @@ def _newton_generator_zero(cd, start: Array, tol: float = 1e-11, iters: int = 60
         p = q
     if float(np.linalg.norm(_generator_at(cd, p)[0])) > 1e-9:
         return None
-    if not bool(cd.chart.contains(p, slack=1e-6)[0]):
-        return None
-    lo = np.asarray(cd.chart.box_lo) - 1e-6
-    hi = np.asarray(cd.chart.box_hi) + 1e-6
-    if not np.all((p >= lo) & (p <= hi)):
+    if not (cd.chart.contains(p, slack=1e-6)[0] and cd.chart.in_box(p, 1e-6)):
         return None
     return p
 
@@ -153,6 +149,27 @@ def _map_through(model, ci: int, p: Array) -> dict[int, Array]:
     return images
 
 
+def _components(n: int, src: Array, dst: Array) -> Array:
+    """Label each of n nodes with the smallest index in its component.
+
+    Each round hooks the roots of both ends of every edge ``(src[k], dst[k])``
+    to the smaller one, then jumps pointers until every label is a root.
+    """
+    src = np.asarray(src, dtype=np.intp)
+    dst = np.asarray(dst, dtype=np.intp)
+    label = np.arange(n)
+    while True:
+        low = np.minimum(label[src], label[dst])
+        new = label.copy()
+        np.minimum.at(new, label[src], low)
+        np.minimum.at(new, label[dst], low)
+        while not np.array_equal(new[new], new):
+            new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
 def _merge_groups(
     model: HamiltonianModel,
     labeled: list[tuple[int, Array]],
@@ -161,19 +178,7 @@ def _merge_groups(
     surface_null_tol: float = 1e-5,
 ) -> list[list[tuple[int, Array]]]:
     n = len(labeled)
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i: int, j: int) -> None:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
-
+    edges: list[tuple[int, int]] = []
     mapped = [_map_through(model, ci, p) for ci, p in labeled]
     traits = []
     if value_merge:
@@ -194,14 +199,15 @@ def _merge_groups(
             if ci in mapped[j]:
                 d = min(d, float(model.charts[ci].chart.distance(p, mapped[j][ci])))
             if d < radius:
-                union(i, j)
+                edges.append((i, j))
                 continue
             if value_merge and traits[i][1] and traits[j][1]:
                 if abs(traits[i][0] - traits[j][0]) < SURFACE_VALUE_TOL:
-                    union(i, j)
+                    edges.append((i, j))
+    src, dst = np.array(edges, dtype=np.intp).reshape(-1, 2).T
     groups: dict[int, list[tuple[int, Array]]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(labeled[i])
+    for i, root in enumerate(_components(n, src, dst)):
+        groups.setdefault(int(root), []).append(labeled[i])
     return list(groups.values())
 
 
@@ -380,33 +386,18 @@ def boundary_connectivity(
     for ci, pts in clouds.items():
         offsets[ci] = total
         total += pts.shape[0]
-    parent = list(range(total))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i: int, j: int) -> None:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
-
+    src: list[Array] = []
+    dst: list[Array] = []
     for ci, pts in clouds.items():
         chart = model.charts[ci].chart
         r = radii[ci]
-        m = pts.shape[0]
         base = offsets[ci]
-        for i0 in range(0, m, 128):
+        for i0 in range(0, pts.shape[0], 128):
             block = pts[i0 : i0 + 128]
             disp = chart.displacement(block[:, None, :], pts[None, :, :])
-            d2 = (disp**2).sum(axis=-1)
-            for bi, row in enumerate(d2 < r * r):
-                i = base + i0 + bi
-                for j in np.flatnonzero(row):
-                    if i != base + j:
-                        union(i, base + int(j))
+            bi, j = np.nonzero((disp**2).sum(axis=-1) < r * r)
+            src.append(base + i0 + bi)
+            dst.append(base + j)
     for tr in model.transitions:
         if tr.src not in clouds or tr.dst not in clouds:
             continue
@@ -424,8 +415,7 @@ def boundary_connectivity(
         for i0 in range(0, imgs.shape[0], 128):
             block = imgs[i0 : i0 + 128]
             disp = dst_chart.displacement(block[:, None, :], dst_pts[None, :, :])
-            d2 = (disp**2).sum(axis=-1)
-            for bi, row in enumerate(d2 < link_r * link_r):
-                for j in np.flatnonzero(row):
-                    union(int(src_idx[i0 + bi]), offsets[tr.dst] + int(j))
-    return len({find(i) for i in range(total)})
+            bi, j = np.nonzero((disp**2).sum(axis=-1) < link_r * link_r)
+            src.append(src_idx[i0 + bi])
+            dst.append(offsets[tr.dst] + j)
+    return len(np.unique(_components(total, np.concatenate(src), np.concatenate(dst))))

@@ -10,7 +10,8 @@ previous step's speed test already computed.  On top of the integrator sit
 classifiers: the orbit type swept by a trajectory under the circle action,
 the finite stabilizer of a point, a sign portrait of the moment map on the
 boundary, and a detector that finds and groups the closed zero-level orbit
-sets on the boundary.
+sets on the boundary; it filters its candidates in batches, so only the
+claim test and the tracing run one candidate at a time.
 """
 
 from __future__ import annotations
@@ -69,13 +70,6 @@ def _rk4(vel, p: Array, h: float, k1: Array | None = None) -> Array:
     k3 = vel(p + 0.5 * h * k2)
     k4 = vel(p + h * k3)
     return p + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-
-
-def _in_box(chart, p: Array, slack: float = 1e-9) -> bool:
-    lo = np.asarray(chart.box_lo)
-    hi = np.asarray(chart.box_hi)
-    free = ~np.asarray(chart.periodic)
-    return bool(np.all(p[free] >= lo[free] - slack) and np.all(p[free] <= hi[free] + slack))
 
 
 def _boundary_value(cd: ChartData, p: Array) -> float:
@@ -192,7 +186,7 @@ def integrate(
             p = p_new
             break
         p = p_new
-        if not (cd.chart.contains(p, slack=1e-12)[0] and _in_box(cd.chart, p)):
+        if not (cd.chart.contains(p, slack=1e-12)[0] and cd.chart.in_box(p, 1e-9)):
             moved = False
             for tr in model.transitions_from(ci):
                 if not tr.applicable(p):
@@ -252,17 +246,17 @@ def stabilizer_of(
     """Order of the finite stabilizer at a point; 0 flags a fixed point."""
     cd = model.charts[chart_index]
     p = cd.chart.wrap(np.asarray(point, dtype=float))
-
-    def moved(theta: float) -> float:
-        q = cd.action_map(theta).apply(p)[0]
-        return float(cd.chart.distance(p, q))
-
-    if moved(2 * np.pi * GOLDEN) < tol and moved(2 * np.pi * SILVER) < tol:
+    if all(_moved(cd, p, 2 * np.pi * a)[0] < tol for a in (GOLDEN, SILVER)):
         return 0
     for k in range(max_order, 1, -1):
-        if moved(2 * np.pi / k) < tol:
+        if _moved(cd, p, 2 * np.pi / k)[0] < tol:
             return k
     return 1
+
+
+def _moved(cd: ChartData, points: Array, theta: float) -> Array:
+    """Distance each point moves under the action by ``theta``."""
+    return cd.chart.distance(points, cd.action_map(theta).apply(points))
 
 
 @dataclass
@@ -470,7 +464,7 @@ def _trace_component(
         if not ok:
             break
         prev_w = w
-        if not (cd.chart.contains(cand, slack=1e-9)[0] and _in_box(cd.chart, cand)):
+        if not (cd.chart.contains(cand, slack=1e-9)[0] and cd.chart.in_box(cand, 1e-9)):
             moved = False
             for tr in model.transitions_from(ci):
                 if not tr.applicable(cand):
@@ -499,13 +493,22 @@ def _trace_component(
     return {k: np.array(v) for k, v in samples.items()}, closed
 
 
-def _orbit_min_distance(cd: ChartData, point: Array, cloud: Array, angles: int) -> float:
+def _orbit_images(cd: ChartData, points: Array, angles: int) -> Array:
+    """Action images of each point at ``angles`` equally spaced angles, (k, angles, d)."""
     thetas = np.linspace(0.0, 2 * np.pi, angles, endpoint=False)
-    best = np.inf
-    for theta in thetas:
-        q = cd.action_map(theta).apply(point)[0]
-        best = min(best, float(cd.chart.distance(q, cloud).min()))
-    return best
+    return np.stack([cd.action_map(theta).apply(points) for theta in thetas], axis=1)
+
+
+def _orbit_near(chart, orbit: Array, cloud: Array, radius: float) -> bool:
+    """Whether some point of ``orbit`` (angles, d) lies within ``radius`` of ``cloud``."""
+    # angle blocks no larger than boundary_connectivity's 128 x 2000 pairs
+    rows = max(1, 128 * 2000 // cloud.shape[0])
+    for a0 in range(0, orbit.shape[0], rows):
+        dist = chart.distance(orbit[a0 : a0 + rows, None, :], cloud[None, :, :])
+        # a NaN distance in an angle's row drops that angle, as a scalar min() would
+        if (dist.min(axis=1) < radius).any():
+            return True
+    return False
 
 
 def detect_legendrian_set(
@@ -516,17 +519,13 @@ def detect_legendrian_set(
     max_candidates: int = 60,
     orbit_angles: int = 128,
 ) -> LegendrianSet:
-    """Find the boundary zero-level orbit sets and group them into components."""
+    """Find the boundary zero-level orbit sets and group them into components.
+
+    Candidates are projected, filtered and mapped around their orbits in
+    batches per chart; only the claim test and the tracing are sequential.
+    """
     out = LegendrianSet()
     claimed: dict[int, list[Array]] = {}
-
-    def is_claimed(ci: int, p: Array) -> bool:
-        cd = model.charts[ci]
-        for cloud in claimed.get(ci, []):
-            if _orbit_min_distance(cd, p, cloud, orbit_angles) < 2.5 * step:
-                return True
-        return False
-
     for ci, cd in enumerate(model.charts):
         if cd.chart.boundary is None:
             continue
@@ -539,22 +538,21 @@ def detect_legendrian_set(
         if hv.min() > 1e-8 or hv.max() < -1e-8:
             continue
         order = np.argsort(np.abs(hv))[:max_candidates]
-        for idx in order:
-            p, ok = _project_to_zero_set(cd, pts[idx])
-            if not ok or not cd.chart.contains(p, slack=1e-6)[0]:
+        projected = [_project_to_zero_set(cd, pts[idx]) for idx in order]
+        cands = np.array([p for p, ok in projected if ok]).reshape(-1, cd.chart.dim)
+        cands = cands[cd.chart.contains(cands, slack=1e-6)]
+        xv = field_values(cd.generator, jets.seed(cands, order=1))
+        fixed = np.all([_moved(cd, cands, 2 * np.pi * a) < 1e-9 for a in (GOLDEN, SILVER)], axis=0)
+        keep = ~(np.abs(xv).max(axis=1) < 1e-8) & ~fixed
+        cands, xv = cands[keep], xv[keep]
+        if not len(cands):
+            continue
+        orbits = _orbit_images(cd, cands, orbit_angles)
+        for p, xp, orbit in zip(cands, xv, orbits):
+            if any(_orbit_near(cd.chart, orbit, c, 2.5 * step) for c in claimed.get(ci, [])):
                 continue
-            jc = jets.seed(p[None, :], order=1)
-            xv = field_values(cd.generator, jc)
-            if np.abs(xv).max() < 1e-8:
-                continue
-            if stabilizer_of(model, ci, p) == 0:
-                continue
-            if is_claimed(ci, p):
-                continue
-            alpha = cd.alpha().coefficients(jc)
-            pairing = sum(
-                alpha[key].value[0] * xv[0, key[0]] for key in alpha
-            )
+            alpha = cd.alpha().coefficients(jets.seed(p[None, :], order=1))
+            pairing = sum(alpha[key].value[0] * xp[key[0]] for key in alpha)
             traced, closed = _trace_component(model, ci, p, step)
             for chart_idx, cloud in traced.items():
                 claimed.setdefault(chart_idx, []).append(cloud)

@@ -1,7 +1,8 @@
 """Independent numerical oracles used to cross-check the package.
 
 Everything here works on plain float callables with central finite
-differences, deliberately sharing no code with the jet engine it checks.
+differences, or on plain Python lists, deliberately sharing no code with
+the package it checks.
 """
 
 from __future__ import annotations
@@ -50,3 +51,18 @@ def brute_force_decompositions(genus: int) -> list[tuple[int, int]]:
             if 2 * h + k == 1 + genus:
                 out.append((h, k))
     return sorted(out)
+
+
+def union_find_labels(n: int, edges: list[tuple[int, int]]) -> list[int]:
+    """Smallest node index in each node's component, by plain union-find."""
+    parent = list(range(n))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, j in edges:
+        ri, rj = find(i), find(j)
+        parent[max(ri, rj)] = min(ri, rj)
+    return [find(i) for i in range(n)]

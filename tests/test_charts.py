@@ -5,9 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from hamflow import jets
+from hamflow import jets, registry
 from hamflow.chart import Chart, SmoothMap, sample_boundary, sample_domain
 from hamflow.errors import BoundaryNotFound, EmptyDomainSuspected
+from hamflow.forms import field_values
+from hamflow.flow import GOLDEN, SILVER
 
 
 def _ball_chart(radius: float = 1.0) -> Chart:
@@ -97,6 +99,25 @@ def test_periodic_wrap_and_distance():
     assert chart.distance(a, b) == pytest.approx(0.2, abs=1e-12)
 
 
+@pytest.mark.parametrize("lo,hi", [(-np.pi, np.pi), (0.0, np.pi), (0.0, 2 * np.pi + 1e-9)])
+def test_periodic_box_must_be_full_circle(lo, hi):
+    with pytest.raises(ValueError, match="periodic"):
+        Chart(name="cyl", coords=("t", "h"), periodic=(True, False), box_lo=(lo, -1.0), box_hi=(hi, 1.0))
+
+
+def test_in_box_skips_periodic_coordinates():
+    chart = Chart(
+        name="cyl",
+        coords=("t", "h"),
+        periodic=(True, False),
+        box_lo=(0.0, -1.0),
+        box_hi=(2 * np.pi, 1.0),
+    )
+    assert chart.in_box([7.0, 1.0 + 1e-7], 1e-6)
+    assert not chart.in_box([1.0, 1.0 + 1e-5], 1e-6)
+    assert not chart.in_box([1.0, -1.0 - 1e-5], 1e-6)
+
+
 def test_smooth_map_roundtrip_modulo_period():
     polar = Chart(
         name="polar",
@@ -154,3 +175,18 @@ def test_jacobian_of_map():
     jac = m.jacobian(np.array([[1.2, 0.7]]))[0]
     c, s = np.cos(0.7), np.sin(0.7)
     assert np.allclose(jac, [[c, -1.2 * s], [s, 1.2 * c]], atol=1e-14)
+
+
+@pytest.mark.parametrize("spec", registry.ZOO)
+def test_batched_maps_match_one_row_maps(spec):
+    # the Legendrian filters apply action maps and the generator to whole
+    # candidate batches; each row must be bitwise its one-row result
+    model = registry.build(spec)
+    for ci, cd in enumerate(model.charts):
+        pts = sample_domain(cd.chart, 64, np.random.default_rng([5, ci]))
+        for theta in (2 * np.pi * GOLDEN, 2 * np.pi * SILVER, 2 * np.pi * 5 / 128):
+            amap = cd.action_map(theta)
+            rows = np.concatenate([amap.apply(p) for p in pts])
+            assert np.array_equal(amap.apply(pts), rows, equal_nan=True)
+        rows = np.concatenate([field_values(cd.generator, jets.seed(p[None, :], order=1)) for p in pts])
+        assert np.array_equal(field_values(cd.generator, jets.seed(pts, order=1)), rows, equal_nan=True)

@@ -4,10 +4,13 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hamflow import basic, critical, registry
 from hamflow.errors import NotCritical
 from hamflow.model import HamiltonianModel
+from oracles import union_find_labels
 
 
 @pytest.mark.parametrize(
@@ -164,3 +167,22 @@ def test_connectivity_counts_a_split_boundary():
         charts=[dataclasses.replace(cd, chart=chart)],
     )
     assert critical.boundary_connectivity(two_sided, samples=800) == 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=40).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)) if n else st.nothing(),
+                max_size=3 * n,
+            ),
+        )
+    )
+)
+def test_components_match_union_find(case):
+    n, edges = case
+    src = [i for i, _ in edges]
+    dst = [j for _, j in edges]
+    assert critical._components(n, src, dst).tolist() == union_find_labels(n, edges)

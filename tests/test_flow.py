@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from hamflow import flow, registry
+from hamflow import critical, flow, registry
 from hamflow.basic import cotangent_t2, disc_d4, s1_d3
 from hamflow.blowup import blowup_d4
 from hamflow.chart import sample_domain
@@ -204,3 +204,67 @@ def test_integrate_matches_pins():
         != TRAJECTORY_PINS[key]
     ]
     assert not changed
+
+
+# per spec: sha256 of each Legendrian component (chart_index, closed,
+# torus_certified, repr(tangent_pairing), representative and loop bytes),
+# the boundary_connectivity count, and one sha256 over the fixed-point
+# clusters' (index, value, point bytes); all at seed 0
+ZERO_LOCUS_PINS = {
+    "disc_d4(1,-1)": (
+        ["0a7a930481d71a03b9f64caed7ac5f4b17f2cad5a694ea6af54821dc97eabfca"],
+        1,
+        "eb0579bef4ce53be8edb5146d7cf759f57ac764bc84bcab3fca2e2c14cfffb44",
+    ),
+    # periodic coordinates
+    "cotangent_t2(1,0)": (
+        [
+            "2fe907c6ac9f08d18f30162c9f0141b1eaf99362b529cd1261f19c71112e6fd2",
+            "36e6d9f57c940a785ff6f5efab297dd756be6c0f7cccfb6c5b1ac00bc1e9492f",
+        ],
+        1,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "free_action_planar(2)": (
+        [
+            "1eb4f9da148bd6d5114c47e075f259be92f913ffeb23f8167251298904256155",
+            "8cce9f9e491fd43814853f28020aa35c5bd7975d5e4d81c2c63204df1e3b8c70",
+        ],
+        1,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "s1_d3(1,0)": (
+        ["617cd8e2f267df4232ccc174998b29fc2d28742efba1a6fe4f19f5aca9a0859a"],
+        1,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    # two charts
+    "blowup_d4(1,-1,0.2)": (
+        ["5bb39da9b177e62a6f64e3d551056333e0af02beb32db70d6d95927973e7e0ab"],
+        1,
+        "db6baf5f2b75b20181d0306989afa6d348c54369b09671c953f71c5e96cbde10",
+    ),
+}
+
+
+def _component_pin(comp):
+    digest = hashlib.sha256(
+        repr(
+            (comp.chart_index, comp.closed, comp.torus_certified, repr(comp.tangent_pairing))
+        ).encode()
+    )
+    for arr in (comp.representative, comp.loop):
+        digest.update(np.ascontiguousarray(arr).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("spec", list(ZERO_LOCUS_PINS))
+def test_legendrian_matches_pins(spec):
+    model = registry.build(spec)
+    comps = [_component_pin(c) for c in flow.detect_legendrian_set(model, seed=0).components]
+    fixed = hashlib.sha256()
+    for c in critical.find_fixed_points(model, seed=0):
+        fixed.update(repr((c.index, c.value)).encode())
+        fixed.update(np.ascontiguousarray(c.point).tobytes())
+    got = (comps, critical.boundary_connectivity(model, seed=0), fixed.hexdigest())
+    assert got == ZERO_LOCUS_PINS[spec]
