@@ -13,7 +13,6 @@ import argparse
 import csv
 import dataclasses
 import io
-import json
 import sys
 
 import numpy as np
@@ -24,10 +23,6 @@ from .errors import HamflowError, ImmediateExit, StiffFlow
 from .handles import attach_2handle
 from .model import HamiltonianModel, enumerate_decompositions
 from .planar import disc_bundle_over_surface, free_action_planar
-
-
-def _canonical(payload) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def _json_safe(obj):
@@ -64,7 +59,7 @@ def _emit(args, text: str) -> None:
 
 def _render(args, lines, payload, header, rows) -> None:
     if args.format == "json":
-        _emit(args, _canonical(_json_safe(payload)))
+        _emit(args, verifier.canonical_json(_json_safe(payload)))
     elif args.format == "csv":
         _emit(args, _csv_text(header, rows))
     else:

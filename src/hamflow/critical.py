@@ -138,17 +138,6 @@ def _newton_generator_zero(cd, start: Array, tol: float = 1e-11, iters: int = 60
 # clustering converged points across charts
 
 
-def _map_through(model, ci: int, p: Array) -> dict[int, Array]:
-    images: dict[int, Array] = {}
-    for tr in model.transitions_from(ci):
-        if not tr.applicable(p):
-            continue
-        img = tr.map.apply(p)[0]
-        if bool(model.charts[tr.dst].chart.contains(img, slack=1e-6)[0]):
-            images[tr.dst] = img
-    return images
-
-
 def _components(n: int, src: Array, dst: Array) -> Array:
     """Label each of n nodes with the smallest index in its component.
 
@@ -179,7 +168,8 @@ def _merge_groups(
 ) -> list[list[tuple[int, Array]]]:
     n = len(labeled)
     edges: list[tuple[int, int]] = []
-    mapped = [_map_through(model, ci, p) for ci, p in labeled]
+    # later transitions to the same chart overwrite earlier ones
+    mapped = [{tr.dst: q for tr, q in model.transfers(ci, p, 1e-6)} for ci, p in labeled]
     traits = []
     if value_merge:
         for ci, p in labeled:
@@ -267,17 +257,6 @@ def critical_surface_census(
 # gradient ascent / descent structure
 
 
-def _margin_samples(cd, n: int, rng: np.random.Generator) -> Array:
-    pts = sample_domain(cd.chart, 4 * n, rng)
-    if cd.liouville_domain:
-        jc = jets.seed(pts, order=0)
-        ok = np.ones(pts.shape[0], dtype=bool)
-        for fn in cd.liouville_domain:
-            ok &= fn(jc).value <= 0
-        pts = pts[ok]
-    return pts[:n]
-
-
 def extrema_analysis(
     model: HamiltonianModel,
     seed: int = 0,
@@ -295,7 +274,8 @@ def extrema_analysis(
         if cd.metric is None:
             continue
         rng = np.random.default_rng([seed, 29, ci])
-        pts = _margin_samples(cd, starts, rng)
+        pts = sample_domain(cd.chart, 4 * starts, rng)
+        pts = pts[cd.inside_margin(pts)][:starts]
         for p in pts:
             for direction in (1, -1):
                 try:

@@ -187,24 +187,17 @@ def integrate(
             break
         p = p_new
         if not (cd.chart.contains(p, slack=1e-12)[0] and cd.chart.in_box(p, 1e-9)):
-            moved = False
-            for tr in model.transitions_from(ci):
-                if not tr.applicable(p):
-                    continue
-                q = tr.map.apply(p)[0]
-                if model.charts[tr.dst].chart.contains(q, slack=1e-9)[0]:
-                    ci = tr.dst
-                    cd = model.charts[ci]
-                    vel = _velocity_fn(cd, direction)
-                    k1 = None
-                    p = q
-                    pts[-1] = p.copy()
-                    charts[-1] = ci
-                    moved = True
-                    break
-            if not moved:
+            hit = next(model.transfers(ci, p, 1e-9), None)
+            if hit is None:
                 termination = "exited_chart"
                 break
+            tr, p = hit
+            ci = tr.dst
+            cd = model.charts[ci]
+            vel = _velocity_fn(cd, direction)
+            k1 = None
+            pts[-1] = p.copy()
+            charts[-1] = ci
     else:
         termination = "max_steps"
 
@@ -465,21 +458,13 @@ def _trace_component(
             break
         prev_w = w
         if not (cd.chart.contains(cand, slack=1e-9)[0] and cd.chart.in_box(cand, 1e-9)):
-            moved = False
-            for tr in model.transitions_from(ci):
-                if not tr.applicable(cand):
-                    continue
-                q = tr.map.apply(cand)[0]
-                if model.charts[tr.dst].chart.contains(q, slack=1e-9)[0]:
-                    jmat = tr.map.jacobian(cand[None, :])[0]
-                    prev_w = jmat @ w
-                    prev_w = prev_w / np.linalg.norm(prev_w)
-                    ci = tr.dst
-                    p = q
-                    moved = True
-                    break
-            if not moved:
+            hit = next(model.transfers(ci, cand, 1e-9), None)
+            if hit is None:
                 break
+            tr, p = hit
+            prev_w = tr.map.jacobian(cand[None, :])[0] @ w
+            prev_w = prev_w / np.linalg.norm(prev_w)
+            ci = tr.dst
         else:
             p = cand
         samples.setdefault(ci, []).append(p.copy())

@@ -5,14 +5,15 @@ geometric package: the symplectic form, the moment map ("hamiltonian"), the
 circle-action generator, the action itself as a family of chart self-maps,
 and optionally a Liouville field, a compatible metric, and a stored boundary
 1-form.  Charts are glued by transitions (smooth maps with validity
-predicates); the structural identities tying all of this together are checked
-by :mod:`hamflow.verifier`, not assumed here.
+predicates); ``HamiltonianModel.transfers`` is the one way across them.  The
+structural identities tying all of this together are checked by
+:mod:`hamflow.verifier`, not assumed here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -44,6 +45,15 @@ class ChartData:
     boundary_accept: Callable[[Array], bool] | None = None
     note: str = ""
 
+    def inside_margin(self, points: Array) -> Array:
+        """Mask of the points inside every declared field margin."""
+        ok = np.ones(points.shape[0], dtype=bool)
+        if self.liouville_domain:
+            jc = jets.seed(points, order=0)
+            for fn in self.liouville_domain:
+                ok &= fn(jc).value <= 0
+        return ok
+
     def action_map(self, theta: float) -> SmoothMap:
         return SmoothMap(source=self.chart, target=self.chart, forward=self.action(theta))
 
@@ -70,11 +80,6 @@ class Transition:
     map: SmoothMap
     valid: Callable[[Array], Array] | None = None
 
-    def applicable(self, point: Array) -> bool:
-        if self.valid is None:
-            return True
-        return bool(np.all(self.valid(np.atleast_2d(point))))
-
 
 @dataclass
 class HamiltonianModel:
@@ -96,6 +101,19 @@ class HamiltonianModel:
 
     def transitions_from(self, i: int) -> list[Transition]:
         return [t for t in self.transitions if t.src == i]
+
+    def transfers(self, ci: int, point: Array, slack: float) -> Iterator[tuple[Transition, Array]]:
+        """Lazily yield ``(transition, image)`` for each way out of chart ``ci``.
+
+        Transitions come in model order; one counts when its predicate accepts
+        ``point`` and its destination chart contains the image within ``slack``.
+        """
+        for tr in self.transitions_from(ci):
+            if tr.valid is not None and not np.all(tr.valid(np.atleast_2d(point))):
+                continue
+            image = tr.map.apply(point)[0]
+            if self.charts[tr.dst].chart.contains(image, slack=slack)[0]:
+                yield tr, image
 
 
 @dataclass(frozen=True)

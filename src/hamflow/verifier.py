@@ -142,6 +142,11 @@ class CheckResult:
         return entry
 
 
+def canonical_json(payload) -> str:
+    """Sorted-key compact JSON; NaN and infinities raise instead of serializing."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
 @dataclass
 class VerificationReport:
     """Full per-model report; serializes to canonical JSON bytes."""
@@ -173,9 +178,7 @@ class VerificationReport:
         return out
 
     def to_json(self) -> bytes:
-        return json.dumps(
-            self.to_dict(), sort_keys=True, separators=(",", ":"), allow_nan=False
-        ).encode("utf-8")
+        return canonical_json(self.to_dict()).encode("utf-8")
 
     def lines(self) -> list[str]:
         out = [f"{self.model}  seed={self.seed}"]
@@ -228,21 +231,12 @@ def _rng(seed: int, check_id: str, chart_index: int) -> np.random.Generator:
     return np.random.default_rng([seed, _CHECK_INDEX[check_id], chart_index])
 
 
-def _margin_mask(cd, pts: Array) -> Array:
-    ok = np.ones(pts.shape[0], dtype=bool)
-    if cd.liouville_domain:
-        jc = jets.seed(pts, order=0)
-        for fn in cd.liouville_domain:
-            ok &= fn(jc).value <= 0
-    return ok
-
-
 def _sample_inside_margin(cd, n: int, rng: np.random.Generator) -> Array:
     """Interior samples respecting the chart's declared field margins."""
     kept = np.zeros((0, cd.chart.dim))
     for _ in range(20):
         pts = sample_domain(cd.chart, n, rng)
-        pts = pts[_margin_mask(cd, pts)]
+        pts = pts[cd.inside_margin(pts)]
         kept = np.concatenate([kept, pts], axis=0)
         if kept.shape[0] >= n:
             break
@@ -341,7 +335,7 @@ def check_invariance(
         jc = jets.seed(pts, order=1)
         omega0 = cd.omega.coefficients(jc)
         h0 = cd.hamiltonian(jc).value
-        mask = _margin_mask(cd, pts)
+        mask = cd.inside_margin(pts)
         mpts = pts[mask]
         mjc = jets.seed(mpts, order=1) if mpts.shape[0] else None
         if mpts.shape[0] < pts.shape[0]:
@@ -374,7 +368,7 @@ def check_invariance(
             img_jets = amap.forward(mjc)
             img_pts = cd.chart.wrap(np.stack([j.value for j in img_jets], axis=1))
             jac = np.stack([j.grad for j in img_jets], axis=1)
-            keep = _margin_mask(cd, img_pts)
+            keep = cd.inside_margin(img_pts)
             if not keep.any():
                 continue
             img_jc = jets.seed(img_pts[keep], order=1)
@@ -437,7 +431,7 @@ def check_contact_boundary(model: HamiltonianModel, spec: CheckSpec) -> CheckRes
             continue
         rng = _rng(spec.seed, "contact_boundary", ci)
         pts = sample_boundary(cd.chart, spec.sample_count, rng, accept=cd.boundary_accept)
-        keep = _margin_mask(cd, pts)
+        keep = cd.inside_margin(pts)
         if not keep.any():
             skipped.append(f"chart {cd.chart.name!r}: boundary lies outside the declared margin")
             continue

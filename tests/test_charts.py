@@ -190,3 +190,42 @@ def test_batched_maps_match_one_row_maps(spec):
             assert np.array_equal(amap.apply(pts), rows, equal_nan=True)
         rows = np.concatenate([field_values(cd.generator, jets.seed(p[None, :], order=1)) for p in pts])
         assert np.array_equal(field_values(cd.generator, jets.seed(pts, order=1)), rows, equal_nan=True)
+
+
+def test_transfers_follow_model_order_and_skip_rejected_transitions():
+    # the three blow-up charts overlap pairwise, so some points reach two
+    # charts and some images land inside a chart whose predicate says no
+    model = registry.build("blowup_d4(1,-1,0.2)")
+    reached_two = rejected_inside = 0
+    for ci, cd in enumerate(model.charts):
+        for p in sample_domain(cd.chart, 200, np.random.default_rng([5, ci])):
+            hits = list(model.transfers(ci, p, 1e-9))
+            rank = [model.transitions.index(tr) for tr, _ in hits]
+            assert rank == sorted(rank)
+            for tr, q in hits:
+                assert np.array_equal(q, tr.map.apply(p)[0])
+            reached_two += len(hits) == 2
+            for tr in model.transitions_from(ci):
+                q = tr.map.apply(p)[0]
+                if not tr.valid(p[None])[0] and model.charts[tr.dst].chart.contains(q, 1e-9)[0]:
+                    assert tr.dst not in [t.dst for t, _ in hits]
+                    rejected_inside += 1
+    assert reached_two and rejected_inside
+
+
+def test_transfers_yield_nothing_when_every_image_is_outside():
+    model = registry.build("blowup_d4(1,-1,0.2)")
+    p = np.array([3.0, 0.0, 3.0, 0.0])
+    assert all(tr.valid(p[None])[0] for tr in model.transitions_from(0))
+    assert list(model.transfers(0, p, 1e-6)) == []
+
+
+def test_transfers_slack_admits_image_just_outside():
+    # north cap -> equator strip: with a^2 = 0.49 and pa = b = 0 the image
+    # has |pt| = 0.7 pb and w = 0.49, so its cosphere value is pb^2 - 1
+    model = registry.build("cotangent_s2()")
+    p = np.array([0.7, 0.0, 0.0, np.sqrt(1.0 + 1e-7)])
+    assert list(model.transfers(1, p, 1e-9)) == []
+    (tr, q), = model.transfers(1, p, 1e-6)
+    assert tr.dst == 0
+    assert 1e-9 < model.charts[0].chart.domain[-1](jets.seed(q[None], order=0)).value[0] < 1e-6

@@ -100,6 +100,18 @@ def test_verify_reports_are_byte_identical(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_verify_json_is_report_bytes(capsys):
+    code, out, _ = run(
+        capsys,
+        ["verify", "s1_d3(2,1)", "--samples", "70", "--seed", "3", "--format", "json"],
+    )
+    assert code == 0
+    tolerances = dict(cli.verifier.DEFAULT_TOLERANCES)
+    config = cli.verifier.RunConfig(seed=3, samples=70, tolerances=tolerances)
+    report = cli._verified_report(registry.build("s1_d3(2,1)"), config)
+    assert out.removesuffix("\n").encode("utf-8") == report.to_json()
+
+
 def test_verify_csv_has_status_rows(capsys):
     code, out, _ = run(capsys, ["verify", "disc_d4(1,1)", "--samples", "40", "--format", "csv"])
     assert code == 0

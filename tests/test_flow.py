@@ -268,3 +268,56 @@ def test_legendrian_matches_pins(spec):
         fixed.update(np.ascontiguousarray(c.point).tobytes())
     got = (comps, critical.boundary_connectivity(model, seed=0), fixed.hexdigest())
     assert got == ZERO_LOCUS_PINS[spec]
+
+
+# zero-set starts whose traces cross charts, as (chart, start, max_steps);
+# the attach_2handle traces never close, so they are cut at 400 steps, after
+# their switch from the saddle into the tube
+TRACE_STARTS = {
+    "cotangent_s2()": [
+        (0, [1.0601170797274766, 0.012158126790029762, 0.0, 1.0000739182197214], 6000),
+        (1, [-0.21532494469411312, 0.08062762935086197, 0.9622807017623151, -0.3603224506264112], 6000),
+    ],
+    "attach_2handle(s1_d3(1,0))": [
+        (1, [0.47881356236965456, -0.15261872343015082, 0.30254543471283396, -0.09643439880227399], 400),
+        (1, [-0.12716273021928545, 0.035822628762850785, -0.3056462974635524, 0.0861026955609999], 400),
+    ],
+}
+# per start: closed, and (chart, sha256 of the cloud bytes) in the order
+# the trace entered the charts
+TRACE_PINS = {
+    "cotangent_s2()": [
+        (True, [
+            (0, "8ab4c05c5875554fee63b42ac684060cde0597451f1fcf8df35911a345be6210"),
+            (2, "18115df3119d1712010798fd18cc0b67d913f97a0debba1cf9d2e8b6406b5598"),
+            (1, "15714e28bcf09149f1ebef811e1a4d2829dc3b92084ea0aae862205e1de87286"),
+        ]),
+        (True, [
+            (1, "d909a1de3fd65b28940d4aa445377ef968be591cdc4051640624ea2f6600f3e0"),
+            (0, "1d16c331c60f9ac0ce81d8d48b32044908cbb63381718534b6d396b0ce7f178d"),
+            (2, "20d1365bff8c412a17e515a5eb44673917a1d674e9a60a0f5d8b7d8787bf70a5"),
+        ]),
+    ],
+    "attach_2handle(s1_d3(1,0))": [
+        (False, [
+            (1, "1a709762ab469085fb8c597e1300be081aab797436f04c36330a468e40f9b3f0"),
+            (0, "bd427576b89fef1b7d762e7f2a1832c445cba93ffa6b9c6ad4543c93de09f9ce"),
+        ]),
+        (False, [
+            (1, "81cc6e387efca7f87dfbb3014e18b710be49d1c69457bc7eb4bda3ac1095467f"),
+            (0, "ecd77ef2848e4fee6d68f9add5a5f970501aae0fb299f400a8c9d3b028e5078c"),
+        ]),
+    ],
+}
+
+
+@pytest.mark.parametrize("spec", list(TRACE_STARTS))
+def test_trace_component_matches_pins(spec):
+    model = registry.build(spec)
+    got = []
+    for ci, start, max_steps in TRACE_STARTS[spec]:
+        traced, closed = flow._trace_component(model, ci, np.array(start), 0.04, max_steps)
+        clouds = [(k, hashlib.sha256(np.ascontiguousarray(v).tobytes()).hexdigest()) for k, v in traced.items()]
+        assert len(clouds) > 1
+        got.append((closed, clouds))
+    assert got == TRACE_PINS[spec]
