@@ -167,17 +167,17 @@ def sample_domain(chart: Chart, n: int, rng: np.random.Generator) -> Array:
 
 
 _RAY_BATCH = 256
+_RAY_STEPS = 400
+_RAY_BLOCK = 16
 
 
-def _others_violated(chart: Chart, pts: Array) -> Array:
-    """Mask of points breaking a domain inequality other than the boundary."""
-    bad = np.zeros(pts.shape[0], dtype=bool)
-    if chart.domain:
-        j = jets.seed(pts, order=0)
-        for fn in chart.domain:
-            if fn is chart.boundary:
-                continue
-            bad |= fn(j).value > 0
+def _others_violated(chart: Chart, jc: Sequence[Jet]) -> Array:
+    """Mask of seeded points breaking a domain inequality other than the boundary."""
+    bad = np.zeros(jc[0].n, dtype=bool)
+    for fn in chart.domain:
+        if fn is chart.boundary:
+            continue
+        bad |= fn(jc).value > 0
     return bad
 
 
@@ -211,10 +211,16 @@ def sample_boundary(
     """Draw n points on the boundary zero level by ray casting.
 
     Each attempt pairs an interior sample with a random direction and marches
-    until the boundary function changes sign (the crossing is then bisected to
-    1e-10) or until another domain inequality is violated, which abandons the
-    ray.  Rays advance in fixed-size batches so the accepted sequence is
-    prefix-stable in n.  ``accept`` optionally filters found points (used by
+    in steps of 1% of the widest box side, at most 400 of them, until the
+    boundary function changes sign (the crossing is then bisected to 1e-10)
+    or until another domain inequality is violated, which abandons the ray.
+    Rays advance in fixed-size batches so the accepted sequence is
+    prefix-stable in n.  Every live ray takes a block of 16 steps per
+    evaluation: the block's points come from the same repeated additions
+    ``pos + step * dir`` as single steps would, the boundary function and the
+    other inequalities are evaluated once over the stacked block, and each
+    ray stops at its first event, so the result is the one-step march's bit
+    for bit.  ``accept`` optionally filters found points (used by
     glued models to mask regions replaced by a handle).  Raises
     BoundaryNotFound after ``max_rays`` consecutive failed rays.
     """
@@ -235,25 +241,34 @@ def sample_boundary(
         starts = sample_domain(chart, _RAY_BATCH, rng)
         dirs = rng.normal(size=(_RAY_BATCH, chart.dim))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        alive = chart.boundary(jets.seed(starts, order=0)).value <= 0
-        pos = starts.copy()
-        inner = starts.copy()
+        inner = np.zeros_like(starts)
         outer = np.zeros_like(starts)
         crossed = np.zeros(_RAY_BATCH, dtype=bool)
-        for _ in range(400):
-            idx = np.flatnonzero(alive)
+        idx = np.flatnonzero(chart.boundary(jets.seed(starts, order=0)).value <= 0)
+        pos = starts[idx]
+        for done in range(0, _RAY_STEPS, _RAY_BLOCK):
             if idx.size == 0:
                 break
-            nxt = pos[idx] + step * dirs[idx]
-            fb = chart.boundary(jets.seed(nxt, order=0)).value
-            hit = fb >= 0
-            inner[idx[hit]] = pos[idx[hit]]
-            outer[idx[hit]] = nxt[hit]
-            crossed[idx[hit]] = True
-            # a crossing is kept even if another inequality also trips there
-            dropped = ~hit & _others_violated(chart, nxt)
-            pos[idx] = nxt
-            alive[idx] = ~hit & ~dropped
+            k = min(_RAY_BLOCK, _RAY_STEPS - done)
+            delta = step * dirs[idx]
+            block = np.empty((k + 1,) + pos.shape)
+            block[0] = pos
+            for s in range(k):
+                block[s + 1] = block[s] + delta
+            jc = jets.seed(block[1:].reshape(-1, chart.dim), order=0)
+            hit = (chart.boundary(jc).value >= 0).reshape(k, -1)
+            event = hit | _others_violated(chart, jc).reshape(k, -1)
+            # each ray's first event; a crossing is kept even if another
+            # inequality also trips at the same step
+            first = event.argmax(axis=0)
+            cols = np.arange(idx.size)
+            ended = event[first, cols]
+            won = ended & hit[first, cols]
+            inner[idx[won]] = block[first[won], cols[won]]
+            outer[idx[won]] = block[first[won] + 1, cols[won]]
+            crossed[idx[won]] = True
+            idx = idx[~ended]
+            pos = block[k, ~ended]
         batch_pts = np.zeros((0, chart.dim))
         if crossed.any():
             found, ok = _bisect_boundary(chart, inner[crossed], outer[crossed])

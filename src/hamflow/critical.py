@@ -84,12 +84,6 @@ def hessian_data(
     return index, nullity, eigs
 
 
-def hessian_index(
-    model: HamiltonianModel, chart_index: int, point: Array, null_tol: float = NULL_TOL
-) -> int:
-    return hessian_data(model, chart_index, point, null_tol)[0]
-
-
 # ----------------------------------------------------------------------
 # Newton search for generator zeros
 

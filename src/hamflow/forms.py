@@ -7,6 +7,15 @@ with nonzero coefficient.  All operators below build new coefficient functions
 by closure, so forms compose lazily and every evaluation carries whatever
 derivative order the input jets support.
 
+Each operator's body is a coefficient-level function (:func:`d_coeffs`,
+:func:`interior_coeffs`, :func:`wedge_coeffs`, :func:`lie_coeffs`,
+:func:`pullback_coeffs`) that works on already evaluated coefficient dicts,
+field components or image jets; the lazy operator's closure only evaluates
+its operands and calls it.  A caller that needs several expressions built
+from one form (a form, its d and their wedge, or a pullback and the map's
+images) evaluates the form once and calls these functions directly, with the
+same arithmetic as the lazy route.
+
 Degrees 0 through 4 are supported on charts of dimension up to 6, which covers
 2-forms, their exterior derivatives, volume checks omega ^ omega, and contact
 3-forms alpha ^ d(alpha).
@@ -15,6 +24,7 @@ Degrees 0 through 4 are supported on charts of dimension up to 6, which covers
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import combinations
 from typing import Callable, Sequence
 
 import numpy as np
@@ -94,40 +104,59 @@ def _acc(store: Coeffs, key: tuple[int, ...], term: Jet, sign: int) -> None:
 # operators
 
 
+def d_coeffs(coeffs: Coeffs, dim: int) -> Coeffs:
+    """Exterior derivative of evaluated coefficients, one jet order lower."""
+    out: Coeffs = {}
+    for idx, c in coeffs.items():
+        for j in range(dim):
+            sign, key = _insert_index(idx, j)
+            if sign == 0:
+                continue
+            _acc(out, key, c.partial(j), sign)
+    return out
+
+
+def interior_coeffs(comps: Sequence[Jet], coeffs: Coeffs) -> Coeffs:
+    """Contraction of evaluated field components into evaluated coefficients."""
+    out: Coeffs = {}
+    for idx, c in coeffs.items():
+        for pos, i in enumerate(idx):
+            sign = -1 if pos % 2 else 1
+            key = idx[:pos] + idx[pos + 1 :]
+            _acc(out, key, comps[i] * c, sign)
+    return out
+
+
+def wedge_coeffs(ca: Coeffs, cb: Coeffs) -> Coeffs:
+    """Wedge product of two evaluated coefficient dicts."""
+    out: Coeffs = {}
+    for ia, va in ca.items():
+        for ib, vb in cb.items():
+            sign, key = _merge_indices(ia, ib)
+            if sign == 0:
+                continue
+            _acc(out, key, va * vb, sign)
+    return out
+
+
+def lie_coeffs(comps: Sequence[Jet], coeffs: Coeffs, dim: int) -> Coeffs:
+    """Cartan formula i_v d + d i_v on evaluated field components and coefficients."""
+    out = dict(interior_coeffs(comps, d_coeffs(coeffs, dim)))
+    for idx, c in d_coeffs(interior_coeffs(comps, coeffs), dim).items():
+        _acc(out, idx, c, 1)
+    return out
+
+
 def exterior_derivative(form: KForm) -> KForm:
     if form.degree >= MAX_DEGREE:
         raise DegreeOverflow(f"d on degree-{form.degree} form exceeds degree {MAX_DEGREE}")
-    dim = form.dim
-
-    def fn(jc: Sequence[Jet]) -> Coeffs:
-        out: Coeffs = {}
-        for idx, c in form.coefficients(jc).items():
-            for j in range(dim):
-                sign, key = _insert_index(idx, j)
-                if sign == 0:
-                    continue
-                _acc(out, key, c.partial(j), sign)
-        return out
-
-    return KForm(form.degree + 1, dim, fn)
+    return KForm(form.degree + 1, form.dim, lambda jc: d_coeffs(form.coefficients(jc), form.dim))
 
 
 def interior_product(v: VectorField, form: KForm) -> KForm:
     if form.degree == 0:
         raise DegreeUnderflow("interior product of a 0-form")
-    dim = form.dim
-
-    def fn(jc: Sequence[Jet]) -> Coeffs:
-        comps = v(jc)
-        out: Coeffs = {}
-        for idx, c in form.coefficients(jc).items():
-            for pos, i in enumerate(idx):
-                sign = -1 if pos % 2 else 1
-                key = idx[:pos] + idx[pos + 1 :]
-                _acc(out, key, comps[i] * c, sign)
-        return out
-
-    return KForm(form.degree - 1, dim, fn)
+    return KForm(form.degree - 1, form.dim, lambda jc: interior_coeffs(v(jc), form.coefficients(jc)))
 
 
 def wedge(a: KForm, b: KForm) -> KForm:
@@ -135,20 +164,7 @@ def wedge(a: KForm, b: KForm) -> KForm:
         raise DimensionMismatch(f"wedge of forms on dims {a.dim} and {b.dim}")
     if a.degree + b.degree > MAX_DEGREE:
         raise DegreeOverflow(f"wedge degree {a.degree + b.degree} above {MAX_DEGREE}")
-
-    def fn(jc: Sequence[Jet]) -> Coeffs:
-        ca = a.coefficients(jc)
-        cb = b.coefficients(jc)
-        out: Coeffs = {}
-        for ia, va in ca.items():
-            for ib, vb in cb.items():
-                sign, key = _merge_indices(ia, ib)
-                if sign == 0:
-                    continue
-                _acc(out, key, va * vb, sign)
-        return out
-
-    return KForm(a.degree + b.degree, a.dim, fn)
+    return KForm(a.degree + b.degree, a.dim, lambda jc: wedge_coeffs(a.coefficients(jc), b.coefficients(jc)))
 
 
 def _det_jet(rows: list[list[Jet]]) -> Jet:
@@ -188,56 +204,44 @@ def compose_jet(coeff: Jet, img: Sequence[Jet]) -> Jet:
     return Jet(value, grad, hess)
 
 
-def pullback(mapping, form: KForm) -> KForm:
-    """Pullback of a form on the target chart through a smooth map.
+def pullback_coeffs(form: KForm, img: Sequence[Jet], src_dim: int) -> Coeffs:
+    """Coefficients of the pullback of a target-chart form, given the image jets.
 
-    The target form's coefficients are evaluated on freshly seeded target
-    jets at the image points and composed back through the map by the chain
-    rule, so nested pullbacks compose correctly.  Coefficient jets of the
-    result sit one derivative order below the input jets (the Jacobian
-    minors consume one order).
+    ``img`` are the map's image coordinates as jets over the source chart.
+    The form's coefficients are evaluated on freshly seeded target jets at
+    the image points and composed back by the chain rule, so nested
+    pullbacks compose correctly.  Coefficient jets of the result sit one
+    derivative order below ``img`` (the Jacobian minors consume one order).
     """
+    order = min(j.order for j in img) if img else 0
+    pts = np.stack([j.value for j in img], axis=1)
+    tj = J.seed(pts, order=max(order, 0))
+    coeffs = {idx: compose_jet(c, img) for idx, c in form.coefficients(tj).items()}
+    if form.degree == 0:
+        return coeffs
+    jac = [[img[i].partial(a) for a in range(src_dim)] for i in range(form.dim)]
+    out: Coeffs = {}
+    for tgt_idx, c in coeffs.items():
+        for src_idx in combinations(range(src_dim), form.degree):
+            rows = [[jac[i][a] for a in src_idx] for i in tgt_idx]
+            minor = _det_jet(rows)
+            _acc(out, src_idx, c * minor, 1)
+    return out
+
+
+def pullback(mapping, form: KForm) -> KForm:
+    """Pullback of a form on the target chart through a smooth map (see :func:`pullback_coeffs`)."""
     src_dim = mapping.source.dim
     if form.dim != mapping.target.dim:
         raise DimensionMismatch("form lives on a chart of different dimension than the map target")
-    k = form.degree
-
-    def fn(jc: Sequence[Jet]) -> Coeffs:
-        img = mapping.forward(jc)
-        order = min(j.order for j in img) if img else 0
-        pts = np.stack([j.value for j in img], axis=1)
-        tj = J.seed(pts, order=max(order, 0))
-        coeffs = {idx: compose_jet(c, img) for idx, c in form.coefficients(tj).items()}
-        if k == 0:
-            return coeffs
-        jac = [[img[i].partial(a) for a in range(src_dim)] for i in range(form.dim)]
-        out: Coeffs = {}
-        from itertools import combinations
-
-        for tgt_idx, c in coeffs.items():
-            for src_idx in combinations(range(src_dim), k):
-                rows = [[jac[i][a] for a in src_idx] for i in tgt_idx]
-                minor = _det_jet(rows)
-                _acc(out, src_idx, c * minor, 1)
-        return out
-
-    return KForm(k, src_dim, fn)
+    return KForm(form.degree, src_dim, lambda jc: pullback_coeffs(form, mapping.forward(jc), src_dim))
 
 
 def lie_derivative(v: VectorField, form: KForm) -> KForm:
-    """Cartan formula: L_v = i_v d + d i_v."""
-    term1 = interior_product(v, exterior_derivative(form))
-    if form.degree == 0:
-        return term1
-    term2 = exterior_derivative(interior_product(v, form))
-
-    def fn(jc: Sequence[Jet]) -> Coeffs:
-        out = dict(term1.coefficients(jc))
-        for idx, c in term2.coefficients(jc).items():
-            _acc(out, idx, c, 1)
-        return out
-
-    return KForm(form.degree, form.dim, fn)
+    """Cartan formula: L_v = i_v d + d i_v (see :func:`lie_coeffs`)."""
+    if form.degree >= MAX_DEGREE:
+        raise DegreeOverflow(f"d on degree-{form.degree} form exceeds degree {MAX_DEGREE}")
+    return KForm(form.degree, form.dim, lambda jc: lie_coeffs(v(jc), form.coefficients(jc), form.dim))
 
 
 def lie_bracket(v: VectorField, w: VectorField, dim: int) -> VectorField:

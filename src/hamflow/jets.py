@@ -12,8 +12,26 @@ Taking a coordinate partial of a jet (:meth:`Jet.partial`) produces a jet one
 order lower: the result's gradient comes from the parent's Hessian, and its
 own Hessian is unknown.  Missing orders are stored as ``None`` and raise
 :class:`~hamflow.errors.JetOrderError` when consumed, rather than silently
-reading zeros.  Plain numbers and numpy arrays entering jet arithmetic are
-treated as constants (zero derivatives of every order).
+reading zeros.
+
+Plain numbers (``int``, ``float``, numpy scalars) and numpy arrays that
+broadcast to the batch shape ``(n,)`` are constants, with zero derivatives of
+every order.  They never become jets: ``x + c`` and ``x - c`` shift the value
+and keep ``x``'s own derivative arrays, ``x * c`` scales value and
+derivatives by ``c``, ``x / c`` is ``x * (1.0 / c)`` and ``c / x`` is the
+reciprocal of ``x`` scaled by ``c``.  Values are bitwise those of lifting
+``c`` to a zero-derivative jet and applying the sum, product and quotient
+rules, and so are derivatives, with two deliberate differences:
+
+* a -0.0 derivative entry keeps its sign (the lifted route added +0.0 * v
+  and could turn it into +0.0);
+* a non-finite value no longer turns the derivatives of a product with a
+  constant into NaN (the lifted route added 0 * inf); the value itself stays
+  non-finite.
+
+Derivative arrays are shared between jets, so jets are immutable: no code
+writes into a jet's ``value``, ``grad`` or ``hess`` in place.  NumPy defers
+``ndarray op jet`` to the jet's reflected operators.
 """
 
 from __future__ import annotations
@@ -31,6 +49,9 @@ class Jet:
     """Value plus first/second derivatives of a batch of scalars."""
 
     __slots__ = ("value", "grad", "hess")
+    # numpy defers to the reflected operators below instead of building an
+    # object array of jets from ``ndarray op jet``
+    __array_ufunc__ = None
 
     def __init__(self, value: Array, grad: Array | None, hess: Array | None):
         self.value = value
@@ -71,24 +92,24 @@ class Jet:
     # ------------------------------------------------------------------
     # arithmetic
 
-    def _coerce(self, other) -> "Jet | None":
-        """Constants become jets of matching order with zero derivatives."""
-        if isinstance(other, Jet):
-            return other
-        if isinstance(other, _SCALARS) or isinstance(other, np.ndarray):
-            v = np.broadcast_to(np.asarray(other, dtype=float), self.value.shape).copy()
-            g = None if self.grad is None else np.zeros_like(self.grad)
-            h = None if self.hess is None else np.zeros_like(self.hess)
-            return Jet(v, g, h)
-        return None
+    def _scale(self, c) -> "Jet":
+        """Product with a constant: a float, or an array broadcast to the batch."""
+        gc = hc = c
+        if isinstance(c, np.ndarray):
+            gc, hc = c[:, None], c[:, None, None]
+        g = None if self.grad is None else self.grad * gc
+        h = None if self.hess is None else self.hess * hc
+        return Jet(self.value * c, g, h)
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if isinstance(other, Jet):
+            g = None if (self.grad is None or other.grad is None) else self.grad + other.grad
+            h = None if (self.hess is None or other.hess is None) else self.hess + other.hess
+            return Jet(self.value + other.value, g, h)
+        c = _constant(other, self.value.shape)
+        if c is None:
             return NotImplemented
-        g = None if (self.grad is None or o.grad is None) else self.grad + o.grad
-        h = None if (self.hess is None or o.hess is None) else self.hess + o.hess
-        return Jet(self.value + o.value, g, h)
+        return Jet(self.value + c, self.grad, self.hess)
 
     __radd__ = __add__
 
@@ -98,21 +119,23 @@ class Jet:
         return Jet(-self.value, g, h)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if isinstance(other, Jet):
+            g = None if (self.grad is None or other.grad is None) else self.grad - other.grad
+            h = None if (self.hess is None or other.hess is None) else self.hess - other.hess
+            return Jet(self.value - other.value, g, h)
+        c = _constant(other, self.value.shape)
+        if c is None:
             return NotImplemented
-        g = None if (self.grad is None or o.grad is None) else self.grad - o.grad
-        h = None if (self.hess is None or o.hess is None) else self.hess - o.hess
-        return Jet(self.value - o.value, g, h)
+        return Jet(self.value - c, self.grad, self.hess)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        a, b = self, o
+        if not isinstance(other, Jet):
+            c = _constant(other, self.value.shape)
+            return NotImplemented if c is None else self._scale(c)
+        a, b = self, other
         val = a.value * b.value
         grad = None
         hess = None
@@ -131,16 +154,14 @@ class Jet:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o._reciprocal()
+        if isinstance(other, Jet):
+            return self * other._reciprocal()
+        c = _constant(other, self.value.shape)
+        return NotImplemented if c is None else self._scale(np.divide(1.0, c))
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self._reciprocal()
+        c = _constant(other, self.value.shape)
+        return NotImplemented if c is None else self._reciprocal()._scale(c)
 
     def _reciprocal(self) -> "Jet":
         return _lift(self, 1.0 / self.value, -1.0 / self.value**2, 2.0 / self.value**3)
@@ -155,6 +176,15 @@ class Jet:
     def sq(self) -> "Jet":
         """Square, cheaper and safer than the generic power chain rule."""
         return self * self
+
+
+def _constant(other, shape: tuple):
+    """A constant operand as a float or a float array broadcast to ``shape``; None otherwise."""
+    if isinstance(other, _SCALARS):
+        return float(other)
+    if isinstance(other, np.ndarray):
+        return np.broadcast_to(np.asarray(other, dtype=float), shape)
+    return None
 
 
 def _lift(x: Jet, f: Array, fp: Array, fpp: Array) -> Jet:

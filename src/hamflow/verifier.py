@@ -21,8 +21,11 @@ Each check seeds the lowest jet order it consumes; jet values never depend
 on the seeded order, and a missing order raises JetOrderError, so the order
 sets a check's cost, never its report.  ``invariance`` compares values only,
 so it seeds order 1 (a pullback's Jacobian minors, the action Jacobian and
-fields taking a partial inside each consume one) and evaluates omega, alpha
-and H once per chart.  The other checks seed order 2: d of a form or a
+fields taking a partial inside each consume one), evaluates omega, alpha
+and H once per chart, and maps each batch once per angle, reusing the image
+jets for both pullbacks, H and the Jacobian.  ``liouville`` evaluates omega
+and Y once per chart and ``contact_boundary`` alpha and d(alpha) once, through
+the coefficient-level operators of :mod:`hamflow.forms`.  The other checks seed order 2: d of a form or a
 bracket of fields consumes one order on top of the partial some catalog
 forms and fields already take (``hamiltonian`` needs only order 1 on every
 catalog model, but not for a 2-form given as d of such a primitive).  A NaN
@@ -267,9 +270,10 @@ def check_symplectic(model: HamiltonianModel, spec: CheckSpec) -> CheckResult:
         rng = _rng(spec.seed, "symplectic", ci)
         pts = sample_domain(cd.chart, spec.sample_count, rng)
         jc = jets.seed(pts, order=2)
-        res = forms.coeff_residual(forms.exterior_derivative(cd.omega).coefficients(jc), {})
+        omega = cd.omega.coefficients(jc)
+        res = forms.coeff_residual(forms.d_coeffs(omega, cd.chart.dim), {})
         if cd.kernel is not None:
-            contracted = forms.interior_product(cd.kernel, cd.omega).coefficients(jc)
+            contracted = forms.interior_coeffs(cd.kernel(jc), omega)
             res = np.maximum(res, forms.coeff_residual(contracted, {}))
         worst.update(res, pts)
         om = forms.form_matrix(cd.omega, jc)
@@ -301,8 +305,9 @@ def check_liouville(model: HamiltonianModel, spec: CheckSpec) -> CheckResult:
             skipped.append(f"chart {cd.chart.name!r}: declared field margin left no samples")
             continue
         jc = jets.seed(pts, order=2)
-        lie = forms.lie_derivative(cd.liouville, cd.omega)
-        worst.update(forms.form_residual(lie, cd.omega, jc), pts)
+        omega = cd.omega.coefficients(jc)
+        lie = forms.lie_coeffs(cd.liouville(jc), omega, cd.chart.dim)
+        worst.update(forms.coeff_residual(lie, omega), pts)
     return _finish("liouville", spec, worst, True, skipped, [])
 
 
@@ -352,20 +357,21 @@ def check_invariance(
         g_vals = None
         if cd.metric is not None and mjc is not None:
             g_vals = forms.metric_matrix(cd.metric, mjc)
+        dim = cd.chart.dim
         for k in range(1, angles + 1):
             amap = cd.action_map(2 * np.pi * k / angles)
-            pulled = forms.pullback(amap, cd.omega).coefficients(jc)
-            worst.update(forms.coeff_residual(pulled, omega0), pts)
             img_full = amap.forward(jc)
+            pulled = forms.pullback_coeffs(cd.omega, img_full, dim)
+            worst.update(forms.coeff_residual(pulled, omega0), pts)
             worst.update(np.abs(cd.hamiltonian(img_full).value - h0), pts)
-            if mjc is None:
+            if mjc is None or (alpha is None and y_vals is None and g_vals is None):
                 continue
+            img_jets = amap.forward(mjc)
             if alpha is not None:
-                pulled = forms.pullback(amap, alpha).coefficients(mjc)
+                pulled = forms.pullback_coeffs(alpha, img_jets, dim)
                 worst.update(forms.coeff_residual(pulled, alpha0), mpts)
             if y_vals is None and g_vals is None:
                 continue
-            img_jets = amap.forward(mjc)
             img_pts = cd.chart.wrap(np.stack([j.value for j in img_jets], axis=1))
             jac = np.stack([j.grad for j in img_jets], axis=1)
             keep = cd.inside_margin(img_pts)
@@ -447,10 +453,9 @@ def check_contact_boundary(model: HamiltonianModel, spec: CheckSpec) -> CheckRes
         frame = np.concatenate([grads[:, None, :], basis], axis=1)
         basis[np.linalg.det(frame) < 0, -1, :] *= -1.0
         a_co = alpha.coefficients(jc)
-        da_co = forms.exterior_derivative(alpha).coefficients(jc)
+        da_co = forms.d_coeffs(a_co, cd.chart.dim)
         vol = contract_form(
-            forms.wedge(alpha, forms.exterior_derivative(alpha)).coefficients(jc),
-            [basis[:, i, :] for i in range(cd.chart.dim - 1)],
+            forms.wedge_coeffs(a_co, da_co), [basis[:, i, :] for i in range(cd.chart.dim - 1)]
         )
         a_inf = forms.coeff_residual(a_co, {})
         da_inf = forms.coeff_residual(da_co, {})

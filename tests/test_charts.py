@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,84 @@ def test_sample_boundary_without_boundary_raises():
     )
     with pytest.raises(BoundaryNotFound):
         sample_boundary(chart, 5, np.random.default_rng(0))
+
+
+def _line_chart(reach: float) -> Chart:
+    """A 1-d chart on [-1, 1] whose boundary zero level sits at |x| = reach."""
+
+    def ball(jc):
+        return jc[0].sq() - reach**2
+
+    return Chart(
+        name="line",
+        coords=("x",),
+        periodic=(False,),
+        box_lo=(-1.0,),
+        box_hi=(1.0,),
+        domain=(ball,),
+        boundary=ball,
+    )
+
+
+def test_sample_boundary_march_stops_at_400_steps():
+    # steps are 0.02 long and starts lie in [-1, 1], so after the 400-step
+    # cap a ray has reached at most |x| = 9: a zero level at 9.01 is never
+    # found, one at 8.9 is found by rays starting beyond 0.9
+    with pytest.raises(BoundaryNotFound):
+        sample_boundary(_line_chart(9.01), 5, np.random.default_rng(3))
+    pts = sample_boundary(_line_chart(8.9), 5, np.random.default_rng(3))
+    assert np.allclose(np.abs(pts), 8.9, atol=1e-9)
+
+
+# sha256 over seeds s = 0, 1, 97 of sample_boundary(chart, 500,
+# default_rng([s, 5, ci]), accept=boundary_accept) for every boundary chart
+# of the ZOO (an error hashes as its repr); recorded with the one-step march
+BOUNDARY_SHA256 = {
+    ("disc_d4(1,1)", 0): "a38972461f79919f7091e4b52ac08c419a9bc52393cdd96333dd1620cf4a941d",
+    ("disc_d4(1,-1)", 0): "a38972461f79919f7091e4b52ac08c419a9bc52393cdd96333dd1620cf4a941d",
+    ("disc_d4(2,3)", 0): "a38972461f79919f7091e4b52ac08c419a9bc52393cdd96333dd1620cf4a941d",
+    ("disc_d4(1,0)", 0): "a38972461f79919f7091e4b52ac08c419a9bc52393cdd96333dd1620cf4a941d",
+    ("s1_d3(1,0)", 0): "7cbf4c3ec01cd1da23a3d1bb5fd5fddd0ad4aedc95ff9598529b3c322e95536d",
+    ("s1_d3(0,1)", 0): "7cbf4c3ec01cd1da23a3d1bb5fd5fddd0ad4aedc95ff9598529b3c322e95536d",
+    ("s1_d3(2,1)", 0): "7cbf4c3ec01cd1da23a3d1bb5fd5fddd0ad4aedc95ff9598529b3c322e95536d",
+    ("cotangent_t2(1,0)", 0): "37560a61d676531310428a2ad05f5370ccc84b349a998847302cf29d9e1ff7ed",
+    ("cotangent_s2()", 0): "8665f6c8e1788cf921546f3dc61e21fc5c39cb3627b9bb051897839f1d20765a",
+    ("cotangent_s2()", 1): "a5932096a64bae97da3316613e26be48f6ca32338872459959fa966f7f59755b",
+    ("cotangent_s2()", 2): "744c779d7d0e29fd55c21877e33dd905e8448badcaf041cf1415050c2dcb5b09",
+    ("weinstein_2handle()", 0): "62c0b56575fabfa295091c56d21a0f26ab662d0eada8370233add590f9bc3bdc",
+    ("weinstein_1handle(1)", 0): "9a149c5e918a070466fe89ab53db7890abf2c0a880be6107cdd74e11d05592ad",
+    ("free_action_planar(1)", 0): "63943a7cc97e01a60a1c917fa7d308b1ca7d1e9504ce42ded38cb1ae44894539",
+    ("free_action_planar(2)", 0): "baabe134b4355d8c57bc5cf16eaf0f65799c2aec3dbe7167c044fd187e091b8d",
+    ("free_action_planar(3)", 0): "2bdcb7f278dc04a0919f8c902e59179a649dafa91f04807a5be1911338c3a526",
+    ("disc_bundle_over_surface()", 0): "6112ef0fdf0dc20e808879c545ff7e1515031bc2a00472e9d158622d222352f3",
+    ("prequantization_s2()", 0): "179dcacef2e89db8e69b8bca41684d82e319932f0e95592fb4088b5afbc3e8f2",
+    ("prequantization_s2()", 1): "9048e1135c36068830e4286fcc66c5bdb070fd34ba937c8fce3bca051df528fa",
+    ("prequantization_s2()", 2): "db5e729b49e8535a9ffbe859a9486caf47e524857d825d2f79b2b7b30e07c133",
+    ("blowup_d4(1,-1,0.2)", 2): "99d4b9d7827127aef0659a3694af588ee25252a996e2b993b95460f53e3ed7c0",
+    ("attach_2handle(s1_d3(1,0))", 0): "f57dfc9ae9d531b784facd5ecee44aea02b48af0814197f233f4fd9045f1ad95",
+    ("attach_2handle(s1_d3(1,0))", 1): "80d5c37b1fb0c7c681a7af7f7df4d9d72d12cb6ceef82cef3aa03420e686e709",
+}
+
+
+def _boundary_digest(cd, ci: int) -> str:
+    h = hashlib.sha256()
+    for s in (0, 1, 97):
+        try:
+            pts = sample_boundary(cd.chart, 500, np.random.default_rng([s, 5, ci]), accept=cd.boundary_accept)
+            h.update(np.ascontiguousarray(pts, dtype=float).tobytes())
+        except Exception as e:  # noqa: BLE001 - a raised error is part of the pin
+            h.update(repr(e).encode())
+    return h.hexdigest()
+
+
+def test_sample_boundary_matches_pins():
+    digests = {}
+    for spec in registry.ZOO:
+        model = registry.build(spec)
+        for ci, cd in enumerate(model.charts):
+            if cd.chart.boundary is not None:
+                digests[(spec, ci)] = _boundary_digest(cd, ci)
+    assert digests == BOUNDARY_SHA256
 
 
 def test_periodic_wrap_and_distance():

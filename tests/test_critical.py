@@ -32,7 +32,7 @@ def test_handle_saddle_is_index_two():
     mod = registry.build("weinstein_2handle()")
     clusters = critical.find_fixed_points(mod)
     assert [c.index for c in clusters] == [2]
-    assert critical.hessian_index(mod, 0, np.zeros(4)) == 2
+    assert critical.hessian_data(mod, 0, np.zeros(4))[0] == 2
     _, nullity, eigs = critical.hessian_data(mod, 0, np.zeros(4))
     assert nullity == 0
     assert np.allclose(np.sort(eigs), [-1.0, -1.0, 1.0, 1.0], atol=1e-12)
@@ -93,7 +93,7 @@ def test_free_models_have_no_fixed_points(spec):
 def test_hessian_data_rejects_regular_points():
     mod = registry.build("disc_d4(1,1)")
     with pytest.raises(NotCritical):
-        critical.hessian_index(mod, 0, np.array([0.3, 0.0, 0.0, 0.0]))
+        critical.hessian_data(mod, 0, np.array([0.3, 0.0, 0.0, 0.0]))[0]
 
 
 @pytest.mark.parametrize(

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hamflow import forms, jets, registry
 from hamflow.chart import Chart, SmoothMap, sample_domain
 from hamflow.errors import DegreeOverflow, DegreeUnderflow
+
+from oracles import lie_derivative_poly_form
 
 
 def _chart(dim: int, name: str = "c") -> Chart:
@@ -269,3 +275,122 @@ def test_order1_gradient_matches_order2(spec, monkeypatch):
             patch.setattr(forms, "solve_spd_jet", _no_jet_solve)
             fast = forms.field_values(grad, jets.seed(pts, order=1))
         assert fast.tobytes() == slow.tobytes(), cd.chart.name
+
+
+# ----------------------------------------------------------------------
+# form identities over random polynomial forms, fields and maps, at order 2
+
+
+@st.composite
+def _poly(draw, dim):
+    """A polynomial of degree <= 3 as [(coef, exps)]."""
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        exps = [0] * dim
+        for _ in range(draw(st.integers(0, 3))):
+            exps[draw(st.integers(0, dim - 1))] += 1
+        terms.append((draw(st.floats(-2.0, 2.0)), tuple(exps)))
+    return terms
+
+
+@st.composite
+def _poly_form(draw, dim, degree):
+    keys = list(combinations(range(dim), degree))
+    chosen = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=len(keys), unique=True))
+    return {idx: draw(_poly(dim)) for idx in sorted(chosen)}
+
+
+def _poly_jet(terms, jc):
+    acc = jets.constant(0.0, jc[0])
+    for coef, exps in terms:
+        t = jets.constant(coef, jc[0])
+        for i, e in enumerate(exps):
+            for _ in range(e):
+                t = t * jc[i]
+        acc = acc + t
+    return acc
+
+
+def _as_kform(poly_form, dim, degree):
+    return forms.KForm(degree, dim, lambda jc: {k: _poly_jet(p, jc) for k, p in poly_form.items()})
+
+
+def _as_field(polys):
+    return lambda jc: [_poly_jet(p, jc) for p in polys]
+
+
+@st.composite
+def _form_case(draw, max_degree):
+    dim = draw(st.integers(2, 4))
+    degree = draw(st.integers(0, min(max_degree, dim)))
+    pts = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=6 * dim, max_size=6 * dim)))
+    return dim, degree, draw(_poly_form(dim, degree)), pts.reshape(6, dim)
+
+
+def _values(coeffs, keys, n=6):
+    return {k: coeffs[k].value if k in coeffs else np.zeros(n) for k in keys}
+
+
+def _assert_close(a, b, keys, rtol=1e-9):
+    for k in keys:
+        scale = 1.0 + np.abs(a[k]).max() + np.abs(b[k]).max()
+        assert np.abs(a[k] - b[k]).max() <= rtol * scale, k
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_form_case(max_degree=2))
+def test_d_squared_vanishes_on_polynomial_forms(case):
+    dim, degree, poly_form, pts = case
+    form = _as_kform(poly_form, dim, degree)
+    dd = forms.exterior_derivative(forms.exterior_derivative(form))
+    for c in dd.coefficients(jets.seed(pts, order=2)).values():
+        assert np.abs(c.value).max() <= 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_form_case(max_degree=3), data=st.data())
+def test_cartan_formula_on_polynomial_forms(case, data):
+    dim, degree, poly_form, pts = case
+    field = [data.draw(_poly(dim)) for _ in range(dim)]
+    form = _as_kform(poly_form, dim, degree)
+    jc = jets.seed(pts, order=2)
+    expected = lie_derivative_poly_form(field, poly_form, dim, pts)
+    lazy = forms.lie_derivative(_as_field(field), form).coefficients(jc)
+    comps, coeffs = _as_field(field)(jc), form.coefficients(jc)
+    cartan = forms.interior_coeffs(comps, forms.d_coeffs(coeffs, dim))
+    for idx, c in forms.d_coeffs(forms.interior_coeffs(comps, coeffs), dim).items():
+        cartan[idx] = cartan[idx] + c if idx in cartan else c
+    for lie in (lazy, cartan, forms.lie_coeffs(comps, coeffs, dim)):
+        assert set(lie) <= set(expected)
+        _assert_close(_values(lie, expected), expected, expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_form_case(max_degree=2), data=st.data())
+def test_pullback_commutes_with_d_on_polynomial_maps(case, data):
+    dim, degree, poly_form, pts = case
+    comps = [data.draw(_poly(dim)) for _ in range(dim)]
+    mapping = SmoothMap(source=_chart(dim, "src"), target=_chart(dim, "tgt"), forward=_as_field(comps))
+    form = _as_kform(poly_form, dim, degree)
+    jc = jets.seed(pts, order=2)
+    lhs = forms.pullback(mapping, forms.exterior_derivative(form)).coefficients(jc)
+    rhs = forms.exterior_derivative(forms.pullback(mapping, form)).coefficients(jc)
+    keys = list(combinations(range(dim), degree + 1))
+    _assert_close(_values(lhs, keys), _values(rhs, keys), keys)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(2, 4), data=st.data())
+def test_wedge_antisymmetry_on_polynomial_forms(dim, data):
+    p = data.draw(st.integers(1, min(3, dim - 1)))
+    q = data.draw(st.integers(1, min(4, dim) - p))
+    a = _as_kform(data.draw(_poly_form(dim, p)), dim, p)
+    b = _as_kform(data.draw(_poly_form(dim, q)), dim, q)
+    pts = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=6 * dim, max_size=6 * dim)))
+    jc = jets.seed(pts.reshape(6, dim), order=2)
+    ab = forms.wedge(a, b).coefficients(jc)
+    ba = forms.wedge(b, a).coefficients(jc)
+    keys = list(combinations(range(dim), p + q))
+    sign = -1.0 if (p * q) % 2 else 1.0
+    flipped = {k: sign * v for k, v in _values(ba, keys).items()}
+    _assert_close(_values(ab, keys), flipped, keys)

@@ -10,7 +10,15 @@ from hypothesis import strategies as st
 from hamflow import jets
 from hamflow.errors import JetOrderError
 
-from oracles import fd_gradient, fd_hessian
+from oracles import (
+    fd_gradient,
+    fd_hessian,
+    lift_constant,
+    triple_add,
+    triple_div,
+    triple_mul,
+    triple_sub,
+)
 
 
 def test_frozen_smooth_expression():
@@ -160,3 +168,91 @@ def test_trig_second_derivatives_close_loop():
     assert s.hess[0, 0, 0] == pytest.approx(-np.sin(0.9), abs=1e-15)
     c = jets.cos(t)
     assert c.hess[0, 0, 0] == pytest.approx(-np.cos(0.9), abs=1e-15)
+
+
+# ----------------------------------------------------------------------
+# constant operands against the plain-triple reference (tests/oracles.py)
+
+_REFERENCE = {"+": triple_add, "-": triple_sub, "*": triple_mul, "/": triple_div}
+_APPLY = {
+    "+": lambda a, b: a + b,
+    "-": lambda a, b: a - b,
+    "*": lambda a, b: a * b,
+    "/": lambda a, b: a / b,
+}
+_entry = st.floats(min_value=-1e3, max_value=1e3)
+_divisor = st.one_of(
+    st.floats(min_value=1e-3, max_value=1e3), st.floats(min_value=-1e3, max_value=-1e-3)
+)
+
+
+@st.composite
+def _constant_case(draw):
+    n = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 3))
+    order = draw(st.integers(0, 2))
+    op = draw(st.sampled_from("+-*/"))
+    left = draw(st.booleans())
+    kind = draw(st.sampled_from(["int", "float", "np.float64", "array"]))
+    # a divisor stays away from zero so every reference entry is finite
+    vals = st.lists(_divisor if op == "/" and left else _entry, min_size=n, max_size=n)
+    value = np.array(draw(vals))
+    grad = np.array(draw(st.lists(_entry, min_size=n * d, max_size=n * d))).reshape(n, d)
+    hess = np.array(draw(st.lists(_entry, min_size=n * d * d, max_size=n * d * d))).reshape(n, d, d)
+    hess = hess + np.swapaxes(hess, 1, 2)
+    scalar = _divisor if op == "/" and not left else _entry
+    if kind == "int":
+        c = draw(st.integers(1, 9) if op == "/" and not left else st.integers(-9, 9))
+    elif kind == "float":
+        c = draw(scalar)
+    elif kind == "np.float64":
+        c = np.float64(draw(scalar))
+    else:
+        c = np.array(draw(st.lists(scalar, min_size=n, max_size=n)))
+    x = jets.Jet(value, grad if order >= 1 else None, hess if order >= 2 else None)
+    return x, c, op, left
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_constant_case())
+def test_constant_operands_match_reference(case):
+    x, c, op, left = case
+    triple = (x.value, x.grad, x.hess)
+    const = lift_constant(c, triple)
+    if left:
+        out, ref = _APPLY[op](c, x), _REFERENCE[op](const, triple)
+    else:
+        out, ref = _APPLY[op](x, c), _REFERENCE[op](triple, const)
+    assert isinstance(out, jets.Jet)
+    assert out.value.tobytes() == ref[0].tobytes()
+    for got, want in ((out.grad, ref[1]), (out.hess, ref[2])):
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert np.array_equal(got, want)
+
+
+def test_ndarray_on_the_left_gives_a_jet():
+    (x,) = jets.seed(np.array([[1.0], [2.0]]), order=1)
+    prod = np.array([2.0, 3.0]) * x
+    assert isinstance(prod, jets.Jet)
+    assert prod.value.tolist() == [2.0, 6.0]
+    assert prod.grad.tolist() == [[2.0], [3.0]]
+    total = np.array([2.0, 3.0]) + x
+    assert isinstance(total, jets.Jet)
+    assert total.value.tolist() == [3.0, 5.0]
+    assert total.grad.tolist() == [[1.0], [1.0]]
+
+
+def test_constant_keeps_negative_zero_derivative():
+    x = jets.Jet(np.array([1.5]), np.array([[-0.0, 1.0]]), np.array([[[-0.0, 0.0], [0.0, 0.0]]]))
+    for out in (x + 1.0, x - 1.0, x * 2.0, x / 2.0):
+        assert np.signbit(out.grad[0, 0])
+        assert np.signbit(out.hess[0, 0, 0])
+
+
+def test_nonfinite_value_keeps_constant_product_derivatives():
+    x = jets.Jet(np.array([np.inf, np.nan]), np.array([[1.0], [2.0]]), np.array([[[3.0]], [[4.0]]]))
+    out = x * 2.0
+    assert np.isposinf(out.value[0]) and np.isnan(out.value[1])
+    assert out.grad.tolist() == [[2.0], [4.0]]
+    assert out.hess.tolist() == [[[6.0]], [[8.0]]]
