@@ -141,7 +141,7 @@ def wedge_coeffs(ca: Coeffs, cb: Coeffs) -> Coeffs:
 
 def lie_coeffs(comps: Sequence[Jet], coeffs: Coeffs, dim: int) -> Coeffs:
     """Cartan formula i_v d + d i_v on evaluated field components and coefficients."""
-    out = dict(interior_coeffs(comps, d_coeffs(coeffs, dim)))
+    out = interior_coeffs(comps, d_coeffs(coeffs, dim))
     for idx, c in d_coeffs(interior_coeffs(comps, coeffs), dim).items():
         _acc(out, idx, c, 1)
     return out

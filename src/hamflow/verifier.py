@@ -23,13 +23,15 @@ sets a check's cost, never its report.  ``invariance`` compares values only,
 so it seeds order 1 (a pullback's Jacobian minors, the action Jacobian and
 fields taking a partial inside each consume one), evaluates omega, alpha
 and H once per chart, and maps each batch once per angle, reusing the image
-jets for both pullbacks, H and the Jacobian.  ``liouville`` evaluates omega
-and Y once per chart and ``contact_boundary`` alpha and d(alpha) once, through
-the coefficient-level operators of :mod:`hamflow.forms`.  The other checks seed order 2: d of a form or a
-bracket of fields consumes one order on top of the partial some catalog
-forms and fields already take (``hamiltonian`` needs only order 1 on every
-catalog model, but not for a 2-form given as d of such a primitive).  A NaN
-or infinite residual fails its check (see :class:`CheckResult`).
+jets for both pullbacks, H and the Jacobian.  The other checks seed order 2:
+d of a form or a bracket of fields consumes one order on top of the partial
+some catalog forms and fields already take (``hamiltonian`` needs only
+order 1 on every catalog model, but not for a 2-form given as d of such a
+primitive).  Each check evaluates a form once per batch and builds d, i_v,
+wedges and pullbacks from those coefficients with the coefficient-level
+operators of :mod:`hamflow.forms` (``liouville`` evaluates omega and Y once,
+``contact_boundary`` alpha and d(alpha) once).  A NaN or infinite residual
+fails its check (see :class:`CheckResult`).
 
 Charts missing an ingredient are skipped with a reason; a check is marked
 skipped only when no chart could run it.  Fields declared valid away from a
