@@ -149,7 +149,7 @@ def _boundary_digest(cd, ci: int) -> str:
         try:
             pts = sample_boundary(cd.chart, 500, np.random.default_rng([s, 5, ci]), accept=cd.boundary_accept)
             h.update(np.ascontiguousarray(pts, dtype=float).tobytes())
-        except Exception as e:  # noqa: BLE001 - a raised error is part of the pin
+        except (BoundaryNotFound, EmptyDomainSuspected) as e:
             h.update(repr(e).encode())
     return h.hexdigest()
 
