@@ -26,7 +26,6 @@ from .model import (
     effective_weights,
     identity_metric,
     rotation,
-    self_check_points,
 )
 
 
@@ -81,7 +80,7 @@ def disc_d4(m: int = 1, n: int = 1) -> HamiltonianModel:
         metric=identity_metric(4),
         boundary_alpha=KForm(1, 4, alpha),
     )
-    assert_moment(cd, self_check_points(cd))
+    assert_moment(cd)
     return HamiltonianModel(
         name="disc_d4",
         params={"m": int(m), "n": int(n)},
@@ -156,7 +155,7 @@ def s1_d3(k: int = 1, m: int = 0) -> HamiltonianModel:
         metric=metric,
         boundary_alpha=KForm(1, 4, alpha),
     )
-    assert_moment(cd, self_check_points(cd))
+    assert_moment(cd)
     return HamiltonianModel(
         name="s1_d3",
         params={"k": int(k), "m": int(m)},
@@ -216,7 +215,7 @@ def cotangent_t2(m1: int = 1, m2: int = 0) -> HamiltonianModel:
         metric=identity_metric(4),
         boundary_alpha=KForm(1, 4, alpha),
     )
-    assert_moment(cd, self_check_points(cd))
+    assert_moment(cd)
     return HamiltonianModel(
         name="cotangent_t2",
         params={"m1": int(m1), "m2": int(m2)},

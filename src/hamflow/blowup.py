@@ -34,7 +34,6 @@ from .model import (
     form_matrix_jets,
     identity_metric,
     rotation,
-    self_check_points,
 )
 
 V_CAP2 = 1.44
@@ -377,7 +376,7 @@ def blowup_d4(m: int = 1, n: int = -1, size: float = 0.2) -> HamiltonianModel:
     )
 
     for cd in (cd_inner, cd_outer, cd_rim):
-        assert_moment(cd, self_check_points(cd))
+        assert_moment(cd)
 
     def inner_far(pts):
         return pts[:, 2] ** 2 + pts[:, 3] ** 2 >= V_HAND2

@@ -97,11 +97,12 @@ class Chart:
         hi = np.asarray(self.box_hi)[free] + slack
         return bool(np.all(p >= lo) and np.all(p <= hi))
 
-    def boundary_values(self, points: Array, order: int = 0) -> Jet:
+    def boundary_values(self, points: Array) -> Jet:
+        """Order-0 jet of the boundary function at the points."""
         if self.boundary is None:
             raise ValueError(f"chart {self.name!r} declares no boundary function")
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return self.boundary(jets.seed(pts, order=order))
+        return self.boundary(jets.seed(pts, order=0))
 
 
 @dataclass(frozen=True)
@@ -113,9 +114,10 @@ class SmoothMap:
     forward: Callable[[Sequence[Jet]], list[Jet]]
     inverse: "SmoothMap | None" = None
 
-    def apply(self, points: Array, order: int = 0) -> Array:
+    def apply(self, points: Array) -> Array:
+        """Wrapped image points, from order-0 jets."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        out = self.forward(jets.seed(pts, order=order))
+        out = self.forward(jets.seed(pts, order=0))
         res = np.stack([j.value for j in out], axis=1)
         return self.target.wrap(res)
 
@@ -206,7 +208,6 @@ def sample_boundary(
     n: int,
     rng: np.random.Generator,
     accept: Callable[[Array], bool] | None = None,
-    max_rays: int = 1000,
 ) -> Array:
     """Draw n points on the boundary zero level by ray casting.
 
@@ -222,7 +223,7 @@ def sample_boundary(
     ray stops at its first event, so the result is the one-step march's bit
     for bit.  ``accept`` optionally filters found points (used by
     glued models to mask regions replaced by a handle).  Raises
-    BoundaryNotFound after ``max_rays`` consecutive failed rays.
+    BoundaryNotFound after 1000 consecutive failed rays.
     """
     if chart.boundary is None:
         raise BoundaryNotFound(f"chart {chart.name!r} has no boundary function")
@@ -234,7 +235,7 @@ def sample_boundary(
     got = 0
     failures = 0
     while got < n:
-        if failures >= max_rays:
+        if failures >= 1000:
             raise BoundaryNotFound(
                 f"chart {chart.name!r}: {failures} consecutive rays missed the boundary"
             )

@@ -66,10 +66,11 @@ class ExtremaReport:
     unresolved: int
 
 
-def hessian_data(
-    model: HamiltonianModel, chart_index: int, point: Array, null_tol: float = NULL_TOL
-) -> tuple[int, int, Array]:
-    """Index, nullity, and eigenvalues of the moment Hessian at a critical point."""
+def hessian_data(model: HamiltonianModel, chart_index: int, point: Array) -> tuple[int, int, Array]:
+    """Index, nullity and eigenvalues of the moment Hessian at a critical point.
+
+    Eigenvalues within NULL_TOL of zero count toward the nullity.
+    """
     cd = model.charts[chart_index]
     p = np.asarray(point, dtype=float)
     hj = cd.hamiltonian(jets.seed(p[None, :], order=2))
@@ -79,8 +80,8 @@ def hessian_data(
             f"moment differential has norm {grad_norm:.3e} at the given point"
         )
     eigs = np.linalg.eigvalsh(0.5 * (hj.hess[0] + hj.hess[0].T))
-    index = int((eigs < -null_tol).sum())
-    nullity = int((np.abs(eigs) <= null_tol).sum())
+    index = int((eigs < -NULL_TOL).sum())
+    nullity = int((np.abs(eigs) <= NULL_TOL).sum())
     return index, nullity, eigs
 
 
@@ -154,27 +155,28 @@ def _components(n: int, src: Array, dst: Array) -> Array:
 
 
 def _merge_groups(
-    model: HamiltonianModel,
-    labeled: list[tuple[int, Array]],
-    radius: float,
-    value_merge: bool = False,
-    surface_null_tol: float = 1e-5,
+    model: HamiltonianModel, labeled: list[tuple[int, Array]]
 ) -> list[list[tuple[int, Array]]]:
+    """Group points within CLUSTER_RADIUS, directly or through a transition.
+
+    Points on null planes (two Hessian eigenvalues within 1e-5 of zero) at one
+    moment value also group together.
+    """
     n = len(labeled)
     edges: list[tuple[int, int]] = []
     # later transitions to the same chart overwrite earlier ones
     mapped = [{tr.dst: q for tr, q in model.transfers(ci, p, 1e-6)} for ci, p in labeled]
     traits = []
-    if value_merge:
-        for ci, p in labeled:
-            hj = model.charts[ci].hamiltonian(jets.seed(p[None, :], order=2))
-            eigs = np.linalg.eigvalsh(0.5 * (hj.hess[0] + hj.hess[0].T))
-            flat = int((np.abs(eigs) <= surface_null_tol).sum())
-            traits.append((float(hj.value[0]), flat >= 2))
+    for ci, p in labeled:
+        h = model.charts[ci].hamiltonian(jets.seed(p[None, :], order=2))
+        eigs = np.linalg.eigvalsh(0.5 * (h.hess[0] + h.hess[0].T))
+        traits.append((float(h.value[0]), int((np.abs(eigs) <= 1e-5).sum()) >= 2))
     for i in range(n):
         ci, p = labeled[i]
+        hi, flat_i = traits[i]
         for j in range(i + 1, n):
             cj, q = labeled[j]
+            hj, flat_j = traits[j]
             d = np.inf
             if ci == cj:
                 d = float(model.charts[ci].chart.distance(p, q))
@@ -182,12 +184,8 @@ def _merge_groups(
                 d = min(d, float(model.charts[cj].chart.distance(mapped[i][cj], q)))
             if ci in mapped[j]:
                 d = min(d, float(model.charts[ci].chart.distance(p, mapped[j][ci])))
-            if d < radius:
+            if d < CLUSTER_RADIUS or (flat_i and flat_j and abs(hi - hj) < SURFACE_VALUE_TOL):
                 edges.append((i, j))
-                continue
-            if value_merge and traits[i][1] and traits[j][1]:
-                if abs(traits[i][0] - traits[j][0]) < SURFACE_VALUE_TOL:
-                    edges.append((i, j))
     src, dst = np.array(edges, dtype=np.intp).reshape(-1, 2).T
     groups: dict[int, list[tuple[int, Array]]] = {}
     for i, root in enumerate(_components(n, src, dst)):
@@ -196,10 +194,7 @@ def _merge_groups(
 
 
 def find_fixed_points(
-    model: HamiltonianModel,
-    seed: int = 0,
-    starts: int = 40,
-    cluster_radius: float = CLUSTER_RADIUS,
+    model: HamiltonianModel, seed: int = 0, starts: int = 40
 ) -> list[CriticalCluster]:
     """Locate and classify all zeros of the action generator."""
     found: list[tuple[int, Array]] = []
@@ -216,7 +211,7 @@ def find_fixed_points(
                 continue
             found.append((ci, q))
     clusters = []
-    for group in _merge_groups(model, found, cluster_radius, value_merge=True):
+    for group in _merge_groups(model, found):
         ci, p = group[0]
         cd = model.charts[ci]
         index, nullity, _ = hessian_data(model, ci, p)
@@ -240,25 +235,20 @@ def find_fixed_points(
     return clusters
 
 
-def critical_surface_census(
-    model: HamiltonianModel, seed: int = 0, starts: int = 40
-) -> int:
+def critical_surface_census(model: HamiltonianModel, seed: int = 0) -> int:
     """Number of distinct critical strata with a 2-dimensional null plane."""
-    return sum(1 for c in find_fixed_points(model, seed=seed, starts=starts) if c.nullity == 2)
+    return sum(1 for c in find_fixed_points(model, seed=seed) if c.nullity == 2)
 
 
 # ----------------------------------------------------------------------
 # gradient ascent / descent structure
 
 
-def extrema_analysis(
-    model: HamiltonianModel,
-    seed: int = 0,
-    starts: int = 12,
-    portrait_samples: int = 400,
-    cluster_radius: float = CLUSTER_RADIUS,
-) -> ExtremaReport:
-    """Flow the moment gradient both ways and summarize where it ends."""
+def extrema_analysis(model: HamiltonianModel, seed: int = 0, starts: int = 12) -> ExtremaReport:
+    """Flow the moment gradient both ways and summarize where it ends.
+
+    The boundary sign portrait takes 400 samples.
+    """
     interior_up: list[tuple[int, Array]] = []
     interior_down: list[tuple[int, Array]] = []
     best = (-np.inf, False)
@@ -274,10 +264,7 @@ def extrema_analysis(
             for direction in (1, -1):
                 try:
                     res = flow.integrate(model, ci, p, direction=direction)
-                except ImmediateExit:
-                    unresolved += 1
-                    continue
-                except StiffFlow:
+                except (ImmediateExit, StiffFlow):
                     unresolved += 1
                     continue
                 h_end = float(res.h_values[-1])
@@ -292,9 +279,9 @@ def extrema_analysis(
                     best = (h_end, ended_on_boundary)
                 if direction == -1 and h_end < worst[0]:
                     worst = (h_end, ended_on_boundary)
-    up_groups = _merge_groups(model, interior_up, cluster_radius, value_merge=True)
-    down_groups = _merge_groups(model, interior_down, cluster_radius, value_merge=True)
-    portrait = flow.boundary_sign_portrait(model, samples=portrait_samples, seed=seed)
+    up_groups = _merge_groups(model, interior_up)
+    down_groups = _merge_groups(model, interior_down)
+    portrait = flow.boundary_sign_portrait(model, samples=400, seed=seed)
     both_signs = portrait.has_positive and portrait.has_negative
     both_on_boundary = best[1] and worst[1]
     return ExtremaReport(
@@ -330,13 +317,11 @@ def _adaptive_radius(chart, pts: Array) -> float:
     return 3.0 * float(np.median(nn))
 
 
-def boundary_connectivity(
-    model: HamiltonianModel,
-    seed: int = 0,
-    samples: int = 2000,
-    radius: float | None = None,
-) -> int:
-    """Connected components of the sampled boundary, linked across charts."""
+def boundary_connectivity(model: HamiltonianModel, seed: int = 0, samples: int = 2000) -> int:
+    """Connected components of the sampled boundary, linked across charts.
+
+    Each chart's cloud is joined at its own adaptive radius.
+    """
     with_boundary = [
         (ci, cd) for ci, cd in enumerate(model.charts) if cd.chart.boundary is not None
     ]
@@ -352,7 +337,7 @@ def boundary_connectivity(
         except BoundaryNotFound:
             continue
         clouds[ci] = pts
-        radii[ci] = radius if radius is not None else _adaptive_radius(cd.chart, pts)
+        radii[ci] = _adaptive_radius(cd.chart, pts)
     if not clouds:
         return 0
     offsets: dict[int, int] = {}

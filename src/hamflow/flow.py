@@ -30,6 +30,7 @@ Array = np.ndarray
 
 GOLDEN = 0.6180339887498949
 SILVER = 0.41421356237309515
+_STEP = 0.04  # walk step of the zero-set tracer
 
 
 @dataclass
@@ -82,19 +83,18 @@ def integrate(
     start: Array,
     direction: int = 1,
     max_time: float = 60.0,
-    max_steps: int = 40000,
-    tol: float = 1e-9,
-    speed_floor: float = 1e-7,
-    gain_floor: float = 1e-14,
-    tangent_tol: float = 1e-8,
 ) -> FlowResult:
     """Integrate the moment-map gradient from one interior point.
 
-    Starts on (or within 1e-9 of) the boundary are refused with
-    ``ImmediateExit`` when the initial velocity points outward or is
-    tangent within ``tangent_tol``: a tangent start grazes the boundary
-    (the boundary value has a strict minimum there along the flow), so
-    the maximal trajectory inside the domain is the constant point.
+    Each step is accepted when step doubling agrees to 1e-9 relative to the
+    point's size.  The run ends at the boundary, at a critical set (speed
+    below 1e-7 and moment gain below 1e-14 in one step), on leaving the
+    atlas, when ``max_time`` is used up (``"max_time"``) or after 40,000
+    steps (``"max_steps"``).  Starts on (or within 1e-9 of) the boundary are
+    refused with ``ImmediateExit`` when the initial velocity points outward
+    or is tangent within 1e-8: a tangent start grazes the boundary (the
+    boundary value has a strict minimum there along the flow), so the
+    maximal trajectory inside the domain is the constant point.
     """
     ci = chart_index
     cd = model.charts[ci]
@@ -108,7 +108,7 @@ def integrate(
             jc = jets.seed(p[None, :], order=1)
             df = cd.chart.boundary(jc).grad[0]
             k1 = vel(p)
-            if float(df @ k1) >= -tangent_tol:
+            if float(df @ k1) >= -1e-8:
                 raise ImmediateExit(
                     f"start lies on the boundary of chart {cd.chart.name!r} "
                     "with outward or grazing initial velocity"
@@ -126,8 +126,9 @@ def integrate(
     monotone = True
     termination = "max_steps"
 
-    for _ in range(max_steps):
+    for _ in range(40000):
         if t >= max_time:
+            termination = "max_time"
             break
         h = min(h, max_time - t)
         if k1 is None:
@@ -136,7 +137,7 @@ def integrate(
             full = _rk4(vel, p, h, k1)
             half = _rk4(vel, _rk4(vel, p, 0.5 * h, k1), 0.5 * h)
             err = np.abs(full - half).max()
-            if err <= tol * (1.0 + np.abs(p).max()):
+            if err <= 1e-9 * (1.0 + np.abs(p).max()):
                 break
             h *= 0.5
             if h < 1e-12:
@@ -165,7 +166,7 @@ def integrate(
             crossed = True
         else:
             t += h
-            if err < tol / 64.0:
+            if err < 1e-9 / 64.0:
                 h *= 2.0
         p_new = cd.chart.wrap(p_new)
         h_new = h_at(p_new)
@@ -181,7 +182,7 @@ def integrate(
             break
         k1 = vel(p_new)
         speed = float(np.abs(k1).max())
-        if speed < speed_floor and abs(gain) < gain_floor:
+        if speed < 1e-7 and abs(gain) < 1e-14:
             termination = "critical_set"
             p = p_new
             break
@@ -198,8 +199,6 @@ def integrate(
             k1 = None
             pts[-1] = p.copy()
             charts[-1] = ci
-    else:
-        termination = "max_steps"
 
     return FlowResult(
         times=np.array(times),
@@ -229,20 +228,17 @@ def integrate_vector_field(
     return np.array(path)
 
 
-def stabilizer_of(
-    model: HamiltonianModel,
-    chart_index: int,
-    point: Array,
-    max_order: int = 64,
-    tol: float = 1e-9,
-) -> int:
-    """Order of the finite stabilizer at a point; 0 flags a fixed point."""
+def stabilizer_of(model: HamiltonianModel, chart_index: int, point: Array) -> int:
+    """Order (at most 64) of the finite stabilizer at a point; 0 flags a fixed point.
+
+    A rotation fixes the point when it moves it less than 1e-9.
+    """
     cd = model.charts[chart_index]
     p = cd.chart.wrap(np.asarray(point, dtype=float))
-    if all(_moved(cd, p, 2 * np.pi * a)[0] < tol for a in (GOLDEN, SILVER)):
+    if all(_moved(cd, p, 2 * np.pi * a)[0] < 1e-9 for a in (GOLDEN, SILVER)):
         return 0
-    for k in range(max_order, 1, -1):
-        if _moved(cd, p, 2 * np.pi / k)[0] < tol:
+    for k in range(64, 1, -1):
+        if _moved(cd, p, 2 * np.pi / k)[0] < 1e-9:
             return k
     return 1
 
@@ -262,16 +258,7 @@ class OrbitClass:
     detail: str = ""
 
 
-def _one_side(model, chart_index, point, direction, **kw):
-    try:
-        return integrate(model, chart_index, point, direction=direction, **kw), "boundary"
-    except ImmediateExit:
-        return None, "boundary"
-
-
-def classify_orbit(
-    model: HamiltonianModel, chart_index: int, point: Array, **kw
-) -> OrbitClass:
+def classify_orbit(model: HamiltonianModel, chart_index: int, point: Array) -> OrbitClass:
     cd = model.charts[chart_index]
     p = cd.chart.wrap(np.asarray(point, dtype=float))
     jc = jets.seed(p[None, :], order=1)
@@ -281,11 +268,14 @@ def classify_orbit(
     ends = {}
     results = {}
     for direction, label in ((1, "up"), (-1, "down")):
-        res, fallback = _one_side(model, chart_index, p, direction, **kw)
+        try:
+            res = integrate(model, chart_index, p, direction=direction)
+        except ImmediateExit:
+            res = None  # the flow leaves through the boundary at once
         results[label] = res
-        ends[label] = fallback if res is None else res.termination
+        ends[label] = "boundary" if res is None else res.termination
     for label in ("up", "down"):
-        if ends[label] in ("max_steps", "exited_chart"):
+        if ends[label] in ("max_time", "max_steps", "exited_chart"):
             return OrbitClass(
                 kind="unresolved",
                 upward=results["up"],
@@ -497,17 +487,15 @@ def _orbit_near(chart, orbit: Array, cloud: Array, radius: float) -> bool:
 
 
 def detect_legendrian_set(
-    model: HamiltonianModel,
-    seed: int = 0,
-    samples: int = 600,
-    step: float = 0.04,
-    max_candidates: int = 60,
-    orbit_angles: int = 128,
+    model: HamiltonianModel, seed: int = 0, samples: int = 600
 ) -> LegendrianSet:
     """Find the boundary zero-level orbit sets and group them into components.
 
-    Candidates are projected, filtered and mapped around their orbits in
-    batches per chart; only the claim test and the tracing are sequential.
+    The 60 boundary samples of each chart with the smallest |H| are
+    candidates.  They are projected, filtered and mapped around their orbits
+    at 128 angles in batches per chart; only the claim test (within 2.5
+    steps of a traced cloud) and the tracing, in steps of 0.04, are
+    sequential.
     """
     out = LegendrianSet()
     claimed: dict[int, list[Array]] = {}
@@ -522,7 +510,7 @@ def detect_legendrian_set(
         hv = cd.hamiltonian(jets.seed(pts, order=0)).value
         if hv.min() > 1e-8 or hv.max() < -1e-8:
             continue
-        order = np.argsort(np.abs(hv))[:max_candidates]
+        order = np.argsort(np.abs(hv))[:60]
         projected = [_project_to_zero_set(cd, pts[idx]) for idx in order]
         cands = np.array([p for p, ok in projected if ok]).reshape(-1, cd.chart.dim)
         cands = cands[cd.chart.contains(cands, slack=1e-6)]
@@ -532,13 +520,13 @@ def detect_legendrian_set(
         cands, xv = cands[keep], xv[keep]
         if not len(cands):
             continue
-        orbits = _orbit_images(cd, cands, orbit_angles)
+        orbits = _orbit_images(cd, cands, 128)
         for p, xp, orbit in zip(cands, xv, orbits):
-            if any(_orbit_near(cd.chart, orbit, c, 2.5 * step) for c in claimed.get(ci, [])):
+            if any(_orbit_near(cd.chart, orbit, c, 2.5 * _STEP) for c in claimed.get(ci, [])):
                 continue
             alpha = cd.alpha().coefficients(jets.seed(p[None, :], order=1))
             pairing = sum(alpha[key].value[0] * xp[key[0]] for key in alpha)
-            traced, closed = _trace_component(model, ci, p, step)
+            traced, closed = _trace_component(model, ci, p, _STEP)
             for chart_idx, cloud in traced.items():
                 claimed.setdefault(chart_idx, []).append(cloud)
             cert = _torus_certificate(cd, p)
@@ -555,13 +543,8 @@ def detect_legendrian_set(
     return out
 
 
-def _torus_certificate(cd: ChartData, p: Array, angles: int = 24, tol: float = 1e-7) -> bool:
-    """Whole action orbit of a zero-set point stays on the zero set."""
-    for theta in np.linspace(0.0, 2 * np.pi, angles, endpoint=False):
-        q = cd.action_map(theta).apply(p)
-        jc = jets.seed(q, order=0)
-        if abs(cd.chart.boundary(jc).value[0]) > tol:
-            return False
-        if abs(cd.hamiltonian(jc).value[0]) > tol:
-            return False
-    return True
+def _torus_certificate(cd: ChartData, p: Array) -> bool:
+    """Whole action orbit of a zero-set point stays on the zero set, to 1e-7 at 24 angles."""
+    jc = jets.seed(_orbit_images(cd, p[None, :], 24)[0], order=0)
+    off = (np.abs(cd.chart.boundary(jc).value) > 1e-7) | (np.abs(cd.hamiltonian(jc).value) > 1e-7)
+    return not off.any()

@@ -333,10 +333,6 @@ def coeff_residual(a: Coeffs, b: Coeffs) -> Array:
     return res
 
 
-def form_residual(a: KForm, b: KForm, jet_coords: Sequence[Jet]) -> Array:
-    return coeff_residual(a.coefficients(jet_coords), b.coefficients(jet_coords))
-
-
 def scale_form(form: KForm, factor: float) -> KForm:
     def fn(jc: Sequence[Jet]) -> Coeffs:
         return {k: c * factor for k, c in form.coefficients(jc).items()}

@@ -34,7 +34,6 @@ from .model import (
     effective_weights,
     identity_metric,
     rotation,
-    self_check_points,
 )
 
 Array = np.ndarray
@@ -132,7 +131,7 @@ def _saddle_chart_data(scale: float, kappa: float) -> ChartData:
 def weinstein_2handle() -> HamiltonianModel:
     """Standalone saddle block with its flared outer face."""
     cd = _saddle_chart_data(scale=1.0, kappa=1.0)
-    assert_moment(cd, self_check_points(cd))
+    assert_moment(cd)
     return HamiltonianModel(
         name="weinstein_2handle",
         params={},
@@ -206,7 +205,7 @@ def weinstein_1handle(m: int = 1) -> HamiltonianModel:
         boundary_alpha=KForm(1, 4, alpha),
         note="faces at y2 = +-1 are gluing faces",
     )
-    assert_moment(cd, self_check_points(cd))
+    assert_moment(cd)
     return HamiltonianModel(
         name="weinstein_1handle",
         params={"m": m},
@@ -454,7 +453,7 @@ def attach_2handle(
     nbhd = standard_neighborhood(base, ref)
     scale = float(np.exp(-eps))
     handle_cd = _saddle_chart_data(scale=scale, kappa=kappa)
-    assert_moment(handle_cd, self_check_points(handle_cd))
+    assert_moment(handle_cd)
 
     inner_x2 = float(np.exp(-2.0 * eps))
     patch_r2 = float(

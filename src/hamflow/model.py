@@ -7,7 +7,9 @@ and optionally a Liouville field, a compatible metric, and a stored boundary
 1-form.  Charts are glued by transitions (smooth maps with validity
 predicates); ``HamiltonianModel.transfers`` is the one way across them.  The
 structural identities tying all of this together are checked by
-:mod:`hamflow.verifier`, not assumed here.
+:mod:`hamflow.verifier`, not assumed here; the per-sample residuals of the
+moment and expansion identities live here, shared by the verifier and the
+builders' self-check (:func:`assert_moment`).
 """
 
 from __future__ import annotations
@@ -148,38 +150,37 @@ def enumerate_decompositions(genus: int) -> list[Decomposition]:
 # small helpers shared by the model constructors
 
 
-def scalar_form(fn: ScalarField, dim: int) -> KForm:
-    """Wrap a scalar field as a 0-form so it can be differentiated."""
-    return KForm(0, dim, lambda jc: {(): fn(jc)})
+def moment_residual(cd: ChartData, jc: Sequence[Jet]) -> Array:
+    """Per-sample residual of the moment identity i_X omega = -dH at seeded jets.
+
+    omega is evaluated once.  dH consumes one jet order, so order 1 suffices
+    unless omega itself is d of a primitive that takes a partial, where a
+    missing order raises JetOrderError.
+    """
+    contracted = forms.interior_coeffs(cd.generator(jc), cd.omega.coefficients(jc))
+    dh = forms.d_coeffs({(): cd.hamiltonian(jc)}, cd.chart.dim)
+    return forms.coeff_residual(contracted, {idx: -c for idx, c in dh.items()})
 
 
-def moment_residual(cd: ChartData, points: Array) -> float:
-    """Max coefficient residual of (generator contracted into omega) + dH."""
-    jc = jets.seed(np.atleast_2d(points), order=2)
-    lhs = forms.interior_product(cd.generator, cd.omega)
-    dh = forms.exterior_derivative(scalar_form(cd.hamiltonian, cd.chart.dim))
-    res = forms.coeff_residual(lhs.coefficients(jc), forms.scale_form(dh, -1.0).coefficients(jc))
-    return float(np.max(res)) if res.size else 0.0
+def liouville_residual(cd: ChartData, jc: Sequence[Jet]) -> Array:
+    """Per-sample residual of the expansion identity L_Y omega = omega at seeded jets.
+
+    omega is evaluated once.  The Cartan formula's d consumes one jet order
+    on top of any partial omega and Y take; the verifier seeds order 2.
+    """
+    omega = cd.omega.coefficients(jc)
+    return forms.coeff_residual(forms.lie_coeffs(cd.liouville(jc), omega, cd.chart.dim), omega)
 
 
-def liouville_residual(cd: ChartData, points: Array) -> float:
-    """Max coefficient residual of (Lie derivative of omega along Liouville) - omega."""
-    if cd.liouville is None:
-        return 0.0
-    jc = jets.seed(np.atleast_2d(points), order=2)
-    lie = forms.lie_derivative(cd.liouville, cd.omega)
-    res = forms.coeff_residual(lie.coefficients(jc), cd.omega.coefficients(jc))
-    return float(np.max(res)) if res.size else 0.0
-
-
-def assert_moment(cd: ChartData, points: Array, tol: float = 1e-9) -> None:
+def assert_moment(cd: ChartData) -> None:
+    """Builder self-check: the moment identity holds to 1e-9 at order-1 self-check points."""
     from .errors import MomentMapMismatch
 
-    r = moment_residual(cd, points)
-    if not np.isfinite(r) or r > tol:
+    r = float(np.max(moment_residual(cd, jets.seed(self_check_points(cd), order=1))))
+    if not np.isfinite(r) or r > 1e-9:
         raise MomentMapMismatch(
             f"chart {cd.chart.name!r}: generator does not match the hamiltonian "
-            f"(residual {r:.3e} > {tol:.1e})"
+            f"(residual {r:.3e} > 1.0e-09)"
         )
 
 

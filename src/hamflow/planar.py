@@ -27,12 +27,7 @@ from .chart import Chart
 from .errors import BadRamp, BadStructureConstant
 from .forms import KForm
 from .jets import Jet
-from .model import (
-    ChartData,
-    HamiltonianModel,
-    assert_moment,
-    self_check_points,
-)
+from .model import ChartData, HamiltonianModel, assert_moment
 
 Array = np.ndarray
 
@@ -256,7 +251,7 @@ def free_action_planar(k: int = 1, holes=None, c: float = 1.0) -> HamiltonianMod
         metric=metric,
         boundary_alpha=KForm(1, 4, alpha),
     )
-    assert_moment(cd, self_check_points(cd))
+    assert_moment(cd)
     return HamiltonianModel(
         name="free_action_planar",
         params={"k": k},
@@ -376,7 +371,7 @@ def disc_bundle_over_surface(holes=(), collar: float = 0.1, ramp=None) -> Hamilt
         metric=metric,
         boundary_alpha=KForm(1, 4, alpha),
     )
-    assert_moment(cd, self_check_points(cd))
+    assert_moment(cd)
     return HamiltonianModel(
         name="disc_bundle_over_surface",
         params={"holes": len(holes), "collar": collar},

@@ -30,7 +30,6 @@ from .model import (
     Transition,
     assert_moment,
     rotation,
-    self_check_points,
 )
 
 H_CHART = 0.8
@@ -377,7 +376,7 @@ def prequantization_s2() -> HamiltonianModel:
     total_s = _total_chart_data("total_south", south=True)
 
     for cd in (band, cap_n, cap_s, total_n, total_s):
-        assert_moment(cd, self_check_points(cd))
+        assert_moment(cd)
 
     def north_side(pts):
         return pts[:, 1] >= H_HAND

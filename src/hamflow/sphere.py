@@ -22,7 +22,6 @@ from .model import (
     Transition,
     assert_moment,
     rotation,
-    self_check_points,
 )
 
 U_CHART = 0.8
@@ -199,7 +198,7 @@ def cotangent_s2() -> HamiltonianModel:
     south = _cap_chart_data("south")
 
     for cd in (eq, north, south):
-        assert_moment(cd, self_check_points(cd))
+        assert_moment(cd)
 
     def north_side(pts):
         return pts[:, 1] >= U_HAND

@@ -23,13 +23,17 @@ sets a check's cost, never its report.  ``invariance`` compares values only,
 so it seeds order 1 (a pullback's Jacobian minors, the action Jacobian and
 fields taking a partial inside each consume one), evaluates omega, alpha
 and H once per chart, and maps each batch once per angle, reusing the image
-jets for both pullbacks, H and the Jacobian.  The other checks seed order 2:
-d of a form or a bracket of fields consumes one order on top of the partial
-some catalog forms and fields already take (``hamiltonian`` needs only
-order 1 on every catalog model, but not for a 2-form given as d of such a
-primitive).  Each check evaluates a form once per batch and builds d, i_v,
-wedges and pullbacks from those coefficients with the coefficient-level
-operators of :mod:`hamflow.forms` (``liouville`` evaluates omega and Y once,
+jets for both pullbacks, H and the Jacobian.  ``hamiltonian`` seeds order 1
+too: dH consumes one order, and omega none on every catalog chart (a 2-form
+given as d of a primitive that takes a partial would raise JetOrderError).
+The other checks seed order 2: d of a form or a bracket of fields consumes
+one order on top of the partial some catalog forms and fields already take.
+The ``liouville`` and ``hamiltonian`` residuals are
+:func:`hamflow.model.liouville_residual` and
+:func:`hamflow.model.moment_residual`, which the builders' self-check shares.
+Each check evaluates a form once per batch and builds d, i_v, wedges and
+pullbacks from those coefficients with the coefficient-level operators of
+:mod:`hamflow.forms` (``liouville`` evaluates omega and Y once,
 ``contact_boundary`` alpha and d(alpha) once).  A NaN or infinite residual
 fails its check (see :class:`CheckResult`).
 
@@ -53,7 +57,7 @@ from . import basic, forms, handles, jets
 from .chart import sample_boundary, sample_domain
 from .forms import KForm
 from .linalg import compatible_structure, nondegenerate
-from .model import HamiltonianModel, contract_form, rotation, scalar_form
+from .model import HamiltonianModel, contract_form, liouville_residual, moment_residual, rotation
 
 Array = np.ndarray
 
@@ -78,7 +82,7 @@ DEFAULT_TOLERANCES = {
 # scale-free floor for |Pf| and for the contact volume / outward margins
 NONDEGENERACY_FLOOR = 1e-6
 CONTACT_FLOOR = 1e-6
-DEFAULT_ANGLES = 16
+INVARIANCE_ANGLES = 16
 NONFINITE_RESIDUAL = float(np.finfo(float).max)
 
 _CHECK_INDEX = {cid: k for k, cid in enumerate(CHECK_IDS)}
@@ -106,7 +110,6 @@ class RunConfig:
 
     seed: int = 0
     samples: int = 500
-    angles: int = DEFAULT_ANGLES
     tolerances: Mapping[str, float] = field(default_factory=dict)
 
     def spec_for(self, check_id: str) -> CheckSpec:
@@ -306,10 +309,7 @@ def check_liouville(model: HamiltonianModel, spec: CheckSpec) -> CheckResult:
         if pts.shape[0] == 0:
             skipped.append(f"chart {cd.chart.name!r}: declared field margin left no samples")
             continue
-        jc = jets.seed(pts, order=2)
-        omega = cd.omega.coefficients(jc)
-        lie = forms.lie_coeffs(cd.liouville(jc), omega, cd.chart.dim)
-        worst.update(forms.coeff_residual(lie, omega), pts)
+        worst.update(liouville_residual(cd, jets.seed(pts, order=2)), pts)
     return _finish("liouville", spec, worst, True, skipped, [])
 
 
@@ -320,18 +320,11 @@ def check_hamiltonian(model: HamiltonianModel, spec: CheckSpec) -> CheckResult:
         worst.chart = cd.chart.name
         rng = _rng(spec.seed, "hamiltonian", ci)
         pts = sample_domain(cd.chart, spec.sample_count, rng)
-        jc = jets.seed(pts, order=2)
-        total = forms.add_forms(
-            forms.interior_product(cd.generator, cd.omega),
-            forms.exterior_derivative(scalar_form(cd.hamiltonian, cd.chart.dim)),
-        )
-        worst.update(forms.coeff_residual(total.coefficients(jc), {}), pts)
+        worst.update(moment_residual(cd, jets.seed(pts, order=1)), pts)
     return _finish("hamiltonian", spec, worst, True, [], [])
 
 
-def check_invariance(
-    model: HamiltonianModel, spec: CheckSpec, angles: int = DEFAULT_ANGLES
-) -> CheckResult:
+def check_invariance(model: HamiltonianModel, spec: CheckSpec) -> CheckResult:
     """Action invariance of omega and H, and of alpha, Y, g where present."""
     worst = _Worst()
     notes: list[str] = []
@@ -360,8 +353,8 @@ def check_invariance(
         if cd.metric is not None and mjc is not None:
             g_vals = forms.metric_matrix(cd.metric, mjc)
         dim = cd.chart.dim
-        for k in range(1, angles + 1):
-            amap = cd.action_map(2 * np.pi * k / angles)
+        for k in range(1, INVARIANCE_ANGLES + 1):
+            amap = cd.action_map(2 * np.pi * k / INVARIANCE_ANGLES)
             img_full = amap.forward(jc)
             pulled = forms.pullback_coeffs(cd.omega, img_full, dim)
             worst.update(forms.coeff_residual(pulled, omega0), pts)
@@ -501,13 +494,7 @@ _CHECKS = {
 def run_all(model: HamiltonianModel, config: RunConfig | None = None) -> VerificationReport:
     """Run every check and fold the outcomes into one report."""
     config = config or RunConfig()
-    results = []
-    for cid in CHECK_IDS:
-        spec = config.spec_for(cid)
-        if cid == "invariance":
-            results.append(check_invariance(model, spec, angles=config.angles))
-        else:
-            results.append(_CHECKS[cid](model, spec))
+    results = [_CHECKS[cid](model, config.spec_for(cid)) for cid in CHECK_IDS]
     tolerance = {cid: config.spec_for(cid).tolerance for cid in CHECK_IDS}
     return VerificationReport(
         model=model.spec_string,

@@ -68,6 +68,20 @@ def test_immediate_exit_on_outward_boundary_start():
         flow.integrate(m, 0, [1.0, 0, 0, 0], direction=1)
 
 
+def test_time_budget_ends_with_max_time(monkeypatch):
+    m = disc_d4(1, 1)
+    start = [0.1, 0.05, 0.0, 0.02]
+    res = flow.integrate(m, 0, start, direction=1, max_time=0.01)
+    assert res.termination == "max_time"
+    assert res.times[-1] == pytest.approx(0.01, abs=1e-15)
+    # an orbit whose flow runs out of time is left unresolved
+    integrate = flow.integrate
+    monkeypatch.setattr(flow, "integrate", lambda *a, **kw: integrate(*a, **kw, max_time=0.01))
+    oc = flow.classify_orbit(m, 0, start)
+    assert oc.kind == "unresolved"
+    assert oc.detail == "upward flow ended with max_time"
+
+
 @pytest.mark.parametrize(
     "point,expect",
     [

@@ -1,14 +1,17 @@
-"""The builders' moment self-check: it passes on every catalog chart and
-raises MomentMapMismatch on a scaled or partly non-finite generator."""
+"""The shared identity residuals and the builders' moment self-check: the
+self-check passes on every catalog chart and raises MomentMapMismatch on a
+scaled or partly non-finite generator; a 2-form that needs a second jet
+order raises JetOrderError at order 1 instead of giving a residual."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
-from hamflow import registry
-from hamflow.errors import MomentMapMismatch
-from hamflow.model import assert_moment, self_check_points
+from hamflow import forms, jets, registry
+from hamflow.chart import Chart
+from hamflow.errors import JetOrderError, MomentMapMismatch
+from hamflow.model import ChartData, assert_moment, moment_residual, rotation, self_check_points
 
 
 def _doubled(generator):
@@ -28,12 +31,36 @@ def _nan_above(generator, cut):
 @pytest.mark.parametrize("spec", registry.ZOO)
 def test_assert_moment_catches_corrupted_generators(spec):
     for cd in registry.build(spec).charts:
-        assert_moment(cd, self_check_points(cd))
-        doubled = dataclasses.replace(cd, generator=_doubled(cd.generator))
+        assert_moment(cd)
         with pytest.raises(MomentMapMismatch):
-            assert_moment(doubled, self_check_points(doubled))
+            assert_moment(dataclasses.replace(cd, generator=_doubled(cd.generator)))
         # NaN on the half of the self-check points past the median first coordinate
         cut = float(np.median(self_check_points(cd)[:, 0]))
-        partial = dataclasses.replace(cd, generator=_nan_above(cd.generator, cut))
         with pytest.raises(MomentMapMismatch, match="nan"):
-            assert_moment(partial, self_check_points(partial))
+            assert_moment(dataclasses.replace(cd, generator=_nan_above(cd.generator, cut)))
+
+
+def _primitive_chart() -> ChartData:
+    """Rotation of the square, H = |p|^2 / 2, omega = dx ^ dy as d of x * (d/dx x) dy.
+
+    The primitive's coefficient takes a partial, so omega consumes one jet
+    order and d(H) another.
+    """
+    primitive = forms.KForm(1, 2, lambda jc: {(1,): jc[0] * jc[0].partial(0)})
+    return ChartData(
+        chart=Chart("square", ("x", "y"), (False, False), (-1.0, -1.0), (1.0, 1.0)),
+        omega=forms.exterior_derivative(primitive),
+        hamiltonian=lambda jc: (jc[0] * jc[0] + jc[1] * jc[1]) * 0.5,
+        generator=lambda jc: [jc[1] * -1.0, jc[0]],
+        action=lambda theta: lambda jc: list(rotation(theta, jc[0], jc[1])),
+    )
+
+
+def test_moment_residual_raises_where_omega_needs_order_two():
+    cd = _primitive_chart()
+    pts = np.random.default_rng(4).uniform(-0.9, 0.9, size=(16, 2))
+    assert moment_residual(cd, jets.seed(pts, order=2)).max() == 0.0
+    with pytest.raises(JetOrderError):
+        moment_residual(cd, jets.seed(pts, order=1))
+    with pytest.raises(JetOrderError):
+        assert_moment(cd)

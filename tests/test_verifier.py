@@ -10,6 +10,7 @@ import pytest
 
 from hamflow import forms, jets, registry, verifier
 from hamflow.chart import sample_domain
+from hamflow.model import moment_residual
 from hamflow.verifier import NONFINITE_RESIDUAL, CheckSpec, RunConfig, run_all
 
 
@@ -188,12 +189,16 @@ def _assert_same_values(a, b):
 
 @pytest.mark.parametrize("spec", registry.ZOO)
 def test_values_do_not_depend_on_seeded_order(spec):
-    """Order-1 jets (the invariance check) give the order-2 values bitwise."""
+    """Order-1 jets (the invariance and hamiltonian checks) give the order-2 values bitwise."""
     for ci, cd in enumerate(registry.build(spec).charts):
         pts = sample_domain(cd.chart, 12, np.random.default_rng([3, ci]))
         mpts = pts[cd.inside_margin(pts)]
         has_alpha = cd.boundary_alpha is not None or cd.liouville is not None
-        probes = [(pts, lambda jc: cd.hamiltonian(jc).value), (pts, cd.omega.coefficients)]
+        probes = [
+            (pts, lambda jc: cd.hamiltonian(jc).value),
+            (pts, cd.omega.coefficients),
+            (pts, lambda jc: moment_residual(cd, jc)),
+        ]
         for theta in (2 * np.pi / 16, np.pi, 2 * np.pi * 11 / 16):
             amap = cd.action_map(theta)
             probes.append((pts, forms.pullback(amap, cd.omega).coefficients))
