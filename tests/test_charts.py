@@ -260,7 +260,8 @@ def test_jacobian_of_map():
 @pytest.mark.parametrize("spec", registry.ZOO)
 def test_batched_maps_match_one_row_maps(spec):
     # the Legendrian filters apply action maps and the generator to whole
-    # candidate batches; each row must be bitwise its one-row result
+    # candidate batches, and the integrator the order-1 gradient to the
+    # requests of one round; each row must be bitwise its one-row result
     model = registry.build(spec)
     for ci, cd in enumerate(model.charts):
         pts = sample_domain(cd.chart, 64, np.random.default_rng([5, ci]))
@@ -268,8 +269,12 @@ def test_batched_maps_match_one_row_maps(spec):
             amap = cd.action_map(theta)
             rows = np.concatenate([amap.apply(p) for p in pts])
             assert np.array_equal(amap.apply(pts), rows, equal_nan=True)
-        rows = np.concatenate([field_values(cd.generator, jets.seed(p[None, :], order=1)) for p in pts])
-        assert np.array_equal(field_values(cd.generator, jets.seed(pts, order=1)), rows, equal_nan=True)
+        fields = [cd.generator]
+        if cd.metric is not None:
+            fields.append(cd.gradient_field())
+        for fieldfn in fields:
+            rows = np.concatenate([field_values(fieldfn, jets.seed(p[None, :], order=1)) for p in pts])
+            assert np.array_equal(field_values(fieldfn, jets.seed(pts, order=1)), rows, equal_nan=True)
 
 
 def test_transfers_follow_model_order_and_skip_rejected_transitions():

@@ -186,3 +186,26 @@ def test_components_match_union_find(case):
     src = [i for i, _ in edges]
     dst = [j for _, j in edges]
     assert critical._components(n, src, dst).tolist() == union_find_labels(n, edges)
+
+
+# repr of every ExtremaReport field for the flow_extrema models with two
+# starts per chart; batching the trajectories must leave each report bit
+# for bit as it was
+EXTREMA_PINS = {
+    ("disc_d4(1,1)", 0): ('0', '1', '0.5000000000000001', '2.780453414898105e-15', 'True', 'False', 'False', 'True', '0'),
+    ("disc_d4(1,1)", 1): ('0', '1', '0.5', '2.260962427353781e-15', 'True', 'False', 'False', 'True', '0'),
+    ("s1_d3(2,1)", 0): ('0', '0', '1.7287145482576802', '-1.7122988306249378', 'True', 'True', 'True', 'True', '0'),
+    ("s1_d3(2,1)", 1): ('0', '0', '1.6447708799434861', '-1.626521004304958', 'True', 'True', 'True', 'True', '0'),
+    ("attach_2handle(s1_d3(1,0))", 0): ('0', '0', '0.8729028120571424', '-0.8729028120571424', 'True', 'True', 'True', 'True', '0'),
+    ("attach_2handle(s1_d3(1,0))", 1): ('0', '0', '0.790741750579246', '-0.790741750579246', 'True', 'True', 'True', 'True', '0'),
+    ("prequantization_s2()", 0): ('0', '1', '0.5', '1.8231319163057653e-15', 'True', 'False', 'False', 'True', '0'),
+    ("prequantization_s2()", 1): ('0', '1', '0.5', '2.263891499391794e-15', 'True', 'False', 'False', 'True', '0'),
+}
+
+
+def test_extrema_reports_match_pins():
+    got = {}
+    for spec, seed in EXTREMA_PINS:
+        rep = critical.extrema_analysis(registry.build(spec), seed=seed, starts=2)
+        got[spec, seed] = tuple(repr(getattr(rep, f.name)) for f in dataclasses.fields(rep))
+    assert got == EXTREMA_PINS
