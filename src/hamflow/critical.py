@@ -26,7 +26,7 @@ import numpy as np
 
 from . import flow, jets
 from .chart import sample_boundary, sample_domain
-from .errors import BoundaryNotFound, ImmediateExit, NotCritical, StiffFlow
+from .errors import BoundaryNotFound, NotCritical
 from .model import HamiltonianModel
 
 Array = np.ndarray
@@ -247,38 +247,37 @@ def critical_surface_census(model: HamiltonianModel, seed: int = 0) -> int:
 def extrema_analysis(model: HamiltonianModel, seed: int = 0, starts: int = 12) -> ExtremaReport:
     """Flow the moment gradient both ways and summarize where it ends.
 
-    The boundary sign portrait takes 400 samples.
+    All starts of all charts are integrated as one batch.  The boundary
+    sign portrait takes 400 samples.
     """
     interior_up: list[tuple[int, Array]] = []
     interior_down: list[tuple[int, Array]] = []
     best = (-np.inf, False)
     worst = (np.inf, False)
     unresolved = 0
+    runs = []
     for ci, cd in enumerate(model.charts):
         if cd.metric is None:
             continue
         rng = np.random.default_rng([seed, 29, ci])
         pts = sample_domain(cd.chart, 4 * starts, rng)
-        pts = pts[cd.inside_margin(pts)][:starts]
-        for p in pts:
-            for direction in (1, -1):
-                try:
-                    res = flow.integrate(model, ci, p, direction=direction)
-                except (ImmediateExit, StiffFlow):
-                    unresolved += 1
-                    continue
-                h_end = float(res.h_values[-1])
-                ended_on_boundary = res.termination == "boundary"
-                if res.termination == "critical_set":
-                    bucket = interior_up if direction == 1 else interior_down
-                    bucket.append((res.end_chart, res.end_point))
-                elif res.termination != "boundary":
-                    unresolved += 1
-                    continue
-                if direction == 1 and h_end > best[0]:
-                    best = (h_end, ended_on_boundary)
-                if direction == -1 and h_end < worst[0]:
-                    worst = (h_end, ended_on_boundary)
+        runs += [(ci, p, direction) for p in pts[cd.inside_margin(pts)][:starts] for direction in (1, -1)]
+    for (_, _, direction), res in zip(runs, flow.integrate_many(model, runs)):
+        if isinstance(res, Exception):  # ImmediateExit or StiffFlow
+            unresolved += 1
+            continue
+        h_end = float(res.h_values[-1])
+        ended_on_boundary = res.termination == "boundary"
+        if res.termination == "critical_set":
+            bucket = interior_up if direction == 1 else interior_down
+            bucket.append((res.end_chart, res.end_point))
+        elif res.termination != "boundary":
+            unresolved += 1
+            continue
+        if direction == 1 and h_end > best[0]:
+            best = (h_end, ended_on_boundary)
+        if direction == -1 and h_end < worst[0]:
+            worst = (h_end, ended_on_boundary)
     up_groups = _merge_groups(model, interior_up)
     down_groups = _merge_groups(model, interior_down)
     portrait = flow.boundary_sign_portrait(model, samples=400, seed=seed)

@@ -2,16 +2,16 @@
 
 The central object is the flow of the metric gradient of the moment map.
 Trajectories are integrated chart by chart with an adaptive fourth-order
-stepper; crossing into another chart goes through the model's declared
-transitions, and hitting the boundary hypersurface is resolved by bisection
-on the step time.  Velocities are solved on metric values (order-1 jets),
-and all Runge-Kutta steps from one point share their first stage, which the
-previous step's speed test already computed.  On top of the integrator sit
-classifiers: the orbit type swept by a trajectory under the circle action,
-the finite stabilizer of a point, a sign portrait of the moment map on the
-boundary, and a detector that finds and groups the closed zero-level orbit
-sets on the boundary; it filters its candidates in batches, so only the
-claim test and the tracing run one candidate at a time.
+stepper, written as a generator of velocity requests: many trajectories
+advance in rounds, and each round solves every chart's requests as one
+batch of order-1 gradient rows, bitwise equal to one-row solves.  Crossing
+into another chart goes through the model's transitions, hitting the
+boundary is resolved by bisection on the step time, and all steps from one
+point share their first stage.  On top of the integrator sit classifiers:
+the orbit type swept by a trajectory under the circle action, the finite
+stabilizer of a point, a sign portrait of the moment map on the boundary,
+and a detector that finds and groups the closed zero-level orbit sets on
+the boundary, filtering its candidates in batches.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ _STEP = 0.04  # walk step of the zero-set tracer
 
 @dataclass
 class FlowResult:
-    """One gradient trajectory, recorded chartwise."""
+    """One gradient trajectory, recorded chartwise, and counters that no pin or report reads."""
 
     times: Array
     points: Array
@@ -44,6 +44,11 @@ class FlowResult:
     h_values: Array
     monotone: bool
     direction: int
+    accepted_steps: int = 0
+    rejected_steps: int = 0
+    velocity_evals: int = 0  # gradient rows the run was sent
+    bisections: int = 0  # boundary bisection iterations
+    chart_switches: int = 0
 
     @property
     def end_point(self) -> Array:
@@ -54,22 +59,11 @@ class FlowResult:
         return self.chart_indices[-1]
 
 
-def _velocity_fn(cd: ChartData, direction: int):
-    grad = cd.gradient_field()
-
-    def vel(p: Array) -> Array:
-        jc = jets.seed(p[None, :], order=1)
-        return direction * field_values(grad, jc)[0]
-
-    return vel
-
-
-def _rk4(vel, p: Array, h: float, k1: Array | None = None) -> Array:
-    if k1 is None:
-        k1 = vel(p)
-    k2 = vel(p + 0.5 * h * k1)
-    k3 = vel(p + 0.5 * h * k2)
-    k4 = vel(p + h * k3)
+def _rk4(ci: int, p: Array, h: float, k1: Array, direction: int):
+    """One fourth-order step from ``p`` with first stage ``k1``, yielding its other stages."""
+    k2 = direction * (yield ci, p + 0.5 * h * k1)
+    k3 = direction * (yield ci, p + 0.5 * h * k2)
+    k4 = direction * (yield ci, p + h * k3)
     return p + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
@@ -77,42 +71,20 @@ def _boundary_value(cd: ChartData, p: Array) -> float:
     return float(cd.chart.boundary(jets.seed(p[None, :], order=0)).value[0])
 
 
-def integrate(
-    model: HamiltonianModel,
-    chart_index: int,
-    start: Array,
-    direction: int = 1,
-    max_time: float = 60.0,
-) -> FlowResult:
-    """Integrate the moment-map gradient from one interior point.
-
-    Each step is accepted when step doubling agrees to 1e-9 relative to the
-    point's size.  The run ends at the boundary, at a critical set (speed
-    below 1e-7 and moment gain below 1e-14 in one step), on leaving the
-    atlas, when ``max_time`` is used up (``"max_time"``) or after 40,000
-    steps (``"max_steps"``).  Starts on (or within 1e-9 of) the boundary are
-    refused with ``ImmediateExit`` when the initial velocity points outward
-    or is tangent within 1e-8: a tangent start grazes the boundary (the
-    boundary value has a strict minimum there along the flow), so the
-    maximal trajectory inside the domain is the constant point.
-    """
-    ci = chart_index
+def _trajectory(model: HamiltonianModel, ci: int, start: Array, direction: int, max_time: float):
+    """``integrate``'s stepper: yields ``(chart, point)`` per velocity, is sent the gradient."""
     cd = model.charts[ci]
     p = cd.chart.wrap(np.asarray(start, dtype=float))
-    vel = _velocity_fn(cd, direction)
-    k1 = None  # vel(p) at the current point, once computed
+    k1 = None  # velocity at the current point, once computed
 
-    if cd.chart.boundary is not None:
-        f0 = _boundary_value(cd, p)
-        if f0 > -1e-9:
-            jc = jets.seed(p[None, :], order=1)
-            df = cd.chart.boundary(jc).grad[0]
-            k1 = vel(p)
-            if float(df @ k1) >= -1e-8:
-                raise ImmediateExit(
-                    f"start lies on the boundary of chart {cd.chart.name!r} "
-                    "with outward or grazing initial velocity"
-                )
+    if cd.chart.boundary is not None and _boundary_value(cd, p) > -1e-9:
+        df = cd.chart.boundary(jets.seed(p[None, :], order=1)).grad[0]
+        k1 = direction * (yield ci, p)
+        if float(df @ k1) >= -1e-8:
+            raise ImmediateExit(
+                f"start lies on the boundary of chart {cd.chart.name!r} "
+                "with outward or grazing initial velocity"
+            )
 
     def h_at(q: Array) -> float:
         return float(cd.hamiltonian(jets.seed(q[None, :], order=0)).value[0])
@@ -125,6 +97,7 @@ def integrate(
     h = 1e-3
     monotone = True
     termination = "max_steps"
+    rejected = bisections = switches = 0
 
     for _ in range(40000):
         if t >= max_time:
@@ -132,34 +105,35 @@ def integrate(
             break
         h = min(h, max_time - t)
         if k1 is None:
-            k1 = vel(p)
+            k1 = direction * (yield ci, p)
         while True:
-            full = _rk4(vel, p, h, k1)
-            half = _rk4(vel, _rk4(vel, p, 0.5 * h, k1), 0.5 * h)
+            full = yield from _rk4(ci, p, h, k1, direction)
+            mid_p = yield from _rk4(ci, p, 0.5 * h, k1, direction)
+            half = yield from _rk4(ci, mid_p, 0.5 * h, direction * (yield ci, mid_p), direction)
             err = np.abs(full - half).max()
             if err <= 1e-9 * (1.0 + np.abs(p).max()):
                 break
             h *= 0.5
+            rejected += 1
             if h < 1e-12:
-                raise StiffFlow(
-                    f"step size collapsed below 1e-12 in chart {cd.chart.name!r}"
-                )
+                raise StiffFlow(f"step size collapsed below 1e-12 in chart {cd.chart.name!r}")
         p_new = half
         crossed = False
         if cd.chart.boundary is not None and _boundary_value(cd, p_new) > 0.0:
             lo_t, hi_t = 0.0, h
             for _ in range(80):
+                bisections += 1
                 mid = 0.5 * (lo_t + hi_t)
-                q = _rk4(vel, p, mid, k1)
+                q = yield from _rk4(ci, p, mid, k1, direction)
                 if _boundary_value(cd, q) > 0.0:
                     hi_t = mid
                 else:
                     lo_t = mid
                 if hi_t - lo_t < 1e-16:
                     break
-            p_new = _rk4(vel, p, lo_t, k1)
+            p_new = yield from _rk4(ci, p, lo_t, k1, direction)
             if abs(_boundary_value(cd, p_new)) > 1e-10:
-                q = _rk4(vel, p, hi_t, k1)
+                q = yield from _rk4(ci, p, hi_t, k1, direction)
                 if abs(_boundary_value(cd, q)) < abs(_boundary_value(cd, p_new)):
                     p_new = q
             t += lo_t
@@ -180,7 +154,7 @@ def integrate(
         if crossed:
             termination = "boundary"
             break
-        k1 = vel(p_new)
+        k1 = direction * (yield ci, p_new)
         speed = float(np.abs(k1).max())
         if speed < 1e-7 and abs(gain) < 1e-14:
             termination = "critical_set"
@@ -195,10 +169,10 @@ def integrate(
             tr, p = hit
             ci = tr.dst
             cd = model.charts[ci]
-            vel = _velocity_fn(cd, direction)
             k1 = None
             pts[-1] = p.copy()
             charts[-1] = ci
+            switches += 1
 
     return FlowResult(
         times=np.array(times),
@@ -208,24 +182,76 @@ def integrate(
         h_values=np.array(hs),
         monotone=monotone,
         direction=direction,
+        accepted_steps=len(times) - 1,
+        rejected_steps=rejected,
+        bisections=bisections,
+        chart_switches=switches,
     )
 
 
-def integrate_vector_field(
-    cd: ChartData, fieldfn, start: Array, total_time: float, steps: int = 2000
-) -> Array:
-    """Fixed-step fourth-order path of an arbitrary field in one chart."""
+def integrate_many(
+    model: HamiltonianModel, runs: list[tuple[int, Array, int]], max_time: float = 60.0
+) -> list[FlowResult | ImmediateExit | StiffFlow]:
+    """Integrate all ``(chart index, start, direction)`` runs as one batch.
 
-    def vel(p: Array) -> Array:
-        return field_values(fieldfn, jets.seed(p[None, :], order=1))[0]
+    In each round every live run steps to its next velocity request, and
+    each chart's gradient is evaluated once on that chart's stacked rows.
+    Batched rows are bitwise one-row values, so each run is bit for bit its
+    lone run.  The list returned is aligned with ``runs``: each run's
+    ``FlowResult``, or the ``ImmediateExit``/``StiffFlow`` that ended it.
+    """
+    if not max_time > 0:
+        raise ValueError(f"max_time must be positive, got {max_time!r}")
+    trajs = [_trajectory(model, ci, start, d, max_time) for ci, start, d in runs]
+    out: list = [None] * len(runs)
+    sent = [0] * len(runs)
+    waiting: dict[int, tuple[int, Array]] = {}  # run index -> (chart, point) it asks about
+    grads = {}
 
-    p = np.asarray(start, dtype=float).copy()
-    h = total_time / steps
-    path = [p.copy()]
-    for _ in range(steps):
-        p = cd.chart.wrap(_rk4(vel, p, h))
-        path.append(p.copy())
-    return np.array(path)
+    def advance(i: int, row: Array | None) -> None:
+        try:
+            waiting[i] = trajs[i].send(row)
+        except StopIteration as stop:
+            out[i] = stop.value
+            out[i].velocity_evals = sent[i]
+        except (ImmediateExit, StiffFlow) as exc:
+            out[i] = exc
+
+    for i in range(len(runs)):
+        advance(i, None)
+    while waiting:
+        for ci in {c for c, _ in waiting.values()}:
+            idx = [i for i, (c, _) in waiting.items() if c == ci]
+            if ci not in grads:
+                grads[ci] = model.charts[ci].gradient_field()
+            stack = np.stack([waiting.pop(i)[1] for i in idx])
+            for i, row in zip(idx, field_values(grads[ci], jets.seed(stack, order=1))):
+                sent[i] += 1
+                advance(i, row)
+    return out
+
+
+def integrate(
+    model: HamiltonianModel, chart_index: int, start: Array, direction: int = 1, max_time: float = 60.0
+) -> FlowResult:
+    """Integrate the moment-map gradient from one interior point.
+
+    Each step is accepted when step doubling agrees to 1e-9 relative to the
+    point's size.  The run ends at the boundary, at a critical set (speed
+    below 1e-7 and moment gain below 1e-14 in one step), on leaving the
+    atlas, when ``max_time`` is used up (``"max_time"``) or after 40,000
+    steps (``"max_steps"``).  ``max_time`` must be positive (``inf``
+    allowed), else ``ValueError``.  Starts on (or within 1e-9 of) the
+    boundary are refused with ``ImmediateExit`` when the initial velocity
+    points outward or is tangent within 1e-8: a tangent start grazes the
+    boundary (the boundary value has a strict minimum there along the
+    flow), so the maximal trajectory inside the domain is the constant
+    point.  This is ``integrate_many`` with one run.
+    """
+    (res,) = integrate_many(model, [(chart_index, start, direction)], max_time)
+    if isinstance(res, Exception):
+        raise res
+    return res
 
 
 def stabilizer_of(model: HamiltonianModel, chart_index: int, point: Array) -> int:
@@ -267,10 +293,10 @@ def classify_orbit(model: HamiltonianModel, chart_index: int, point: Array) -> O
 
     ends = {}
     results = {}
-    for direction, label in ((1, "up"), (-1, "down")):
-        try:
-            res = integrate(model, chart_index, p, direction=direction)
-        except ImmediateExit:
+    for label, res in zip(("up", "down"), integrate_many(model, [(chart_index, p, 1), (chart_index, p, -1)])):
+        if isinstance(res, StiffFlow):
+            raise res
+        if isinstance(res, ImmediateExit):
             res = None  # the flow leaves through the boundary at once
         results[label] = res
         ends[label] = "boundary" if res is None else res.termination

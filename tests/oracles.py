@@ -69,6 +69,19 @@ def union_find_labels(n: int, edges: list[tuple[int, int]]) -> list[int]:
     return [find(i) for i in range(n)]
 
 
+def rk4_endpoint(vel: Callable[[np.ndarray], np.ndarray], start, total_time: float, steps: int) -> np.ndarray:
+    """End point of ``steps`` fixed classical fourth-order steps of ``vel``."""
+    p = np.asarray(start, dtype=float).copy()
+    h = total_time / steps
+    for _ in range(steps):
+        k1 = vel(p)
+        k2 = vel(p + 0.5 * h * k1)
+        k3 = vel(p + 0.5 * h * k2)
+        k4 = vel(p + h * k3)
+        p = p + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return p
+
+
 # ----------------------------------------------------------------------
 # plain (value, grad, hess) triples: the textbook route for jet arithmetic
 # with a constant operand, which lifts the constant to zero derivatives

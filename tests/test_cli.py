@@ -172,6 +172,17 @@ def test_flow_wrong_dimension_exits_two(capsys):
     assert "coordinates" in err
 
 
+@pytest.mark.parametrize("budget", ["nan", "-1", "0"])
+def test_flow_rejects_nonpositive_or_nan_max_time(capsys, budget):
+    code, out, err = run(
+        capsys,
+        ["flow", "disc_d4(1,1)", "--start", "0.1,0.05,0,0.02", f"--max-time={budget}"],
+    )
+    assert code == 2
+    assert out == ""
+    assert "max_time" in err
+
+
 def test_classify_orbit_reports_disc(capsys):
     code, out, _ = run(
         capsys,

@@ -5,12 +5,14 @@ import hashlib
 import numpy as np
 import pytest
 
-from hamflow import critical, flow, registry
+from hamflow import critical, flow, jets, registry
 from hamflow.basic import cotangent_t2, disc_d4, s1_d3
 from hamflow.blowup import blowup_d4
-from hamflow.chart import sample_domain
+from hamflow.chart import sample_boundary, sample_domain
 from hamflow.errors import ImmediateExit
+from hamflow.forms import field_values
 from hamflow.planar import free_action_planar
+from oracles import rk4_endpoint
 
 
 def test_disc_trajectory_endpoints():
@@ -75,8 +77,8 @@ def test_time_budget_ends_with_max_time(monkeypatch):
     assert res.termination == "max_time"
     assert res.times[-1] == pytest.approx(0.01, abs=1e-15)
     # an orbit whose flow runs out of time is left unresolved
-    integrate = flow.integrate
-    monkeypatch.setattr(flow, "integrate", lambda *a, **kw: integrate(*a, **kw, max_time=0.01))
+    integrate_many = flow.integrate_many
+    monkeypatch.setattr(flow, "integrate_many", lambda *a, **kw: integrate_many(*a, **kw, max_time=0.01))
     oc = flow.classify_orbit(m, 0, start)
     assert oc.kind == "unresolved"
     assert oc.detail == "upward flow ended with max_time"
@@ -104,7 +106,7 @@ def test_liouville_flow_matches_closed_form():
     cd = m.charts[0]
     start = np.array([0.7, 0.3, -0.2, 0.4])
     sigma = 0.5
-    path = flow.integrate_vector_field(cd, cd.liouville, start, sigma, steps=400)
+    end = rk4_endpoint(lambda p: field_values(cd.liouville, jets.seed(p[None, :], order=1))[0], start, sigma, 400)
     expect = np.array(
         [
             start[0],
@@ -113,7 +115,7 @@ def test_liouville_flow_matches_closed_form():
             np.exp(sigma) * start[3],
         ]
     )
-    assert np.abs(path[-1] - expect).max() < 1e-9
+    assert np.abs(end - expect).max() < 1e-9
 
 
 def test_boundary_portrait_signs():
@@ -196,7 +198,7 @@ def _trajectory_pin(res):
     return res.termination, digest.hexdigest()
 
 
-def test_integrate_matches_pins():
+def _pinned_runs():
     runs = {}
     for spec, count in PINNED_STARTS.items():
         model = registry.build(spec)
@@ -211,13 +213,80 @@ def test_integrate_matches_pins():
     for direction in (1, -1):
         runs[f"blowup_d4(3,1,0.2)/0/-/{direction}"] = (sphere, 0, [0.0, 0.0, 0.5, -0.2], direction)
     assert runs.keys() == TRAJECTORY_PINS.keys()
+    return runs
+
+
+def test_integrate_matches_pins():
     changed = [
         key
-        for key, (model, ci, start, direction) in runs.items()
+        for key, (model, ci, start, direction) in _pinned_runs().items()
         if _trajectory_pin(flow.integrate(model, ci, start, direction=direction))
         != TRAJECTORY_PINS[key]
     ]
     assert not changed
+
+
+def test_batched_runs_match_pins():
+    # one batch per model: every pinned run, plus a start on the boundary
+    # whose upward velocity points out of the chart
+    batches = {}
+    for key, (model, ci, start, direction) in _pinned_runs().items():
+        batches.setdefault(key.split("/")[0], (model, []))[1].append((key, (ci, start, direction)))
+    changed = []
+    for model, keyed in batches.values():
+        ci = next(i for i, cd in enumerate(model.charts) if cd.chart.boundary is not None and cd.metric is not None)
+        cd = model.charts[ci]
+        refused = sample_boundary(cd.chart, 5, np.random.default_rng(3), accept=cd.boundary_accept)[0]
+        keys, runs = zip(*keyed)
+        *results, exit_ = flow.integrate_many(model, [*runs, (ci, refused, 1)])
+        assert isinstance(exit_, ImmediateExit)
+        changed += [key for key, res in zip(keys, results) if _trajectory_pin(res) != TRAJECTORY_PINS[key]]
+    assert not changed
+
+
+def _drive_alone(model, ci, start, direction):
+    """Run one trajectory generator on one-row gradients; (result, rows sent)."""
+    traj = flow._trajectory(model, ci, start, direction, 60.0)
+    grads = {}
+    sent = 0
+    try:
+        ci, p = next(traj)
+        while True:
+            grad = grads.setdefault(ci, model.charts[ci].gradient_field())
+            sent += 1
+            ci, p = traj.send(field_values(grad, jets.seed(p[None, :], order=1))[0])
+    except StopIteration as stop:
+        return stop.value, sent
+
+
+def test_integrator_counters():
+    # the disc run shares its batch with the opposite direction; the
+    # downward blow-up run switches from chart 0 into chart 1
+    disc = disc_d4(2, 3)
+    up_run = (disc, 0, [0.5, 0, 0, 0], 1)
+    down_run = (blowup_d4(3, 1, 0.2), 0, [0.0, 0.0, 0.5, -0.2], -1)
+    up = flow.integrate_many(disc, [up_run[1:], (0, [0.5, 0, 0, 0], -1)])[0]
+    down = flow.integrate(*down_run)
+    assert (up.termination, down.termination) == ("boundary", "critical_set")
+    assert up.bisections > 0 and down.bisections == 0
+    for res, run, switches in ((up, up_run, 0), (down, down_run, 1)):
+        seq = res.chart_indices
+        assert res.chart_switches == sum(a != b for a, b in zip(seq, seq[1:])) == switches
+        assert res.accepted_steps == len(res.times) - 1
+        alone, sent = _drive_alone(*run)
+        assert _trajectory_pin(alone) == _trajectory_pin(res)
+        assert res.velocity_evals == sent > 0
+
+
+@pytest.mark.parametrize("max_time", [float("nan"), -1.0, 0.0])
+def test_integrate_rejects_nonpositive_or_nan_time_budget(max_time):
+    with pytest.raises(ValueError, match="max_time"):
+        flow.integrate(disc_d4(1, 1), 0, [0.1, 0.05, 0.0, 0.02], max_time=max_time)
+
+
+def test_integrate_accepts_infinite_time_budget():
+    res = flow.integrate(disc_d4(1, 1), 0, [0.1, 0.05, 0.0, 0.02], max_time=float("inf"))
+    assert res.termination == "boundary"
 
 
 # per spec: sha256 of each Legendrian component (chart_index, closed,
