@@ -1,15 +1,16 @@
 """The shared identity residuals and the builders' moment self-check: the
 self-check passes on every catalog chart and raises MomentMapMismatch on a
 scaled or partly non-finite generator; a 2-form that needs a second jet
-order raises JetOrderError at order 1 instead of giving a residual."""
+order raises JetOrderError at order 1 instead of giving a residual.  Every
+chart's generator is the derivative of its action at angle 0."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
-from hamflow import forms, jets, registry
-from hamflow.chart import Chart
+from hamflow import forms, jets, registry, verifier
+from hamflow.chart import Chart, sample_domain
 from hamflow.errors import JetOrderError, MomentMapMismatch
 from hamflow.model import ChartData, assert_moment, moment_residual, rotation, self_check_points
 
@@ -64,3 +65,28 @@ def test_moment_residual_raises_where_omega_needs_order_two():
         moment_residual(cd, jets.seed(pts, order=1))
     with pytest.raises(JetOrderError):
         assert_moment(cd)
+
+
+def _models():
+    """Every catalog model and every negative control, by name."""
+    builders = {spec: (lambda spec=spec: registry.build(spec)) for spec in registry.ZOO}
+    builders.update({name: builder for name, (_, builder) in verifier.CONTROLS.items()})
+    return builders
+
+
+@pytest.mark.parametrize("name", list(_models()))
+def test_generator_is_the_derivative_of_the_action(name):
+    """Each chart's generator is d/dtheta of its action at theta = 0, and the
+    action is a circle action: a homomorphism from R that is 2*pi-periodic."""
+    h = 1e-5
+    for cd in _models()[name]().charts:
+        chart = cd.chart
+        pts = sample_domain(chart, 32, np.random.default_rng([3, 1907]))
+        ahead, behind = cd.action_map(h).apply(pts), cd.action_map(-h).apply(pts)
+        slope = chart.displacement(behind, ahead) / (2 * h)
+        gen = forms.field_values(cd.generator, jets.seed(pts, order=0))
+        assert np.max(np.abs(slope - gen)) < 1e-8, chart.name
+        composed = cd.action_map(0.7).apply(cd.action_map(1.9).apply(pts))
+        assert np.max(np.abs(chart.displacement(cd.action_map(2.6).apply(pts), composed))) < 1e-12, chart.name
+        full_turn = cd.action_map(2 * np.pi).apply(pts)
+        assert np.max(np.abs(chart.displacement(pts, full_turn))) < 1e-12, chart.name
