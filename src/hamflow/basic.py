@@ -23,9 +23,9 @@ from .model import (
     ChartData,
     HamiltonianModel,
     assert_moment,
+    circle_action,
     effective_weights,
     identity_metric,
-    rotation,
 )
 
 
@@ -51,16 +51,7 @@ def disc_d4(m: int = 1, n: int = 1) -> HamiltonianModel:
     def hamiltonian(jc):
         return (jc[0] * jc[0] + jc[1] * jc[1]) * (fm / 2) + (jc[2] * jc[2] + jc[3] * jc[3]) * (fn / 2)
 
-    def generator(jc):
-        return [jc[1] * (-fm), jc[0] * fm, jc[3] * (-fn), jc[2] * fn]
-
-    def action(theta):
-        def fwd(jc):
-            a, b = rotation(fm * theta, jc[0], jc[1])
-            c, d = rotation(fn * theta, jc[2], jc[3])
-            return [a, b, c, d]
-
-        return fwd
+    generator, action = circle_action({(0, 1): fm, (2, 3): fn})
 
     def liouville(jc):
         return [jc[i] * 0.5 for i in range(4)]
@@ -111,16 +102,7 @@ def s1_d3(k: int = 1, m: int = 0) -> HamiltonianModel:
     def hamiltonian(jc):
         return jc[3] * fk + (jc[1] * jc[1] + jc[2] * jc[2]) * (fm / 2)
 
-    def generator(jc):
-        zero = jets.constant(0.0, jc[0])
-        return [jets.constant(fk, jc[0]), jc[2] * (-fm), jc[1] * fm, zero]
-
-    def action(theta):
-        def fwd(jc):
-            x, y = rotation(fm * theta, jc[1], jc[2])
-            return [jc[0] + fk * theta, x, y, jc[3]]
-
-        return fwd
+    generator, action = circle_action({(0,): fk, (1, 2): fm})
 
     def liouville(jc):
         zero = jets.constant(0.0, jc[0])
@@ -186,15 +168,7 @@ def cotangent_t2(m1: int = 1, m2: int = 0) -> HamiltonianModel:
     def hamiltonian(jc):
         return jc[2] * f1 + jc[3] * f2
 
-    def generator(jc):
-        zero = jets.constant(0.0, jc[0])
-        return [jets.constant(f1, jc[0]), jets.constant(f2, jc[0]), zero, zero]
-
-    def action(theta):
-        def fwd(jc):
-            return [jc[0] + f1 * theta, jc[1] + f2 * theta, jc[2], jc[3]]
-
-        return fwd
+    generator, action = circle_action({(0,): f1, (1,): f2})
 
     def liouville(jc):
         zero = jets.constant(0.0, jc[0])

@@ -30,10 +30,10 @@ from .model import (
     HamiltonianModel,
     Transition,
     assert_moment,
+    circle_action,
     effective_weights,
     form_matrix_jets,
     identity_metric,
-    rotation,
 )
 
 V_CAP2 = 1.44
@@ -242,17 +242,7 @@ def blowup_d4(m: int = 1, n: int = -1, size: float = 0.2) -> HamiltonianModel:
         lifted = v2 / (v2 + 1.0) * (eps2 * (fn - fm)) + eps2 * fm
         return u2 * (fm / 2) + u2 * v2 * (fn / 2) + _fade(n_inner(jc)) * lifted
 
-    def gen_i(jc):
-        wv = fn - fm
-        return [jc[1] * (-fm), jc[0] * fm, jc[3] * (-wv), jc[2] * wv]
-
-    def act_i(theta):
-        def fwd(jc):
-            a, b = rotation(fm * theta, jc[0], jc[1])
-            c, d = rotation((fn - fm) * theta, jc[2], jc[3])
-            return [a, b, c, d]
-
-        return fwd
+    gen_i, act_i = circle_action({(0, 1): fm, (2, 3): fn - fm})
 
     metric_i = _kahler_metric(omega_i)
     cd_inner = ChartData(
@@ -302,17 +292,7 @@ def blowup_d4(m: int = 1, n: int = -1, size: float = 0.2) -> HamiltonianModel:
         lifted = 1.0 / (p2 + 1.0) * (eps2 * (fn - fm)) + eps2 * fm
         return p2 * q2 * (fm / 2) + q2 * (fn / 2) + _fade(n_outer(jc)) * lifted
 
-    def gen_o(jc):
-        wp = fm - fn
-        return [jc[1] * (-wp), jc[0] * wp, jc[3] * (-fn), jc[2] * fn]
-
-    def act_o(theta):
-        def fwd(jc):
-            a, b = rotation((fm - fn) * theta, jc[0], jc[1])
-            c, d = rotation(fn * theta, jc[2], jc[3])
-            return [a, b, c, d]
-
-        return fwd
+    gen_o, act_o = circle_action({(0, 1): fm - fn, (2, 3): fn})
 
     metric_o = _kahler_metric(omega_o)
     cd_outer = ChartData(
@@ -349,16 +329,7 @@ def blowup_d4(m: int = 1, n: int = -1, size: float = 0.2) -> HamiltonianModel:
         r2 = jc[2] * jc[2] + jc[3] * jc[3]
         return r1 * (fm / 2) + r2 * (fn / 2)
 
-    def gen_rim(jc):
-        return [jc[1] * (-fm), jc[0] * fm, jc[3] * (-fn), jc[2] * fn]
-
-    def act_rim(theta):
-        def fwd(jc):
-            a, b = rotation(fm * theta, jc[0], jc[1])
-            c, d = rotation(fn * theta, jc[2], jc[3])
-            return [a, b, c, d]
-
-        return fwd
+    gen_rim, act_rim = circle_action({(0, 1): fm, (2, 3): fn})
 
     def liouville_rim(jc):
         return [jc[0] * 0.5, jc[1] * 0.5, jc[2] * 0.5, jc[3] * 0.5]

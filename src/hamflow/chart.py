@@ -13,7 +13,7 @@ from interior samples, bisected onto the zero level of ``boundary``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -183,11 +183,11 @@ def _others_violated(chart: Chart, jc: Sequence[Jet]) -> Array:
     return bad
 
 
-def _bisect_boundary(chart: Chart, inside: Array, outside: Array, tol: float = 1e-10):
+def _bisect_boundary(chart: Chart, inside: Array, outside: Array):
     """Bisect segment batches [inside, outside] onto the boundary zero level.
 
-    Returns (points, ok_mask); rows whose final residual exceeds 10*tol are
-    flagged out instead of raising.
+    Returns (points, ok_mask) after 80 halvings; rows whose final residual
+    reaches 1e-9 are flagged out instead of raising.
     """
     a, b = inside.copy(), outside.copy()
     fa = chart.boundary(jets.seed(a, order=0)).value
@@ -199,7 +199,7 @@ def _bisect_boundary(chart: Chart, inside: Array, outside: Array, tol: float = 1
         fa = np.where(same, fm, fa)
         b = np.where(same[:, None], b, mid)
     mid = 0.5 * (a + b)
-    ok = np.abs(chart.boundary(jets.seed(mid, order=0)).value) < 10 * tol
+    ok = np.abs(chart.boundary(jets.seed(mid, order=0)).value) < 1e-9
     return mid, ok
 
 

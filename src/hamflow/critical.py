@@ -97,13 +97,14 @@ def _generator_at(cd, p: Array) -> tuple[Array, Array]:
     return vals, jac
 
 
-def _newton_generator_zero(cd, start: Array, tol: float = 1e-11, iters: int = 60):
+def _newton_generator_zero(cd, start: Array):
+    """At most 60 damped Newton steps to a generator zero, stopping below 1e-11."""
     p = np.asarray(start, dtype=float).copy()
     span = float(np.max(np.asarray(cd.chart.box_hi) - np.asarray(cd.chart.box_lo)))
-    for _ in range(iters):
+    for _ in range(60):
         vals, jac = _generator_at(cd, p)
         r = float(np.linalg.norm(vals))
-        if r < tol:
+        if r < 1e-11:
             break
         step = -np.linalg.pinv(jac, rcond=1e-10) @ vals
         norm = float(np.linalg.norm(step))

@@ -413,15 +413,15 @@ class LegendrianSet:
         return len(self.components)
 
 
-def _project_to_zero_set(cd: ChartData, p: Array, tol: float = 1e-10, iters: int = 60):
-    """Newton steps of least norm onto {boundary = 0, moment = 0}."""
+def _project_to_zero_set(cd: ChartData, p: Array):
+    """At most 60 Newton steps of least norm onto {boundary = 0, moment = 0}, to 1e-10."""
     q = np.asarray(p, dtype=float).copy()
-    for _ in range(iters):
+    for _ in range(60):
         jc = jets.seed(q[None, :], order=1)
         fv = cd.chart.boundary(jc)
         hv = cd.hamiltonian(jc)
         vals = np.array([fv.value[0], hv.value[0]])
-        if np.abs(vals).max() < tol:
+        if np.abs(vals).max() < 1e-10:
             return cd.chart.wrap(q), True
         jac = np.stack([fv.grad[0], hv.grad[0]])
         gram = jac @ jac.T

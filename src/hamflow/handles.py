@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -31,9 +31,9 @@ from .model import (
     HamiltonianModel,
     Transition,
     assert_moment,
+    circle_action,
     effective_weights,
     identity_metric,
-    rotation,
 )
 
 Array = np.ndarray
@@ -93,16 +93,7 @@ def _saddle_chart_data(scale: float, kappa: float) -> ChartData:
     def hamiltonian(jc):
         return (jc[1] * jc[2] - jc[0] * jc[3]) * scale
 
-    def generator(jc):
-        return [jc[1] * -1.0, jc[0] * 1.0, jc[3] * -1.0, jc[2] * 1.0]
-
-    def action(theta):
-        def fwd(jc):
-            a, b = rotation(theta, jc[0], jc[1])
-            c, d = rotation(theta, jc[2], jc[3])
-            return [a, b, c, d]
-
-        return fwd
+    generator, action = circle_action({(0, 1): 1.0, (2, 3): 1.0})
 
     def liouville(jc):
         return [jc[0] * -1.0, jc[1] * -1.0, jc[2] * 2.0, jc[3] * 2.0]
@@ -173,15 +164,7 @@ def weinstein_1handle(m: int = 1) -> HamiltonianModel:
     def hamiltonian(jc):
         return (jc[0] * jc[0] + jc[1] * jc[1]) * (fm / 2.0)
 
-    def generator(jc):
-        return [jc[1] * -fm, jc[0] * fm, jc[0] * 0.0, jc[0] * 0.0]
-
-    def action(theta):
-        def fwd(jc):
-            a, b = rotation(fm * theta, jc[0], jc[1])
-            return [a, b, jc[2] * 1.0, jc[3] * 1.0]
-
-        return fwd
+    generator, action = circle_action({(0, 1): fm})
 
     def liouville(jc):
         return [jc[0] * 0.5, jc[1] * 0.5, jc[2] * 2.0, jc[3] * -1.0]

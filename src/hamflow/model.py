@@ -4,12 +4,15 @@ A model bundles one or more coordinate charts, each carrying the same
 geometric package: the symplectic form, the moment map ("hamiltonian"), the
 circle-action generator, the action itself as a family of chart self-maps,
 and optionally a Liouville field, a compatible metric, and a stored boundary
-1-form.  Charts are glued by transitions (smooth maps with validity
-predicates); ``HamiltonianModel.transfers`` is the one way across them.  The
-structural identities tying all of this together are checked by
-:mod:`hamflow.verifier`, not assumed here; the per-sample residuals of the
-moment and expansion identities live here, shared by the verifier and the
-builders' self-check (:func:`assert_moment`).
+1-form.  Builders declare the circle action once, as a table of plane
+weights and coordinate speeds; :func:`circle_action` turns it into both the
+action and its generator, the action's derivative at angle 0.  Charts are
+glued by transitions (smooth maps with validity predicates);
+``HamiltonianModel.transfers`` is the one way across them.  The structural
+identities tying all of this together are checked by :mod:`hamflow.verifier`,
+not assumed here; the per-sample residuals of the moment and expansion
+identities live here, shared by the verifier and the builders' self-check
+(:func:`assert_moment`).
 """
 
 from __future__ import annotations
@@ -31,7 +34,12 @@ ActionFamily = Callable[[float], Callable[[Sequence[Jet]], list[Jet]]]
 
 @dataclass
 class ChartData:
-    """All model structure expressed in one chart."""
+    """All model structure expressed in one chart.
+
+    Builders take ``generator`` and ``action`` from one weight table through
+    :func:`circle_action`, so the generator is the action's derivative at
+    angle 0.
+    """
 
     chart: Chart
     omega: KForm
@@ -195,6 +203,42 @@ def rotation(theta: float, a: Jet, b: Jet) -> tuple[Jet, Jet]:
     """Rotate the pair (a, b) by a fixed angle."""
     c, s = float(np.cos(theta)), float(np.sin(theta))
     return a * c - b * s, a * s + b * c
+
+
+def circle_action(weights: dict[tuple[int, ...], float]) -> tuple[VectorField, ActionFamily]:
+    """The generator and the action of a circle acting by weights.
+
+    A key ``(i, j)`` rotates the (x_i, x_j) plane with weight w, a key
+    ``(k,)`` shifts coordinate k with speed s; every other coordinate is
+    fixed.  The generator is the action's derivative at angle 0.
+    """
+    moved = {k for key in weights for k in key}
+
+    def generator(jc: Sequence[Jet]) -> list[Jet]:
+        zero = jets.constant(0.0, jc[0]) if len(moved) < len(jc) else None
+        out = [zero] * len(jc)
+        for key, w in weights.items():
+            if len(key) == 1:
+                out[key[0]] = jets.constant(w, jc[0])
+            else:
+                i, j = key
+                out[i], out[j] = jc[j] * (-w), jc[i] * w
+        return out
+
+    def action(theta: float) -> Callable[[Sequence[Jet]], list[Jet]]:
+        def fwd(jc: Sequence[Jet]) -> list[Jet]:
+            out = list(jc)
+            for key, w in weights.items():
+                if len(key) == 1:
+                    out[key[0]] = jc[key[0]] + w * theta
+                else:
+                    i, j = key
+                    out[i], out[j] = rotation(w * theta, jc[i], jc[j])
+            return out
+
+        return fwd
+
+    return generator, action
 
 
 def identity_metric(dim: int, scale: float = 1.0) -> MetricField:

@@ -27,7 +27,7 @@ from .chart import Chart
 from .errors import BadRamp, BadStructureConstant
 from .forms import KForm
 from .jets import Jet
-from .model import ChartData, HamiltonianModel, assert_moment
+from .model import ChartData, HamiltonianModel, assert_moment, circle_action
 
 Array = np.ndarray
 
@@ -129,8 +129,9 @@ class PitPotential:
             raise BadStructureConstant("sublevel region of the pit potential is empty")
         return float(rs[hit[-1]]) + 0.5
 
-    def _validate_topology(self, n: int = 241) -> None:
-        xs = np.linspace(-self.box_radius, self.box_radius, n)
+    def _validate_topology(self) -> None:
+        """Flood-fill the sublevel region on a 241 x 241 grid."""
+        xs = np.linspace(-self.box_radius, self.box_radius, 241)
         gx, gy = np.meshgrid(xs, xs, indexing="ij")
         inside = self.raw_np(gx, gy) <= self.level
         edge = np.concatenate([inside[0], inside[-1], inside[:, 0], inside[:, -1]])
@@ -210,15 +211,7 @@ def free_action_planar(k: int = 1, holes=None, c: float = 1.0) -> HamiltonianMod
     def hamiltonian(jc):
         return jc[1] * 1.0
 
-    def generator(jc):
-        zero = jets.constant(0.0, jc[0])
-        return [jets.constant(1.0, jc[0]), zero, zero, zero]
-
-    def action(theta):
-        def fwd(jc):
-            return [jc[0] + theta, jc[1], jc[2], jc[3]]
-
-        return fwd
+    generator, action = circle_action({(0,): 1.0})
 
     def liouville(jc):
         zero = jets.constant(0.0, jc[0])
@@ -323,18 +316,7 @@ def disc_bundle_over_surface(holes=(), collar: float = 0.1, ramp=None) -> Hamilt
     def hamiltonian(jc):
         return (jc[2] * jc[2] + jc[3] * jc[3]) * 0.5
 
-    def generator(jc):
-        zero = jets.constant(0.0, jc[0])
-        return [zero, zero, jc[3] * -1.0, jc[2] * 1.0]
-
-    def action(theta):
-        def fwd(jc):
-            from .model import rotation
-
-            w1, w2 = rotation(theta, jc[2], jc[3])
-            return [jc[0], jc[1], w1, w2]
-
-        return fwd
+    generator, action = circle_action({(2, 3): 1.0})
 
     def liouville(jc):
         f2 = pot.value(jc[0], jc[1])

@@ -29,7 +29,7 @@ from .model import (
     HamiltonianModel,
     Transition,
     assert_moment,
-    rotation,
+    circle_action,
 )
 
 H_CHART = 0.8
@@ -76,16 +76,7 @@ def _band_chart_data() -> ChartData:
     def hamiltonian(jc):
         return (jc[2] * jc[2] + jc[3] * jc[3]) * 0.5
 
-    def generator(jc):
-        zero = jets.constant(0.0, jc[0])
-        return [zero, zero, jc[3] * -1.0, jc[2] * 1.0]
-
-    def action(theta):
-        def fwd(jc):
-            w1, w2 = rotation(theta, jc[2], jc[3])
-            return [jc[0], jc[1], w1, w2]
-
-        return fwd
+    generator, action = circle_action({(2, 3): 1.0})
 
     def liouville(jc):
         zero = jets.constant(0.0, jc[0])
@@ -176,16 +167,7 @@ def _cap_chart_data(name: str, south: bool) -> ChartData:
     def hamiltonian(jc):
         return (jc[2] * jc[2] + jc[3] * jc[3]) * 0.5
 
-    def generator(jc):
-        zero = jets.constant(0.0, jc[0])
-        return [zero, zero, jc[3] * -1.0, jc[2] * 1.0]
-
-    def action(theta):
-        def fwd(jc):
-            w1, w2 = rotation(theta, jc[2], jc[3])
-            return [jc[0], jc[1], w1, w2]
-
-        return fwd
+    generator, action = circle_action({(2, 3): 1.0})
 
     def liouville(jc):
         zero = jets.constant(0.0, jc[0])
@@ -287,15 +269,7 @@ def _total_chart_data(name: str, south: bool) -> ChartData:
     def hamiltonian(jc):
         return jc[3] * jc[3] * 0.5
 
-    def generator(jc):
-        zero = jets.constant(0.0, jc[0])
-        return [zero, zero, zero, zero, jets.constant(1.0, jc[0])]
-
-    def action(theta):
-        def fwd(jc):
-            return [jc[0], jc[1], jc[2], jc[3], jc[4] + theta]
-
-        return fwd
+    generator, action = circle_action({(4,): 1.0})
 
     def liouville(jc):
         zero = jets.constant(0.0, jc[0])

@@ -21,7 +21,7 @@ from .model import (
     HamiltonianModel,
     Transition,
     assert_moment,
-    rotation,
+    circle_action,
 )
 
 U_CHART = 0.8
@@ -55,15 +55,7 @@ def _equator_chart_data() -> ChartData:
     def hamiltonian(jc):
         return jc[2] * 1.0
 
-    def generator(jc):
-        zero = jets.constant(0.0, jc[0])
-        return [jets.constant(1.0, jc[0]), zero, zero, zero]
-
-    def action(theta):
-        def fwd(jc):
-            return [jc[0] + theta, jc[1], jc[2], jc[3]]
-
-        return fwd
+    generator, action = circle_action({(0,): 1.0})
 
     def liouville(jc):
         zero = jets.constant(0.0, jc[0])
@@ -119,16 +111,7 @@ def _cap_chart_data(name: str) -> ChartData:
     def hamiltonian(jc):
         return jc[0] * jc[3] - jc[1] * jc[2]
 
-    def generator(jc):
-        return [jc[1] * -1.0, jc[0] * 1.0, jc[3] * -1.0, jc[2] * 1.0]
-
-    def action(theta):
-        def fwd(jc):
-            a, b = rotation(theta, jc[0], jc[1])
-            pa, pb = rotation(theta, jc[2], jc[3])
-            return [a, b, pa, pb]
-
-        return fwd
+    generator, action = circle_action({(0, 1): 1.0, (2, 3): 1.0})
 
     def liouville(jc):
         zero = jets.constant(0.0, jc[0])

@@ -57,7 +57,7 @@ from . import basic, forms, handles, jets
 from .chart import sample_boundary, sample_domain
 from .forms import KForm
 from .linalg import compatible_structure, nondegenerate
-from .model import HamiltonianModel, contract_form, liouville_residual, moment_residual, rotation
+from .model import HamiltonianModel, circle_action, contract_form, liouville_residual, moment_residual
 
 Array = np.ndarray
 
@@ -575,16 +575,7 @@ def control_unbalanced_handle() -> HamiltonianModel:
     def hamiltonian(jc):
         return (jc[0] * jc[0] + jc[2] * jc[2]) * 0.5 + (jc[1] * jc[1] + jc[3] * jc[3])
 
-    def generator(jc):
-        return [jc[2] * -1.0, jc[3] * -2.0, jc[0] * 1.0, jc[1] * 2.0]
-
-    def action(theta):
-        def fwd(jc):
-            a, c = rotation(theta, jc[0], jc[2])
-            b, d = rotation(2 * theta, jc[1], jc[3])
-            return [a, b, c, d]
-
-        return fwd
+    generator, action = circle_action({(0, 2): 1.0, (1, 3): 2.0})
 
     lopsided = dataclasses.replace(
         cd, hamiltonian=hamiltonian, generator=generator, action=action
