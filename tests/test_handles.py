@@ -1,10 +1,13 @@
 """Handle blocks, face identification, and boundary surgery."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from hamflow import handles, jets
+from hamflow import handles, jets, registry
 from hamflow.basic import cotangent_t2, disc_d4, s1_d3
+from hamflow.chart import sample_domain
 from hamflow.errors import CollarTooDeep, IneffectiveAction, NotLegendrian, UnsupportedBase
 from hamflow.forms import coeff_residual, field_values, pullback
 from hamflow.model import liouville_residual, moment_residual, self_check_points
@@ -210,3 +213,41 @@ def test_surgery_guards():
         handles.attach_2handle(base, eps=0.5)
     with pytest.raises(ValueError):
         handles.attach_2handle(base, kappa=0.9)
+
+
+# sha256 of both attach_2handle transition maps (value, gradient and Hessian
+# bytes at jet orders 0, 1, 2) and of the predicate masks, over 200
+# sample_domain points per chart, default_rng([5, ci]); recorded before the
+# orbit neighborhoods were written as place/tube jet maps
+SURGERY_SHA256 = {
+    "s1_d3(1,0)": "c5a40fd88007496e176ab3505964a018b312724f92b23158a8bba9a923802ffb",
+    "disc_d4(1,-1)": "1000a32b0134b89260c3819bd317787433e4ffb408fb63d3280fa5255807ff3d",
+}
+
+
+def _surgery_digest(glued) -> str:
+    h = hashlib.sha256()
+    pts = [sample_domain(cd.chart, 200, np.random.default_rng([5, ci])) for ci, cd in enumerate(glued.charts)]
+    for tr in glued.transitions:
+        for order in (0, 1, 2):
+            for out in tr.map.forward(jets.seed(pts[tr.src], order=order)):
+                for arr in (out.value, out.grad, out.hess):
+                    if arr is not None:
+                        h.update(np.ascontiguousarray(arr, dtype=float).tobytes())
+    # the base-side predicates also see the handle points' images, which lie
+    # in the orbit tube, so their masks are not all of one value
+    to_base, to_handle = glued.transitions
+    base_pts = np.concatenate([pts[0], to_base.map.apply(pts[1])])
+    for mask in (
+        to_base.valid(pts[1]),
+        to_handle.valid(base_pts),
+        glued.charts[0].boundary_accept(base_pts),
+    ):
+        h.update(np.asarray(mask, dtype=bool).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("spec", sorted(SURGERY_SHA256))
+def test_surgery_maps_match_pins(spec):
+    glued = handles.attach_2handle(registry.build(spec))
+    assert _surgery_digest(glued) == SURGERY_SHA256[spec]
