@@ -178,7 +178,7 @@ def _kahler_metric(omega: KForm):
     return metric
 
 
-def _dual_liouville(omega: KForm, lam: KForm, metric):
+def _dual_liouville(lam: KForm, metric):
     def field(jc):
         g = metric(jc)
         coeffs = lam.coefficients(jc)
@@ -251,7 +251,7 @@ def blowup_d4(m: int = 1, n: int = -1, size: float = 0.2) -> HamiltonianModel:
         hamiltonian=ham_i,
         generator=gen_i,
         action=act_i,
-        liouville=_dual_liouville(omega_i, lam_i, metric_i),
+        liouville=_dual_liouville(lam_i, metric_i),
         metric=metric_i,
         boundary_alpha=lam_i,
         note="core chart containing the replacement sphere as its v-axis",
@@ -301,7 +301,7 @@ def blowup_d4(m: int = 1, n: int = -1, size: float = 0.2) -> HamiltonianModel:
         hamiltonian=ham_o,
         generator=gen_o,
         action=act_o,
-        liouville=_dual_liouville(omega_o, lam_o, metric_o),
+        liouville=_dual_liouville(lam_o, metric_o),
         metric=metric_o,
         boundary_alpha=lam_o,
         note="core chart containing the rest of the replacement sphere at p = 0",

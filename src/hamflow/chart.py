@@ -207,7 +207,7 @@ def sample_boundary(
     chart: Chart,
     n: int,
     rng: np.random.Generator,
-    accept: Callable[[Array], bool] | None = None,
+    accept: Callable[[Array], Array] | None = None,
 ) -> Array:
     """Draw n points on the boundary zero level by ray casting.
 
@@ -221,9 +221,10 @@ def sample_boundary(
     ``pos + step * dir`` as single steps would, the boundary function and the
     other inequalities are evaluated once over the stacked block, and each
     ray stops at its first event, so the result is the one-step march's bit
-    for bit.  ``accept`` optionally filters found points (used by
-    glued models to mask regions replaced by a handle).  Raises
-    BoundaryNotFound after 1000 consecutive failed rays.
+    for bit.  ``accept`` optionally filters found points: it takes each ray
+    batch's points, shape ``(m, dim)``, and returns a boolean mask of the
+    ones to keep (glued models use it to mask regions replaced by a handle).
+    Raises BoundaryNotFound after 1000 consecutive failed rays.
     """
     if chart.boundary is None:
         raise BoundaryNotFound(f"chart {chart.name!r} has no boundary function")
@@ -275,8 +276,7 @@ def sample_boundary(
             found, ok = _bisect_boundary(chart, inner[crossed], outer[crossed])
             found = chart.wrap(found[ok])
             if accept is not None and found.shape[0]:
-                keep = np.array([bool(accept(p)) for p in found])
-                found = found[keep]
+                found = found[np.asarray(accept(found), dtype=bool)]
             batch_pts = found
         if batch_pts.shape[0]:
             out.append(batch_pts)

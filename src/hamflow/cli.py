@@ -261,7 +261,7 @@ def cmd_build(args) -> int:
     elif args.builder == "disc-bundle":
         model = disc_bundle_over_surface(_parse_holes(args.holes) or (), collar=args.collar)
     elif args.builder == "attach-2handle":
-        model = attach_2handle(registry.build(args.base), None, eps=args.eps, kappa=args.kappa)
+        model = attach_2handle(registry.build(args.base), eps=args.eps, kappa=args.kappa)
     else:
         model = blowup_d4(args.weights[0], args.weights[1], size=args.size)
 

@@ -317,6 +317,18 @@ def _adaptive_radius(chart, pts: Array) -> float:
     return 3.0 * float(np.median(nn))
 
 
+def _pairs_within(chart, a: Array, b: Array, r: float) -> tuple[Array, Array]:
+    """Index pairs (i, j) with ``a[i]`` closer than ``r`` to ``b[j]``, 128 rows of ``a`` at a time."""
+    rows: list[Array] = []
+    cols: list[Array] = []
+    for i0 in range(0, a.shape[0], 128):
+        disp = chart.displacement(a[i0 : i0 + 128, None, :], b[None, :, :])
+        bi, j = np.nonzero((disp**2).sum(axis=-1) < r * r)
+        rows.append(i0 + bi)
+        cols.append(j)
+    return np.concatenate(rows), np.concatenate(cols)
+
+
 def boundary_connectivity(model: HamiltonianModel, seed: int = 0, samples: int = 2000) -> int:
     """Connected components of the sampled boundary, linked across charts.
 
@@ -348,15 +360,9 @@ def boundary_connectivity(model: HamiltonianModel, seed: int = 0, samples: int =
     src: list[Array] = []
     dst: list[Array] = []
     for ci, pts in clouds.items():
-        chart = model.charts[ci].chart
-        r = radii[ci]
-        base = offsets[ci]
-        for i0 in range(0, pts.shape[0], 128):
-            block = pts[i0 : i0 + 128]
-            disp = chart.displacement(block[:, None, :], pts[None, :, :])
-            bi, j = np.nonzero((disp**2).sum(axis=-1) < r * r)
-            src.append(base + i0 + bi)
-            dst.append(base + j)
+        i, j = _pairs_within(model.charts[ci].chart, pts, pts, radii[ci])
+        src.append(offsets[ci] + i)
+        dst.append(offsets[ci] + j)
     for tr in model.transitions:
         if tr.src not in clouds or tr.dst not in clouds:
             continue
@@ -367,14 +373,8 @@ def boundary_connectivity(model: HamiltonianModel, seed: int = 0, samples: int =
         if not mask.any():
             continue
         imgs = tr.map.apply(src_pts[mask])
-        dst_chart = model.charts[tr.dst].chart
         link_r = max(radii[tr.src], radii[tr.dst])
-        dst_pts = clouds[tr.dst]
-        src_idx = np.flatnonzero(mask) + offsets[tr.src]
-        for i0 in range(0, imgs.shape[0], 128):
-            block = imgs[i0 : i0 + 128]
-            disp = dst_chart.displacement(block[:, None, :], dst_pts[None, :, :])
-            bi, j = np.nonzero((disp**2).sum(axis=-1) < link_r * link_r)
-            src.append(src_idx[i0 + bi])
-            dst.append(offsets[tr.dst] + j)
+        i, j = _pairs_within(model.charts[tr.dst].chart, imgs, clouds[tr.dst], link_r)
+        src.append(np.flatnonzero(mask)[i] + offsets[tr.src])
+        dst.append(offsets[tr.dst] + j)
     return len(np.unique(_components(total, np.concatenate(src), np.concatenate(dst))))

@@ -24,6 +24,7 @@ from . import jets
 from .chart import sample_boundary
 from .errors import BoundaryNotFound, ImmediateExit, StiffFlow
 from .forms import field_values
+from .jets import Jet
 from .model import ChartData, HamiltonianModel
 
 Array = np.ndarray
@@ -287,7 +288,7 @@ class OrbitClass:
 def classify_orbit(model: HamiltonianModel, chart_index: int, point: Array) -> OrbitClass:
     cd = model.charts[chart_index]
     p = cd.chart.wrap(np.asarray(point, dtype=float))
-    jc = jets.seed(p[None, :], order=1)
+    jc = jets.seed(p[None, :], order=0)
     if np.abs(field_values(cd.generator, jc)).max() < 1e-8:
         return OrbitClass(kind="fixed_point", upward=None, downward=None)
 
@@ -443,7 +444,8 @@ def _transverse_direction(cd: ChartData, p: Array, prev: Array | None):
     jac = np.stack([cd.chart.boundary(jc).grad[0], cd.hamiltonian(jc).grad[0]])
     _, _, vh = np.linalg.svd(jac)
     basis = vh[2:].T
-    xv = field_values(cd.generator, jc)[0]
+    # the generator's values only, from the order-0 truncation of the same jets
+    xv = field_values(cd.generator, [Jet(c.value, None, None) for c in jc])[0]
     xk = basis.T @ xv
     norm = np.linalg.norm(xk)
     if norm < 1e-10:
@@ -540,7 +542,7 @@ def detect_legendrian_set(
         projected = [_project_to_zero_set(cd, pts[idx]) for idx in order]
         cands = np.array([p for p, ok in projected if ok]).reshape(-1, cd.chart.dim)
         cands = cands[cd.chart.contains(cands, slack=1e-6)]
-        xv = field_values(cd.generator, jets.seed(cands, order=1))
+        xv = field_values(cd.generator, jets.seed(cands, order=0))
         fixed = np.all([_moved(cd, cands, 2 * np.pi * a) < 1e-9 for a in (GOLDEN, SILVER)], axis=0)
         keep = ~(np.abs(xv).max(axis=1) < 1e-8) & ~fixed
         cands, xv = cands[keep], xv[keep]

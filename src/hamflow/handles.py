@@ -6,6 +6,11 @@ the saddle block's vertical faces and a standard neighborhood of a closed
 orbit in a boundary, and the surgery that grafts the saddle block onto a
 supported base model along such an orbit.
 
+Each orbit neighborhood is written once, as the jet maps ``place`` and
+``tube`` of :class:`OrbitNeighborhood`; the surgery's two transitions are the
+handle's face coordinates fed to ``place``, and ``tube`` plus the saddle
+scaling.
+
 The saddle block is the symplectization of its face contact structure under
 its own scaling field, and the base carries a compatible scaling field, so
 the gluing map is an exact match of primitives and moment maps rather than
@@ -16,7 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -273,134 +278,104 @@ def attaching_map() -> SmoothMap:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class OrbitNeighborhood:
-    """Chartlike parametrization of a closed orbit's boundary neighborhood."""
+    """Standard coordinates around a closed boundary orbit of a supported base.
 
-    base_kind: str
+    ``place(T, X, Y, E)`` puts neighborhood coordinates at scaling depth ``E``
+    (a jet; E = 1 on the boundary) into the base chart; ``tube(jc)`` returns
+    ``(T, X, Y, E)`` from base-chart jets.
+    """
+
+    kind: str
     reference: Array
-    embed: SmoothMap
-    flow_time: Callable[[float], SmoothMap]
-    tube_coords: Callable[[Array], tuple[Array, Array, Array, Array]]
-    contact: KForm
+    chart: Chart
+    place: Callable[[Jet, Jet, Jet, Jet], list[Jet]]
+    tube: Callable[[Sequence[Jet]], tuple[Jet, Jet, Jet, Jet]]
+
+    @property
+    def embed(self) -> SmoothMap:
+        """Orbit-neighborhood coordinates into the base boundary (E = 1)."""
+
+        def fwd(jc):
+            return self.place(*jc, jets.constant(1.0, jc[0]))
+
+        return SmoothMap(source=ORBIT_CHART, target=self.chart, forward=fwd)
+
+    def tube_coords(self, pts: Array) -> tuple[Array, Array, Array, Array]:
+        """``(T mod 2 pi, X, Y, log E)`` of base points, from order-0 jets."""
+        T, X, Y, E = self.tube(jets.seed(pts, order=0))
+        return np.mod(T.value, 2 * np.pi), X.value, Y.value, np.log(E.value)
 
 
-def _neighborhood_s1(base: HamiltonianModel, ref: Array) -> OrbitNeighborhood:
-    chart = base.charts[0].chart
+def _s1_coordinates(ref: Array):
     beta0 = float(np.arctan2(ref[2], ref[1]))
 
-    def fwd(jc):
-        T, X, Y = jc
+    def place(T, X, Y, E):
         den = X * X + 1.0
         t = T + 2.0 * X * Y / den
         beta = 2.0 * Y / den + beta0
-        r = jets.sqrt(1.0 - X * X)
-        return [t, r * jets.cos(beta), r * jets.sin(beta), X * 1.0]
+        rho = jets.sqrt(1.0 - X * X) * jets.sqrt(E)
+        return [t, rho * jets.cos(beta), rho * jets.sin(beta), E * X]
 
-    embed = SmoothMap(source=ORBIT_CHART, target=chart, forward=fwd)
-
-    def flow_time(sigma: float) -> SmoothMap:
-        half = float(np.exp(sigma / 2.0))
-        full = float(np.exp(sigma))
-
-        def flow(jc):
-            return [jc[0] * 1.0, jc[1] * half, jc[2] * half, jc[3] * full]
-
-        return SmoothMap(source=chart, target=chart, forward=flow)
-
-    def tube_coords(pts: Array):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        t, x, y, h = pts.T
+    def tube(jc):
+        t, x, y, h = jc
         r2 = x * x + y * y
-        E = 0.5 * (r2 + np.sqrt(r2 * r2 + 4.0 * h * h))
+        E = (r2 + jets.sqrt(r2 * r2 + h * h * 4.0)) * 0.5
         X = h / E
-        beta = np.arctan2(y, x)
-        diff = np.arctan2(np.sin(beta - beta0), np.cos(beta - beta0))
-        den = 1.0 + X * X
-        Y = 0.5 * diff * den
-        T = np.mod(t - 2.0 * X * Y / den, 2 * np.pi)
-        return T, X, Y, np.log(E)
+        beta = jets.atan2(y, x)
+        diff = jets.atan2(jets.sin(beta - beta0), jets.cos(beta - beta0))
+        den = X * X + 1.0
+        Y = diff * den * 0.5
+        T = t - 2.0 * X * Y / den
+        return T, X, Y, E
 
-    return OrbitNeighborhood(
-        base_kind="s1_d3",
-        reference=np.asarray(ref, dtype=float),
-        embed=embed,
-        flow_time=flow_time,
-        tube_coords=tube_coords,
-        contact=contact_form_standard(),
-    )
+    return place, tube
 
 
-def _neighborhood_disc(base: HamiltonianModel, ref: Array) -> OrbitNeighborhood:
-    chart = base.charts[0].chart
+def _disc_coordinates(ref: Array):
     g10 = float(np.arctan2(ref[1], ref[0]))
     g20 = float(np.arctan2(ref[3], ref[2]))
 
-    def fwd(jc):
-        T, X, Y = jc
-        r1 = jets.sqrt(X + 0.5)
-        r2 = jets.sqrt(0.5 - X)
+    def place(T, X, Y, E):
+        half = jets.sqrt(E)
+        r1 = jets.sqrt(X + 0.5) * half
+        r2 = jets.sqrt(0.5 - X) * half
         g1 = T + 2.0 * Y + g10
         g2 = T * -1.0 + 2.0 * Y + g20
         return [r1 * jets.cos(g1), r1 * jets.sin(g1), r2 * jets.cos(g2), r2 * jets.sin(g2)]
 
-    embed = SmoothMap(source=ORBIT_CHART, target=chart, forward=fwd)
-
-    def flow_time(sigma: float) -> SmoothMap:
-        half = float(np.exp(sigma / 2.0))
-
-        def flow(jc):
-            return [c * half for c in jc]
-
-        return SmoothMap(source=chart, target=chart, forward=flow)
-
-    def tube_coords(pts: Array):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        r1sq = pts[:, 0] ** 2 + pts[:, 1] ** 2
-        r2sq = pts[:, 2] ** 2 + pts[:, 3] ** 2
+    def tube(jc):
+        x1, y1, x2, y2 = jc
+        r1sq = x1 * x1 + y1 * y1
+        r2sq = x2 * x2 + y2 * y2
         E = r1sq + r2sq
-        X = (r1sq - r2sq) / (2.0 * E)
-        d1 = np.arctan2(pts[:, 1], pts[:, 0]) - g10
-        d2 = np.arctan2(pts[:, 3], pts[:, 2]) - g20
-        total = np.arctan2(np.sin(d1 + d2), np.cos(d1 + d2))
-        Y = 0.25 * total
-        T = np.mod(np.arctan2(np.sin(d1), np.cos(d1)) - 2.0 * Y, 2 * np.pi)
-        return T, X, Y, np.log(E)
+        X = (r1sq - r2sq) / (E * 2.0)
+        d1 = jets.atan2(y1, x1) - g10
+        d2 = jets.atan2(y2, x2) - g20
+        tot = d1 + d2
+        Y = jets.atan2(jets.sin(tot), jets.cos(tot)) * 0.25
+        T = jets.atan2(jets.sin(d1), jets.cos(d1)) - Y * 2.0
+        return T, X, Y, E
 
-    return OrbitNeighborhood(
-        base_kind="disc_d4",
-        reference=np.asarray(ref, dtype=float),
-        embed=embed,
-        flow_time=flow_time,
-        tube_coords=tube_coords,
-        contact=contact_form_standard(),
-    )
-
-
-def _base_kind(base: HamiltonianModel) -> str:
-    if base.name == "s1_d3" and base.params.get("k") == 1 and base.params.get("m") == 0:
-        return "s1_d3"
-    if base.name == "disc_d4" and base.params.get("m") == 1 and base.params.get("n") == -1:
-        return "disc_d4"
-    raise UnsupportedBase(
-        "surgery is implemented for the unit-speed rotation-free boundary flow "
-        "model and the opposite-weight ball model only"
-    )
-
-
-DEFAULT_ORBIT_REF = {
-    "s1_d3": np.array([0.0, 1.0, 0.0, 0.0]),
-    "disc_d4": np.array([np.sqrt(0.5), 0.0, np.sqrt(0.5), 0.0]),
-}
+    return place, tube
 
 
 def standard_neighborhood(base: HamiltonianModel, orbit_ref: Array | None = None) -> OrbitNeighborhood:
     """Standard coordinates around a closed boundary orbit of a supported base."""
-    kind = _base_kind(base)
-    ref = DEFAULT_ORBIT_REF[kind] if orbit_ref is None else np.asarray(orbit_ref, dtype=float)
-    if kind == "s1_d3":
-        return _neighborhood_s1(base, ref)
-    return _neighborhood_disc(base, ref)
+    p = base.params
+    if base.name == "s1_d3" and (p.get("k"), p.get("m")) == (1, 0):
+        kind, coordinates, default = "s1_d3", _s1_coordinates, (0.0, 1.0, 0.0, 0.0)
+    elif base.name == "disc_d4" and (p.get("m"), p.get("n")) == (1, -1):
+        kind, coordinates, default = "disc_d4", _disc_coordinates, (np.sqrt(0.5), 0.0, np.sqrt(0.5), 0.0)
+    else:
+        raise UnsupportedBase(
+            "surgery is implemented for the unit-speed rotation-free boundary flow "
+            "model and the opposite-weight ball model only"
+        )
+    ref = np.asarray(default if orbit_ref is None else orbit_ref, dtype=float)
+    place, tube = coordinates(ref)
+    return OrbitNeighborhood(kind, ref, base.charts[0].chart, place, tube)
 
 
 # ---------------------------------------------------------------------------
@@ -410,17 +385,17 @@ def standard_neighborhood(base: HamiltonianModel, orbit_ref: Array | None = None
 
 def attach_2handle(
     base: HamiltonianModel,
-    orbit_ref: Array | None = None,
     eps: float = 0.05,
     kappa: float = 0.55,
+    orbit_ref: Array | None = None,
 ) -> HamiltonianModel:
     """Graft the saddle block onto a base model along a closed boundary orbit."""
-    kind = _base_kind(base)
+    nbhd = standard_neighborhood(base, orbit_ref)
     if not (0.0 < eps <= 0.2):
         raise CollarTooDeep(f"collar depth must lie in (0, 0.2], got {eps}")
     if not (0.0 < kappa <= 0.6):
         raise ValueError(f"face width factor must lie in (0, 0.6], got {kappa}")
-    ref = DEFAULT_ORBIT_REF[kind] if orbit_ref is None else np.asarray(orbit_ref, dtype=float)
+    ref = nbhd.reference
 
     base_cd = base.charts[0]
     jc = jets.seed(ref[None, :], order=0)
@@ -433,19 +408,16 @@ def attach_2handle(
     if stabilizer_of(base, 0, ref) != 1:
         raise NotLegendrian("the action is not free along the reference orbit")
 
-    nbhd = standard_neighborhood(base, ref)
     scale = float(np.exp(-eps))
     handle_cd = _saddle_chart_data(scale=scale, kappa=kappa)
     assert_moment(handle_cd)
 
     inner_x2 = float(np.exp(-2.0 * eps))
-    patch_r2 = float(
-        np.exp(-4.0 * eps) * kappa * kappa * flare_profile_value(inner_x2)
-    )
+    patch_r2 = float(np.exp(-4.0 * eps) * kappa * kappa * flare_profile_value(inner_x2))
     face_r2 = kappa * kappa * flare_profile_value(1.0)
 
-    # handle -> base: read face coordinates off the handle point, embed the
-    # orbit neighborhood, then run the base scaling flow to the right depth
+    # handle -> base: read face coordinates off the handle point and place
+    # them in the orbit neighborhood at the matching scaling depth
     def handle_to_base(jc):
         x1, x2, y1, y2 = jc
         r2 = x1 * x1 + x2 * x2
@@ -454,48 +426,11 @@ def attach_2handle(
         Xc = r * (x2 * y1 - x1 * y2)
         Yc = (r * (x1 * y1 + x2 * y2)) * -1.0
         es = (1.0 / r) * scale  # e^{sigma} with sigma = -ln r - eps
-        if kind == "s1_d3":
-            den = Xc * Xc + 1.0
-            t = T + 2.0 * Xc * Yc / den
-            beta = 2.0 * Yc / den + float(np.arctan2(ref[2], ref[1]))
-            rho = jets.sqrt(1.0 - Xc * Xc) * jets.sqrt(es)
-            return [t, rho * jets.cos(beta), rho * jets.sin(beta), es * Xc]
-        g10 = float(np.arctan2(ref[1], ref[0]))
-        g20 = float(np.arctan2(ref[3], ref[2]))
-        half = jets.sqrt(es)
-        r1 = jets.sqrt(Xc + 0.5) * half
-        rr2 = jets.sqrt(0.5 - Xc) * half
-        g1 = T + 2.0 * Yc + g10
-        g2 = T * -1.0 + 2.0 * Yc + g20
-        return [r1 * jets.cos(g1), r1 * jets.sin(g1), rr2 * jets.cos(g2), rr2 * jets.sin(g2)]
+        return nbhd.place(T, Xc, Yc, es)
 
     # base -> handle: tube coordinates plus scaling depth
-    beta0 = float(np.arctan2(ref[2], ref[1]))
-    g10 = float(np.arctan2(ref[1], ref[0]))
-    g20 = float(np.arctan2(ref[3], ref[2]))
-
     def base_to_handle(jc):
-        if kind == "s1_d3":
-            t, x, y, h = jc
-            r2 = x * x + y * y
-            E = (r2 + jets.sqrt(r2 * r2 + h * h * 4.0)) * 0.5
-            X = h / E
-            beta = jets.atan2(y, x)
-            diff = jets.atan2(jets.sin(beta - beta0), jets.cos(beta - beta0))
-            den = X * X + 1.0
-            Y = diff * den * 0.5
-            T = t - 2.0 * X * Y / den
-        else:
-            x1, y1c, x2, y2c = jc
-            r1sq = x1 * x1 + y1c * y1c
-            r2sq = x2 * x2 + y2c * y2c
-            E = r1sq + r2sq
-            X = (r1sq - r2sq) / (E * 2.0)
-            d1 = jets.atan2(y1c, x1) - g10
-            d2 = jets.atan2(y2c, x2) - g20
-            tot = d1 + d2
-            Y = jets.atan2(jets.sin(tot), jets.cos(tot)) * 0.25
-            T = jets.atan2(jets.sin(d1), jets.cos(d1)) - Y * 2.0
+        T, X, Y, E = nbhd.tube(jc)
         emx = (1.0 / E) * scale  # e^{-s} with s = ln E + eps
         e2s = E * E * float(np.exp(2.0 * eps))
         sT, cT = jets.sin(T), jets.cos(T)
@@ -507,12 +442,9 @@ def attach_2handle(
         ]
 
     def handle_exit_valid(pts: Array) -> Array:
-        pts = np.atleast_2d(pts)
-        x2 = pts[:, 0] ** 2 + pts[:, 1] ** 2
-        return x2 > inner_x2
+        return pts[:, 0] ** 2 + pts[:, 1] ** 2 > inner_x2
 
     def base_entry_valid(pts: Array) -> Array:
-        pts = np.atleast_2d(pts)
         _, X, Y, logE = nbhd.tube_coords(pts)
         return (logE > -eps) & (X * X + Y * Y < face_r2)
 
@@ -536,7 +468,7 @@ def attach_2handle(
         transitions=transitions,
         description="base model with a saddle block grafted along a closed boundary orbit",
         meta={
-            "base_kind": kind,
+            "base_kind": nbhd.kind,
             "patch_radius2": patch_r2,
             "face_radius2": face_r2,
             "new_critical_index": 2,

@@ -38,7 +38,9 @@ class ChartData:
 
     Builders take ``generator`` and ``action`` from one weight table through
     :func:`circle_action`, so the generator is the action's derivative at
-    angle 0.
+    angle 0.  ``boundary_accept``, like :attr:`Transition.valid`, takes a
+    point batch of shape ``(n, dim)`` and returns a boolean mask; boundary
+    sampling keeps only the points it accepts.
     """
 
     chart: Chart
@@ -52,7 +54,7 @@ class ChartData:
     kernel: VectorField | None = None
     kernel_complement: tuple[int, ...] | None = None
     liouville_domain: tuple[ScalarField, ...] = ()
-    boundary_accept: Callable[[Array], bool] | None = None
+    boundary_accept: Callable[[Array], Array] | None = None
     note: str = ""
 
     def inside_margin(self, points: Array) -> Array:

@@ -22,10 +22,6 @@ class CatalogEntry:
     summary: str
 
 
-def _attach(base: HamiltonianModel, eps: float = 0.05, kappa: float = 0.55):
-    return attach_2handle(base, None, eps=eps, kappa=kappa)
-
-
 def _disc_bundle(holes=0, collar: float = 0.1):
     if isinstance(holes, (int, float)):
         n = int(holes)
@@ -100,7 +96,7 @@ CATALOG: dict[str, CatalogEntry] = {
         ),
         CatalogEntry(
             "attach_2handle",
-            _attach,
+            attach_2handle,
             "attach_2handle(base,eps,kappa)",
             "base model with a saddle block grafted along a boundary orbit",
         ),

@@ -146,7 +146,7 @@ def _cap_chart_data(name: str) -> ChartData:
     )
 
 
-def _strip_to_cap(eq: Chart, cap: Chart, pole: float) -> SmoothMap:
+def _strip_to_cap(eq: Chart, cap: Chart) -> SmoothMap:
     def fwd(jc):
         t, u, pt, pu = jc
         r = jets.sqrt(-(u * u) + 1.0)
@@ -193,8 +193,8 @@ def cotangent_s2() -> HamiltonianModel:
         return pts[:, 0] ** 2 + pts[:, 1] ** 2 >= CAP_HAND
 
     transitions = [
-        Transition(0, 1, _strip_to_cap(eq.chart, north.chart, +1.0), valid=north_side),
-        Transition(0, 2, _strip_to_cap(eq.chart, south.chart, -1.0), valid=south_side),
+        Transition(0, 1, _strip_to_cap(eq.chart, north.chart), valid=north_side),
+        Transition(0, 2, _strip_to_cap(eq.chart, south.chart), valid=south_side),
         Transition(1, 0, _cap_to_strip(north.chart, eq.chart, +1.0), valid=off_pole),
         Transition(2, 0, _cap_to_strip(south.chart, eq.chart, -1.0), valid=off_pole),
     ]

@@ -1,0 +1,69 @@
+"""Source hygiene of the hamflow package: no unused imports or parameters.
+
+No linter is part of the toolchain, so this stdlib ``ast`` walk is the
+guard.  Every module except ``__init__.py`` (whose imports are the package's
+re-exports) must use each name it imports, and every function must read each
+of its parameters; ``self`` and names starting with ``_`` are exempt.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "hamflow"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _names_read(nodes) -> set[str]:
+    """Every bare name under ``nodes``; quoted annotations are parsed too."""
+    seen: set[str] = set()
+    for root in nodes:
+        for node in ast.walk(root):
+            if isinstance(node, ast.Name):
+                seen.add(node.id)
+            ann = getattr(node, "annotation", None) or getattr(node, "returns", None)
+            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                seen |= _names_read([ast.parse(ann.value, mode="eval")])
+    return seen
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    bound: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    used = _names_read([tree])
+    return [f"{name} (line {line})" for name, line in bound.items() if name not in used]
+
+
+def _ignored_parameters(tree: ast.Module) -> list[str]:
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        used = _names_read(body)
+        name = getattr(node, "name", "<lambda>")
+        for p in params:
+            if p.arg != "self" and not p.arg.startswith("_") and p.arg not in used:
+                out.append(f"{name}({p.arg}) (line {node.lineno})")
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert _unused_imports(ast.parse(path.read_text())) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_ignored_parameters(path):
+    assert _ignored_parameters(ast.parse(path.read_text())) == []
