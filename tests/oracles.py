@@ -2,11 +2,14 @@
 
 Everything here works on plain float callables with central finite
 differences, or on plain Python lists, deliberately sharing no code with
-the package it checks.
+the package it checks.  The one exception is the point-cloud oracles,
+which take each pair's distance from ``Chart.distance`` over the whole
+distance matrix at once.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import combinations, permutations
 from typing import Callable
 
@@ -67,6 +70,58 @@ def union_find_labels(n: int, edges: list[tuple[int, int]]) -> list[int]:
         ri, rj = find(i), find(j)
         parent[max(ri, rj)] = min(ri, rj)
     return [find(i) for i in range(n)]
+
+
+def grid_components(mask: np.ndarray) -> int:
+    """Components of a 2D boolean mask under 4-connectivity, by breadth-first flood fill."""
+    seen = np.zeros_like(mask, dtype=bool)
+    count = 0
+    nx, ny = mask.shape
+    for i in range(nx):
+        for j in range(ny):
+            if mask[i, j] and not seen[i, j]:
+                count += 1
+                q = deque([(i, j)])
+                seen[i, j] = True
+                while q:
+                    a, b = q.popleft()
+                    for da, db in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+                        x, y = a + da, b + db
+                        if 0 <= x < nx and 0 <= y < ny and mask[x, y] and not seen[x, y]:
+                            seen[x, y] = True
+                            q.append((x, y))
+    return count
+
+
+# ----------------------------------------------------------------------
+# point-cloud questions answered from the full distance matrix, every
+# pair at once with no blocking
+
+
+def all_distances(chart, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Periodic distance from every row of ``a`` to every row of ``b``, (len(a), len(b))."""
+    return chart.distance(a[:, None, :], b[None, :, :])
+
+
+def pairs_within(chart, a: np.ndarray, b: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j), row-major, with ``a[i]`` closer than ``r`` to ``b[j]``."""
+    return np.nonzero(all_distances(chart, a, b) < r)
+
+
+def nearest_neighbour_distances(chart, sample: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Distance from ``sample[k]`` to its nearest row of ``pts`` other than ``pts[k]``."""
+    d = all_distances(chart, sample, pts)
+    k = np.arange(sample.shape[0])
+    d[k, k] = np.inf
+    return d.min(axis=1)
+
+
+def orbit_near(chart, orbit: np.ndarray, cloud: np.ndarray, radius: float) -> bool:
+    """Whether an angle of ``orbit`` without a NaN distance lies within ``radius`` of ``cloud``."""
+    return any(
+        not np.isnan(row).any() and row.min() < radius
+        for row in all_distances(chart, orbit, cloud)
+    )
 
 
 def rk4_endpoint(vel: Callable[[np.ndarray], np.ndarray], start, total_time: float, steps: int) -> np.ndarray:

@@ -4,13 +4,14 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hamflow import basic, critical, registry
+from hamflow.chart import Chart
 from hamflow.errors import NotCritical
 from hamflow.model import HamiltonianModel
-from oracles import union_find_labels
+from oracles import nearest_neighbour_distances, pairs_within, union_find_labels
 
 
 @pytest.mark.parametrize(
@@ -186,6 +187,59 @@ def test_components_match_union_find(case):
     src = [i for i, _ in edges]
     dst = [j for _, j in edges]
     assert critical._components(n, src, dst).tolist() == union_find_labels(n, edges)
+
+
+# a chart with one periodic coordinate, so that pairs near t = 0 and t = 2 pi
+# are close; clouds of up to 2,500 rows put the first cloud's row count on
+# both sides of one distance block (128 rows against 2,000)
+CLOUD_CHART = Chart(
+    name="cloud", coords=("t", "x", "y"), periodic=(True, False, False),
+    box_lo=(0.0, -1.0, -1.0), box_hi=(2 * np.pi, 1.0, 1.0),
+)
+
+
+def _cloud(rng, n):
+    return rng.uniform(CLOUD_CHART.box_lo, CLOUD_CHART.box_hi, size=(n, 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_a=st.integers(1, 300),
+    n_b=st.integers(1, 2500),
+    same=st.booleans(),
+)
+@example(seed=1, n_a=128, n_b=2000, same=False)
+@example(seed=2, n_a=129, n_b=2000, same=False)
+@example(seed=3, n_a=300, n_b=2001, same=False)
+@example(seed=4, n_a=257, n_b=257, same=True)
+def test_pairs_within_match_every_pair(seed, n_a, n_b, same):
+    rng = np.random.default_rng(seed)
+    a = _cloud(rng, n_a)
+    b = a if same else _cloud(rng, n_b)
+    r = float(rng.uniform(0.05, 0.8))
+    i, j = critical._pairs_within(CLOUD_CHART, a, b, r)
+    want_i, want_j = pairs_within(CLOUD_CHART, a, b, r)
+    assert np.array_equal(i, want_i) and np.array_equal(j, want_j)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(0, 2500), dup=st.booleans())
+@example(seed=1, m=0, dup=False)
+@example(seed=2, m=1, dup=False)
+@example(seed=3, m=2000, dup=False)
+@example(seed=4, m=2001, dup=True)
+def test_adaptive_radius_matches_every_pair(seed, m, dup):
+    rng = np.random.default_rng(seed)
+    pts = _cloud(rng, m)
+    if dup and m > 3:
+        pts[m // 2] = pts[1]  # a repeated point is its copy's nearest neighbour at 0
+    got = critical._adaptive_radius(CLOUD_CHART, pts)
+    if m < 2:
+        assert got == critical.CLUSTER_RADIUS
+    else:
+        nn = nearest_neighbour_distances(CLOUD_CHART, pts[:400], pts)
+        assert got == 3.0 * float(np.median(nn))
 
 
 # repr of every ExtremaReport field for the flow_extrema models with two

@@ -4,15 +4,17 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hamflow import critical, flow, jets, registry
 from hamflow.basic import cotangent_t2, disc_d4, s1_d3
 from hamflow.blowup import blowup_d4
-from hamflow.chart import sample_boundary, sample_domain
+from hamflow.chart import Chart, sample_boundary, sample_domain
 from hamflow.errors import ImmediateExit
 from hamflow.forms import field_values
 from hamflow.planar import free_action_planar
-from oracles import rk4_endpoint
+from oracles import orbit_near, rk4_endpoint
 
 
 def test_disc_trajectory_endpoints():
@@ -404,3 +406,39 @@ def test_trace_component_matches_pins(spec):
         assert len(clouds) > 1
         got.append((closed, clouds))
     assert got == TRACE_PINS[spec]
+
+
+ORBIT_CHART = Chart(
+    name="cloud", coords=("t", "x", "y"), periodic=(True, False, False),
+    box_lo=(0.0, -1.0, -1.0), box_hi=(2 * np.pi, 1.0, 1.0),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    angles=st.integers(1, 300),
+    n=st.integers(1, 2500),
+    nan_row=st.one_of(st.none(), st.integers(0, 299)),
+)
+@example(seed=1, angles=128, n=2000, nan_row=None)
+@example(seed=2, angles=129, n=2000, nan_row=128)
+@example(seed=3, angles=300, n=2001, nan_row=0)
+def test_orbit_near_matches_every_pair(seed, angles, n, nan_row):
+    rng = np.random.default_rng(seed)
+    lo, hi = ORBIT_CHART.box_lo, ORBIT_CHART.box_hi
+    orbit = rng.uniform(lo, hi, size=(angles, 3))
+    cloud = rng.uniform(lo, hi, size=(n, 3))
+    if nan_row is not None:
+        orbit[nan_row % angles, 1] = np.nan  # a NaN drops that angle
+    radius = float(rng.uniform(0.0, 0.3))
+    got = flow._orbit_near(ORBIT_CHART, orbit, cloud, radius)
+    assert got is orbit_near(ORBIT_CHART, orbit, cloud, radius)
+
+
+def test_orbit_near_drops_an_angle_with_a_nan():
+    cloud = np.array([[1.0, 0.0, 0.0], [2.0, 0.5, 0.5]])
+    orbit = np.array([[1.0, np.nan, 0.0], [4.0, 0.0, 0.0]])
+    assert not flow._orbit_near(ORBIT_CHART, orbit, cloud, 0.5)
+    orbit[0, 1] = 0.1
+    assert flow._orbit_near(ORBIT_CHART, orbit, cloud, 0.5)

@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hamflow import jets
 from hamflow.errors import BadRamp, BadStructureConstant
 from hamflow.jets import Jet
 from hamflow.model import liouville_residual, moment_residual, self_check_points
+from hamflow import planar
 from hamflow.planar import PitPotential, disc_bundle_over_surface, free_action_planar
+from oracles import grid_components
 
 
 def _golden_min(fn, lo, hi, iters=200):
@@ -127,3 +131,36 @@ def test_custom_ramp_must_be_flat_and_reach_one():
 def test_hole_count_mismatch_rejected():
     with pytest.raises(ValueError):
         free_action_planar(3, holes=((0.0, 0.0),))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    nx=st.integers(1, 40),
+    ny=st.integers(1, 40),
+    density=st.floats(0.0, 1.0),
+)
+@example(seed=0, nx=1, ny=1, density=1.0)
+@example(seed=0, nx=241, ny=241, density=0.55)
+def test_grid_components_match_flood_fill(seed, nx, ny, density):
+    mask = np.random.default_rng(seed).random((nx, ny)) < density
+    assert planar._count_components(mask) == grid_components(mask)
+
+
+@pytest.mark.parametrize(
+    "rows, count",
+    [
+        (["#.#", ".#.", "#.#"], 5),  # cells touching only at corners stay apart
+        (["#..", ".#.", "..#"], 3),
+        (["...", "...", "..."], 0),
+        (["#"], 1),
+        (["."], 0),
+        (["###", "#.#", "###"], 1),
+        (["#.#.#", "#####"], 1),
+        (["##..##", "..##.."], 3),
+    ],
+)
+def test_grid_components_small_masks(rows, count):
+    mask = np.array([[c == "#" for c in row] for row in rows])
+    assert planar._count_components(mask) == grid_components(mask) == count
+    assert planar._count_components(~mask) == grid_components(~mask)
