@@ -3,7 +3,9 @@
 A chart is a named open box-with-inequalities in R^d (d <= 6), with periodic
 flags for angular coordinates.  The domain is the set where every inequality
 function is <= 0; an optional scalar ``boundary`` function cuts the model
-boundary as its zero level (negative inside).
+boundary as its zero level (negative inside).  Every point-cloud question
+(neighbour pairs, nearest neighbours, orbit proximity) reads its distances
+from ``Chart.squared_distance_blocks``.
 
 Sampling is rejection sampling against the domain inequalities with a fixed
 candidate stream, so the first n accepted points never depend on how many
@@ -14,7 +16,7 @@ from interior samples, bisected onto the zero level of ``boundary``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -26,6 +28,7 @@ Array = np.ndarray
 ScalarField = Callable[[Sequence[Jet]], Jet]
 
 TWO_PI = 2.0 * np.pi
+PAIR_BUDGET = 128 * 2000  # most row pairs in one squared_distance_blocks block
 
 
 @dataclass(frozen=True)
@@ -74,6 +77,13 @@ class Chart:
             if per:
                 d[..., j] = (d[..., j] + np.pi) % TWO_PI - np.pi
         return d
+
+    def squared_distance_blocks(self, a: Array, b: Array) -> Iterator[tuple[int, Array]]:
+        """Yield ``(i0, s)``, ``s[k, j]`` the squared distance from ``a[i0 + k]`` to ``b[j]``,
+        for blocks of at least one row of ``a`` and at most PAIR_BUDGET pairs."""
+        rows = max(1, PAIR_BUDGET // max(1, b.shape[0]))
+        for i0 in range(0, a.shape[0], rows):
+            yield i0, (self.displacement(a[i0 : i0 + rows, None, :], b[None, :, :]) ** 2).sum(axis=-1)
 
     def distance(self, a: Array, b: Array) -> float | Array:
         disp = self.displacement(a, b)

@@ -306,24 +306,20 @@ def _adaptive_radius(chart, pts: Array) -> float:
     if m < 2:
         return CLUSTER_RADIUS
     sample = pts[: min(m, 400)]
-    nn = np.full(sample.shape[0], np.inf)
-    for i0 in range(0, sample.shape[0], 128):
-        block = sample[i0 : i0 + 128]
-        disp = chart.displacement(block[:, None, :], pts[None, :, :])
-        d2 = np.sqrt((disp**2).sum(axis=-1))
-        for k in range(block.shape[0]):
-            d2[k, i0 + k] = np.inf
-        nn[i0 : i0 + 128] = d2.min(axis=1)
+    nn = np.empty(sample.shape[0])
+    for i0, s in chart.squared_distance_blocks(sample, pts):
+        k = np.arange(s.shape[0])
+        s[k, i0 + k] = np.inf
+        nn[i0 : i0 + k.size] = np.sqrt(s.min(axis=1))
     return 3.0 * float(np.median(nn))
 
 
 def _pairs_within(chart, a: Array, b: Array, r: float) -> tuple[Array, Array]:
-    """Index pairs (i, j) with ``a[i]`` closer than ``r`` to ``b[j]``, 128 rows of ``a`` at a time."""
+    """Index pairs (i, j), row-major, with ``a[i]`` closer than ``r`` to ``b[j]``."""
     rows: list[Array] = []
     cols: list[Array] = []
-    for i0 in range(0, a.shape[0], 128):
-        disp = chart.displacement(a[i0 : i0 + 128, None, :], b[None, :, :])
-        bi, j = np.nonzero((disp**2).sum(axis=-1) < r * r)
+    for i0, s in chart.squared_distance_blocks(a, b):
+        bi, j = np.nonzero(s < r * r)
         rows.append(i0 + bi)
         cols.append(j)
     return np.concatenate(rows), np.concatenate(cols)
@@ -377,4 +373,5 @@ def boundary_connectivity(model: HamiltonianModel, seed: int = 0, samples: int =
         i, j = _pairs_within(model.charts[tr.dst].chart, imgs, clouds[tr.dst], link_r)
         src.append(np.flatnonzero(mask)[i] + offsets[tr.src])
         dst.append(offsets[tr.dst] + j)
-    return len(np.unique(_components(total, np.concatenate(src), np.concatenate(dst))))
+    labels = _components(total, np.concatenate(src), np.concatenate(dst))
+    return int((labels == np.arange(total)).sum())

@@ -504,12 +504,9 @@ def _orbit_images(cd: ChartData, points: Array, angles: int) -> Array:
 
 def _orbit_near(chart, orbit: Array, cloud: Array, radius: float) -> bool:
     """Whether some point of ``orbit`` (angles, d) lies within ``radius`` of ``cloud``."""
-    # angle blocks no larger than boundary_connectivity's 128 x 2000 pairs
-    rows = max(1, 128 * 2000 // cloud.shape[0])
-    for a0 in range(0, orbit.shape[0], rows):
-        dist = chart.distance(orbit[a0 : a0 + rows, None, :], cloud[None, :, :])
+    for _, s in chart.squared_distance_blocks(orbit, cloud):
         # a NaN distance in an angle's row drops that angle, as a scalar min() would
-        if (dist.min(axis=1) < radius).any():
+        if (np.sqrt(s.min(axis=1)) < radius).any():
             return True
     return False
 

@@ -6,8 +6,9 @@ The base surface is a sublevel set of
 
 whose logarithmic pits punch one hole per listed center: the sublevel region
 at the chosen cut is a disc with ``len(holes)`` holes, verified at build time
-by flood fill on a grid.  Rescaled so its minimum sits at 0 and the cut at
-1/2, the potential plays two roles:
+by counting the connected components of the region and its complement on a
+grid, as union-find over row runs.  Rescaled so its minimum sits at 0 and the
+cut at 1/2, the potential plays two roles:
 
 * ``free_action_planar``: circle times surface cross an interval, with the
   circle translating the free periodic coordinate, area form weighted by the
@@ -18,12 +19,11 @@ by flood fill on a grid.  Rescaled so its minimum sits at 0 and the cut at
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
 from . import jets
 from .chart import Chart
+from .critical import _components
 from .errors import BadRamp, BadStructureConstant
 from .forms import KForm
 from .jets import Jet
@@ -130,7 +130,7 @@ class PitPotential:
         return float(rs[hit[-1]]) + 0.5
 
     def _validate_topology(self) -> None:
-        """Flood-fill the sublevel region on a 241 x 241 grid."""
+        """Count the components of the sublevel region and its complement on a 241 x 241 grid."""
         xs = np.linspace(-self.box_radius, self.box_radius, 241)
         gx, gy = np.meshgrid(xs, xs, indexing="ij")
         inside = self.raw_np(gx, gy) <= self.level
@@ -148,23 +148,19 @@ class PitPotential:
 
 
 def _count_components(mask: Array) -> int:
-    seen = np.zeros_like(mask, dtype=bool)
-    count = 0
-    nx, ny = mask.shape
-    for i in range(nx):
-        for j in range(ny):
-            if mask[i, j] and not seen[i, j]:
-                count += 1
-                q = deque([(i, j)])
-                seen[i, j] = True
-                while q:
-                    a, b = q.popleft()
-                    for da, db in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                        x, y = a + da, b + db
-                        if 0 <= x < nx and 0 <= y < ny and mask[x, y] and not seen[x, y]:
-                            seen[x, y] = True
-                            q.append((x, y))
-    return count
+    """Components of a boolean grid under 4-connectivity: union-find over the row runs
+    of True cells, each run joined to the runs of the next row that overlap it."""
+    w = mask.shape[1] + 1  # a run's keys are flat indices row * w + column of ``step``
+    step = np.diff(np.pad(mask, ((0, 0), (1, 1))).astype(np.int8), axis=1)
+    start, end = np.flatnonzero(step == 1), np.flatnonzero(step == -1)
+    # next-row runs overlapping run k: ends past its start, starts before its end
+    lo = np.searchsorted(end, start + w, side="right")
+    hi = np.searchsorted(start, end + w, side="left")
+    cnt = np.maximum(hi - lo, 0)
+    src = np.repeat(np.arange(start.size), cnt)
+    dst = np.repeat(lo - np.cumsum(cnt) + cnt, cnt) + np.arange(cnt.sum())
+    labels = _components(start.size, src, dst)
+    return int((labels == np.arange(start.size)).sum())
 
 
 def _resolve_holes(k: int, holes) -> tuple[tuple[float, float], ...]:
