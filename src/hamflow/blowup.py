@@ -124,7 +124,7 @@ def _fade(njet: Jet) -> Jet:
     inside = (s > _FADE_LO) & (s < _FADE_HI)
     slope = np.where(inside, -30.0 * t * t * (1.0 - t) ** 2 / width, 0.0)
     curve = np.where(inside, -60.0 * t * (1.0 - t) * (1.0 - 2.0 * t) / width**2, 0.0)
-    return jets._lift(njet, val, slope, curve)
+    return jets._lift(njet, val, lambda: (slope, curve))
 
 
 def _freeze_dead(r2: Jet, live) -> Jet:

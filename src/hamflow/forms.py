@@ -8,10 +8,10 @@ by closure, so forms compose lazily and every evaluation carries whatever
 derivative order the input jets support.
 
 Each operator's body is a coefficient-level function (:func:`d_coeffs`,
-:func:`interior_coeffs`, :func:`wedge_coeffs`, :func:`lie_coeffs`,
-:func:`pullback_coeffs`) that works on already evaluated coefficient dicts,
-field components or image jets; the lazy operator's closure only evaluates
-its operands and calls it.  A caller that needs several expressions built
+:func:`interior_coeffs`, :func:`wedge_coeffs`, :func:`pullback_coeffs`) that
+works on already evaluated coefficient dicts, field components or image
+jets; the lazy operator's closure only evaluates its operands and calls it.
+The Lie derivative exists only at this level, as :func:`lie_coeffs`.  A caller that needs several expressions built
 from one form (a form, its d and their wedge, or a pullback and the map's
 images) evaluates the form once and calls these functions directly, with the
 same arithmetic as the lazy route.
@@ -235,13 +235,6 @@ def pullback(mapping, form: KForm) -> KForm:
     if form.dim != mapping.target.dim:
         raise DimensionMismatch("form lives on a chart of different dimension than the map target")
     return KForm(form.degree, src_dim, lambda jc: pullback_coeffs(form, mapping.forward(jc), src_dim))
-
-
-def lie_derivative(v: VectorField, form: KForm) -> KForm:
-    """Cartan formula: L_v = i_v d + d i_v (see :func:`lie_coeffs`)."""
-    if form.degree >= MAX_DEGREE:
-        raise DegreeOverflow(f"d on degree-{form.degree} form exceeds degree {MAX_DEGREE}")
-    return KForm(form.degree, form.dim, lambda jc: lie_coeffs(v(jc), form.coefficients(jc), form.dim))
 
 
 def lie_bracket(v: VectorField, w: VectorField, dim: int) -> VectorField:

@@ -204,19 +204,6 @@ def weinstein_1handle(m: int = 1) -> HamiltonianModel:
     )
 
 
-def one_handle_flow(point: Array, t: float) -> Array:
-    """Closed-form scaling flow of the index-zero block."""
-    p = np.asarray(point, dtype=float)
-    return np.array(
-        [
-            np.exp(t / 2.0) * p[0],
-            np.exp(t / 2.0) * p[1],
-            np.exp(2.0 * t) * p[2],
-            np.exp(-t) * p[3],
-        ]
-    )
-
-
 # ---------------------------------------------------------------------------
 # face identification
 # ---------------------------------------------------------------------------
@@ -284,7 +271,9 @@ class OrbitNeighborhood:
 
     ``place(T, X, Y, E)`` puts neighborhood coordinates at scaling depth ``E``
     (a jet; E = 1 on the boundary) into the base chart; ``tube(jc)`` returns
-    ``(T, X, Y, E)`` from base-chart jets.
+    ``(T, X, Y, E)`` from base-chart jets, with ``E = depth(jc)``.  The depth
+    vanishes only on the tube's core, where the other coordinates divide by
+    zero.
     """
 
     kind: str
@@ -292,6 +281,7 @@ class OrbitNeighborhood:
     chart: Chart
     place: Callable[[Jet, Jet, Jet, Jet], list[Jet]]
     tube: Callable[[Sequence[Jet]], tuple[Jet, Jet, Jet, Jet]]
+    depth: Callable[[Sequence[Jet]], Jet]
 
     @property
     def embed(self) -> SmoothMap:
@@ -318,10 +308,14 @@ def _s1_coordinates(ref: Array):
         rho = jets.sqrt(1.0 - X * X) * jets.sqrt(E)
         return [t, rho * jets.cos(beta), rho * jets.sin(beta), E * X]
 
+    def depth(jc):
+        _, x, y, h = jc
+        r2 = x * x + y * y
+        return (r2 + jets.sqrt(r2 * r2 + h * h * 4.0)) * 0.5
+
     def tube(jc):
         t, x, y, h = jc
-        r2 = x * x + y * y
-        E = (r2 + jets.sqrt(r2 * r2 + h * h * 4.0)) * 0.5
+        E = depth(jc)
         X = h / E
         beta = jets.atan2(y, x)
         diff = jets.atan2(jets.sin(beta - beta0), jets.cos(beta - beta0))
@@ -330,7 +324,7 @@ def _s1_coordinates(ref: Array):
         T = t - 2.0 * X * Y / den
         return T, X, Y, E
 
-    return place, tube
+    return place, tube, depth
 
 
 def _disc_coordinates(ref: Array):
@@ -345,12 +339,14 @@ def _disc_coordinates(ref: Array):
         g2 = T * -1.0 + 2.0 * Y + g20
         return [r1 * jets.cos(g1), r1 * jets.sin(g1), r2 * jets.cos(g2), r2 * jets.sin(g2)]
 
+    def depth(jc):
+        x1, y1, x2, y2 = jc
+        return x1 * x1 + y1 * y1 + (x2 * x2 + y2 * y2)
+
     def tube(jc):
         x1, y1, x2, y2 = jc
-        r1sq = x1 * x1 + y1 * y1
-        r2sq = x2 * x2 + y2 * y2
-        E = r1sq + r2sq
-        X = (r1sq - r2sq) / (E * 2.0)
+        E = depth(jc)
+        X = (x1 * x1 + y1 * y1 - (x2 * x2 + y2 * y2)) / (E * 2.0)
         d1 = jets.atan2(y1, x1) - g10
         d2 = jets.atan2(y2, x2) - g20
         tot = d1 + d2
@@ -358,7 +354,7 @@ def _disc_coordinates(ref: Array):
         T = jets.atan2(jets.sin(d1), jets.cos(d1)) - Y * 2.0
         return T, X, Y, E
 
-    return place, tube
+    return place, tube, depth
 
 
 def standard_neighborhood(base: HamiltonianModel, orbit_ref: Array | None = None) -> OrbitNeighborhood:
@@ -374,8 +370,7 @@ def standard_neighborhood(base: HamiltonianModel, orbit_ref: Array | None = None
             "model and the opposite-weight ball model only"
         )
     ref = np.asarray(default if orbit_ref is None else orbit_ref, dtype=float)
-    place, tube = coordinates(ref)
-    return OrbitNeighborhood(kind, ref, base.charts[0].chart, place, tube)
+    return OrbitNeighborhood(kind, ref, base.charts[0].chart, *coordinates(ref))
 
 
 # ---------------------------------------------------------------------------
@@ -445,8 +440,11 @@ def attach_2handle(
         return pts[:, 0] ** 2 + pts[:, 1] ** 2 > inner_x2
 
     def base_entry_valid(pts: Array) -> Array:
-        _, X, Y, logE = nbhd.tube_coords(pts)
-        return (logE > -eps) & (X * X + Y * Y < face_r2)
+        # the core (depth 0) lies on no face, and its tube coordinates are undefined
+        ok = nbhd.depth(jets.seed(pts, order=0)).value > 0.0
+        _, X, Y, logE = nbhd.tube_coords(pts[ok])
+        ok[ok] = (logE > -eps) & (X * X + Y * Y < face_r2)
+        return ok
 
     def outside_patch(pts: Array) -> Array:
         _, X, Y, _ = nbhd.tube_coords(pts)

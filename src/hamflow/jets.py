@@ -36,6 +36,8 @@ writes into a jet's ``value``, ``grad`` or ``hess`` in place.  NumPy defers
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from .errors import JetOrderError
@@ -164,14 +166,15 @@ class Jet:
         return NotImplemented if c is None else self._reciprocal()._scale(c)
 
     def _reciprocal(self) -> "Jet":
-        return _lift(self, 1.0 / self.value, -1.0 / self.value**2, 2.0 / self.value**3)
+        v = self.value
+        return _lift(self, 1.0 / v, lambda: (-1.0 / v**2, 2.0 / v**3))
 
     def __pow__(self, p):
         if not isinstance(p, _SCALARS):
             return NotImplemented
         p = float(p)
         v = self.value
-        return _lift(self, v**p, p * v ** (p - 1), p * (p - 1) * v ** (p - 2))
+        return _lift(self, v**p, lambda: (p * v ** (p - 1), p * (p - 1) * v ** (p - 2)))
 
     def sq(self) -> "Jet":
         """Square, cheaper and safer than the generic power chain rule."""
@@ -187,11 +190,13 @@ def _constant(other, shape: tuple):
     return None
 
 
-def _lift(x: Jet, f: Array, fp: Array, fpp: Array) -> Jet:
-    """Apply a scalar function with known derivatives to a jet."""
+def _lift(x: Jet, f: Array, derivs: Callable[[], tuple[Array, Array]]) -> Jet:
+    """Apply a scalar function with values ``f`` to a jet; ``derivs()`` gives its first and
+    second derivatives, and only a jet with a gradient calls it (sqrt at 0 stays finite)."""
     grad = None
     hess = None
     if x.grad is not None:
+        fp, fpp = derivs()
         grad = fp[:, None] * x.grad
         if x.hess is not None:
             outer = x.grad[:, :, None] * x.grad[:, None, :]
@@ -205,26 +210,26 @@ def _lift(x: Jet, f: Array, fp: Array, fpp: Array) -> Jet:
 
 def sqrt(x: Jet) -> Jet:
     r = np.sqrt(x.value)
-    return _lift(x, r, 0.5 / r, -0.25 / (r * x.value))
+    return _lift(x, r, lambda: (0.5 / r, -0.25 / (r * x.value)))
 
 
 def exp(x: Jet) -> Jet:
     e = np.exp(x.value)
-    return _lift(x, e, e, e)
+    return _lift(x, e, lambda: (e, e))
 
 
 def log(x: Jet) -> Jet:
-    return _lift(x, np.log(x.value), 1.0 / x.value, -1.0 / x.value**2)
+    return _lift(x, np.log(x.value), lambda: (1.0 / x.value, -1.0 / x.value**2))
 
 
 def sin(x: Jet) -> Jet:
-    s, c = np.sin(x.value), np.cos(x.value)
-    return _lift(x, s, c, -s)
+    s = np.sin(x.value)
+    return _lift(x, s, lambda: (np.cos(x.value), -s))
 
 
 def cos(x: Jet) -> Jet:
-    s, c = np.sin(x.value), np.cos(x.value)
-    return _lift(x, c, -s, -c)
+    c = np.cos(x.value)
+    return _lift(x, c, lambda: (-np.sin(x.value), -c))
 
 
 def atan2(y: Jet, x: Jet) -> Jet:

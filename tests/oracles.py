@@ -124,6 +124,19 @@ def orbit_near(chart, orbit: np.ndarray, cloud: np.ndarray, radius: float) -> bo
     )
 
 
+def one_handle_flow(point: np.ndarray, t: float) -> np.ndarray:
+    """Closed-form scaling flow of the index-zero handle block."""
+    p = np.asarray(point, dtype=float)
+    return np.array(
+        [
+            np.exp(t / 2.0) * p[0],
+            np.exp(t / 2.0) * p[1],
+            np.exp(2.0 * t) * p[2],
+            np.exp(-t) * p[3],
+        ]
+    )
+
+
 def rk4_endpoint(vel: Callable[[np.ndarray], np.ndarray], start, total_time: float, steps: int) -> np.ndarray:
     """End point of ``steps`` fixed classical fourth-order steps of ``vel``."""
     p = np.asarray(start, dtype=float).copy()

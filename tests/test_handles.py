@@ -1,6 +1,7 @@
 """Handle blocks, face identification, and boundary surgery."""
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hamflow.chart import sample_domain
 from hamflow.errors import CollarTooDeep, IneffectiveAction, NotLegendrian, UnsupportedBase
 from hamflow.forms import coeff_residual, field_values, pullback
 from hamflow.model import liouville_residual, moment_residual, self_check_points
-from oracles import rk4_endpoint
+from oracles import one_handle_flow, rk4_endpoint
 
 
 def test_block_identities():
@@ -53,7 +54,7 @@ def test_one_handle_closed_form_flow():
     cd = handles.weinstein_1handle(1).charts[0]
     start = np.array([0.3, -0.2, 0.4, 0.5])
     end = rk4_endpoint(lambda p: field_values(cd.liouville, jets.seed(p[None, :], order=1))[0], start, 0.3, 300)
-    assert np.abs(end - handles.one_handle_flow(start, 0.3)).max() < 1e-12
+    assert np.abs(end - one_handle_flow(start, 0.3)).max() < 1e-12
 
 
 def test_flare_profile_smooth_and_monotone():
@@ -251,3 +252,16 @@ def _surgery_digest(glued) -> str:
 def test_surgery_maps_match_pins(spec):
     glued = handles.attach_2handle(registry.build(spec))
     assert _surgery_digest(glued) == SURGERY_SHA256[spec]
+
+
+@pytest.mark.parametrize(
+    "spec, core", [("s1_d3(1,0)", [1.0, 0.0, 0.0, 0.0]), ("disc_d4(1,-1)", [0.0, 0.0, 0.0, 0.0])]
+)
+def test_surgery_entry_predicate_rejects_the_tube_core(spec, core):
+    to_handle = handles.attach_2handle(registry.build(spec)).transitions[1]
+    pts = np.array([core, to_handle.map.source.wrap(np.full(4, 0.3))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mask = to_handle.valid(pts)
+    assert not mask[0]
+    assert mask[1] == to_handle.valid(pts[1:])[0]
