@@ -79,8 +79,8 @@ class Chart:
         return d
 
     def squared_distance_blocks(self, a: Array, b: Array) -> Iterator[tuple[int, Array]]:
-        """Yield ``(i0, s)``, ``s[k, j]`` the squared distance from ``a[i0 + k]`` to ``b[j]``,
-        for blocks of at least one row of ``a`` and at most PAIR_BUDGET pairs."""
+        """Yield ``(i0, s)``, ``s[k, j]`` the squared distance from ``a[i0 + k]`` to
+        ``b[j]``, for blocks of at least one row of ``a`` and at most PAIR_BUDGET pairs."""
         rows = max(1, PAIR_BUDGET // max(1, b.shape[0]))
         for i0 in range(0, a.shape[0], rows):
             yield i0, (self.displacement(a[i0 : i0 + rows, None, :], b[None, :, :]) ** 2).sum(axis=-1)

@@ -11,10 +11,10 @@ Each operator's body is a coefficient-level function (:func:`d_coeffs`,
 :func:`interior_coeffs`, :func:`wedge_coeffs`, :func:`pullback_coeffs`) that
 works on already evaluated coefficient dicts, field components or image
 jets; the lazy operator's closure only evaluates its operands and calls it.
-The Lie derivative exists only at this level, as :func:`lie_coeffs`.  A caller that needs several expressions built
-from one form (a form, its d and their wedge, or a pullback and the map's
-images) evaluates the form once and calls these functions directly, with the
-same arithmetic as the lazy route.
+The Lie derivative exists only at this level, as :func:`lie_coeffs`.  A
+caller that needs several expressions built from one form (a form, its d and
+their wedge, or a pullback and the map's images) evaluates the form once and
+calls these functions directly, with the same arithmetic as the lazy route.
 
 Degrees 0 through 4 are supported on charts of dimension up to 6, which covers
 2-forms, their exterior derivatives, volume checks omega ^ omega, and contact

@@ -191,8 +191,9 @@ def _constant(other, shape: tuple):
 
 
 def _lift(x: Jet, f: Array, derivs: Callable[[], tuple[Array, Array]]) -> Jet:
-    """Apply a scalar function with values ``f`` to a jet; ``derivs()`` gives its first and
-    second derivatives, and only a jet with a gradient calls it (sqrt at 0 stays finite)."""
+    """Apply a scalar function with values ``f`` to a jet; ``derivs()`` gives its first
+    and second derivatives, called only for a jet with a gradient (they blow up at
+    points where an order-0 value is still finite, such as sqrt at 0)."""
     grad = None
     hess = None
     if x.grad is not None:
