@@ -236,13 +236,13 @@ def cos(x: Jet) -> Jet:
 def atan2(y: Jet, x: Jet) -> Jet:
     """Two-argument arctangent of a pair of jets."""
     xv, yv = x.value, y.value
-    r2 = xv**2 + yv**2
     val = np.arctan2(yv, xv)
-    fx = -yv / r2
-    fy = xv / r2
     grad = None
     hess = None
     if x.grad is not None and y.grad is not None:
+        r2 = xv**2 + yv**2
+        fx = -yv / r2
+        fy = xv / r2
         grad = fx[:, None] * x.grad + fy[:, None] * y.grad
         if x.hess is not None and y.hess is not None:
             r4 = r2**2

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -256,3 +258,14 @@ def test_nonfinite_value_keeps_constant_product_derivatives():
     assert np.isposinf(out.value[0]) and np.isnan(out.value[1])
     assert out.grad.tolist() == [[2.0], [4.0]]
     assert out.hess.tolist() == [[[6.0]], [[8.0]]]
+
+
+def test_order0_jets_form_no_derivative_factors():
+    # sqrt and atan2 are finite at 0 though their derivatives are not; an
+    # order-0 jet must not form those derivatives (and warn) to get its value
+    z = jets.seed(np.zeros((1, 2)), order=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert jets.sqrt(z[0]).value[0] == 0.0
+        assert jets.atan2(z[1], z[0]).value[0] == 0.0
+        assert jets.sqrt(z[0] + 4.0).grad is None
