@@ -5,7 +5,11 @@ flags for angular coordinates.  The domain is the set where every inequality
 function is <= 0; an optional scalar ``boundary`` function cuts the model
 boundary as its zero level (negative inside).  Every point-cloud question
 (neighbour pairs, nearest neighbours, orbit proximity) reads its distances
-from ``Chart.squared_distance_blocks``.
+from ``Chart.squared_distance_blocks``.  Given a radius, it compares only
+rows that a sorted sweep along one non-periodic coordinate finds within
+that radius there (a fixed-radius near-neighbour sweep, Bentley, Stanat &
+Williams 1977), with a margin that never drops a closer pair; every
+distance it returns is bitwise the full distance matrix's.
 
 Sampling is rejection sampling against the domain inequalities with a fixed
 candidate stream, so the first n accepted points never depend on how many
@@ -78,12 +82,58 @@ class Chart:
                 d[..., j] = (d[..., j] + np.pi) % TWO_PI - np.pi
         return d
 
-    def squared_distance_blocks(self, a: Array, b: Array) -> Iterator[tuple[int, Array]]:
-        """Yield ``(i0, s)``, ``s[k, j]`` the squared distance from ``a[i0 + k]`` to
-        ``b[j]``, for blocks of at least one row of ``a`` and at most PAIR_BUDGET pairs."""
-        rows = max(1, PAIR_BUDGET // max(1, b.shape[0]))
-        for i0 in range(0, a.shape[0], rows):
-            yield i0, (self.displacement(a[i0 : i0 + rows, None, :], b[None, :, :]) ** 2).sum(axis=-1)
+    def squared_distance_blocks(
+        self, a: Array, b: Array, radius: float | None = None
+    ) -> Iterator[tuple[Array, Array, Array]]:
+        """Yield ``(ia, ib, s)``, ``s[k, l]`` the squared distance from ``a[ia[k]]``
+        to ``b[ib[l]]``, in blocks of at most PAIR_BUDGET pairs (or one row of
+        ``a``); no row of ``a`` is in two blocks.
+
+        With a ``radius`` (at least 0), both clouds are sorted along the
+        non-periodic coordinate where ``b`` spreads widest, and a block of
+        sorted ``a`` rows meets only the window of ``b`` rows within
+        ``radius * (1 + 1e-9)`` (plus 2**-50 of the largest magnitude there) of
+        one of them along it; blocks with an empty window are skipped.  The margin outweighs the
+        rounding of ``b - a``, so a pair left out has a rounded squared
+        distance of at least the rounded ``radius**2``.  The window is all of
+        ``b`` when no radius is given, when every coordinate is periodic, or
+        when either cloud has a non-finite entry.
+
+        ``s`` is built one coordinate at a time and summed in coordinate
+        order: the operations and order of ``(displacement**2).sum(-1)``, so
+        each value is bitwise the full distance matrix's.
+        """
+        oa, ob = np.arange(a.shape[0]), np.arange(b.shape[0])
+        lo = np.zeros(a.shape[0], dtype=np.intp)
+        hi = np.full(a.shape[0], b.shape[0], dtype=np.intp)
+        free = [j for j, per in enumerate(self.periodic) if not per]
+        if radius is not None and free and b.size and np.isfinite(a).all() and np.isfinite(b).all():
+            k = max(free, key=lambda j: np.ptp(b[:, j]))
+            oa, ob = np.argsort(a[:, k], kind="stable"), np.argsort(b[:, k], kind="stable")
+            ak, bk = a[oa, k], b[ob, k]
+            scale = max(np.abs(bk).max(), np.abs(ak).max(initial=0.0))
+            reach = radius * (1.0 + 1e-9) + 2.0**-50 * scale
+            lo = np.searchsorted(bk, ak - reach, "left")
+            hi = np.searchsorted(bk, ak + reach, "right")
+        at, bt = a[oa].T.copy(), b[ob].T.copy()
+        i0 = 0
+        while i0 < oa.size:
+            # both window ends grow with the row, so the pair count does too
+            pairs = np.arange(1, oa.size - i0 + 1) * (hi[i0:] - lo[i0])
+            i1 = i0 + max(1, int(np.searchsorted(pairs, PAIR_BUDGET, "right")))
+            j0, j1 = lo[i0], hi[i1 - 1]
+            if j1 > j0:
+                s = None
+                for j, per in enumerate(self.periodic):
+                    d = bt[j, None, j0:j1] - at[j, i0:i1, None]
+                    if per:
+                        d += np.pi
+                        np.mod(d, TWO_PI, out=d)
+                        d -= np.pi
+                    d *= d
+                    s = d if s is None else np.add(s, d, out=s)
+                yield oa[i0:i1], ob[j0:j1], s
+            i0 = i1
 
     def distance(self, a: Array, b: Array) -> float | Array:
         disp = self.displacement(a, b)

@@ -307,22 +307,28 @@ def _adaptive_radius(chart, pts: Array) -> float:
         return CLUSTER_RADIUS
     sample = pts[: min(m, 400)]
     nn = np.empty(sample.shape[0])
-    for i0, s in chart.squared_distance_blocks(sample, pts):
-        k = np.arange(s.shape[0])
-        s[k, i0 + k] = np.inf
-        nn[i0 : i0 + k.size] = np.sqrt(s.min(axis=1))
+    for ia, ib, s in chart.squared_distance_blocks(sample, pts):
+        s[ia[:, None] == ib] = np.inf
+        nn[ia] = np.sqrt(s.min(axis=1))
     return 3.0 * float(np.median(nn))
 
 
 def _pairs_within(chart, a: Array, b: Array, r: float) -> tuple[Array, Array]:
-    """Index pairs (i, j), row-major, with ``a[i]`` closer than ``r`` to ``b[j]``."""
-    rows: list[Array] = []
-    cols: list[Array] = []
-    for i0, s in chart.squared_distance_blocks(a, b):
-        bi, j = np.nonzero(s < r * r)
-        rows.append(i0 + bi)
-        cols.append(j)
-    return np.concatenate(rows), np.concatenate(cols)
+    """Index pairs (i, j), row-major, with ``a[i]`` closer than ``r`` to ``b[j]``.
+
+    The distance sweep is pruned at ``r`` and visits the rows sorted along
+    one coordinate, so the pairs it keeps are put back in row-major order.
+    Either cloud may be empty.
+    """
+    rows = [np.empty(0, dtype=np.intp)]
+    cols = [np.empty(0, dtype=np.intp)]
+    for ia, ib, s in chart.squared_distance_blocks(a, b, r):
+        k, l = np.nonzero(s < r * r)
+        rows.append(ia[k])
+        cols.append(ib[l])
+    i, j = np.concatenate(rows), np.concatenate(cols)
+    order = np.lexsort((j, i))
+    return i[order], j[order]
 
 
 def boundary_connectivity(model: HamiltonianModel, seed: int = 0, samples: int = 2000) -> int:

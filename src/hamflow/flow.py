@@ -24,7 +24,6 @@ from . import jets
 from .chart import sample_boundary
 from .errors import BoundaryNotFound, ImmediateExit, StiffFlow
 from .forms import field_values
-from .jets import Jet
 from .model import ChartData, HamiltonianModel
 
 Array = np.ndarray
@@ -415,37 +414,48 @@ class LegendrianSet:
 
 
 def _project_to_zero_set(cd: ChartData, p: Array):
-    """At most 60 Newton steps of least norm onto {boundary = 0, moment = 0}, to 1e-10."""
+    """At most 60 Newton steps of least norm onto {boundary = 0, moment = 0}, to 1e-10.
+
+    Returns the point, whether it converged, and the converged iteration's
+    (boundary, moment) Jacobian when ``wrap`` left that iteration's point
+    bitwise unchanged, so that it is the Jacobian at the point returned;
+    otherwise None.
+    """
     q = np.asarray(p, dtype=float).copy()
     for _ in range(60):
         jc = jets.seed(q[None, :], order=1)
         fv = cd.chart.boundary(jc)
         hv = cd.hamiltonian(jc)
         vals = np.array([fv.value[0], hv.value[0]])
-        if np.abs(vals).max() < 1e-10:
-            return cd.chart.wrap(q), True
         jac = np.stack([fv.grad[0], hv.grad[0]])
+        if np.abs(vals).max() < 1e-10:
+            out = cd.chart.wrap(q)
+            return out, True, (jac if out.tobytes() == q.tobytes() else None)
         gram = jac @ jac.T
         try:
             lam = np.linalg.solve(gram, -vals)
         except np.linalg.LinAlgError:
-            return q, False
+            return q, False, None
         delta = jac.T @ lam
         top = np.abs(delta).max()
         if top > 0.5:
             delta *= 0.5 / top
         q = q + delta
-    return cd.chart.wrap(q), False
+    return cd.chart.wrap(q), False, None
 
 
-def _transverse_direction(cd: ChartData, p: Array, prev: Array | None):
-    """Unit tangent of the zero set orthogonal to the action generator."""
-    jc = jets.seed(p[None, :], order=1)
-    jac = np.stack([cd.chart.boundary(jc).grad[0], cd.hamiltonian(jc).grad[0]])
+def _transverse_direction(cd: ChartData, p: Array, prev: Array | None, jac: Array | None):
+    """Unit tangent of the zero set orthogonal to the action generator.
+
+    ``jac`` is the (boundary, moment) Jacobian at ``p`` if the caller holds
+    it, else None and it is evaluated here.
+    """
+    if jac is None:
+        jc = jets.seed(p[None, :], order=1)
+        jac = np.stack([cd.chart.boundary(jc).grad[0], cd.hamiltonian(jc).grad[0]])
     _, _, vh = np.linalg.svd(jac)
     basis = vh[2:].T
-    # the generator's values only, from the order-0 truncation of the same jets
-    xv = field_values(cd.generator, [Jet(c.value, None, None) for c in jc])[0]
+    xv = field_values(cd.generator, jets.seed(p[None, :], order=0))[0]
     xk = basis.T @ xv
     norm = np.linalg.norm(xk)
     if norm < 1e-10:
@@ -464,14 +474,15 @@ def _trace_component(
     samples: dict[int, list[Array]] = {ci: [p0.copy()]}
     start_chart, start_point = ci, p0.copy()
     p = p0.copy()
+    jac = None  # the projection's Jacobian at p, while p is its output
     prev_w: Array | None = None
     closed = False
     for i in range(max_steps):
         cd = model.charts[ci]
-        w = _transverse_direction(cd, p, prev_w)
+        w = _transverse_direction(cd, p, prev_w, jac)
         if w is None:
             break
-        cand, ok = _project_to_zero_set(cd, cd.chart.wrap(p + step * w))
+        cand, ok, jac = _project_to_zero_set(cd, cd.chart.wrap(p + step * w))
         if not ok:
             break
         prev_w = w
@@ -480,6 +491,7 @@ def _trace_component(
             if hit is None:
                 break
             tr, p = hit
+            jac = None
             prev_w = tr.map.jacobian(cand[None, :])[0] @ w
             prev_w = prev_w / np.linalg.norm(prev_w)
             ci = tr.dst
@@ -504,7 +516,7 @@ def _orbit_images(cd: ChartData, points: Array, angles: int) -> Array:
 
 def _orbit_near(chart, orbit: Array, cloud: Array, radius: float) -> bool:
     """Whether some point of ``orbit`` (angles, d) lies within ``radius`` of ``cloud``."""
-    for _, s in chart.squared_distance_blocks(orbit, cloud):
+    for _, _, s in chart.squared_distance_blocks(orbit, cloud, radius):
         # a NaN distance in an angle's row drops that angle, as a scalar min() would
         if (np.sqrt(s.min(axis=1)) < radius).any():
             return True
@@ -537,7 +549,7 @@ def detect_legendrian_set(
             continue
         order = np.argsort(np.abs(hv))[:60]
         projected = [_project_to_zero_set(cd, pts[idx]) for idx in order]
-        cands = np.array([p for p, ok in projected if ok]).reshape(-1, cd.chart.dim)
+        cands = np.array([p for p, ok, _ in projected if ok]).reshape(-1, cd.chart.dim)
         cands = cands[cd.chart.contains(cands, slack=1e-6)]
         xv = field_values(cd.generator, jets.seed(cands, order=0))
         fixed = np.all([_moved(cd, cands, 2 * np.pi * a) < 1e-9 for a in (GOLDEN, SILVER)], axis=0)

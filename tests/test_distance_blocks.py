@@ -16,7 +16,7 @@ import pytest
 
 from hamflow import critical, flow, registry
 from hamflow.chart import PAIR_BUDGET, Chart
-from oracles import nearest_neighbour_distances, orbit_near, pairs_within
+from oracles import all_distances, nearest_neighbour_distances, orbit_near, pairs_within
 
 TWO_PI = 2 * np.pi
 
@@ -135,6 +135,37 @@ def test_window_wider_than_one_block_share(dense):
     for r in (0.05, 0.3):
         _assert_pairs_and_orbit(MIXED, a, wide, r)
     _assert_radius(MIXED, wide)
+
+
+@pytest.mark.parametrize("n_a, n_b", [(0, 50), (50, 0), (0, 0)])
+def test_pairs_within_an_empty_cloud(n_a, n_b):
+    rng = np.random.default_rng(19)
+    a, b = _cloud(MIXED, rng, n_a), _cloud(MIXED, rng, n_b)
+    i, j = critical._pairs_within(MIXED, a, b, 0.3)
+    want_i, want_j = pairs_within(MIXED, a, b, 0.3)
+    assert i.dtype == j.dtype == np.intp
+    assert np.array_equal(i, want_i) and np.array_equal(j, want_j)
+
+
+@pytest.mark.parametrize("radius", [None, 0.05, 0.3])
+def test_blocks_hold_every_close_pair_once_within_the_budget(radius):
+    rng = np.random.default_rng(23)
+    a = _cloud(MIXED, rng, 700)
+    b = _cloud(MIXED, rng, 2600)
+    b[:1500, 1] *= 0.02
+    want = all_distances(MIXED, a, b)
+    seen = np.zeros(want.shape, dtype=int)
+    rows = np.zeros(a.shape[0], dtype=int)
+    for ia, ib, s in MIXED.squared_distance_blocks(a, b, radius):
+        assert 0 < s.size <= PAIR_BUDGET and s.shape == (ia.size, ib.size)
+        assert np.array_equal(np.sqrt(s), want[np.ix_(ia, ib)])
+        rows[ia] += 1
+        seen[np.ix_(ia, ib)] += 1
+    assert rows.max() == 1 and seen.max() == 1
+    if radius is None:
+        assert (seen == 1).all()
+    else:
+        assert (seen[want < radius] == 1).all()
 
 
 # the nine zero_locus models at seed 0: sha256 over every _pairs_within
