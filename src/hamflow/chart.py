@@ -93,11 +93,11 @@ class Chart:
         non-periodic coordinate where ``b`` spreads widest, and a block of
         sorted ``a`` rows meets only the window of ``b`` rows within
         ``radius * (1 + 1e-9)`` (plus 2**-50 of the largest magnitude there) of
-        one of them along it; blocks with an empty window are skipped.  The margin outweighs the
-        rounding of ``b - a``, so a pair left out has a rounded squared
-        distance of at least the rounded ``radius**2``.  The window is all of
-        ``b`` when no radius is given, when every coordinate is periodic, or
-        when either cloud has a non-finite entry.
+        one of them along it; blocks with an empty window are skipped.  The
+        margin outweighs the rounding of ``b - a``, so a pair left out has a
+        rounded squared distance of at least the rounded ``radius**2``.  The
+        window is all of ``b`` when no radius is given, when every coordinate
+        is periodic, or when either cloud has a non-finite entry.
 
         ``s`` is built one coordinate at a time and summed in coordinate
         order: the operations and order of ``(displacement**2).sum(-1)``, so
