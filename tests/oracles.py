@@ -259,3 +259,156 @@ def lie_derivative_poly_form(field: list, form: dict, dim: int, pts: np.ndarray)
                 acc = acc + w[(slice(None),) + b] * dv[a[m]][j]
         out[a] = acc
     return out
+
+
+
+def reference_seed(points: np.ndarray, order: int) -> list[tuple]:
+    """Coordinate jets at ``points`` as (value, grad, hess) triples, each array built on its own."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    n, d = pts.shape
+    out = []
+    for j in range(d):
+        grad = hess = None
+        if order >= 1:
+            grad = np.zeros((n, d))
+            grad[:, j] = 1.0
+        if order >= 2:
+            hess = np.zeros((n, d, d))
+        out.append((pts[:, j].copy(), grad, hess))
+    return out
+
+# ----------------------------------------------------------------------
+# the adaptive RK4 integrator the Dormand-Prince stepper replaced: step
+# doubling to 1e-9 relative to the point's size, and a boundary hit found by
+# bisecting the step time with fresh RK4 steps.  It drives the model through
+# its public API, one gradient row at a time (a batched row is bitwise its
+# one-row value), and returns a ``flow.FlowResult``.
+
+
+def reference_integrate(model, ci: int, start, direction: int = 1, max_time: float = 60.0):
+    from hamflow import jets
+    from hamflow.errors import ImmediateExit, StiffFlow
+    from hamflow.flow import FlowResult
+    from hamflow.forms import field_values
+
+    grads = {}
+    sent = 0
+
+    def velocity(c: int, q: np.ndarray) -> np.ndarray:
+        nonlocal sent
+        sent += 1
+        grad = grads.setdefault(c, model.charts[c].gradient_field())
+        return direction * field_values(grad, jets.seed(q[None, :], order=1))[0]
+
+    def rk4(c: int, q: np.ndarray, h: float, k1: np.ndarray) -> np.ndarray:
+        k2 = velocity(c, q + 0.5 * h * k1)
+        k3 = velocity(c, q + 0.5 * h * k2)
+        k4 = velocity(c, q + h * k3)
+        return q + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+    def boundary(cd, q: np.ndarray) -> float:
+        return float(cd.chart.boundary(jets.seed(q[None, :], order=0)).value[0])
+
+    def h_at(cd, q: np.ndarray) -> float:
+        return float(cd.hamiltonian(jets.seed(q[None, :], order=0)).value[0])
+
+    cd = model.charts[ci]
+    p = cd.chart.wrap(np.asarray(start, dtype=float))
+    k1 = None
+    if cd.chart.boundary is not None and boundary(cd, p) > -1e-9:
+        df = cd.chart.boundary(jets.seed(p[None, :], order=1)).grad[0]
+        k1 = velocity(ci, p)
+        if float(df @ k1) >= -1e-8:
+            raise ImmediateExit("start on the boundary with outward or grazing initial velocity")
+
+    times, pts, charts, hs = [0.0], [p.copy()], [ci], [h_at(cd, p)]
+    t, h = 0.0, 1e-3
+    monotone = True
+    termination = "max_steps"
+    rejected = bisections = switches = 0
+    for _ in range(40000):
+        if t >= max_time:
+            termination = "max_time"
+            break
+        h = min(h, max_time - t)
+        if k1 is None:
+            k1 = velocity(ci, p)
+        while True:
+            full = rk4(ci, p, h, k1)
+            mid_p = rk4(ci, p, 0.5 * h, k1)
+            half = rk4(ci, mid_p, 0.5 * h, velocity(ci, mid_p))
+            err = np.abs(full - half).max()
+            if err <= 1e-9 * (1.0 + np.abs(p).max()):
+                break
+            h *= 0.5
+            rejected += 1
+            if h < 1e-12:
+                raise StiffFlow("step size collapsed below 1e-12")
+        p_new = half
+        crossed = False
+        if cd.chart.boundary is not None and boundary(cd, p_new) > 0.0:
+            lo_t, hi_t = 0.0, h
+            for _ in range(80):
+                bisections += 1
+                mid = 0.5 * (lo_t + hi_t)
+                if boundary(cd, rk4(ci, p, mid, k1)) > 0.0:
+                    hi_t = mid
+                else:
+                    lo_t = mid
+                if hi_t - lo_t < 1e-16:
+                    break
+            p_new = rk4(ci, p, lo_t, k1)
+            if abs(boundary(cd, p_new)) > 1e-10:
+                q = rk4(ci, p, hi_t, k1)
+                if abs(boundary(cd, q)) < abs(boundary(cd, p_new)):
+                    p_new = q
+            t += lo_t
+            crossed = True
+        else:
+            t += h
+            if err < 1e-9 / 64.0:
+                h *= 2.0
+        p_new = cd.chart.wrap(p_new)
+        h_new = h_at(cd, p_new)
+        gain = direction * (h_new - hs[-1])
+        if gain < -1e-12:
+            monotone = False
+        times.append(t)
+        pts.append(p_new.copy())
+        charts.append(ci)
+        hs.append(h_new)
+        if crossed:
+            termination = "boundary"
+            break
+        k1 = velocity(ci, p_new)
+        if float(np.abs(k1).max()) < 1e-7 and abs(gain) < 1e-14:
+            termination = "critical_set"
+            break
+        p = p_new
+        if not (cd.chart.contains(p, slack=1e-12)[0] and cd.chart.in_box(p, 1e-9)):
+            hit = next(model.transfers(ci, p, 1e-9), None)
+            if hit is None:
+                termination = "exited_chart"
+                break
+            tr, p = hit
+            ci = tr.dst
+            cd = model.charts[ci]
+            k1 = None
+            pts[-1] = p.copy()
+            charts[-1] = ci
+            switches += 1
+
+    return FlowResult(
+        times=np.array(times),
+        points=np.array(pts),
+        chart_indices=charts,
+        termination=termination,
+        h_values=np.array(hs),
+        monotone=monotone,
+        direction=direction,
+        accepted_steps=len(times) - 1,
+        rejected_steps=rejected,
+        velocity_evals=sent,
+        bisections=bisections,
+        chart_switches=switches,
+    )

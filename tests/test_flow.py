@@ -14,7 +14,7 @@ from hamflow.chart import Chart, sample_boundary, sample_domain
 from hamflow.errors import ImmediateExit
 from hamflow.forms import field_values
 from hamflow.planar import free_action_planar
-from oracles import orbit_near, rk4_endpoint
+from oracles import orbit_near, reference_integrate, rk4_endpoint
 
 
 def test_disc_trajectory_endpoints():
@@ -244,6 +244,25 @@ def test_batched_runs_match_pins():
         assert isinstance(exit_, ImmediateExit)
         changed += [key for key, res in zip(keys, results) if _trajectory_pin(res) != TRAJECTORY_PINS[key]]
     assert not changed
+
+
+# how far the stepper may move a pinned run from the RK4 step-doubling
+# reference: a boundary end is an event located to 1e-10 in the boundary
+# value, a critical-set end a point where the speed fell below 1e-7
+END_TOLERANCE = {"boundary": (1e-8, 1e-8), "critical_set": (1e-6, 1e-12)}
+
+
+def test_stepper_matches_reference_within_tolerance():
+    far = []
+    for key, (model, ci, start, direction) in _pinned_runs().items():
+        res = flow.integrate(model, ci, start, direction=direction)
+        ref = reference_integrate(model, ci, start, direction)
+        assert (res.termination, res.end_chart) == (ref.termination, ref.end_chart), key
+        point_tol, h_tol = END_TOLERANCE[ref.termination]
+        moved = np.abs(res.end_point - ref.end_point).max(), abs(res.h_values[-1] - ref.h_values[-1])
+        if not (moved[0] <= point_tol and moved[1] <= h_tol):
+            far.append((key, *moved))
+    assert not far
 
 
 def _drive_alone(model, ci, start, direction):

@@ -16,6 +16,7 @@ from oracles import (
     fd_gradient,
     fd_hessian,
     lift_constant,
+    reference_seed,
     triple_add,
     triple_div,
     triple_mul,
@@ -269,3 +270,19 @@ def test_order0_jets_form_no_derivative_factors():
         assert jets.sqrt(z[0]).value[0] == 0.0
         assert jets.atan2(z[1], z[0]).value[0] == 0.0
         assert jets.sqrt(z[0] + 4.0).grad is None
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("rows", [1, 500])
+def test_seed_matches_reference_bitwise(order, rows):
+    pts = np.random.default_rng([rows, order]).uniform(-3.0, 3.0, (rows, 4))
+    pts[0, 1] = -0.0
+    got = jets.seed(pts, order=order)
+    want = reference_seed(pts, order)
+    assert len(got) == len(want) == 4
+    for jet, triple in zip(got, want):
+        for arr, ref in zip((jet.value, jet.grad, jet.hess), triple):
+            assert (arr is None) == (ref is None)
+            if ref is not None:
+                assert arr.shape == ref.shape and arr.dtype == ref.dtype
+                assert arr.tobytes() == ref.tobytes()

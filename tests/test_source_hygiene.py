@@ -1,9 +1,12 @@
-"""Source hygiene of the hamflow package: no unused imports or parameters.
+"""Source hygiene of the hamflow package: no unused imports, parameters or private names.
 
 No linter is part of the toolchain, so this stdlib ``ast`` walk is the
 guard.  Every module except ``__init__.py`` (whose imports are the package's
 re-exports) must use each name it imports, and every function must read each
-of its parameters; ``self`` and names starting with ``_`` are exempt.
+of its parameters; ``self`` and names starting with ``_`` are exempt.  A
+private module-level function, class or constant (one name with a leading
+underscore, not a dunder) must be read somewhere in the package, as a name,
+an attribute or an import.
 """
 
 from __future__ import annotations
@@ -57,6 +60,43 @@ def _ignored_parameters(tree: ast.Module) -> list[str]:
             if p.arg != "self" and not p.arg.startswith("_") and p.arg not in used:
                 out.append(f"{name}({p.arg}) (line {node.lineno})")
     return out
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                out[name] = node.lineno
+    return out
+
+
+def _package_reads() -> set[str]:
+    """Names every module of the package loads, as bare names, attributes or imports."""
+    seen: set[str] = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                seen.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                seen.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                seen |= {alias.name for alias in node.names}
+    return seen
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unread_private_names(path):
+    defined = _private_definitions(ast.parse(path.read_text()))
+    reads = _package_reads()
+    assert [f"{name} (line {line})" for name, line in defined.items() if name not in reads] == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
