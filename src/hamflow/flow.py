@@ -1,17 +1,18 @@
 """Gradient-flow machinery: integration, orbit types, boundary censuses.
 
 The central object is the flow of the metric gradient of the moment map.
-Trajectories are integrated chart by chart with an adaptive fourth-order
-stepper, written as a generator of velocity requests: many trajectories
-advance in rounds, and each round solves every chart's requests as one
-batch of order-1 gradient rows, bitwise equal to one-row solves.  Crossing
-into another chart goes through the model's transitions, hitting the
-boundary is resolved by bisection on the step time, and all steps from one
-point share their first stage.  On top of the integrator sit classifiers:
-the orbit type swept by a trajectory under the circle action, the finite
-stabilizer of a point, a sign portrait of the moment map on the boundary,
-and a detector that finds and groups the closed zero-level orbit sets on
-the boundary, filtering its candidates in batches.
+Trajectories are integrated chart by chart with an adaptive Dormand-Prince
+5(4) stepper, written as a generator of velocity requests: many trajectories
+advance in rounds, and each round solves every chart's requests as one batch
+of order-1 gradient rows, bitwise equal to one-row solves.  A step asks for
+six velocities, its first stage being the last of the step before.  Chart
+crossings go through the model's transitions, and a boundary hit is found by
+bisection on the step's continuous extension, which asks for no velocity.
+On top of the integrator sit classifiers: the orbit type swept by a
+trajectory under the circle action, the finite stabilizer of a point, a sign
+portrait of the moment map on the boundary, and a detector that finds and
+groups the closed zero-level orbit sets on the boundary, filtering its
+candidates in batches.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ class FlowResult:
     accepted_steps: int = 0
     rejected_steps: int = 0
     velocity_evals: int = 0  # gradient rows the run was sent
-    bisections: int = 0  # boundary bisection iterations
+    bisections: int = 0  # boundary bisection iterations on the continuous extension, no velocity each
     chart_switches: int = 0
 
     @property
@@ -59,16 +60,25 @@ class FlowResult:
         return self.chart_indices[-1]
 
 
-def _rk4(ci: int, p: Array, h: float, k1: Array, direction: int):
-    """One fourth-order step from ``p`` with first stage ``k1``, yielding its other stages."""
-    k2 = direction * (yield ci, p + 0.5 * h * k1)
-    k3 = direction * (yield ci, p + 0.5 * h * k2)
-    k4 = direction * (yield ci, p + h * k3)
-    return p + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+# Dormand & Prince (1980) 5(4): rows of stages 2-7 (the 7th sits at the step's end,
+# FSAL), b - b^ and the dense output's d_i (Hairer, Norsett & Wanner, ODEs I, II.5-6)
+_DP_ROWS = [
+    np.array([1 / 5]),
+    np.array([3 / 40, 9 / 40]),
+    np.array([44 / 45, -56 / 15, 32 / 9]),
+    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
+    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
+    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
+]
+_DP_ERR = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
+_DP_DENSE = np.array(
+    [-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799, -10690763975 / 1880347072]
+    + [701980252875 / 199316789632, -1453857185 / 822651844, 69997945 / 29380423]
+)
 
 
-def _boundary_value(cd: ChartData, p: Array) -> float:
-    return float(cd.chart.boundary(jets.seed(p[None, :], order=0)).value[0])
+def _value_at(scalar, p: Array) -> float:
+    return float(scalar(jets.seed(p[None, :], order=0)).value[0])
 
 
 def _trajectory(model: HamiltonianModel, ci: int, start: Array, direction: int, max_time: float):
@@ -77,24 +87,15 @@ def _trajectory(model: HamiltonianModel, ci: int, start: Array, direction: int, 
     p = cd.chart.wrap(np.asarray(start, dtype=float))
     k1 = None  # velocity at the current point, once computed
 
-    if cd.chart.boundary is not None and _boundary_value(cd, p) > -1e-9:
+    if cd.chart.boundary is not None and _value_at(cd.chart.boundary, p) > -1e-9:
         df = cd.chart.boundary(jets.seed(p[None, :], order=1)).grad[0]
         k1 = direction * (yield ci, p)
         if float(df @ k1) >= -1e-8:
-            raise ImmediateExit(
-                f"start lies on the boundary of chart {cd.chart.name!r} "
-                "with outward or grazing initial velocity"
-            )
+            msg = f"start on the boundary of chart {cd.chart.name!r} with outward or grazing initial velocity"
+            raise ImmediateExit(msg)
 
-    def h_at(q: Array) -> float:
-        return float(cd.hamiltonian(jets.seed(q[None, :], order=0)).value[0])
-
-    times = [0.0]
-    pts = [p.copy()]
-    charts = [ci]
-    hs = [h_at(p)]
-    t = 0.0
-    h = 1e-3
+    times, pts, charts, hs = [0.0], [p.copy()], [ci], [_value_at(cd.hamiltonian, p)]
+    t, h = 0.0, 1e-3
     monotone = True
     termination = "max_steps"
     rejected = bisections = switches = 0
@@ -106,44 +107,47 @@ def _trajectory(model: HamiltonianModel, ci: int, start: Array, direction: int, 
         h = min(h, max_time - t)
         if k1 is None:
             k1 = direction * (yield ci, p)
+        tol = 1e-9 * (1.0 + np.abs(p).max())
         while True:
-            full = yield from _rk4(ci, p, h, k1, direction)
-            mid_p = yield from _rk4(ci, p, 0.5 * h, k1, direction)
-            half = yield from _rk4(ci, mid_p, 0.5 * h, direction * (yield ci, mid_p), direction)
-            err = np.abs(full - half).max()
-            if err <= 1e-9 * (1.0 + np.abs(p).max()):
+            k = np.empty((7, p.size))
+            k[0] = k1
+            for i, row in enumerate(_DP_ROWS, 1):
+                p_new = p + h * (row @ k[:i])
+                k[i] = direction * (yield ci, p_new)
+            err = h * np.abs(_DP_ERR @ k).max()
+            fac = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * (tol / err) ** 0.2))
+            if err <= tol:
                 break
-            h *= 0.5
+            h *= fac
             rejected += 1
             if h < 1e-12:
                 raise StiffFlow(f"step size collapsed below 1e-12 in chart {cd.chart.name!r}")
-        p_new = half
-        crossed = False
-        if cd.chart.boundary is not None and _boundary_value(cd, p_new) > 0.0:
-            lo_t, hi_t = 0.0, h
-            for _ in range(80):
+        k1 = k[6]
+        if cd.chart.boundary is not None and _value_at(cd.chart.boundary, p_new) > 0.0:
+            # bisect theta in [0, 1] on the step's fourth-order dense output
+            dy = p_new - p
+            r3 = h * k[0] - dy
+            r4, r5 = dy - h * k[6] - r3, h * (_DP_DENSE @ k)
+            at = lambda th: p + th * (dy + (1.0 - th) * (r3 + th * (r4 + (1.0 - th) * r5)))
+            lo, hi = 0.0, 1.0
+            while lo < (mid := 0.5 * (lo + hi)) < hi:
                 bisections += 1
-                mid = 0.5 * (lo_t + hi_t)
-                q = yield from _rk4(ci, p, mid, k1, direction)
-                if _boundary_value(cd, q) > 0.0:
-                    hi_t = mid
+                if _value_at(cd.chart.boundary, at(mid)) > 0.0:
+                    hi = mid
                 else:
-                    lo_t = mid
-                if hi_t - lo_t < 1e-16:
-                    break
-            p_new = yield from _rk4(ci, p, lo_t, k1, direction)
-            if abs(_boundary_value(cd, p_new)) > 1e-10:
-                q = yield from _rk4(ci, p, hi_t, k1, direction)
-                if abs(_boundary_value(cd, q)) < abs(_boundary_value(cd, p_new)):
+                    lo = mid
+            p_new = at(lo)
+            if abs(_value_at(cd.chart.boundary, p_new)) > 1e-10:
+                q = at(hi)
+                if abs(_value_at(cd.chart.boundary, q)) < abs(_value_at(cd.chart.boundary, p_new)):
                     p_new = q
-            t += lo_t
-            crossed = True
+            t += lo * h
+            termination = "boundary"
         else:
             t += h
-            if err < 1e-9 / 64.0:
-                h *= 2.0
+            h *= fac
         p_new = cd.chart.wrap(p_new)
-        h_new = h_at(p_new)
+        h_new = _value_at(cd.hamiltonian, p_new)
         gain = direction * (h_new - hs[-1])
         if gain < -1e-12:
             monotone = False
@@ -151,14 +155,10 @@ def _trajectory(model: HamiltonianModel, ci: int, start: Array, direction: int, 
         pts.append(p_new.copy())
         charts.append(ci)
         hs.append(h_new)
-        if crossed:
-            termination = "boundary"
+        if termination == "boundary":
             break
-        k1 = direction * (yield ci, p_new)
-        speed = float(np.abs(k1).max())
-        if speed < 1e-7 and abs(gain) < 1e-14:
+        if float(np.abs(k1).max()) < 1e-7 and abs(gain) < 1e-14:
             termination = "critical_set"
-            p = p_new
             break
         p = p_new
         if not (cd.chart.contains(p, slack=1e-12)[0] and cd.chart.in_box(p, 1e-9)):
@@ -236,8 +236,11 @@ def integrate(
 ) -> FlowResult:
     """Integrate the moment-map gradient from one interior point.
 
-    Each step is accepted when step doubling agrees to 1e-9 relative to the
-    point's size.  The run ends at the boundary, at a critical set (speed
+    A Dormand-Prince 5(4) step is accepted when its error estimate is at
+    most 1e-9 relative to the point's size (max norms); steps change by
+    0.2x to 5x, below 1e-12 ``StiffFlow`` is raised, and a step ending
+    outside is cut back to the crossing on its continuous extension.  The
+    run ends at the boundary, at a critical set (speed
     below 1e-7 and moment gain below 1e-14 in one step), on leaving the
     atlas, when ``max_time`` is used up (``"max_time"``) or after 40,000
     steps (``"max_steps"``).  ``max_time`` must be positive (``inf``

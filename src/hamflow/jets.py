@@ -271,21 +271,18 @@ def seed(points: Array, order: int = 2) -> list[Jet]:
     """Seed coordinate jets at a batch of points.
 
     ``points`` has shape ``(n, d)``.  Returns one jet per coordinate, each of
-    the requested order, with unit gradients and zero Hessians.
+    the requested order, with unit gradients and zero Hessians: views of one
+    value and one gradient array, and one Hessian shared, jets being immutable.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n, d = pts.shape
-    out = []
-    for j in range(d):
-        grad = None
-        hess = None
-        if order >= 1:
-            grad = np.zeros((n, d))
-            grad[:, j] = 1.0
-        if order >= 2:
-            hess = np.zeros((n, d, d))
-        out.append(Jet(pts[:, j].copy(), grad, hess))
-    return out
+    values = pts.T.copy()
+    grads = [None] * d
+    if order >= 1:
+        grads = np.zeros((d, n, d))
+        grads[np.arange(d), :, np.arange(d)] = 1.0
+    hess = np.zeros((n, d, d)) if order >= 2 else None
+    return [Jet(values[j], grads[j], hess) for j in range(d)]
 
 
 def constant(value, like: Jet) -> Jet:
