@@ -2,9 +2,10 @@
 
 Everything here works on plain float callables with central finite
 differences, or on plain Python lists, deliberately sharing no code with
-the package it checks.  The one exception is the point-cloud oracles,
-which take each pair's distance from ``Chart.distance`` over the whole
-distance matrix at once.
+the package it checks.  The exceptions are the point-cloud oracles, which
+take each pair's distance from ``Chart.distance`` over the whole distance
+matrix at once, and the reference integrator, which evaluates the model's
+own fields and returns a ``flow.FlowResult``.
 """
 
 from __future__ import annotations
