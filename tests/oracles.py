@@ -16,6 +16,11 @@ from typing import Callable
 
 import numpy as np
 
+from hamflow import jets
+from hamflow.errors import ImmediateExit, StiffFlow
+from hamflow.flow import FlowResult
+from hamflow.forms import field_values
+
 Scalar = Callable[[np.ndarray], float]
 
 
@@ -287,11 +292,6 @@ def reference_seed(points: np.ndarray, order: int) -> list[tuple]:
 
 
 def reference_integrate(model, ci: int, start, direction: int = 1, max_time: float = 60.0):
-    from hamflow import jets
-    from hamflow.errors import ImmediateExit, StiffFlow
-    from hamflow.flow import FlowResult
-    from hamflow.forms import field_values
-
     grads = {}
     sent = 0
 
