@@ -3,8 +3,10 @@
 Three coordinate charts cover the blown-up ball.  Two core charts map down
 to the flat ball by polynomial blow-downs and carry the flat 2-form plus
 ``size^2`` times a sphere-area correction; a rim chart covers a collar of
-the boundary in blown-down coordinates, where every piece of data is
-exactly the flat one.  The correction is faded out by a C^2 ramp in the
+the boundary in blown-down coordinates, and is the flat ball's chart data
+on that collar.  Each core chart keeps one coordinate pair k and scales the
+other, (k, s) -> (k, k s); the kept pair fixes the chart's domain, forms,
+metric and weights.  The correction is faded out by a C^2 ramp in the
 blown-down squared radius before the rim begins, so all charts agree
 exactly on their overlaps, the boundary inherits the round contact
 structure, and the expanding field near the boundary is radial.  The
@@ -17,12 +19,15 @@ structural rather than tuned.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from . import jets
+from .basic import disc_d4
 from .chart import Chart, SmoothMap
 from .errors import SurfaceBlowupUnsupported
-from .forms import KForm, add_forms, constant_form, exterior_derivative, pullback, scale_form
+from .forms import KForm, add_forms, exterior_derivative, pullback, scale_form
 from .jets import Jet
 from .linalg import solve_spd_jet
 from .model import (
@@ -33,7 +38,6 @@ from .model import (
     circle_action,
     effective_weights,
     form_matrix_jets,
-    identity_metric,
 )
 
 V_CAP2 = 1.44
@@ -53,62 +57,100 @@ _J0 = np.array(
     [[0.0, -1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, -1.0], [0.0, 0.0, 1.0, 0.0]]
 )
 
-_DOWN = Chart(
-    name="downstairs",
-    coords=("x1", "y1", "x2", "y2"),
-    periodic=(False, False, False, False),
-    box_lo=(-2.0,) * 4,
-    box_hi=(2.0,) * 4,
-)
 
-_OMEGA_FLAT = constant_form(2, 4, {(0, 1): 1.0, (2, 3): 1.0})
+def _r2(jc, pair):
+    i, j = pair
+    return jc[i] * jc[i] + jc[j] * jc[j]
 
 
-def _alpha_flat(jc):
-    return {(0,): jc[1] * -0.5, (1,): jc[0] * 0.5, (2,): jc[3] * -0.5, (3,): jc[2] * 0.5}
-
-
-ALPHA_FLAT = KForm(1, 4, _alpha_flat)
+def _blown_down_r2(jc, keep, scaled):
+    """Squared radius |k|^2 (|s|^2 + 1) of a core chart point's blow-down."""
+    return _r2(jc, keep) * (_r2(jc, scaled) + 1.0)
 
 
 def _complex_mul(a1, a2, b1, b2):
     return a1 * b1 - a2 * b2, a1 * b2 + a2 * b1
 
 
-def _blowdown_inner(chart: Chart) -> SmoothMap:
-    # (u, v) -> (u, u v): the first factor survives, the second is scaled
+def _assemble(keep, scaled, kept, moved) -> list:
+    """Four coordinates: ``kept`` on the pair ``keep``, ``moved`` on ``scaled``."""
+    out = [None] * 4
+    (out[keep[0]], out[keep[1]]), (out[scaled[0]], out[scaled[1]]) = kept, moved
+    return out
+
+
+def _blowdown(keep, scaled):
+    # core -> rim: (k, s) -> (k, k s)
     def fwd(jc):
-        z1, z2 = _complex_mul(jc[0], jc[1], jc[2], jc[3])
-        return [jc[0] * 1.0, jc[1] * 1.0, z1, z2]
+        return _assemble(keep, scaled, (jc[keep[0]] * 1.0, jc[keep[1]] * 1.0), _complex_mul(*jc))
 
-    return SmoothMap(source=chart, target=_DOWN, forward=fwd)
+    return fwd
 
 
-def _blowdown_outer(chart: Chart) -> SmoothMap:
-    # (p, q) -> (p q, q)
+def _swap(keep, scaled):
+    # core -> other core, which keeps this chart's scaled pair: (k, s) -> (1/s, k s)
     def fwd(jc):
-        z1, z2 = _complex_mul(jc[0], jc[1], jc[2], jc[3])
-        return [z1, z2, jc[2] * 1.0, jc[3] * 1.0]
+        r2 = _r2(jc, scaled)
+        inv = (jc[scaled[0]] / r2, -(jc[scaled[1]] / r2))
+        return _assemble(keep, scaled, inv, _complex_mul(*jc))
 
-    return SmoothMap(source=chart, target=_DOWN, forward=fwd)
+    return fwd
 
 
-def _fubini_study(scale2: float, first_pair: bool) -> KForm:
-    i, j = (0, 1) if first_pair else (2, 3)
+def _lift(keep, scaled):
+    # rim -> core keeping ``keep``: (z_k, z_s) -> (z_k, z_s / z_k)
+    def fwd(jc):
+        r2 = _r2(jc, keep)
+        c1, c2 = jc[keep[0]] / r2, -(jc[keep[1]] / r2)
+        moved = _complex_mul(jc[scaled[0]], jc[scaled[1]], c1, c2)
+        return _assemble(keep, scaled, (jc[keep[0]] * 1.0, jc[keep[1]] * 1.0), moved)
+
+    return fwd
+
+
+def _far(scaled):
+    # core -> other core: off the other core's sphere
+    def valid(pts):
+        return pts[:, scaled[0]] ** 2 + pts[:, scaled[1]] ** 2 >= V_HAND2
+
+    return valid
+
+
+def _near_rim(keep, scaled):
+    # core -> rim: blown-down squared radius inside the rim chart
+    def valid(pts):
+        kept = pts[:, keep[0]] ** 2 + pts[:, keep[1]] ** 2
+        return kept * (1.0 + pts[:, scaled[0]] ** 2 + pts[:, scaled[1]] ** 2) >= _RIM_IN
+
+    return valid
+
+
+def _over_core(keep, scaled):
+    # rim -> core: inside the core band, away from the kept pair's zero set
+    def valid(pts):
+        zk = pts[:, keep[0]] ** 2 + pts[:, keep[1]] ** 2
+        zs = pts[:, scaled[0]] ** 2 + pts[:, scaled[1]] ** 2
+        return (zk + zs <= _CORE_IN) & (zs <= 1.38 * zk)
+
+    return valid
+
+
+def _fubini_study(scale2: float, pair) -> KForm:
+    i, j = pair
 
     def coeffs(jc):
-        r2 = jc[i] * jc[i] + jc[j] * jc[j]
+        r2 = _r2(jc, pair)
         den = (r2 + 1.0) * (r2 + 1.0)
         return {(i, j): 2.0 * scale2 / den}
 
     return KForm(2, 4, coeffs)
 
 
-def _round_primitive(scale2: float, first_pair: bool) -> KForm:
-    i, j = (0, 1) if first_pair else (2, 3)
+def _round_primitive(scale2: float, pair) -> KForm:
+    i, j = pair
 
     def coeffs(jc):
-        r2 = jc[i] * jc[i] + jc[j] * jc[j]
+        r2 = _r2(jc, pair)
         q = scale2 / (r2 + 1.0)
         return {(i,): -(q * jc[j]), (j,): q * jc[i]}
 
@@ -136,26 +178,25 @@ def _freeze_dead(r2: Jet, live) -> Jet:
     return Jet(val, grad, hess)
 
 
-def _faded_primitive(scale2: float, angular_first: bool, n_down) -> KForm:
+def _faded_primitive(scale2: float, keep, scaled) -> KForm:
     """Primitive of the sphere-area correction, ramped off before the rim.
 
     Away from the core sphere the correction is exact, with a blown-down
-    primitive that splits into the round primitive of the far pair plus
-    ``scale2`` times the angular form of the blown-down pair.  Both chart
+    primitive that splits into the round primitive of the scaled pair plus
+    ``scale2`` times the angular form of the kept pair.  Both chart
     expressions pull back from the same form downstairs, so subtracting the
     exterior derivative of this form leaves the charts in exact agreement
     while making the 2-form flat past the fade band.
     """
-    a, b = (0, 1) if angular_first else (2, 3)
-    c, d = (2, 3) if angular_first else (0, 1)
+    a, b = keep
+    c, d = scaled
 
     def coeffs(jc):
-        n = n_down(jc)
+        n = _blown_down_r2(jc, keep, scaled)
         ramp = _fade(n) * -1.0 + 1.0
-        r2 = _freeze_dead(jc[a] * jc[a] + jc[b] * jc[b], n.value > _FADE_LO)
+        r2 = _freeze_dead(_r2(jc, keep), n.value > _FADE_LO)
         qa = ramp * scale2 / r2
-        far2 = jc[c] * jc[c] + jc[d] * jc[d]
-        qf = ramp * scale2 / (far2 + 1.0)
+        qf = ramp * scale2 / (_r2(jc, scaled) + 1.0)
         return {
             (a,): qa * jc[b] * -1.0,
             (b,): qa * jc[a],
@@ -193,6 +234,62 @@ def _dual_liouville(lam: KForm, metric):
     return field
 
 
+_CORE_NAMES = {
+    (0, 1): ("inner", ("u1", "u2", "v1", "v2")),
+    (2, 3): ("outer", ("p1", "p2", "q1", "q2")),
+}
+
+
+def _core_chart_data(keep, scaled, hamiltonian, eps2, weights, flat: ChartData, rim: Chart):
+    """Core chart keeping the pair ``keep``; everything but H follows from the pair.
+
+    Its domain stops short of the rim band and caps the scaled pair.  The
+    flat forms pull back through the blow-down, the same map as the
+    transition to the rim.  The kept pair turns with its flat weight, the
+    scaled pair with the difference of the two flat weights ``weights``.
+    """
+    name, coords = _CORE_NAMES[keep]
+
+    def rim_gap(jc):
+        return _blown_down_r2(jc, keep, scaled) - _CORE_HI
+
+    def cap(jc):
+        return _r2(jc, scaled) - V_CAP2
+
+    box_hi = tuple(0.98 if i in keep else 1.22 for i in range(4))
+    chart = Chart(
+        name=name,
+        coords=coords,
+        periodic=(False,) * 4,
+        box_lo=tuple(-b for b in box_hi),
+        box_hi=box_hi,
+        domain=(rim_gap, cap),
+    )
+    down = SmoothMap(chart, rim, _blowdown(keep, scaled))
+    psi = _faded_primitive(eps2, keep, scaled)
+    omega = add_forms(
+        add_forms(pullback(down, flat.omega), _fubini_study(eps2, scaled)),
+        scale_form(exterior_derivative(psi), -1.0),
+    )
+    lam = add_forms(
+        add_forms(pullback(down, flat.boundary_alpha), _round_primitive(eps2, scaled)),
+        scale_form(psi, -1.0),
+    )
+    w_keep, w_scaled = weights[keep], weights[scaled]
+    generator, action = circle_action({keep: w_keep, scaled: w_scaled - w_keep})
+    metric = _kahler_metric(omega)
+    return ChartData(
+        chart=chart,
+        omega=omega,
+        hamiltonian=hamiltonian,
+        generator=generator,
+        action=action,
+        liouville=_dual_liouville(lam, metric),
+        metric=metric,
+        boundary_alpha=lam,
+    )
+
+
 def blowup_d4(m: int = 1, n: int = -1, size: float = 0.2) -> HamiltonianModel:
     """Blow up the origin of a weight-(m, n) rotated 4-ball."""
     m, n = int(m), int(n)
@@ -206,223 +303,57 @@ def blowup_d4(m: int = 1, n: int = -1, size: float = 0.2) -> HamiltonianModel:
         raise ValueError(f"size must lie in (0, 0.3], got {size}")
     eps2 = float(size) ** 2
     fm, fn = float(m), float(n)
-
-    # ---- inner core chart: sphere at u = 0 ------------------------------
-    def n_inner(jc):
-        return (jc[0] * jc[0] + jc[1] * jc[1]) * (jc[2] * jc[2] + jc[3] * jc[3] + 1.0)
-
-    def rim_gap_i(jc):
-        return n_inner(jc) - _CORE_HI
-
-    def vcap(jc):
-        return jc[2] * jc[2] + jc[3] * jc[3] - V_CAP2
-
-    inner = Chart(
-        name="inner",
-        coords=("u1", "u2", "v1", "v2"),
-        periodic=(False,) * 4,
-        box_lo=(-0.98, -0.98, -1.22, -1.22),
-        box_hi=(0.98, 0.98, 1.22, 1.22),
-        domain=(rim_gap_i, vcap),
-    )
-    down_i = _blowdown_inner(inner)
-    psi_i = _faded_primitive(eps2, angular_first=True, n_down=n_inner)
-    omega_i = add_forms(
-        add_forms(pullback(down_i, _OMEGA_FLAT), _fubini_study(eps2, first_pair=False)),
-        scale_form(exterior_derivative(psi_i), -1.0),
-    )
-    lam_i = add_forms(
-        add_forms(pullback(down_i, ALPHA_FLAT), _round_primitive(eps2, first_pair=False)),
-        scale_form(psi_i, -1.0),
-    )
-
-    def ham_i(jc):
-        u2 = jc[0] * jc[0] + jc[1] * jc[1]
-        v2 = jc[2] * jc[2] + jc[3] * jc[3]
-        lifted = v2 / (v2 + 1.0) * (eps2 * (fn - fm)) + eps2 * fm
-        return u2 * (fm / 2) + u2 * v2 * (fn / 2) + _fade(n_inner(jc)) * lifted
-
-    gen_i, act_i = circle_action({(0, 1): fm, (2, 3): fn - fm})
-
-    metric_i = _kahler_metric(omega_i)
-    cd_inner = ChartData(
-        chart=inner,
-        omega=omega_i,
-        hamiltonian=ham_i,
-        generator=gen_i,
-        action=act_i,
-        liouville=_dual_liouville(lam_i, metric_i),
-        metric=metric_i,
-        boundary_alpha=lam_i,
-        note="core chart containing the replacement sphere as its v-axis",
-    )
-
-    # ---- outer core chart: the rest of the sphere at p = 0 --------------
-    def n_outer(jc):
-        return (jc[2] * jc[2] + jc[3] * jc[3]) * (jc[0] * jc[0] + jc[1] * jc[1] + 1.0)
-
-    def rim_gap_o(jc):
-        return n_outer(jc) - _CORE_HI
-
-    def pcap(jc):
-        return jc[0] * jc[0] + jc[1] * jc[1] - V_CAP2
-
-    outer = Chart(
-        name="outer",
-        coords=("p1", "p2", "q1", "q2"),
-        periodic=(False,) * 4,
-        box_lo=(-1.22, -1.22, -0.98, -0.98),
-        box_hi=(1.22, 1.22, 0.98, 0.98),
-        domain=(rim_gap_o, pcap),
-    )
-    down_o = _blowdown_outer(outer)
-    psi_o = _faded_primitive(eps2, angular_first=False, n_down=n_outer)
-    omega_o = add_forms(
-        add_forms(pullback(down_o, _OMEGA_FLAT), _fubini_study(eps2, first_pair=True)),
-        scale_form(exterior_derivative(psi_o), -1.0),
-    )
-    lam_o = add_forms(
-        add_forms(pullback(down_o, ALPHA_FLAT), _round_primitive(eps2, first_pair=True)),
-        scale_form(psi_o, -1.0),
-    )
-
-    def ham_o(jc):
-        p2 = jc[0] * jc[0] + jc[1] * jc[1]
-        q2 = jc[2] * jc[2] + jc[3] * jc[3]
-        lifted = 1.0 / (p2 + 1.0) * (eps2 * (fn - fm)) + eps2 * fm
-        return p2 * q2 * (fm / 2) + q2 * (fn / 2) + _fade(n_outer(jc)) * lifted
-
-    gen_o, act_o = circle_action({(0, 1): fm - fn, (2, 3): fn})
-
-    metric_o = _kahler_metric(omega_o)
-    cd_outer = ChartData(
-        chart=outer,
-        omega=omega_o,
-        hamiltonian=ham_o,
-        generator=gen_o,
-        action=act_o,
-        liouville=_dual_liouville(lam_o, metric_o),
-        metric=metric_o,
-        boundary_alpha=lam_o,
-        note="core chart containing the rest of the replacement sphere at p = 0",
-    )
-
-    # ---- rim chart: boundary collar in blown-down coordinates -----------
-    def rim_ball(jc):
-        return jc[0] * jc[0] + jc[1] * jc[1] + jc[2] * jc[2] + jc[3] * jc[3] - 1.0
+    flat = disc_d4(m, n).charts[0]
 
     def rim_core_gap(jc):
         return -(jc[0] * jc[0] + jc[1] * jc[1] + jc[2] * jc[2] + jc[3] * jc[3]) + _RIM_LO
 
-    rim = Chart(
+    rim = dataclasses.replace(
+        flat.chart,
         name="rim",
-        coords=("x1", "y1", "x2", "y2"),
-        periodic=(False,) * 4,
         box_lo=(-1.01,) * 4,
         box_hi=(1.01,) * 4,
-        domain=(rim_ball, rim_core_gap),
-        boundary=rim_ball,
+        domain=(flat.chart.boundary, rim_core_gap),
     )
 
-    def ham_rim(jc):
-        r1 = jc[0] * jc[0] + jc[1] * jc[1]
-        r2 = jc[2] * jc[2] + jc[3] * jc[3]
-        return r1 * (fm / 2) + r2 * (fn / 2)
+    # the two moment maps stay apart: one shared formula would reorder operands
+    def ham_inner(jc):
+        u2, v2 = _r2(jc, (0, 1)), _r2(jc, (2, 3))
+        lifted = v2 / (v2 + 1.0) * (eps2 * (fn - fm)) + eps2 * fm
+        fade = _fade(_blown_down_r2(jc, (0, 1), (2, 3)))
+        return u2 * (fm / 2) + u2 * v2 * (fn / 2) + fade * lifted
 
-    gen_rim, act_rim = circle_action({(0, 1): fm, (2, 3): fn})
+    def ham_outer(jc):
+        p2, q2 = _r2(jc, (0, 1)), _r2(jc, (2, 3))
+        lifted = 1.0 / (p2 + 1.0) * (eps2 * (fn - fm)) + eps2 * fm
+        fade = _fade(_blown_down_r2(jc, (2, 3), (0, 1)))
+        return p2 * q2 * (fm / 2) + q2 * (fn / 2) + fade * lifted
 
-    def liouville_rim(jc):
-        return [jc[0] * 0.5, jc[1] * 0.5, jc[2] * 0.5, jc[3] * 0.5]
-
-    cd_rim = ChartData(
-        chart=rim,
-        omega=_OMEGA_FLAT,
-        hamiltonian=ham_rim,
-        generator=gen_rim,
-        action=act_rim,
-        liouville=liouville_rim,
-        metric=identity_metric(4),
-        boundary_alpha=ALPHA_FLAT,
-        note="boundary collar where all data equal the flat ball's",
-    )
-
-    for cd in (cd_inner, cd_outer, cd_rim):
+    weights = {(0, 1): fm, (2, 3): fn}
+    pairs = [((0, 1), (2, 3)), ((2, 3), (0, 1))]
+    cores = [
+        _core_chart_data(keep, scaled, ham, eps2, weights, flat, rim)
+        for (keep, scaled), ham in zip(pairs, (ham_inner, ham_outer))
+    ]
+    charts = cores + [dataclasses.replace(flat, chart=rim)]
+    for cd in charts:
         assert_moment(cd)
 
-    def inner_far(pts):
-        return pts[:, 2] ** 2 + pts[:, 3] ** 2 >= V_HAND2
-
-    def outer_far(pts):
-        return pts[:, 0] ** 2 + pts[:, 1] ** 2 >= V_HAND2
-
-    def inner_near_rim(pts):
-        return (pts[:, 0] ** 2 + pts[:, 1] ** 2) * (
-            1.0 + pts[:, 2] ** 2 + pts[:, 3] ** 2
-        ) >= _RIM_IN
-
-    def outer_near_rim(pts):
-        return (pts[:, 2] ** 2 + pts[:, 3] ** 2) * (
-            1.0 + pts[:, 0] ** 2 + pts[:, 1] ** 2
-        ) >= _RIM_IN
-
-    def rim_over_inner(pts):
-        z1 = pts[:, 0] ** 2 + pts[:, 1] ** 2
-        z2 = pts[:, 2] ** 2 + pts[:, 3] ** 2
-        return (z1 + z2 <= _CORE_IN) & (z2 <= 1.38 * z1)
-
-    def rim_over_outer(pts):
-        z1 = pts[:, 0] ** 2 + pts[:, 1] ** 2
-        z2 = pts[:, 2] ** 2 + pts[:, 3] ** 2
-        return (z1 + z2 <= _CORE_IN) & (z1 <= 1.38 * z2)
-
-    def inner_to_outer(jc):
-        v2 = jc[2] * jc[2] + jc[3] * jc[3]
-        p1 = jc[2] / v2
-        p2 = -(jc[3] / v2)
-        q1, q2 = _complex_mul(jc[0], jc[1], jc[2], jc[3])
-        return [p1, p2, q1, q2]
-
-    def outer_to_inner(jc):
-        p2n = jc[0] * jc[0] + jc[1] * jc[1]
-        v1 = jc[0] / p2n
-        v2 = -(jc[1] / p2n)
-        u1, u2 = _complex_mul(jc[0], jc[1], jc[2], jc[3])
-        return [u1, u2, v1, v2]
-
-    def inner_to_rim(jc):
-        z1, z2 = _complex_mul(jc[0], jc[1], jc[2], jc[3])
-        return [jc[0] * 1.0, jc[1] * 1.0, z1, z2]
-
-    def outer_to_rim(jc):
-        z1, z2 = _complex_mul(jc[0], jc[1], jc[2], jc[3])
-        return [z1, z2, jc[2] * 1.0, jc[3] * 1.0]
-
-    def rim_to_inner(jc):
-        r2 = jc[0] * jc[0] + jc[1] * jc[1]
-        c1 = jc[0] / r2
-        c2 = -(jc[1] / r2)
-        v1, v2 = _complex_mul(jc[2], jc[3], c1, c2)
-        return [jc[0] * 1.0, jc[1] * 1.0, v1, v2]
-
-    def rim_to_outer(jc):
-        r2 = jc[2] * jc[2] + jc[3] * jc[3]
-        c1 = jc[2] / r2
-        c2 = -(jc[3] / r2)
-        p1, p2 = _complex_mul(jc[0], jc[1], c1, c2)
-        return [p1, p2, jc[2] * 1.0, jc[3] * 1.0]
-
+    # model order (0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)
+    core = [cd.chart for cd in cores]
     transitions = [
-        Transition(0, 1, SmoothMap(inner, outer, inner_to_outer), valid=inner_far),
-        Transition(1, 0, SmoothMap(outer, inner, outer_to_inner), valid=outer_far),
-        Transition(0, 2, SmoothMap(inner, rim, inner_to_rim), valid=inner_near_rim),
-        Transition(2, 0, SmoothMap(rim, inner, rim_to_inner), valid=rim_over_inner),
-        Transition(1, 2, SmoothMap(outer, rim, outer_to_rim), valid=outer_near_rim),
-        Transition(2, 1, SmoothMap(rim, outer, rim_to_outer), valid=rim_over_outer),
+        Transition(i, 1 - i, SmoothMap(core[i], core[1 - i], _swap(k, s)), valid=_far(s))
+        for i, (k, s) in enumerate(pairs)
     ]
+    for i, (k, s) in enumerate(pairs):
+        transitions += [
+            Transition(i, 2, SmoothMap(core[i], rim, _blowdown(k, s)), valid=_near_rim(k, s)),
+            Transition(2, i, SmoothMap(rim, core[i], _lift(k, s)), valid=_over_core(k, s)),
+        ]
     return HamiltonianModel(
         name="blowup_d4",
         params={"m": m, "n": n, "size": float(size)},
-        charts=[cd_inner, cd_outer, cd_rim],
+        charts=charts,
         transitions=transitions,
         description="weighted ball rotation after blowing up the center",
         meta={

@@ -9,7 +9,9 @@ from ``Chart.squared_distance_blocks``.  Given a radius, it compares only
 rows that a sorted sweep along one non-periodic coordinate finds within
 that radius there (a fixed-radius near-neighbour sweep, Bentley, Stanat &
 Williams 1977), with a margin that never drops a closer pair; every
-distance it returns is bitwise the full distance matrix's.
+distance it returns is bitwise the full distance matrix's.  Connected
+components, of point clusters and of grid row runs alike, come from the one
+union-find ``_components``.
 
 Sampling is rejection sampling against the domain inequalities with a fixed
 candidate stream, so the first n accepted points never depend on how many
@@ -172,7 +174,6 @@ class SmoothMap:
     source: Chart
     target: Chart
     forward: Callable[[Sequence[Jet]], list[Jet]]
-    inverse: "SmoothMap | None" = None
 
     def apply(self, points: Array) -> Array:
         """Wrapped image points, from order-0 jets."""
@@ -186,6 +187,31 @@ class SmoothMap:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         out = self.forward(jets.seed(pts, order=1))
         return np.stack([j.grad for j in out], axis=1)
+
+
+# ----------------------------------------------------------------------
+# connected components
+
+
+def _components(n: int, src: Array, dst: Array) -> Array:
+    """Label each of n nodes with the smallest index in its component.
+
+    Each round hooks the roots of both ends of every edge ``(src[k], dst[k])``
+    to the smaller one, then jumps pointers until every label is a root.
+    """
+    src = np.asarray(src, dtype=np.intp)
+    dst = np.asarray(dst, dtype=np.intp)
+    label = np.arange(n)
+    while True:
+        low = np.minimum(label[src], label[dst])
+        new = label.copy()
+        np.minimum.at(new, label[src], low)
+        np.minimum.at(new, label[dst], low)
+        while not np.array_equal(new[new], new):
+            new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
 
 
 # ----------------------------------------------------------------------

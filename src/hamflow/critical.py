@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import flow, jets
-from .chart import sample_boundary, sample_domain
+from .chart import _components, sample_boundary, sample_domain
 from .errors import BoundaryNotFound, NotCritical
 from .model import HamiltonianModel
 
@@ -132,27 +132,6 @@ def _newton_generator_zero(cd, start: Array):
 
 # ----------------------------------------------------------------------
 # clustering converged points across charts
-
-
-def _components(n: int, src: Array, dst: Array) -> Array:
-    """Label each of n nodes with the smallest index in its component.
-
-    Each round hooks the roots of both ends of every edge ``(src[k], dst[k])``
-    to the smaller one, then jumps pointers until every label is a root.
-    """
-    src = np.asarray(src, dtype=np.intp)
-    dst = np.asarray(dst, dtype=np.intp)
-    label = np.arange(n)
-    while True:
-        low = np.minimum(label[src], label[dst])
-        new = label.copy()
-        np.minimum.at(new, label[src], low)
-        np.minimum.at(new, label[dst], low)
-        while not np.array_equal(new[new], new):
-            new = new[new]
-        if np.array_equal(new, label):
-            return label
-        label = new
 
 
 def _merge_groups(

@@ -71,7 +71,10 @@ def flare_profile_value(u: float) -> float:
 
 
 def _saddle_chart_data(scale: float, kappa: float) -> ChartData:
-    """Saddle block with all structure tensors multiplied by ``scale``."""
+    """Saddle block with all structure tensors multiplied by ``scale``.
+
+    Its faces at x1^2 + x2^2 = 1 are gluing faces.
+    """
     k2 = kappa * kappa
     ybox = kappa * 0.66
 
@@ -120,7 +123,6 @@ def _saddle_chart_data(scale: float, kappa: float) -> ChartData:
         liouville=liouville,
         metric=identity_metric(4, scale=scale),
         boundary_alpha=KForm(1, 4, alpha),
-        note="saddle block; faces at x1^2 + x2^2 = 1 are gluing faces",
     )
 
 
@@ -144,7 +146,10 @@ def weinstein_2handle() -> HamiltonianModel:
 
 
 def weinstein_1handle(m: int = 1) -> HamiltonianModel:
-    """Block whose critical set is a whole surface of fixed points."""
+    """Block whose critical set is a whole surface of fixed points.
+
+    Its faces at y2 = +-1 are gluing faces.
+    """
     m = int(m)
     effective_weights(m)
     fm = float(m)
@@ -191,7 +196,6 @@ def weinstein_1handle(m: int = 1) -> HamiltonianModel:
         liouville=liouville,
         metric=identity_metric(4),
         boundary_alpha=KForm(1, 4, alpha),
-        note="faces at y2 = +-1 are gluing faces",
     )
     assert_moment(cd)
     return HamiltonianModel(
@@ -245,19 +249,17 @@ def face_embedding() -> SmoothMap:
 
 
 def attaching_map() -> SmoothMap:
-    """Identify the saddle face with the standard orbit neighborhood."""
+    """Identify the saddle face with the standard orbit neighborhood.
+
+    In coordinates the map is an involution: applied twice it is the identity.
+    """
 
     def fwd(jc):
         T, y1, y2 = jc
         s, c = jets.sin(T), jets.cos(T)
         return [T * 1.0, y1 * s - y2 * c, (y1 * c + y2 * s) * -1.0]
 
-    def inv(jc):
-        t, x, y = jc
-        s, c = jets.sin(t), jets.cos(t)
-        return [t * 1.0, x * s - y * c, (x * c + y * s) * -1.0]
-
-    return SmoothMap(source=FACE_CHART, target=ORBIT_CHART, forward=fwd, inverse=inv)
+    return SmoothMap(source=FACE_CHART, target=ORBIT_CHART, forward=fwd)
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,6 @@ class ChartData:
     kernel_complement: tuple[int, ...] | None = None
     liouville_domain: tuple[ScalarField, ...] = ()
     boundary_accept: Callable[[Array], Array] | None = None
-    note: str = ""
 
     def inside_margin(self, points: Array) -> Array:
         """Mask of the points inside every declared field margin."""

@@ -22,8 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import jets
-from .chart import Chart
-from .critical import _components
+from .chart import Chart, _components
 from .errors import BadRamp, BadStructureConstant
 from .forms import KForm
 from .jets import Jet
@@ -43,13 +42,10 @@ _EXCLUDE2 = 1e-8  # squared distance below which a hole center poisons a sample
 class PitPotential:
     """Rescaled logarithmic-pit potential and its exact Laplacian."""
 
-    def __init__(self, holes: tuple[tuple[float, float], ...], c: float):
-        if c <= 0:
-            raise ValueError(f"level offset must be positive, got {c}")
+    def __init__(self, holes: tuple[tuple[float, float], ...]):
         self.holes = tuple((float(a), float(b)) for a, b in holes)
-        self.c = float(c)
         self.minimum = self._find_minimum()
-        self.level = self.minimum + self.c
+        self.level = self.minimum + 1.0
         self.box_radius = self._find_box_radius()
         self._validate_topology()
 
@@ -74,14 +70,14 @@ class PitPotential:
     # -- rescaled value and Laplacian ----------------------------------
 
     def value(self, x: Jet, y: Jet) -> Jet:
-        return (self.raw_jet(x, y) - self.minimum) / (2 * self.c)
+        return (self.raw_jet(x, y) - self.minimum) / 2.0
 
     def laplacian(self, x: Jet, y: Jet) -> Jet:
         out = x * 0.0 + 0.2
         for a, b in self.holes:
             dx, dy = x - a, y - b
             out = out + 2.0 / (dx * dx + dy * dy)
-        return out / (2 * self.c)
+        return out / 2.0
 
     # -- build-time analysis -------------------------------------------
 
@@ -178,12 +174,12 @@ def _resolve_holes(k: int, holes) -> tuple[tuple[float, float], ...]:
     return holes
 
 
-def free_action_planar(k: int = 1, holes=None, c: float = 1.0) -> HamiltonianModel:
+def free_action_planar(k: int = 1, holes=None) -> HamiltonianModel:
     """Free circle model: loop times a k-boundary planar surface, thickened."""
     k = int(k)
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    pot = PitPotential(_resolve_holes(k, holes), c)
+    pot = PitPotential(_resolve_holes(k, holes))
     R = pot.box_radius
 
     def membrane(jc):
@@ -286,7 +282,7 @@ def disc_bundle_over_surface(holes=(), collar: float = 0.1, ramp=None) -> Hamilt
     ramp = ramp if ramp is not None else _default_ramp
     _check_ramp(ramp)
     holes = tuple((float(a), float(b)) for a, b in holes)
-    pot = PitPotential(holes, 1.0)
+    pot = PitPotential(holes)
     R = pot.box_radius
     seam = 0.5 - collar
 

@@ -39,24 +39,46 @@ CAP_HAND = 0.25
 RHO_MARGIN = 0.2
 
 
+def _shell(jc):
+    return jc[2] * jc[2] + jc[3] * jc[3] - 1.0
+
+
+def _band_hi(jc):
+    return jc[1] - H_CHART
+
+
+def _band_lo(jc):
+    return -jc[1] - H_CHART
+
+
+def _off_axis(jc):
+    return -(jc[2] * jc[2]) - jc[3] * jc[3] + RHO_MARGIN**2
+
+
+def _fiber_energy(jc):
+    return (jc[2] * jc[2] + jc[3] * jc[3]) * 0.5
+
+
+def _fiber_liouville(jc):
+    zero = jets.constant(0.0, jc[0])
+    rho2 = jc[2] * jc[2] + jc[3] * jc[3]
+    q = (rho2 + 1.0) / (rho2 * 2.0)
+    return [zero, zero, q * jc[2], q * jc[3]]
+
+
+# the band and both caps: the circle rotates the disc fibers
+_FIBER_GENERATOR, _FIBER_ACTION = circle_action({(2, 3): 1.0})
+
+
 def _band_chart_data() -> ChartData:
-    def shell(jc):
-        return jc[2] * jc[2] + jc[3] * jc[3] - 1.0
-
-    def band_hi(jc):
-        return jc[1] - H_CHART
-
-    def band_lo(jc):
-        return -jc[1] - H_CHART
-
     chart = Chart(
         name="band",
         coords=("phi", "h", "w1", "w2"),
         periodic=(True, False, False, False),
         box_lo=(0.0, -H_CHART, -1.02, -1.02),
         box_hi=(2 * np.pi, H_CHART, 1.02, 1.02),
-        domain=(band_hi, band_lo, shell),
-        boundary=shell,
+        domain=(_band_hi, _band_lo, _shell),
+        boundary=_shell,
     )
 
     def conn(jc):
@@ -73,17 +95,6 @@ def _band_chart_data() -> ChartData:
             (0, 3): -(a1 * w2),
         }
 
-    def hamiltonian(jc):
-        return (jc[2] * jc[2] + jc[3] * jc[3]) * 0.5
-
-    generator, action = circle_action({(2, 3): 1.0})
-
-    def liouville(jc):
-        zero = jets.constant(0.0, jc[0])
-        rho2 = jc[2] * jc[2] + jc[3] * jc[3]
-        q = (rho2 + 1.0) / (rho2 * 2.0)
-        return [zero, zero, q * jc[2], q * jc[3]]
-
     def alpha(jc):
         w1, w2 = jc[2], jc[3]
         rho2 = w1 * w1 + w2 * w2
@@ -93,9 +104,6 @@ def _band_chart_data() -> ChartData:
             (2,): -(q * w2),
             (3,): q * w1,
         }
-
-    def off_axis(jc):
-        return -(jc[2] * jc[2]) - jc[3] * jc[3] + RHO_MARGIN**2
 
     def metric(jc):
         w1, w2 = jc[2], jc[3]
@@ -116,22 +124,18 @@ def _band_chart_data() -> ChartData:
     return ChartData(
         chart=chart,
         omega=KForm(2, 4, omega),
-        hamiltonian=hamiltonian,
-        generator=generator,
-        action=action,
-        liouville=liouville,
+        hamiltonian=_fiber_energy,
+        generator=_FIBER_GENERATOR,
+        action=_FIBER_ACTION,
+        liouville=_fiber_liouville,
         metric=metric,
         boundary_alpha=KForm(1, 4, alpha),
-        liouville_domain=(off_axis,),
-        note="equatorial band of the quotient disc bundle",
+        liouville_domain=(_off_axis,),
     )
 
 
 def _cap_chart_data(name: str, south: bool) -> ChartData:
     sgn = -1.0 if south else 1.0
-
-    def shell(jc):
-        return jc[2] * jc[2] + jc[3] * jc[3] - 1.0
 
     def disc(jc):
         return jc[0] * jc[0] + jc[1] * jc[1] - CAP_R2
@@ -142,8 +146,8 @@ def _cap_chart_data(name: str, south: bool) -> ChartData:
         periodic=(False, False, False, False),
         box_lo=(-0.87, -0.87, -1.02, -1.02),
         box_hi=(0.87, 0.87, 1.02, 1.02),
-        domain=(disc, shell),
-        boundary=shell,
+        domain=(disc, _shell),
+        boundary=_shell,
     )
 
     def conn_ab(jc):
@@ -164,17 +168,6 @@ def _cap_chart_data(name: str, south: bool) -> ChartData:
             (1, 3): -(w2 * ab),
         }
 
-    def hamiltonian(jc):
-        return (jc[2] * jc[2] + jc[3] * jc[3]) * 0.5
-
-    generator, action = circle_action({(2, 3): 1.0})
-
-    def liouville(jc):
-        zero = jets.constant(0.0, jc[0])
-        rho2 = jc[2] * jc[2] + jc[3] * jc[3]
-        q = (rho2 + 1.0) / (rho2 * 2.0)
-        return [zero, zero, q * jc[2], q * jc[3]]
-
     def alpha(jc):
         w1, w2 = jc[2], jc[3]
         aa, ab = conn_ab(jc)
@@ -187,9 +180,6 @@ def _cap_chart_data(name: str, south: bool) -> ChartData:
             (2,): -(q * w2),
             (3,): q * w1,
         }
-
-    def off_axis(jc):
-        return -(jc[2] * jc[2]) - jc[3] * jc[3] + RHO_MARGIN**2
 
     def metric(jc):
         a, b, w1, w2 = jc
@@ -213,26 +203,17 @@ def _cap_chart_data(name: str, south: bool) -> ChartData:
     return ChartData(
         chart=chart,
         omega=KForm(2, 4, omega),
-        hamiltonian=hamiltonian,
-        generator=generator,
-        action=action,
-        liouville=liouville,
+        hamiltonian=_fiber_energy,
+        generator=_FIBER_GENERATOR,
+        action=_FIBER_ACTION,
+        liouville=_fiber_liouville,
         metric=metric,
         boundary_alpha=KForm(1, 4, alpha),
-        liouville_domain=(off_axis,),
-        note="polar cap of the quotient disc bundle",
+        liouville_domain=(_off_axis,),
     )
 
 
 def _total_chart_data(name: str, south: bool) -> ChartData:
-    sgn = -1.0 if south else 1.0
-
-    def band_hi(jc):
-        return jc[1] - H_CHART
-
-    def band_lo(jc):
-        return -jc[1] - H_CHART
-
     def rho_hi(jc):
         return jc[3] - 0.999
 
@@ -245,7 +226,7 @@ def _total_chart_data(name: str, south: bool) -> ChartData:
         periodic=(True, False, True, False, True),
         box_lo=(0.0, -H_CHART, 0.0, 0.001, 0.0),
         box_hi=(2 * np.pi, H_CHART, 2 * np.pi, 0.999, 2 * np.pi),
-        domain=(band_hi, band_lo, rho_hi, rho_lo),
+        domain=(_band_hi, _band_lo, rho_hi, rho_lo),
         boundary=None,
     )
 
@@ -297,7 +278,6 @@ def _total_chart_data(name: str, south: bool) -> ChartData:
         boundary_alpha=KForm(1, 5, alpha),
         kernel=kernel,
         kernel_complement=(0, 1, 3, 4),
-        note="invariant total space above the quotient",
     )
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import Callable
 
@@ -182,7 +183,12 @@ def build(spec: str) -> HamiltonianModel:
             kwargs[key.strip()] = _parse_value(val.strip())
         else:
             args.append(_parse_value(token))
-    return CATALOG[name].builder(*args, **kwargs)
+    entry = CATALOG[name]
+    try:
+        inspect.signature(entry.builder).bind(*args, **kwargs)
+    except TypeError as exc:
+        raise ValueError(f"{spec!r} does not match {entry.signature}: {exc}") from None
+    return entry.builder(*args, **kwargs)
 
 
 def zoo() -> list[HamiltonianModel]:

@@ -30,6 +30,19 @@ CAP_R2 = 0.75
 CAP_HAND = 0.4
 
 
+# both charts use momenta conjugate to their base coordinates
+_OMEGA = constant_form(2, 4, {(0, 2): -1.0, (1, 3): -1.0})
+
+
+def _momentum_liouville(jc):
+    zero = jets.constant(0.0, jc[0])
+    return [zero, zero, jc[2], jc[3]]
+
+
+def _alpha(jc):
+    return {(0,): jc[2] * 1.0, (1,): jc[3] * 1.0}
+
+
 def _equator_chart_data() -> ChartData:
     def cosphere(jc):
         w = -(jc[1] * jc[1]) + 1.0
@@ -50,19 +63,11 @@ def _equator_chart_data() -> ChartData:
         domain=(strip_hi, strip_lo, cosphere),
         boundary=cosphere,
     )
-    omega = constant_form(2, 4, {(0, 2): -1.0, (1, 3): -1.0})
 
     def hamiltonian(jc):
         return jc[2] * 1.0
 
     generator, action = circle_action({(0,): 1.0})
-
-    def liouville(jc):
-        zero = jets.constant(0.0, jc[0])
-        return [zero, zero, jc[2], jc[3]]
-
-    def alpha(jc):
-        return {(0,): jc[2] * 1.0, (1,): jc[3] * 1.0}
 
     def metric(jc):
         w = -(jc[1] * jc[1]) + 1.0
@@ -77,14 +82,13 @@ def _equator_chart_data() -> ChartData:
 
     return ChartData(
         chart=chart,
-        omega=omega,
+        omega=_OMEGA,
         hamiltonian=hamiltonian,
         generator=generator,
         action=action,
-        liouville=liouville,
+        liouville=_momentum_liouville,
         metric=metric,
-        boundary_alpha=KForm(1, 4, alpha),
-        note="angle/height strip away from the poles",
+        boundary_alpha=KForm(1, 4, _alpha),
     )
 
 
@@ -106,19 +110,11 @@ def _cap_chart_data(name: str) -> ChartData:
         domain=(disc, cosphere),
         boundary=cosphere,
     )
-    omega = constant_form(2, 4, {(0, 2): -1.0, (1, 3): -1.0})
 
     def hamiltonian(jc):
         return jc[0] * jc[3] - jc[1] * jc[2]
 
     generator, action = circle_action({(0, 1): 1.0, (2, 3): 1.0})
-
-    def liouville(jc):
-        zero = jets.constant(0.0, jc[0])
-        return [zero, zero, jc[2], jc[3]]
-
-    def alpha(jc):
-        return {(0,): jc[2] * 1.0, (1,): jc[3] * 1.0}
 
     def metric(jc):
         a, b = jc[0], jc[1]
@@ -135,14 +131,13 @@ def _cap_chart_data(name: str) -> ChartData:
 
     return ChartData(
         chart=chart,
-        omega=omega,
+        omega=_OMEGA,
         hamiltonian=hamiltonian,
         generator=generator,
         action=action,
-        liouville=liouville,
+        liouville=_momentum_liouville,
         metric=metric,
-        boundary_alpha=KForm(1, 4, alpha),
-        note="tangent-plane cap around a pole",
+        boundary_alpha=KForm(1, 4, _alpha),
     )
 
 

@@ -82,6 +82,14 @@ def test_bad_tolerance_name_exits_two(capsys):
     assert "unknown check" in err
 
 
+@pytest.mark.parametrize("spec", ["disc_d4(1,2,3)", "disc_d4(m=1,q=2)"])
+def test_spec_arguments_not_matching_the_builder_exit_two(capsys, spec):
+    code, _, err = run(capsys, ["verify", spec])
+    assert code == 2
+    assert err.count("error:") == 1 and "Traceback" not in err
+    assert "disc_d4(m,n)" in err
+
+
 def test_missing_subcommand_argument_exits_two():
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify"])
@@ -304,6 +312,16 @@ def test_build_rejects_unknown_names_and_bad_syntax():
         registry.build("disc_d4")
     with pytest.raises(ValueError):
         registry.build("disc_d4(one,two)")
+
+
+def test_type_error_inside_a_builder_still_surfaces(monkeypatch):
+    def broken(m=1):
+        raise TypeError(f"broken inside at m={m}")
+
+    entry = registry.CatalogEntry("broken", broken, "broken(m)", "raises inside")
+    monkeypatch.setitem(registry.CATALOG, "broken", entry)
+    with pytest.raises(TypeError, match="broken inside"):
+        registry.build("broken(2)")
 
 
 def test_build_accepts_keyword_arguments():

@@ -33,19 +33,19 @@ def test_single_pit_minimum_matches_radial_oracle():
     # One hole at the origin: the potential is radial, so golden-section
     # search on r gives an independent value for the minimum.
     oracle = _golden_min(lambda r: 0.05 * r * r + np.log(r) ** 2, 0.5, 1.5)
-    pot = PitPotential(((0.0, 0.0),), 1.0)
+    pot = PitPotential(((0.0, 0.0),))
     assert pot.minimum == pytest.approx(oracle, abs=1e-10)
     assert pot.minimum == pytest.approx(0.047721114683, abs=1e-9)
 
 
 def test_two_pit_minimum_frozen():
-    pot = PitPotential(((-0.55, 0.0), (0.55, 0.0)), 1.0)
+    pot = PitPotential(((-0.55, 0.0), (0.55, 0.0)))
     assert pot.minimum == pytest.approx(0.033683633104, abs=1e-9)
 
 
 def test_far_holes_break_topology():
     with pytest.raises(BadStructureConstant):
-        PitPotential(((-3.0, 0.0), (3.0, 0.0)), 1.0)
+        PitPotential(((-3.0, 0.0), (3.0, 0.0)))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -65,9 +65,7 @@ def test_zero_height_slice_of_boundary_is_the_level_set():
     pts = np.array([[0.3, 0.0, 1.2, 0.4], [2.0, 0.0, -0.8, 0.9]])
     jc = jets.seed(pts, order=0)
     f = cd.chart.boundary(jc).value
-    from hamflow.planar import PitPotential as PP
-
-    pot = PP(((0.0, 0.0),), 1.0)
+    pot = PitPotential(((0.0, 0.0),))
     jxy = jets.seed(pts[:, 2:], order=0)
     f2 = pot.value(jxy[0], jxy[1]).value
     assert np.allclose(f, f2 - 0.5, atol=1e-14)
@@ -94,9 +92,7 @@ def test_bundle_boundary_function_is_c2_at_the_seam():
         return cd.chart.boundary(jets.seed(pts, order=0)).value
 
     # find an x where the potential crosses the seam value 0.4
-    from hamflow.planar import PitPotential as PP
-
-    pot = PP((), 1.0)
+    pot = PitPotential(())
     x_seam = np.sqrt(0.4 * 2 * 1.0 / 0.05)  # rescaled 0.05 x^2 / 2 = 0.4
     h = 1e-4
     xs = np.array([x_seam - h, x_seam, x_seam + h])
