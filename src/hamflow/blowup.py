@@ -109,7 +109,7 @@ def _lift(keep, scaled):
 
 
 def _far(scaled):
-    # core -> other core: off the other core's sphere
+    # core -> other core: |s|^2 large enough that 1/s lies in the other core's cap
     def valid(pts):
         return pts[:, scaled[0]] ** 2 + pts[:, scaled[1]] ** 2 >= V_HAND2
 
@@ -126,7 +126,7 @@ def _near_rim(keep, scaled):
 
 
 def _over_core(keep, scaled):
-    # rim -> core: inside the core band, away from the kept pair's zero set
+    # rim -> core: inside the core band, the lifted |s|^2 <= 1.38 inside the cap
     def valid(pts):
         zk = pts[:, keep[0]] ** 2 + pts[:, keep[1]] ** 2
         zs = pts[:, scaled[0]] ** 2 + pts[:, scaled[1]] ** 2

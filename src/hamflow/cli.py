@@ -116,7 +116,7 @@ def cmd_list(args) -> int:
     ]
     zoo = list(registry.ZOO)
     lines = ["catalog:"]
-    lines += [f"  {e['signature']:34s} {e['summary']}" for e in catalog]
+    lines += [f"  {e['signature']:40s} {e['summary']}" for e in catalog]
     lines.append("standard examples:")
     lines += [f"  {spec}" for spec in zoo]
     rows = [(spec, registry.CATALOG[spec.split("(", 1)[0]].summary) for spec in zoo]

@@ -80,7 +80,7 @@ CATALOG: dict[str, CatalogEntry] = {
         CatalogEntry(
             "disc_bundle_over_surface",
             _disc_bundle,
-            "disc_bundle_over_surface()",
+            "disc_bundle_over_surface(holes,collar)",
             "trivialized disc bundle with fiber rotation over a potential sublevel",
         ),
         CatalogEntry(
