@@ -56,11 +56,6 @@ def disc_d4(m: int = 1, n: int = 1) -> HamiltonianModel:
     def liouville(jc):
         return [jc[i] * 0.5 for i in range(4)]
 
-    def alpha(jc):
-        return {(0,): jc[1] * -0.5, (1,): jc[0] * 0.5, (2,): jc[3] * -0.5, (3,): jc[2] * 0.5}
-
-    from .forms import KForm
-
     cd = ChartData(
         chart=chart,
         omega=omega,
@@ -69,7 +64,6 @@ def disc_d4(m: int = 1, n: int = 1) -> HamiltonianModel:
         action=action,
         liouville=liouville,
         metric=identity_metric(4),
-        boundary_alpha=KForm(1, 4, alpha),
     )
     assert_moment(cd)
     return HamiltonianModel(
@@ -108,9 +102,6 @@ def s1_d3(k: int = 1, m: int = 0) -> HamiltonianModel:
         zero = jets.constant(0.0, jc[0])
         return [zero, jc[1] * 0.5, jc[2] * 0.5, jc[3]]
 
-    def alpha(jc):
-        return {(0,): jc[3] * 1.0, (1,): jc[2] * -0.5, (2,): jc[1] * 0.5}
-
     def metric(jc):
         # constant compatible metric whose gradient of the boundary function
         # is parallel to the expanding field, so collar flow signs track H
@@ -125,8 +116,6 @@ def s1_d3(k: int = 1, m: int = 0) -> HamiltonianModel:
             [zero, zero, zero, half],
         ]
 
-    from .forms import KForm
-
     cd = ChartData(
         chart=chart,
         omega=omega,
@@ -135,7 +124,6 @@ def s1_d3(k: int = 1, m: int = 0) -> HamiltonianModel:
         action=action,
         liouville=liouville,
         metric=metric,
-        boundary_alpha=KForm(1, 4, alpha),
     )
     assert_moment(cd)
     return HamiltonianModel(
@@ -174,11 +162,6 @@ def cotangent_t2(m1: int = 1, m2: int = 0) -> HamiltonianModel:
         zero = jets.constant(0.0, jc[0])
         return [zero, zero, jc[2], jc[3]]
 
-    def alpha(jc):
-        return {(0,): jc[2] * 1.0, (1,): jc[3] * 1.0}
-
-    from .forms import KForm
-
     cd = ChartData(
         chart=chart,
         omega=omega,
@@ -187,7 +170,6 @@ def cotangent_t2(m1: int = 1, m2: int = 0) -> HamiltonianModel:
         action=action,
         liouville=liouville,
         metric=identity_metric(4),
-        boundary_alpha=KForm(1, 4, alpha),
     )
     assert_moment(cd)
     return HamiltonianModel(

@@ -11,8 +11,9 @@ blown-down squared radius before the rim begins, so all charts agree
 exactly on their overlaps, the boundary inherits the round contact
 structure, and the expanding field near the boundary is radial.  The
 2-form still carries positive area on the core sphere, so no global
-primitive exists; each core chart stores its own primitive and the induced
-expanding field is chart-local.  Core metrics are the Kahler pairing of
+primitive exists; each core chart solves its expanding field from its own
+primitive, so the field, and the contact form i_Y omega it gives back, are
+chart-local.  Core metrics are the Kahler pairing of
 the 2-form with the standard complex structure, so compatibility is
 structural rather than tuned.
 """
@@ -272,7 +273,7 @@ def _core_chart_data(keep, scaled, hamiltonian, eps2, weights, flat: ChartData, 
         scale_form(exterior_derivative(psi), -1.0),
     )
     lam = add_forms(
-        add_forms(pullback(down, flat.boundary_alpha), _round_primitive(eps2, scaled)),
+        add_forms(pullback(down, flat.alpha()), _round_primitive(eps2, scaled)),
         scale_form(psi, -1.0),
     )
     w_keep, w_scaled = weights[keep], weights[scaled]
@@ -286,7 +287,6 @@ def _core_chart_data(keep, scaled, hamiltonian, eps2, weights, flat: ChartData, 
         action=action,
         liouville=_dual_liouville(lam, metric),
         metric=metric,
-        boundary_alpha=lam,
     )
 
 

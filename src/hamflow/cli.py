@@ -3,6 +3,8 @@
 Exit codes follow one contract everywhere: 0 means every requested check
 passed, 1 means a numerical check or integration failed, 2 means the request
 itself was bad (unknown model, malformed arguments, builder preconditions).
+A reader that closes the output pipe early (``hamflow list | head -1``)
+leaves the status as it is.
 All randomness descends from --seed through the documented per-check
 splitting rule, so repeated runs emit byte-identical reports.
 """
@@ -13,6 +15,7 @@ import argparse
 import csv
 import dataclasses
 import io
+import os
 import sys
 
 import numpy as np
@@ -54,7 +57,13 @@ def _emit(args, text: str) -> None:
             if not text.endswith("\n"):
                 fh.write("\n")
     else:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            # the reader has gone: keep the exit flush from failing again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
 
 
 def _render(args, lines, payload, header, rows) -> None:

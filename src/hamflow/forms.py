@@ -11,6 +11,8 @@ Each operator's body is a coefficient-level function (:func:`d_coeffs`,
 :func:`interior_coeffs`, :func:`wedge_coeffs`, :func:`pullback_coeffs`) that
 works on already evaluated coefficient dicts, field components or image
 jets; the lazy operator's closure only evaluates its operands and calls it.
+A caller pulling several forms back through one map seeds its images once
+(:func:`image_seed`).
 The Lie derivative exists only at this level, as :func:`lie_coeffs`.  A
 caller that needs several expressions built from one form (a form, its d and
 their wedge, or a pullback and the map's images) evaluates the form once and
@@ -204,25 +206,28 @@ def compose_jet(coeff: Jet, img: Sequence[Jet]) -> Jet:
     return Jet(value, grad, hess)
 
 
-def pullback_coeffs(form: KForm, img: Sequence[Jet], src_dim: int) -> Coeffs:
+def image_seed(img: Sequence[Jet]) -> list[Jet]:
+    """Target-chart jets freshly seeded at a map's image points, at the images' order."""
+    return J.seed(np.stack([j.value for j in img], axis=1), order=min(j.order for j in img))
+
+
+def pullback_coeffs(coeffs: Coeffs, img: Sequence[Jet], src_dim: int) -> Coeffs:
     """Coefficients of the pullback of a target-chart form, given the image jets.
 
-    ``img`` are the map's image coordinates as jets over the source chart.
-    The form's coefficients are evaluated on freshly seeded target jets at
-    the image points and composed back by the chain rule, so nested
-    pullbacks compose correctly.  Coefficient jets of the result sit one
-    derivative order below ``img`` (the Jacobian minors consume one order).
+    ``img`` are the map's image coordinates as jets over the source chart, and
+    ``coeffs`` the form's coefficients evaluated at :func:`image_seed` of them.
+    The coefficients are composed back by the chain rule, so nested pullbacks
+    compose correctly.  Coefficient jets of the result sit one derivative
+    order below ``img`` (the Jacobian minors consume one order).
     """
-    order = min(j.order for j in img) if img else 0
-    pts = np.stack([j.value for j in img], axis=1)
-    tj = J.seed(pts, order=max(order, 0))
-    coeffs = {idx: compose_jet(c, img) for idx, c in form.coefficients(tj).items()}
-    if form.degree == 0:
-        return coeffs
-    jac = [[img[i].partial(a) for a in range(src_dim)] for i in range(form.dim)]
+    composed = {idx: compose_jet(c, img) for idx, c in coeffs.items()}
+    degree = len(next(iter(coeffs), ()))
+    if degree == 0:
+        return composed
+    jac = [[img[i].partial(a) for a in range(src_dim)] for i in range(len(img))]
     out: Coeffs = {}
-    for tgt_idx, c in coeffs.items():
-        for src_idx in combinations(range(src_dim), form.degree):
+    for tgt_idx, c in composed.items():
+        for src_idx in combinations(range(src_dim), degree):
             rows = [[jac[i][a] for a in src_idx] for i in tgt_idx]
             minor = _det_jet(rows)
             _acc(out, src_idx, c * minor, 1)
@@ -234,7 +239,12 @@ def pullback(mapping, form: KForm) -> KForm:
     src_dim = mapping.source.dim
     if form.dim != mapping.target.dim:
         raise DimensionMismatch("form lives on a chart of different dimension than the map target")
-    return KForm(form.degree, src_dim, lambda jc: pullback_coeffs(form, mapping.forward(jc), src_dim))
+
+    def fn(jc: Sequence[Jet]) -> Coeffs:
+        img = mapping.forward(jc)
+        return pullback_coeffs(form.coefficients(image_seed(img)), img, src_dim)
+
+    return KForm(form.degree, src_dim, fn)
 
 
 def lie_bracket(v: VectorField, w: VectorField, dim: int) -> VectorField:

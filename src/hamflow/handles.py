@@ -47,18 +47,9 @@ FLARE_BASE = 1.0 / 3.0
 FLARE_GAIN = 0.08
 
 
-def _positive_cube(w: Jet) -> Jet:
-    """max(w, 0)^3 with two continuous derivatives at the joint."""
-    cube = w * w * w
-    mask = (w.value > 0.0).astype(float)
-    grad = None if cube.grad is None else mask[:, None] * cube.grad
-    hess = None if cube.hess is None else mask[:, None, None] * cube.hess
-    return Jet(mask * cube.value, grad, hess)
-
-
 def flare_profile(u: Jet) -> Jet:
     """Face half-width squared as a function of radial position squared."""
-    return _positive_cube((u - 0.5) * 2.0) * FLARE_GAIN + FLARE_BASE
+    return jets.positive_cube((u - 0.5) * 2.0) * FLARE_GAIN + FLARE_BASE
 
 
 def flare_profile_value(u: float) -> float:
@@ -106,14 +97,6 @@ def _saddle_chart_data(scale: float, kappa: float) -> ChartData:
     def liouville(jc):
         return [jc[0] * -1.0, jc[1] * -1.0, jc[2] * 2.0, jc[3] * 2.0]
 
-    def alpha(jc):
-        return {
-            (0,): jc[2] * (-2.0 * scale),
-            (1,): jc[3] * (-2.0 * scale),
-            (2,): jc[0] * -scale,
-            (3,): jc[1] * -scale,
-        }
-
     return ChartData(
         chart=chart,
         omega=omega,
@@ -122,7 +105,6 @@ def _saddle_chart_data(scale: float, kappa: float) -> ChartData:
         action=action,
         liouville=liouville,
         metric=identity_metric(4, scale=scale),
-        boundary_alpha=KForm(1, 4, alpha),
     )
 
 
@@ -179,14 +161,6 @@ def weinstein_1handle(m: int = 1) -> HamiltonianModel:
     def liouville(jc):
         return [jc[0] * 0.5, jc[1] * 0.5, jc[2] * 2.0, jc[3] * -1.0]
 
-    def alpha(jc):
-        return {
-            (0,): jc[1] * -0.5,
-            (1,): jc[0] * 0.5,
-            (2,): jc[3] * 1.0,
-            (3,): jc[2] * 2.0,
-        }
-
     cd = ChartData(
         chart=chart,
         omega=omega,
@@ -195,7 +169,6 @@ def weinstein_1handle(m: int = 1) -> HamiltonianModel:
         action=action,
         liouville=liouville,
         metric=identity_metric(4),
-        boundary_alpha=KForm(1, 4, alpha),
     )
     assert_moment(cd)
     return HamiltonianModel(

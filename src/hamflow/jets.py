@@ -263,6 +263,15 @@ def atan2(y: Jet, x: Jet) -> Jet:
     return Jet(val, grad, hess)
 
 
+def positive_cube(x: Jet) -> Jet:
+    """max(x, 0)^3, its derivatives masked to zero where x <= 0: C^2 at the joint."""
+    cube = x * x * x
+    mask = x.value > 0.0
+    grad = None if cube.grad is None else np.where(mask[:, None], cube.grad, 0.0)
+    hess = None if cube.hess is None else np.where(mask[:, None, None], cube.hess, 0.0)
+    return Jet(np.where(mask, cube.value, 0.0), grad, hess)
+
+
 # ----------------------------------------------------------------------
 # constructors
 

@@ -156,7 +156,6 @@ def compatible_structure(omega_mats: Array, metric_mats: Array) -> Array:
         raise DimensionMismatch(
             f"form and metric stacks differ in shape: {om.shape} vs {gm.shape}"
         )
-    d = om.shape[-1]
     sv = np.linalg.svd(om, compute_uv=False)
     scale = np.maximum(sv[:, 0], 1e-300)
     if np.any(sv[:, -1] / scale < 1e-10):
@@ -166,6 +165,6 @@ def compatible_structure(omega_mats: Array, metric_mats: Array) -> Array:
     # conjugate into the g-orthonormal frame, where A becomes skew
     b = g_sq @ a @ g_isq
     m = np.swapaxes(b, 1, 2) @ b
-    m_sq, m_isq = spd_sqrt_and_inv_sqrt(m)
+    _, m_isq = spd_sqrt_and_inv_sqrt(m)
     j_frame = b @ m_isq
     return g_isq @ j_frame @ g_sq

@@ -3,11 +3,13 @@
 A model bundles one or more coordinate charts, each carrying the same
 geometric package: the symplectic form, the moment map ("hamiltonian"), the
 circle-action generator, the action itself as a family of chart self-maps,
-and optionally a Liouville field, a compatible metric, and a stored boundary
-1-form.  Builders declare the circle action once, as a table of plane
-weights and coordinate speeds; :func:`circle_action` turns it into both the
-action and its generator, the action's derivative at angle 0.  Charts are
-glued by transitions (smooth maps with validity predicates);
+the Liouville field, and optionally a compatible metric.  The Liouville field
+is the one declaration of the contact structure: the boundary 1-form is its
+primitive alpha = i_Y omega (:func:`liouville_primitive`), never stored.
+Builders declare the circle action once, as a table of plane weights and
+coordinate speeds; :func:`circle_action` turns it into both the action and
+its generator, the action's derivative at angle 0.  Charts are glued by
+transitions (smooth maps with validity predicates);
 ``HamiltonianModel.transfers`` is the one way across them.  The structural
 identities tying all of this together are checked by :mod:`hamflow.verifier`,
 not assumed here; the per-sample residuals of the moment and expansion
@@ -48,9 +50,8 @@ class ChartData:
     hamiltonian: ScalarField
     generator: VectorField
     action: ActionFamily
-    liouville: VectorField | None = None
+    liouville: VectorField
     metric: MetricField | None = None
-    boundary_alpha: KForm | None = None
     kernel: VectorField | None = None
     kernel_complement: tuple[int, ...] | None = None
     liouville_domain: tuple[ScalarField, ...] = ()
@@ -74,12 +75,9 @@ class ChartData:
         return forms.metric_gradient(self.metric, self.hamiltonian, self.chart.dim)
 
     def alpha(self) -> KForm:
-        """Stored boundary 1-form, or the contraction of omega with Liouville."""
-        if self.boundary_alpha is not None:
-            return self.boundary_alpha
-        if self.liouville is None:
-            raise ValueError(f"chart {self.chart.name!r} has neither alpha nor Liouville field")
-        return forms.interior_product(self.liouville, self.omega)
+        """The Liouville primitive alpha = i_Y omega (see :func:`liouville_primitive`)."""
+        omega, y = self.omega, self.liouville
+        return KForm(1, omega.dim, lambda jc: liouville_primitive(y(jc), omega.coefficients(jc)))
 
 
 @dataclass
@@ -169,6 +167,15 @@ def moment_residual(cd: ChartData, jc: Sequence[Jet]) -> Array:
     contracted = forms.interior_coeffs(cd.generator(jc), cd.omega.coefficients(jc))
     dh = forms.d_coeffs({(): cd.hamiltonian(jc)}, cd.chart.dim)
     return forms.coeff_residual(contracted, {idx: -c for idx, c in dh.items()})
+
+
+def liouville_primitive(y: Sequence[Jet], omega: forms.Coeffs) -> forms.Coeffs:
+    """Coefficients of alpha = i_Y omega from evaluated Y and omega, in index order.
+
+    Index order keeps every later sum over alpha's terms (wedges, pullbacks,
+    pairings) in one fixed operand order, whatever order omega lists its terms.
+    """
+    return dict(sorted(forms.interior_coeffs(y, omega).items()))
 
 
 def liouville_residual(cd: ChartData, jc: Sequence[Jet]) -> Array:
@@ -282,7 +289,6 @@ def form_matrix_jets(form: KForm, jc: Sequence[Jet]) -> list[list[Jet]]:
 
 def contract_form(coeffs: dict, vectors: list[Array]) -> Array:
     """Evaluate a k-form (coefficient dict of jets) on k value vectors."""
-    k = len(vectors)
     n = vectors[0].shape[0]
     out = np.zeros(n)
     for idx, c in coeffs.items():

@@ -183,7 +183,7 @@ def free_action_planar(k: int = 1, holes=None) -> HamiltonianModel:
     R = pot.box_radius
 
     def membrane(jc):
-        t, s, x, y = jc
+        _, s, x, y = jc
         return s * s * 0.5 + pot.value(x, y) - 0.5
 
     chart = Chart(
@@ -211,10 +211,6 @@ def free_action_planar(k: int = 1, holes=None) -> HamiltonianModel:
         lap = pot.laplacian(jc[2], jc[3])
         return [zero, jc[1] * 1.0, f2.partial(2) / lap, f2.partial(3) / lap]
 
-    def alpha(jc):
-        f2 = pot.value(jc[2], jc[3])
-        return {(0,): jc[1] * 1.0, (2,): -f2.partial(3), (3,): f2.partial(2)}
-
     def metric(jc):
         one = jets.constant(1.0, jc[0])
         zero = jets.constant(0.0, jc[0])
@@ -234,7 +230,6 @@ def free_action_planar(k: int = 1, holes=None) -> HamiltonianModel:
         action=action,
         liouville=liouville,
         metric=metric,
-        boundary_alpha=KForm(1, 4, alpha),
     )
     assert_moment(cd)
     return HamiltonianModel(
@@ -250,15 +245,6 @@ def free_action_planar(k: int = 1, holes=None) -> HamiltonianModel:
             "boundary_circles": k,
         },
     )
-
-
-def _default_ramp(x: Jet) -> Jet:
-    cube = x * x * x
-    mask = x.value > 0.0
-    v = np.where(mask, cube.value, 0.0)
-    g = None if cube.grad is None else np.where(mask[:, None], cube.grad, 0.0)
-    h = None if cube.hess is None else np.where(mask[:, None, None], cube.hess, 0.0)
-    return Jet(v, g, h)
 
 
 def _check_ramp(ramp) -> None:
@@ -279,7 +265,7 @@ def disc_bundle_over_surface(holes=(), collar: float = 0.1, ramp=None) -> Hamilt
     """Fiber rotation of a disc bundle over a holed planar surface."""
     if not (0 < collar <= 0.3):
         raise BadRamp(f"collar width must lie in (0, 0.3], got {collar}")
-    ramp = ramp if ramp is not None else _default_ramp
+    ramp = ramp if ramp is not None else jets.positive_cube
     _check_ramp(ramp)
     holes = tuple((float(a), float(b)) for a, b in holes)
     pot = PitPotential(holes)
@@ -315,15 +301,6 @@ def disc_bundle_over_surface(holes=(), collar: float = 0.1, ramp=None) -> Hamilt
         lap = pot.laplacian(jc[0], jc[1])
         return [f2.partial(0) / lap, f2.partial(1) / lap, jc[2] * 0.5, jc[3] * 0.5]
 
-    def alpha(jc):
-        f2 = pot.value(jc[0], jc[1])
-        return {
-            (0,): -f2.partial(1),
-            (1,): f2.partial(0),
-            (2,): jc[3] * -0.5,
-            (3,): jc[2] * 0.5,
-        }
-
     def metric(jc):
         one = jets.constant(1.0, jc[0])
         zero = jets.constant(0.0, jc[0])
@@ -343,7 +320,6 @@ def disc_bundle_over_surface(holes=(), collar: float = 0.1, ramp=None) -> Hamilt
         action=action,
         liouville=liouville,
         metric=metric,
-        boundary_alpha=KForm(1, 4, alpha),
     )
     assert_moment(cd)
     return HamiltonianModel(

@@ -95,16 +95,6 @@ def _band_chart_data() -> ChartData:
             (0, 3): -(a1 * w2),
         }
 
-    def alpha(jc):
-        w1, w2 = jc[2], jc[3]
-        rho2 = w1 * w1 + w2 * w2
-        q = (rho2 + 1.0) / (rho2 * 2.0)
-        return {
-            (0,): conn(jc) * (rho2 + 1.0) * 0.5,
-            (2,): -(q * w2),
-            (3,): q * w1,
-        }
-
     def metric(jc):
         w1, w2 = jc[2], jc[3]
         rho2 = w1 * w1 + w2 * w2
@@ -129,7 +119,6 @@ def _band_chart_data() -> ChartData:
         action=_FIBER_ACTION,
         liouville=_fiber_liouville,
         metric=metric,
-        boundary_alpha=KForm(1, 4, alpha),
         liouville_domain=(_off_axis,),
     )
 
@@ -155,7 +144,7 @@ def _cap_chart_data(name: str, south: bool) -> ChartData:
         return (jc[1] * (-0.5 * sgn), jc[0] * (0.5 * sgn))
 
     def omega(jc):
-        a, b, w1, w2 = jc
+        w1, w2 = jc[2], jc[3]
         aa, ab = conn_ab(jc)
         rho2 = w1 * w1 + w2 * w2
         c2 = (rho2 + 1.0) * (0.5 * sgn)
@@ -168,21 +157,8 @@ def _cap_chart_data(name: str, south: bool) -> ChartData:
             (1, 3): -(w2 * ab),
         }
 
-    def alpha(jc):
-        w1, w2 = jc[2], jc[3]
-        aa, ab = conn_ab(jc)
-        rho2 = w1 * w1 + w2 * w2
-        q = (rho2 + 1.0) / (rho2 * 2.0)
-        half = (rho2 + 1.0) * 0.5
-        return {
-            (0,): half * aa,
-            (1,): half * ab,
-            (2,): -(q * w2),
-            (3,): q * w1,
-        }
-
     def metric(jc):
-        a, b, w1, w2 = jc
+        w1, w2 = jc[2], jc[3]
         aa, ab = conn_ab(jc)
         rho2 = w1 * w1 + w2 * w2
         c2 = (rho2 + 1.0) * 0.5
@@ -208,7 +184,6 @@ def _cap_chart_data(name: str, south: bool) -> ChartData:
         action=_FIBER_ACTION,
         liouville=_fiber_liouville,
         metric=metric,
-        boundary_alpha=KForm(1, 4, alpha),
         liouville_domain=(_off_axis,),
     )
 
@@ -262,11 +237,6 @@ def _total_chart_data(name: str, south: bool) -> ChartData:
         one = jets.constant(1.0, jc[0])
         return [zero, zero, -one, zero, one * 1.0]
 
-    def alpha(jc):
-        rho = jc[3]
-        half = (rho * rho + 1.0) * 0.5
-        return {(2,): half, (0,): half * conn(jc), (4,): half * 1.0}
-
     return ChartData(
         chart=chart,
         omega=KForm(2, 5, omega),
@@ -275,7 +245,6 @@ def _total_chart_data(name: str, south: bool) -> ChartData:
         action=action,
         liouville=liouville,
         metric=None,
-        boundary_alpha=KForm(1, 5, alpha),
         kernel=kernel,
         kernel_complement=(0, 1, 3, 4),
     )

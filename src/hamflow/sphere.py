@@ -15,7 +15,7 @@ import numpy as np
 
 from . import jets
 from .chart import Chart, SmoothMap
-from .forms import KForm, constant_form
+from .forms import constant_form
 from .model import (
     ChartData,
     HamiltonianModel,
@@ -37,10 +37,6 @@ _OMEGA = constant_form(2, 4, {(0, 2): -1.0, (1, 3): -1.0})
 def _momentum_liouville(jc):
     zero = jets.constant(0.0, jc[0])
     return [zero, zero, jc[2], jc[3]]
-
-
-def _alpha(jc):
-    return {(0,): jc[2] * 1.0, (1,): jc[3] * 1.0}
 
 
 def _equator_chart_data() -> ChartData:
@@ -88,7 +84,6 @@ def _equator_chart_data() -> ChartData:
         action=action,
         liouville=_momentum_liouville,
         metric=metric,
-        boundary_alpha=KForm(1, 4, _alpha),
     )
 
 
@@ -137,7 +132,6 @@ def _cap_chart_data(name: str) -> ChartData:
         action=action,
         liouville=_momentum_liouville,
         metric=metric,
-        boundary_alpha=KForm(1, 4, _alpha),
     )
 
 

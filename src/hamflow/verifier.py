@@ -9,39 +9,44 @@ reproducible and prefix-stable in the sample count:
   that direction and be nondegenerate on the complementary coordinates).
 * ``liouville``: the expanding field satisfies L_Y omega = omega.
 * ``hamiltonian``: the circle generator satisfies i_X omega = -dH.
-* ``invariance``: omega, H, the boundary 1-form, the expanding field, and
-  the metric are preserved by the action at equispaced angles.
+* ``invariance``: omega, H, the expanding field Y, its primitive
+  alpha = i_Y omega, and the metric are preserved by the action at
+  equispaced angles.
 * ``commutation``: [X, grad H] vanishes and X equals J grad H for the
   compatible pointwise complex structure.
-* ``contact_boundary``: on boundary samples, alpha wedge d(alpha) is
-  uniformly nonvanishing on the kernel of dF with a consistent sign, and
-  the expanding field crosses the boundary outward.
+* ``contact_boundary``: on boundary samples, alpha = i_Y omega has
+  alpha wedge d(alpha) uniformly nonvanishing on the kernel of dF with a
+  consistent sign, and the expanding field Y crosses the boundary outward.
 
 Each check seeds the lowest jet order it consumes; jet values never depend
 on the seeded order, and a missing order raises JetOrderError, so the order
 sets a check's cost, never its report.  ``invariance`` compares values only,
 so it seeds order 1 (a pullback's Jacobian minors, the action Jacobian and
-fields taking a partial inside each consume one), evaluates omega, alpha
-and H once per chart, and maps each batch once per angle, reusing the image
-jets for both pullbacks, H and the Jacobian.  ``hamiltonian`` seeds order 1
-too: dH consumes one order, and omega none on every catalog chart (a 2-form
-given as d of a primitive that takes a partial would raise JetOrderError).
-The other checks seed order 2: d of a form or a bracket of fields consumes
-one order on top of the partial some catalog forms and fields already take.
-The ``liouville`` and ``hamiltonian`` residuals are
-:func:`hamflow.model.liouville_residual` and
-:func:`hamflow.model.moment_residual`, which the builders' self-check shares.
-Each check evaluates a form once per batch and builds d, i_v, wedges and
-pullbacks from those coefficients with the coefficient-level operators of
-:mod:`hamflow.forms` (``liouville`` evaluates omega and Y once,
-``contact_boundary`` alpha and d(alpha) once).  A NaN or infinite residual
-fails its check (see :class:`CheckResult`).
+fields taking a partial inside each consume one).  It evaluates omega, Y, g
+and H once per chart, and maps and seeds each batch once per angle,
+evaluating omega, Y and g at the images once; alpha at either end is built
+from the evaluated omega and Y by :func:`hamflow.model.liouville_primitive`.
+``hamiltonian`` seeds order 1 too: dH consumes one order, and omega none on
+every catalog chart (a 2-form given as d of a primitive that takes a partial
+would raise JetOrderError).  The other checks seed order 2: d of a form or
+a bracket of fields consumes one order on top of the partial some catalog
+forms and fields already take.  The ``liouville`` and ``hamiltonian``
+residuals are :func:`hamflow.model.liouville_residual` and
+:func:`hamflow.model.moment_residual`, which the builders' self-check
+shares.  Each check evaluates a form once per batch and builds d, i_v,
+wedges and pullbacks from those coefficients with the coefficient-level
+operators of :mod:`hamflow.forms` (``liouville`` evaluates omega and Y
+once, and ``contact_boundary`` evaluates them once for alpha, d(alpha) and
+the outward test).  A NaN or infinite residual fails its check (see
+:class:`CheckResult`).
 
-Charts missing an ingredient are skipped with a reason; a check is marked
-skipped only when no chart could run it.  Fields declared valid away from a
-margin (``liouville_domain``) are checked only inside it, per the chart's
-own declaration.  Three deliberately corrupted builders at the bottom each
-fail exactly one check and pin down the checks' discriminating power.
+Every chart declares omega, H, the circle action and Y.  Charts without a
+metric, a boundary or samples inside their margin are skipped with a
+reason; a check is marked skipped only when no chart could run it.  Fields
+declared valid away from a margin (``liouville_domain``) are checked only
+inside it, per the chart's own declaration.  Three deliberately corrupted
+builders at the bottom each fail exactly one check and pin down the checks'
+discriminating power.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ from . import basic, forms, handles, jets
 from .chart import sample_boundary, sample_domain
 from .forms import KForm
 from .linalg import compatible_structure, nondegenerate
-from .model import HamiltonianModel, circle_action, contract_form, liouville_residual, moment_residual
+from .model import HamiltonianModel, circle_action, contract_form, liouville_primitive, liouville_residual, moment_residual
 
 Array = np.ndarray
 
@@ -301,9 +306,6 @@ def check_liouville(model: HamiltonianModel, spec: CheckSpec) -> CheckResult:
     skipped: list[str] = []
     for ci, cd in enumerate(model.charts):
         worst.chart = cd.chart.name
-        if cd.liouville is None:
-            skipped.append(f"chart {cd.chart.name!r}: no expanding field")
-            continue
         rng = _rng(spec.seed, "liouville", ci)
         pts = _sample_inside_margin(cd, spec.sample_count, rng)
         if pts.shape[0] == 0:
@@ -325,64 +327,52 @@ def check_hamiltonian(model: HamiltonianModel, spec: CheckSpec) -> CheckResult:
 
 
 def check_invariance(model: HamiltonianModel, spec: CheckSpec) -> CheckResult:
-    """Action invariance of omega and H, and of alpha, Y, g where present."""
+    """Action invariance of omega, H, alpha and Y, and of g where present."""
     worst = _Worst()
     notes: list[str] = []
     for ci, cd in enumerate(model.charts):
         worst.chart = cd.chart.name
         rng = _rng(spec.seed, "invariance", ci)
         pts = sample_domain(cd.chart, spec.sample_count, rng)
-        jc = jets.seed(pts, order=1)
-        omega0 = cd.omega.coefficients(jc)
-        h0 = cd.hamiltonian(jc).value
         mask = cd.inside_margin(pts)
-        mpts = pts[mask]
-        mjc = jets.seed(mpts, order=1) if mpts.shape[0] else None
-        if mpts.shape[0] < pts.shape[0]:
+        if not mask.all():
             notes.append(
-                f"chart {cd.chart.name!r}: field comparisons on {mpts.shape[0]} of {pts.shape[0]} samples inside the declared margin"
+                f"chart {cd.chart.name!r}: field comparisons on {int(mask.sum())} of {pts.shape[0]} samples inside the declared margin"
             )
-        alpha = alpha0 = None
-        if mjc is not None and (cd.boundary_alpha is not None or cd.liouville is not None):
-            alpha = cd.alpha()
-            alpha0 = alpha.coefficients(mjc)
-        y_vals = None
-        if cd.liouville is not None and mjc is not None:
-            y_vals = forms.field_values(cd.liouville, mjc)
-        g_vals = None
-        if cd.metric is not None and mjc is not None:
-            g_vals = forms.metric_matrix(cd.metric, mjc)
+        jc = jets.seed(pts, order=1)
+        h0 = cd.hamiltonian(jc).value
+        omega0, y0, g0 = _invariant_fields(cd, jc)
+        alpha0 = liouville_primitive(y0, omega0)
+        y0 = _values(y0)
         dim = cd.chart.dim
         for k in range(1, INVARIANCE_ANGLES + 1):
-            amap = cd.action_map(2 * np.pi * k / INVARIANCE_ANGLES)
-            img_full = amap.forward(jc)
-            pulled = forms.pullback_coeffs(cd.omega, img_full, dim)
-            worst.update(forms.coeff_residual(pulled, omega0), pts)
-            worst.update(np.abs(cd.hamiltonian(img_full).value - h0), pts)
-            if mjc is None or (alpha is None and y_vals is None and g_vals is None):
+            img = cd.action_map(2 * np.pi * k / INVARIANCE_ANGLES).forward(jc)
+            tj = forms.image_seed(img)
+            omega1, y1, g1 = _invariant_fields(cd, tj)
+            worst.update(forms.coeff_residual(forms.pullback_coeffs(omega1, img, dim), omega0), pts)
+            worst.update(np.abs(cd.hamiltonian(img).value - h0), pts)
+            if not mask.any():
                 continue
-            img_jets = amap.forward(mjc)
-            if alpha is not None:
-                pulled = forms.pullback_coeffs(alpha, img_jets, dim)
-                worst.update(forms.coeff_residual(pulled, alpha0), mpts)
-            if y_vals is None and g_vals is None:
-                continue
-            img_pts = cd.chart.wrap(np.stack([j.value for j in img_jets], axis=1))
-            jac = np.stack([j.grad for j in img_jets], axis=1)
-            keep = cd.inside_margin(img_pts)
-            if not keep.any():
-                continue
-            img_jc = jets.seed(img_pts[keep], order=1)
-            if y_vals is not None:
-                pushed = np.einsum("nij,nj->ni", jac, y_vals)[keep]
-                res = np.abs(pushed - forms.field_values(cd.liouville, img_jc)).max(axis=1)
-                worst.update(res, mpts[keep])
-            if g_vals is not None:
-                g_img = forms.metric_matrix(cd.metric, img_jc)
-                pulled = np.einsum("nji,njk,nkl->nil", jac[keep], g_img, jac[keep])
-                res = np.abs(pulled - g_vals[keep]).max(axis=(1, 2))
-                worst.update(res, mpts[keep])
+            pulled = forms.pullback_coeffs(liouville_primitive(y1, omega1), img, dim)
+            worst.update(forms.coeff_residual(pulled, alpha0)[mask], pts[mask])
+            keep = mask & cd.inside_margin(cd.chart.wrap(np.stack([j.value for j in tj], axis=1)))
+            jac = np.stack([j.grad for j in img], axis=1)[keep]
+            pushed = np.einsum("nij,nj->ni", jac, y0[keep])
+            worst.update(np.abs(pushed - _values(y1)[keep]).max(axis=1), pts[keep])
+            if g0 is not None:
+                pulled = np.einsum("nji,njk,nkl->nil", jac, g1[keep], jac)
+                worst.update(np.abs(pulled - g0[keep]).max(axis=(1, 2)), pts[keep])
     return _finish("invariance", spec, worst, True, [], notes)
+
+
+def _invariant_fields(cd, jc):
+    """omega's coefficients, Y's components and g's value matrix (or None) at ``jc``."""
+    g = None if cd.metric is None else forms.metric_matrix(cd.metric, jc)
+    return cd.omega.coefficients(jc), cd.liouville(jc), g
+
+
+def _values(comps) -> Array:
+    return np.stack([c.value for c in comps], axis=1)
 
 
 def check_commutation(model: HamiltonianModel, spec: CheckSpec) -> CheckResult:
@@ -427,9 +417,6 @@ def check_contact_boundary(model: HamiltonianModel, spec: CheckSpec) -> CheckRes
         if cd.chart.boundary is None:
             skipped.append(f"chart {cd.chart.name!r}: no boundary")
             continue
-        if cd.boundary_alpha is None and cd.liouville is None:
-            skipped.append(f"chart {cd.chart.name!r}: no boundary 1-form data")
-            continue
         rng = _rng(spec.seed, "contact_boundary", ci)
         pts = sample_boundary(cd.chart, spec.sample_count, rng, accept=cd.boundary_accept)
         keep = cd.inside_margin(pts)
@@ -438,16 +425,15 @@ def check_contact_boundary(model: HamiltonianModel, spec: CheckSpec) -> CheckRes
             continue
         pts = pts[keep]
         jc = jets.seed(pts, order=2)
-        alpha = cd.alpha()
-        fjet = cd.chart.boundary(jc)
-        grads = fjet.grad
+        y = cd.liouville(jc)
+        grads = cd.chart.boundary(jc).grad
         gnorm = np.linalg.norm(grads, axis=1)
         basis = np.linalg.svd(grads[:, None, :])[2][:, 1:, :]
         # orient each tangent frame against the outward normal so the
         # contact volume has a comparable sign across samples
         frame = np.concatenate([grads[:, None, :], basis], axis=1)
         basis[np.linalg.det(frame) < 0, -1, :] *= -1.0
-        a_co = alpha.coefficients(jc)
+        a_co = liouville_primitive(y, cd.omega.coefficients(jc))
         da_co = forms.d_coeffs(a_co, cd.chart.dim)
         vol = contract_form(
             forms.wedge_coeffs(a_co, da_co), [basis[:, i, :] for i in range(cd.chart.dim - 1)]
@@ -464,20 +450,15 @@ def check_contact_boundary(model: HamiltonianModel, spec: CheckSpec) -> CheckRes
         if signs.max() != signs.min():
             passed = False
             notes.append(f"chart {cd.chart.name!r}: contact volume changes sign")
-        if cd.liouville is not None:
-            y_vals = forms.field_values(cd.liouville, jc)
-            outward = np.einsum("nd,nd->n", grads, y_vals)
-            scale_y = np.maximum(gnorm * np.linalg.norm(y_vals, axis=1), 1e-300)
-            short_out = np.maximum(CONTACT_FLOOR - outward / scale_y, 0.0)
-            worst.update(short_out, pts)
-            if short_out.max() > 0:
-                passed = False
-                notes.append(f"chart {cd.chart.name!r}: expanding field not uniformly outward")
-        else:
-            notes.append(f"chart {cd.chart.name!r}: transversality untested, no expanding field")
-        notes.append(
-            f"chart {cd.chart.name!r}: min contact volume margin {margin_vol.min():.3e}"
-        )
+        y_vals = _values(y)
+        outward = np.einsum("nd,nd->n", grads, y_vals)
+        scale_y = np.maximum(gnorm * np.linalg.norm(y_vals, axis=1), 1e-300)
+        short_out = np.maximum(CONTACT_FLOOR - outward / scale_y, 0.0)
+        worst.update(short_out, pts)
+        if short_out.max() > 0:
+            passed = False
+            notes.append(f"chart {cd.chart.name!r}: expanding field not uniformly outward")
+        notes.append(f"chart {cd.chart.name!r}: min contact volume margin {margin_vol.min():.3e}")
     return _finish("contact_boundary", spec, worst, passed, skipped, notes)
 
 
@@ -514,7 +495,8 @@ def control_nonclosed_omega() -> HamiltonianModel:
     The added term g dx^dy with g = 0.02 h / (x^2 + y^2) has nonzero exterior
     derivative, yet scales exactly under the original expanding field and is
     killed by the translation generator, so only closedness breaks.  The
-    chart excludes a small tube around the symmetry axis where g blows up.
+    contact form i_Y omega follows the bent 2-form and stays a contact form.
+    The chart excludes a small tube around the symmetry axis where g blows up.
     """
     base = basic.s1_d3(1, 0)
     cd = base.charts[0]
@@ -543,8 +525,8 @@ def control_scaled_liouville() -> HamiltonianModel:
     """Ball model with the expanding field doubled.
 
     Doubling Y turns L_Y omega into 2 omega while staying equivariant and
-    outward, and the stored boundary 1-form is kept, so only the expansion
-    identity breaks.
+    outward; the contact form i_Y omega doubles with it and stays a contact
+    form, so only the expansion identity breaks.
     """
     base = basic.disc_d4(1, 1)
     cd = base.charts[0]
@@ -566,8 +548,8 @@ def control_unbalanced_handle() -> HamiltonianModel:
     """Handle block rotated with unequal plane weights.
 
     The weight-(1, 2) rotation still preserves the 2-form and its own moment
-    map, but the stored handle 1-form and the expanding field are built for
-    equal weights, so only the invariance check breaks.
+    map, but the expanding field, and so the contact form i_Y omega, are
+    built for equal weights, so only the invariance check breaks.
     """
     base = handles.weinstein_2handle()
     cd = base.charts[0]

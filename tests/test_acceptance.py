@@ -338,7 +338,7 @@ def test_c09_surgery_certificates():
     jc = jets.seed(pts, order=2)
     res = coeff_residual(
         pullback(phi, handles.contact_form_standard()).coefficients(jc),
-        pullback(emb, handles._saddle_chart_data(1.0, 1.0).boundary_alpha).coefficients(jc),
+        pullback(emb, handles._saddle_chart_data(1.0, 1.0).alpha()).coefficients(jc),
     )
     assert np.abs(res).max() < 1e-10
 
@@ -351,7 +351,7 @@ def test_c09_surgery_certificates():
     )
     jc = jets.seed(pts, order=2)
     res = coeff_residual(
-        pullback(nb.embed, base.charts[0].boundary_alpha).coefficients(jc),
+        pullback(nb.embed, base.charts[0].alpha()).coefficients(jc),
         handles.contact_form_standard().coefficients(jc),
     )
     assert np.abs(res).max() < 1e-10

@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +25,24 @@ def test_list_text_shows_catalog_and_examples(capsys):
     assert "disc_d4(m,n)" in out
     assert "prequantization_s2()" in out
     assert "attach_2handle(s1_d3(1,0))" in out
+
+
+def test_list_into_a_closed_pipe_keeps_its_status():
+    """A reader that has already closed the pipe (``hamflow list | head -0``)
+    costs the command neither its exit status nor a traceback."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hamflow.cli", "list"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0
+    assert b"Traceback" not in proc.stderr
 
 
 def test_list_json_is_machine_readable(capsys):

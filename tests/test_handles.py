@@ -77,7 +77,7 @@ def test_face_identification_exact():
         [rng.uniform(0, 2 * np.pi, 30), rng.uniform(-0.5, 0.5, (30, 2))]
     )
     jc = jets.seed(pts, order=2)
-    lam = handles._saddle_chart_data(1.0, 1.0).boundary_alpha
+    lam = handles._saddle_chart_data(1.0, 1.0).alpha()
     res = coeff_residual(
         pullback(phi, handles.contact_form_standard()).coefficients(jc),
         pullback(emb, lam).coefficients(jc),
@@ -108,7 +108,7 @@ def test_neighborhood_contact_identity(build):
     )
     jc = jets.seed(pts, order=2)
     res = coeff_residual(
-        pullback(nb.embed, base.charts[0].boundary_alpha).coefficients(jc),
+        pullback(nb.embed, base.charts[0].alpha()).coefficients(jc),
         handles.contact_form_standard().coefficients(jc),
     )
     assert np.abs(res).max() < 1e-12
@@ -145,8 +145,8 @@ def test_surgery_glues_exactly(build):
     h_base = bcd.hamiltonian(jets.seed(img, order=0)).value
     assert np.abs(h_handle - h_base).max() < 1e-9
     lam = coeff_residual(
-        pullback(to_base.map, bcd.boundary_alpha).coefficients(jc),
-        hcd.boundary_alpha.coefficients(jc),
+        pullback(to_base.map, bcd.alpha()).coefficients(jc),
+        hcd.alpha().coefficients(jc),
     )
     assert np.abs(lam).max() < 1e-10
     om = coeff_residual(

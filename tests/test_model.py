@@ -2,7 +2,8 @@
 self-check passes on every catalog chart and raises MomentMapMismatch on a
 scaled or partly non-finite generator; a 2-form that needs a second jet
 order raises JetOrderError at order 1 instead of giving a residual.  Every
-chart's generator is the derivative of its action at angle 0."""
+chart's generator is the derivative of its action at angle 0, and its
+contact form alpha = i_Y omega lists its terms in index order."""
 
 import dataclasses
 
@@ -54,7 +55,17 @@ def _primitive_chart() -> ChartData:
         hamiltonian=lambda jc: (jc[0] * jc[0] + jc[1] * jc[1]) * 0.5,
         generator=lambda jc: [jc[1] * -1.0, jc[0]],
         action=lambda theta: lambda jc: list(rotation(theta, jc[0], jc[1])),
+        liouville=lambda jc: [jc[0] * 0.5, jc[1] * 0.5],
     )
+
+
+@pytest.mark.parametrize("spec", registry.ZOO)
+def test_alpha_lists_its_terms_in_index_order(spec):
+    """Index order fixes the operand order of every later sum over alpha's terms."""
+    for cd in registry.build(spec).charts:
+        pts = self_check_points(cd, n=8)
+        keys = list(cd.alpha().coefficients(jets.seed(pts, order=1)))
+        assert keys == sorted(keys), cd.chart.name
 
 
 def test_moment_residual_raises_where_omega_needs_order_two():

@@ -3,18 +3,20 @@
 import numpy as np
 import pytest
 
-from hamflow import jets
+from hamflow import blowup, jets
+from hamflow.basic import disc_d4
 from hamflow.blowup import blowup_d4
-from hamflow.chart import sample_domain
+from hamflow.chart import SmoothMap, sample_domain
 from hamflow.errors import IneffectiveAction, SurfaceBlowupUnsupported
 from hamflow.forms import (
+    add_forms,
     coeff_residual,
     field_values,
     form_matrix,
-    interior_product,
     metric_gradient,
     metric_matrix,
     pullback,
+    scale_form,
 )
 from hamflow.linalg import compatible_structure, nondegenerate
 from hamflow.model import liouville_residual, moment_residual, self_check_points
@@ -51,13 +53,21 @@ def test_metric_is_spd_and_compatible(mod):
 
 
 def test_stored_alpha_is_omega_contraction(mod):
-    for cd in mod.charts:
+    # each core chart solves its Liouville field from the primitive lambda it
+    # builds: the flat primitive pulled back through the blow-down, plus the
+    # round primitive, minus the faded correction; so i_Y omega = lambda
+    flat = disc_d4(mod.params["m"], mod.params["n"]).charts[0]
+    eps2 = mod.params["size"] ** 2
+    rim = mod.charts[2].chart
+    for cd, (keep, scaled) in zip(mod.charts[:2], [((0, 1), (2, 3)), ((2, 3), (0, 1))]):
+        down = SmoothMap(cd.chart, rim, blowup._blowdown(keep, scaled))
+        lam = add_forms(
+            add_forms(pullback(down, flat.alpha()), blowup._round_primitive(eps2, scaled)),
+            scale_form(blowup._faded_primitive(eps2, keep, scaled), -1.0),
+        )
         pts = self_check_points(cd, n=32, seed=7)
         jc = jets.seed(pts, order=1)
-        res = coeff_residual(
-            interior_product(cd.liouville, cd.omega).coefficients(jc),
-            cd.boundary_alpha.coefficients(jc),
-        )
+        res = coeff_residual(cd.alpha().coefficients(jc), lam.coefficients(jc))
         assert np.abs(res).max() < 1e-12
 
 
@@ -96,8 +106,8 @@ def test_primitives_differ_by_angular_form(mod):
     inner, outer = mod.charts[:2]
     fwd = mod.transitions[0].map
     got = coeff_residual(
-        inner.boundary_alpha.coefficients(jc),
-        pullback(fwd, outer.boundary_alpha).coefficients(jc),
+        inner.alpha().coefficients(jc),
+        pullback(fwd, outer.alpha()).coefficients(jc),
     )
     eps2 = mod.params["size"] ** 2
     v2 = pts[:, 2] ** 2 + pts[:, 3] ** 2

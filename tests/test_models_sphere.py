@@ -57,8 +57,8 @@ def test_transition_pulls_back_omega_and_alpha(model, cap_idx, side):
     eq = model.charts[0]
     pulled_omega = forms.pullback(tr.map, cap.omega).coefficients(jc)
     assert forms.coeff_residual(pulled_omega, eq.omega.coefficients(jc)).max() < 1e-11
-    pulled_alpha = forms.pullback(tr.map, cap.boundary_alpha).coefficients(jc)
-    assert forms.coeff_residual(pulled_alpha, eq.boundary_alpha.coefficients(jc)).max() < 1e-11
+    pulled_alpha = forms.pullback(tr.map, cap.alpha()).coefficients(jc)
+    assert forms.coeff_residual(pulled_alpha, eq.alpha().coefficients(jc)).max() < 1e-11
 
 
 @pytest.mark.parametrize("cap_idx,side", [(1, +1.0), (2, -1.0)])

@@ -1,9 +1,10 @@
-"""Source hygiene of the hamflow package: no unused imports, parameters or private names.
+"""Source hygiene of the hamflow package: no unused imports, parameters, locals or private names.
 
 No linter is part of the toolchain, so this stdlib ``ast`` walk is the
 guard.  Every module except ``__init__.py`` (whose imports are the package's
 re-exports) must use each name it imports, and every function must read each
-of its parameters; ``self`` and names starting with ``_`` are exempt.  A
+of its parameters and each name it assigns or unpacks, itself or in a nested
+function; ``self`` and names starting with ``_`` are exempt.  A
 private module-level function, class or constant (one name with a leading
 underscore, not a dunder) must be read somewhere in the package, as a name,
 an attribute or an import.
@@ -62,6 +63,34 @@ def _ignored_parameters(tree: ast.Module) -> list[str]:
     return out
 
 
+def _own_scope(func):
+    """Nodes of a function's body, not descending into nested functions, lambdas or classes."""
+    todo = list(func.body)
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def _unread_locals(tree: ast.Module) -> list[str]:
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        loaded = {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+        stored: dict[str, int] = {}
+        for sub in _own_scope(node):
+            if isinstance(sub, (ast.Global, ast.Nonlocal)):
+                loaded |= set(sub.names)
+            elif isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store):
+                stored.setdefault(sub.id, sub.lineno)
+        for name, line in stored.items():
+            if not name.startswith("_") and name not in loaded:
+                out.append(f"{node.name}: {name} (line {line})")
+    return out
+
+
 def _private_definitions(tree: ast.Module) -> dict[str, int]:
     out = {}
     for node in tree.body:
@@ -107,3 +136,8 @@ def test_no_unused_imports(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_ignored_parameters(path):
     assert _ignored_parameters(ast.parse(path.read_text())) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unread_locals(path):
+    assert _unread_locals(ast.parse(path.read_text())) == []

@@ -160,7 +160,7 @@ REPORT_SHA256 = {
     "blowup_d4(1,-1,0.2)": "c03831096f9466d5f3aef089bee3d65e6fc3ab7060a3451196a116bc0015a5fd",
     "attach_2handle(s1_d3(1,0))": "9d9ea24c7a7de174852330dcd86bc25b2a5c69e8a0351d7aee399673c95c3c53",
     "control_nonclosed_omega": "f1270363aae73d8ffc56880ddc230264d081fb9446633ba08b9b1603ae7ccec5",
-    "control_scaled_liouville": "2d5898d29916417b42a19a21bf3225439666d2be925cf97a871f3e0ebc088ca6",
+    "control_scaled_liouville": "52296e13524d1ea30607f1546794f80fec8544dc7a16493d14d456b7b3fae8cc",
     "control_unbalanced_handle": "3281656e6c69f305d3afba14e60154423e85df39abe0ed4b6d3898292f00922d",
 }
 
@@ -193,7 +193,6 @@ def test_values_do_not_depend_on_seeded_order(spec):
     for ci, cd in enumerate(registry.build(spec).charts):
         pts = sample_domain(cd.chart, 12, np.random.default_rng([3, ci]))
         mpts = pts[cd.inside_margin(pts)]
-        has_alpha = cd.boundary_alpha is not None or cd.liouville is not None
         probes = [
             (pts, lambda jc: cd.hamiltonian(jc).value),
             (pts, cd.omega.coefficients),
@@ -202,12 +201,9 @@ def test_values_do_not_depend_on_seeded_order(spec):
         for theta in (2 * np.pi / 16, np.pi, 2 * np.pi * 11 / 16):
             amap = cd.action_map(theta)
             probes.append((pts, forms.pullback(amap, cd.omega).coefficients))
-            if has_alpha:
-                probes.append((mpts, forms.pullback(amap, cd.alpha()).coefficients))
-        if has_alpha:
-            probes.append((mpts, cd.alpha().coefficients))
-        if cd.liouville is not None:
-            probes.append((mpts, lambda jc: forms.field_values(cd.liouville, jc)))
+            probes.append((mpts, forms.pullback(amap, cd.alpha()).coefficients))
+        probes.append((mpts, cd.alpha().coefficients))
+        probes.append((mpts, lambda jc: forms.field_values(cd.liouville, jc)))
         if cd.metric is not None:
             probes.append((mpts, lambda jc: forms.metric_matrix(cd.metric, jc)))
         for points, fn in probes:
@@ -249,18 +245,17 @@ def test_nonfinite_residual_fails_closed(spec, chart_index):
     assert not doc["overall"]
 
 
-@pytest.mark.parametrize("field", ["liouville", "boundary_alpha"])
+@pytest.mark.parametrize("field", ["liouville", "omega"])
 def test_nonfinite_contact_shortfall_fails(field):
     model = registry.build("disc_d4(1,1)")
     cd = model.charts[0]
     if field == "liouville":
         broken = _with_field(model, 0, liouville=_poisoned_field(cd.liouville))
     else:
-        alpha = cd.boundary_alpha
         poisoned = forms.KForm(
-            1, 4, lambda jc: {k: c * _poison(jc) for k, c in alpha.coefficients(jc).items()}
+            2, 4, lambda jc: {k: c * _poison(jc) for k, c in cd.omega.coefficients(jc).items()}
         )
-        broken = _with_field(model, 0, boundary_alpha=poisoned)
+        broken = _with_field(model, 0, omega=poisoned)
     res = verifier.check_contact_boundary(broken, RunConfig(samples=60).spec_for("contact_boundary"))
     assert res.passed is False
     assert res.max_residual == NONFINITE_RESIDUAL
