@@ -351,8 +351,6 @@ def check_invariance(model: HamiltonianModel, spec: CheckSpec) -> CheckResult:
             omega1, y1, g1 = _invariant_fields(cd, tj)
             worst.update(forms.coeff_residual(forms.pullback_coeffs(omega1, img, dim), omega0), pts)
             worst.update(np.abs(cd.hamiltonian(img).value - h0), pts)
-            if not mask.any():
-                continue
             pulled = forms.pullback_coeffs(liouville_primitive(y1, omega1), img, dim)
             worst.update(forms.coeff_residual(pulled, alpha0)[mask], pts[mask])
             keep = mask & cd.inside_margin(cd.chart.wrap(np.stack([j.value for j in tj], axis=1)))
