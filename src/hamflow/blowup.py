@@ -28,7 +28,7 @@ from . import jets
 from .basic import disc_d4
 from .chart import Chart, SmoothMap
 from .errors import SurfaceBlowupUnsupported
-from .forms import KForm, add_forms, exterior_derivative, pullback, scale_form
+from .forms import KForm, _acc, d_coeffs, image_seed, pullback_coeffs
 from .jets import Jet
 from .linalg import solve_spd_jet
 from .model import (
@@ -136,7 +136,7 @@ def _over_core(keep, scaled):
     return valid
 
 
-def _fubini_study(scale2: float, pair) -> KForm:
+def _fubini_study(scale2: float, pair):
     i, j = pair
 
     def coeffs(jc):
@@ -144,10 +144,10 @@ def _fubini_study(scale2: float, pair) -> KForm:
         den = (r2 + 1.0) * (r2 + 1.0)
         return {(i, j): 2.0 * scale2 / den}
 
-    return KForm(2, 4, coeffs)
+    return coeffs
 
 
-def _round_primitive(scale2: float, pair) -> KForm:
+def _round_primitive(scale2: float, pair):
     i, j = pair
 
     def coeffs(jc):
@@ -155,7 +155,7 @@ def _round_primitive(scale2: float, pair) -> KForm:
         q = scale2 / (r2 + 1.0)
         return {(i,): -(q * jc[j]), (j,): q * jc[i]}
 
-    return KForm(1, 4, coeffs)
+    return coeffs
 
 
 def _fade(njet: Jet) -> Jet:
@@ -179,7 +179,7 @@ def _freeze_dead(r2: Jet, live) -> Jet:
     return Jet(val, grad, hess)
 
 
-def _faded_primitive(scale2: float, keep, scaled) -> KForm:
+def _faded_primitive(scale2: float, keep, scaled):
     """Primitive of the sphere-area correction, ramped off before the rim.
 
     Away from the core sphere the correction is exact, with a blown-down
@@ -205,7 +205,25 @@ def _faded_primitive(scale2: float, keep, scaled) -> KForm:
             (d,): qf * jc[c],
         }
 
-    return KForm(1, 4, coeffs)
+    return coeffs
+
+
+def _corrected(down, flat_coeffs, term, correction):
+    """Coefficients of a flat form pulled back through ``down``, plus ``term``, minus ``correction``.
+
+    The three are summed in that order into one dict per batch.
+    """
+
+    def coeffs(jc):
+        img = down(jc)
+        out = pullback_coeffs(flat_coeffs(image_seed(img)), img, 4)
+        for idx, c in term(jc).items():
+            _acc(out, idx, c, 1)
+        for idx, c in correction(jc).items():
+            _acc(out, idx, c * -1.0, 1)
+        return out
+
+    return coeffs
 
 
 def _kahler_metric(omega: KForm):
@@ -220,10 +238,10 @@ def _kahler_metric(omega: KForm):
     return metric
 
 
-def _dual_liouville(lam: KForm, metric):
+def _dual_liouville(lam, metric):
     def field(jc):
         g = metric(jc)
-        coeffs = lam.coefficients(jc)
+        coeffs = lam(jc)
         zero = jc[0] * 0.0
         lvec = [coeffs.get((i,), zero) for i in range(4)]
         rhs = [
@@ -241,13 +259,16 @@ _CORE_NAMES = {
 }
 
 
-def _core_chart_data(keep, scaled, hamiltonian, eps2, weights, flat: ChartData, rim: Chart):
+def _core_chart_data(keep, scaled, hamiltonian, eps2, weights, flat: ChartData):
     """Core chart keeping the pair ``keep``; everything but H follows from the pair.
 
     Its domain stops short of the rim band and caps the scaled pair.  The
     flat forms pull back through the blow-down, the same map as the
-    transition to the rim.  The kept pair turns with its flat weight, the
-    scaled pair with the difference of the two flat weights ``weights``.
+    transition to the rim; omega and the primitive lambda that Y is solved
+    from each add their sphere term and subtract the faded correction in
+    one coefficient function (:func:`_corrected`).  The kept pair turns
+    with its flat weight, the scaled pair with the difference of the two
+    flat weights ``weights``.
     """
     name, coords = _CORE_NAMES[keep]
 
@@ -266,16 +287,11 @@ def _core_chart_data(keep, scaled, hamiltonian, eps2, weights, flat: ChartData, 
         box_hi=box_hi,
         domain=(rim_gap, cap),
     )
-    down = SmoothMap(chart, rim, _blowdown(keep, scaled))
+    down = _blowdown(keep, scaled)
     psi = _faded_primitive(eps2, keep, scaled)
-    omega = add_forms(
-        add_forms(pullback(down, flat.omega), _fubini_study(eps2, scaled)),
-        scale_form(exterior_derivative(psi), -1.0),
-    )
-    lam = add_forms(
-        add_forms(pullback(down, flat.alpha()), _round_primitive(eps2, scaled)),
-        scale_form(psi, -1.0),
-    )
+    fs, rp = _fubini_study(eps2, scaled), _round_primitive(eps2, scaled)
+    omega = KForm(2, 4, _corrected(down, flat.omega.coefficients, fs, lambda jc: d_coeffs(psi(jc), 4)))
+    lam = _corrected(down, flat.alpha().coefficients, rp, psi)
     w_keep, w_scaled = weights[keep], weights[scaled]
     generator, action = circle_action({keep: w_keep, scaled: w_scaled - w_keep})
     metric = _kahler_metric(omega)
@@ -292,13 +308,13 @@ def _core_chart_data(keep, scaled, hamiltonian, eps2, weights, flat: ChartData, 
 
 def blowup_d4(m: int = 1, n: int = -1, size: float = 0.2) -> HamiltonianModel:
     """Blow up the origin of a weight-(m, n) rotated 4-ball."""
-    m, n = int(m), int(n)
     if m == 0 or n == 0:
         raise SurfaceBlowupUnsupported(
             "a zero weight fixes a whole coordinate plane through the center; "
             "blowing up a point of a fixed surface is not supported"
         )
     effective_weights(m, n)
+    m, n = int(m), int(n)
     if not (0 < size <= 0.3):
         raise ValueError(f"size must lie in (0, 0.3], got {size}")
     eps2 = float(size) ** 2
@@ -332,7 +348,7 @@ def blowup_d4(m: int = 1, n: int = -1, size: float = 0.2) -> HamiltonianModel:
     weights = {(0, 1): fm, (2, 3): fn}
     pairs = [((0, 1), (2, 3)), ((2, 3), (0, 1))]
     cores = [
-        _core_chart_data(keep, scaled, ham, eps2, weights, flat, rim)
+        _core_chart_data(keep, scaled, ham, eps2, weights, flat)
         for (keep, scaled), ham in zip(pairs, (ham_inner, ham_outer))
     ]
     charts = cores + [dataclasses.replace(flat, chart=rim)]

@@ -16,14 +16,6 @@ class JetOrderError(HamflowError):
     """A derivative order was requested that the jet does not carry."""
 
 
-class DegreeOverflow(HamflowError):
-    """Operation would produce a form of degree above the supported range."""
-
-
-class DegreeUnderflow(HamflowError):
-    """Operation would produce a form of negative degree."""
-
-
 class DimensionMismatch(HamflowError):
     """Operands live on charts of incompatible dimension."""
 

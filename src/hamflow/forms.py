@@ -1,26 +1,19 @@
-"""Exterior calculus over jets.
+"""Exterior calculus over jets, at the coefficient level.
 
-A :class:`KForm` of degree k on a d-dimensional chart is represented by a
-coefficient function: given the seeded coordinate jets of a point batch, it
-returns ``{sorted index tuple: Jet}`` for the strictly increasing multi-indices
-with nonzero coefficient.  All operators below build new coefficient functions
-by closure, so forms compose lazily and every evaluation carries whatever
-derivative order the input jets support.
+A form of degree k on a d-dimensional chart is evaluated as a coefficient
+dict: given the seeded coordinate jets of a point batch, ``{sorted index
+tuple: Jet}`` for the strictly increasing multi-indices with nonzero
+coefficient.  The operators work on already evaluated dicts, field
+components or image jets (:func:`d_coeffs`, :func:`interior_coeffs`,
+:func:`wedge_coeffs`, :func:`lie_coeffs`, :func:`pullback_coeffs`), so every
+result carries whatever derivative order its inputs support.  A caller
+evaluates each form once and builds d, contractions, wedges, Lie
+derivatives and pullbacks from those coefficients; one pulling several
+forms back through one map seeds its images once (:func:`image_seed`).
 
-Each operator's body is a coefficient-level function (:func:`d_coeffs`,
-:func:`interior_coeffs`, :func:`wedge_coeffs`, :func:`pullback_coeffs`) that
-works on already evaluated coefficient dicts, field components or image
-jets; the lazy operator's closure only evaluates its operands and calls it.
-A caller pulling several forms back through one map seeds its images once
-(:func:`image_seed`).
-The Lie derivative exists only at this level, as :func:`lie_coeffs`.  A
-caller that needs several expressions built from one form (a form, its d and
-their wedge, or a pullback and the map's images) evaluates the form once and
-calls these functions directly, with the same arithmetic as the lazy route.
-
-Degrees 0 through 4 are supported on charts of dimension up to 6, which covers
-2-forms, their exterior derivatives, volume checks omega ^ omega, and contact
-3-forms alpha ^ d(alpha).
+A :class:`KForm` names a form field: its degree, its chart dimension and its
+coefficient function.  Builders declare omega as one; any composition of
+forms is written as one coefficient function over the operators above.
 """
 
 from __future__ import annotations
@@ -32,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import jets as J
-from .errors import DegreeOverflow, DegreeUnderflow, DimensionMismatch
+from .errors import DimensionMismatch
 from .jets import Jet
 from .linalg import solve_spd_jet, solve_spd_values
 
@@ -42,31 +35,19 @@ VectorField = Callable[[Sequence[Jet]], list[Jet]]
 MetricField = Callable[[Sequence[Jet]], list[list[Jet]]]
 ScalarField = Callable[[Sequence[Jet]], Jet]
 
-MAX_DEGREE = 4
-
 
 class KForm:
-    """Differential form of fixed degree with lazily evaluated coefficients."""
+    """A form field: its degree, its chart dimension and its coefficient function."""
 
     __slots__ = ("degree", "dim", "_fn")
 
     def __init__(self, degree: int, dim: int, coeff_fn: Callable[[Sequence[Jet]], Coeffs]):
-        if degree < 0:
-            raise DegreeUnderflow(f"form degree {degree} below zero")
-        if degree > MAX_DEGREE:
-            raise DegreeOverflow(f"form degree {degree} above supported {MAX_DEGREE}")
-        if not (1 <= dim <= 6):
-            raise DimensionMismatch(f"chart dimension {dim} outside 1..6")
         self.degree = degree
         self.dim = dim
         self._fn = coeff_fn
 
     def coefficients(self, jet_coords: Sequence[Jet]) -> Coeffs:
         return self._fn(jet_coords)
-
-    def at(self, points: Array, order: int = 0) -> Coeffs:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return self.coefficients(J.seed(pts, order=order))
 
 
 def _insert_index(idx: tuple[int, ...], j: int) -> tuple[int, tuple[int, ...]]:
@@ -149,26 +130,6 @@ def lie_coeffs(comps: Sequence[Jet], coeffs: Coeffs, dim: int) -> Coeffs:
     return out
 
 
-def exterior_derivative(form: KForm) -> KForm:
-    if form.degree >= MAX_DEGREE:
-        raise DegreeOverflow(f"d on degree-{form.degree} form exceeds degree {MAX_DEGREE}")
-    return KForm(form.degree + 1, form.dim, lambda jc: d_coeffs(form.coefficients(jc), form.dim))
-
-
-def interior_product(v: VectorField, form: KForm) -> KForm:
-    if form.degree == 0:
-        raise DegreeUnderflow("interior product of a 0-form")
-    return KForm(form.degree - 1, form.dim, lambda jc: interior_coeffs(v(jc), form.coefficients(jc)))
-
-
-def wedge(a: KForm, b: KForm) -> KForm:
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"wedge of forms on dims {a.dim} and {b.dim}")
-    if a.degree + b.degree > MAX_DEGREE:
-        raise DegreeOverflow(f"wedge degree {a.degree + b.degree} above {MAX_DEGREE}")
-    return KForm(a.degree + b.degree, a.dim, lambda jc: wedge_coeffs(a.coefficients(jc), b.coefficients(jc)))
-
-
 def _det_jet(rows: list[list[Jet]]) -> Jet:
     k = len(rows)
     if k == 1:
@@ -232,19 +193,6 @@ def pullback_coeffs(coeffs: Coeffs, img: Sequence[Jet], src_dim: int) -> Coeffs:
             minor = _det_jet(rows)
             _acc(out, src_idx, c * minor, 1)
     return out
-
-
-def pullback(mapping, form: KForm) -> KForm:
-    """Pullback of a form on the target chart through a smooth map (see :func:`pullback_coeffs`)."""
-    src_dim = mapping.source.dim
-    if form.dim != mapping.target.dim:
-        raise DimensionMismatch("form lives on a chart of different dimension than the map target")
-
-    def fn(jc: Sequence[Jet]) -> Coeffs:
-        img = mapping.forward(jc)
-        return pullback_coeffs(form.coefficients(image_seed(img)), img, src_dim)
-
-    return KForm(form.degree, src_dim, fn)
 
 
 def lie_bracket(v: VectorField, w: VectorField, dim: int) -> VectorField:
@@ -334,26 +282,6 @@ def coeff_residual(a: Coeffs, b: Coeffs) -> Array:
             diff = np.abs(b[k].value)
         res = diff if res is None else np.maximum(res, diff)
     return res
-
-
-def scale_form(form: KForm, factor: float) -> KForm:
-    def fn(jc: Sequence[Jet]) -> Coeffs:
-        return {k: c * factor for k, c in form.coefficients(jc).items()}
-
-    return KForm(form.degree, form.dim, fn)
-
-
-def add_forms(a: KForm, b: KForm) -> KForm:
-    if a.degree != b.degree or a.dim != b.dim:
-        raise DimensionMismatch("can only add forms of equal degree and dimension")
-
-    def fn(jc: Sequence[Jet]) -> Coeffs:
-        out = dict(a.coefficients(jc))
-        for idx, c in b.coefficients(jc).items():
-            _acc(out, idx, c, 1)
-        return out
-
-    return KForm(a.degree, a.dim, fn)
 
 
 def constant_form(degree: int, dim: int, entries: dict[tuple[int, ...], float]) -> KForm:

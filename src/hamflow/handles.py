@@ -132,8 +132,8 @@ def weinstein_1handle(m: int = 1) -> HamiltonianModel:
 
     Its faces at y2 = +-1 are gluing faces.
     """
-    m = int(m)
     effective_weights(m)
+    m = int(m)
     fm = float(m)
 
     def round_face(jc):

@@ -259,11 +259,17 @@ def identity_metric(dim: int, scale: float = 1.0) -> MetricField:
 
 
 def effective_weights(*weights: int) -> None:
-    """Require integer weights generating an effective circle action."""
+    """Require integer weights generating an effective circle action.
+
+    A non-integer weight is a ValueError: its rotation has no period 2 pi.
+    """
     import math
 
     from .errors import IneffectiveAction
 
+    for w in weights:
+        if not float(w).is_integer():
+            raise ValueError(f"weight {w} is not an integer: the action would not have period 2 pi")
     ws = [int(w) for w in weights]
     if all(w == 0 for w in ws):
         raise IneffectiveAction(f"weights {tuple(ws)} act trivially")

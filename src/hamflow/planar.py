@@ -176,9 +176,9 @@ def _resolve_holes(k: int, holes) -> tuple[tuple[float, float], ...]:
 
 def free_action_planar(k: int = 1, holes=None) -> HamiltonianModel:
     """Free circle model: loop times a k-boundary planar surface, thickened."""
+    if not float(k).is_integer() or k < 1:
+        raise ValueError(f"k must be an integer of at least 1, got {k}")
     k = int(k)
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
     pot = PitPotential(_resolve_holes(k, holes))
     R = pot.box_radius
 

@@ -34,10 +34,10 @@ forms and fields already take.  The ``liouville`` and ``hamiltonian``
 residuals are :func:`hamflow.model.liouville_residual` and
 :func:`hamflow.model.moment_residual`, which the builders' self-check
 shares.  Each check evaluates a form once per batch and builds d, i_v,
-wedges and pullbacks from those coefficients with the coefficient-level
-operators of :mod:`hamflow.forms` (``liouville`` evaluates omega and Y
-once, and ``contact_boundary`` evaluates them once for alpha, d(alpha) and
-the outward test).  A NaN or infinite residual fails its check (see
+wedges and pullbacks from those coefficients with the operators of
+:mod:`hamflow.forms`, which all work on evaluated coefficients
+(``liouville`` evaluates omega and Y once, and ``contact_boundary``
+evaluates them once for alpha, d(alpha) and the outward test).  A NaN or infinite residual fails its check (see
 :class:`CheckResult`).
 
 Every chart declares omega, H, the circle action and Y.  Charts without a

@@ -4,8 +4,9 @@ Everything here works on plain float callables with central finite
 differences, or on plain Python lists, deliberately sharing no code with
 the package it checks.  The exceptions are the point-cloud oracles, which
 take each pair's distance from ``Chart.distance`` over the whole distance
-matrix at once, and the reference integrator, which evaluates the model's
-own fields and returns a ``flow.FlowResult``.
+matrix at once, the reference integrator, which evaluates the model's
+own fields and returns a ``flow.FlowResult``, and :func:`pulled_back`, which
+states a pullback through a map in the package's coefficient-level terms.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from hamflow import jets
 from hamflow.errors import ImmediateExit, StiffFlow
 from hamflow.flow import FlowResult
-from hamflow.forms import field_values
+from hamflow.forms import field_values, image_seed, pullback_coeffs
 
 Scalar = Callable[[np.ndarray], float]
 
@@ -51,6 +52,12 @@ def fd_hessian(f: Scalar, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
             ) / (4 * step**2)
             h[i, j] = h[j, i] = mixed
     return h
+
+
+def pulled_back(m, coeffs_fn, jc):
+    """Coefficients at seeded source jets ``jc`` of a target-chart form pulled back through ``m``."""
+    img = m.forward(jc)
+    return pullback_coeffs(coeffs_fn(image_seed(img)), img, m.source.dim)
 
 
 def brute_force_decompositions(genus: int) -> list[tuple[int, int]]:

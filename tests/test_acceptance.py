@@ -21,9 +21,11 @@ from hamflow.basic import disc_d4, s1_d3
 from hamflow.blowup import blowup_d4
 from hamflow.chart import sample_boundary, sample_domain
 from hamflow.errors import ImmediateExit
-from hamflow.forms import coeff_residual, field_values, pullback
+from hamflow.forms import coeff_residual, field_values
 from hamflow.model import enumerate_decompositions
 from hamflow.verifier import RunConfig, run_all
+
+from oracles import pulled_back
 
 _notes: dict[int, str] = {}
 
@@ -337,8 +339,8 @@ def test_c09_surgery_certificates():
     )
     jc = jets.seed(pts, order=2)
     res = coeff_residual(
-        pullback(phi, handles.contact_form_standard()).coefficients(jc),
-        pullback(emb, handles._saddle_chart_data(1.0, 1.0).alpha()).coefficients(jc),
+        pulled_back(phi, handles.contact_form_standard().coefficients, jc),
+        pulled_back(emb, handles._saddle_chart_data(1.0, 1.0).alpha().coefficients, jc),
     )
     assert np.abs(res).max() < 1e-10
 
@@ -351,7 +353,7 @@ def test_c09_surgery_certificates():
     )
     jc = jets.seed(pts, order=2)
     res = coeff_residual(
-        pullback(nb.embed, base.charts[0].alpha()).coefficients(jc),
+        pulled_back(nb.embed, base.charts[0].alpha().coefficients, jc),
         handles.contact_form_standard().coefficients(jc),
     )
     assert np.abs(res).max() < 1e-10

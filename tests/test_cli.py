@@ -98,6 +98,14 @@ def test_ineffective_weights_exit_two(capsys):
     assert "IneffectiveAction" in err
 
 
+def test_non_integer_weight_exits_two(capsys):
+    """A weight-1.5 rotation has no period 2*pi; it is refused, not checked as weight 1."""
+    code, out, err = run(capsys, ["verify", "disc_d4(1.5,1)"])
+    assert code == 2
+    assert out == ""
+    assert "1.5" in err and "Traceback" not in err
+
+
 def test_bad_tolerance_name_exits_two(capsys):
     code, _, err = run(capsys, ["verify", "disc_d4(1,1)", "--tol", "bogus=1.0"])
     assert code == 2
@@ -334,6 +342,22 @@ def test_build_rejects_unknown_names_and_bad_syntax():
         registry.build("disc_d4")
     with pytest.raises(ValueError):
         registry.build("disc_d4(one,two)")
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "disc_d4(1.5,1)",
+        "s1_d3(1.5,0)",
+        "cotangent_t2(1.5,1)",
+        "weinstein_1handle(1.5)",
+        "blowup_d4(1.5,-1,0.2)",
+        "free_action_planar(1.5)",
+    ],
+)
+def test_build_refuses_non_integer_weights_and_counts(spec):
+    with pytest.raises(ValueError, match="1.5"):
+        registry.build(spec)
 
 
 def test_type_error_inside_a_builder_still_surfaces(monkeypatch):

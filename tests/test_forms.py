@@ -1,4 +1,4 @@
-"""Exterior calculus identities: d^2 = 0, Cartan's formula, functoriality."""
+"""Exterior calculus identities at the coefficient level: d^2 = 0, Cartan's formula, functoriality."""
 
 from __future__ import annotations
 
@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 
 from hamflow import forms, jets, registry
 from hamflow.chart import Chart, SmoothMap, sample_domain
-from hamflow.errors import DegreeOverflow, DegreeUnderflow
 
-from oracles import lie_derivative_poly_form
+from oracles import lie_derivative_poly_form, pulled_back
 
 
 def _chart(dim: int, name: str = "c") -> Chart:
@@ -26,7 +25,7 @@ def _chart(dim: int, name: str = "c") -> Chart:
     )
 
 
-def _poly_one_form(dim: int) -> forms.KForm:
+def _poly_one_form(dim: int):
     """alpha = x0^2 x1 dx0 + sin(x1) dx1 + x0 x_(d-1) dx_(d-1)."""
 
     def fn(jc):
@@ -37,7 +36,7 @@ def _poly_one_form(dim: int) -> forms.KForm:
         }
         return out
 
-    return forms.KForm(1, dim, fn)
+    return fn
 
 
 def test_exterior_derivative_frozen_example():
@@ -45,10 +44,8 @@ def test_exterior_derivative_frozen_example():
     def fn(jc):
         return {(0,): jc[0].sq() * jc[1], (1,): jc[0] * jc[1]}
 
-    alpha = forms.KForm(1, 2, fn)
-    da = forms.exterior_derivative(alpha)
     pts = np.array([[0.7, -1.2], [0.3, 0.4]])
-    coeffs = da.at(pts, order=1)
+    coeffs = forms.d_coeffs(fn(jets.seed(pts, order=1)), 2)
     assert set(coeffs) == {(0, 1)}
     expected = pts[:, 1] - pts[:, 0] ** 2
     assert np.allclose(coeffs[(0, 1)].value, expected, atol=1e-14)
@@ -58,9 +55,8 @@ def test_d_squared_vanishes():
     rng = np.random.default_rng(11)
     for dim in (2, 3, 4, 6):
         alpha = _poly_one_form(dim)
-        dda = forms.exterior_derivative(forms.exterior_derivative(alpha))
         pts = rng.uniform(-1.5, 1.5, size=(100, dim))
-        coeffs = dda.at(pts, order=2)
+        coeffs = forms.d_coeffs(forms.d_coeffs(alpha(jets.seed(pts, order=2)), dim), dim)
         for c in coeffs.values():
             assert np.abs(c.value).max() < 1e-10
 
@@ -77,29 +73,14 @@ def test_interior_product_same_vector_twice_vanishes():
             (2, 3): jets.constant(1.0, jc[0]),
         }
 
-    omega = forms.KForm(2, dim, omega_fn)
-
     def v(jc):
         return [jc[1] * jc[2], jets.sin(jc[0]), jc[3] + 2.0, jc[0] - jc[1]]
 
-    twice = forms.interior_product(v, forms.interior_product(v, omega))
     pts = rng.uniform(-1.0, 1.0, size=(60, dim))
-    coeffs = twice.at(pts)
+    jc = jets.seed(pts, order=0)
+    coeffs = forms.interior_coeffs(v(jc), forms.interior_coeffs(v(jc), omega_fn(jc)))
     for c in coeffs.values():
         assert np.abs(c.value).max() < 1e-12
-
-
-def test_interior_product_underflow_and_d_overflow():
-    def scalar(jc):
-        return {(): jc[0]}
-
-    zero_form = forms.KForm(0, 4, scalar)
-    with pytest.raises(DegreeUnderflow):
-        forms.interior_product(lambda jc: list(jc), zero_form)
-
-    top = forms.constant_form(4, 4, {(0, 1, 2, 3): 1.0})
-    with pytest.raises(DegreeOverflow):
-        forms.exterior_derivative(top)
 
 
 def test_wedge_antisymmetry_and_volume():
@@ -111,20 +92,17 @@ def test_wedge_antisymmetry_and_volume():
     def b_fn(jc):
         return {(1,): jc[0].sq(), (3,): jets.constant(2.0, jc[0])}
 
-    a = forms.KForm(1, dim, a_fn)
-    b = forms.KForm(1, dim, b_fn)
-    ab = forms.wedge(a, b)
-    ba = forms.wedge(b, a)
     pts = np.random.default_rng(2).uniform(-1, 1, size=(30, dim))
-    ca, cb = ab.at(pts), ba.at(pts)
+    jc = jets.seed(pts, order=0)
+    ca = forms.wedge_coeffs(a_fn(jc), b_fn(jc))
+    cb = forms.wedge_coeffs(b_fn(jc), a_fn(jc))
     assert set(ca) == set(cb)
     for k in ca:
         assert np.allclose(ca[k].value, -cb[k].value, atol=1e-13)
 
     # omega ^ omega of the standard form doubles the volume coefficient
-    omega = forms.constant_form(2, 4, {(0, 1): 1.0, (2, 3): 1.0})
-    vol = forms.wedge(omega, omega)
-    cv = vol.at(pts)
+    omega = forms.constant_form(2, 4, {(0, 1): 1.0, (2, 3): 1.0}).coefficients(jc)
+    cv = forms.wedge_coeffs(omega, omega)
     assert np.allclose(cv[(0, 1, 2, 3)].value, 2.0, atol=1e-14)
 
 
@@ -144,9 +122,8 @@ def test_pullback_polar_coordinates():
 
     to_cart = SmoothMap(source=polar, target=cart, forward=fwd)
     area = forms.constant_form(2, 2, {(0, 1): 1.0})
-    pulled = forms.pullback(to_cart, area)
     pts = np.array([[0.5, 1.0], [1.7, 4.2]])
-    coeffs = pulled.at(pts, order=1)
+    coeffs = pulled_back(to_cart, area.coefficients, jets.seed(pts, order=1))
     assert np.allclose(coeffs[(0, 1)].value, pts[:, 0], atol=1e-13)
 
 
@@ -170,18 +147,12 @@ def test_pullback_functoriality():
     def omega_fn(jc):
         return {(0, 1): jc[0] + jc[1].sq() + 2.0}
 
-    omega = forms.KForm(2, 2, omega_fn)
-    lhs = forms.pullback(m_comp, omega)
-    rhs = forms.pullback(m_phi, forms.pullback(m_psi, omega))
     pts = np.random.default_rng(8).uniform(-1, 1, size=(50, 2))
     jc = jets.seed(pts, order=2)
-    res = forms.coeff_residual(lhs.coefficients(jc), rhs.coefficients(jc))
+    lhs = pulled_back(m_comp, omega_fn, jc)
+    rhs = pulled_back(m_phi, lambda jc_b: pulled_back(m_psi, omega_fn, jc_b), jc)
+    res = forms.coeff_residual(lhs, rhs)
     assert res.max() < 1e-11
-
-
-def _lie_form(v, form: forms.KForm) -> forms.KForm:
-    """L_v of a form, as a lazy KForm over ``forms.lie_coeffs``."""
-    return forms.KForm(form.degree, form.dim, lambda jc: forms.lie_coeffs(v(jc), form.coefficients(jc), form.dim))
 
 
 def _rk4_flow_map(v, tau, chart):
@@ -217,16 +188,13 @@ def test_cartan_formula_against_flow_pullback():
             (1, 2): jets.cos(jc[0]),
         }
 
-    omega = forms.KForm(2, dim, omega_fn)
-    lie = _lie_form(v, omega)
     tau = 1e-4
     flow = _rk4_flow_map(v, tau, chart)
-    pulled = forms.pullback(flow, omega)
     pts = np.random.default_rng(4).uniform(-1, 1, size=(40, dim))
     jc = jets.seed(pts, order=2)
-    lie_c = lie.coefficients(jc)
-    pulled_c = pulled.coefficients(jc)
-    base_c = omega.coefficients(jc)
+    base_c = omega_fn(jc)
+    lie_c = forms.lie_coeffs(v(jc), base_c, dim)
+    pulled_c = pulled_back(flow, omega_fn, jc)
     for k in lie_c:
         fd = (pulled_c[k].value - base_c[k].value) / tau
         scale = 1.0 + np.abs(lie_c[k].value)
@@ -317,8 +285,8 @@ def _poly_jet(terms, jc):
     return acc
 
 
-def _as_kform(poly_form, dim, degree):
-    return forms.KForm(degree, dim, lambda jc: {k: _poly_jet(p, jc) for k, p in poly_form.items()})
+def _as_coeffs(poly_form):
+    return lambda jc: {k: _poly_jet(p, jc) for k, p in poly_form.items()}
 
 
 def _as_field(polys):
@@ -346,27 +314,25 @@ def _assert_close(a, b, keys, rtol=1e-9):
 @settings(max_examples=40, deadline=None)
 @given(case=_form_case(max_degree=2))
 def test_d_squared_vanishes_on_polynomial_forms(case):
-    dim, degree, poly_form, pts = case
-    form = _as_kform(poly_form, dim, degree)
-    dd = forms.exterior_derivative(forms.exterior_derivative(form))
-    for c in dd.coefficients(jets.seed(pts, order=2)).values():
+    dim, _, poly_form, pts = case
+    form = _as_coeffs(poly_form)
+    dd = forms.d_coeffs(forms.d_coeffs(form(jets.seed(pts, order=2)), dim), dim)
+    for c in dd.values():
         assert np.abs(c.value).max() <= 1e-9
 
 
 @settings(max_examples=40, deadline=None)
 @given(case=_form_case(max_degree=3), data=st.data())
 def test_cartan_formula_on_polynomial_forms(case, data):
-    dim, degree, poly_form, pts = case
+    dim, _, poly_form, pts = case
     field = [data.draw(_poly(dim)) for _ in range(dim)]
-    form = _as_kform(poly_form, dim, degree)
     jc = jets.seed(pts, order=2)
     expected = lie_derivative_poly_form(field, poly_form, dim, pts)
-    lazy = _lie_form(_as_field(field), form).coefficients(jc)
-    comps, coeffs = _as_field(field)(jc), form.coefficients(jc)
+    comps, coeffs = _as_field(field)(jc), _as_coeffs(poly_form)(jc)
     cartan = forms.interior_coeffs(comps, forms.d_coeffs(coeffs, dim))
     for idx, c in forms.d_coeffs(forms.interior_coeffs(comps, coeffs), dim).items():
         cartan[idx] = cartan[idx] + c if idx in cartan else c
-    for lie in (lazy, cartan, forms.lie_coeffs(comps, coeffs, dim)):
+    for lie in (cartan, forms.lie_coeffs(comps, coeffs, dim)):
         assert set(lie) <= set(expected)
         _assert_close(_values(lie, expected), expected, expected)
 
@@ -377,10 +343,10 @@ def test_pullback_commutes_with_d_on_polynomial_maps(case, data):
     dim, degree, poly_form, pts = case
     comps = [data.draw(_poly(dim)) for _ in range(dim)]
     mapping = SmoothMap(source=_chart(dim, "src"), target=_chart(dim, "tgt"), forward=_as_field(comps))
-    form = _as_kform(poly_form, dim, degree)
+    form = _as_coeffs(poly_form)
     jc = jets.seed(pts, order=2)
-    lhs = forms.pullback(mapping, forms.exterior_derivative(form)).coefficients(jc)
-    rhs = forms.exterior_derivative(forms.pullback(mapping, form)).coefficients(jc)
+    lhs = pulled_back(mapping, lambda jc_t: forms.d_coeffs(form(jc_t), dim), jc)
+    rhs = forms.d_coeffs(pulled_back(mapping, form, jc), dim)
     keys = list(combinations(range(dim), degree + 1))
     _assert_close(_values(lhs, keys), _values(rhs, keys), keys)
 
@@ -390,12 +356,12 @@ def test_pullback_commutes_with_d_on_polynomial_maps(case, data):
 def test_wedge_antisymmetry_on_polynomial_forms(dim, data):
     p = data.draw(st.integers(1, min(3, dim - 1)))
     q = data.draw(st.integers(1, min(4, dim) - p))
-    a = _as_kform(data.draw(_poly_form(dim, p)), dim, p)
-    b = _as_kform(data.draw(_poly_form(dim, q)), dim, q)
+    a = _as_coeffs(data.draw(_poly_form(dim, p)))
+    b = _as_coeffs(data.draw(_poly_form(dim, q)))
     pts = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=6 * dim, max_size=6 * dim)))
     jc = jets.seed(pts.reshape(6, dim), order=2)
-    ab = forms.wedge(a, b).coefficients(jc)
-    ba = forms.wedge(b, a).coefficients(jc)
+    ab = forms.wedge_coeffs(a(jc), b(jc))
+    ba = forms.wedge_coeffs(b(jc), a(jc))
     keys = list(combinations(range(dim), p + q))
     sign = -1.0 if (p * q) % 2 else 1.0
     flipped = {k: sign * v for k, v in _values(ba, keys).items()}

@@ -10,9 +10,9 @@ from hamflow import handles, jets, registry
 from hamflow.basic import cotangent_t2, disc_d4, s1_d3
 from hamflow.chart import sample_domain
 from hamflow.errors import CollarTooDeep, IneffectiveAction, NotLegendrian, UnsupportedBase
-from hamflow.forms import coeff_residual, field_values, pullback
+from hamflow.forms import coeff_residual, field_values
 from hamflow.model import liouville_residual, moment_residual, self_check_points
-from oracles import one_handle_flow, rk4_endpoint
+from oracles import one_handle_flow, pulled_back, rk4_endpoint
 
 
 def test_block_identities():
@@ -79,8 +79,8 @@ def test_face_identification_exact():
     jc = jets.seed(pts, order=2)
     lam = handles._saddle_chart_data(1.0, 1.0).alpha()
     res = coeff_residual(
-        pullback(phi, handles.contact_form_standard()).coefficients(jc),
-        pullback(emb, lam).coefficients(jc),
+        pulled_back(phi, handles.contact_form_standard().coefficients, jc),
+        pulled_back(emb, lam.coefficients, jc),
     )
     assert np.abs(res).max() < 1e-12
 
@@ -108,7 +108,7 @@ def test_neighborhood_contact_identity(build):
     )
     jc = jets.seed(pts, order=2)
     res = coeff_residual(
-        pullback(nb.embed, base.charts[0].alpha()).coefficients(jc),
+        pulled_back(nb.embed, base.charts[0].alpha().coefficients, jc),
         handles.contact_form_standard().coefficients(jc),
     )
     assert np.abs(res).max() < 1e-12
@@ -145,12 +145,12 @@ def test_surgery_glues_exactly(build):
     h_base = bcd.hamiltonian(jets.seed(img, order=0)).value
     assert np.abs(h_handle - h_base).max() < 1e-9
     lam = coeff_residual(
-        pullback(to_base.map, bcd.alpha()).coefficients(jc),
+        pulled_back(to_base.map, bcd.alpha().coefficients, jc),
         hcd.alpha().coefficients(jc),
     )
     assert np.abs(lam).max() < 1e-10
     om = coeff_residual(
-        pullback(to_base.map, bcd.omega).coefficients(jc),
+        pulled_back(to_base.map, bcd.omega.coefficients, jc),
         hcd.omega.coefficients(jc),
     )
     assert np.abs(om).max() < 1e-10

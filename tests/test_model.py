@@ -48,10 +48,12 @@ def _primitive_chart() -> ChartData:
     The primitive's coefficient takes a partial, so omega consumes one jet
     order and d(H) another.
     """
-    primitive = forms.KForm(1, 2, lambda jc: {(1,): jc[0] * jc[0].partial(0)})
+    def primitive(jc):
+        return {(1,): jc[0] * jc[0].partial(0)}
+
     return ChartData(
         chart=Chart("square", ("x", "y"), (False, False), (-1.0, -1.0), (1.0, 1.0)),
-        omega=forms.exterior_derivative(primitive),
+        omega=forms.KForm(2, 2, lambda jc: forms.d_coeffs(primitive(jc), 2)),
         hamiltonian=lambda jc: (jc[0] * jc[0] + jc[1] * jc[1]) * 0.5,
         generator=lambda jc: [jc[1] * -1.0, jc[0]],
         action=lambda theta: lambda jc: list(rotation(theta, jc[0], jc[1])),

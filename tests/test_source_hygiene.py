@@ -7,7 +7,8 @@ of its parameters and each name it assigns or unpacks, itself or in a nested
 function; ``self`` and names starting with ``_`` are exempt.  A
 private module-level function, class or constant (one name with a leading
 underscore, not a dunder) must be read somewhere in the package, as a name,
-an attribute or an import.
+an attribute or an import.  Every error class in ``errors.py`` but the base
+``HamflowError`` must be raised somewhere in the package.
 """
 
 from __future__ import annotations
@@ -141,3 +142,23 @@ def test_no_ignored_parameters(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unread_locals(path):
     assert _unread_locals(ast.parse(path.read_text())) == []
+
+
+def _raised_names() -> set[str]:
+    """Class names the package raises, called or bare, as names or attributes."""
+    seen: set[str] = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, (ast.Name, ast.Attribute)):
+                    seen.add(exc.id if isinstance(exc, ast.Name) else exc.attr)
+    return seen
+
+
+def test_every_error_class_is_raised():
+    tree = ast.parse((SRC / "errors.py").read_text())
+    classes = [n.name for n in tree.body if isinstance(n, ast.ClassDef) and n.name != "HamflowError"]
+    assert classes
+    raised = _raised_names()
+    assert [name for name in classes if name not in raised] == []
