@@ -68,6 +68,28 @@ def solve_spd_values(mat: Array, rhs: Array) -> Array:
     return b
 
 
+def congruence(jac: Array, m: Array) -> Array:
+    """Jᵀ M J per row, for stacks ``jac`` of shape ``(n, t, a)`` and ``m`` of ``(n, t, t)``.
+
+    Bitwise ``np.einsum("nji,njk,nkl->nil", jac, m, jac)``, unoptimised: each
+    product is ``(jac[n,t,a] * m[n,t,u]) * jac[n,u,b]``, and the t·u products
+    are added to a zeroed result one at a time in t-major order, as the einsum
+    does.  ``jac.T @ m @ jac``, u-major order or a pairwise sum (what
+    ``.sum(axis=0)`` does when the other axes hold one element) each move the
+    last bits.  The batch axis sits innermost, so each step works on
+    contiguous rows.  Like the einsum, it stays silent on non-finite products.
+    """
+    j = np.ascontiguousarray(np.moveaxis(jac, 0, -1))  # (t, a, n)
+    mm = np.ascontiguousarray(np.moveaxis(m, 0, -1))  # (t, u, n)
+    t, a, n = j.shape
+    out = np.zeros((a, a, n))
+    with np.errstate(invalid="ignore", over="ignore"):
+        prod = (j[:, None, :, None, :] * mm[:, :, None, None, :]) * j[None, :, None, :, :]
+        for p in prod.reshape(t * t, a, a, n):
+            out += p
+    return np.ascontiguousarray(np.moveaxis(out, -1, 0))
+
+
 def pfaffian(mats: Array) -> Array:
     """Pfaffian of a batch of antisymmetric matrices, dimensions 2, 4 or 6.
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hamflow import jets, linalg
@@ -76,6 +76,63 @@ def test_value_solve_matches_jet_solve_bitwise(seed, n, d):
     got = linalg.solve_spd_values(spd, rhs)
     assert got.tobytes() == _jet_solve_values(spd, rhs).tobytes()
     assert np.allclose(got, np.linalg.solve(spd, rhs[:, :, None])[:, :, 0])
+
+
+_SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+
+
+def _layout(x, kind):
+    """The same values as ``x`` in another memory layout."""
+    doubled = np.repeat(x, 2, axis=0)
+    if kind == "rows":  # fancy-indexed rows, as ``g1[keep]``
+        return doubled[np.arange(x.shape[0]) * 2]
+    if kind == "strided":
+        return doubled[::2]
+    if kind == "transposed":
+        return np.swapaxes(np.swapaxes(x, 1, 2).copy(), 1, 2)
+    if kind == "fortran":
+        return np.asfortranarray(x)
+    return x
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    t=st.integers(min_value=1, max_value=6),
+    a=st.integers(min_value=1, max_value=6),
+    square=st.booleans(),
+    n=st.sampled_from([0, 1, 7, 500]) | st.integers(min_value=0, max_value=40),
+    layouts=st.tuples(*[st.sampled_from(["plain", "rows", "strided", "transposed", "fortran"])] * 2),
+    special=st.sampled_from([0.0, 0.1, 0.5]),
+    scale=st.sampled_from([1.0, 1e150, 1e-160]),
+)
+def test_congruence_matches_three_operand_einsum(seed, t, a, square, n, layouts, special, scale):
+    """Jᵀ M J is bitwise both unoptimised einsums it replaces, in any input layout.
+
+    The einsums see C-ordered copies, as at their call sites: their own
+    summation order follows the operands' strides, so a transposed or
+    Fortran-ordered metric moves their bits.  Non-finite outputs must have
+    NaN where the einsums do.  One shape is left out: a single row with a
+    2 x 1 Jacobian, whose lone sum the einsum groups by t (no chart is
+    one-dimensional).
+    """
+    a = t if square else a
+    assume((n, a, t) != (1, 1, 2))
+    rng = np.random.default_rng(seed)
+    jac = rng.normal(size=(n, t, a)) * scale
+    m = rng.normal(size=(n, t, t))
+    for arr in (jac, m):
+        hit = rng.random(arr.shape) < special
+        arr[hit] = rng.choice(_SPECIALS, size=int(hit.sum()))
+    got = linalg.congruence(_layout(jac, layouts[0]), _layout(m, layouts[1]))
+    for want in (
+        np.einsum("nji,njk,nkl->nil", jac, m, jac),
+        np.einsum("ntu,nta,nub->nab", m, jac, jac),
+    ):
+        assert got.shape == want.shape == (n, a, a)
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
 @pytest.mark.parametrize("pivot", [0.0, -1.0, 1e-15])

@@ -11,10 +11,11 @@ import pytest
 
 from hamflow import forms, jets, registry, verifier
 from hamflow.chart import sample_domain
+from hamflow.errors import JetOrderError
+from hamflow.forms import pullback_coeffs
 from hamflow.model import moment_residual
 from hamflow.verifier import NONFINITE_RESIDUAL, CheckSpec, RunConfig, run_all
 
-from oracles import pulled_back
 
 
 QUICK = RunConfig(samples=120)
@@ -190,29 +191,71 @@ def _assert_same_values(a, b):
         assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("spec", registry.ZOO)
+# (chart, field) pairs that take a partial, so seeding order 0 raises JetOrderError
+ORDER_1_FIELDS = {
+    **{f"free_action_planar({k})": {("shell", "Y")} for k in (1, 2, 3)},
+    "disc_bundle_over_surface()": {("bundle", "Y")},
+    "blowup_d4(1,-1,0.2)": {(c, f) for c in ("inner", "outer") for f in ("omega", "Y", "g")},
+}
+
+MODELS = {spec: partial(registry.build, spec) for spec in registry.ZOO}
+MODELS.update({name: builder for name, (_, builder) in verifier.CONTROLS.items()})
+
+
+def _pulled_back(m, coeffs_fn, pts, order):
+    """A form pulled back through ``m``, seeded at ``order`` at the images; the map's jets carry at least order 1."""
+    img = m.forward(jets.seed(pts, order=max(order, 1)))
+    tj = jets.seed(np.stack([j.value for j in img], axis=1), order=order)
+    return pullback_coeffs(coeffs_fn(tj), img, m.source.dim)
+
+
+@pytest.mark.parametrize("spec", list(MODELS))
 def test_values_do_not_depend_on_seeded_order(spec):
-    """Order-1 jets (the invariance and hamiltonian checks) give the order-2 values bitwise."""
-    for ci, cd in enumerate(registry.build(spec).charts):
+    """Order-0 and order-1 jets give the order-2 values bitwise wherever they evaluate.
+
+    The invariance check reads H, omega, Y and g at order 0 where they
+    evaluate there, and the hamiltonian check reads order 1.  Exactly the
+    pinned (chart, field) pairs of ORDER_1_FIELDS raise JetOrderError at
+    order 0, so a builder that starts reading a partial fails here.
+    """
+    raised = set()
+    for ci, cd in enumerate(MODELS[spec]().charts):
         pts = sample_domain(cd.chart, 12, np.random.default_rng([3, ci]))
         mpts = pts[cd.inside_margin(pts)]
+
+        def seeded(field):
+            return lambda p, k: field(jets.seed(p, order=k))
+
+        # (field name, or None for a derived probe; the fields it reads; points; probe)
         probes = [
-            (pts, lambda jc: cd.hamiltonian(jc).value),
-            (pts, cd.omega.coefficients),
-            (pts, lambda jc: moment_residual(cd, jc)),
+            ("H", ("H",), pts, seeded(lambda jc: cd.hamiltonian(jc).value)),
+            ("omega", ("omega",), pts, seeded(cd.omega.coefficients)),
+            ("Y", ("Y",), mpts, seeded(lambda jc: forms.field_values(cd.liouville, jc))),
+            (None, ("omega", "Y"), mpts, seeded(cd.alpha().coefficients)),
         ]
+        if cd.metric is not None:
+            probes.append(("g", ("g",), mpts, seeded(lambda jc: forms.metric_matrix(cd.metric, jc))))
         for theta in (2 * np.pi / 16, np.pi, 2 * np.pi * 11 / 16):
             amap = cd.action_map(theta)
-            probes.append((pts, partial(pulled_back, amap, cd.omega.coefficients)))
-            probes.append((mpts, partial(pulled_back, amap, cd.alpha().coefficients)))
-        probes.append((mpts, cd.alpha().coefficients))
-        probes.append((mpts, lambda jc: forms.field_values(cd.liouville, jc)))
-        if cd.metric is not None:
-            probes.append((mpts, lambda jc: forms.metric_matrix(cd.metric, jc)))
-        for points, fn in probes:
-            if points.shape[0]:
-                reference = fn(jets.seed(points, order=2))
-                _assert_same_values(fn(jets.seed(points, order=1)), reference)
+            probes.append((None, ("omega",), pts, partial(_pulled_back, amap, cd.omega.coefficients)))
+            probes.append((None, ("omega", "Y"), mpts, partial(_pulled_back, amap, cd.alpha().coefficients)))
+        for name, reads, points, fn in probes:
+            if not points.shape[0]:
+                continue
+            reference = fn(points, 2)
+            _assert_same_values(fn(points, 1), reference)
+            try:
+                got = fn(points, 0)
+            except JetOrderError:
+                if name is None:
+                    assert any((cd.chart.name, f) in raised for f in reads)
+                else:
+                    raised.add((cd.chart.name, name))
+                continue
+            _assert_same_values(got, reference)
+        reference = moment_residual(cd, jets.seed(pts, order=2))
+        _assert_same_values(moment_residual(cd, jets.seed(pts, order=1)), reference)
+    assert raised == ORDER_1_FIELDS.get(spec, set())
 
 
 def _poison(jc):
