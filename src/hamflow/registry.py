@@ -25,6 +25,8 @@ class CatalogEntry:
 
 def _disc_bundle(holes=0, collar: float = 0.1):
     if isinstance(holes, (int, float)):
+        if not float(holes).is_integer():
+            raise ValueError(f"hole count {holes} is not an integer")
         n = int(holes)
         if n + 1 not in DEFAULT_HOLES:
             raise ValueError(f"no default hole layout for {n} holes")

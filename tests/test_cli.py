@@ -106,6 +106,15 @@ def test_non_integer_weight_exits_two(capsys):
     assert "1.5" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("holes", ["1.5", "0.5"])
+def test_non_integer_hole_count_exits_two(capsys, holes):
+    """A 1.5-hole disc bundle is refused, not built with int(1.5) = 1 hole."""
+    code, out, err = run(capsys, ["verify", f"disc_bundle_over_surface({holes})"])
+    assert code == 2
+    assert out == ""
+    assert holes in err and "Traceback" not in err
+
+
 def test_bad_tolerance_name_exits_two(capsys):
     code, _, err = run(capsys, ["verify", "disc_d4(1,1)", "--tol", "bogus=1.0"])
     assert code == 2
@@ -353,6 +362,7 @@ def test_build_rejects_unknown_names_and_bad_syntax():
         "weinstein_1handle(1.5)",
         "blowup_d4(1.5,-1,0.2)",
         "free_action_planar(1.5)",
+        "disc_bundle_over_surface(1.5)",
     ],
 )
 def test_build_refuses_non_integer_weights_and_counts(spec):
