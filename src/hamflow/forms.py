@@ -27,7 +27,7 @@ import numpy as np
 from . import jets as J
 from .errors import DimensionMismatch
 from .jets import Jet
-from .linalg import solve_spd_jet, solve_spd_values
+from .linalg import congruence, solve_spd_jet, solve_spd_values
 
 Array = np.ndarray
 Coeffs = dict[tuple[int, ...], Jet]
@@ -152,7 +152,10 @@ def compose_jet(coeff: Jet, img: Sequence[Jet]) -> Jet:
     ``coeff`` carries derivatives with respect to the target chart at the image
     points; ``img`` are the image coordinates as jets over the source chart.
     Returns the composite as a jet over the source chart, at the order both
-    operands support.
+    operands support.  The Hessian's Jᵀ H J term is
+    :func:`hamflow.linalg.congruence`: products ``(H[t,u] * J[t,a]) * J[u,b]``
+    added in t-major order, bitwise the unoptimised einsum
+    ``ntu,nta,nub->nab``.
     """
     value = coeff.value.copy()
     grad = None
@@ -161,7 +164,7 @@ def compose_jet(coeff: Jet, img: Sequence[Jet]) -> Jet:
         jac = np.stack([c.grad for c in img], axis=1)  # (n, tdim, sdim)
         grad = np.einsum("nt,nts->ns", coeff.grad, jac)
         if coeff.hess is not None and all(c.hess is not None for c in img):
-            hess = np.einsum("ntu,nta,nub->nab", coeff.hess, jac, jac)
+            hess = congruence(jac, coeff.hess)
             for i, c in enumerate(img):
                 hess = hess + coeff.grad[:, i, None, None] * c.hess
     return Jet(value, grad, hess)

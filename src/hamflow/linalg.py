@@ -71,7 +71,8 @@ def solve_spd_values(mat: Array, rhs: Array) -> Array:
 def congruence(jac: Array, m: Array) -> Array:
     """Jᵀ M J per row, for stacks ``jac`` of shape ``(n, t, a)`` and ``m`` of ``(n, t, t)``.
 
-    Bitwise ``np.einsum("nji,njk,nkl->nil", jac, m, jac)``, unoptimised: each
+    Bitwise the unoptimised three-operand einsum ``nji,njk,nkl->nil`` of
+    ``(jac, m, jac)`` on C-ordered stacks, which is what its callers pass: each
     product is ``(jac[n,t,a] * m[n,t,u]) * jac[n,u,b]``, and the t·u products
     are added to a zeroed result one at a time in t-major order, as the einsum
     does.  ``jac.T @ m @ jac``, u-major order or a pairwise sum (what

@@ -20,13 +20,22 @@ reproducible and prefix-stable in the sample count:
 
 Each check seeds the lowest jet order it consumes; jet values never depend
 on the seeded order, and a missing order raises JetOrderError, so the order
-sets a check's cost, never its report.  ``invariance`` compares values only,
-so it seeds order 1 (a pullback's Jacobian minors, the action Jacobian and
-fields taking a partial inside each consume one).  It evaluates omega, Y, g
-and H once per chart, and maps and seeds each batch once per angle,
-evaluating omega, Y and g at the images once; alpha at either end is built
-from the evaluated omega and Y by :func:`hamflow.model.liouville_primitive`.
-``hamiltonian`` seeds order 1 too: dH consumes one order, and omega none on
+sets a check's cost, never its report.  Where that order depends on the
+chart, :func:`_at_lowest_order` finds it once per chart, as the first order
+from a starting one at which the check's fields raise no JetOrderError.
+``invariance`` compares values only, so it starts at order 0: H, omega, Y and
+g are read at order 0 at the samples and at their images, except on charts
+whose fields take a partial (Y on the planar shells and the disc bundle;
+omega, Y and g, which are pullbacks, on the blow-up core charts), which get
+order 1.  The action map runs on order-1 jets whatever that order, since its
+Jacobian pulls the image values back (pullback minors, the pushed-forward Y
+and the pulled-back metric, :func:`hamflow.linalg.congruence`).  It
+evaluates the fields once per chart and once per angle at the seeded images;
+alpha at either end is built from the evaluated omega and Y by
+:func:`hamflow.model.liouville_primitive`.  ``contact_boundary`` starts at
+order 1, since d(alpha) consumes one order of alpha = i_Y omega; on the
+planar shells and the disc bundle, whose Y already takes a partial, it gets
+order 2.  ``hamiltonian`` seeds order 1: dH consumes one order, and omega none on
 every catalog chart (a 2-form given as d of a primitive that takes a partial
 would raise JetOrderError).  The other checks seed order 2: d of a form or
 a bracket of fields consumes one order on top of the partial some catalog
@@ -54,14 +63,16 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Mapping
 
 import numpy as np
 
 from . import basic, forms, handles, jets
 from .chart import sample_boundary, sample_domain
+from .errors import JetOrderError
 from .forms import KForm
-from .linalg import compatible_structure, nondegenerate
+from .linalg import compatible_structure, congruence, nondegenerate
 from .model import HamiltonianModel, circle_action, contract_form, liouville_primitive, liouville_residual, moment_residual
 
 Array = np.ndarray
@@ -327,7 +338,13 @@ def check_hamiltonian(model: HamiltonianModel, spec: CheckSpec) -> CheckResult:
 
 
 def check_invariance(model: HamiltonianModel, spec: CheckSpec) -> CheckResult:
-    """Action invariance of omega, H, alpha and Y, and of g where present."""
+    """Action invariance of omega, H, alpha and Y, and of g where present.
+
+    Only values are compared, so H, omega, Y and g are seeded at the lowest
+    order at which the chart evaluates them (:func:`_at_lowest_order` from
+    order 0), at the samples and at their images alike; the action map runs
+    on order-1 jets, whose Jacobian pulls the image values back.
+    """
     worst = _Worst()
     notes: list[str] = []
     for ci, cd in enumerate(model.charts):
@@ -339,34 +356,43 @@ def check_invariance(model: HamiltonianModel, spec: CheckSpec) -> CheckResult:
             notes.append(
                 f"chart {cd.chart.name!r}: field comparisons on {int(mask.sum())} of {pts.shape[0]} samples inside the declared margin"
             )
-        jc = jets.seed(pts, order=1)
-        h0 = cd.hamiltonian(jc).value
-        omega0, y0, g0 = _invariant_fields(cd, jc)
+        order, (h0, omega0, y0, g0) = _at_lowest_order(partial(_invariant_fields, cd), pts, 0)
         alpha0 = liouville_primitive(y0, omega0)
         y0 = _values(y0)
+        jc = jets.seed(pts, order=1)
         dim = cd.chart.dim
         for k in range(1, INVARIANCE_ANGLES + 1):
             img = cd.action_map(2 * np.pi * k / INVARIANCE_ANGLES).forward(jc)
-            tj = forms.image_seed(img)
-            omega1, y1, g1 = _invariant_fields(cd, tj)
+            img_pts = np.stack([j.value for j in img], axis=1)
+            h1, omega1, y1, g1 = _invariant_fields(cd, jets.seed(img_pts, order=order))
             worst.update(forms.coeff_residual(forms.pullback_coeffs(omega1, img, dim), omega0), pts)
-            worst.update(np.abs(cd.hamiltonian(img).value - h0), pts)
+            worst.update(np.abs(h1 - h0), pts)
             pulled = forms.pullback_coeffs(liouville_primitive(y1, omega1), img, dim)
             worst.update(forms.coeff_residual(pulled, alpha0)[mask], pts[mask])
-            keep = mask & cd.inside_margin(cd.chart.wrap(np.stack([j.value for j in tj], axis=1)))
+            keep = mask & cd.inside_margin(cd.chart.wrap(img_pts))
             jac = np.stack([j.grad for j in img], axis=1)[keep]
             pushed = np.einsum("nij,nj->ni", jac, y0[keep])
             worst.update(np.abs(pushed - _values(y1)[keep]).max(axis=1), pts[keep])
             if g0 is not None:
-                pulled = np.einsum("nji,njk,nkl->nil", jac, g1[keep], jac)
+                pulled = congruence(jac, g1[keep])
                 worst.update(np.abs(pulled - g0[keep]).max(axis=(1, 2)), pts[keep])
     return _finish("invariance", spec, worst, True, [], notes)
 
 
+def _at_lowest_order(fn, pts: Array, start: int):
+    """``(order, fn(jets))`` at the lowest order from ``start`` up at which ``fn`` raises no JetOrderError."""
+    for order in range(start, 2):
+        try:
+            return order, fn(jets.seed(pts, order=order))
+        except JetOrderError:
+            pass
+    return 2, fn(jets.seed(pts, order=2))
+
+
 def _invariant_fields(cd, jc):
-    """omega's coefficients, Y's components and g's value matrix (or None) at ``jc``."""
+    """H's values, omega's coefficients, Y's components and g's value matrix (or None) at ``jc``."""
     g = None if cd.metric is None else forms.metric_matrix(cd.metric, jc)
-    return cd.omega.coefficients(jc), cd.liouville(jc), g
+    return cd.hamiltonian(jc).value, cd.omega.coefficients(jc), cd.liouville(jc), g
 
 
 def _values(comps) -> Array:
@@ -405,7 +431,13 @@ def check_commutation(model: HamiltonianModel, spec: CheckSpec) -> CheckResult:
 
 
 def check_contact_boundary(model: HamiltonianModel, spec: CheckSpec) -> CheckResult:
-    """Boundary transversality and uniform nonvanishing of the contact volume."""
+    """Boundary transversality and uniform nonvanishing of the contact volume.
+
+    d(alpha) consumes one jet order of alpha = i_Y omega, and dF and the
+    outward test one of the boundary function, so the fields are seeded at
+    the lowest order from 1 up at which the chart evaluates them
+    (:func:`_at_lowest_order`): order 2 where Y or omega takes a partial.
+    """
     worst = _Worst()
     passed = True
     skipped: list[str] = []
@@ -422,17 +454,13 @@ def check_contact_boundary(model: HamiltonianModel, spec: CheckSpec) -> CheckRes
             skipped.append(f"chart {cd.chart.name!r}: boundary lies outside the declared margin")
             continue
         pts = pts[keep]
-        jc = jets.seed(pts, order=2)
-        y = cd.liouville(jc)
-        grads = cd.chart.boundary(jc).grad
+        _, (grads, y, a_co, da_co) = _at_lowest_order(partial(_contact_fields, cd), pts, 1)
         gnorm = np.linalg.norm(grads, axis=1)
         basis = np.linalg.svd(grads[:, None, :])[2][:, 1:, :]
         # orient each tangent frame against the outward normal so the
         # contact volume has a comparable sign across samples
         frame = np.concatenate([grads[:, None, :], basis], axis=1)
         basis[np.linalg.det(frame) < 0, -1, :] *= -1.0
-        a_co = liouville_primitive(y, cd.omega.coefficients(jc))
-        da_co = forms.d_coeffs(a_co, cd.chart.dim)
         vol = contract_form(
             forms.wedge_coeffs(a_co, da_co), [basis[:, i, :] for i in range(cd.chart.dim - 1)]
         )
@@ -458,6 +486,13 @@ def check_contact_boundary(model: HamiltonianModel, spec: CheckSpec) -> CheckRes
             notes.append(f"chart {cd.chart.name!r}: expanding field not uniformly outward")
         notes.append(f"chart {cd.chart.name!r}: min contact volume margin {margin_vol.min():.3e}")
     return _finish("contact_boundary", spec, worst, passed, skipped, notes)
+
+
+def _contact_fields(cd, jc):
+    """dF's values, Y's components, and alpha = i_Y omega and d(alpha) as coefficients, at ``jc``."""
+    y = cd.liouville(jc)
+    alpha = liouville_primitive(y, cd.omega.coefficients(jc))
+    return cd.chart.boundary(jc).grad, y, alpha, forms.d_coeffs(alpha, cd.chart.dim)
 
 
 _CHECKS = {
