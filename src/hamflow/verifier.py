@@ -46,7 +46,8 @@ shares.  Each check evaluates a form once per batch and builds d, i_v,
 wedges and pullbacks from those coefficients with the operators of
 :mod:`hamflow.forms`, which all work on evaluated coefficients
 (``liouville`` evaluates omega and Y once, and ``contact_boundary``
-evaluates them once for alpha, d(alpha) and the outward test).  A NaN or infinite residual fails its check (see
+evaluates them once per seeded order for alpha, d(alpha) and the outward
+test).  A NaN or infinite residual fails its check (see
 :class:`CheckResult`).
 
 Every chart declares omega, H, the circle action and Y.  Charts without a
