@@ -35,6 +35,8 @@ NULL_TOL = 1e-8
 CLUSTER_RADIUS = 0.25
 SURFACE_VALUE_TOL = 1e-6
 BOUNDARY_TOUCH_TOL = 1e-3
+# Newton starts per chart in find_fixed_points
+FIXED_POINT_STARTS = 40
 
 
 @dataclass
@@ -173,14 +175,12 @@ def _merge_groups(
     return list(groups.values())
 
 
-def find_fixed_points(
-    model: HamiltonianModel, seed: int = 0, starts: int = 40
-) -> list[CriticalCluster]:
+def find_fixed_points(model: HamiltonianModel, seed: int = 0) -> list[CriticalCluster]:
     """Locate and classify all zeros of the action generator."""
     found: list[tuple[int, Array]] = []
     for ci, cd in enumerate(model.charts):
         rng = np.random.default_rng([seed, 23, ci])
-        pts = sample_domain(cd.chart, starts, rng)
+        pts = sample_domain(cd.chart, FIXED_POINT_STARTS, rng)
         for p in pts:
             q = _newton_generator_zero(cd, p)
             if q is None:
@@ -348,9 +348,7 @@ def boundary_connectivity(model: HamiltonianModel, seed: int = 0, samples: int =
         if tr.src not in clouds or tr.dst not in clouds:
             continue
         src_pts = clouds[tr.src]
-        mask = np.ones(src_pts.shape[0], dtype=bool)
-        if tr.valid is not None:
-            mask = np.asarray(tr.valid(src_pts), dtype=bool)
+        mask = np.asarray(tr.valid(src_pts), dtype=bool)
         if not mask.any():
             continue
         imgs = tr.map.apply(src_pts[mask])

@@ -61,7 +61,7 @@ class CollarTooDeep(HamflowError):
 
 
 class BadRamp(HamflowError):
-    """Collar ramp profile is not monotone or not C^2 at the seam."""
+    """Collar width of the disc-bundle lid lies outside (0, 0.3]."""
 
 
 class StiffFlow(HamflowError):

@@ -20,6 +20,9 @@ from .jets import Jet
 
 Array = np.ndarray
 
+# scale-free floor for the normalized |Pfaffian| of a nondegenerate 2-form
+NONDEGENERACY_FLOOR = 1e-6
+
 
 def solve_spd_jet(mat: list[list[Jet]], rhs: list[Jet]) -> list[Jet]:
     """Solve ``mat @ x = rhs`` for a symmetric positive definite jet matrix."""
@@ -130,11 +133,12 @@ def pfaffian(mats: Array) -> Array:
     )
 
 
-def nondegenerate(omega_mats: Array, floor: float = 1e-6) -> tuple[bool, float]:
+def nondegenerate(omega_mats: Array) -> tuple[bool, float]:
     """Whether a batch of 2-form matrices is uniformly nondegenerate.
 
     Returns ``(ok, worst)`` where ``worst`` is the smallest normalized
-    |Pfaffian| over the batch.  Normalization divides by ``norm^(d/2)`` with
+    |Pfaffian| over the batch and ``ok`` says it exceeds
+    NONDEGENERACY_FLOOR.  Normalization divides by ``norm^(d/2)`` with
     ``norm`` the mean Frobenius scale, so the floor is scale-free.
     """
     m = np.asarray(omega_mats, dtype=float)
@@ -146,7 +150,7 @@ def nondegenerate(omega_mats: Array, floor: float = 1e-6) -> tuple[bool, float]:
     scale = np.maximum(scale, 1e-300)
     normalized = np.abs(pf) / scale ** (d / 2)
     worst = float(normalized.min())
-    return worst > floor, worst
+    return worst > NONDEGENERACY_FLOOR, worst
 
 
 def spd_sqrt_and_inv_sqrt(mats: Array) -> tuple[Array, Array]:

@@ -87,7 +87,7 @@ class Transition:
     src: int
     dst: int
     map: SmoothMap
-    valid: Callable[[Array], Array] | None = None
+    valid: Callable[[Array], Array]
 
 
 @dataclass
@@ -118,7 +118,7 @@ class HamiltonianModel:
         ``point`` and its destination chart contains the image within ``slack``.
         """
         for tr in self.transitions_from(ci):
-            if tr.valid is not None and not np.all(tr.valid(np.atleast_2d(point))):
+            if not np.all(tr.valid(np.atleast_2d(point))):
                 continue
             image = tr.map.apply(point)[0]
             if self.charts[tr.dst].chart.contains(image, slack=slack)[0]:

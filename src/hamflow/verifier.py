@@ -1,8 +1,10 @@
 """Randomized identity checks over chart models, with deterministic reports.
 
-Six checks run per model, each sampling every chart with its own seeded
-generator stream ``[seed, check_index, chart_index]`` so reports are
-reproducible and prefix-stable in the sample count:
+Six checks run per model.  Each walks the model's charts through
+:class:`_Tally`, the one place where the sample-stream rule
+``[seed, check_index, chart_index]`` (reports reproducible and prefix-stable
+in the sample count) and the ``chart 'name': `` wording of notes and skips
+live.  :class:`RunConfig` holds the seed, samples and tolerances:
 
 * ``symplectic``: the 2-form is closed and uniformly nondegenerate (on
   charts that declare a degenerate direction, the form must kill exactly
@@ -78,15 +80,6 @@ from .model import HamiltonianModel, circle_action, contract_form, liouville_pri
 
 Array = np.ndarray
 
-CHECK_IDS = (
-    "symplectic",
-    "liouville",
-    "hamiltonian",
-    "invariance",
-    "commutation",
-    "contact_boundary",
-)
-
 DEFAULT_TOLERANCES = {
     "symplectic": 1e-10,
     "liouville": 1e-8,
@@ -95,9 +88,9 @@ DEFAULT_TOLERANCES = {
     "commutation": 1e-8,
     "contact_boundary": 1e-8,
 }
+CHECK_IDS = tuple(DEFAULT_TOLERANCES)
 
-# scale-free floor for |Pf| and for the contact volume / outward margins
-NONDEGENERACY_FLOOR = 1e-6
+# scale-free floor for the contact volume / outward margins
 CONTACT_FLOOR = 1e-6
 INVARIANCE_ANGLES = 16
 NONFINITE_RESIDUAL = float(np.finfo(float).max)
@@ -106,34 +99,24 @@ _CHECK_INDEX = {cid: k for k, cid in enumerate(CHECK_IDS)}
 
 
 @dataclass(frozen=True)
-class CheckSpec:
-    """Sampling and tolerance settings for one named check."""
-
-    check_id: str
-    tolerance: float
-    sample_count: int
-    seed: int
-
-    def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
-        if self.sample_count < 1:
-            raise ValueError(f"sample_count must be at least 1, got {self.sample_count}")
-
-
-@dataclass(frozen=True)
 class RunConfig:
-    """Settings shared by a full verification run."""
+    """Seed, samples per check and per-check overrides of DEFAULT_TOLERANCES; bad ones raise when built."""
 
     seed: int = 0
     samples: int = 500
     tolerances: Mapping[str, float] = field(default_factory=dict)
 
-    def spec_for(self, check_id: str) -> CheckSpec:
-        if check_id not in DEFAULT_TOLERANCES:
-            raise KeyError(f"unknown check {check_id!r}")
-        tol = float(self.tolerances.get(check_id, DEFAULT_TOLERANCES[check_id]))
-        return CheckSpec(check_id, tol, self.samples, self.seed)
+    def __post_init__(self):
+        if self.samples < 1:
+            raise ValueError(f"samples must be at least 1, got {self.samples}")
+        for cid, tol in self.tolerances.items():
+            if cid not in DEFAULT_TOLERANCES:
+                raise KeyError(f"unknown check {cid!r}; known checks: {', '.join(CHECK_IDS)}")
+            if not (np.isfinite(tol) and tol > 0):
+                raise ValueError(f"tolerance for {cid!r} must be finite and positive, got {tol}")
+
+    def tolerance(self, check_id: str) -> float:
+        return float(self.tolerances.get(check_id, DEFAULT_TOLERANCES[check_id]))
 
 
 @dataclass
@@ -217,15 +200,38 @@ class VerificationReport:
         return out
 
 
-class _Worst:
-    """Largest residual and its point; non-finite ones outrank all, counted per ``chart``."""
+class _Tally:
+    """One check's walk over a model's charts: sample streams, worst residual, notes and verdict.
 
-    def __init__(self):
+    ``charts(model)`` yields ``(chart data, generator)`` and names the current
+    chart; the generator is seeded ``[seed, check index, chart index]``.
+    ``update`` keeps the largest residual and its point; a non-finite residual
+    outranks all and is counted per chart.  ``note`` and ``skip`` prefix the
+    current chart's name, and ``passed`` is cleared by a check's own test.
+    """
+
+    def __init__(self, check_id: str, config: RunConfig):
+        self.check_id = check_id
+        self.config = config
         self.value = 0.0
         self.point: Array | None = None
         self.ran = False
+        self.passed = True
         self.chart = ""
         self.nonfinite: dict[str, int] = {}
+        self.notes: list[str] = []
+        self.skips: list[str] = []
+
+    def charts(self, model: HamiltonianModel):
+        for ci, cd in enumerate(model.charts):
+            self.chart = cd.chart.name
+            yield cd, np.random.default_rng([self.config.seed, _CHECK_INDEX[self.check_id], ci])
+
+    def note(self, text: str):
+        self.notes.append(f"chart {self.chart!r}: {text}")
+
+    def skip(self, reason: str):
+        self.skips.append(f"chart {self.chart!r}: {reason}")
 
     def update(self, res: Array, pts: Array):
         res = np.asarray(res, dtype=float)
@@ -246,14 +252,15 @@ class _Worst:
             self.value = float(res[i])
             self.point = np.array(pts[i], dtype=float)
 
-    def point_list(self) -> list | None:
-        if self.point is None:
-            return None
-        return [float(x) for x in self.point]
-
-
-def _rng(seed: int, check_id: str, chart_index: int) -> np.random.Generator:
-    return np.random.default_rng([seed, _CHECK_INDEX[check_id], chart_index])
+    def result(self) -> CheckResult:
+        """Non-finite counts, then notes, then skips; skipped outright if no chart ran."""
+        if not self.ran:
+            reason = "; ".join(self.skips) or "no chart provides the required data"
+            return CheckResult(self.check_id, 0.0, None, None, skipped=reason)
+        bad = [f"chart {c!r}: {k} non-finite residuals" for c, k in self.nonfinite.items()]
+        passed = self.passed and not self.nonfinite and self.value < self.config.tolerance(self.check_id)
+        point = [float(x) for x in self.point]
+        return CheckResult(self.check_id, self.value, point, passed, note="; ".join(bad + self.notes + self.skips))
 
 
 def _sample_inside_margin(cd, n: int, rng: np.random.Generator) -> Array:
@@ -268,77 +275,56 @@ def _sample_inside_margin(cd, n: int, rng: np.random.Generator) -> Array:
     return kept[:n]
 
 
-def _finish(check_id, spec, worst, passed, skipped_charts, notes) -> CheckResult:
-    bad = [f"chart {c!r}: {k} non-finite residuals" for c, k in worst.nonfinite.items()]
-    note = "; ".join(bad + list(notes) + list(skipped_charts))
-    if not worst.ran:
-        reason = "; ".join(skipped_charts) or "no chart provides the required data"
-        return CheckResult(check_id, 0.0, None, None, skipped=reason)
-    passed = passed and not worst.nonfinite and worst.value < spec.tolerance
-    return CheckResult(check_id, worst.value, worst.point_list(), passed, note=note)
-
-
 # ----------------------------------------------------------------------
 # the six checks
 
 
-def check_symplectic(model: HamiltonianModel, spec: CheckSpec) -> CheckResult:
+def check_symplectic(model: HamiltonianModel, config: RunConfig) -> CheckResult:
     """Closedness of the 2-form plus a scale-free rank floor."""
-    worst = _Worst()
-    passed = True
-    notes: list[str] = []
-    for ci, cd in enumerate(model.charts):
-        worst.chart = cd.chart.name
-        rng = _rng(spec.seed, "symplectic", ci)
-        pts = sample_domain(cd.chart, spec.sample_count, rng)
+    t = _Tally("symplectic", config)
+    for cd, rng in t.charts(model):
+        pts = sample_domain(cd.chart, config.samples, rng)
         jc = jets.seed(pts, order=2)
         omega = cd.omega.coefficients(jc)
         res = forms.coeff_residual(forms.d_coeffs(omega, cd.chart.dim), {})
         if cd.kernel is not None:
             contracted = forms.interior_coeffs(cd.kernel(jc), omega)
             res = np.maximum(res, forms.coeff_residual(contracted, {}))
-        worst.update(res, pts)
+        t.update(res, pts)
         om = forms.form_matrix(cd.omega, jc)
         if cd.kernel_complement is not None:
             sub = np.asarray(cd.kernel_complement)
             om = om[:, sub[:, None], sub[None, :]]
-            notes.append(
-                f"chart {cd.chart.name!r}: rank floor applied on the complement of the degenerate direction"
-            )
-        ok, pf = nondegenerate(om, NONDEGENERACY_FLOOR)
+            t.note("rank floor applied on the complement of the degenerate direction")
+        ok, pf = nondegenerate(om)
         if not ok:
-            passed = False
-            notes.append(f"chart {cd.chart.name!r}: normalized pairing volume fell to {pf:.3e}")
-    return _finish("symplectic", spec, worst, passed, [], notes)
+            t.passed = False
+            t.note(f"normalized pairing volume fell to {pf:.3e}")
+    return t.result()
 
 
-def check_liouville(model: HamiltonianModel, spec: CheckSpec) -> CheckResult:
+def check_liouville(model: HamiltonianModel, config: RunConfig) -> CheckResult:
     """Expansion identity L_Y omega = omega inside declared margins."""
-    worst = _Worst()
-    skipped: list[str] = []
-    for ci, cd in enumerate(model.charts):
-        worst.chart = cd.chart.name
-        rng = _rng(spec.seed, "liouville", ci)
-        pts = _sample_inside_margin(cd, spec.sample_count, rng)
+    t = _Tally("liouville", config)
+    for cd, rng in t.charts(model):
+        pts = _sample_inside_margin(cd, config.samples, rng)
         if pts.shape[0] == 0:
-            skipped.append(f"chart {cd.chart.name!r}: declared field margin left no samples")
+            t.skip("declared field margin left no samples")
             continue
-        worst.update(liouville_residual(cd, jets.seed(pts, order=2)), pts)
-    return _finish("liouville", spec, worst, True, skipped, [])
+        t.update(liouville_residual(cd, jets.seed(pts, order=2)), pts)
+    return t.result()
 
 
-def check_hamiltonian(model: HamiltonianModel, spec: CheckSpec) -> CheckResult:
+def check_hamiltonian(model: HamiltonianModel, config: RunConfig) -> CheckResult:
     """Moment identity i_X omega + dH = 0 on every chart."""
-    worst = _Worst()
-    for ci, cd in enumerate(model.charts):
-        worst.chart = cd.chart.name
-        rng = _rng(spec.seed, "hamiltonian", ci)
-        pts = sample_domain(cd.chart, spec.sample_count, rng)
-        worst.update(moment_residual(cd, jets.seed(pts, order=1)), pts)
-    return _finish("hamiltonian", spec, worst, True, [], [])
+    t = _Tally("hamiltonian", config)
+    for cd, rng in t.charts(model):
+        pts = sample_domain(cd.chart, config.samples, rng)
+        t.update(moment_residual(cd, jets.seed(pts, order=1)), pts)
+    return t.result()
 
 
-def check_invariance(model: HamiltonianModel, spec: CheckSpec) -> CheckResult:
+def check_invariance(model: HamiltonianModel, config: RunConfig) -> CheckResult:
     """Action invariance of omega, H, alpha and Y, and of g where present.
 
     Only values are compared, so H, omega, Y and g are seeded at the lowest
@@ -346,17 +332,12 @@ def check_invariance(model: HamiltonianModel, spec: CheckSpec) -> CheckResult:
     order 0), at the samples and at their images alike; the action map runs
     on order-1 jets, whose Jacobian pulls the image values back.
     """
-    worst = _Worst()
-    notes: list[str] = []
-    for ci, cd in enumerate(model.charts):
-        worst.chart = cd.chart.name
-        rng = _rng(spec.seed, "invariance", ci)
-        pts = sample_domain(cd.chart, spec.sample_count, rng)
+    t = _Tally("invariance", config)
+    for cd, rng in t.charts(model):
+        pts = sample_domain(cd.chart, config.samples, rng)
         mask = cd.inside_margin(pts)
         if not mask.all():
-            notes.append(
-                f"chart {cd.chart.name!r}: field comparisons on {int(mask.sum())} of {pts.shape[0]} samples inside the declared margin"
-            )
+            t.note(f"field comparisons on {int(mask.sum())} of {pts.shape[0]} samples inside the declared margin")
         order, (h0, omega0, y0, g0) = _at_lowest_order(partial(_invariant_fields, cd), pts, 0)
         alpha0 = liouville_primitive(y0, omega0)
         y0 = _values(y0)
@@ -366,18 +347,18 @@ def check_invariance(model: HamiltonianModel, spec: CheckSpec) -> CheckResult:
             img = cd.action_map(2 * np.pi * k / INVARIANCE_ANGLES).forward(jc)
             img_pts = np.stack([j.value for j in img], axis=1)
             h1, omega1, y1, g1 = _invariant_fields(cd, jets.seed(img_pts, order=order))
-            worst.update(forms.coeff_residual(forms.pullback_coeffs(omega1, img, dim), omega0), pts)
-            worst.update(np.abs(h1 - h0), pts)
+            t.update(forms.coeff_residual(forms.pullback_coeffs(omega1, img, dim), omega0), pts)
+            t.update(np.abs(h1 - h0), pts)
             pulled = forms.pullback_coeffs(liouville_primitive(y1, omega1), img, dim)
-            worst.update(forms.coeff_residual(pulled, alpha0)[mask], pts[mask])
+            t.update(forms.coeff_residual(pulled, alpha0)[mask], pts[mask])
             keep = mask & cd.inside_margin(cd.chart.wrap(img_pts))
             jac = np.stack([j.grad for j in img], axis=1)[keep]
             pushed = np.einsum("nij,nj->ni", jac, y0[keep])
-            worst.update(np.abs(pushed - _values(y1)[keep]).max(axis=1), pts[keep])
+            t.update(np.abs(pushed - _values(y1)[keep]).max(axis=1), pts[keep])
             if g0 is not None:
                 pulled = congruence(jac, g1[keep])
-                worst.update(np.abs(pulled - g0[keep]).max(axis=(1, 2)), pts[keep])
-    return _finish("invariance", spec, worst, True, [], notes)
+                t.update(np.abs(pulled - g0[keep]).max(axis=(1, 2)), pts[keep])
+    return t.result()
 
 
 def _at_lowest_order(fn, pts: Array, start: int):
@@ -400,38 +381,35 @@ def _values(comps) -> Array:
     return np.stack([c.value for c in comps], axis=1)
 
 
-def check_commutation(model: HamiltonianModel, spec: CheckSpec) -> CheckResult:
+def check_commutation(model: HamiltonianModel, config: RunConfig) -> CheckResult:
     """Bracket [X, grad H] = 0 and the complex-structure relation X = J grad H."""
-    worst = _Worst()
-    skipped: list[str] = []
-    for ci, cd in enumerate(model.charts):
-        worst.chart = cd.chart.name
+    t = _Tally("commutation", config)
+    for cd, rng in t.charts(model):
         if cd.metric is None:
-            skipped.append(f"chart {cd.chart.name!r}: no metric")
+            t.skip("no metric")
             continue
-        rng = _rng(spec.seed, "commutation", ci)
-        pts = _sample_inside_margin(cd, spec.sample_count, rng)
+        pts = _sample_inside_margin(cd, config.samples, rng)
         if pts.shape[0] == 0:
-            skipped.append(f"chart {cd.chart.name!r}: declared field margin left no samples")
+            t.skip("declared field margin left no samples")
             continue
         jc = jets.seed(pts, order=2)
         grad = cd.gradient_field()
         bracket = forms.lie_bracket(cd.generator, grad, cd.chart.dim)
-        worst.update(np.abs(forms.field_values(bracket, jc)).max(axis=1), pts)
+        t.update(np.abs(forms.field_values(bracket, jc)).max(axis=1), pts)
         om = forms.form_matrix(cd.omega, jc)
         gm = forms.metric_matrix(cd.metric, jc)
         if cd.kernel_complement is not None:
-            skipped.append(f"chart {cd.chart.name!r}: degenerate pairing, no complex structure")
+            t.skip("degenerate pairing, no complex structure")
             continue
         j_mat = compatible_structure(om, gm)
         x_vals = forms.field_values(cd.generator, jc)
         g_vals = forms.field_values(grad, jc)
         res = np.abs(x_vals - np.einsum("nij,nj->ni", j_mat, g_vals)).max(axis=1)
-        worst.update(res, pts)
-    return _finish("commutation", spec, worst, True, skipped, [])
+        t.update(res, pts)
+    return t.result()
 
 
-def check_contact_boundary(model: HamiltonianModel, spec: CheckSpec) -> CheckResult:
+def check_contact_boundary(model: HamiltonianModel, config: RunConfig) -> CheckResult:
     """Boundary transversality and uniform nonvanishing of the contact volume.
 
     d(alpha) consumes one jet order of alpha = i_Y omega, and dF and the
@@ -439,20 +417,15 @@ def check_contact_boundary(model: HamiltonianModel, spec: CheckSpec) -> CheckRes
     the lowest order from 1 up at which the chart evaluates them
     (:func:`_at_lowest_order`): order 2 where Y or omega takes a partial.
     """
-    worst = _Worst()
-    passed = True
-    skipped: list[str] = []
-    notes: list[str] = []
-    for ci, cd in enumerate(model.charts):
-        worst.chart = cd.chart.name
+    t = _Tally("contact_boundary", config)
+    for cd, rng in t.charts(model):
         if cd.chart.boundary is None:
-            skipped.append(f"chart {cd.chart.name!r}: no boundary")
+            t.skip("no boundary")
             continue
-        rng = _rng(spec.seed, "contact_boundary", ci)
-        pts = sample_boundary(cd.chart, spec.sample_count, rng, accept=cd.boundary_accept)
+        pts = sample_boundary(cd.chart, config.samples, rng, accept=cd.boundary_accept)
         keep = cd.inside_margin(pts)
         if not keep.any():
-            skipped.append(f"chart {cd.chart.name!r}: boundary lies outside the declared margin")
+            t.skip("boundary lies outside the declared margin")
             continue
         pts = pts[keep]
         _, (grads, y, a_co, da_co) = _at_lowest_order(partial(_contact_fields, cd), pts, 1)
@@ -470,23 +443,23 @@ def check_contact_boundary(model: HamiltonianModel, spec: CheckSpec) -> CheckRes
         scale = np.maximum(a_inf * da_inf, 1e-300)
         margin_vol = np.abs(vol) / scale
         shortfall = np.maximum(CONTACT_FLOOR - margin_vol, 0.0)
-        worst.update(shortfall, pts)
+        t.update(shortfall, pts)
         if shortfall.max() > 0:
-            passed = False
+            t.passed = False
         signs = np.sign(vol)
         if signs.max() != signs.min():
-            passed = False
-            notes.append(f"chart {cd.chart.name!r}: contact volume changes sign")
+            t.passed = False
+            t.note("contact volume changes sign")
         y_vals = _values(y)
         outward = np.einsum("nd,nd->n", grads, y_vals)
         scale_y = np.maximum(gnorm * np.linalg.norm(y_vals, axis=1), 1e-300)
         short_out = np.maximum(CONTACT_FLOOR - outward / scale_y, 0.0)
-        worst.update(short_out, pts)
+        t.update(short_out, pts)
         if short_out.max() > 0:
-            passed = False
-            notes.append(f"chart {cd.chart.name!r}: expanding field not uniformly outward")
-        notes.append(f"chart {cd.chart.name!r}: min contact volume margin {margin_vol.min():.3e}")
-    return _finish("contact_boundary", spec, worst, passed, skipped, notes)
+            t.passed = False
+            t.note("expanding field not uniformly outward")
+        t.note(f"min contact volume margin {margin_vol.min():.3e}")
+    return t.result()
 
 
 def _contact_fields(cd, jc):
@@ -509,8 +482,8 @@ _CHECKS = {
 def run_all(model: HamiltonianModel, config: RunConfig | None = None) -> VerificationReport:
     """Run every check and fold the outcomes into one report."""
     config = config or RunConfig()
-    results = [_CHECKS[cid](model, config.spec_for(cid)) for cid in CHECK_IDS]
-    tolerance = {cid: config.spec_for(cid).tolerance for cid in CHECK_IDS}
+    results = [_CHECKS[cid](model, config) for cid in CHECK_IDS]
+    tolerance = {cid: config.tolerance(cid) for cid in CHECK_IDS}
     return VerificationReport(
         model=model.spec_string,
         seed=config.seed,

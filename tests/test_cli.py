@@ -115,10 +115,28 @@ def test_non_integer_hole_count_exits_two(capsys, holes):
     assert holes in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "invariance=nan", "liouville=-inf", "0", "-1e-8"])
+def test_tolerance_not_finite_and_positive_exits_two(capsys, tol, fmt):
+    """A NaN tolerance used to fail six checks (exit 1), and an infinite one to pass them (exit 0)."""
+    code, out, err = run(capsys, ["verify", "disc_d4(1,1)", "--samples", "20", f"--tol={tol}", "--format", fmt])
+    assert code == 2
+    assert out == ""
+    assert "finite and positive" in err and "Traceback" not in err
+
+
+def test_census_descends_from_the_seed(capsys, monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli.critical, "critical_surface_census", lambda model, seed=0: seen.append(seed) or 0)
+    code, _, _ = run(capsys, ["verify", "disc_d4(1,1)", "--samples", "20", "--seed", "7"])
+    assert code == 0
+    assert seen == [7]
+
+
 def test_bad_tolerance_name_exits_two(capsys):
     code, _, err = run(capsys, ["verify", "disc_d4(1,1)", "--tol", "bogus=1.0"])
     assert code == 2
-    assert "unknown check" in err
+    assert "unknown check 'bogus'" in err and "known checks: symplectic" in err
 
 
 @pytest.mark.parametrize("spec", ["disc_d4(1,2,3)", "disc_d4(m=1,q=2)"])

@@ -286,3 +286,14 @@ def test_seed_matches_reference_bitwise(order, rows):
             if ref is not None:
                 assert arr.shape == ref.shape and arr.dtype == ref.dtype
                 assert arr.tobytes() == ref.tobytes()
+
+
+def test_positive_cube_is_a_flat_c2_ramp_reaching_one():
+    """The disc-bundle lid's ramp: flat to second order left of 0, vanishing to second order at 0, 1 at 1."""
+    h = 1e-3
+    out = jets.positive_cube(jets.seed(np.array([[-h], [0.0], [h], [1.0]]), order=2)[0])
+    vals, grads, hesss = out.value, out.grad[:, 0], out.hess[:, 0, 0]
+    assert vals[0] == grads[0] == hesss[0] == 0.0
+    assert vals[1] == grads[1] == hesss[1] == 0.0
+    assert abs(vals[2]) <= 10 * h**3 and abs(grads[2]) <= 10 * h**2 and abs(hesss[2]) <= 10 * h
+    assert vals[3] == 1.0

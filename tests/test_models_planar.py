@@ -1,4 +1,4 @@
-"""Planar-surface models: potential analysis, topology guards, ramp guards."""
+"""Planar-surface models: potential analysis, topology guards, collar guards."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from hamflow import jets
 from hamflow.errors import BadRamp, BadStructureConstant
-from hamflow.jets import Jet
 from hamflow.model import liouville_residual, moment_residual, self_check_points
 from hamflow import planar
 from hamflow.planar import PitPotential, disc_bundle_over_surface, free_action_planar
@@ -105,23 +104,10 @@ def test_bundle_boundary_function_is_c2_at_the_seam():
     assert bj.hess[0, 0, 0] == pytest.approx(fd2, abs=1e-2)
 
 
-def test_custom_ramp_must_be_flat_and_reach_one():
-    def bad_ramp(x: Jet) -> Jet:
-        return x * 1.0  # linear: not C^2-flat at 0
-
-    with pytest.raises(BadRamp):
-        disc_bundle_over_surface(ramp=bad_ramp)
-
-    def weak_ramp(x: Jet) -> Jet:
-        cube = x * x * x * 0.5  # flat but never reaches 1
-        mask = x.value > 0.0
-        v = np.where(mask, cube.value, 0.0)
-        g = None if cube.grad is None else np.where(mask[:, None], cube.grad, 0.0)
-        h = None if cube.hess is None else np.where(mask[:, None, None], cube.hess, 0.0)
-        return Jet(v, g, h)
-
-    with pytest.raises(BadRamp):
-        disc_bundle_over_surface(ramp=weak_ramp)
+@pytest.mark.parametrize("collar", [0.0, -0.1, 0.31])
+def test_collar_width_outside_range_rejected(collar):
+    with pytest.raises(BadRamp, match="collar width"):
+        disc_bundle_over_surface(collar=collar)
 
 
 def test_hole_count_mismatch_rejected():

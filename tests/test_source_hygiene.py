@@ -9,6 +9,12 @@ private module-level function, class or constant (one name with a leading
 underscore, not a dunder) must be read somewhere in the package, as a name,
 an attribute or an import.  Every error class in ``errors.py`` but the base
 ``HamflowError`` must be raised somewhere in the package.
+
+:func:`settable_parameters` counts the package's settings, and the count may
+not rise above ``SETTABLE_PARAMETERS_PIN``; CI prints it to its step summary
+with ``python3 -c 'import sys; sys.path.insert(0, "tests"); import
+test_source_hygiene as h; print(h.settable_parameters())'``.  A change that
+must add a setting raises the pin and says why in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hamflow"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+SETTABLE_PARAMETERS_PIN = 66
 
 
 def _names_read(nodes) -> set[str]:
@@ -162,3 +169,20 @@ def test_every_error_class_is_raised():
     assert classes
     raised = _raised_names()
     assert [name for name in classes if name not in raised] == []
+
+
+def settable_parameters() -> int:
+    """Defaulted ``def`` and ``lambda`` parameters, ``**kwargs`` and defaulted dataclass fields in the package."""
+    n = 0
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                n += len(a.defaults) + sum(d is not None for d in a.kw_defaults) + (a.kwarg is not None)
+            elif isinstance(node, ast.ClassDef) and any("dataclass" in ast.unparse(d) for d in node.decorator_list):
+                n += sum(isinstance(s, ast.AnnAssign) and s.value is not None for s in node.body)
+    return n
+
+
+def test_settable_parameters_do_not_grow():
+    assert settable_parameters() <= SETTABLE_PARAMETERS_PIN

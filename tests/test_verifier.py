@@ -14,7 +14,7 @@ from hamflow.chart import sample_domain
 from hamflow.errors import JetOrderError
 from hamflow.forms import pullback_coeffs
 from hamflow.model import moment_residual
-from hamflow.verifier import NONFINITE_RESIDUAL, CheckSpec, RunConfig, run_all
+from hamflow.verifier import NONFINITE_RESIDUAL, RunConfig, run_all
 
 
 
@@ -125,13 +125,21 @@ def test_tolerance_override_changes_verdict():
     assert rep.overall
 
 
-def test_checkspec_rejects_bad_settings():
+@pytest.mark.parametrize("tol", [0.0, -1e-8, float("nan"), float("inf"), float("-inf")])
+def test_runconfig_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
+    with pytest.raises(ValueError, match="finite and positive"):
+        RunConfig(tolerances={"liouville": tol})
+
+
+def test_runconfig_rejects_bad_settings():
     with pytest.raises(ValueError):
-        CheckSpec("liouville", 0.0, 10, 0)
-    with pytest.raises(ValueError):
-        CheckSpec("liouville", 1e-8, 0, 0)
+        RunConfig(samples=0)
+    with pytest.raises(KeyError, match="known checks: symplectic, liouville"):
+        RunConfig(tolerances={"liouvile": 2.0})
     with pytest.raises(KeyError):
-        RunConfig().spec_for("unknown_check")
+        RunConfig().tolerance("unknown_check")
+    assert RunConfig(tolerances={"liouville": 2.0}).tolerance("liouville") == 2.0
+    assert RunConfig().tolerance("liouville") == verifier.DEFAULT_TOLERANCES["liouville"]
 
 
 def test_contact_margins_reported():
@@ -302,7 +310,7 @@ def test_nonfinite_contact_shortfall_fails(field):
             2, 4, lambda jc: {k: c * _poison(jc) for k, c in cd.omega.coefficients(jc).items()}
         )
         broken = _with_field(model, 0, omega=poisoned)
-    res = verifier.check_contact_boundary(broken, RunConfig(samples=60).spec_for("contact_boundary"))
+    res = verifier.check_contact_boundary(broken, RunConfig(samples=60))
     assert res.passed is False
     assert res.max_residual == NONFINITE_RESIDUAL
     assert "chart 'ball'" in res.note and "non-finite" in res.note
