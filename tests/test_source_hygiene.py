@@ -10,11 +10,10 @@ underscore, not a dunder) must be read somewhere in the package, as a name,
 an attribute or an import.  Every error class in ``errors.py`` but the base
 ``HamflowError`` must be raised somewhere in the package.
 
-:func:`settable_parameters` counts the package's settings, and the count may
-not rise above ``SETTABLE_PARAMETERS_PIN``; CI prints it to its step summary
-with ``python3 -c 'import sys; sys.path.insert(0, "tests"); import
-test_source_hygiene as h; print(h.settable_parameters())'``.  A change that
-must add a setting raises the pin and says why in CHANGES.md.
+:func:`settable_parameters` counts the package's settings, which CI prints to
+its step summary, and the count may not rise above
+``SETTABLE_PARAMETERS_PIN``: a change that must add a setting raises the pin
+and says why in CHANGES.md.
 """
 
 from __future__ import annotations
