@@ -28,20 +28,6 @@ from .model import HamiltonianModel, enumerate_decompositions
 from .planar import disc_bundle_over_surface, free_action_planar
 
 
-def _json_safe(obj):
-    if isinstance(obj, dict):
-        return {str(k): _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_json_safe(v) for v in obj.tolist()]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    return obj
-
-
 def _csv_text(header, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -51,7 +37,7 @@ def _csv_text(header, rows) -> str:
 
 
 def _emit(args, text: str) -> None:
-    if getattr(args, "output", None):
+    if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
             if not text.endswith("\n"):
@@ -68,7 +54,7 @@ def _emit(args, text: str) -> None:
 
 def _render(args, lines, payload, header, rows) -> None:
     if args.format == "json":
-        _emit(args, verifier.canonical_json(_json_safe(payload)))
+        _emit(args, verifier.canonical_json(payload))
     elif args.format == "csv":
         _emit(args, _csv_text(header, rows))
     else:
@@ -194,13 +180,13 @@ def cmd_flow(args) -> int:
         "end_point": [float(v) for v in res.end_point],
     }
     if args.trajectory:
-        dim = res.points.shape[1]
-        header = ["t", "chart"] + [f"x{j}" for j in range(dim)] + ["H"]
-        with open(args.trajectory, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for t, ci, p, h in zip(res.times, res.chart_indices, res.points, res.h_values):
-                writer.writerow([f"{t:.12g}", ci] + [f"{v:.12g}" for v in p] + [f"{h:.12g}"])
+        header = ["t", "chart"] + [f"x{j}" for j in range(res.points.shape[1])] + ["H"]
+        rows = (
+            [f"{t:.12g}", ci] + [f"{v:.12g}" for v in p] + [f"{h:.12g}"]
+            for t, ci, p, h in zip(res.times, res.chart_indices, res.points, res.h_values)
+        )
+        with open(args.trajectory, "w", encoding="utf-8") as fh:
+            fh.write(_csv_text(header, rows) + "\n")
     lines = [
         f"termination: {res.termination} after {len(res.times)} points, t={res.times[-1]:.6g}",
         f"H: {h0:.6g} -> {h1:.6g} ({'monotone' if res.monotone else 'not monotone'})",
@@ -212,7 +198,7 @@ def cmd_flow(args) -> int:
 
 def cmd_legendrian(args) -> int:
     model = registry.build(args.model)
-    found = flow.detect_legendrian_set(model, seed=args.seed, samples=args.samples)
+    found = flow.detect_legendrian_set(model, seed=args.seed)
     components = []
     for comp in found.components:
         cd = model.charts[comp.chart_index]
@@ -261,21 +247,13 @@ def _parse_holes(raw: str | None):
 
 
 def cmd_build(args) -> int:
-    if args.builder == "free-action":
-        model = free_action_planar(args.k, holes=_parse_holes(args.holes))
-    elif args.builder == "disc-bundle":
-        model = disc_bundle_over_surface(_parse_holes(args.holes) or (), collar=args.collar)
-    elif args.builder == "attach-2handle":
-        model = attach_2handle(registry.build(args.base), eps=args.eps, kappa=args.kappa)
-    else:
-        model = blowup_d4(args.weights[0], args.weights[1], size=args.size)
-
+    model = args.make(args)
     rep = _verified_report(model, _run_config(args))
     descriptor = {
         "name": model.name,
-        "params": _json_safe(model.params),
+        "params": model.params,
         "charts": [cd.chart.name for cd in model.charts],
-        "meta": _json_safe(model.meta),
+        "meta": model.meta,
     }
     payload = {"model": descriptor, "report": rep.to_dict()}
     lines = [f"built {model.name} with charts {', '.join(descriptor['charts'])}"]
@@ -302,7 +280,13 @@ def cmd_decompositions(args) -> int:
 # parser
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_output(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    p.add_argument("--output", metavar="PATH", default=None, help="write the report here instead of stdout")
+
+
+def _add_checks(p: argparse.ArgumentParser) -> None:
+    """The settings of :class:`verifier.RunConfig`, for the commands that verify a model."""
     p.add_argument("--seed", type=int, default=0, help="master seed for all sampling")
     p.add_argument("--samples", type=int, default=500, help="sample count per check")
     p.add_argument(
@@ -312,8 +296,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         metavar="[CHECK=]VALUE",
         help="override one check tolerance (repeatable) or all of them at once",
     )
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.add_argument("--output", metavar="PATH", default=None, help="write the report here instead of stdout")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -324,12 +306,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("list", help="show the model catalog and the standard example list")
-    _add_common(p)
     p.set_defaults(func=cmd_list)
 
     p = sub.add_parser("verify", help="run the full identity suite on one model")
     p.add_argument("model", help='model spec, e.g. "disc_d4(1,-1)"')
-    _add_common(p)
+    _add_checks(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("flow", help="integrate one moment-gradient trajectory")
@@ -340,46 +321,48 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-time", type=float, default=60.0)
     p.add_argument("--classify-orbit", action="store_true", help="report the invariant surface type instead")
     p.add_argument("--trajectory", metavar="PATH", default=None, help="also write the sampled path as CSV")
-    _add_common(p)
     p.set_defaults(func=cmd_flow)
 
     p = sub.add_parser("legendrian", help="locate zero-level boundary orbit components")
     p.add_argument("model")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="seed for the 600 boundary samples per chart")
     p.set_defaults(func=cmd_legendrian)
 
+    p = sub.add_parser("decompositions", help="list the (h, k) splittings for a genus")
+    p.add_argument("genus", type=int)
+    p.set_defaults(func=cmd_decompositions)
+
+    for p in sub.choices.values():
+        _add_output(p)
+
     p = sub.add_parser("build", help="run a constructor and verify the result")
+    p.set_defaults(func=cmd_build)
     bsub = p.add_subparsers(dest="builder", required=True)
 
     b = bsub.add_parser("free-action", help="free circle model over a planar potential")
     b.add_argument("--k", type=int, default=1, help="number of boundary circles of the base")
     b.add_argument("--holes", default=None, metavar="X,Y;X,Y", help="k-1 hole centers")
-    _add_common(b)
-    b.set_defaults(func=cmd_build, builder="free-action")
+    b.set_defaults(make=lambda a: free_action_planar(a.k, holes=_parse_holes(a.holes)))
 
     b = bsub.add_parser("disc-bundle", help="rotation-invariant disc bundle over a sublevel surface")
     b.add_argument("--holes", default=None, metavar="X,Y;X,Y")
     b.add_argument("--collar", type=float, default=0.1)
-    _add_common(b)
-    b.set_defaults(func=cmd_build, builder="disc-bundle")
+    b.set_defaults(make=lambda a: disc_bundle_over_surface(_parse_holes(a.holes) or (), collar=a.collar))
 
     b = bsub.add_parser("attach-2handle", help="graft a saddle block along a zero-level boundary orbit")
     b.add_argument("--base", required=True, metavar="SPEC")
     b.add_argument("--eps", type=float, default=0.05)
     b.add_argument("--kappa", type=float, default=0.55)
-    _add_common(b)
-    b.set_defaults(func=cmd_build, builder="attach-2handle")
+    b.set_defaults(make=lambda a: attach_2handle(registry.build(a.base), eps=a.eps, kappa=a.kappa))
 
     b = bsub.add_parser("blowup", help="replace the origin of the weighted ball by a sphere")
     b.add_argument("--weights", type=int, nargs=2, required=True, metavar=("M", "N"))
     b.add_argument("--size", type=float, default=0.2)
-    _add_common(b)
-    b.set_defaults(func=cmd_build, builder="blowup")
+    b.set_defaults(make=lambda a: blowup_d4(a.weights[0], a.weights[1], size=a.size))
 
-    p = sub.add_parser("decompositions", help="list the (h, k) splittings for a genus")
-    p.add_argument("genus", type=int)
-    _add_common(p)
-    p.set_defaults(func=cmd_decompositions)
+    for b in bsub.choices.values():
+        _add_checks(b)
+        _add_output(b)
 
     return parser
 
@@ -393,7 +376,8 @@ def main(argv=None) -> int:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message
+        print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return 2
 
 

@@ -48,7 +48,6 @@ class CriticalCluster:
     value: float
     index: int
     nullity: int
-    set_dimension: int
     touches_boundary: bool
     members: int
 
@@ -206,7 +205,6 @@ def find_fixed_points(model: HamiltonianModel, seed: int = 0) -> list[CriticalCl
                 value=float(hj.value[0]),
                 index=index,
                 nullity=nullity,
-                set_dimension=nullity,
                 touches_boundary=touches,
                 members=len(group),
             )

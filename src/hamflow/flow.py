@@ -526,13 +526,11 @@ def _orbit_near(chart, orbit: Array, cloud: Array, radius: float) -> bool:
     return False
 
 
-def detect_legendrian_set(
-    model: HamiltonianModel, seed: int = 0, samples: int = 600
-) -> LegendrianSet:
+def detect_legendrian_set(model: HamiltonianModel, seed: int = 0) -> LegendrianSet:
     """Find the boundary zero-level orbit sets and group them into components.
 
-    The 60 boundary samples of each chart with the smallest |H| are
-    candidates.  They are projected, filtered and mapped around their orbits
+    Each chart draws 600 boundary samples, and the 60 with the smallest |H|
+    are candidates.  They are projected, filtered and mapped around their orbits
     at 128 angles in batches per chart; only the claim test (within 2.5
     steps of a traced cloud) and the tracing, in steps of 0.04, are
     sequential.
@@ -544,7 +542,7 @@ def detect_legendrian_set(
             continue
         rng = np.random.default_rng([seed, 97, ci])
         try:
-            pts = sample_boundary(cd.chart, samples, rng, accept=cd.boundary_accept)
+            pts = sample_boundary(cd.chart, 600, rng, accept=cd.boundary_accept)
         except BoundaryNotFound:
             continue
         hv = cd.hamiltonian(jets.seed(pts, order=0)).value

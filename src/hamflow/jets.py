@@ -276,7 +276,7 @@ def positive_cube(x: Jet) -> Jet:
 # constructors
 
 
-def seed(points: Array, order: int = 2) -> list[Jet]:
+def seed(points: Array, order: int) -> list[Jet]:
     """Seed coordinate jets at a batch of points.
 
     ``points`` has shape ``(n, d)``.  Returns one jet per coordinate, each of

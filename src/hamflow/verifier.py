@@ -73,7 +73,7 @@ import numpy as np
 
 from . import basic, forms, handles, jets
 from .chart import sample_boundary, sample_domain
-from .errors import JetOrderError
+from .errors import BoundaryNotFound, JetOrderError
 from .forms import KForm
 from .linalg import compatible_structure, congruence, nondegenerate
 from .model import HamiltonianModel, circle_action, contract_form, liouville_primitive, liouville_residual, moment_residual
@@ -163,7 +163,7 @@ class VerificationReport:
     seed: int
     tolerance: dict
     results: list[CheckResult]
-    critical: dict | None = None
+    critical: int | None = None
 
     @property
     def overall(self) -> bool:
@@ -422,7 +422,11 @@ def check_contact_boundary(model: HamiltonianModel, config: RunConfig) -> CheckR
         if cd.chart.boundary is None:
             t.skip("no boundary")
             continue
-        pts = sample_boundary(cd.chart, config.samples, rng, accept=cd.boundary_accept)
+        try:
+            pts = sample_boundary(cd.chart, config.samples, rng, accept=cd.boundary_accept)
+        except BoundaryNotFound as exc:
+            t.skip(str(exc).removeprefix(f"chart {cd.chart.name!r}: "))
+            continue
         keep = cd.inside_margin(pts)
         if not keep.any():
             t.skip("boundary lies outside the declared margin")

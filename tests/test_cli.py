@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: exit codes, formats, determinism."""
 
+import argparse
 import csv
 import json
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from hamflow import cli, registry
+from hamflow import cli, flow, registry
 from hamflow.model import HamiltonianModel
 
 
@@ -90,6 +91,7 @@ def test_unknown_model_exits_two(capsys):
     code, _, err = run(capsys, ["verify", "nosuch(1)"])
     assert code == 2
     assert "unknown model" in err
+    assert 'error: "' not in err
 
 
 def test_ineffective_weights_exit_two(capsys):
@@ -137,6 +139,7 @@ def test_bad_tolerance_name_exits_two(capsys):
     code, _, err = run(capsys, ["verify", "disc_d4(1,1)", "--tol", "bogus=1.0"])
     assert code == 2
     assert "unknown check 'bogus'" in err and "known checks: symplectic" in err
+    assert 'error: "' not in err
 
 
 @pytest.mark.parametrize("spec", ["disc_d4(1,2,3)", "disc_d4(m=1,q=2)"])
@@ -277,6 +280,17 @@ def test_legendrian_absent_set_exits_zero(capsys):
     assert json.loads(out)["count"] == 0
 
 
+def test_legendrian_runs_the_library_detector_at_its_seed(capsys, monkeypatch):
+    seen = []
+    monkeypatch.setattr(
+        cli.flow, "detect_legendrian_set", lambda model, seed=0: seen.append((model.name, seed)) or flow.LegendrianSet()
+    )
+    code, out, _ = run(capsys, ["legendrian", "disc_d4(1,1)", "--seed", "4", "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["count"] == 0
+    assert seen == [("disc_d4", 4)]
+
+
 def test_legendrian_locus_height_for_double_translation_weight(capsys):
     code, out, _ = run(capsys, ["legendrian", "s1_d3(2,1)", "--format", "json"])
     assert code == 0
@@ -346,6 +360,58 @@ def test_decompositions_negative_genus_exits_two(capsys):
     code, _, err = run(capsys, ["decompositions", "-1"])
     assert code == 2
     assert "nonnegative" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["list", "--seed", "5"],
+        ["list", "--seed", "5", "--samples", "-3", "--tol", "nan"],
+        ["decompositions", "3", "--tol", "nan", "--samples", "0"],
+        ["flow", "disc_d4(1,1)", "--start", "0.1,0,0,0", "--tol", "x=nan", "--samples", "0"],
+        ["legendrian", "disc_d4(1,1)", "--tol", "nan"],
+        ["legendrian", "disc_d4(1,1)", "--samples", "0"],
+    ],
+)
+def test_option_a_subcommand_does_not_take_exits_two(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+CHEAP_INVOCATIONS = [
+    ["list"],
+    ["verify", "disc_d4(1,1)", "--samples", "20"],
+    ["flow", "disc_d4(1,1)", "--start", "0.1,0.05,0,0.02", "--max-time", "0.01"],
+    ["legendrian", "disc_d4(1,1)"],
+    ["build", "free-action", "--samples", "20"],
+    ["build", "disc-bundle", "--samples", "20"],
+    ["build", "attach-2handle", "--base", "disc_d4(1,-1)", "--samples", "20"],
+    ["build", "blowup", "--weights", "3", "1", "--samples", "20"],
+    ["decompositions", "3"],
+]
+
+
+def test_every_subcommand_option_is_read(capsys):
+    """Every option a subcommand declares is read when it runs, so none is accepted and then ignored."""
+    read = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            read.add(name)
+            return super().__getattribute__(name)
+
+    unread = {}
+    for argv in CHEAP_INVOCATIONS:
+        args = cli.build_parser().parse_args(argv, namespace=Recording())
+        read.clear()
+        assert args.func(args) == 0, argv
+        missed = set(vars(args)) - read - {"func", "command", "builder", "make"}
+        if missed:
+            unread[" ".join(argv[:2])] = sorted(missed)
+    capsys.readouterr()
+    assert unread == {}
 
 
 # ----------------------------------------------------------------------

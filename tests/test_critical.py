@@ -43,7 +43,7 @@ def test_one_handle_has_a_fixed_surface():
     clusters = critical.find_fixed_points(registry.build("weinstein_1handle(1)"))
     assert len(clusters) == 1
     c = clusters[0]
-    assert (c.index, c.nullity, c.set_dimension) == (0, 2, 2)
+    assert (c.index, c.nullity) == (0, 2)
     assert c.members > 10
 
 

@@ -27,7 +27,7 @@ from oracles import (
 def test_frozen_smooth_expression():
     # f(x, y) = sin(x) e^y + x^2 y at (0.7, -0.3); reference values frozen
     # from an independent finite-difference oracle run.
-    x, y = jets.seed(np.array([[0.7, -0.3]]))
+    x, y = jets.seed(np.array([[0.7, -0.3]]), order=2)
     f = jets.sin(x) * jets.exp(y) + x.sq() * y
     assert f.value[0] == pytest.approx(0.3302482007911177, abs=1e-14)
     assert f.grad[0] == pytest.approx(
@@ -44,7 +44,7 @@ def test_frozen_smooth_expression():
 
 def test_frozen_atan2_sqrt_log_expression():
     # g(x, y, z) = atan2(y, x) sqrt(z) + log(z)/x at (0.8, -0.5, 1.7).
-    x, y, z = jets.seed(np.array([[0.8, -0.5, 1.7]]))
+    x, y, z = jets.seed(np.array([[0.8, -0.5, 1.7]]), order=2)
     g = jets.atan2(y, x) * jets.sqrt(z) + jets.log(z) / x
     assert g.value[0] == pytest.approx(-0.0650390861987481, abs=1e-12)
     assert g.grad[0] == pytest.approx(
@@ -90,7 +90,7 @@ coord = st.floats(min_value=-1.5, max_value=1.5)
 @given(a=coeff, b=coeff, c=coeff, x0=coord, y0=coord)
 def test_jet_matches_finite_differences(a, b, c, x0, y0):
     pt = np.array([[x0, y0]])
-    out = _expr(a, b, c)(jets.seed(pt))
+    out = _expr(a, b, c)(jets.seed(pt, order=2))
     f = _expr_float(a, b, c)
     scale = 1.0 + abs(out.value[0])
     assert out.value[0] == pytest.approx(f(pt[0]), rel=1e-12)
@@ -106,16 +106,16 @@ def test_batched_evaluation_matches_loop():
     rng = np.random.default_rng(7)
     pts = rng.uniform(-1.0, 1.0, size=(40, 2))
     fn = _expr(1.3, -0.7, 0.4)
-    batched = fn(jets.seed(pts))
+    batched = fn(jets.seed(pts, order=2))
     for i, p in enumerate(pts):
-        single = fn(jets.seed(p[None, :]))
+        single = fn(jets.seed(p[None, :], order=2))
         assert batched.value[i] == pytest.approx(single.value[0], abs=1e-14)
         assert np.allclose(batched.grad[i], single.grad[0], atol=1e-14)
         assert np.allclose(batched.hess[i], single.hess[0], atol=1e-14)
 
 
 def test_partial_drops_one_order():
-    x, y = jets.seed(np.array([[0.3, 1.1]]))
+    x, y = jets.seed(np.array([[0.3, 1.1]]), order=2)
     f = x.sq() * y  # df/dx = 2xy, d2f/dxdy = 2x
     fx = f.partial(0)
     assert fx.order == 1
@@ -142,7 +142,7 @@ def test_order_propagation_through_arithmetic():
 
 
 def test_constants_are_flat():
-    x, _ = jets.seed(np.array([[0.5, 0.25], [1.0, 2.0]]))
+    x, _ = jets.seed(np.array([[0.5, 0.25], [1.0, 2.0]]), order=2)
     c = jets.constant(4.0, x)
     assert c.order == 2
     assert np.all(c.value == 4.0)
@@ -156,7 +156,7 @@ def test_constants_are_flat():
 
 
 def test_division_and_power_consistency():
-    (x,) = jets.seed(np.array([[1.7]]))
+    (x,) = jets.seed(np.array([[1.7]]), order=2)
     lhs = 1.0 / x
     rhs = x**-1.0
     assert lhs.value[0] == pytest.approx(rhs.value[0], rel=1e-14)
@@ -166,7 +166,7 @@ def test_division_and_power_consistency():
 
 
 def test_trig_second_derivatives_close_loop():
-    (t,) = jets.seed(np.array([[0.9]]))
+    (t,) = jets.seed(np.array([[0.9]]), order=2)
     s = jets.sin(t)
     assert s.hess[0, 0, 0] == pytest.approx(-np.sin(0.9), abs=1e-15)
     c = jets.cos(t)

@@ -23,7 +23,7 @@ def test_spd_solve_matches_numpy():
     b = rng.normal(size=(4, 4))
     spd = b @ b.T + 4 * np.eye(4)
     rhs = rng.normal(size=4)
-    (anchor,) = jets.seed(np.array([[0.0]]))
+    (anchor,) = jets.seed(np.array([[0.0]]), order=2)
     mat = _jet_matrix_from_values(spd, anchor)
     rj = [jets.constant(v, anchor) for v in rhs]
     x = linalg.solve_spd_jet(mat, rj)
@@ -34,7 +34,7 @@ def test_spd_solve_matches_numpy():
 
 def test_spd_solve_carries_derivatives():
     # solve [[1+x^2, 0], [0, 2]] v = (x, 1); v0 = x/(1+x^2), dv0/dx known
-    (x,) = jets.seed(np.array([[0.6]]))
+    (x,) = jets.seed(np.array([[0.6]]), order=2)
     one = jets.constant(1.0, x)
     zero = jets.constant(0.0, x)
     mat = [[one + x.sq(), zero], [zero, jets.constant(2.0, x)]]
@@ -47,7 +47,7 @@ def test_spd_solve_carries_derivatives():
 
 
 def test_singular_metric_raises():
-    (anchor,) = jets.seed(np.array([[0.0]]))
+    (anchor,) = jets.seed(np.array([[0.0]]), order=2)
     mat = _jet_matrix_from_values(np.diag([1.0, 0.0]), anchor)
     with pytest.raises(SingularMetric):
         linalg.solve_spd_jet(mat, [anchor, anchor])

@@ -107,6 +107,18 @@ def test_boundaryless_chart_skips_contact():
     assert rep.overall
 
 
+def test_unsampleable_boundary_skips_contact():
+    """A chart whose boundary filter refuses every point skips the contact check instead of raising."""
+    mod = registry.build("disc_d4(1,1)")
+    refusing = dataclasses.replace(mod.charts[0], boundary_accept=lambda pts: np.zeros(len(pts), dtype=bool))
+    rep = run_all(dataclasses.replace(mod, charts=[refusing]), RunConfig(samples=60))
+    untouched = run_all(mod, RunConfig(samples=60))
+    contact = rep.results[-1]
+    assert contact.check_id == "contact_boundary"
+    assert contact.skipped == "chart 'ball': 1024 consecutive rays missed the boundary"
+    assert [r.to_entry() for r in rep.results[:-1]] == [r.to_entry() for r in untouched.results[:-1]]
+
+
 def test_degenerate_direction_noted_on_quotient_model():
     rep = run_all(registry.build("prequantization_s2()"), RunConfig(samples=60))
     sym = rep.results[0]
