@@ -23,15 +23,12 @@ from .model import (
     ChartData,
     HamiltonianModel,
     assert_moment,
-    circle_action,
-    effective_weights,
     identity_metric,
 )
 
 
 def disc_d4(m: int = 1, n: int = 1) -> HamiltonianModel:
     """Weight-(m, n) coordinate rotation of the unit 4-ball."""
-    effective_weights(m, n)
     fm, fn = float(m), float(n)
 
     def sphere(jc):
@@ -51,8 +48,6 @@ def disc_d4(m: int = 1, n: int = 1) -> HamiltonianModel:
     def hamiltonian(jc):
         return (jc[0] * jc[0] + jc[1] * jc[1]) * (fm / 2) + (jc[2] * jc[2] + jc[3] * jc[3]) * (fn / 2)
 
-    generator, action = circle_action({(0, 1): fm, (2, 3): fn})
-
     def liouville(jc):
         return [jc[i] * 0.5 for i in range(4)]
 
@@ -60,8 +55,7 @@ def disc_d4(m: int = 1, n: int = 1) -> HamiltonianModel:
         chart=chart,
         omega=omega,
         hamiltonian=hamiltonian,
-        generator=generator,
-        action=action,
+        weights={(0, 1): fm, (2, 3): fn},
         liouville=liouville,
         metric=identity_metric(4),
     )
@@ -76,7 +70,6 @@ def disc_d4(m: int = 1, n: int = 1) -> HamiltonianModel:
 
 def s1_d3(k: int = 1, m: int = 0) -> HamiltonianModel:
     """Circle times 3-ball: translate the loop with speed k, spin (x, y) with weight m."""
-    effective_weights(k, m)
     fk, fm = float(k), float(m)
 
     def sphere(jc):
@@ -95,8 +88,6 @@ def s1_d3(k: int = 1, m: int = 0) -> HamiltonianModel:
 
     def hamiltonian(jc):
         return jc[3] * fk + (jc[1] * jc[1] + jc[2] * jc[2]) * (fm / 2)
-
-    generator, action = circle_action({(0,): fk, (1, 2): fm})
 
     def liouville(jc):
         zero = jets.constant(0.0, jc[0])
@@ -120,8 +111,7 @@ def s1_d3(k: int = 1, m: int = 0) -> HamiltonianModel:
         chart=chart,
         omega=omega,
         hamiltonian=hamiltonian,
-        generator=generator,
-        action=action,
+        weights={(0,): fk, (1, 2): fm},
         liouville=liouville,
         metric=metric,
     )
@@ -136,7 +126,6 @@ def s1_d3(k: int = 1, m: int = 0) -> HamiltonianModel:
 
 def cotangent_t2(m1: int = 1, m2: int = 0) -> HamiltonianModel:
     """Unit-disc cotangent bundle of the 2-torus with a lifted slope flow."""
-    effective_weights(m1, m2)
     f1, f2 = float(m1), float(m2)
 
     def codisc(jc):
@@ -156,8 +145,6 @@ def cotangent_t2(m1: int = 1, m2: int = 0) -> HamiltonianModel:
     def hamiltonian(jc):
         return jc[2] * f1 + jc[3] * f2
 
-    generator, action = circle_action({(0,): f1, (1,): f2})
-
     def liouville(jc):
         zero = jets.constant(0.0, jc[0])
         return [zero, zero, jc[2], jc[3]]
@@ -166,8 +153,7 @@ def cotangent_t2(m1: int = 1, m2: int = 0) -> HamiltonianModel:
         chart=chart,
         omega=omega,
         hamiltonian=hamiltonian,
-        generator=generator,
-        action=action,
+        weights={(0,): f1, (1,): f2},
         liouville=liouville,
         metric=identity_metric(4),
     )

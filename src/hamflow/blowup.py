@@ -36,8 +36,6 @@ from .model import (
     HamiltonianModel,
     Transition,
     assert_moment,
-    circle_action,
-    effective_weights,
     form_matrix_jets,
 )
 
@@ -259,7 +257,7 @@ _CORE_NAMES = {
 }
 
 
-def _core_chart_data(keep, scaled, hamiltonian, eps2, weights, flat: ChartData):
+def _core_chart_data(keep, scaled, hamiltonian, eps2, flat: ChartData):
     """Core chart keeping the pair ``keep``; everything but H follows from the pair.
 
     Its domain stops short of the rim band and caps the scaled pair.  The
@@ -268,7 +266,7 @@ def _core_chart_data(keep, scaled, hamiltonian, eps2, weights, flat: ChartData):
     from each add their sphere term and subtract the faded correction in
     one coefficient function (:func:`_corrected`).  The kept pair turns
     with its flat weight, the scaled pair with the difference of the two
-    flat weights ``weights``.
+    flat weights.
     """
     name, coords = _CORE_NAMES[keep]
 
@@ -292,15 +290,13 @@ def _core_chart_data(keep, scaled, hamiltonian, eps2, weights, flat: ChartData):
     fs, rp = _fubini_study(eps2, scaled), _round_primitive(eps2, scaled)
     omega = KForm(2, 4, _corrected(down, flat.omega.coefficients, fs, lambda jc: d_coeffs(psi(jc), 4)))
     lam = _corrected(down, flat.alpha().coefficients, rp, psi)
-    w_keep, w_scaled = weights[keep], weights[scaled]
-    generator, action = circle_action({keep: w_keep, scaled: w_scaled - w_keep})
+    w_keep = flat.weights[keep]
     metric = _kahler_metric(omega)
     return ChartData(
         chart=chart,
         omega=omega,
         hamiltonian=hamiltonian,
-        generator=generator,
-        action=action,
+        weights={keep: w_keep, scaled: flat.weights[scaled] - w_keep},
         liouville=_dual_liouville(lam, metric),
         metric=metric,
     )
@@ -313,13 +309,12 @@ def blowup_d4(m: int = 1, n: int = -1, size: float = 0.2) -> HamiltonianModel:
             "a zero weight fixes a whole coordinate plane through the center; "
             "blowing up a point of a fixed surface is not supported"
         )
-    effective_weights(m, n)
+    flat = disc_d4(m, n).charts[0]
     m, n = int(m), int(n)
     if not (0 < size <= 0.3):
         raise ValueError(f"size must lie in (0, 0.3], got {size}")
     eps2 = float(size) ** 2
     fm, fn = float(m), float(n)
-    flat = disc_d4(m, n).charts[0]
 
     def rim_core_gap(jc):
         return -(jc[0] * jc[0] + jc[1] * jc[1] + jc[2] * jc[2] + jc[3] * jc[3]) + _RIM_LO
@@ -345,10 +340,9 @@ def blowup_d4(m: int = 1, n: int = -1, size: float = 0.2) -> HamiltonianModel:
         fade = _fade(_blown_down_r2(jc, (2, 3), (0, 1)))
         return p2 * q2 * (fm / 2) + q2 * (fn / 2) + fade * lifted
 
-    weights = {(0, 1): fm, (2, 3): fn}
     pairs = [((0, 1), (2, 3)), ((2, 3), (0, 1))]
     cores = [
-        _core_chart_data(keep, scaled, ham, eps2, weights, flat)
+        _core_chart_data(keep, scaled, ham, eps2, flat)
         for (keep, scaled), ham in zip(pairs, (ham_inner, ham_outer))
     ]
     charts = cores + [dataclasses.replace(flat, chart=rim)]

@@ -159,13 +159,6 @@ class Chart:
         hi = np.asarray(self.box_hi)[free] + slack
         return bool(np.all(p >= lo) and np.all(p <= hi))
 
-    def boundary_values(self, points: Array) -> Jet:
-        """Order-0 jet of the boundary function at the points."""
-        if self.boundary is None:
-            raise ValueError(f"chart {self.name!r} declares no boundary function")
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return self.boundary(jets.seed(pts, order=0))
-
 
 @dataclass(frozen=True)
 class SmoothMap:
@@ -310,7 +303,7 @@ def sample_boundary(
     for bit.  ``accept`` optionally filters found points: it takes each ray
     batch's points, shape ``(m, dim)``, and returns a boolean mask of the
     ones to keep (glued models use it to mask regions replaced by a handle).
-    Raises BoundaryNotFound after 1000 consecutive failed rays.
+    Raises BoundaryNotFound after 1024 consecutive failed rays, four empty batches.
     """
     if chart.boundary is None:
         raise BoundaryNotFound(f"chart {chart.name!r} has no boundary function")
@@ -322,7 +315,7 @@ def sample_boundary(
     got = 0
     failures = 0
     while got < n:
-        if failures >= 1000:
+        if failures >= 1024:
             raise BoundaryNotFound(
                 f"chart {chart.name!r}: {failures} consecutive rays missed the boundary"
             )

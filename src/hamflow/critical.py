@@ -196,7 +196,8 @@ def find_fixed_points(model: HamiltonianModel, seed: int = 0) -> list[CriticalCl
         index, nullity, _ = hessian_data(model, ci, p)
         touches = False
         if cd.chart.boundary is not None:
-            touches = float(cd.chart.boundary_values(p).value[0]) > -BOUNDARY_TOUCH_TOL
+            level = cd.chart.boundary(jets.seed(p[None, :], order=0))
+            touches = float(level.value[0]) > -BOUNDARY_TOUCH_TOL
         hj = cd.hamiltonian(jets.seed(p[None, :], order=0))
         clusters.append(
             CriticalCluster(

@@ -36,8 +36,6 @@ from .model import (
     HamiltonianModel,
     Transition,
     assert_moment,
-    circle_action,
-    effective_weights,
     identity_metric,
 )
 
@@ -92,8 +90,6 @@ def _saddle_chart_data(scale: float, kappa: float) -> ChartData:
     def hamiltonian(jc):
         return (jc[1] * jc[2] - jc[0] * jc[3]) * scale
 
-    generator, action = circle_action({(0, 1): 1.0, (2, 3): 1.0})
-
     def liouville(jc):
         return [jc[0] * -1.0, jc[1] * -1.0, jc[2] * 2.0, jc[3] * 2.0]
 
@@ -101,8 +97,7 @@ def _saddle_chart_data(scale: float, kappa: float) -> ChartData:
         chart=chart,
         omega=omega,
         hamiltonian=hamiltonian,
-        generator=generator,
-        action=action,
+        weights={(0, 1): 1.0, (2, 3): 1.0},
         liouville=liouville,
         metric=identity_metric(4, scale=scale),
     )
@@ -132,8 +127,6 @@ def weinstein_1handle(m: int = 1) -> HamiltonianModel:
 
     Its faces at y2 = +-1 are gluing faces.
     """
-    effective_weights(m)
-    m = int(m)
     fm = float(m)
 
     def round_face(jc):
@@ -156,8 +149,6 @@ def weinstein_1handle(m: int = 1) -> HamiltonianModel:
     def hamiltonian(jc):
         return (jc[0] * jc[0] + jc[1] * jc[1]) * (fm / 2.0)
 
-    generator, action = circle_action({(0, 1): fm})
-
     def liouville(jc):
         return [jc[0] * 0.5, jc[1] * 0.5, jc[2] * 2.0, jc[3] * -1.0]
 
@@ -165,15 +156,14 @@ def weinstein_1handle(m: int = 1) -> HamiltonianModel:
         chart=chart,
         omega=omega,
         hamiltonian=hamiltonian,
-        generator=generator,
-        action=action,
+        weights={(0, 1): fm},
         liouville=liouville,
         metric=identity_metric(4),
     )
     assert_moment(cd)
     return HamiltonianModel(
         name="weinstein_1handle",
-        params={"m": m},
+        params={"m": int(m)},
         charts=[cd],
         transitions=[],
         description="index-zero block whose moment map vanishes on a fixed surface",

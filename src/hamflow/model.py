@@ -2,13 +2,14 @@
 
 A model bundles one or more coordinate charts, each carrying the same
 geometric package: the symplectic form, the moment map ("hamiltonian"), the
-circle-action generator, the action itself as a family of chart self-maps,
-the Liouville field, and optionally a compatible metric.  The Liouville field
-is the one declaration of the contact structure: the boundary 1-form is its
-primitive alpha = i_Y omega (:func:`liouville_primitive`), never stored.
-Builders declare the circle action once, as a table of plane weights and
-coordinate speeds; :func:`circle_action` turns it into both the action and
-its generator, the action's derivative at angle 0.  Charts are glued by
+circle action as a table of integer weights, the Liouville field, and
+optionally a compatible metric.  The Liouville field is the one declaration
+of the contact structure: the boundary 1-form is its primitive
+alpha = i_Y omega (:func:`liouville_primitive`), never stored.  The weight
+table is the one declaration of the circle action: a chart refuses a table
+that is not integer or not effective, and :func:`circle_action` turns it
+into both the action, a family of chart self-maps, and its generator, the
+action's derivative at angle 0.  Charts are glued by
 transitions (smooth maps with validity predicates);
 ``HamiltonianModel.transfers`` is the one way across them.  The structural
 identities tying all of this together are checked by :mod:`hamflow.verifier`,
@@ -19,13 +20,15 @@ identities live here, shared by the verifier and the builders' self-check
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from . import forms, jets
-from .chart import Chart, SmoothMap
+from .chart import Chart, SmoothMap, sample_domain
+from .errors import IneffectiveAction, MomentMapMismatch
 from .forms import KForm, MetricField, ScalarField, VectorField
 from .jets import Jet
 
@@ -38,9 +41,13 @@ ActionFamily = Callable[[float], Callable[[Sequence[Jet]], list[Jet]]]
 class ChartData:
     """All model structure expressed in one chart.
 
-    Builders take ``generator`` and ``action`` from one weight table through
-    :func:`circle_action`, so the generator is the action's derivative at
-    angle 0.  ``boundary_accept``, like :attr:`Transition.valid`, takes a
+    ``weights`` declares the circle action (see :func:`circle_action`).  On
+    construction the chart refuses a non-integer weight (a ValueError: its
+    rotation has no period 2 pi) and weights that are all zero or share a
+    divisor (IneffectiveAction), then sets ``generator`` and ``action`` from
+    the table, so the generator is the action's derivative at angle 0.
+    Neither is a field: ``dataclasses.replace`` cannot set one apart from
+    the other.  ``boundary_accept``, like :attr:`Transition.valid`, takes a
     point batch of shape ``(n, dim)`` and returns a boolean mask; boundary
     sampling keeps only the points it accepts.
     """
@@ -48,14 +55,25 @@ class ChartData:
     chart: Chart
     omega: KForm
     hamiltonian: ScalarField
-    generator: VectorField
-    action: ActionFamily
+    weights: dict[tuple[int, ...], float]
     liouville: VectorField
     metric: MetricField | None = None
     kernel: VectorField | None = None
     kernel_complement: tuple[int, ...] | None = None
     liouville_domain: tuple[ScalarField, ...] = ()
     boundary_accept: Callable[[Array], Array] | None = None
+
+    def __post_init__(self) -> None:
+        for w in self.weights.values():
+            if not float(w).is_integer():
+                raise ValueError(f"weight {w} is not an integer: the action would not have period 2 pi")
+        ws = tuple(int(w) for w in self.weights.values())
+        if not any(ws):
+            raise IneffectiveAction(f"weights {ws} act trivially")
+        g = math.gcd(*ws)
+        if g != 1:
+            raise IneffectiveAction(f"weights {ws} have common divisor {g}; the circle acts with a kernel")
+        self.generator, self.action = circle_action(self.weights)
 
     def inside_margin(self, points: Array) -> Array:
         """Mask of the points inside every declared field margin."""
@@ -190,8 +208,6 @@ def liouville_residual(cd: ChartData, jc: Sequence[Jet]) -> Array:
 
 def assert_moment(cd: ChartData) -> None:
     """Builder self-check: the moment identity holds to 1e-9 at order-1 self-check points."""
-    from .errors import MomentMapMismatch
-
     r = float(np.max(moment_residual(cd, jets.seed(self_check_points(cd), order=1))))
     if not np.isfinite(r) or r > 1e-9:
         raise MomentMapMismatch(
@@ -201,8 +217,6 @@ def assert_moment(cd: ChartData) -> None:
 
 
 def self_check_points(cd: ChartData, n: int = 32, seed: int = 11) -> Array:
-    from .chart import sample_domain
-
     rng = np.random.default_rng([seed, 1301])
     return sample_domain(cd.chart, n, rng)
 
@@ -256,30 +270,6 @@ def identity_metric(dim: int, scale: float = 1.0) -> MetricField:
         return [[one if i == j else zero for j in range(dim)] for i in range(dim)]
 
     return g
-
-
-def effective_weights(*weights: int) -> None:
-    """Require integer weights generating an effective circle action.
-
-    A non-integer weight is a ValueError: its rotation has no period 2 pi.
-    """
-    import math
-
-    from .errors import IneffectiveAction
-
-    for w in weights:
-        if not float(w).is_integer():
-            raise ValueError(f"weight {w} is not an integer: the action would not have period 2 pi")
-    ws = [int(w) for w in weights]
-    if all(w == 0 for w in ws):
-        raise IneffectiveAction(f"weights {tuple(ws)} act trivially")
-    g = 0
-    for w in ws:
-        g = math.gcd(g, abs(w))
-    if g != 1:
-        raise IneffectiveAction(
-            f"weights {tuple(ws)} have common divisor {g}; the circle acts with a kernel"
-        )
 
 
 def form_matrix_jets(form: KForm, jc: Sequence[Jet]) -> list[list[Jet]]:

@@ -27,7 +27,7 @@ from .chart import Chart, _components
 from .errors import BadRamp, BadStructureConstant
 from .forms import KForm
 from .jets import Jet
-from .model import ChartData, HamiltonianModel, assert_moment, circle_action
+from .model import ChartData, HamiltonianModel, assert_moment
 
 Array = np.ndarray
 
@@ -204,8 +204,6 @@ def free_action_planar(k: int = 1, holes=None) -> HamiltonianModel:
     def hamiltonian(jc):
         return jc[1] * 1.0
 
-    generator, action = circle_action({(0,): 1.0})
-
     def liouville(jc):
         zero = jets.constant(0.0, jc[0])
         f2 = pot.value(jc[2], jc[3])
@@ -227,8 +225,7 @@ def free_action_planar(k: int = 1, holes=None) -> HamiltonianModel:
         chart=chart,
         omega=KForm(2, 4, omega),
         hamiltonian=hamiltonian,
-        generator=generator,
-        action=action,
+        weights={(0,): 1.0},
         liouville=liouville,
         metric=metric,
     )
@@ -279,8 +276,6 @@ def disc_bundle_over_surface(holes=(), collar: float = 0.1) -> HamiltonianModel:
     def hamiltonian(jc):
         return (jc[2] * jc[2] + jc[3] * jc[3]) * 0.5
 
-    generator, action = circle_action({(2, 3): 1.0})
-
     def liouville(jc):
         f2 = pot.value(jc[0], jc[1])
         lap = pot.laplacian(jc[0], jc[1])
@@ -301,8 +296,7 @@ def disc_bundle_over_surface(holes=(), collar: float = 0.1) -> HamiltonianModel:
         chart=chart,
         omega=KForm(2, 4, omega),
         hamiltonian=hamiltonian,
-        generator=generator,
-        action=action,
+        weights={(2, 3): 1.0},
         liouville=liouville,
         metric=metric,
     )

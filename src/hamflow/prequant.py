@@ -29,7 +29,6 @@ from .model import (
     HamiltonianModel,
     Transition,
     assert_moment,
-    circle_action,
 )
 
 H_CHART = 0.8
@@ -67,7 +66,7 @@ def _fiber_liouville(jc):
 
 
 # the band and both caps: the circle rotates the disc fibers
-_FIBER_GENERATOR, _FIBER_ACTION = circle_action({(2, 3): 1.0})
+_FIBER_WEIGHTS = {(2, 3): 1.0}
 
 
 def _band_chart_data() -> ChartData:
@@ -115,8 +114,7 @@ def _band_chart_data() -> ChartData:
         chart=chart,
         omega=KForm(2, 4, omega),
         hamiltonian=_fiber_energy,
-        generator=_FIBER_GENERATOR,
-        action=_FIBER_ACTION,
+        weights=_FIBER_WEIGHTS,
         liouville=_fiber_liouville,
         metric=metric,
         liouville_domain=(_off_axis,),
@@ -180,8 +178,7 @@ def _cap_chart_data(name: str, south: bool) -> ChartData:
         chart=chart,
         omega=KForm(2, 4, omega),
         hamiltonian=_fiber_energy,
-        generator=_FIBER_GENERATOR,
-        action=_FIBER_ACTION,
+        weights=_FIBER_WEIGHTS,
         liouville=_fiber_liouville,
         metric=metric,
         liouville_domain=(_off_axis,),
@@ -225,8 +222,6 @@ def _total_chart_data(name: str, south: bool) -> ChartData:
     def hamiltonian(jc):
         return jc[3] * jc[3] * 0.5
 
-    generator, action = circle_action({(4,): 1.0})
-
     def liouville(jc):
         zero = jets.constant(0.0, jc[0])
         rho = jc[3]
@@ -241,8 +236,7 @@ def _total_chart_data(name: str, south: bool) -> ChartData:
         chart=chart,
         omega=KForm(2, 5, omega),
         hamiltonian=hamiltonian,
-        generator=generator,
-        action=action,
+        weights={(4,): 1.0},
         liouville=liouville,
         metric=None,
         kernel=kernel,

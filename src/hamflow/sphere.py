@@ -21,7 +21,6 @@ from .model import (
     HamiltonianModel,
     Transition,
     assert_moment,
-    circle_action,
 )
 
 U_CHART = 0.8
@@ -63,8 +62,6 @@ def _equator_chart_data() -> ChartData:
     def hamiltonian(jc):
         return jc[2] * 1.0
 
-    generator, action = circle_action({(0,): 1.0})
-
     def metric(jc):
         w = -(jc[1] * jc[1]) + 1.0
         winv = 1.0 / w
@@ -80,8 +77,7 @@ def _equator_chart_data() -> ChartData:
         chart=chart,
         omega=_OMEGA,
         hamiltonian=hamiltonian,
-        generator=generator,
-        action=action,
+        weights={(0,): 1.0},
         liouville=_momentum_liouville,
         metric=metric,
     )
@@ -109,8 +105,6 @@ def _cap_chart_data(name: str) -> ChartData:
     def hamiltonian(jc):
         return jc[0] * jc[3] - jc[1] * jc[2]
 
-    generator, action = circle_action({(0, 1): 1.0, (2, 3): 1.0})
-
     def metric(jc):
         a, b = jc[0], jc[1]
         w = -(a * a) - b * b + 1.0
@@ -128,8 +122,7 @@ def _cap_chart_data(name: str) -> ChartData:
         chart=chart,
         omega=_OMEGA,
         hamiltonian=hamiltonian,
-        generator=generator,
-        action=action,
+        weights={(0, 1): 1.0, (2, 3): 1.0},
         liouville=_momentum_liouville,
         metric=metric,
     )

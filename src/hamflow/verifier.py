@@ -76,7 +76,7 @@ from .chart import sample_boundary, sample_domain
 from .errors import BoundaryNotFound, JetOrderError
 from .forms import KForm
 from .linalg import compatible_structure, congruence, nondegenerate
-from .model import HamiltonianModel, circle_action, contract_form, liouville_primitive, liouville_residual, moment_residual
+from .model import HamiltonianModel, contract_form, liouville_primitive, liouville_residual, moment_residual
 
 Array = np.ndarray
 
@@ -568,11 +568,7 @@ def control_unbalanced_handle() -> HamiltonianModel:
     def hamiltonian(jc):
         return (jc[0] * jc[0] + jc[2] * jc[2]) * 0.5 + (jc[1] * jc[1] + jc[3] * jc[3])
 
-    generator, action = circle_action({(0, 2): 1.0, (1, 3): 2.0})
-
-    lopsided = dataclasses.replace(
-        cd, hamiltonian=hamiltonian, generator=generator, action=action
-    )
+    lopsided = dataclasses.replace(cd, hamiltonian=hamiltonian, weights={(0, 2): 1.0, (1, 3): 2.0})
     return HamiltonianModel(
         name="control_unbalanced_handle",
         params={},

@@ -1,9 +1,11 @@
 """The shared identity residuals and the builders' moment self-check: the
-self-check passes on every catalog chart and raises MomentMapMismatch on a
-scaled or partly non-finite generator; a 2-form that needs a second jet
-order raises JetOrderError at order 1 instead of giving a residual.  Every
-chart's generator is the derivative of its action at angle 0, and its
-contact form alpha = i_Y omega lists its terms in index order."""
+self-check passes on every catalog chart and raises MomentMapMismatch on
+negated weights or a partly non-finite moment map; a 2-form that needs a
+second jet order raises JetOrderError at order 1 instead of giving a
+residual.  Every chart declares its action by one weight table, which it
+refuses when non-integer or ineffective; its generator is the derivative of
+its action at angle 0, and its contact form alpha = i_Y omega lists its
+terms in index order."""
 
 import dataclasses
 
@@ -12,34 +14,26 @@ import pytest
 
 from hamflow import forms, jets, registry, verifier
 from hamflow.chart import Chart, sample_domain
-from hamflow.errors import JetOrderError, MomentMapMismatch
-from hamflow.model import ChartData, assert_moment, moment_residual, rotation, self_check_points
+from hamflow.errors import IneffectiveAction, JetOrderError, MomentMapMismatch
+from hamflow.model import ChartData, assert_moment, moment_residual, self_check_points
 
 
-def _doubled(generator):
-    return lambda jc: [c * 2.0 for c in generator(jc)]
-
-
-def _nan_above(generator, cut):
-    """The generator, NaN where the first coordinate exceeds ``cut``."""
-
-    def fn(jc):
-        poison = np.where(jc[0].value > cut, np.nan, 0.0)
-        return [c + poison for c in generator(jc)]
-
-    return fn
+def _nan_above(hamiltonian, cut):
+    """The moment map, NaN where the first coordinate exceeds ``cut``."""
+    return lambda jc: hamiltonian(jc) * np.where(jc[0].value > cut, np.nan, 1.0)
 
 
 @pytest.mark.parametrize("spec", registry.ZOO)
 def test_assert_moment_catches_corrupted_generators(spec):
     for cd in registry.build(spec).charts:
         assert_moment(cd)
+        negated = {key: -w for key, w in cd.weights.items()}
         with pytest.raises(MomentMapMismatch):
-            assert_moment(dataclasses.replace(cd, generator=_doubled(cd.generator)))
+            assert_moment(dataclasses.replace(cd, weights=negated))
         # NaN on the half of the self-check points past the median first coordinate
         cut = float(np.median(self_check_points(cd)[:, 0]))
         with pytest.raises(MomentMapMismatch, match="nan"):
-            assert_moment(dataclasses.replace(cd, generator=_nan_above(cd.generator, cut)))
+            assert_moment(dataclasses.replace(cd, hamiltonian=_nan_above(cd.hamiltonian, cut)))
 
 
 def _primitive_chart() -> ChartData:
@@ -55,8 +49,7 @@ def _primitive_chart() -> ChartData:
         chart=Chart("square", ("x", "y"), (False, False), (-1.0, -1.0), (1.0, 1.0)),
         omega=forms.KForm(2, 2, lambda jc: forms.d_coeffs(primitive(jc), 2)),
         hamiltonian=lambda jc: (jc[0] * jc[0] + jc[1] * jc[1]) * 0.5,
-        generator=lambda jc: [jc[1] * -1.0, jc[0]],
-        action=lambda theta: lambda jc: list(rotation(theta, jc[0], jc[1])),
+        weights={(0, 1): 1.0},
         liouville=lambda jc: [jc[0] * 0.5, jc[1] * 0.5],
     )
 
@@ -85,6 +78,23 @@ def _models():
     builders = {spec: (lambda spec=spec: registry.build(spec)) for spec in registry.ZOO}
     builders.update({name: builder for name, (_, builder) in verifier.CONTROLS.items()})
     return builders
+
+
+@pytest.mark.parametrize("name", list(_models()))
+def test_chart_data_declares_one_weight_table(name):
+    """The weight table is a chart's only declaration of its action: the
+    generator and the action cannot be replaced on their own, and a table
+    with a non-integer weight or a common divisor is refused."""
+    for cd in _models()[name]().charts:
+        for derived in ("generator", "action"):
+            with pytest.raises(TypeError):
+                dataclasses.replace(cd, **{derived: getattr(cd, derived)})
+        fractional = {**cd.weights, next(iter(cd.weights)): 1.5}
+        with pytest.raises(ValueError, match=r"weight 1\.5 is not an integer"):
+            dataclasses.replace(cd, weights=fractional)
+        for ineffective in ({(0, 1): 2.0}, {key: 2 * w for key, w in cd.weights.items()}):
+            with pytest.raises(IneffectiveAction, match="common divisor 2"):
+                dataclasses.replace(cd, weights=ineffective)
 
 
 @pytest.mark.parametrize("name", list(_models()))

@@ -301,7 +301,7 @@ def _with_field(model, chart_index, **fields):
 def test_nonfinite_residual_fails_closed(spec, chart_index):
     model = registry.build(spec)
     cd = model.charts[chart_index]
-    broken = _with_field(model, chart_index, generator=_poisoned_field(cd.generator))
+    broken = _with_field(model, chart_index, hamiltonian=lambda jc: cd.hamiltonian(jc) * _poison(jc))
     rep = run_all(broken, RunConfig(samples=60))
     ham = [r for r in rep.results if r.check_id == "hamiltonian"][0]
     assert ham.passed is False
