@@ -1,15 +1,17 @@
 """Critical sets, Morse data, and global extremum structure of chart models.
 
 Fixed points of the circle action coincide with critical points of the
-moment map, so they are located by Newton iteration on the generator field
-from seeded random starts.  Converged points are merged into clusters three
-ways: by chart distance, through transition maps for points visible from
-two charts, and by level value for points whose Hessian carries a null
-plane (samples scattered along one critical surface all belong to the same
-stratum, which has constant moment value).  Each cluster is classified by
-the eigenvalues of the moment Hessian: the index counts negative
-directions, the nullity counts flat ones (0 for isolated points, 2 for
-fixed surfaces).
+moment map.  Every chart's action is linear, read off its weight table, so
+its fixed set is a coordinate subspace (empty when a translation moves
+every point): seeded domain draws are projected onto it exactly, by
+zeroing each rotation plane that moves them.  Projected points are merged
+into clusters three ways: by chart distance, through transition maps for
+points visible from two charts, and by level value for points whose
+Hessian carries a null plane (samples scattered along one critical
+surface all belong to the same stratum, which has constant moment value).
+Each cluster is classified by the eigenvalues of the moment Hessian: the
+index counts negative directions, the nullity counts flat ones (0 for
+isolated points, 2 for fixed surfaces).
 
 Gradient ascent and descent from random interior starts reveal the global
 structure: which extrema are interior, which sit on the boundary, and
@@ -27,7 +29,7 @@ import numpy as np
 from . import flow, jets
 from .chart import _components, sample_boundary, sample_domain
 from .errors import BoundaryNotFound, NotCritical
-from .model import HamiltonianModel
+from .model import HamiltonianModel, moving_keys
 
 Array = np.ndarray
 
@@ -35,13 +37,18 @@ NULL_TOL = 1e-8
 CLUSTER_RADIUS = 0.25
 SURFACE_VALUE_TOL = 1e-6
 BOUNDARY_TOUCH_TOL = 1e-3
-# Newton starts per chart in find_fixed_points
+# domain draws per chart projected onto its fixed set in find_fixed_points
 FIXED_POINT_STARTS = 40
 
 
 @dataclass
 class CriticalCluster:
-    """One critical stratum: representative point plus Morse data."""
+    """One critical stratum: representative point plus Morse data.
+
+    ``members`` counts the seeded domain draws whose projection onto a
+    chart's fixed set lies in the domain, deduplicated within 1e-4 per chart
+    and summed over the charts merged into the stratum.
+    """
 
     chart_index: int
     point: Array
@@ -87,52 +94,7 @@ def hessian_data(model: HamiltonianModel, chart_index: int, point: Array) -> tup
 
 
 # ----------------------------------------------------------------------
-# Newton search for generator zeros
-
-
-def _generator_at(cd, p: Array) -> tuple[Array, Array]:
-    jc = jets.seed(p[None, :], order=1)
-    comps = cd.generator(jc)
-    vals = np.array([c.value[0] for c in comps])
-    jac = np.stack([c.grad[0] for c in comps])
-    return vals, jac
-
-
-def _newton_generator_zero(cd, start: Array):
-    """At most 60 damped Newton steps to a generator zero, stopping below 1e-11."""
-    p = np.asarray(start, dtype=float).copy()
-    span = float(np.max(np.asarray(cd.chart.box_hi) - np.asarray(cd.chart.box_lo)))
-    for _ in range(60):
-        vals, jac = _generator_at(cd, p)
-        r = float(np.linalg.norm(vals))
-        if r < 1e-11:
-            break
-        step = -np.linalg.pinv(jac, rcond=1e-10) @ vals
-        norm = float(np.linalg.norm(step))
-        if norm < 1e-15:
-            return None
-        if norm > 0.25 * span:
-            step *= 0.25 * span / norm
-        q = cd.chart.wrap(p + step)
-        rq = float(np.linalg.norm(_generator_at(cd, q)[0]))
-        shrink = 0
-        while rq > r and shrink < 8:
-            step *= 0.5
-            q = cd.chart.wrap(p + step)
-            rq = float(np.linalg.norm(_generator_at(cd, q)[0]))
-            shrink += 1
-        if rq > r:
-            return None
-        p = q
-    if float(np.linalg.norm(_generator_at(cd, p)[0])) > 1e-9:
-        return None
-    if not (cd.chart.contains(p, slack=1e-6)[0] and cd.chart.in_box(p, 1e-6)):
-        return None
-    return p
-
-
-# ----------------------------------------------------------------------
-# clustering converged points across charts
+# clustering fixed points across charts
 
 
 def _merge_groups(
@@ -175,14 +137,23 @@ def _merge_groups(
 
 
 def find_fixed_points(model: HamiltonianModel, seed: int = 0) -> list[CriticalCluster]:
-    """Locate and classify all zeros of the action generator."""
+    """Locate and classify the fixed points of the circle action.
+
+    Each chart's seeded domain draws are projected onto the chart's fixed
+    set by zeroing every rotation plane that moves them; a chart whose
+    table moves every point (a translation) has none.
+    """
     found: list[tuple[int, Array]] = []
     for ci, cd in enumerate(model.charts):
         rng = np.random.default_rng([seed, 23, ci])
-        pts = sample_domain(cd.chart, FIXED_POINT_STARTS, rng)
-        for p in pts:
-            q = _newton_generator_zero(cd, p)
-            if q is None:
+        for p in sample_domain(cd.chart, FIXED_POINT_STARTS, rng):
+            keys = [key for key, _ in moving_keys(cd.weights, p, 0.0)]
+            if any(len(key) == 1 for key in keys):
+                break  # a translation moves every point of the chart
+            q = p.copy()
+            for key in keys:
+                q[list(key)] = 0.0
+            if not (cd.chart.contains(q, slack=1e-6)[0] and cd.chart.in_box(q, 1e-6)):
                 continue
             if any(
                 cj == ci and float(cd.chart.distance(q, r)) < 1e-4 for cj, r in found

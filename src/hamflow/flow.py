@@ -9,14 +9,16 @@ six velocities, its first stage being the last of the step before.  Chart
 crossings go through the model's transitions, and a boundary hit is found by
 bisection on the step's continuous extension, which asks for no velocity.
 On top of the integrator sit classifiers: the orbit type swept by a
-trajectory under the circle action, the finite stabilizer of a point, a sign
-portrait of the moment map on the boundary, and a detector that finds and
-groups the closed zero-level orbit sets on the boundary, filtering its
-candidates in batches.
+trajectory under the circle action, a sign portrait of the moment map on
+the boundary, and a detector that finds and groups the closed zero-level
+orbit sets on the boundary, filtering its candidates in batches.  The
+finite stabilizer of a point is exact: a gcd of the weights in the chart's
+table that move it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,12 +27,10 @@ from . import jets
 from .chart import sample_boundary
 from .errors import BoundaryNotFound, ImmediateExit, StiffFlow
 from .forms import field_values
-from .model import ChartData, HamiltonianModel
+from .model import ChartData, HamiltonianModel, moving_keys
 
 Array = np.ndarray
 
-GOLDEN = 0.6180339887498949
-SILVER = 0.41421356237309515
 _STEP = 0.04  # walk step of the zero-set tracer
 
 
@@ -258,23 +258,14 @@ def integrate(
 
 
 def stabilizer_of(model: HamiltonianModel, chart_index: int, point: Array) -> int:
-    """Order (at most 64) of the finite stabilizer at a point; 0 flags a fixed point.
+    """Order of the finite stabilizer at a point; 0 flags a fixed point.
 
-    A rotation fixes the point when it moves it less than 1e-9.
+    It is the gcd of the weights whose keys move the point (see
+    :func:`model.moving_keys`), a rotation plane moving it when its radius
+    exceeds 1e-9.
     """
-    cd = model.charts[chart_index]
-    p = cd.chart.wrap(np.asarray(point, dtype=float))
-    if all(_moved(cd, p, 2 * np.pi * a)[0] < 1e-9 for a in (GOLDEN, SILVER)):
-        return 0
-    for k in range(64, 1, -1):
-        if _moved(cd, p, 2 * np.pi / k)[0] < 1e-9:
-            return k
-    return 1
-
-
-def _moved(cd: ChartData, points: Array, theta: float) -> Array:
-    """Distance each point moves under the action by ``theta``."""
-    return cd.chart.distance(points, cd.action_map(theta).apply(points))
+    keys = moving_keys(model.charts[chart_index].weights, np.asarray(point, dtype=float), 1e-9)
+    return math.gcd(*(w for _, w in keys))
 
 
 @dataclass
@@ -553,8 +544,7 @@ def detect_legendrian_set(model: HamiltonianModel, seed: int = 0) -> LegendrianS
         cands = np.array([p for p, ok, _ in projected if ok]).reshape(-1, cd.chart.dim)
         cands = cands[cd.chart.contains(cands, slack=1e-6)]
         xv = field_values(cd.generator, jets.seed(cands, order=0))
-        fixed = np.all([_moved(cd, cands, 2 * np.pi * a) < 1e-9 for a in (GOLDEN, SILVER)], axis=0)
-        keep = ~(np.abs(xv).max(axis=1) < 1e-8) & ~fixed
+        keep = ~(np.abs(xv).max(axis=1) < 1e-8)
         cands, xv = cands[keep], xv[keep]
         if not len(cands):
             continue

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -45,9 +46,11 @@ class ChartData:
     construction the chart refuses a non-integer weight (a ValueError: its
     rotation has no period 2 pi) and weights that are all zero or share a
     divisor (IneffectiveAction), then sets ``generator`` and ``action`` from
-    the table, so the generator is the action's derivative at angle 0.
-    Neither is a field: ``dataclasses.replace`` cannot set one apart from
-    the other.  ``boundary_accept``, like :attr:`Transition.valid`, takes a
+    the table, so the generator is the action's derivative at angle 0.  It
+    keeps a read-only copy of the table, so neither the caller's dict nor an
+    assignment can change the action afterwards.  Neither generator nor
+    action is a field: ``dataclasses.replace`` cannot set one apart from the
+    other.  ``boundary_accept``, like :attr:`Transition.valid`, takes a
     point batch of shape ``(n, dim)`` and returns a boolean mask; boundary
     sampling keeps only the points it accepts.
     """
@@ -55,7 +58,7 @@ class ChartData:
     chart: Chart
     omega: KForm
     hamiltonian: ScalarField
-    weights: dict[tuple[int, ...], float]
+    weights: Mapping[tuple[int, ...], float]
     liouville: VectorField
     metric: MetricField | None = None
     kernel: VectorField | None = None
@@ -64,6 +67,7 @@ class ChartData:
     boundary_accept: Callable[[Array], Array] | None = None
 
     def __post_init__(self) -> None:
+        self.weights = MappingProxyType(dict(self.weights))
         for w in self.weights.values():
             if not float(w).is_integer():
                 raise ValueError(f"weight {w} is not an integer: the action would not have period 2 pi")
@@ -227,7 +231,7 @@ def rotation(theta: float, a: Jet, b: Jet) -> tuple[Jet, Jet]:
     return a * c - b * s, a * s + b * c
 
 
-def circle_action(weights: dict[tuple[int, ...], float]) -> tuple[VectorField, ActionFamily]:
+def circle_action(weights: Mapping[tuple[int, ...], float]) -> tuple[VectorField, ActionFamily]:
     """The generator and the action of a circle acting by weights.
 
     A key ``(i, j)`` rotates the (x_i, x_j) plane with weight w, a key
@@ -261,6 +265,23 @@ def circle_action(weights: dict[tuple[int, ...], float]) -> tuple[VectorField, A
         return fwd
 
     return generator, action
+
+
+def moving_keys(
+    weights: Mapping[tuple[int, ...], float], point: Array, radius: float
+) -> list[tuple[tuple[int, ...], int]]:
+    """The keys of a weight table that move ``point``, each with its weight.
+
+    A rotation key ``(i, j)`` with w != 0 moves the point when its plane
+    radius exceeds ``radius``; a translation key with w != 0 always moves
+    it; a weight-0 key moves nothing.  The point is fixed when the list is
+    empty, and the order of its stabilizer is the gcd of the listed weights.
+    """
+    return [
+        (key, int(w))
+        for key, w in weights.items()
+        if w and (len(key) == 1 or math.hypot(point[key[0]], point[key[1]]) > radius)
+    ]
 
 
 def identity_metric(dim: int, scale: float = 1.0) -> MetricField:

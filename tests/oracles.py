@@ -5,8 +5,9 @@ differences, or on plain Python lists, deliberately sharing no code with
 the package it checks.  The exceptions are the point-cloud oracles, which
 take each pair's distance from ``Chart.distance`` over the whole distance
 matrix at once, the reference integrator, which evaluates the model's
-own fields and returns a ``flow.FlowResult``, and :func:`pulled_back`, which
-states a pullback through a map in the package's coefficient-level terms.
+own fields and returns a ``flow.FlowResult``, :func:`pulled_back`, which
+states a pullback through a map in the package's coefficient-level terms,
+and :func:`stabilizer_order`, which applies the chart's own action maps.
 """
 
 from __future__ import annotations
@@ -68,6 +69,17 @@ def brute_force_decompositions(genus: int) -> list[tuple[int, int]]:
             if 2 * h + k == 1 + genus:
                 out.append((h, k))
     return sorted(out)
+
+
+def stabilizer_order(cd, point, largest: int = 200, tol: float = 1e-9) -> int:
+    """The largest k <= ``largest`` whose turn by 2 pi / k moves ``point`` less
+    than ``tol``, by trying every k; 0 when every k fixes the point."""
+    p = np.asarray(point, dtype=float)[None, :]
+    fixing = [
+        k for k in range(1, largest + 1)
+        if cd.chart.distance(p, cd.action_map(2 * np.pi / k).apply(p))[0] < tol
+    ]
+    return 0 if len(fixing) == largest else fixing[-1]
 
 
 def union_find_labels(n: int, edges: list[tuple[int, int]]) -> list[int]:

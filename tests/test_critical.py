@@ -1,15 +1,17 @@
 """Fixed-point location, Morse classification, extrema, and connectivity."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hamflow import basic, critical, registry
+from hamflow import basic, critical, jets, registry
 from hamflow.chart import Chart
 from hamflow.errors import NotCritical
+from hamflow.forms import field_values
 from hamflow.model import HamiltonianModel
 from oracles import nearest_neighbour_distances, pairs_within, union_find_labels
 
@@ -27,6 +29,42 @@ def test_ball_origin_index_follows_weight_signs(spec, index):
     assert c.value == pytest.approx(0.0, abs=1e-12)
     assert np.linalg.norm(c.point) < 1e-8
     assert not c.touches_boundary
+
+
+FIXED_POINT_MODELS = list(registry.ZOO) + [
+    "attach_2handle(disc_d4(1,-1))",
+    "blowup_d4(3,1,0.2)",
+    "blowup_d4(2,-3,0.25)",
+    "blowup_d4(1,1,0.2)",
+    "disc_d4(-1,-2)",
+]
+
+
+@pytest.mark.parametrize("spec", FIXED_POINT_MODELS)
+def test_cluster_points_are_exact_generator_zeros(spec):
+    model = registry.build(spec)
+    for c in critical.find_fixed_points(model):
+        gen = field_values(model.charts[c.chart_index].generator, jets.seed(c.point[None, :], order=0))
+        assert np.abs(gen).max() < 1e-15, (spec, c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    weights=st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(lambda w: math.gcd(*w) == 1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_disc_fixed_set_follows_its_weights(weights, seed):
+    """One fixed stratum at H = 0 with index 2 per negative weight: the
+    origin, or the fixed disc (nullity 2) when a weight is 0."""
+    clusters = critical.find_fixed_points(basic.disc_d4(*weights), seed=seed)
+    assert len(clusters) == 1
+    c = clusters[0]
+    assert c.index == 2 * sum(w < 0 for w in weights)
+    assert c.value == 0.0
+    if all(weights):
+        assert c.nullity == 0 and not c.point.any()
+    else:
+        assert c.nullity == 2
 
 
 def test_handle_saddle_is_index_two():

@@ -1,6 +1,7 @@
 """Gradient-flow integration, orbit classification, boundary censuses."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hamflow.chart import Chart, sample_boundary, sample_domain
 from hamflow.errors import ImmediateExit
 from hamflow.forms import field_values
 from hamflow.planar import free_action_planar
-from oracles import orbit_near, reference_integrate, rk4_endpoint
+from oracles import orbit_near, reference_integrate, rk4_endpoint, stabilizer_order
 
 
 def test_disc_trajectory_endpoints():
@@ -123,6 +124,41 @@ def test_stabilizers_of_weighted_rotation(point, expect):
 
 def test_stabilizer_free_translation():
     assert flow.stabilizer_of(s1_d3(1, 0), 0, [0.3, 0.2, 0.1, 0.0]) == 1
+
+
+@pytest.mark.parametrize(
+    "model, point, order",
+    [
+        (disc_d4(65, 1), (0.3, 0.0, 0.0, 0.0), 65),
+        (disc_d4(97, 2), (0.3, 0.0, 0.0, 0.0), 97),
+        (s1_d3(70, 1), (1.0, 0.0, 0.0, 0.0), 70),
+    ],
+    ids=["disc_d4(65,1)", "disc_d4(97,2)", "s1_d3(70,1)"],
+)
+def test_stabilizer_above_64(model, point, order):
+    # the isotropy Z_N has no divisor-free bound: N is the one moving weight
+    assert flow.stabilizer_of(model, 0, point) == order
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    weights=st.tuples(st.integers(-100, 100), st.integers(-100, 100)).filter(lambda w: math.gcd(*w) == 1),
+    planes=st.lists(
+        st.one_of(st.just(0.0), st.floats(0.05, 0.95)).flatmap(
+            lambda r: st.tuples(st.just(r), st.floats(0.0, 2 * np.pi))
+        ),
+        min_size=2,
+        max_size=2,
+    ),
+)
+@example(weights=(65, 1), planes=[(0.3, 0.0), (0.0, 0.0)])
+@example(weights=(1, 0), planes=[(0.0, 0.0), (0.5, 1.0)])
+def test_stabilizer_matches_every_turn(weights, planes):
+    # plane radii are 0 or at least 0.05, so a turn by 2 pi / k with k not
+    # dividing a moving weight moves the point by far more than 1e-9
+    model = disc_d4(*weights)
+    point = [c for r, phi in planes for c in (r * np.cos(phi), r * np.sin(phi))]
+    assert flow.stabilizer_of(model, 0, point) == stabilizer_order(model.charts[0], point)
 
 
 def test_liouville_flow_matches_closed_form():

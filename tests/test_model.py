@@ -3,9 +3,9 @@ self-check passes on every catalog chart and raises MomentMapMismatch on
 negated weights or a partly non-finite moment map; a 2-form that needs a
 second jet order raises JetOrderError at order 1 instead of giving a
 residual.  Every chart declares its action by one weight table, which it
-refuses when non-integer or ineffective; its generator is the derivative of
-its action at angle 0, and its contact form alpha = i_Y omega lists its
-terms in index order."""
+refuses when non-integer or ineffective and keeps as a read-only copy; its
+generator is the derivative of its action at angle 0, and its contact form
+alpha = i_Y omega lists its terms in index order."""
 
 import dataclasses
 
@@ -95,6 +95,21 @@ def test_chart_data_declares_one_weight_table(name):
         for ineffective in ({(0, 1): 2.0}, {key: 2 * w for key, w in cd.weights.items()}):
             with pytest.raises(IneffectiveAction, match="common divisor 2"):
                 dataclasses.replace(cd, weights=ineffective)
+
+
+@pytest.mark.parametrize("name", list(_models()))
+def test_weight_table_is_read_only(name):
+    """A chart keeps a read-only copy of its table: assigning a weight raises,
+    and editing the dict it was built from leaves the chart's table alone."""
+    for cd in _models()[name]().charts:
+        for key in cd.weights:
+            with pytest.raises(TypeError):
+                cd.weights[key] = 2.0
+        table = dict(cd.weights)
+        copy = dataclasses.replace(cd, weights=table)
+        key = next(iter(table))
+        table[key] = table[key] + 1.0
+        assert dict(copy.weights) == dict(cd.weights) != table
 
 
 @pytest.mark.parametrize("name", list(_models()))
