@@ -61,6 +61,29 @@ def pulled_back(m, coeffs_fn, jc):
     return pullback_coeffs(coeffs_fn(image_seed(img)), img, m.source.dim)
 
 
+def frame_contact_volume(grad_f: np.ndarray, alpha: np.ndarray, dalpha: np.ndarray) -> np.ndarray:
+    """alpha ^ d(alpha) on an explicit oriented orthonormal frame of ker dF, per point of a 4-chart.
+
+    ``grad_f`` and ``alpha`` are (n, 4) value arrays, ``dalpha`` the (n, 4, 4)
+    antisymmetric matrix of d(alpha).  The unit normal grad F / |grad F| is
+    completed to an orthonormal basis by QR, turned so that (normal, t1, t2, t3)
+    is positively oriented, and the 3-form
+    sum over i and j < k of alpha_i dalpha_jk dx_i ^ dx_j ^ dx_k is evaluated on
+    (t1, t2, t3) as a sum of 3 x 3 determinants of the tangent rows i, j, k.
+    """
+    n, d = grad_f.shape
+    normal = grad_f / np.linalg.norm(grad_f, axis=1)[:, None]
+    q, r = np.linalg.qr(np.concatenate([normal[:, :, None], np.broadcast_to(np.eye(d), (n, d, d))], axis=2))
+    q[:, :, 0] *= np.sign(r[:, 0, 0])[:, None]
+    q[np.linalg.det(q) < 0, :, -1] *= -1.0
+    tangent = q[:, :, 1:]
+    out = np.zeros(n)
+    for i in range(d):
+        for j, k in combinations([m for m in range(d) if m != i], 2):
+            out += alpha[:, i] * dalpha[:, j, k] * np.linalg.det(tangent[:, [i, j, k], :])
+    return out
+
+
 def brute_force_decompositions(genus: int) -> list[tuple[int, int]]:
     """All (h, k) with h >= 0, k >= 1, 2h + k = 1 + genus, by exhaustion."""
     out = []

@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 
 from hamflow import forms, jets, registry, verifier
-from hamflow.chart import sample_domain
-from hamflow.errors import JetOrderError
+from hamflow.chart import sample_boundary, sample_domain
+from hamflow.errors import BoundaryNotFound, JetOrderError
 from hamflow.forms import pullback_coeffs
 from hamflow.model import moment_residual
 from hamflow.verifier import NONFINITE_RESIDUAL, RunConfig, run_all
+from oracles import frame_contact_volume
 
 
 
@@ -162,6 +163,57 @@ def test_contact_margins_reported():
     assert "min contact volume margin" in contact.note
 
 
+def _contact_volume(df, alpha, dalpha):
+    """The top coefficient of dF ^ alpha ^ d(alpha) over |dF|; 0 where it is missing."""
+    top = forms.wedge_coeffs(df, forms.wedge_coeffs(alpha, dalpha)).get((0, 1, 2, 3))
+    gnorm = np.linalg.norm(np.stack([c.value for c in df.values()], axis=1), axis=1)
+    return np.zeros_like(gnorm) if top is None else top.value / gnorm
+
+
+def _contact_frame_oracle(df, alpha, dalpha):
+    """The same volume from :func:`oracles.frame_contact_volume`, on the value arrays of the coefficients."""
+    grad = np.stack([df[(j,)].value for j in range(4)], axis=1)
+    a = np.zeros_like(grad)
+    b = np.zeros(grad.shape + (4,))
+    for (i,), c in alpha.items():
+        a[:, i] = c.value
+    for (i, j), c in dalpha.items():
+        b[:, i, j], b[:, j, i] = c.value, -c.value
+    return frame_contact_volume(grad, a, b)
+
+
+def test_contact_volume_matches_an_explicit_frame():
+    """On every ZOO boundary chart, at the contact check's seed-0 boundary samples,
+    the top coefficient of dF ^ alpha ^ d(alpha) over |dF| agrees with alpha ^ d(alpha)
+    on a positively oriented orthonormal frame of ker dF: same sign everywhere,
+    relative difference at most 1e-12."""
+    index = verifier.CHECK_IDS.index("contact_boundary")
+    seen = 0
+    for spec in registry.ZOO:
+        for ci, cd in enumerate(registry.build(spec).charts):
+            if cd.chart.boundary is None:
+                continue
+            rng = np.random.default_rng([0, index, ci])
+            try:
+                pts = sample_boundary(cd.chart, 200, rng, accept=cd.boundary_accept)
+            except BoundaryNotFound:
+                continue
+            pts = pts[cd.inside_margin(pts)]
+
+            def fields(jc, cd=cd):
+                y = cd.liouville(jc)
+                alpha = verifier.liouville_primitive(y, cd.omega.coefficients(jc))
+                return forms.d_coeffs({(): cd.chart.boundary(jc)}, 4), alpha, forms.d_coeffs(alpha, 4)
+
+            _, (df, alpha, dalpha) = verifier._at_lowest_order(fields, pts, 1)
+            vol = _contact_volume(df, alpha, dalpha)
+            oracle = _contact_frame_oracle(df, alpha, dalpha)
+            assert np.array_equal(np.sign(vol), np.sign(oracle)), (spec, cd.chart.name)
+            assert np.all(np.abs(vol - oracle) <= 1e-12 * np.abs(oracle)), (spec, cd.chart.name)
+            seen += 1
+    assert seen >= 18
+
+
 # sha256 of run_all(..., RunConfig(seed=0, samples=64)).to_json(); a fast
 # path must leave every report byte as it is
 REPORT_SHA256 = {
@@ -202,6 +254,24 @@ def test_report_bytes_match_pins():
     assert not changed
 
 
+# sha256 of run_all(..., RunConfig(seed=1, samples=500)).to_json(), the
+# verify_zoo setting, on the models whose checks evaluate pullbacks, several
+# charts or a failing invariance
+REPORT_SHA256_500 = {
+    "attach_2handle(s1_d3(1,0))": "b1b03b124d87fd5ce57bfb347b44135894dafa2cf2ec12973c7938a506a029ef",
+    "blowup_d4(1,-1,0.2)": "168e334e244898fe5d4425c341f70a3445260fa93c01660169c6a3d401638b12",
+    "prequantization_s2()": "6bdb90ebb987046ecda5d42ade935f3655f2ec52b40a6e8c2dca642a729d46b8",
+    "cotangent_s2()": "79213094edadada0643f8a0be00effae5992433b5f611a1f6fd487c1d14317ba",
+    "control_unbalanced_handle": "11baab46100daa5f53ea5a8cdf6990c76937584752511075da77c5816c87a2eb",
+}
+
+
+@pytest.mark.parametrize("name", list(REPORT_SHA256_500))
+def test_report_bytes_match_pins_at_500_samples(name):
+    digest = hashlib.sha256(run_all(MODELS[name](), RunConfig(seed=1, samples=500)).to_json()).hexdigest()
+    assert digest == REPORT_SHA256_500[name]
+
+
 def _assert_same_values(a, b):
     if isinstance(a, dict):
         assert a.keys() == b.keys()
@@ -220,6 +290,18 @@ ORDER_1_FIELDS = {
 
 MODELS = {spec: partial(registry.build, spec) for spec in registry.ZOO}
 MODELS.update({name: builder for name, (_, builder) in verifier.CONTROLS.items()})
+
+
+@pytest.mark.parametrize("spec", list(MODELS))
+def test_action_jacobian_is_the_same_at_every_sample(spec):
+    """Every chart's action is linear in its chart coordinates: at each
+    invariance angle, every row of its Jacobian on domain samples is bitwise
+    row 0, so the invariance check reads one Jacobian per angle."""
+    for ci, cd in enumerate(MODELS[spec]().charts):
+        pts = sample_domain(cd.chart, 64, np.random.default_rng([7, ci]))
+        for k in range(1, verifier.INVARIANCE_ANGLES + 1):
+            jac = cd.action_map(2 * np.pi * k / verifier.INVARIANCE_ANGLES).jacobian(pts)
+            assert np.array_equal(jac, np.broadcast_to(jac[:1], jac.shape)), (cd.chart.name, k)
 
 
 def _pulled_back(m, coeffs_fn, pts, order):
