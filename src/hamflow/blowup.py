@@ -28,7 +28,7 @@ from . import jets
 from .basic import disc_d4
 from .chart import Chart, SmoothMap
 from .errors import SurfaceBlowupUnsupported
-from .forms import KForm, _acc, d_coeffs, image_seed, pullback_coeffs
+from .forms import KForm, _acc, d_coeffs, image_jacobian, image_seed, pullback_coeffs
 from .jets import Jet
 from .linalg import solve_spd_jet
 from .model import (
@@ -214,7 +214,7 @@ def _corrected(down, flat_coeffs, term, correction):
 
     def coeffs(jc):
         img = down(jc)
-        out = pullback_coeffs(flat_coeffs(image_seed(img)), img, 4)
+        out = pullback_coeffs(flat_coeffs(image_seed(img)), img, image_jacobian(img))
         for idx, c in term(jc).items():
             _acc(out, idx, c, 1)
         for idx, c in correction(jc).items():

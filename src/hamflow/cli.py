@@ -73,6 +73,13 @@ def _tolerances(items):
     return tols
 
 
+def _seed(text: str) -> int:
+    """The type of the ``--seed`` options: a non-negative integer, or the parser refuses it."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _run_config(args) -> verifier.RunConfig:
     return verifier.RunConfig(
         seed=args.seed, samples=args.samples, tolerances=_tolerances(args.tol)
@@ -287,7 +294,7 @@ def _add_output(p: argparse.ArgumentParser) -> None:
 
 def _add_checks(p: argparse.ArgumentParser) -> None:
     """The settings of :class:`verifier.RunConfig`, for the commands that verify a model."""
-    p.add_argument("--seed", type=int, default=0, help="master seed for all sampling")
+    p.add_argument("--seed", type=_seed, default=0, help="master seed for all sampling")
     p.add_argument("--samples", type=int, default=500, help="sample count per check")
     p.add_argument(
         "--tol",
@@ -325,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("legendrian", help="locate zero-level boundary orbit components")
     p.add_argument("model")
-    p.add_argument("--seed", type=int, default=0, help="seed for the 600 boundary samples per chart")
+    p.add_argument("--seed", type=_seed, default=0, help="seed for the 600 boundary samples per chart")
     p.set_defaults(func=cmd_legendrian)
 
     p = sub.add_parser("decompositions", help="list the (h, k) splittings for a genus")

@@ -9,7 +9,8 @@ components or image jets (:func:`d_coeffs`, :func:`interior_coeffs`,
 result carries whatever derivative order its inputs support.  A caller
 evaluates each form once and builds d, contractions, wedges, Lie
 derivatives and pullbacks from those coefficients; one pulling several
-forms back through one map seeds its images once (:func:`image_seed`).
+forms back through one map seeds its images once (:func:`image_seed`) and
+reads its Jacobian entries once, as numbers or as :func:`image_jacobian`.
 
 A :class:`KForm` names a form field: its degree, its chart dimension and its
 coefficient function.  Builders declare omega as one; any composition of
@@ -25,7 +26,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import jets as J
-from .errors import DimensionMismatch
 from .jets import Jet
 from .linalg import congruence, solve_spd_jet, solve_spd_values
 
@@ -130,16 +130,15 @@ def lie_coeffs(comps: Sequence[Jet], coeffs: Coeffs, dim: int) -> Coeffs:
     return out
 
 
-def _det_jet(rows: list[list[Jet]]) -> Jet:
+def _det(rows):
+    """Determinant of a square block of Jacobian entries, jets or numbers, by cofactors along row 0."""
     k = len(rows)
     if k == 1:
         return rows[0][0]
-    if k == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
     acc = None
     for col in range(k):
         minor = [[rows[r][c] for c in range(k) if c != col] for r in range(1, k)]
-        term = rows[0][col] * _det_jet(minor)
+        term = rows[0][col] * _det(minor)
         if col % 2:
             term = -term
         acc = term if acc is None else acc + term
@@ -175,26 +174,28 @@ def image_seed(img: Sequence[Jet]) -> list[Jet]:
     return J.seed(np.stack([j.value for j in img], axis=1), order=min(j.order for j in img))
 
 
-def pullback_coeffs(coeffs: Coeffs, img: Sequence[Jet], src_dim: int) -> Coeffs:
-    """Coefficients of the pullback of a target-chart form, given the image jets.
+def image_jacobian(img: Sequence[Jet]) -> list[list[Jet]]:
+    """The Jacobian entries d img_i / d x_a of a map's image jets, as jets one order lower."""
+    return [[j.partial(a) for a in range(j.dim)] for j in img]
 
-    ``img`` are the map's image coordinates as jets over the source chart, and
-    ``coeffs`` the form's coefficients evaluated at :func:`image_seed` of them.
-    The coefficients are composed back by the chain rule, so nested pullbacks
-    compose correctly.  Coefficient jets of the result sit one derivative
-    order below ``img`` (the Jacobian minors consume one order).
+
+def pullback_coeffs(coeffs: Coeffs, img: Sequence[Jet], jac) -> Coeffs:
+    """Coefficients of the pullback of a target-chart form through a map.
+
+    ``img`` are the map's image coordinates as jets over the source chart,
+    ``coeffs`` the form's coefficients at :func:`image_seed` of them, and
+    ``jac[i][a]`` is d img_i / d x_a: numbers where it is the same at every
+    point (a linear action), else :func:`image_jacobian` of ``img``, one order
+    lower.  Coefficients compose back by the chain rule, so pullbacks nest.
     """
     composed = {idx: compose_jet(c, img) for idx, c in coeffs.items()}
     degree = len(next(iter(coeffs), ()))
     if degree == 0:
         return composed
-    jac = [[img[i].partial(a) for a in range(src_dim)] for i in range(len(img))]
     out: Coeffs = {}
     for tgt_idx, c in composed.items():
-        for src_idx in combinations(range(src_dim), degree):
-            rows = [[jac[i][a] for a in src_idx] for i in tgt_idx]
-            minor = _det_jet(rows)
-            _acc(out, src_idx, c * minor, 1)
+        for src_idx in combinations(range(len(jac[0])), degree):
+            _acc(out, src_idx, c * _det([[jac[i][a] for a in src_idx] for i in tgt_idx]), 1)
     return out
 
 
@@ -241,14 +242,11 @@ def metric_gradient(metric: MetricField, scalar: ScalarField, dim: int) -> Vecto
 # evaluation helpers
 
 
-def form_matrix(form: KForm, jet_coords: Sequence[Jet]) -> Array:
-    """Antisymmetric value matrix (n, d, d) of a 2-form at seeded jets."""
-    if form.degree != 2:
-        raise DimensionMismatch(f"matrix representation needs a 2-form, got degree {form.degree}")
-    n = jet_coords[0].n
-    d = form.dim
-    out = np.zeros((n, d, d))
-    for (i, j), c in form.coefficients(jet_coords).items():
+def form_matrix(coeffs: Coeffs, jet_coords: Sequence[Jet]) -> Array:
+    """Antisymmetric value matrix (n, d, d) of a 2-form's evaluated coefficients at seeded jets."""
+    d = len(jet_coords)
+    out = np.zeros((jet_coords[0].n, d, d))
+    for (i, j), c in coeffs.items():
         out[:, i, j] += c.value
         out[:, j, i] -= c.value
     return out

@@ -303,12 +303,3 @@ def form_matrix_jets(form: KForm, jc: Sequence[Jet]) -> list[list[Jet]]:
         mat[j][i] = mat[j][i] - c
     return mat
 
-
-def contract_form(coeffs: dict, vectors: list[Array]) -> Array:
-    """Evaluate a k-form (coefficient dict of jets) on k value vectors."""
-    n = vectors[0].shape[0]
-    out = np.zeros(n)
-    for idx, c in coeffs.items():
-        sub = np.stack([np.stack([v[:, i] for i in idx], axis=1) for v in vectors], axis=1)
-        out += c.value * np.linalg.det(sub)
-    return out

@@ -29,27 +29,22 @@ from a starting one at which the check's fields raise no JetOrderError.
 g are read at order 0 at the samples and at their images, except on charts
 whose fields take a partial (Y on the planar shells and the disc bundle;
 omega, Y and g, which are pullbacks, on the blow-up core charts), which get
-order 1.  The action map runs on order-1 jets whatever that order, since its
-Jacobian pulls the image values back (pullback minors, the pushed-forward Y
-and the pulled-back metric, :func:`hamflow.linalg.congruence`).  It
-evaluates the fields once per chart and once per angle at the seeded images;
-alpha at either end is built from the evaluated omega and Y by
-:func:`hamflow.model.liouville_primitive`.  ``contact_boundary`` starts at
-order 1, since d(alpha) consumes one order of alpha = i_Y omega; on the
-planar shells and the disc bundle, whose Y already takes a partial, it gets
-order 2.  ``hamiltonian`` seeds order 1: dH consumes one order, and omega none on
-every catalog chart (a 2-form given as d of a primitive that takes a partial
-would raise JetOrderError).  The other checks seed order 2: d of a form or
+order 1.  The action is linear in chart coordinates, so the action map runs
+on order-0 jets and its Jacobian, one matrix per angle, pulls the image
+values back (pullback minors, the pushed-forward Y and the pulled-back
+metric, :func:`hamflow.linalg.congruence`).  ``contact_boundary`` starts at
+order 1, since d(alpha) consumes one order of alpha = i_Y omega (order 2 on
+the planar shells and the disc bundle, whose Y already takes a partial), and
+reads the contact volume as the top coefficient of dF ^ alpha ^ d(alpha)
+over |dF|.  ``hamiltonian`` seeds order 1: dH consumes one order, and omega
+none on every catalog chart.  The other checks seed order 2: d of a form or
 a bracket of fields consumes one order on top of the partial some catalog
 forms and fields already take.  The ``liouville`` and ``hamiltonian``
 residuals are :func:`hamflow.model.liouville_residual` and
 :func:`hamflow.model.moment_residual`, which the builders' self-check
 shares.  Each check evaluates a form once per batch and builds d, i_v,
 wedges and pullbacks from those coefficients with the operators of
-:mod:`hamflow.forms`, which all work on evaluated coefficients
-(``liouville`` evaluates omega and Y once, and ``contact_boundary``
-evaluates them once per seeded order for alpha, d(alpha) and the outward
-test).  A NaN or infinite residual fails its check (see
+:mod:`hamflow.forms`.  A NaN or infinite residual fails its check (see
 :class:`CheckResult`).
 
 Every chart declares omega, H, the circle action and Y.  Charts without a
@@ -67,6 +62,7 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 from functools import partial
+from numbers import Integral
 from typing import Mapping
 
 import numpy as np
@@ -76,7 +72,7 @@ from .chart import sample_boundary, sample_domain
 from .errors import BoundaryNotFound, JetOrderError
 from .forms import KForm
 from .linalg import compatible_structure, congruence, nondegenerate
-from .model import HamiltonianModel, contract_form, liouville_primitive, liouville_residual, moment_residual
+from .model import HamiltonianModel, liouville_primitive, liouville_residual, moment_residual
 
 Array = np.ndarray
 
@@ -107,8 +103,10 @@ class RunConfig:
     tolerances: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError(f"samples must be at least 1, got {self.samples}")
+        if not isinstance(self.seed, Integral) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if not isinstance(self.samples, Integral) or self.samples < 1:
+            raise ValueError(f"samples must be an integer of at least 1, got {self.samples!r}")
         for cid, tol in self.tolerances.items():
             if cid not in DEFAULT_TOLERANCES:
                 raise KeyError(f"unknown check {cid!r}; known checks: {', '.join(CHECK_IDS)}")
@@ -291,7 +289,7 @@ def check_symplectic(model: HamiltonianModel, config: RunConfig) -> CheckResult:
             contracted = forms.interior_coeffs(cd.kernel(jc), omega)
             res = np.maximum(res, forms.coeff_residual(contracted, {}))
         t.update(res, pts)
-        om = forms.form_matrix(cd.omega, jc)
+        om = forms.form_matrix(omega, jc)
         if cd.kernel_complement is not None:
             sub = np.asarray(cd.kernel_complement)
             om = om[:, sub[:, None], sub[None, :]]
@@ -329,8 +327,9 @@ def check_invariance(model: HamiltonianModel, config: RunConfig) -> CheckResult:
 
     Only values are compared, so H, omega, Y and g are seeded at the lowest
     order at which the chart evaluates them (:func:`_at_lowest_order` from
-    order 0), at the samples and at their images alike; the action map runs
-    on order-1 jets, whose Jacobian pulls the image values back.
+    order 0), at the samples and at their images alike.  The action is
+    linear, so it runs on order-0 jets, and its Jacobian, read once per angle
+    at the first sample, pulls the image values back.
     """
     t = _Tally("invariance", config)
     for cd, rng in t.charts(model):
@@ -341,22 +340,23 @@ def check_invariance(model: HamiltonianModel, config: RunConfig) -> CheckResult:
         order, (h0, omega0, y0, g0) = _at_lowest_order(partial(_invariant_fields, cd), pts, 0)
         alpha0 = liouville_primitive(y0, omega0)
         y0 = _values(y0)
-        jc = jets.seed(pts, order=1)
-        dim = cd.chart.dim
+        jc = jets.seed(pts, order=0)
         for k in range(1, INVARIANCE_ANGLES + 1):
-            img = cd.action_map(2 * np.pi * k / INVARIANCE_ANGLES).forward(jc)
-            img_pts = np.stack([j.value for j in img], axis=1)
+            act = cd.action_map(2 * np.pi * k / INVARIANCE_ANGLES)
+            jac = act.jacobian(pts[:1])[0]
+            img = act.forward(jc)
+            img_pts = _values(img)
             h1, omega1, y1, g1 = _invariant_fields(cd, jets.seed(img_pts, order=order))
-            t.update(forms.coeff_residual(forms.pullback_coeffs(omega1, img, dim), omega0), pts)
+            t.update(forms.coeff_residual(forms.pullback_coeffs(omega1, img, jac), omega0), pts)
             t.update(np.abs(h1 - h0), pts)
-            pulled = forms.pullback_coeffs(liouville_primitive(y1, omega1), img, dim)
+            pulled = forms.pullback_coeffs(liouville_primitive(y1, omega1), img, jac)
             t.update(forms.coeff_residual(pulled, alpha0)[mask], pts[mask])
             keep = mask & cd.inside_margin(cd.chart.wrap(img_pts))
-            jac = np.stack([j.grad for j in img], axis=1)[keep]
-            pushed = np.einsum("nij,nj->ni", jac, y0[keep])
+            jacs = np.broadcast_to(jac, (int(keep.sum()), *jac.shape))
+            pushed = np.einsum("nij,nj->ni", jacs, y0[keep])
             t.update(np.abs(pushed - _values(y1)[keep]).max(axis=1), pts[keep])
             if g0 is not None:
-                pulled = congruence(jac, g1[keep])
+                pulled = congruence(jacs, g1[keep])
                 t.update(np.abs(pulled - g0[keep]).max(axis=(1, 2)), pts[keep])
     return t.result()
 
@@ -396,7 +396,7 @@ def check_commutation(model: HamiltonianModel, config: RunConfig) -> CheckResult
         grad = cd.gradient_field()
         bracket = forms.lie_bracket(cd.generator, grad, cd.chart.dim)
         t.update(np.abs(forms.field_values(bracket, jc)).max(axis=1), pts)
-        om = forms.form_matrix(cd.omega, jc)
+        om = forms.form_matrix(cd.omega.coefficients(jc), jc)
         gm = forms.metric_matrix(cd.metric, jc)
         if cd.kernel_complement is not None:
             t.skip("degenerate pairing, no complex structure")
@@ -412,10 +412,10 @@ def check_commutation(model: HamiltonianModel, config: RunConfig) -> CheckResult
 def check_contact_boundary(model: HamiltonianModel, config: RunConfig) -> CheckResult:
     """Boundary transversality and uniform nonvanishing of the contact volume.
 
-    d(alpha) consumes one jet order of alpha = i_Y omega, and dF and the
-    outward test one of the boundary function, so the fields are seeded at
-    the lowest order from 1 up at which the chart evaluates them
-    (:func:`_at_lowest_order`): order 2 where Y or omega takes a partial.
+    d(alpha) consumes one jet order of alpha = i_Y omega, and dF one of the
+    boundary function, so the fields are seeded at the lowest order from 1 up
+    at which the chart evaluates them (:func:`_at_lowest_order`): order 2
+    where Y or omega takes a partial.  The volume is :func:`_contact_volume`.
     """
     t = _Tally("contact_boundary", config)
     for cd, rng in t.charts(model):
@@ -432,19 +432,9 @@ def check_contact_boundary(model: HamiltonianModel, config: RunConfig) -> CheckR
             t.skip("boundary lies outside the declared margin")
             continue
         pts = pts[keep]
-        _, (grads, y, a_co, da_co) = _at_lowest_order(partial(_contact_fields, cd), pts, 1)
-        gnorm = np.linalg.norm(grads, axis=1)
-        basis = np.linalg.svd(grads[:, None, :])[2][:, 1:, :]
-        # orient each tangent frame against the outward normal so the
-        # contact volume has a comparable sign across samples
-        frame = np.concatenate([grads[:, None, :], basis], axis=1)
-        basis[np.linalg.det(frame) < 0, -1, :] *= -1.0
-        vol = contract_form(
-            forms.wedge_coeffs(a_co, da_co), [basis[:, i, :] for i in range(cd.chart.dim - 1)]
-        )
-        a_inf = forms.coeff_residual(a_co, {})
-        da_inf = forms.coeff_residual(da_co, {})
-        scale = np.maximum(a_inf * da_inf, 1e-300)
+        _, (df, y, a_co, da_co) = _at_lowest_order(partial(_contact_fields, cd), pts, 1)
+        vol = _contact_volume(df, a_co, da_co)
+        scale = np.maximum(forms.coeff_residual(a_co, {}) * forms.coeff_residual(da_co, {}), 1e-300)
         margin_vol = np.abs(vol) / scale
         shortfall = np.maximum(CONTACT_FLOOR - margin_vol, 0.0)
         t.update(shortfall, pts)
@@ -454,9 +444,9 @@ def check_contact_boundary(model: HamiltonianModel, config: RunConfig) -> CheckR
         if signs.max() != signs.min():
             t.passed = False
             t.note("contact volume changes sign")
-        y_vals = _values(y)
+        grads, y_vals = _values(df.values()), _values(y)
         outward = np.einsum("nd,nd->n", grads, y_vals)
-        scale_y = np.maximum(gnorm * np.linalg.norm(y_vals, axis=1), 1e-300)
+        scale_y = np.maximum(np.linalg.norm(grads, axis=1) * np.linalg.norm(y_vals, axis=1), 1e-300)
         short_out = np.maximum(CONTACT_FLOOR - outward / scale_y, 0.0)
         t.update(short_out, pts)
         if short_out.max() > 0:
@@ -467,10 +457,23 @@ def check_contact_boundary(model: HamiltonianModel, config: RunConfig) -> CheckR
 
 
 def _contact_fields(cd, jc):
-    """dF's values, Y's components, and alpha = i_Y omega and d(alpha) as coefficients, at ``jc``."""
+    """dF, Y's components, and alpha = i_Y omega and d(alpha), the forms as coefficients, at ``jc``."""
     y = cd.liouville(jc)
     alpha = liouville_primitive(y, cd.omega.coefficients(jc))
-    return cd.chart.boundary(jc).grad, y, alpha, forms.d_coeffs(alpha, cd.chart.dim)
+    dim = cd.chart.dim
+    return forms.d_coeffs({(): cd.chart.boundary(jc)}, dim), y, alpha, forms.d_coeffs(alpha, dim)
+
+
+def _contact_volume(df, alpha, dalpha) -> Array:
+    """alpha ^ d(alpha) on ker dF, oriented by the outward normal: the top
+    coefficient of dF ^ alpha ^ d(alpha) over |dF|, or 0 where it is missing.
+
+    On a positively oriented orthonormal frame (grad F / |dF|, t1, t2, t3), a
+    4-form takes its top coefficient, and dF ^ beta takes |dF| beta(t1, t2, t3).
+    """
+    top = forms.wedge_coeffs(df, forms.wedge_coeffs(alpha, dalpha)).get(tuple(range(len(df))))
+    gnorm = np.linalg.norm(_values(df.values()), axis=1)
+    return np.zeros_like(gnorm) if top is None else top.value / gnorm
 
 
 _CHECKS = {

@@ -21,7 +21,7 @@ import numpy as np
 from hamflow import jets
 from hamflow.errors import ImmediateExit, StiffFlow
 from hamflow.flow import FlowResult
-from hamflow.forms import field_values, image_seed, pullback_coeffs
+from hamflow.forms import field_values, image_jacobian, image_seed, pullback_coeffs
 
 Scalar = Callable[[np.ndarray], float]
 
@@ -58,7 +58,7 @@ def fd_hessian(f: Scalar, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
 def pulled_back(m, coeffs_fn, jc):
     """Coefficients at seeded source jets ``jc`` of a target-chart form pulled back through ``m``."""
     img = m.forward(jc)
-    return pullback_coeffs(coeffs_fn(image_seed(img)), img, m.source.dim)
+    return pullback_coeffs(coeffs_fn(image_seed(img)), img, image_jacobian(img))
 
 
 def frame_contact_volume(grad_f: np.ndarray, alpha: np.ndarray, dalpha: np.ndarray) -> np.ndarray:

@@ -150,6 +150,19 @@ def test_spec_arguments_not_matching_the_builder_exit_two(capsys, spec):
     assert "disc_d4(m,n)" in err
 
 
+@pytest.mark.parametrize("seed", ["-1", "1.5"])
+@pytest.mark.parametrize(
+    "argv", [["verify", "disc_d4(1,1)"], ["legendrian", "disc_d4(1,1)"], ["build", "free-action"]]
+)
+def test_bad_seed_is_refused_by_the_parser(capsys, argv, seed):
+    """A negative seed used to reach NumPy and exit 2 with ``expected non-negative integer``, naming no option."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--seed", seed])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --seed: expected a non-negative integer" in err
+
+
 def test_missing_subcommand_argument_exits_two():
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify"])

@@ -21,7 +21,8 @@ def test_disc_weighted_energy_values():
 
 def test_disc_omega_matrix_is_standard():
     cd = disc_d4(1, 1).charts[0]
-    mats = forms.form_matrix(cd.omega, jets.seed(np.zeros((1, 4)), order=0))
+    jc = jets.seed(np.zeros((1, 4)), order=0)
+    mats = forms.form_matrix(cd.omega.coefficients(jc), jc)
     expected = np.array(
         [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]], dtype=float
     )

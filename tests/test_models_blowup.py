@@ -34,7 +34,7 @@ def test_metric_is_spd_and_compatible(mod):
         G = metric_matrix(cd.metric, jc)
         assert np.abs(G - np.swapaxes(G, 1, 2)).max() < 1e-14
         assert np.linalg.eigvalsh(G).min() > 0.01
-        Om = form_matrix(cd.omega, jc)
+        Om = form_matrix(cd.omega.coefficients(jc), jc)
         ok, worst = nondegenerate(Om)
         assert ok and worst > 0.01
         J = compatible_structure(Om, G)

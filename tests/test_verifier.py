@@ -12,7 +12,7 @@ import pytest
 from hamflow import forms, jets, registry, verifier
 from hamflow.chart import sample_boundary, sample_domain
 from hamflow.errors import BoundaryNotFound, JetOrderError
-from hamflow.forms import pullback_coeffs
+from hamflow.forms import image_jacobian, pullback_coeffs
 from hamflow.model import moment_residual
 from hamflow.verifier import NONFINITE_RESIDUAL, RunConfig, run_all
 from oracles import frame_contact_volume
@@ -155,19 +155,23 @@ def test_runconfig_rejects_bad_settings():
     assert RunConfig().tolerance("liouville") == verifier.DEFAULT_TOLERANCES["liouville"]
 
 
+@pytest.mark.parametrize(
+    "setting, value", [("seed", -1), ("seed", 1.5), ("seed", "3"), ("samples", 2.0), ("samples", 0)]
+)
+def test_runconfig_names_a_bad_seed_or_sample_count(setting, value):
+    """A negative or fractional seed, or a fractional sample count, used to
+    construct and then fail inside NumPy's generator or a slice, naming no setting."""
+    with pytest.raises(ValueError, match=f"^{setting} must be"):
+        RunConfig(**{setting: value})
+    assert RunConfig(seed=np.int64(3), samples=np.int64(5)).seed == 3
+
+
 def test_contact_margins_reported():
     rep = run_all(registry.build("disc_d4(1,1)"), RunConfig(samples=80))
     contact = rep.results[-1]
     assert contact.passed
     assert contact.max_residual == 0.0
     assert "min contact volume margin" in contact.note
-
-
-def _contact_volume(df, alpha, dalpha):
-    """The top coefficient of dF ^ alpha ^ d(alpha) over |dF|; 0 where it is missing."""
-    top = forms.wedge_coeffs(df, forms.wedge_coeffs(alpha, dalpha)).get((0, 1, 2, 3))
-    gnorm = np.linalg.norm(np.stack([c.value for c in df.values()], axis=1), axis=1)
-    return np.zeros_like(gnorm) if top is None else top.value / gnorm
 
 
 def _contact_frame_oracle(df, alpha, dalpha):
@@ -199,14 +203,8 @@ def test_contact_volume_matches_an_explicit_frame():
             except BoundaryNotFound:
                 continue
             pts = pts[cd.inside_margin(pts)]
-
-            def fields(jc, cd=cd):
-                y = cd.liouville(jc)
-                alpha = verifier.liouville_primitive(y, cd.omega.coefficients(jc))
-                return forms.d_coeffs({(): cd.chart.boundary(jc)}, 4), alpha, forms.d_coeffs(alpha, 4)
-
-            _, (df, alpha, dalpha) = verifier._at_lowest_order(fields, pts, 1)
-            vol = _contact_volume(df, alpha, dalpha)
+            _, (df, _, alpha, dalpha) = verifier._at_lowest_order(partial(verifier._contact_fields, cd), pts, 1)
+            vol = verifier._contact_volume(df, alpha, dalpha)
             oracle = _contact_frame_oracle(df, alpha, dalpha)
             assert np.array_equal(np.sign(vol), np.sign(oracle)), (spec, cd.chart.name)
             assert np.all(np.abs(vol - oracle) <= 1e-12 * np.abs(oracle)), (spec, cd.chart.name)
@@ -308,7 +306,7 @@ def _pulled_back(m, coeffs_fn, pts, order):
     """A form pulled back through ``m``, seeded at ``order`` at the images; the map's jets carry at least order 1."""
     img = m.forward(jets.seed(pts, order=max(order, 1)))
     tj = jets.seed(np.stack([j.value for j in img], axis=1), order=order)
-    return pullback_coeffs(coeffs_fn(tj), img, m.source.dim)
+    return pullback_coeffs(coeffs_fn(tj), img, image_jacobian(img))
 
 
 @pytest.mark.parametrize("spec", list(MODELS))
