@@ -391,6 +391,16 @@ def test_nonfinite_residual_fails_closed(spec, chart_index):
     assert not doc["overall"]
 
 
+def test_missing_contact_volume_fails():
+    """A 2-form whose alpha ^ d(alpha) has no top coefficient reads as contact volume 0: a FAIL, not a raise."""
+    model = registry.build("disc_d4(1,1)")
+    flat = forms.KForm(2, 4, lambda jc: {(0, 1): jets.constant(1.0, jc[0])})
+    res = verifier.check_contact_boundary(_with_field(model, 0, omega=flat), RunConfig(samples=60))
+    assert res.passed is False
+    assert res.max_residual == verifier.CONTACT_FLOOR
+    assert "min contact volume margin 0.000e+00" in res.note
+
+
 @pytest.mark.parametrize("field", ["liouville", "omega"])
 def test_nonfinite_contact_shortfall_fails(field):
     model = registry.build("disc_d4(1,1)")
