@@ -179,7 +179,7 @@ def image_jacobian(img: Sequence[Jet]) -> list[list[Jet]]:
     return [[j.partial(a) for a in range(j.dim)] for j in img]
 
 
-def pullback_coeffs(coeffs: Coeffs, img: Sequence[Jet], jac) -> Coeffs:
+def pullback_coeffs(coeffs: Coeffs, img: Sequence[Jet], jac: Sequence[Sequence[Jet | float]]) -> Coeffs:
     """Coefficients of the pullback of a target-chart form through a map.
 
     ``img`` are the map's image coordinates as jets over the source chart,

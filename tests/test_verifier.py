@@ -11,7 +11,7 @@ import pytest
 
 from hamflow import forms, jets, registry, verifier
 from hamflow.chart import sample_boundary, sample_domain
-from hamflow.errors import BoundaryNotFound, JetOrderError
+from hamflow.errors import JetOrderError
 from hamflow.forms import image_jacobian, pullback_coeffs
 from hamflow.model import moment_residual
 from hamflow.verifier import NONFINITE_RESIDUAL, RunConfig, run_all
@@ -192,24 +192,17 @@ def test_contact_volume_matches_an_explicit_frame():
     on a positively oriented orthonormal frame of ker dF: same sign everywhere,
     relative difference at most 1e-12."""
     index = verifier.CHECK_IDS.index("contact_boundary")
-    seen = 0
     for spec in registry.ZOO:
         for ci, cd in enumerate(registry.build(spec).charts):
             if cd.chart.boundary is None:
                 continue
-            rng = np.random.default_rng([0, index, ci])
-            try:
-                pts = sample_boundary(cd.chart, 200, rng, accept=cd.boundary_accept)
-            except BoundaryNotFound:
-                continue
+            pts = sample_boundary(cd.chart, 200, np.random.default_rng([0, index, ci]), accept=cd.boundary_accept)
             pts = pts[cd.inside_margin(pts)]
             _, (df, _, alpha, dalpha) = verifier._at_lowest_order(partial(verifier._contact_fields, cd), pts, 1)
             vol = verifier._contact_volume(df, alpha, dalpha)
             oracle = _contact_frame_oracle(df, alpha, dalpha)
             assert np.array_equal(np.sign(vol), np.sign(oracle)), (spec, cd.chart.name)
             assert np.all(np.abs(vol - oracle) <= 1e-12 * np.abs(oracle)), (spec, cd.chart.name)
-            seen += 1
-    assert seen >= 18
 
 
 # sha256 of run_all(..., RunConfig(seed=0, samples=64)).to_json(); a fast
