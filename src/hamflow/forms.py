@@ -199,6 +199,26 @@ def pullback_coeffs(coeffs: Coeffs, img: Sequence[Jet], jac: Sequence[Sequence[J
     return out
 
 
+def pullback_values(values: dict[tuple[int, ...], Array], jac: Array) -> dict[tuple[int, ...], Array]:
+    """:func:`pullback_coeffs` on coefficient values, through a Jacobian ``jac`` that is the same at every point.
+
+    Each minor is formed once, by :func:`_det`, and the terms ``value * minor``
+    are summed in ``values``' order, as :func:`pullback_coeffs` does, except that
+    a minor that is exactly 0 is skipped; a key whose minors all are is left
+    out, and :func:`coeff_residual` reads it as 0.  A skipped term is ±0, which
+    moves no sum but the sign of an exact zero, or NaN where a value is not
+    finite, and an invertible ``jac`` carries such a value into some key
+    through a nonzero minor.
+    """
+    out: dict[tuple[int, ...], Array] = {}
+    for tgt_idx, v in values.items():
+        for src_idx in combinations(range(len(jac[0])), len(tgt_idx)):
+            minor = _det([[jac[i][a] for a in src_idx] for i in tgt_idx])
+            if minor != 0.0:
+                out[src_idx] = out[src_idx] + v * minor if src_idx in out else v * minor
+    return out
+
+
 def lie_bracket(v: VectorField, w: VectorField, dim: int) -> VectorField:
     """Commutator vector field [v, w] (component jets one order lower)."""
 
@@ -269,20 +289,24 @@ def field_values(v: VectorField, jet_coords: Sequence[Jet]) -> Array:
 
 
 def coeff_residual(a: Coeffs, b: Coeffs) -> Array:
-    """Pointwise max abs difference between two coefficient dicts."""
+    """Pointwise max abs difference between two coefficient dicts, of jets or of values; a missing key reads as 0."""
     keys = set(a) | set(b)
     if not keys:
         return np.zeros(1)
     res = None
     for k in keys:
         if k in a and k in b:
-            diff = np.abs(a[k].value - b[k].value)
+            diff = np.abs(_value(a[k]) - _value(b[k]))
         elif k in a:
-            diff = np.abs(a[k].value)
+            diff = np.abs(_value(a[k]))
         else:
-            diff = np.abs(b[k].value)
+            diff = np.abs(_value(b[k]))
         res = diff if res is None else np.maximum(res, diff)
     return res
+
+
+def _value(c: Jet | Array) -> Array:
+    return c.value if isinstance(c, Jet) else c
 
 
 def constant_form(degree: int, dim: int, entries: dict[tuple[int, ...], float]) -> KForm:

@@ -7,21 +7,27 @@ take each pair's distance from ``Chart.distance`` over the whole distance
 matrix at once, the reference integrator, which evaluates the model's
 own fields and returns a ``flow.FlowResult``, :func:`pulled_back`, which
 states a pullback through a map in the package's coefficient-level terms,
-and :func:`stabilizer_order`, which applies the chart's own action maps.
+:func:`per_angle_invariance`, the invariance check's earlier loop over the
+verifier's own fields, and :func:`stabilizer_order`, which applies the
+chart's own action maps.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from itertools import combinations, permutations
 from typing import Callable
 
 import numpy as np
 
-from hamflow import jets
+from hamflow import jets, verifier
+from hamflow.chart import sample_domain
 from hamflow.errors import ImmediateExit, StiffFlow
 from hamflow.flow import FlowResult
-from hamflow.forms import field_values, image_jacobian, image_seed, pullback_coeffs
+from hamflow.forms import coeff_residual, field_values, image_jacobian, image_seed, pullback_coeffs
+from hamflow.linalg import congruence
+from hamflow.model import liouville_primitive
 
 Scalar = Callable[[np.ndarray], float]
 
@@ -59,6 +65,45 @@ def pulled_back(m, coeffs_fn, jc):
     """Coefficients at seeded source jets ``jc`` of a target-chart form pulled back through ``m``."""
     img = m.forward(jc)
     return pullback_coeffs(coeffs_fn(image_seed(img)), img, image_jacobian(img))
+
+
+def per_angle_invariance(model, config) -> "verifier.CheckResult":
+    """``check_invariance`` one angle at a time, pulling omega and alpha back on jets.
+
+    Each angle's image points get their own field evaluation, and
+    :func:`hamflow.forms.pullback_coeffs` multiplies every minor of the
+    constant Jacobian in, zero or not.  The check's angle blocks and value
+    pullback must give the same result bytes.
+    """
+    t = verifier._Tally("invariance", config)
+    for cd, rng in t.charts(model):
+        pts = sample_domain(cd.chart, config.samples, rng)
+        mask = cd.inside_margin(pts)
+        if not mask.all():
+            t.note(f"field comparisons on {int(mask.sum())} of {pts.shape[0]} samples inside the declared margin")
+        fields = partial(verifier._invariant_fields, cd)
+        order, (h0, omega0, y0, g0) = verifier._at_lowest_order(fields, pts, 0)
+        alpha0 = liouville_primitive(y0, omega0)
+        y0 = verifier._values(y0)
+        jc = jets.seed(pts, order=0)
+        for k in range(1, verifier.INVARIANCE_ANGLES + 1):
+            act = cd.action_map(2 * np.pi * k / verifier.INVARIANCE_ANGLES)
+            jac = act.jacobian(pts[:1])[0]
+            img = act.forward(jc)
+            img_pts = verifier._values(img)
+            h1, omega1, y1, g1 = fields(jets.seed(img_pts, order=order))
+            t.update(coeff_residual(pullback_coeffs(omega1, img, jac), omega0), pts)
+            t.update(np.abs(h1 - h0), pts)
+            pulled = pullback_coeffs(liouville_primitive(y1, omega1), img, jac)
+            t.update(coeff_residual(pulled, alpha0)[mask], pts[mask])
+            keep = mask & cd.inside_margin(cd.chart.wrap(img_pts))
+            jacs = np.broadcast_to(jac, (int(keep.sum()), *jac.shape))
+            pushed = np.einsum("nij,nj->ni", jacs, y0[keep])
+            t.update(np.abs(pushed - verifier._values(y1)[keep]).max(axis=1), pts[keep])
+            if g0 is not None:
+                pulled = congruence(jacs, g1[keep])
+                t.update(np.abs(pulled - g0[keep]).max(axis=(1, 2)), pts[keep])
+    return t.result()
 
 
 def frame_contact_volume(grad_f: np.ndarray, alpha: np.ndarray, dalpha: np.ndarray) -> np.ndarray:

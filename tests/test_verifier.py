@@ -2,20 +2,24 @@
 pinned bytes, order-independent values, fail-closed non-finite residuals."""
 
 import dataclasses
+import functools
 import hashlib
 import json
 from functools import partial
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hamflow import forms, jets, registry, verifier
 from hamflow.chart import sample_boundary, sample_domain
 from hamflow.errors import JetOrderError
 from hamflow.forms import image_jacobian, pullback_coeffs
-from hamflow.model import moment_residual
+from hamflow.model import liouville_primitive, moment_residual
 from hamflow.verifier import NONFINITE_RESIDUAL, RunConfig, run_all
-from oracles import frame_contact_volume
+from oracles import frame_contact_volume, per_angle_invariance
 
 
 
@@ -263,6 +267,17 @@ def test_report_bytes_match_pins_at_500_samples(name):
     assert digest == REPORT_SHA256_500[name]
 
 
+@pytest.mark.parametrize("samples", [64, 500, 600, 2100])
+@pytest.mark.parametrize("name", list(REPORT_SHA256_500))
+def test_invariance_matches_the_per_angle_loop(name, samples):
+    """The invariance entry is byte for byte that of the one-angle-at-a-time
+    jet loop: 600 samples leave a partial last angle block, 2,100 exceed the
+    block budget and get one angle per block."""
+    model, config = MODELS[name](), RunConfig(seed=1, samples=samples)
+    got = verifier.check_invariance(model, config).to_entry()
+    assert verifier.canonical_json(got) == verifier.canonical_json(per_angle_invariance(model, config).to_entry())
+
+
 def _assert_same_values(a, b):
     if isinstance(a, dict):
         assert a.keys() == b.keys()
@@ -293,6 +308,78 @@ def test_action_jacobian_is_the_same_at_every_sample(spec):
         for k in range(1, verifier.INVARIANCE_ANGLES + 1):
             jac = cd.action_map(2 * np.pi * k / verifier.INVARIANCE_ANGLES).jacobian(pts)
             assert np.array_equal(jac, np.broadcast_to(jac[:1], jac.shape)), (cd.chart.name, k)
+
+
+def _assert_value_pullback(values, jac, reference):
+    """``forms.pullback_values(values, jac)`` against the jet pullback ``reference`` of the same coefficients.
+
+    On rows where every coefficient is finite, shared keys agree bitwise once
+    -0.0 reads as +0.0 (a skipped ±0 term can only flip the sign of an exact
+    zero sum, which ``coeff_residual`` takes the absolute value of); a key is
+    missing only where all of its minors are exactly 0; and the rows with a
+    non-finite coefficient are the non-finite rows of both pullbacks.
+    """
+    got = forms.pullback_values(values, jac)
+    finite = np.all([np.isfinite(v) for v in values.values()], axis=0)
+    assert set(got) <= set(reference)
+    for key, ref in reference.items():
+        if key in got:
+            a, b = got[key][finite] + 0.0, ref.value[finite] + 0.0
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), key
+        else:
+            assert all(forms._det([[jac[i][a] for a in key] for i in tgt]) == 0.0 for tgt in values), key
+    for out in (got, {k: c.value for k, c in reference.items()}):
+        assert np.array_equal(np.all([np.isfinite(v) for v in out.values()], axis=0), finite)
+
+
+@pytest.mark.parametrize("spec", list(MODELS))
+def test_value_pullback_matches_the_jet_pullback(spec):
+    """omega and alpha = i_Y omega at the images of 64 samples, on every
+    chart and at every invariance angle, pulled back through the action's
+    constant Jacobian on values and on jets."""
+    for ci, cd in enumerate(MODELS[spec]().charts):
+        pts = sample_domain(cd.chart, 64, np.random.default_rng([11, ci]))
+        for k in range(1, verifier.INVARIANCE_ANGLES + 1):
+            act = cd.action_map(2 * np.pi * k / verifier.INVARIANCE_ANGLES)
+            jac = act.jacobian(pts[:1])[0]
+            img = act.forward(jets.seed(pts, order=0))
+            fields = partial(verifier._invariant_fields, cd)
+            _, (_, omega, y, _) = verifier._at_lowest_order(fields, verifier._values(img), 0)
+            for coeffs in (omega, liouville_primitive(y, omega)):
+                values = {key: c.value for key, c in coeffs.items()}
+                _assert_value_pullback(values, jac, pullback_coeffs(coeffs, img, jac))
+
+
+@functools.cache
+def _action_jacobians():
+    """Every chart's action Jacobian at the invariance angles, over the ZOO and the controls."""
+    out = []
+    for build in MODELS.values():
+        for cd in build().charts:
+            pt = sample_domain(cd.chart, 1, np.random.default_rng(0))
+            for k in range(1, verifier.INVARIANCE_ANGLES + 1):
+                out.append(cd.action_map(2 * np.pi * k / verifier.INVARIANCE_ANGLES).jacobian(pt)[0])
+    return out
+
+
+_COEFFICIENT = st.one_of(
+    st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf])
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), degree=st.integers(1, 2), rows=st.integers(1, 6))
+def test_value_pullback_matches_on_nonfinite_rows(data, degree, rows):
+    """Random coefficient values, NaN and ±inf rows among them, in a random
+    key order, through the action Jacobians of every catalog chart."""
+    jac = data.draw(st.sampled_from(_action_jacobians()))
+    keys = data.draw(st.permutations(list(combinations(range(jac.shape[0]), degree))))
+    keys = keys[: data.draw(st.integers(1, len(keys)))]
+    values = {key: np.array(data.draw(st.lists(_COEFFICIENT, min_size=rows, max_size=rows))) for key in keys}
+    coeffs = {key: jets.Jet(v.copy(), None, None) for key, v in values.items()}
+    img = [jets.Jet(np.zeros(rows), None, None)] * jac.shape[0]
+    with np.errstate(all="ignore"):
+        _assert_value_pullback(values, jac, pullback_coeffs(coeffs, img, jac))
 
 
 def _pulled_back(m, coeffs_fn, pts, order):
@@ -382,6 +469,37 @@ def test_nonfinite_residual_fails_closed(spec, chart_index):
     assert f"chart {cd.chart.name!r}" in ham.note and "non-finite" in ham.note
     doc = json.loads(rep.to_json())
     assert not doc["overall"]
+
+
+def _poisoned_metric(metric):
+    return lambda jc: [[c * _poison(jc) for c in row] for row in metric(jc)]
+
+
+# chart, poisoned field, non-finite residual count at 60 samples (omega
+# poisons the omega and the alpha comparison, the metric only g's)
+INVARIANCE_POISON = [
+    ("disc_d4(1,1)", 0, "omega", 1520),
+    ("disc_d4(1,1)", 0, "metric", 760),
+    ("cotangent_s2()", 2, "omega", 1552),
+    ("cotangent_s2()", 2, "metric", 776),
+]
+
+
+@pytest.mark.parametrize("spec, chart_index, field, count", INVARIANCE_POISON)
+def test_nonfinite_invariance_fails_closed(spec, chart_index, field, count):
+    """NaN in omega or g at the images fails invariance, counted on every
+    sample and angle it reaches: skipping zero minors hides none of it."""
+    model = registry.build(spec)
+    cd = model.charts[chart_index]
+    if field == "omega":
+        poisoned = forms.KForm(2, 4, lambda jc: {k: c * _poison(jc) for k, c in cd.omega.coefficients(jc).items()})
+    else:
+        poisoned = _poisoned_metric(cd.metric)
+    config = RunConfig(samples=60)
+    res = verifier.check_invariance(_with_field(model, chart_index, **{field: poisoned}), config)
+    assert res.passed is False
+    assert res.max_residual == NONFINITE_RESIDUAL
+    assert res.note == f"chart {cd.chart.name!r}: {count} non-finite residuals"
 
 
 def test_missing_contact_volume_fails():
