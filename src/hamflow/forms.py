@@ -10,7 +10,8 @@ result carries whatever derivative order its inputs support.  A caller
 evaluates each form once and builds d, contractions, wedges, Lie
 derivatives and pullbacks from those coefficients; one pulling several
 forms back through one map seeds its images once (:func:`image_seed`) and
-reads its Jacobian entries once, as numbers or as :func:`image_jacobian`.
+reads its Jacobian entries once, as numbers or as :func:`image_jacobian`;
+through a constant Jacobian, :func:`pullback_values` pulls back values alone.
 
 A :class:`KForm` names a form field: its degree, its chart dimension and its
 coefficient function.  Builders declare omega as one; any composition of
@@ -200,15 +201,12 @@ def pullback_coeffs(coeffs: Coeffs, img: Sequence[Jet], jac: Sequence[Sequence[J
 
 
 def pullback_values(values: dict[tuple[int, ...], Array], jac: Array) -> dict[tuple[int, ...], Array]:
-    """:func:`pullback_coeffs` on coefficient values, through a Jacobian ``jac`` that is the same at every point.
+    """:func:`pullback_coeffs` on coefficient values, through a Jacobian that is the same at every point.
 
-    Each minor is formed once, by :func:`_det`, and the terms ``value * minor``
-    are summed in ``values``' order, as :func:`pullback_coeffs` does, except that
-    a minor that is exactly 0 is skipped; a key whose minors all are is left
-    out, and :func:`coeff_residual` reads it as 0.  A skipped term is ±0, which
-    moves no sum but the sign of an exact zero, or NaN where a value is not
-    finite, and an invertible ``jac`` carries such a value into some key
-    through a nonzero minor.
+    Sums ``value * minor`` in ``values``' order, each minor formed once by
+    :func:`_det`, but skips minors that are exactly 0 (a key with no other is
+    left out): such a term is ±0, or NaN where an invertible ``jac`` carries
+    the non-finite value into some other key too.
     """
     out: dict[tuple[int, ...], Array] = {}
     for tgt_idx, v in values.items():
@@ -295,12 +293,7 @@ def coeff_residual(a: Coeffs, b: Coeffs) -> Array:
         return np.zeros(1)
     res = None
     for k in keys:
-        if k in a and k in b:
-            diff = np.abs(_value(a[k]) - _value(b[k]))
-        elif k in a:
-            diff = np.abs(_value(a[k]))
-        else:
-            diff = np.abs(_value(b[k]))
+        diff = np.abs(_value(a.get(k, 0.0)) - _value(b.get(k, 0.0)))
         res = diff if res is None else np.maximum(res, diff)
     return res
 

@@ -29,10 +29,8 @@ from a starting one at which the check's fields raise no JetOrderError.
 g are read at order 0 at the samples and at their images, except on charts
 whose fields take a partial (Y on the planar shells and the disc bundle;
 omega, Y and g, which are pullbacks, on the blow-up core charts), which get
-order 1.  The action is linear in chart coordinates, so the action map runs
-on order-0 jets and its Jacobian, one matrix per angle, pulls the image
-values back (pullback minors, the pushed-forward Y and the pulled-back
-metric, :func:`hamflow.linalg.congruence`).  ``contact_boundary`` starts at
+order 1.  The action is linear in chart coordinates, so its Jacobian, one
+matrix per angle, pulls the image values back.  ``contact_boundary`` starts at
 order 1, since d(alpha) consumes one order of alpha = i_Y omega (order 2 on
 the planar shells and the disc bundle, whose Y already takes a partial), and
 reads the contact volume as the top coefficient of dF ^ alpha ^ d(alpha)
@@ -89,6 +87,7 @@ CHECK_IDS = tuple(DEFAULT_TOLERANCES)
 # scale-free floor for the contact volume / outward margins
 CONTACT_FLOOR = 1e-6
 INVARIANCE_ANGLES = 16
+ANGLE_BLOCK_ROWS = 2048  # most image rows whose fields check_invariance evaluates at once
 NONFINITE_RESIDUAL = float(np.finfo(float).max)
 
 _CHECK_INDEX = {cid: k for k, cid in enumerate(CHECK_IDS)}
@@ -261,16 +260,19 @@ class _Tally:
         return CheckResult(self.check_id, self.value, point, passed, note="; ".join(bad + self.notes + self.skips))
 
 
-def _sample_inside_margin(cd, n: int, rng: np.random.Generator) -> Array:
-    """Interior samples respecting the chart's declared field margins."""
+def _sample_inside_margin(t: _Tally, cd, n: int, rng: np.random.Generator) -> Array:
+    """At most ``n`` samples inside the chart's field margins from 20 draws; a shortfall is noted, none skips."""
     kept = np.zeros((0, cd.chart.dim))
     for _ in range(20):
         pts = sample_domain(cd.chart, n, rng)
-        pts = pts[cd.inside_margin(pts)]
-        kept = np.concatenate([kept, pts], axis=0)
-        if kept.shape[0] >= n:
+        kept = np.concatenate([kept, pts[cd.inside_margin(pts)]], axis=0)[:n]
+        if kept.shape[0] == n:
             break
-    return kept[:n]
+    if not kept.shape[0]:
+        t.skip("declared field margin left no samples")
+    elif kept.shape[0] < n:
+        t.note(f"{kept.shape[0]} of {n} samples inside the declared margin")
+    return kept
 
 
 # ----------------------------------------------------------------------
@@ -305,11 +307,9 @@ def check_liouville(model: HamiltonianModel, config: RunConfig) -> CheckResult:
     """Expansion identity L_Y omega = omega inside declared margins."""
     t = _Tally("liouville", config)
     for cd, rng in t.charts(model):
-        pts = _sample_inside_margin(cd, config.samples, rng)
-        if pts.shape[0] == 0:
-            t.skip("declared field margin left no samples")
-            continue
-        t.update(liouville_residual(cd, jets.seed(pts, order=2)), pts)
+        pts = _sample_inside_margin(t, cd, config.samples, rng)
+        if pts.shape[0]:
+            t.update(liouville_residual(cd, jets.seed(pts, order=2)), pts)
     return t.result()
 
 
@@ -325,39 +325,46 @@ def check_hamiltonian(model: HamiltonianModel, config: RunConfig) -> CheckResult
 def check_invariance(model: HamiltonianModel, config: RunConfig) -> CheckResult:
     """Action invariance of omega, H, alpha and Y, and of g where present.
 
-    Only values are compared, so H, omega, Y and g are seeded at the lowest
-    order at which the chart evaluates them (:func:`_at_lowest_order` from
-    order 0), at the samples and at their images alike.  The action is
-    linear, so it runs on order-0 jets, and its Jacobian, read once per angle
-    at the first sample, pulls the image values back.
+    H, omega, Y and g are seeded at the lowest order at which the chart
+    evaluates them (:func:`_at_lowest_order` from order 0), at the samples and
+    at their images alike.  The angles run in blocks of at most
+    ANGLE_BLOCK_ROWS image rows (at least one angle), whose fields are
+    evaluated once on the concatenated images; each angle's rows are then
+    compared in angle order, as omega, H, alpha, Y, g.  The action's Jacobian,
+    read once per angle, pulls omega and alpha back on values, skipping zero
+    minors (:func:`hamflow.forms.pullback_values`), pushes Y forward and pulls
+    g back (:func:`hamflow.linalg.congruence`).
     """
     t = _Tally("invariance", config)
     for cd, rng in t.charts(model):
         pts = sample_domain(cd.chart, config.samples, rng)
+        n = pts.shape[0]
         mask = cd.inside_margin(pts)
         if not mask.all():
-            t.note(f"field comparisons on {int(mask.sum())} of {pts.shape[0]} samples inside the declared margin")
-        order, (h0, omega0, y0, g0) = _at_lowest_order(partial(_invariant_fields, cd), pts, 0)
-        alpha0 = liouville_primitive(y0, omega0)
-        y0 = _values(y0)
+            t.note(f"field comparisons on {int(mask.sum())} of {n} samples inside the declared margin")
+        order, (h0, omega0, alpha0, y0, g0) = _at_lowest_order(partial(_invariant_fields, cd), pts, 0)
         jc = jets.seed(pts, order=0)
-        for k in range(1, INVARIANCE_ANGLES + 1):
-            act = cd.action_map(2 * np.pi * k / INVARIANCE_ANGLES)
-            jac = act.jacobian(pts[:1])[0]
-            img = act.forward(jc)
-            img_pts = _values(img)
-            h1, omega1, y1, g1 = _invariant_fields(cd, jets.seed(img_pts, order=order))
-            t.update(forms.coeff_residual(forms.pullback_coeffs(omega1, img, jac), omega0), pts)
-            t.update(np.abs(h1 - h0), pts)
-            pulled = forms.pullback_coeffs(liouville_primitive(y1, omega1), img, jac)
-            t.update(forms.coeff_residual(pulled, alpha0)[mask], pts[mask])
-            keep = mask & cd.inside_margin(cd.chart.wrap(img_pts))
-            jacs = np.broadcast_to(jac, (int(keep.sum()), *jac.shape))
-            pushed = np.einsum("nij,nj->ni", jacs, y0[keep])
-            t.update(np.abs(pushed - _values(y1)[keep]).max(axis=1), pts[keep])
-            if g0 is not None:
-                pulled = congruence(jacs, g1[keep])
-                t.update(np.abs(pulled - g0[keep]).max(axis=(1, 2)), pts[keep])
+        per_block = max(1, ANGLE_BLOCK_ROWS // n)
+        for first in range(1, INVARIANCE_ANGLES + 1, per_block):
+            ks = range(first, min(first + per_block, INVARIANCE_ANGLES + 1))
+            acts = [cd.action_map(2 * np.pi * k / INVARIANCE_ANGLES) for k in ks]
+            img_pts = np.concatenate([_values(act.forward(jc)) for act in acts])
+            h1, omega1, alpha1, y1, g1 = _invariant_fields(cd, jets.seed(img_pts, order=order))
+            inside = cd.inside_margin(cd.chart.wrap(img_pts))
+            for b, act in enumerate(acts):
+                rows = slice(b * n, (b + 1) * n)
+                jac = act.jacobian(pts[:1])[0]
+                t.update(forms.coeff_residual(forms.pullback_values(_rows(omega1, rows), jac), omega0), pts)
+                t.update(np.abs(h1[rows] - h0), pts)
+                pulled = forms.pullback_values(_rows(alpha1, rows), jac)
+                t.update(forms.coeff_residual(pulled, alpha0)[mask], pts[mask])
+                keep = mask & inside[rows]
+                jacs = np.broadcast_to(jac, (int(keep.sum()), *jac.shape))
+                pushed = np.einsum("nij,nj->ni", jacs, y0[keep])
+                t.update(np.abs(pushed - y1[rows][keep]).max(axis=1), pts[keep])
+                if g0 is not None:
+                    pulled = congruence(jacs, g1[rows][keep])
+                    t.update(np.abs(pulled - g0[keep]).max(axis=(1, 2)), pts[keep])
     return t.result()
 
 
@@ -372,13 +379,18 @@ def _at_lowest_order(fn, pts: Array, start: int):
 
 
 def _invariant_fields(cd, jc):
-    """H's values, omega's coefficients, Y's components and g's value matrix (or None) at ``jc``."""
+    """H's values, the coefficients of omega and alpha = i_Y omega, Y's values and g's value matrix (or None) at ``jc``."""
     g = None if cd.metric is None else forms.metric_matrix(cd.metric, jc)
-    return cd.hamiltonian(jc).value, cd.omega.coefficients(jc), cd.liouville(jc), g
+    h, omega, y = cd.hamiltonian(jc).value, cd.omega.coefficients(jc), cd.liouville(jc)
+    return h, omega, liouville_primitive(y, omega), _values(y), g
 
 
 def _values(comps) -> Array:
     return np.stack([c.value for c in comps], axis=1)
+
+
+def _rows(coeffs, rows: slice) -> dict:
+    return {idx: c.value[rows] for idx, c in coeffs.items()}
 
 
 def check_commutation(model: HamiltonianModel, config: RunConfig) -> CheckResult:
@@ -388,9 +400,8 @@ def check_commutation(model: HamiltonianModel, config: RunConfig) -> CheckResult
         if cd.metric is None:
             t.skip("no metric")
             continue
-        pts = _sample_inside_margin(cd, config.samples, rng)
-        if pts.shape[0] == 0:
-            t.skip("declared field margin left no samples")
+        pts = _sample_inside_margin(t, cd, config.samples, rng)
+        if not pts.shape[0]:
             continue
         jc = jets.seed(pts, order=2)
         grad = cd.gradient_field()

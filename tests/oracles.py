@@ -27,7 +27,6 @@ from hamflow.errors import ImmediateExit, StiffFlow
 from hamflow.flow import FlowResult
 from hamflow.forms import coeff_residual, field_values, image_jacobian, image_seed, pullback_coeffs
 from hamflow.linalg import congruence
-from hamflow.model import liouville_primitive
 
 Scalar = Callable[[np.ndarray], float]
 
@@ -82,24 +81,22 @@ def per_angle_invariance(model, config) -> "verifier.CheckResult":
         if not mask.all():
             t.note(f"field comparisons on {int(mask.sum())} of {pts.shape[0]} samples inside the declared margin")
         fields = partial(verifier._invariant_fields, cd)
-        order, (h0, omega0, y0, g0) = verifier._at_lowest_order(fields, pts, 0)
-        alpha0 = liouville_primitive(y0, omega0)
-        y0 = verifier._values(y0)
+        order, (h0, omega0, alpha0, y0, g0) = verifier._at_lowest_order(fields, pts, 0)
         jc = jets.seed(pts, order=0)
         for k in range(1, verifier.INVARIANCE_ANGLES + 1):
             act = cd.action_map(2 * np.pi * k / verifier.INVARIANCE_ANGLES)
             jac = act.jacobian(pts[:1])[0]
             img = act.forward(jc)
             img_pts = verifier._values(img)
-            h1, omega1, y1, g1 = fields(jets.seed(img_pts, order=order))
+            h1, omega1, alpha1, y1, g1 = fields(jets.seed(img_pts, order=order))
             t.update(coeff_residual(pullback_coeffs(omega1, img, jac), omega0), pts)
             t.update(np.abs(h1 - h0), pts)
-            pulled = pullback_coeffs(liouville_primitive(y1, omega1), img, jac)
+            pulled = pullback_coeffs(alpha1, img, jac)
             t.update(coeff_residual(pulled, alpha0)[mask], pts[mask])
             keep = mask & cd.inside_margin(cd.chart.wrap(img_pts))
             jacs = np.broadcast_to(jac, (int(keep.sum()), *jac.shape))
             pushed = np.einsum("nij,nj->ni", jacs, y0[keep])
-            t.update(np.abs(pushed - verifier._values(y1)[keep]).max(axis=1), pts[keep])
+            t.update(np.abs(pushed - y1[keep]).max(axis=1), pts[keep])
             if g0 is not None:
                 pulled = congruence(jacs, g1[keep])
                 t.update(np.abs(pulled - g0[keep]).max(axis=(1, 2)), pts[keep])

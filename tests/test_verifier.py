@@ -17,7 +17,7 @@ from hamflow import forms, jets, registry, verifier
 from hamflow.chart import sample_boundary, sample_domain
 from hamflow.errors import JetOrderError
 from hamflow.forms import image_jacobian, pullback_coeffs
-from hamflow.model import liouville_primitive, moment_residual
+from hamflow.model import moment_residual
 from hamflow.verifier import NONFINITE_RESIDUAL, RunConfig, run_all
 from oracles import frame_contact_volume, per_angle_invariance
 
@@ -344,8 +344,8 @@ def test_value_pullback_matches_the_jet_pullback(spec):
             jac = act.jacobian(pts[:1])[0]
             img = act.forward(jets.seed(pts, order=0))
             fields = partial(verifier._invariant_fields, cd)
-            _, (_, omega, y, _) = verifier._at_lowest_order(fields, verifier._values(img), 0)
-            for coeffs in (omega, liouville_primitive(y, omega)):
+            _, (_, omega, alpha, _, _) = verifier._at_lowest_order(fields, verifier._values(img), 0)
+            for coeffs in (omega, alpha):
                 values = {key: c.value for key, c in coeffs.items()}
                 _assert_value_pullback(values, jac, pullback_coeffs(coeffs, img, jac))
 
@@ -500,6 +500,20 @@ def test_nonfinite_invariance_fails_closed(spec, chart_index, field, count):
     assert res.passed is False
     assert res.max_residual == NONFINITE_RESIDUAL
     assert res.note == f"chart {cd.chart.name!r}: {count} non-finite residuals"
+
+
+@pytest.mark.parametrize("check, count", [("liouville", 28), ("commutation", 8)])
+def test_margin_shortfall_is_noted(check, count):
+    """A margin that admits only the cap x0 >= 0.8 of the ball leaves fewer
+    samples than asked for after 20 draws, and says so; an empty one skips."""
+    model = registry.build("disc_d4(1,1)")
+    cap = _with_field(model, 0, liouville_domain=(lambda jc: 0.8 - jc[0],))
+    res = getattr(verifier, f"check_{check}")(cap, RunConfig(samples=60))
+    assert res.passed is True
+    assert res.note == f"chart 'ball': {count} of 60 samples inside the declared margin"
+    empty = _with_field(model, 0, liouville_domain=(lambda jc: 2.0 - jc[0],))
+    res = getattr(verifier, f"check_{check}")(empty, RunConfig(samples=60))
+    assert res.skipped == "chart 'ball': declared field margin left no samples"
 
 
 def test_missing_contact_volume_fails():
