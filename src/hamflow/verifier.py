@@ -379,7 +379,7 @@ def _at_lowest_order(fn, pts: Array, start: int):
 
 
 def _invariant_fields(cd, jc):
-    """H's values, the coefficients of omega and alpha = i_Y omega, Y's values and g's value matrix (or None) at ``jc``."""
+    """H's values, omega's and alpha = i_Y omega's coefficients, Y's values and g's value matrix (or None) at ``jc``."""
     g = None if cd.metric is None else forms.metric_matrix(cd.metric, jc)
     h, omega, y = cd.hamiltonian(jc).value, cd.omega.coefficients(jc), cd.liouville(jc)
     return h, omega, liouville_primitive(y, omega), _values(y), g

@@ -324,8 +324,8 @@ def _assert_value_pullback(values, jac, reference):
     assert set(got) <= set(reference)
     for key, ref in reference.items():
         if key in got:
-            a, b = got[key][finite] + 0.0, ref.value[finite] + 0.0
-            assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), key
+            mine, theirs = got[key][finite] + 0.0, ref.value[finite] + 0.0
+            assert np.array_equal(mine.view(np.uint64), theirs.view(np.uint64)), key
         else:
             assert all(forms._det([[jac[i][a] for a in key] for i in tgt]) == 0.0 for tgt in values), key
     for out in (got, {k: c.value for k, c in reference.items()}):
@@ -339,11 +339,11 @@ def test_value_pullback_matches_the_jet_pullback(spec):
     constant Jacobian on values and on jets."""
     for ci, cd in enumerate(MODELS[spec]().charts):
         pts = sample_domain(cd.chart, 64, np.random.default_rng([11, ci]))
+        fields = partial(verifier._invariant_fields, cd)
         for k in range(1, verifier.INVARIANCE_ANGLES + 1):
             act = cd.action_map(2 * np.pi * k / verifier.INVARIANCE_ANGLES)
             jac = act.jacobian(pts[:1])[0]
             img = act.forward(jets.seed(pts, order=0))
-            fields = partial(verifier._invariant_fields, cd)
             _, (_, omega, alpha, _, _) = verifier._at_lowest_order(fields, verifier._values(img), 0)
             for coeffs in (omega, alpha):
                 values = {key: c.value for key, c in coeffs.items()}
