@@ -204,9 +204,9 @@ def pullback_values(values: dict[tuple[int, ...], Array], jac: Array) -> dict[tu
     """:func:`pullback_coeffs` on coefficient values, through a Jacobian that is the same at every point.
 
     Sums ``value * minor`` in ``values``' order, each minor formed once by
-    :func:`_det`, but skips minors that are exactly 0 (a key with no other is
-    left out): such a term is ±0, or NaN where an invertible ``jac`` carries
-    the non-finite value into some other key too.
+    :func:`_det`, and skips minors that are exactly 0, leaving out a key whose
+    minors all are.  A skipped term is ±0, or NaN for a non-finite value,
+    which an invertible ``jac`` also carries into some other key.
     """
     out: dict[tuple[int, ...], Array] = {}
     for tgt_idx, v in values.items():
