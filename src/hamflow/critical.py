@@ -5,10 +5,11 @@ moment map.  Every chart's action is linear, read off its weight table, so
 its fixed set is a coordinate subspace (empty when a translation moves
 every point): seeded domain draws are projected onto it exactly, by
 zeroing each rotation plane that moves them.  Projected points are merged
-into clusters three ways: by chart distance, through transition maps for
-points visible from two charts, and by level value for points whose
-Hessian carries a null plane (samples scattered along one critical
-surface all belong to the same stratum, which has constant moment value).
+into clusters by one linking rule, :func:`_links`: within a radius in one
+chart, or across a transition (``HamiltonianModel.transfers``) within a
+radius of the image; points whose Hessian carries a null plane also merge
+by level value (samples scattered along one critical surface all belong to
+the same stratum, which has constant moment value).
 Each cluster is classified by the eigenvalues of the moment Hessian: the
 index counts negative directions, the nullity counts flat ones (0 for
 isolated points, 2 for fixed surfaces).
@@ -16,8 +17,8 @@ isolated points, 2 for fixed surfaces).
 Gradient ascent and descent from random interior starts reveal the global
 structure: which extrema are interior, which sit on the boundary, and
 whether both signs of the moment map appear there.  Boundary connectivity
-is estimated from boundary samples joined at an adaptive radius scaled to
-the sample density, with transition maps providing the cross-chart links.
+is estimated from boundary samples linked by the same rule, at an adaptive
+radius per chart scaled to the sample density.
 """
 
 from __future__ import annotations
@@ -94,45 +95,80 @@ def hessian_data(model: HamiltonianModel, chart_index: int, point: Array) -> tup
 
 
 # ----------------------------------------------------------------------
-# clustering fixed points across charts
+# linking point clouds within and across charts, and clustering fixed points
+
+
+def _pairs_within(chart, a: Array, b: Array, r: float) -> tuple[Array, Array]:
+    """Index pairs (i, j), row-major, with ``a[i]`` closer than ``r`` to ``b[j]``.
+
+    The distance sweep is pruned at ``r`` and visits the rows sorted along
+    one coordinate, so the pairs it keeps are put back in row-major order.
+    Either cloud may be empty.
+    """
+    rows = [np.empty(0, dtype=np.intp)]
+    cols = [np.empty(0, dtype=np.intp)]
+    for ia, ib, s in chart.squared_distance_blocks(a, b, r):
+        k, l = np.nonzero(s < r * r)
+        rows.append(ia[k])
+        cols.append(ib[l])
+    i, j = np.concatenate(rows), np.concatenate(cols)
+    order = np.lexsort((j, i))
+    return i[order], j[order]
+
+
+def _links(
+    model: HamiltonianModel, clouds: dict[int, Array], radius: dict[int, float]
+) -> tuple[Array, Array]:
+    """Edges ``(src, dst)`` between the rows of per-chart point clouds.
+
+    Rows are numbered through ``clouds`` in its order.  Two rows of one chart
+    link closer than that chart's radius.  A row crosses to another cloud's
+    chart through :meth:`HamiltonianModel.transfers` (slack 1e-6), and its
+    image links to that chart's rows closer than the larger of the two radii.
+    """
+    offsets = dict(zip(clouds, np.cumsum([0] + [pts.shape[0] for pts in clouds.values()])))
+    src, dst = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    for ci, pts in clouds.items():
+        i, j = _pairs_within(model.charts[ci].chart, pts, pts, radius[ci])
+        src.append(offsets[ci] + i)
+        dst.append(offsets[ci] + j)
+        for tr, rows, images in model.transfers(ci, pts, 1e-6):
+            if tr.dst not in clouds:
+                continue
+            link_r = max(radius[ci], radius[tr.dst])
+            i, j = _pairs_within(model.charts[tr.dst].chart, images, clouds[tr.dst], link_r)
+            src.append(offsets[ci] + rows[i])
+            dst.append(offsets[tr.dst] + j)
+    return np.concatenate(src), np.concatenate(dst)
 
 
 def _merge_groups(
     model: HamiltonianModel, labeled: list[tuple[int, Array]]
 ) -> list[list[tuple[int, Array]]]:
-    """Group points within CLUSTER_RADIUS, directly or through a transition.
+    """Group points that :func:`_links` joins at CLUSTER_RADIUS.
 
-    Points on null planes (two Hessian eigenvalues within 1e-5 of zero) at one
-    moment value also group together.
+    Points on null planes (two Hessian eigenvalues within 1e-5 of zero) whose
+    moment values differ by less than SURFACE_VALUE_TOL also group together.
+    Groups come in the order of their first point, and each keeps input order.
     """
-    n = len(labeled)
-    edges: list[tuple[int, int]] = []
-    # later transitions to the same chart overwrite earlier ones
-    mapped = [{tr.dst: q for tr, q in model.transfers(ci, p, 1e-6)} for ci, p in labeled]
-    traits = []
-    for ci, p in labeled:
-        h = model.charts[ci].hamiltonian(jets.seed(p[None, :], order=2))
-        eigs = np.linalg.eigvalsh(0.5 * (h.hess[0] + h.hess[0].T))
-        traits.append((float(h.value[0]), int((np.abs(eigs) <= 1e-5).sum()) >= 2))
-    for i in range(n):
-        ci, p = labeled[i]
-        hi, flat_i = traits[i]
-        for j in range(i + 1, n):
-            cj, q = labeled[j]
-            hj, flat_j = traits[j]
-            d = np.inf
-            if ci == cj:
-                d = float(model.charts[ci].chart.distance(p, q))
-            if cj in mapped[i]:
-                d = min(d, float(model.charts[cj].chart.distance(mapped[i][cj], q)))
-            if ci in mapped[j]:
-                d = min(d, float(model.charts[ci].chart.distance(p, mapped[j][ci])))
-            if d < CLUSTER_RADIUS or (flat_i and flat_j and abs(hi - hj) < SURFACE_VALUE_TOL):
-                edges.append((i, j))
-    src, dst = np.array(edges, dtype=np.intp).reshape(-1, 2).T
+    if not labeled:
+        return []
+    charts = sorted({ci for ci, _ in labeled})
+    clouds = {ci: np.array([p for cj, p in labeled if cj == ci]) for ci in charts}
+    rows = np.array([k for ci in charts for k, (cj, _) in enumerate(labeled) if cj == ci])
+    src, dst = _links(model, clouds, dict.fromkeys(clouds, CLUSTER_RADIUS))
+    values, flat = [], []
+    for ci, pts in clouds.items():
+        hj = model.charts[ci].hamiltonian(jets.seed(pts, order=2))
+        eigs = np.linalg.eigvalsh(0.5 * (hj.hess + hj.hess.transpose(0, 2, 1)))
+        values.append(hj.value)
+        flat.append((np.abs(eigs) <= 1e-5).sum(axis=1) >= 2)
+    h, f = np.concatenate(values), np.concatenate(flat)
+    i, j = np.nonzero(f[:, None] & f[None, :] & (np.abs(h[:, None] - h[None, :]) < SURFACE_VALUE_TOL))
+    labels = _components(len(labeled), rows[np.concatenate([src, i])], rows[np.concatenate([dst, j])])
     groups: dict[int, list[tuple[int, Array]]] = {}
-    for i, root in enumerate(_components(n, src, dst)):
-        groups.setdefault(int(root), []).append(labeled[i])
+    for k, root in enumerate(labels):
+        groups.setdefault(int(root), []).append(labeled[k])
     return list(groups.values())
 
 
@@ -262,28 +298,10 @@ def _adaptive_radius(chart, pts: Array) -> float:
     return 3.0 * float(np.median(nn))
 
 
-def _pairs_within(chart, a: Array, b: Array, r: float) -> tuple[Array, Array]:
-    """Index pairs (i, j), row-major, with ``a[i]`` closer than ``r`` to ``b[j]``.
-
-    The distance sweep is pruned at ``r`` and visits the rows sorted along
-    one coordinate, so the pairs it keeps are put back in row-major order.
-    Either cloud may be empty.
-    """
-    rows = [np.empty(0, dtype=np.intp)]
-    cols = [np.empty(0, dtype=np.intp)]
-    for ia, ib, s in chart.squared_distance_blocks(a, b, r):
-        k, l = np.nonzero(s < r * r)
-        rows.append(ia[k])
-        cols.append(ib[l])
-    i, j = np.concatenate(rows), np.concatenate(cols)
-    order = np.lexsort((j, i))
-    return i[order], j[order]
-
-
 def boundary_connectivity(model: HamiltonianModel, seed: int = 0, samples: int = 2000) -> int:
     """Connected components of the sampled boundary, linked across charts.
 
-    Each chart's cloud is joined at its own adaptive radius.
+    Each chart's cloud is joined at its own adaptive radius (see :func:`_links`).
     """
     with_boundary = [
         (ci, cd) for ci, cd in enumerate(model.charts) if cd.chart.boundary is not None
@@ -303,28 +321,6 @@ def boundary_connectivity(model: HamiltonianModel, seed: int = 0, samples: int =
         radii[ci] = _adaptive_radius(cd.chart, pts)
     if not clouds:
         return 0
-    offsets: dict[int, int] = {}
-    total = 0
-    for ci, pts in clouds.items():
-        offsets[ci] = total
-        total += pts.shape[0]
-    src: list[Array] = []
-    dst: list[Array] = []
-    for ci, pts in clouds.items():
-        i, j = _pairs_within(model.charts[ci].chart, pts, pts, radii[ci])
-        src.append(offsets[ci] + i)
-        dst.append(offsets[ci] + j)
-    for tr in model.transitions:
-        if tr.src not in clouds or tr.dst not in clouds:
-            continue
-        src_pts = clouds[tr.src]
-        mask = np.asarray(tr.valid(src_pts), dtype=bool)
-        if not mask.any():
-            continue
-        imgs = tr.map.apply(src_pts[mask])
-        link_r = max(radii[tr.src], radii[tr.dst])
-        i, j = _pairs_within(model.charts[tr.dst].chart, imgs, clouds[tr.dst], link_r)
-        src.append(np.flatnonzero(mask)[i] + offsets[tr.src])
-        dst.append(offsets[tr.dst] + j)
-    labels = _components(total, np.concatenate(src), np.concatenate(dst))
+    total = sum(pts.shape[0] for pts in clouds.values())
+    labels = _components(total, *_links(model, clouds, radii))
     return int((labels == np.arange(total)).sum())

@@ -162,11 +162,11 @@ def _trajectory(model: HamiltonianModel, ci: int, start: Array, direction: int, 
             break
         p = p_new
         if not (cd.chart.contains(p, slack=1e-12)[0] and cd.chart.in_box(p, 1e-9)):
-            hit = next(model.transfers(ci, p, 1e-9), None)
+            hit = next(model.transfers(ci, p[None], 1e-9), None)
             if hit is None:
                 termination = "exited_chart"
                 break
-            tr, p = hit
+            tr, _, (p,) = hit
             ci = tr.dst
             cd = model.charts[ci]
             k1 = None
@@ -481,10 +481,10 @@ def _trace_component(
             break
         prev_w = w
         if not (cd.chart.contains(cand, slack=1e-9)[0] and cd.chart.in_box(cand, 1e-9)):
-            hit = next(model.transfers(ci, cand, 1e-9), None)
+            hit = next(model.transfers(ci, cand[None], 1e-9), None)
             if hit is None:
                 break
-            tr, p = hit
+            tr, _, (p,) = hit
             jac = None
             prev_w = tr.map.jacobian(cand[None, :])[0] @ w
             prev_w = prev_w / np.linalg.norm(prev_w)

@@ -136,6 +136,8 @@ def _det(rows):
     k = len(rows)
     if k == 1:
         return rows[0][0]
+    if k == 2:  # bitwise the cofactor sum a d + (-(b c))
+        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
     acc = None
     for col in range(k):
         minor = [[rows[r][c] for c in range(k) if c != col] for r in range(1, k)]

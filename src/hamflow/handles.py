@@ -322,19 +322,18 @@ def _disc_coordinates(ref: Array):
     return place, tube, depth
 
 
-def standard_neighborhood(base: HamiltonianModel, orbit_ref: Array | None = None) -> OrbitNeighborhood:
-    """Standard coordinates around a closed boundary orbit of a supported base."""
+def standard_neighborhood(base: HamiltonianModel) -> OrbitNeighborhood:
+    """Standard coordinates around the reference boundary orbit of a supported base, one per base."""
     p = base.params
     if base.name == "s1_d3" and (p.get("k"), p.get("m")) == (1, 0):
-        kind, coordinates, default = "s1_d3", _s1_coordinates, (0.0, 1.0, 0.0, 0.0)
+        kind, coordinates, ref = "s1_d3", _s1_coordinates, np.array([0.0, 1.0, 0.0, 0.0])
     elif base.name == "disc_d4" and (p.get("m"), p.get("n")) == (1, -1):
-        kind, coordinates, default = "disc_d4", _disc_coordinates, (np.sqrt(0.5), 0.0, np.sqrt(0.5), 0.0)
+        kind, coordinates, ref = "disc_d4", _disc_coordinates, np.array([np.sqrt(0.5), 0.0, np.sqrt(0.5), 0.0])
     else:
         raise UnsupportedBase(
             "surgery is implemented for the unit-speed rotation-free boundary flow "
             "model and the opposite-weight ball model only"
         )
-    ref = np.asarray(default if orbit_ref is None else orbit_ref, dtype=float)
     return OrbitNeighborhood(kind, ref, base.charts[0].chart, *coordinates(ref))
 
 
@@ -347,16 +346,16 @@ def attach_2handle(
     base: HamiltonianModel,
     eps: float = 0.05,
     kappa: float = 0.55,
-    orbit_ref: Array | None = None,
 ) -> HamiltonianModel:
-    """Graft the saddle block onto a base model along a closed boundary orbit."""
-    nbhd = standard_neighborhood(base, orbit_ref)
+    """Graft the saddle block onto a base model along its reference boundary orbit."""
+    nbhd = standard_neighborhood(base)
     if not (0.0 < eps <= 0.2):
         raise CollarTooDeep(f"collar depth must lie in (0, 0.2], got {eps}")
     if not (0.0 < kappa <= 0.6):
         raise ValueError(f"face width factor must lie in (0, 0.6], got {kappa}")
     ref = nbhd.reference
 
+    # self-checks of the base's reference point: level 0, on the boundary, free orbit
     base_cd = base.charts[0]
     jc = jets.seed(ref[None, :], order=0)
     h0 = float(base_cd.hamiltonian(jc).value[0])

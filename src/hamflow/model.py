@@ -9,9 +9,10 @@ alpha = i_Y omega (:func:`liouville_primitive`), never stored.  The weight
 table is the one declaration of the circle action: a chart refuses a table
 that is not integer or not effective, and :func:`circle_action` turns it
 into both the action, a family of chart self-maps, and its generator, the
-action's derivative at angle 0.  Charts are glued by
-transitions (smooth maps with validity predicates);
-``HamiltonianModel.transfers`` is the one way across them.  The structural
+action's derivative at angle 0.  Charts are glued by transitions (smooth
+maps with validity predicates); ``HamiltonianModel.transfers`` is the one
+way across them, for a point batch: flows cross one row at a time, and the
+groupings of :mod:`hamflow.critical` whole clouds.  The structural
 identities tying all of this together are checked by :mod:`hamflow.verifier`,
 not assumed here; the per-sample residuals of the moment and expansion
 identities live here, shared by the verifier and the builders' self-check
@@ -133,18 +134,22 @@ class HamiltonianModel:
     def transitions_from(self, i: int) -> list[Transition]:
         return [t for t in self.transitions if t.src == i]
 
-    def transfers(self, ci: int, point: Array, slack: float) -> Iterator[tuple[Transition, Array]]:
-        """Lazily yield ``(transition, image)`` for each way out of chart ``ci``.
+    def transfers(self, ci: int, points: Array, slack: float) -> Iterator[tuple[Transition, Array, Array]]:
+        """Lazily yield ``(transition, rows, images)`` for each way out of chart ``ci``.
 
-        Transitions come in model order; one counts when its predicate accepts
-        ``point`` and its destination chart contains the image within ``slack``.
+        Transitions come in model order.  ``rows`` indexes the batch
+        ``points``, shape ``(n, dim)``, where the predicate holds and the
+        destination chart contains the wrapped image within ``slack``;
+        ``images`` are those images.  A transition that takes no row is skipped.
         """
         for tr in self.transitions_from(ci):
-            if not np.all(tr.valid(np.atleast_2d(point))):
+            rows = np.flatnonzero(tr.valid(points))
+            if rows.size == 0:
                 continue
-            image = tr.map.apply(point)[0]
-            if self.charts[tr.dst].chart.contains(image, slack=slack)[0]:
-                yield tr, image
+            images = tr.map.apply(points[rows])
+            inside = self.charts[tr.dst].chart.contains(images, slack=slack)
+            if inside.any():
+                yield tr, rows[inside], images[inside]
 
 
 @dataclass(frozen=True)

@@ -191,8 +191,3 @@ def build(spec: str) -> HamiltonianModel:
     except TypeError as exc:
         raise ValueError(f"{spec!r} does not match {entry.signature}: {exc}") from None
     return entry.builder(*args, **kwargs)
-
-
-def zoo() -> list[HamiltonianModel]:
-    """Build the full standard example list."""
-    return [build(spec) for spec in ZOO]

@@ -4,7 +4,9 @@ Everything here works on plain float callables with central finite
 differences, or on plain Python lists, deliberately sharing no code with
 the package it checks.  The exceptions are the point-cloud oracles, which
 take each pair's distance from ``Chart.distance`` over the whole distance
-matrix at once, the reference integrator, which evaluates the model's
+matrix at once, :func:`merged_groups`, which asks ``Chart.distance``, the
+model's transitions and its moment Hessians one pair at a time, the
+reference integrator, which evaluates the model's
 own fields and returns a ``flow.FlowResult``, :func:`pulled_back`, which
 states a pullback through a map in the package's coefficient-level terms,
 :func:`per_angle_invariance`, the invariance check's earlier loop over the
@@ -212,6 +214,47 @@ def orbit_near(chart, orbit: np.ndarray, cloud: np.ndarray, radius: float) -> bo
         not np.isnan(row).any() and row.min() < radius
         for row in all_distances(chart, orbit, cloud)
     )
+
+
+def merged_groups(model, labeled: list, radius: float, flat_tol: float, value_tol: float) -> list[list[int]]:
+    """Indices of ``labeled``'s ``(chart, point)`` entries, grouped one pair at a time.
+
+    Two points join when they are closer than ``radius`` in one chart, when
+    one's image under a transition whose predicate accepts it and whose
+    destination contains it within 1e-6 is closer than ``radius`` to the
+    other, or when both Hessians have two eigenvalues within ``flat_tol`` of
+    0 and their moment values differ by less than ``value_tol``.
+    """
+    n = len(labeled)
+    traits = []
+    for ci, p in labeled:
+        h = model.charts[ci].hamiltonian(jets.seed(p[None, :], order=2))
+        eigs = np.linalg.eigvalsh(0.5 * (h.hess[0] + h.hess[0].T))
+        traits.append((float(h.value[0]), int((np.abs(eigs) <= flat_tol).sum()) >= 2))
+
+    def images(ci, p, cj):
+        out = []
+        for tr in model.transitions:
+            if tr.src == ci and tr.dst == cj and tr.valid(p[None])[0]:
+                q = tr.map.apply(p)[0]
+                if model.charts[cj].chart.contains(q, 1e-6)[0]:
+                    out.append(q)
+        return out
+
+    edges = []
+    for i, j in combinations(range(n), 2):
+        (ci, p), (cj, q) = labeled[i], labeled[j]
+        near = [float(model.charts[cj].chart.distance(img, q)) for img in images(ci, p, cj)]
+        near += [float(model.charts[ci].chart.distance(p, img)) for img in images(cj, q, ci)]
+        if ci == cj:
+            near.append(float(model.charts[ci].chart.distance(p, q)))
+        (hi, flat_i), (hj, flat_j) = traits[i], traits[j]
+        if min(near, default=np.inf) < radius or (flat_i and flat_j and abs(hi - hj) < value_tol):
+            edges.append((i, j))
+    groups: dict[int, list[int]] = {}
+    for k, root in enumerate(union_find_labels(n, edges)):
+        groups.setdefault(root, []).append(k)
+    return list(groups.values())
 
 
 def one_handle_flow(point: np.ndarray, t: float) -> np.ndarray:
@@ -471,11 +514,11 @@ def reference_integrate(model, ci: int, start, direction: int = 1, max_time: flo
             break
         p = p_new
         if not (cd.chart.contains(p, slack=1e-12)[0] and cd.chart.in_box(p, 1e-9)):
-            hit = next(model.transfers(ci, p, 1e-9), None)
+            hit = next(model.transfers(ci, p[None], 1e-9), None)
             if hit is None:
                 termination = "exited_chart"
                 break
-            tr, p = hit
+            tr, _, (p,) = hit
             ci = tr.dst
             cd = model.charts[ci]
             k1 = None

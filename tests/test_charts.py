@@ -279,22 +279,33 @@ def test_batched_maps_match_one_row_maps(spec):
 
 def test_transfers_follow_model_order_and_skip_rejected_transitions():
     # the three blow-up charts overlap pairwise, so some points reach two
-    # charts and some images land inside a chart whose predicate says no
+    # charts and some images land inside a chart whose predicate says no;
+    # the whole batch crosses with the rows and images of the one-row calls
     model = registry.build("blowup_d4(1,-1,0.2)")
     reached_two = rejected_inside = 0
     for ci, cd in enumerate(model.charts):
-        for p in sample_domain(cd.chart, 200, np.random.default_rng([5, ci])):
-            hits = list(model.transfers(ci, p, 1e-9))
-            rank = [model.transitions.index(tr) for tr, _ in hits]
+        pts = sample_domain(cd.chart, 200, np.random.default_rng([5, ci]))
+        one_row: dict[int, list] = {}
+        for k, p in enumerate(pts):
+            hits = list(model.transfers(ci, p[None], 1e-9))
+            rank = [model.transitions.index(tr) for tr, _, _ in hits]
             assert rank == sorted(rank)
-            for tr, q in hits:
+            for tr, rows, (q,) in hits:
+                assert rows.tolist() == [0]
                 assert np.array_equal(q, tr.map.apply(p)[0])
+                one_row.setdefault(model.transitions.index(tr), []).append((k, q))
             reached_two += len(hits) == 2
             for tr in model.transitions_from(ci):
                 q = tr.map.apply(p)[0]
                 if not tr.valid(p[None])[0] and model.charts[tr.dst].chart.contains(q, 1e-9)[0]:
-                    assert tr.dst not in [t.dst for t, _ in hits]
+                    assert tr.dst not in [t.dst for t, _, _ in hits]
                     rejected_inside += 1
+        crossed = model.transfers(ci, pts, 1e-9)
+        batch = {model.transitions.index(tr): (rows, images) for tr, rows, images in crossed}
+        assert list(batch) == sorted(one_row)
+        for rank, (rows, images) in batch.items():
+            assert rows.tolist() == [k for k, _ in one_row[rank]]
+            assert np.array_equal(images, np.array([q for _, q in one_row[rank]]))
     assert reached_two and rejected_inside
 
 
@@ -302,7 +313,7 @@ def test_transfers_yield_nothing_when_every_image_is_outside():
     model = registry.build("blowup_d4(1,-1,0.2)")
     p = np.array([3.0, 0.0, 3.0, 0.0])
     assert all(tr.valid(p[None])[0] for tr in model.transitions_from(0))
-    assert list(model.transfers(0, p, 1e-6)) == []
+    assert list(model.transfers(0, p[None], 1e-6)) == []
 
 
 def test_transfers_slack_admits_image_just_outside():
@@ -310,7 +321,7 @@ def test_transfers_slack_admits_image_just_outside():
     # has |pt| = 0.7 pb and w = 0.49, so its cosphere value is pb^2 - 1
     model = registry.build("cotangent_s2()")
     p = np.array([0.7, 0.0, 0.0, np.sqrt(1.0 + 1e-7)])
-    assert list(model.transfers(1, p, 1e-9)) == []
-    (tr, q), = model.transfers(1, p, 1e-6)
+    assert list(model.transfers(1, p[None], 1e-9)) == []
+    (tr, _, (q,)), = model.transfers(1, p[None], 1e-6)
     assert tr.dst == 0
     assert 1e-9 < model.charts[0].chart.domain[-1](jets.seed(q[None], order=0)).value[0] < 1e-6

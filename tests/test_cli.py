@@ -94,6 +94,29 @@ def test_unknown_model_exits_two(capsys):
     assert 'error: "' not in err
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "disc_d4(1,-1",
+        "disc_d4",
+        "disc_d4(1,-1)x",
+        "disc_d4(,1)",
+        "disc_d4(a,1)",
+        "disc_d4(1,2,3)",
+        "disc_d4(m=1,q=2)",
+        "attach_2handle(s1_d3(1,0)",
+        "(1,1)",
+        "disc_d4(1))(",
+    ],
+)
+def test_malformed_spec_exits_two(capsys, spec):
+    """The spec parser refuses a malformed spec with one error line, not a traceback."""
+    code, out, err = run(capsys, ["verify", spec])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_ineffective_weights_exit_two(capsys):
     code, _, err = run(capsys, ["verify", "disc_d4(2,4)"])
     assert code == 2

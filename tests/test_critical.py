@@ -9,11 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hamflow import basic, critical, jets, registry
-from hamflow.chart import Chart
+from hamflow.chart import Chart, sample_boundary, sample_domain
 from hamflow.errors import NotCritical
 from hamflow.forms import field_values
-from hamflow.model import HamiltonianModel
-from oracles import nearest_neighbour_distances, pairs_within, union_find_labels
+from hamflow.model import HamiltonianModel, moving_keys
+from oracles import merged_groups, nearest_neighbour_distances, pairs_within, union_find_labels
 
 
 @pytest.mark.parametrize(
@@ -206,6 +206,65 @@ def test_connectivity_counts_a_split_boundary():
         charts=[dataclasses.replace(cd, chart=chart)],
     )
     assert critical.boundary_connectivity(two_sided, samples=800) == 2
+
+
+@pytest.mark.parametrize("spec", ["attach_2handle(s1_d3(1,0))", "attach_2handle(disc_d4(1,-1))"])
+def test_links_cross_only_into_the_destination_chart(spec):
+    # the base's entry predicate accepts boundary points whose handle image
+    # lies outside the handle chart; no flow crosses there, so no link may
+    model = registry.build(spec)
+    clouds, radii = {}, {}
+    for ci, cd in enumerate(model.charts):
+        clouds[ci] = sample_boundary(cd.chart, 1000, np.random.default_rng([0, 31, ci]), accept=cd.boundary_accept)
+        radii[ci] = critical._adaptive_radius(cd.chart, clouds[ci])
+    src, dst = critical._links(model, clouds, radii)
+    chart_of = np.concatenate([np.full(pts.shape[0], ci) for ci, pts in clouds.items()])
+    row_of = np.concatenate([np.arange(pts.shape[0]) for pts in clouds.values()])
+    crossing = chart_of[src] != chart_of[dst]
+    justified = np.zeros(src.size, dtype=bool)
+    for tr in model.transitions:
+        pts = clouds[tr.src]
+        ok = np.flatnonzero(tr.valid(pts))
+        inside = np.zeros(pts.shape[0], dtype=bool)
+        images = np.full(pts.shape, np.nan)
+        images[ok] = tr.map.apply(pts[ok])
+        inside[ok] = model.charts[tr.dst].chart.contains(images[ok], slack=1e-6)
+        e = np.flatnonzero((chart_of[src] == tr.src) & (chart_of[dst] == tr.dst) & inside[row_of[src]])
+        d = model.charts[tr.dst].chart.distance(images[row_of[src[e]]], clouds[tr.dst][row_of[dst[e]]])
+        justified[e] |= d < max(radii[tr.src], radii[tr.dst])
+    assert crossing.sum() > 100
+    assert justified[crossing].all()
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["cotangent_s2()", "prequantization_s2()", "blowup_d4(1,1,0.2)", "attach_2handle(s1_d3(1,0))", "weinstein_1handle(1)"],
+)
+def test_merge_groups_match_the_pairwise_rule(spec):
+    # fixed-set projections (flat surfaces, clusters) mixed with plain draws,
+    # in shuffled chart order, so the grouping must carry rows back in order
+    model = registry.build(spec)
+    labeled = []
+    for ci, cd in enumerate(model.charts):
+        for k, p in enumerate(sample_domain(cd.chart, 16, np.random.default_rng([3, ci]))):
+            keys = [key for key, _ in moving_keys(cd.weights, p, 0.0)]
+            if k % 2 and not any(len(key) == 1 for key in keys):
+                for key in keys:
+                    p[list(key)] = 0.0
+                if not cd.chart.contains(p, slack=1e-6)[0]:
+                    continue
+            labeled.append((ci, p))
+    labeled = [labeled[k] for k in np.random.default_rng(4).permutation(len(labeled))]
+    groups = critical._merge_groups(model, labeled)
+    expected = merged_groups(model, labeled, critical.CLUSTER_RADIUS, 1e-5, critical.SURFACE_VALUE_TOL)
+    assert [[id(entry) for entry in group] for group in groups] == [
+        [id(labeled[k]) for k in group] for group in expected
+    ]
+    assert any(len(group) > 1 for group in expected)
+
+
+def test_merge_groups_of_no_points_is_empty():
+    assert critical._merge_groups(registry.build("cotangent_s2()"), []) == []
 
 
 @settings(max_examples=200, deadline=None)

@@ -9,7 +9,7 @@ import pytest
 from hamflow import handles, jets, registry
 from hamflow.basic import cotangent_t2, disc_d4, s1_d3
 from hamflow.chart import sample_domain
-from hamflow.errors import CollarTooDeep, IneffectiveAction, NotLegendrian, UnsupportedBase
+from hamflow.errors import CollarTooDeep, IneffectiveAction, UnsupportedBase
 from hamflow.forms import coeff_residual, field_values
 from hamflow.model import liouville_residual, moment_residual, self_check_points
 from oracles import one_handle_flow, pulled_back, rk4_endpoint
@@ -207,10 +207,6 @@ def test_surgery_guards():
         handles.attach_2handle(cotangent_t2(1, 0))
     with pytest.raises(UnsupportedBase):
         handles.attach_2handle(s1_d3(2, 1))
-    with pytest.raises(NotLegendrian):
-        handles.attach_2handle(base, orbit_ref=[0.0, 1.0, 0.0, 0.3])
-    with pytest.raises(NotLegendrian):
-        handles.attach_2handle(base, orbit_ref=[0.0, 0.5, 0.0, 0.0])
     with pytest.raises(CollarTooDeep):
         handles.attach_2handle(base, eps=0.5)
     with pytest.raises(ValueError):
