@@ -7,7 +7,9 @@ take each pair's distance from ``Chart.distance`` over the whole distance
 matrix at once, :func:`merged_groups`, which asks ``Chart.distance``, the
 model's transitions and its moment Hessians one pair at a time, the
 reference integrator, which evaluates the model's
-own fields and returns a ``flow.FlowResult``, :func:`pulled_back`, which
+own fields and returns a ``flow.FlowResult``, :func:`fixed_points_by_draw`,
+the per-draw fixed-point loop that groups and classifies through
+:mod:`hamflow.critical`, :func:`pulled_back`, which
 states a pullback through a map in the package's coefficient-level terms,
 :func:`per_angle_invariance`, the invariance check's earlier loop over the
 verifier's own fields, and :func:`stabilizer_order`, which applies the
@@ -23,12 +25,13 @@ from typing import Callable
 
 import numpy as np
 
-from hamflow import jets, verifier
+from hamflow import critical, jets, verifier
 from hamflow.chart import sample_domain
 from hamflow.errors import ImmediateExit, StiffFlow
 from hamflow.flow import FlowResult
 from hamflow.forms import coeff_residual, field_values, image_jacobian, image_seed, pullback_coeffs
 from hamflow.linalg import congruence
+from hamflow.model import moving_keys
 
 Scalar = Callable[[np.ndarray], float]
 
@@ -255,6 +258,49 @@ def merged_groups(model, labeled: list, radius: float, flat_tol: float, value_to
     for k, root in enumerate(union_find_labels(n, edges)):
         groups.setdefault(root, []).append(k)
     return list(groups.values())
+
+
+def fixed_points_by_draw(model, seed: int = 0) -> list:
+    """``critical.find_fixed_points`` one draw at a time, with its box test inline.
+
+    Each draw is projected through ``moving_keys``, kept when the chart
+    contains it within 1e-6 and it lies in the box within 1e-6 (periodic
+    coordinates skipped), and dropped when a scalar ``Chart.distance`` puts
+    it within 1e-4 of a point kept earlier in its chart.  The kept points are
+    grouped by ``critical._merge_groups`` and each group is classified at its
+    first point through ``critical.hessian_data`` and an order-0 moment value.
+    """
+    found = []
+    for ci, cd in enumerate(model.charts):
+        chart = cd.chart
+        free = ~np.asarray(chart.periodic)
+        lo, hi = np.asarray(chart.box_lo)[free] - 1e-6, np.asarray(chart.box_hi)[free] + 1e-6
+        rng = np.random.default_rng([seed, 23, ci])
+        for p in sample_domain(chart, critical.FIXED_POINT_STARTS, rng):
+            keys = [key for key, _ in moving_keys(cd.weights, p, 0.0)]
+            if any(len(key) == 1 for key in keys):
+                break
+            q = p.copy()
+            for key in keys:
+                q[list(key)] = 0.0
+            if not (chart.contains(q, slack=1e-6)[0] and np.all(q[free] >= lo) and np.all(q[free] <= hi)):
+                continue
+            if any(cj == ci and float(chart.distance(q, r)) < 1e-4 for cj, r in found):
+                continue
+            found.append((ci, q))
+    clusters = []
+    for group in critical._merge_groups(model, found):
+        ci, p = group[0]
+        cd = model.charts[ci]
+        index, nullity, _ = critical.hessian_data(model, ci, p)
+        touches = False
+        if cd.chart.boundary is not None:
+            level = cd.chart.boundary(jets.seed(p[None, :], order=0))
+            touches = float(level.value[0]) > -critical.BOUNDARY_TOUCH_TOL
+        value = float(cd.hamiltonian(jets.seed(p[None, :], order=0)).value[0])
+        clusters.append(critical.CriticalCluster(ci, p, value, index, nullity, touches, len(group)))
+    clusters.sort(key=lambda c: (c.value, c.chart_index, c.index))
+    return clusters
 
 
 def one_handle_flow(point: np.ndarray, t: float) -> np.ndarray:

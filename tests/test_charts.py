@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
-from hamflow import jets, registry
+from hamflow import jets, registry, verifier
 from hamflow.chart import Chart, SmoothMap, sample_boundary, sample_domain
 from hamflow.errors import BoundaryNotFound, EmptyDomainSuspected
 from hamflow.forms import field_values
@@ -182,6 +183,39 @@ def test_periodic_wrap_and_distance():
 def test_periodic_box_must_be_full_circle(lo, hi):
     with pytest.raises(ValueError, match="periodic"):
         Chart(name="cyl", coords=("t", "h"), periodic=(True, False), box_lo=(lo, -1.0), box_hi=(hi, 1.0))
+
+
+def _box_excess(chart, rng, n=20_000):
+    """How far outside its box the farthest draw that ``contains(slack=1e-6)`` accepts lies.
+
+    Draws are uniform over the box widened by 10% on each non-periodic side.
+    """
+    lo, hi = np.array(chart.box_lo), np.array(chart.box_hi)
+    free = ~np.array(chart.periodic)
+    pad = np.where(free, 0.1 * (hi - lo), 0.0)
+    pts = rng.uniform(lo - pad, hi + pad, size=(n, chart.dim))
+    inside = pts[chart.contains(pts, slack=1e-6)]
+    return float(np.max(np.maximum(lo - inside, inside - hi)[:, free], initial=0.0))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    list(registry.ZOO)
+    + sorted(verifier.CONTROLS)
+    + ["attach_2handle(disc_d4(1,-1))", "blowup_d4(3,1,0.2)", "blowup_d4(2,-3,0.25)", "disc_d4(2,-3)"],
+)
+def test_every_chart_domain_lies_inside_its_box(spec):
+    # flows, traces and fixed points test membership by ``contains`` alone
+    model = verifier.CONTROLS[spec][1]() if spec in verifier.CONTROLS else registry.build(spec)
+    for ci, cd in enumerate(model.charts):
+        assert _box_excess(cd.chart, np.random.default_rng([5, ci])) <= 1e-5, (spec, cd.chart.name)
+
+
+def test_a_box_that_cuts_the_domain_fails_the_box_rule():
+    chart = registry.build("disc_d4(1,1)").charts[0].chart
+    shrunk = dataclasses.replace(chart, box_lo=(-0.9,) * 4, box_hi=(0.9,) * 4)
+    assert _box_excess(chart, np.random.default_rng(5)) <= 1e-5
+    assert _box_excess(shrunk, np.random.default_rng(5)) > 1e-5
 
 
 def test_in_box_skips_periodic_coordinates():

@@ -13,7 +13,7 @@ from hamflow.chart import Chart, sample_boundary, sample_domain
 from hamflow.errors import NotCritical
 from hamflow.forms import field_values
 from hamflow.model import HamiltonianModel, moving_keys
-from oracles import merged_groups, nearest_neighbour_distances, pairs_within, union_find_labels
+from oracles import fixed_points_by_draw, merged_groups, nearest_neighbour_distances, pairs_within, union_find_labels
 
 
 @pytest.mark.parametrize(
@@ -265,6 +265,24 @@ def test_merge_groups_match_the_pairwise_rule(spec):
 
 def test_merge_groups_of_no_points_is_empty():
     assert critical._merge_groups(registry.build("cotangent_s2()"), []) == []
+
+
+def _records(clusters):
+    return [
+        (c.chart_index, c.point.tobytes(), repr(c.value), c.index, c.nullity, c.touches_boundary, c.members)
+        for c in clusters
+    ]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    list(registry.ZOO)
+    + ["attach_2handle(disc_d4(1,-1))", "blowup_d4(3,1,0.2)", "blowup_d4(2,-3,0.25)", "disc_d4(2,-3)"],
+)
+def test_fixed_points_match_the_per_draw_loop(spec):
+    model = registry.build(spec)
+    for seed in (0, 1, 97):
+        assert _records(critical.find_fixed_points(model, seed=seed)) == _records(fixed_points_by_draw(model, seed))
 
 
 @settings(max_examples=200, deadline=None)
