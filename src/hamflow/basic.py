@@ -43,7 +43,7 @@ def disc_d4(m: int = 1, n: int = 1) -> HamiltonianModel:
         domain=(sphere,),
         boundary=sphere,
     )
-    omega = constant_form(2, 4, {(0, 1): 1.0, (2, 3): 1.0})
+    omega = constant_form({(0, 1): 1.0, (2, 3): 1.0})
 
     def hamiltonian(jc):
         return (jc[0] * jc[0] + jc[1] * jc[1]) * (fm / 2) + (jc[2] * jc[2] + jc[3] * jc[3]) * (fn / 2)
@@ -84,7 +84,7 @@ def s1_d3(k: int = 1, m: int = 0) -> HamiltonianModel:
         domain=(sphere,),
         boundary=sphere,
     )
-    omega = constant_form(2, 4, {(0, 3): -1.0, (1, 2): 1.0})
+    omega = constant_form({(0, 3): -1.0, (1, 2): 1.0})
 
     def hamiltonian(jc):
         return jc[3] * fk + (jc[1] * jc[1] + jc[2] * jc[2]) * (fm / 2)
@@ -140,7 +140,7 @@ def cotangent_t2(m1: int = 1, m2: int = 0) -> HamiltonianModel:
         domain=(codisc,),
         boundary=codisc,
     )
-    omega = constant_form(2, 4, {(0, 2): -1.0, (1, 3): -1.0})
+    omega = constant_form({(0, 2): -1.0, (1, 3): -1.0})
 
     def hamiltonian(jc):
         return jc[2] * f1 + jc[3] * f2

@@ -288,7 +288,7 @@ def _core_chart_data(keep, scaled, hamiltonian, eps2, flat: ChartData):
     down = _blowdown(keep, scaled)
     psi = _faded_primitive(eps2, keep, scaled)
     fs, rp = _fubini_study(eps2, scaled), _round_primitive(eps2, scaled)
-    omega = KForm(2, 4, _corrected(down, flat.omega.coefficients, fs, lambda jc: d_coeffs(psi(jc), 4)))
+    omega = KForm(_corrected(down, flat.omega.coefficients, fs, lambda jc: d_coeffs(psi(jc), 4)))
     lam = _corrected(down, flat.alpha().coefficients, rp, psi)
     w_keep = flat.weights[keep]
     metric = _kahler_metric(omega)

@@ -3,8 +3,10 @@
 A chart is a named open box-with-inequalities in R^d (d <= 6), with periodic
 flags for angular coordinates.  The domain is the set where every inequality
 function is <= 0; an optional scalar ``boundary`` function cuts the model
-boundary as its zero level (negative inside).  Every point-cloud question
-(neighbour pairs, nearest neighbours, orbit proximity) reads its distances
+boundary as its zero level (negative inside).  The box is the sampling bound
+and holds the domain, so ``Chart.contains`` is the one membership test.
+Every point-cloud question (neighbour pairs, nearest neighbours, orbit
+proximity) reads its distances
 from ``Chart.squared_distance_blocks``.  Given a radius, it compares only
 rows that a sorted sweep along one non-periodic coordinate finds within
 that radius there (a fixed-radius near-neighbour sweep, Bentley, Stanat &
@@ -39,7 +41,7 @@ PAIR_BUDGET = 128 * 2000  # most row pairs in one squared_distance_blocks block
 
 @dataclass(frozen=True)
 class Chart:
-    """A coordinate box with inequality constraints and an optional boundary."""
+    """A coordinate box holding the domain its inequalities cut out, and an optional boundary."""
 
     name: str
     coords: tuple[str, ...]
@@ -150,14 +152,6 @@ class Chart:
             for fn in self.domain:
                 ok &= fn(j).value <= slack
         return ok
-
-    def in_box(self, point: Array, slack: float) -> bool:
-        """Whether one point lies in the box up to ``slack``; a periodic box is [0, 2*pi]."""
-        free = ~np.asarray(self.periodic)
-        p = np.asarray(point, dtype=float)[free]
-        lo = np.asarray(self.box_lo)[free] - slack
-        hi = np.asarray(self.box_hi)[free] + slack
-        return bool(np.all(p >= lo) and np.all(p <= hi))
 
 
 @dataclass(frozen=True)

@@ -3,16 +3,19 @@
 Fixed points of the circle action coincide with critical points of the
 moment map.  Every chart's action is linear, read off its weight table, so
 its fixed set is a coordinate subspace (empty when a translation moves
-every point): seeded domain draws are projected onto it exactly, by
-zeroing each rotation plane that moves them.  Projected points are merged
-into clusters by one linking rule, :func:`_links`: within a radius in one
+every point): a batch of seeded domain draws is projected onto it exactly,
+by zeroing each rotation plane of nonzero weight, and the projections the
+chart contains are deduplicated greedily within 1e-4.  Projected points are
+merged into clusters by one linking rule, :func:`_links`: within a radius in one
 chart, or across a transition (``HamiltonianModel.transfers``) within a
 radius of the image; points whose Hessian carries a null plane also merge
 by level value (samples scattered along one critical surface all belong to
 the same stratum, which has constant moment value).
 Each cluster is classified by the eigenvalues of the moment Hessian: the
 index counts negative directions, the nullity counts flat ones (0 for
-isolated points, 2 for fixed surfaces).
+isolated points, 2 for fixed surfaces).  One order-2 evaluation of the
+moment map per batch, :func:`_morse`, gives the values, gradient norms and
+eigenvalues that the grouping, the classification and :func:`hessian_data` read.
 
 Gradient ascent and descent from random interior starts reveal the global
 structure: which extrema are interior, which sit on the boundary, and
@@ -30,7 +33,7 @@ import numpy as np
 from . import flow, jets
 from .chart import _components, sample_boundary, sample_domain
 from .errors import BoundaryNotFound, NotCritical
-from .model import HamiltonianModel, moving_keys
+from .model import ChartData, HamiltonianModel
 
 Array = np.ndarray
 
@@ -75,23 +78,31 @@ class ExtremaReport:
     unresolved: int
 
 
-def hessian_data(model: HamiltonianModel, chart_index: int, point: Array) -> tuple[int, int, Array]:
-    """Index, nullity and eigenvalues of the moment Hessian at a critical point.
+def _morse(cd: ChartData, pts: Array) -> tuple[Array, Array, Array]:
+    """Moment values, gradient norms and symmetrized-Hessian eigenvalues at a point batch.
 
-    Eigenvalues within NULL_TOL of zero count toward the nullity.
+    All three come from one order-2 evaluation of the moment map.
     """
-    cd = model.charts[chart_index]
-    p = np.asarray(point, dtype=float)
-    hj = cd.hamiltonian(jets.seed(p[None, :], order=2))
-    grad_norm = float(np.linalg.norm(hj.grad[0]))
+    hj = cd.hamiltonian(jets.seed(pts, order=2))
+    eigs = np.linalg.eigvalsh(0.5 * (hj.hess + hj.hess.transpose(0, 2, 1)))
+    return hj.value, np.linalg.norm(hj.grad, axis=1), eigs
+
+
+def _morse_type(grad_norm: float, eigs: Array) -> tuple[int, int]:
+    """Index and nullity from one point's :func:`_morse` data, or NotCritical.
+
+    A gradient norm above 1e-6 is not critical.  Eigenvalues within NULL_TOL
+    of zero count toward the nullity.
+    """
     if grad_norm > 1e-6:
-        raise NotCritical(
-            f"moment differential has norm {grad_norm:.3e} at the given point"
-        )
-    eigs = np.linalg.eigvalsh(0.5 * (hj.hess[0] + hj.hess[0].T))
-    index = int((eigs < -NULL_TOL).sum())
-    nullity = int((np.abs(eigs) <= NULL_TOL).sum())
-    return index, nullity, eigs
+        raise NotCritical(f"moment differential has norm {grad_norm:.3e} at the given point")
+    return int((eigs < -NULL_TOL).sum()), int((np.abs(eigs) <= NULL_TOL).sum())
+
+
+def hessian_data(model: HamiltonianModel, chart_index: int, point: Array) -> tuple[int, int, Array]:
+    """Index, nullity and eigenvalues of the moment Hessian at a critical point."""
+    _, grad_norm, eigs = _morse(model.charts[chart_index], np.asarray(point, dtype=float)[None, :])
+    return (*_morse_type(grad_norm[0], eigs[0]), eigs[0])
 
 
 # ----------------------------------------------------------------------
@@ -157,13 +168,9 @@ def _merge_groups(
     clouds = {ci: np.array([p for cj, p in labeled if cj == ci]) for ci in charts}
     rows = np.array([k for ci in charts for k, (cj, _) in enumerate(labeled) if cj == ci])
     src, dst = _links(model, clouds, dict.fromkeys(clouds, CLUSTER_RADIUS))
-    values, flat = [], []
-    for ci, pts in clouds.items():
-        hj = model.charts[ci].hamiltonian(jets.seed(pts, order=2))
-        eigs = np.linalg.eigvalsh(0.5 * (hj.hess + hj.hess.transpose(0, 2, 1)))
-        values.append(hj.value)
-        flat.append((np.abs(eigs) <= 1e-5).sum(axis=1) >= 2)
-    h, f = np.concatenate(values), np.concatenate(flat)
+    morse = [_morse(model.charts[ci], pts) for ci, pts in clouds.items()]
+    h = np.concatenate([values for values, _, _ in morse])
+    f = np.concatenate([(np.abs(eigs) <= 1e-5).sum(axis=1) >= 2 for _, _, eigs in morse])
     i, j = np.nonzero(f[:, None] & f[None, :] & (np.abs(h[:, None] - h[None, :]) < SURFACE_VALUE_TOL))
     labels = _components(len(labeled), rows[np.concatenate([src, i])], rows[np.concatenate([dst, j])])
     groups: dict[int, list[tuple[int, Array]]] = {}
@@ -175,42 +182,41 @@ def _merge_groups(
 def find_fixed_points(model: HamiltonianModel, seed: int = 0) -> list[CriticalCluster]:
     """Locate and classify the fixed points of the circle action.
 
-    Each chart's seeded domain draws are projected onto the chart's fixed
-    set by zeroing every rotation plane that moves them; a chart whose
-    table moves every point (a translation) has none.
+    Each chart's table is read once: a translation leaves the chart no fixed
+    set, and every other moving key is a rotation plane to zero.  The chart's
+    FIXED_POINT_STARTS seeded domain draws are projected onto the fixed set
+    as one batch, and the projections the chart contains within 1e-6 are
+    kept unless they lie within 1e-4 of a projection kept before them.
     """
     found: list[tuple[int, Array]] = []
     for ci, cd in enumerate(model.charts):
-        rng = np.random.default_rng([seed, 23, ci])
-        for p in sample_domain(cd.chart, FIXED_POINT_STARTS, rng):
-            keys = [key for key, _ in moving_keys(cd.weights, p, 0.0)]
-            if any(len(key) == 1 for key in keys):
-                break  # a translation moves every point of the chart
-            q = p.copy()
-            for key in keys:
-                q[list(key)] = 0.0
-            if not (cd.chart.contains(q, slack=1e-6)[0] and cd.chart.in_box(q, 1e-6)):
-                continue
-            if any(
-                cj == ci and float(cd.chart.distance(q, r)) < 1e-4 for cj, r in found
-            ):
-                continue
-            found.append((ci, q))
+        moving = [key for key, w in cd.weights.items() if w]
+        if any(len(key) == 1 for key in moving):
+            continue
+        pts = sample_domain(cd.chart, FIXED_POINT_STARTS, np.random.default_rng([seed, 23, ci]))
+        pts[:, [k for key in moving for k in key]] = 0.0
+        pts = pts[cd.chart.contains(pts, slack=1e-6)]
+        i, j = _pairs_within(cd.chart, pts, pts, 1e-4)
+        kept: list[int] = []
+        for k in range(len(pts)):
+            if not np.isin(j[i == k], kept).any():
+                kept.append(k)
+        found += [(ci, pts[k]) for k in kept]
     clusters = []
     for group in _merge_groups(model, found):
         ci, p = group[0]
         cd = model.charts[ci]
-        index, nullity, _ = hessian_data(model, ci, p)
+        (value,), (grad_norm,), (eigs,) = _morse(cd, p[None, :])
+        index, nullity = _morse_type(grad_norm, eigs)
         touches = False
         if cd.chart.boundary is not None:
             level = cd.chart.boundary(jets.seed(p[None, :], order=0))
             touches = float(level.value[0]) > -BOUNDARY_TOUCH_TOL
-        hj = cd.hamiltonian(jets.seed(p[None, :], order=0))
         clusters.append(
             CriticalCluster(
                 chart_index=ci,
                 point=p,
-                value=float(hj.value[0]),
+                value=float(value),
                 index=index,
                 nullity=nullity,
                 touches_boundary=touches,

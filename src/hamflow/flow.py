@@ -161,7 +161,7 @@ def _trajectory(model: HamiltonianModel, ci: int, start: Array, direction: int, 
             termination = "critical_set"
             break
         p = p_new
-        if not (cd.chart.contains(p, slack=1e-12)[0] and cd.chart.in_box(p, 1e-9)):
+        if not cd.chart.contains(p, slack=1e-12)[0]:
             hit = next(model.transfers(ci, p[None], 1e-9), None)
             if hit is None:
                 termination = "exited_chart"
@@ -480,7 +480,7 @@ def _trace_component(
         if not ok:
             break
         prev_w = w
-        if not (cd.chart.contains(cand, slack=1e-9)[0] and cd.chart.in_box(cand, 1e-9)):
+        if not cd.chart.contains(cand, slack=1e-9)[0]:
             hit = next(model.transfers(ci, cand[None], 1e-9), None)
             if hit is None:
                 break

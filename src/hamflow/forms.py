@@ -13,9 +13,10 @@ forms back through one map seeds its images once (:func:`image_seed`) and
 reads its Jacobian entries once, as numbers or as :func:`image_jacobian`;
 through a constant Jacobian, :func:`pullback_values` pulls back values alone.
 
-A :class:`KForm` names a form field: its degree, its chart dimension and its
-coefficient function.  Builders declare omega as one; any composition of
-forms is written as one coefficient function over the operators above.
+A :class:`KForm` names a form field by its coefficient function alone; its
+degree and chart dimension show in the indices it returns.  Builders
+declare omega as one; any composition of forms is written as one
+coefficient function over the operators above.
 """
 
 from __future__ import annotations
@@ -38,13 +39,11 @@ ScalarField = Callable[[Sequence[Jet]], Jet]
 
 
 class KForm:
-    """A form field: its degree, its chart dimension and its coefficient function."""
+    """A form field, named by its coefficient function."""
 
-    __slots__ = ("degree", "dim", "_fn")
+    __slots__ = ("_fn",)
 
-    def __init__(self, degree: int, dim: int, coeff_fn: Callable[[Sequence[Jet]], Coeffs]):
-        self.degree = degree
-        self.dim = dim
+    def __init__(self, coeff_fn: Callable[[Sequence[Jet]], Coeffs]):
         self._fn = coeff_fn
 
     def coefficients(self, jet_coords: Sequence[Jet]) -> Coeffs:
@@ -304,9 +303,9 @@ def _value(c: Jet | Array) -> Array:
     return c.value if isinstance(c, Jet) else c
 
 
-def constant_form(degree: int, dim: int, entries: dict[tuple[int, ...], float]) -> KForm:
+def constant_form(entries: dict[tuple[int, ...], float]) -> KForm:
     def fn(jc: Sequence[Jet]) -> Coeffs:
         anchor = jc[0]
         return {idx: J.constant(v, anchor) for idx, v in entries.items()}
 
-    return KForm(degree, dim, fn)
+    return KForm(fn)

@@ -85,7 +85,7 @@ def _saddle_chart_data(scale: float, kappa: float) -> ChartData:
         boundary=out_face,
     )
 
-    omega = constant_form(2, 4, {(0, 2): scale, (1, 3): scale})
+    omega = constant_form({(0, 2): scale, (1, 3): scale})
 
     def hamiltonian(jc):
         return (jc[1] * jc[2] - jc[0] * jc[3]) * scale
@@ -144,7 +144,7 @@ def weinstein_1handle(m: int = 1) -> HamiltonianModel:
         domain=(round_face, y_cap),
         boundary=round_face,
     )
-    omega = constant_form(2, 4, {(0, 1): 1.0, (2, 3): 1.0})
+    omega = constant_form({(0, 1): 1.0, (2, 3): 1.0})
 
     def hamiltonian(jc):
         return (jc[0] * jc[0] + jc[1] * jc[1]) * (fm / 2.0)
@@ -199,7 +199,7 @@ def contact_form_standard() -> KForm:
     def coeffs(jc):
         return {(0,): jc[1] * 1.0, (2,): jets.constant(1.0, jc[0])}
 
-    return KForm(1, 3, coeffs)
+    return KForm(coeffs)
 
 
 def face_embedding() -> SmoothMap:

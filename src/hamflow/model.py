@@ -100,7 +100,7 @@ class ChartData:
     def alpha(self) -> KForm:
         """The Liouville primitive alpha = i_Y omega (see :func:`liouville_primitive`)."""
         omega, y = self.omega, self.liouville
-        return KForm(1, omega.dim, lambda jc: liouville_primitive(y(jc), omega.coefficients(jc)))
+        return KForm(lambda jc: liouville_primitive(y(jc), omega.coefficients(jc)))
 
 
 @dataclass
@@ -299,8 +299,8 @@ def identity_metric(dim: int, scale: float = 1.0) -> MetricField:
 
 
 def form_matrix_jets(form: KForm, jc: Sequence[Jet]) -> list[list[Jet]]:
-    """Full antisymmetric jet matrix of a 2-form."""
-    d = form.dim
+    """Full antisymmetric jet matrix of a 2-form, sized by the seeded coordinates."""
+    d = len(jc)
     zero = jets.constant(0.0, jc[0])
     mat = [[zero for _ in range(d)] for _ in range(d)]
     for (i, j), c in form.coefficients(jc).items():

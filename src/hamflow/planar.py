@@ -223,7 +223,7 @@ def free_action_planar(k: int = 1, holes=None) -> HamiltonianModel:
 
     cd = ChartData(
         chart=chart,
-        omega=KForm(2, 4, omega),
+        omega=KForm(omega),
         hamiltonian=hamiltonian,
         weights={(0,): 1.0},
         liouville=liouville,
@@ -294,7 +294,7 @@ def disc_bundle_over_surface(holes=(), collar: float = 0.1) -> HamiltonianModel:
 
     cd = ChartData(
         chart=chart,
-        omega=KForm(2, 4, omega),
+        omega=KForm(omega),
         hamiltonian=hamiltonian,
         weights={(2, 3): 1.0},
         liouville=liouville,

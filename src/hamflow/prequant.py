@@ -112,7 +112,7 @@ def _band_chart_data() -> ChartData:
 
     return ChartData(
         chart=chart,
-        omega=KForm(2, 4, omega),
+        omega=KForm(omega),
         hamiltonian=_fiber_energy,
         weights=_FIBER_WEIGHTS,
         liouville=_fiber_liouville,
@@ -176,7 +176,7 @@ def _cap_chart_data(name: str, south: bool) -> ChartData:
 
     return ChartData(
         chart=chart,
-        omega=KForm(2, 4, omega),
+        omega=KForm(omega),
         hamiltonian=_fiber_energy,
         weights=_FIBER_WEIGHTS,
         liouville=_fiber_liouville,
@@ -234,7 +234,7 @@ def _total_chart_data(name: str, south: bool) -> ChartData:
 
     return ChartData(
         chart=chart,
-        omega=KForm(2, 5, omega),
+        omega=KForm(omega),
         hamiltonian=hamiltonian,
         weights={(4,): 1.0},
         liouville=liouville,

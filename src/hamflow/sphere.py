@@ -30,7 +30,7 @@ CAP_HAND = 0.4
 
 
 # both charts use momenta conjugate to their base coordinates
-_OMEGA = constant_form(2, 4, {(0, 2): -1.0, (1, 3): -1.0})
+_OMEGA = constant_form({(0, 2): -1.0, (1, 3): -1.0})
 
 
 def _momentum_liouville(jc):

@@ -537,7 +537,7 @@ def control_nonclosed_omega() -> HamiltonianModel:
         g = jc[3] * 0.02 / (jc[1] * jc[1] + jc[2] * jc[2])
         return {(0, 3): jets.constant(-1.0, jc[0]), (1, 2): g + 1.0}
 
-    bent = dataclasses.replace(cd, chart=chart, omega=KForm(2, 4, omega))
+    bent = dataclasses.replace(cd, chart=chart, omega=KForm(omega))
     return HamiltonianModel(
         name="control_nonclosed_omega",
         params={},

@@ -559,7 +559,7 @@ def reference_integrate(model, ci: int, start, direction: int = 1, max_time: flo
             termination = "critical_set"
             break
         p = p_new
-        if not (cd.chart.contains(p, slack=1e-12)[0] and cd.chart.in_box(p, 1e-9)):
+        if not cd.chart.contains(p, slack=1e-12)[0]:
             hit = next(model.transfers(ci, p[None], 1e-9), None)
             if hit is None:
                 termination = "exited_chart"

@@ -218,19 +218,6 @@ def test_a_box_that_cuts_the_domain_fails_the_box_rule():
     assert _box_excess(shrunk, np.random.default_rng(5)) > 1e-5
 
 
-def test_in_box_skips_periodic_coordinates():
-    chart = Chart(
-        name="cyl",
-        coords=("t", "h"),
-        periodic=(True, False),
-        box_lo=(0.0, -1.0),
-        box_hi=(2 * np.pi, 1.0),
-    )
-    assert chart.in_box([7.0, 1.0 + 1e-7], 1e-6)
-    assert not chart.in_box([1.0, 1.0 + 1e-5], 1e-6)
-    assert not chart.in_box([1.0, -1.0 - 1e-5], 1e-6)
-
-
 def test_smooth_map_roundtrip_modulo_period():
     polar = Chart(
         name="polar",

@@ -101,7 +101,7 @@ def test_wedge_antisymmetry_and_volume():
         assert np.allclose(ca[k].value, -cb[k].value, atol=1e-13)
 
     # omega ^ omega of the standard form doubles the volume coefficient
-    omega = forms.constant_form(2, 4, {(0, 1): 1.0, (2, 3): 1.0}).coefficients(jc)
+    omega = forms.constant_form({(0, 1): 1.0, (2, 3): 1.0}).coefficients(jc)
     cv = forms.wedge_coeffs(omega, omega)
     assert np.allclose(cv[(0, 1, 2, 3)].value, 2.0, atol=1e-14)
 
@@ -121,7 +121,7 @@ def test_pullback_polar_coordinates():
         return [r * jets.cos(th), r * jets.sin(th)]
 
     to_cart = SmoothMap(source=polar, target=cart, forward=fwd)
-    area = forms.constant_form(2, 2, {(0, 1): 1.0})
+    area = forms.constant_form({(0, 1): 1.0})
     pts = np.array([[0.5, 1.0], [1.7, 4.2]])
     coeffs = pulled_back(to_cart, area.coefficients, jets.seed(pts, order=1))
     assert np.allclose(coeffs[(0, 1)].value, pts[:, 0], atol=1e-13)

@@ -47,7 +47,7 @@ def _primitive_chart() -> ChartData:
 
     return ChartData(
         chart=Chart("square", ("x", "y"), (False, False), (-1.0, -1.0), (1.0, 1.0)),
-        omega=forms.KForm(2, 2, lambda jc: forms.d_coeffs(primitive(jc), 2)),
+        omega=forms.KForm(lambda jc: forms.d_coeffs(primitive(jc), 2)),
         hamiltonian=lambda jc: (jc[0] * jc[0] + jc[1] * jc[1]) * 0.5,
         weights={(0, 1): 1.0},
         liouville=lambda jc: [jc[0] * 0.5, jc[1] * 0.5],

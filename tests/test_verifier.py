@@ -492,7 +492,7 @@ def test_nonfinite_invariance_fails_closed(spec, chart_index, field, count):
     model = registry.build(spec)
     cd = model.charts[chart_index]
     if field == "omega":
-        poisoned = forms.KForm(2, 4, lambda jc: {k: c * _poison(jc) for k, c in cd.omega.coefficients(jc).items()})
+        poisoned = forms.KForm(lambda jc: {k: c * _poison(jc) for k, c in cd.omega.coefficients(jc).items()})
     else:
         poisoned = _poisoned_metric(cd.metric)
     config = RunConfig(samples=60)
@@ -519,7 +519,7 @@ def test_margin_shortfall_is_noted(check, count):
 def test_missing_contact_volume_fails():
     """A 2-form whose alpha ^ d(alpha) has no top coefficient reads as contact volume 0: a FAIL, not a raise."""
     model = registry.build("disc_d4(1,1)")
-    flat = forms.KForm(2, 4, lambda jc: {(0, 1): jets.constant(1.0, jc[0])})
+    flat = forms.KForm(lambda jc: {(0, 1): jets.constant(1.0, jc[0])})
     res = verifier.check_contact_boundary(_with_field(model, 0, omega=flat), RunConfig(samples=60))
     assert res.passed is False
     assert res.max_residual == verifier.CONTACT_FLOOR
@@ -533,9 +533,7 @@ def test_nonfinite_contact_shortfall_fails(field):
     if field == "liouville":
         broken = _with_field(model, 0, liouville=_poisoned_field(cd.liouville))
     else:
-        poisoned = forms.KForm(
-            2, 4, lambda jc: {k: c * _poison(jc) for k, c in cd.omega.coefficients(jc).items()}
-        )
+        poisoned = forms.KForm(lambda jc: {k: c * _poison(jc) for k, c in cd.omega.coefficients(jc).items()})
         broken = _with_field(model, 0, omega=poisoned)
     res = verifier.check_contact_boundary(broken, RunConfig(samples=60))
     assert res.passed is False
