@@ -89,10 +89,9 @@ def _morse(cd: ChartData, pts: Array) -> tuple[Array, Array, Array]:
 
 
 def _morse_type(grad_norm: float, eigs: Array) -> tuple[int, int]:
-    """Index and nullity from one point's :func:`_morse` data, or NotCritical.
+    """Index and nullity (eigenvalues within NULL_TOL of 0) from one point's :func:`_morse` data.
 
-    A gradient norm above 1e-6 is not critical.  Eigenvalues within NULL_TOL
-    of zero count toward the nullity.
+    A gradient norm above 1e-6 raises NotCritical.
     """
     if grad_norm > 1e-6:
         raise NotCritical(f"moment differential has norm {grad_norm:.3e} at the given point")
