@@ -17,7 +17,7 @@ from hamflow import forms, jets, registry, verifier
 from hamflow.chart import sample_boundary, sample_domain
 from hamflow.errors import JetOrderError
 from hamflow.forms import image_jacobian, pullback_coeffs
-from hamflow.model import moment_residual
+from hamflow.model import liouville_residual, moment_residual
 from hamflow.verifier import NONFINITE_RESIDUAL, RunConfig, run_all
 from oracles import frame_contact_volume, per_angle_invariance
 
@@ -294,6 +294,15 @@ ORDER_1_FIELDS = {
     "blowup_d4(1,-1,0.2)": {(c, f) for c in ("inner", "outer") for f in ("omega", "Y", "g")},
 }
 
+# (chart, derived quantity) pairs that consume one order on top of a field's
+# partial, so seeding order 1 raises JetOrderError: L_Y omega where Y takes a
+# partial, d omega and L_Y omega where omega does
+ORDER_2_FIELDS = {
+    **{f"free_action_planar({k})": {("shell", "L_Y omega")} for k in (1, 2, 3)},
+    "disc_bundle_over_surface()": {("bundle", "L_Y omega")},
+    "blowup_d4(1,-1,0.2)": {(c, f) for c in ("inner", "outer") for f in ("d omega", "L_Y omega")},
+}
+
 MODELS = {spec: partial(registry.build, spec) for spec in registry.ZOO}
 MODELS.update({name: builder for name, (_, builder) in verifier.CONTROLS.items()})
 
@@ -394,11 +403,14 @@ def test_values_do_not_depend_on_seeded_order(spec):
     """Order-0 and order-1 jets give the order-2 values bitwise wherever they evaluate.
 
     The invariance check reads H, omega, Y and g at order 0 where they
-    evaluate there, and the hamiltonian check reads order 1.  Exactly the
-    pinned (chart, field) pairs of ORDER_1_FIELDS raise JetOrderError at
-    order 0, so a builder that starts reading a partial fails here.
+    evaluate there, and the commutation check omega, g and X; the hamiltonian
+    check reads order 1, and the symplectic and liouville checks read d omega,
+    the kernel contraction and L_Y omega at order 1 where they evaluate there.
+    Exactly the pinned (chart, field) pairs of ORDER_1_FIELDS raise
+    JetOrderError at order 0, and those of ORDER_2_FIELDS at order 1, so a
+    builder that starts reading a partial fails here.
     """
-    raised = set()
+    raised, raised_at_1 = set(), set()
     for ci, cd in enumerate(MODELS[spec]().charts):
         pts = sample_domain(cd.chart, 12, np.random.default_rng([3, ci]))
         mpts = pts[cd.inside_margin(pts)]
@@ -411,6 +423,7 @@ def test_values_do_not_depend_on_seeded_order(spec):
             ("H", ("H",), pts, seeded(lambda jc: cd.hamiltonian(jc).value)),
             ("omega", ("omega",), pts, seeded(cd.omega.coefficients)),
             ("Y", ("Y",), mpts, seeded(lambda jc: forms.field_values(cd.liouville, jc))),
+            ("X", ("X",), mpts, seeded(lambda jc: forms.field_values(cd.generator, jc))),
             (None, ("omega", "Y"), mpts, seeded(cd.alpha().coefficients)),
         ]
         if cd.metric is not None:
@@ -433,9 +446,27 @@ def test_values_do_not_depend_on_seeded_order(spec):
                     raised.add((cd.chart.name, name))
                 continue
             _assert_same_values(got, reference)
+        # quantities that consume one order: seeded at order 1 against order 2
+        probes = [
+            ("d omega", pts, seeded(lambda jc: forms.d_coeffs(cd.omega.coefficients(jc), cd.chart.dim))),
+            ("L_Y omega", mpts, seeded(partial(liouville_residual, cd))),
+        ]
+        if cd.kernel is not None:
+            kernel = seeded(lambda jc: forms.interior_coeffs(cd.kernel(jc), cd.omega.coefficients(jc)))
+            probes.append(("i_K omega", pts, kernel))
+        for name, points, fn in probes:
+            if not points.shape[0]:
+                continue
+            try:
+                got = fn(points, 1)
+            except JetOrderError:
+                raised_at_1.add((cd.chart.name, name))
+                continue
+            _assert_same_values(got, fn(points, 2))
         reference = moment_residual(cd, jets.seed(pts, order=2))
         _assert_same_values(moment_residual(cd, jets.seed(pts, order=1)), reference)
     assert raised == ORDER_1_FIELDS.get(spec, set())
+    assert raised_at_1 == ORDER_2_FIELDS.get(spec, set())
 
 
 def _poison(jc):
