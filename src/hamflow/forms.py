@@ -11,7 +11,8 @@ evaluates each form once and builds d, contractions, wedges, Lie
 derivatives and pullbacks from those coefficients; one pulling several
 forms back through one map seeds its images once (:func:`image_seed`) and
 reads its Jacobian entries once, as numbers or as :func:`image_jacobian`;
-through a constant Jacobian, :func:`pullback_values` pulls back values alone.
+through a constant Jacobian, or a stack of them, :func:`pullback_values`
+pulls back values alone.
 
 A :class:`KForm` names a form field by its coefficient function alone; its
 degree and chart dimension show in the indices it returns.  Builders
@@ -204,17 +205,29 @@ def pullback_coeffs(coeffs: Coeffs, img: Sequence[Jet], jac: Sequence[Sequence[J
 def pullback_values(values: dict[tuple[int, ...], Array], jac: Array) -> dict[tuple[int, ...], Array]:
     """:func:`pullback_coeffs` on coefficient values, through a Jacobian that is the same at every point.
 
-    Sums ``value * minor`` in ``values``' order, each minor formed once by
-    :func:`_det`, and skips minors that are exactly 0, leaving out a key whose
-    minors all are.  A skipped term is ±0, or NaN for a non-finite value,
-    which an invertible ``jac`` also carries into some other key.
+    ``jac`` is one Jacobian ``(d, d)`` with ``values`` of shape ``(rows,)``,
+    or a stack ``(k, d, d)`` of them with values of shape ``(rows,)`` or
+    ``(k, rows)``, pulled back as ``(k, rows)``.  Sums ``value * minor`` in
+    ``values``' order, each minor formed once on the whole stack by
+    :func:`_det`, and skips minors that are exactly 0: a term whose minor is 0
+    on some Jacobians of a stack reads 0.0 on them, and a key whose minors
+    are 0 on every Jacobian is left out.  A skipped term is ±0, or NaN for a
+    non-finite value, which an invertible ``jac`` also carries into some other
+    key; so a stack agrees with its Jacobians one at a time up to the sign of
+    an exact zero sum.
     """
     out: dict[tuple[int, ...], Array] = {}
     for tgt_idx, v in values.items():
-        for src_idx in combinations(range(len(jac[0])), len(tgt_idx)):
-            minor = _det([[jac[i][a] for a in src_idx] for i in tgt_idx])
-            if minor != 0.0:
-                out[src_idx] = out[src_idx] + v * minor if src_idx in out else v * minor
+        for src_idx in combinations(range(jac.shape[-1]), len(tgt_idx)):
+            minor = _det([[jac[..., i, a] for a in src_idx] for i in tgt_idx])
+            nonzero = minor != 0.0
+            if not nonzero.any():
+                continue
+            with np.errstate(invalid="ignore"):
+                term = v * minor[..., None]
+            if not nonzero.all():
+                term = np.where(nonzero[..., None], term, 0.0)
+            out[src_idx] = out[src_idx] + term if src_idx in out else term
     return out
 
 

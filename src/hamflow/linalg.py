@@ -72,26 +72,35 @@ def solve_spd_values(mat: Array, rhs: Array) -> Array:
 
 
 def congruence(jac: Array, m: Array) -> Array:
-    """Jᵀ M J per row, for stacks ``jac`` of shape ``(n, t, a)`` and ``m`` of ``(n, t, t)``.
+    """Jᵀ M J per row, for ``m`` of shape ``(..., t, t)`` and ``jac`` of ``(..., t, a)``.
 
-    Bitwise the unoptimised three-operand einsum ``nji,njk,nkl->nil`` of
-    ``(jac, m, jac)`` on C-ordered stacks, which is what its callers pass: each
-    product is ``(jac[n,t,a] * m[n,t,u]) * jac[n,u,b]``, and the t·u products
-    are added to a zeroed result one at a time in t-major order, as the einsum
-    does.  ``jac.T @ m @ jac``, u-major order or a pairwise sum (what
+    The leading axes of ``jac`` broadcast against those of ``m``: a stack
+    ``(n, t, a)`` gives each row its own Jacobian, and ``(k, 1, t, a)``
+    against ``m`` of ``(k, n, t, t)`` one constant Jacobian to each of k
+    blocks of n rows, with no broadcast copy.  Bitwise the unoptimised
+    three-operand einsum ``nji,njk,nkl->nil`` of ``(jac, m, jac)`` on
+    C-ordered stacks, with ``jac`` broadcast to ``m``'s rows: each product is
+    ``(jac[t,a] * m[t,u]) * jac[u,b]``, and the t·u products are added to a
+    zeroed result one at a time in t-major order, as the einsum does, each
+    formed as it is added, so no (t, u, a, a, rows) temporary is held.
+    ``jac.T @ m @ jac``, u-major order or a pairwise sum (what
     ``.sum(axis=0)`` does when the other axes hold one element) each move the
-    last bits.  The batch axis sits innermost, so each step works on
-    contiguous rows.  Like the einsum, it stays silent on non-finite products.
+    last bits.  The row axes sit innermost, so each step works on contiguous
+    rows.  Like the einsum, it stays silent on non-finite products.
     """
-    j = np.ascontiguousarray(np.moveaxis(jac, 0, -1))  # (t, a, n)
-    mm = np.ascontiguousarray(np.moveaxis(m, 0, -1))  # (t, u, n)
-    t, a, n = j.shape
-    out = np.zeros((a, a, n))
+    lead = max(jac.ndim, m.ndim) - 2
+    jac = jac.reshape((1,) * (lead + 2 - jac.ndim) + jac.shape)
+    m = m.reshape((1,) * (lead + 2 - m.ndim) + m.shape)
+    j = np.ascontiguousarray(np.moveaxis(jac, (-2, -1), (0, 1)))  # (t, a, ...)
+    mm = np.ascontiguousarray(np.moveaxis(m, (-2, -1), (0, 1)))  # (t, u, ...)
+    t, a = j.shape[:2]
+    out = np.zeros((a, a, *np.broadcast_shapes(j.shape[2:], mm.shape[2:])))
     with np.errstate(invalid="ignore", over="ignore"):
-        prod = (j[:, None, :, None, :] * mm[:, :, None, None, :]) * j[None, :, None, :, :]
-        for p in prod.reshape(t * t, a, a, n):
-            out += p
-    return np.ascontiguousarray(np.moveaxis(out, -1, 0))
+        for i in range(t):
+            prod = (j[i, None, :, None] * mm[i, :, None, None]) * j[:, None, :]  # (u, a, a, ...)
+            for p in prod:
+                out += p
+    return np.ascontiguousarray(np.moveaxis(out, (0, 1), (-2, -1)))
 
 
 def pfaffian(mats: Array) -> Array:

@@ -17,6 +17,7 @@ from hamflow import forms, jets, registry, verifier
 from hamflow.chart import sample_boundary, sample_domain
 from hamflow.errors import JetOrderError
 from hamflow.forms import image_jacobian, pullback_coeffs
+from hamflow.linalg import congruence
 from hamflow.model import liouville_residual, moment_residual
 from hamflow.verifier import NONFINITE_RESIDUAL, RunConfig, run_all
 from oracles import frame_contact_volume, per_angle_invariance
@@ -359,6 +360,55 @@ def test_value_pullback_matches_the_jet_pullback(spec):
                 _assert_value_pullback(values, jac, pullback_coeffs(coeffs, img, jac))
 
 
+def _assert_stacked_pullback(values, jacs):
+    """``forms.pullback_values`` through a stack of Jacobians against the same call one Jacobian at a time.
+
+    ``values`` are ``(rows,)`` or ``(k, rows)`` arrays.  Key by key, each
+    Jacobian's slice of the stacked pullback is non-finite on the rows where
+    that Jacobian's own pullback is, agrees with it bitwise on the others once
+    -0.0 reads as +0.0, and reads 0.0 for a key the one-Jacobian call leaves
+    out (all of its minors exactly 0 there), which ``coeff_residual`` reads as
+    a missing key.
+    """
+    got = forms.pullback_values(values, jacs)
+    for k, jac in enumerate(jacs):
+        one = forms.pullback_values({key: v if v.ndim == 1 else v[k] for key, v in values.items()}, jac)
+        assert set(one) <= set(got), k
+        for key, stacked in got.items():
+            mine = stacked[k] + 0.0
+            theirs = one[key] + 0.0 if key in one else np.zeros_like(mine)
+            finite = np.isfinite(theirs)
+            assert np.array_equal(np.isfinite(mine), finite), (k, key)
+            assert np.array_equal(mine[finite].view(np.uint64), theirs[finite].view(np.uint64)), (k, key)
+            assert np.array_equal(mine[~finite], theirs[~finite], equal_nan=True), (k, key)
+
+
+@pytest.mark.parametrize("spec", list(MODELS))
+def test_stacked_pullbacks_match_one_angle_at_a_time(spec):
+    """omega, alpha = i_Y omega and g at the images of 64 samples under all
+    16 invariance angles at once, pulled back through the stack of the
+    action's constant Jacobians, on every chart: omega and alpha against
+    ``forms.pullback_values`` at each angle, g bitwise against
+    ``congruence`` on a broadcast copy of each angle's Jacobian."""
+    for ci, cd in enumerate(MODELS[spec]().charts):
+        pts = sample_domain(cd.chart, 64, np.random.default_rng([13, ci]))
+        n = pts.shape[0]
+        angles = range(1, verifier.INVARIANCE_ANGLES + 1)
+        acts = [cd.action_map(2 * np.pi * k / verifier.INVARIANCE_ANGLES) for k in angles]
+        jacs = np.stack([act.jacobian(pts[:1])[0] for act in acts])
+        jc = jets.seed(pts, order=0)
+        img = np.concatenate([verifier._values(act.forward(jc)) for act in acts])
+        _, (_, omega, alpha, _, g) = verifier._at_lowest_order(partial(verifier._invariant_fields, cd), img, 0)
+        for coeffs in (omega, alpha):
+            _assert_stacked_pullback({key: c.value.reshape(len(acts), n) for key, c in coeffs.items()}, jacs)
+        if g is not None:
+            g = g.reshape(len(acts), n, *g.shape[1:])
+            stacked = congruence(jacs[:, None], g)
+            for k, jac in enumerate(jacs):
+                one = congruence(np.broadcast_to(jac, (n, *jac.shape)), g[k])
+                assert np.array_equal(stacked[k].view(np.uint64), one.view(np.uint64)), (cd.chart.name, k)
+
+
 @functools.cache
 def _action_jacobians():
     """Every chart's action Jacobian at the invariance angles, over the ZOO and the controls."""
@@ -377,18 +427,29 @@ _COEFFICIENT = st.one_of(
 
 
 @settings(max_examples=200, deadline=None)
-@given(data=st.data(), degree=st.integers(1, 2), rows=st.integers(1, 6))
-def test_value_pullback_matches_on_nonfinite_rows(data, degree, rows):
+@given(data=st.data(), degree=st.integers(1, 2), rows=st.integers(1, 6), angles=st.integers(1, 4))
+def test_value_pullback_matches_on_nonfinite_rows(data, degree, rows, angles):
     """Random coefficient values, NaN and ±inf rows among them, in a random
-    key order, through the action Jacobians of every catalog chart."""
+    key order, through the action Jacobians of every catalog chart: one at a
+    time against the jet pullback, and as a stack of Jacobians of one
+    dimension, some from other charts, against the one-at-a-time pullback."""
     jac = data.draw(st.sampled_from(_action_jacobians()))
+    same_dim = [j for j in _action_jacobians() if j.shape == jac.shape]
+    jacs = np.stack([jac, *(data.draw(st.sampled_from(same_dim)) for _ in range(angles - 1))])
     keys = data.draw(st.permutations(list(combinations(range(jac.shape[0]), degree))))
     keys = keys[: data.draw(st.integers(1, len(keys)))]
-    values = {key: np.array(data.draw(st.lists(_COEFFICIENT, min_size=rows, max_size=rows))) for key in keys}
-    coeffs = {key: jets.Jet(v.copy(), None, None) for key, v in values.items()}
+    stacked = data.draw(st.booleans())
+    shape = (angles, rows) if stacked else (rows,)
+    size = angles * rows if stacked else rows
+    draw = st.lists(_COEFFICIENT, min_size=size, max_size=size)
+    values = {key: np.array(data.draw(draw)).reshape(shape) for key in keys}
     img = [jets.Jet(np.zeros(rows), None, None)] * jac.shape[0]
     with np.errstate(all="ignore"):
-        _assert_value_pullback(values, jac, pullback_coeffs(coeffs, img, jac))
+        for k, one in enumerate(jacs):
+            at_k = {key: v[k] if stacked else v for key, v in values.items()}
+            coeffs = {key: jets.Jet(v.copy(), None, None) for key, v in at_k.items()}
+            _assert_value_pullback(at_k, one, pullback_coeffs(coeffs, img, one))
+        _assert_stacked_pullback(values, jacs)
 
 
 def _pulled_back(m, coeffs_fn, pts, order):
