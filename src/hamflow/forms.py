@@ -5,14 +5,14 @@ dict: given the seeded coordinate jets of a point batch, ``{sorted index
 tuple: Jet}`` for the strictly increasing multi-indices with nonzero
 coefficient.  The operators work on already evaluated dicts, field
 components or image jets (:func:`d_coeffs`, :func:`interior_coeffs`,
-:func:`wedge_coeffs`, :func:`lie_coeffs`, :func:`pullback_coeffs`), so every
-result carries whatever derivative order its inputs support.  A caller
-evaluates each form once and builds d, contractions, wedges, Lie
-derivatives and pullbacks from those coefficients; one pulling several
-forms back through one map seeds its images once (:func:`image_seed`) and
-reads its Jacobian entries once, as numbers or as :func:`image_jacobian`;
-through a constant Jacobian, or a stack of them, :func:`pullback_values`
-pulls back values alone.
+:func:`wedge_coeffs`, :func:`lie_coeffs`, :func:`lie_bracket`,
+:func:`pullback_coeffs`), so every result carries whatever derivative order
+its inputs support.  A caller evaluates each form once and builds d,
+contractions, wedges, Lie derivatives and pullbacks from those coefficients;
+one pulling several forms back through one map seeds its images once
+(:func:`image_seed`) and reads its Jacobian entries once, as numbers or as
+:func:`image_jacobian`; through a constant Jacobian, or a stack of them,
+:func:`pullback_values` pulls back values alone.
 
 A :class:`KForm` names a form field by its coefficient function alone; its
 degree and chart dimension show in the indices it returns.  Builders
@@ -205,16 +205,13 @@ def pullback_coeffs(coeffs: Coeffs, img: Sequence[Jet], jac: Sequence[Sequence[J
 def pullback_values(values: dict[tuple[int, ...], Array], jac: Array) -> dict[tuple[int, ...], Array]:
     """:func:`pullback_coeffs` on coefficient values, through a Jacobian that is the same at every point.
 
-    ``jac`` is one Jacobian ``(d, d)`` with ``values`` of shape ``(rows,)``,
-    or a stack ``(k, d, d)`` of them with values of shape ``(rows,)`` or
-    ``(k, rows)``, pulled back as ``(k, rows)``.  Sums ``value * minor`` in
-    ``values``' order, each minor formed once on the whole stack by
-    :func:`_det`, and skips minors that are exactly 0: a term whose minor is 0
-    on some Jacobians of a stack reads 0.0 on them, and a key whose minors
-    are 0 on every Jacobian is left out.  A skipped term is ±0, or NaN for a
+    ``jac`` is ``(d, d)``, or a stack ``(k, d, d)`` that pulls ``(rows,)`` or
+    ``(k, rows)`` values back as ``(k, rows)``.  Sums ``value * minor`` in
+    ``values``' order, each minor formed once on the stack by :func:`_det`,
+    and skips exact-zero minors: 0.0 on the Jacobians where a minor is 0, and
+    no key where all its minors are.  A skipped term is ±0, or NaN for a
     non-finite value, which an invertible ``jac`` also carries into some other
-    key; so a stack agrees with its Jacobians one at a time up to the sign of
-    an exact zero sum.
+    key, so a stack agrees with its Jacobians one at a time up to zero signs.
     """
     out: dict[tuple[int, ...], Array] = {}
     for tgt_idx, v in values.items():
@@ -231,22 +228,16 @@ def pullback_values(values: dict[tuple[int, ...], Array], jac: Array) -> dict[tu
     return out
 
 
-def lie_bracket(v: VectorField, w: VectorField, dim: int) -> VectorField:
-    """Commutator vector field [v, w] (component jets one order lower)."""
-
-    def fn(jc: Sequence[Jet]) -> list[Jet]:
-        vc = v(jc)
-        wc = w(jc)
-        out = []
-        for i in range(dim):
-            acc = None
-            for j in range(dim):
-                term = vc[j] * wc[i].partial(j) - wc[j] * vc[i].partial(j)
-                acc = term if acc is None else acc + term
-            out.append(acc)
-        return out
-
-    return fn
+def lie_bracket(vc: Sequence[Jet], wc: Sequence[Jet]) -> list[Jet]:
+    """Components of the commutator [v, w] from evaluated field components (one order lower)."""
+    out = []
+    for i in range(len(vc)):
+        acc = None
+        for j in range(len(vc)):
+            term = vc[j] * wc[i].partial(j) - wc[j] * vc[i].partial(j)
+            acc = term if acc is None else acc + term
+        out.append(acc)
+    return out
 
 
 def metric_gradient(metric: MetricField, scalar: ScalarField, dim: int) -> VectorField:

@@ -72,34 +72,30 @@ def solve_spd_values(mat: Array, rhs: Array) -> Array:
 
 
 def congruence(jac: Array, m: Array) -> Array:
-    """Jᵀ M J per row, for ``m`` of shape ``(..., t, t)`` and ``jac`` of ``(..., t, a)``.
+    """Jᵀ M J per row, for ``m`` of shape ``(..., t, t)`` and ``jac`` of ``(..., t, a)`` with as many axes.
 
-    The leading axes of ``jac`` broadcast against those of ``m``: a stack
-    ``(n, t, a)`` gives each row its own Jacobian, and ``(k, 1, t, a)``
-    against ``m`` of ``(k, n, t, t)`` one constant Jacobian to each of k
-    blocks of n rows, with no broadcast copy.  Bitwise the unoptimised
-    three-operand einsum ``nji,njk,nkl->nil`` of ``(jac, m, jac)`` on
-    C-ordered stacks, with ``jac`` broadcast to ``m``'s rows: each product is
-    ``(jac[t,a] * m[t,u]) * jac[u,b]``, and the t·u products are added to a
-    zeroed result one at a time in t-major order, as the einsum does, each
-    formed as it is added, so no (t, u, a, a, rows) temporary is held.
-    ``jac.T @ m @ jac``, u-major order or a pairwise sum (what
-    ``.sum(axis=0)`` does when the other axes hold one element) each move the
-    last bits.  The row axes sit innermost, so each step works on contiguous
-    rows.  Like the einsum, it stays silent on non-finite products.
+    ``jac``'s leading axes broadcast against ``m``'s: ``(k, 1, t, a)`` gives
+    each of k blocks of rows one constant Jacobian, with no broadcast copy.
+    Bitwise the unoptimised three-operand einsum ``nji,njk,nkl->nil`` of
+    ``(jac, m, jac)`` on C-ordered stacks: each product ``(jac[t,a] *
+    m[t,u]) * jac[u,b]`` is formed in one reused buffer and added to a zeroed
+    result one at a time in t-major order, as the einsum does, with no
+    (t, u, a, a, rows) temporary.  ``jac.T @ m @ jac``, u-major order or a
+    pairwise sum each move the last bits.  The row axes sit innermost, so each
+    step works on contiguous rows.  Like the einsum, it stays silent on
+    non-finite products.
     """
-    lead = max(jac.ndim, m.ndim) - 2
-    jac = jac.reshape((1,) * (lead + 2 - jac.ndim) + jac.shape)
-    m = m.reshape((1,) * (lead + 2 - m.ndim) + m.shape)
     j = np.ascontiguousarray(np.moveaxis(jac, (-2, -1), (0, 1)))  # (t, a, ...)
     mm = np.ascontiguousarray(np.moveaxis(m, (-2, -1), (0, 1)))  # (t, u, ...)
     t, a = j.shape[:2]
     out = np.zeros((a, a, *np.broadcast_shapes(j.shape[2:], mm.shape[2:])))
+    left, prod = np.empty((a, 1, *out.shape[2:])), np.empty_like(out)
     with np.errstate(invalid="ignore", over="ignore"):
         for i in range(t):
-            prod = (j[i, None, :, None] * mm[i, :, None, None]) * j[:, None, :]  # (u, a, a, ...)
-            for p in prod:
-                out += p
+            for u in range(t):
+                np.multiply(j[i, :, None], mm[i, u], out=left)
+                np.multiply(left, j[u, None, :], out=prod)
+                out += prod
     return np.ascontiguousarray(np.moveaxis(out, (0, 1), (-2, -1)))
 
 

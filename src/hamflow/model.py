@@ -209,7 +209,8 @@ def liouville_residual(cd: ChartData, jc: Sequence[Jet]) -> Array:
     """Per-sample residual of the expansion identity L_Y omega = omega at seeded jets.
 
     omega is evaluated once.  The Cartan formula's d consumes one jet order
-    on top of any partial omega and Y take; the verifier seeds order 2.
+    on top of any partial omega and Y take, so order 1 suffices unless one
+    does, where a missing order raises JetOrderError.
     """
     omega = cd.omega.coefficients(jc)
     return forms.coeff_residual(forms.lie_coeffs(cd.liouville(jc), omega, cd.chart.dim), omega)

@@ -22,28 +22,24 @@ live.  :class:`RunConfig` holds the seed, samples and tolerances:
 
 Each check seeds the lowest jet order it consumes; jet values never depend
 on the seeded order, and a missing order raises JetOrderError, so the order
-sets a check's cost, never its report.  Where that order depends on the
-chart, :func:`_at_lowest_order` finds it once per chart, as the first order
-from a starting one at which the check's fields raise no JetOrderError.
-``invariance`` compares values only, so it starts at order 0: H, omega, Y and
-g are read at order 0 at the samples and at their images, except on charts
-whose fields take a partial (Y on the planar shells and the disc bundle;
-omega, Y and g, which are pullbacks, on the blow-up core charts), which get
-order 1.  The action is linear in chart coordinates, so its Jacobian, one
-matrix per angle, pulls the image values back.  ``contact_boundary`` starts at
-order 1, since d(alpha) consumes one order of alpha = i_Y omega (order 2 on
-the planar shells and the disc bundle, whose Y already takes a partial), and
-reads the contact volume as the top coefficient of dF ^ alpha ^ d(alpha)
-over |dF|.  ``hamiltonian`` seeds order 1: dH consumes one order, and omega
-none on every catalog chart.  The other checks seed order 2: d of a form or
-a bracket of fields consumes one order on top of the partial some catalog
-forms and fields already take.  The ``liouville`` and ``hamiltonian``
-residuals are :func:`hamflow.model.liouville_residual` and
-:func:`hamflow.model.moment_residual`, which the builders' self-check
-shares.  Each check evaluates a form once per batch and builds d, i_v,
-wedges and pullbacks from those coefficients with the operators of
-:mod:`hamflow.forms`.  A NaN or infinite residual fails its check (see
-:class:`CheckResult`).
+sets a check's cost, never its report.  :func:`_at_lowest_order` finds it
+once per chart, as the first order from the check's start at which its
+fields raise no JetOrderError: one more where a field takes a partial (Y on
+the planar shells and the disc bundle; omega, Y and g, which are pullbacks,
+on the blow-up core charts).  ``invariance`` compares values only and starts
+at order 0, at the samples and their images alike; the action is linear in
+chart coordinates, so one Jacobian per angle pulls the image values back.
+``symplectic`` (d omega), ``liouville`` (L_Y omega) and ``contact_boundary``
+(d alpha, alpha = i_Y omega) start at order 1, and ``hamiltonian`` seeds
+order 1 (dH; omega takes no partial on any catalog chart).  ``commutation``
+evaluates X and grad H once at order 2, as the bracket takes a partial of
+grad H, itself solved from dH; X = J grad H reads the same values, and omega
+and g start at order 0.  The ``liouville`` and ``hamiltonian`` residuals
+are :func:`hamflow.model.liouville_residual` and
+:func:`hamflow.model.moment_residual`, which the builders' self-check shares.
+Each check evaluates a form once per batch and builds d, i_v, wedges and
+pullbacks from those coefficients with the operators of :mod:`hamflow.forms`.
+A NaN or infinite residual fails its check (see :class:`CheckResult`).
 
 Every chart declares omega, H, the circle action and Y.  Charts without a
 metric, a boundary or samples inside their margin are skipped with a
@@ -58,6 +54,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import partial
 from numbers import Integral
@@ -280,18 +277,12 @@ def _sample_inside_margin(t: _Tally, cd, n: int, rng: np.random.Generator) -> Ar
 
 
 def check_symplectic(model: HamiltonianModel, config: RunConfig) -> CheckResult:
-    """Closedness of the 2-form plus a scale-free rank floor."""
+    """Closedness of the 2-form plus a scale-free rank floor, at the lowest order from 1 (:func:`_closedness`)."""
     t = _Tally("symplectic", config)
     for cd, rng in t.charts(model):
         pts = sample_domain(cd.chart, config.samples, rng)
-        jc = jets.seed(pts, order=2)
-        omega = cd.omega.coefficients(jc)
-        res = forms.coeff_residual(forms.d_coeffs(omega, cd.chart.dim), {})
-        if cd.kernel is not None:
-            contracted = forms.interior_coeffs(cd.kernel(jc), omega)
-            res = np.maximum(res, forms.coeff_residual(contracted, {}))
+        _, (res, om) = _at_lowest_order(partial(_closedness, cd), pts, 1)
         t.update(res, pts)
-        om = forms.form_matrix(omega, jc)
         if cd.kernel_complement is not None:
             sub = np.asarray(cd.kernel_complement)
             om = om[:, sub[:, None], sub[None, :]]
@@ -303,13 +294,22 @@ def check_symplectic(model: HamiltonianModel, config: RunConfig) -> CheckResult:
     return t.result()
 
 
+def _closedness(cd, jc):
+    """The residual of d(omega) = 0, and of i_K omega = 0 on a declared kernel K, and omega's value matrix at ``jc``."""
+    omega = cd.omega.coefficients(jc)
+    res = forms.coeff_residual(forms.d_coeffs(omega, cd.chart.dim), {})
+    if cd.kernel is not None:
+        res = np.maximum(res, forms.coeff_residual(forms.interior_coeffs(cd.kernel(jc), omega), {}))
+    return res, forms.form_matrix(omega, jc)
+
+
 def check_liouville(model: HamiltonianModel, config: RunConfig) -> CheckResult:
-    """Expansion identity L_Y omega = omega inside declared margins."""
+    """Expansion identity L_Y omega = omega inside declared margins, at the lowest order from 1."""
     t = _Tally("liouville", config)
     for cd, rng in t.charts(model):
         pts = _sample_inside_margin(t, cd, config.samples, rng)
         if pts.shape[0]:
-            t.update(liouville_residual(cd, jets.seed(pts, order=2)), pts)
+            t.update(_at_lowest_order(partial(liouville_residual, cd), pts, 1)[1], pts)
     return t.result()
 
 
@@ -325,15 +325,14 @@ def check_hamiltonian(model: HamiltonianModel, config: RunConfig) -> CheckResult
 def check_invariance(model: HamiltonianModel, config: RunConfig) -> CheckResult:
     """Action invariance of omega, H, alpha and Y, and of g where present.
 
-    H, omega, Y and g are seeded at the lowest order at which the chart
-    evaluates them (:func:`_at_lowest_order` from order 0), at the samples and
-    at their images alike.  The angles run in blocks of at most
-    ANGLE_BLOCK_ROWS image rows (at least one angle), whose fields are
-    evaluated once on the concatenated images; each angle's rows are then
-    compared in angle order, as omega, H, alpha, Y, g.  The action's Jacobian,
-    read once per angle, pulls omega and alpha back on values, skipping zero
-    minors (:func:`hamflow.forms.pullback_values`), pushes Y forward and pulls
-    g back (:func:`hamflow.linalg.congruence`).
+    The angles run in blocks of at most ANGLE_BLOCK_ROWS image rows (at least
+    one angle), whose fields are evaluated once on the concatenated images.
+    The block stacks its K constant Jacobians as (K, d, d): omega and alpha
+    are pulled back for all K angles at once on values, skipping exact zero
+    minors (:func:`hamflow.forms.pullback_values`), Y is pushed forward by one
+    einsum and g pulled back by one :func:`hamflow.linalg.congruence` over the
+    K n rows.  Each angle's rows are then compared in angle order, as omega,
+    H, alpha, Y, g.
     """
     t = _Tally("invariance", config)
     for cd, rng in t.charts(model):
@@ -348,33 +347,36 @@ def check_invariance(model: HamiltonianModel, config: RunConfig) -> CheckResult:
         for first in range(1, INVARIANCE_ANGLES + 1, per_block):
             ks = range(first, min(first + per_block, INVARIANCE_ANGLES + 1))
             acts = [cd.action_map(2 * np.pi * k / INVARIANCE_ANGLES) for k in ks]
+            jacs = np.stack([act.jacobian(pts[:1])[0] for act in acts])
             img_pts = np.concatenate([_values(act.forward(jc)) for act in acts])
             h1, omega1, alpha1, y1, g1 = _invariant_fields(cd, jets.seed(img_pts, order=order))
-            inside = cd.inside_margin(cd.chart.wrap(img_pts))
-            for b, act in enumerate(acts):
-                rows = slice(b * n, (b + 1) * n)
-                jac = act.jacobian(pts[:1])[0]
-                t.update(forms.coeff_residual(forms.pullback_values(_rows(omega1, rows), jac), omega0), pts)
-                t.update(np.abs(h1[rows] - h0), pts)
-                pulled = forms.pullback_values(_rows(alpha1, rows), jac)
-                t.update(forms.coeff_residual(pulled, alpha0)[mask], pts[mask])
-                keep = mask & inside[rows]
-                jacs = np.broadcast_to(jac, (int(keep.sum()), *jac.shape))
-                pushed = np.einsum("nij,nj->ni", jacs, y0[keep])
-                t.update(np.abs(pushed - y1[rows][keep]).max(axis=1), pts[keep])
+            rows = (len(acts), n)
+            inside = cd.inside_margin(cd.chart.wrap(img_pts)).reshape(rows)
+            pulled = [
+                forms.pullback_values({i: c.value.reshape(rows) for i, c in f.items()}, jacs) for f in (omega1, alpha1)
+            ]
+            omega_res, alpha_res = forms.coeff_residual(pulled[0], omega0), forms.coeff_residual(pulled[1], alpha0)
+            with np.errstate(invalid="ignore", over="ignore"):  # rows outside the margins are never read
+                y_res = np.abs(np.einsum("kij,nj->kni", jacs, y0) - y1.reshape(*rows, -1)).max(axis=2)
                 if g0 is not None:
-                    pulled = congruence(jacs, g1[rows][keep])
-                    t.update(np.abs(pulled - g0[keep]).max(axis=(1, 2)), pts[keep])
+                    pulled = congruence(jacs[:, None], g1.reshape(*rows, *g0.shape[1:]))
+                    g_res = np.abs(pulled - g0).max(axis=(2, 3))
+            for b in range(len(acts)):
+                keep = mask & inside[b]
+                t.update(omega_res[b], pts)
+                t.update(np.abs(h1.reshape(rows)[b] - h0), pts)
+                t.update(alpha_res[b][mask], pts[mask])
+                t.update(y_res[b][keep], pts[keep])
+                if g0 is not None:
+                    t.update(g_res[b][keep], pts[keep])
     return t.result()
 
 
 def _at_lowest_order(fn, pts: Array, start: int):
     """``(order, fn(jets))`` at the lowest order from ``start`` up at which ``fn`` raises no JetOrderError."""
     for order in range(start, 2):
-        try:
+        with suppress(JetOrderError):
             return order, fn(jets.seed(pts, order=order))
-        except JetOrderError:
-            pass
     return 2, fn(jets.seed(pts, order=2))
 
 
@@ -389,12 +391,8 @@ def _values(comps) -> Array:
     return np.stack([c.value for c in comps], axis=1)
 
 
-def _rows(coeffs, rows: slice) -> dict:
-    return {idx: c.value[rows] for idx, c in coeffs.items()}
-
-
 def check_commutation(model: HamiltonianModel, config: RunConfig) -> CheckResult:
-    """Bracket [X, grad H] = 0 and the complex-structure relation X = J grad H."""
+    """Bracket [X, grad H] = 0 and, from the same order-2 X and grad H, the complex-structure relation X = J grad H."""
     t = _Tally("commutation", config)
     for cd, rng in t.charts(model):
         if cd.metric is None:
@@ -404,30 +402,22 @@ def check_commutation(model: HamiltonianModel, config: RunConfig) -> CheckResult
         if not pts.shape[0]:
             continue
         jc = jets.seed(pts, order=2)
-        grad = cd.gradient_field()
-        bracket = forms.lie_bracket(cd.generator, grad, cd.chart.dim)
-        t.update(np.abs(forms.field_values(bracket, jc)).max(axis=1), pts)
-        om = forms.form_matrix(cd.omega.coefficients(jc), jc)
-        gm = forms.metric_matrix(cd.metric, jc)
+        x, grad = cd.generator(jc), cd.gradient_field()(jc)
+        t.update(np.abs(_values(forms.lie_bracket(x, grad))).max(axis=1), pts)
         if cd.kernel_complement is not None:
             t.skip("degenerate pairing, no complex structure")
             continue
+        _, (om, gm) = _at_lowest_order(
+            lambda jc: (forms.form_matrix(cd.omega.coefficients(jc), jc), forms.metric_matrix(cd.metric, jc)), pts, 0
+        )
         j_mat = compatible_structure(om, gm)
-        x_vals = forms.field_values(cd.generator, jc)
-        g_vals = forms.field_values(grad, jc)
-        res = np.abs(x_vals - np.einsum("nij,nj->ni", j_mat, g_vals)).max(axis=1)
+        res = np.abs(_values(x) - np.einsum("nij,nj->ni", j_mat, _values(grad))).max(axis=1)
         t.update(res, pts)
     return t.result()
 
 
 def check_contact_boundary(model: HamiltonianModel, config: RunConfig) -> CheckResult:
-    """Boundary transversality and uniform nonvanishing of the contact volume.
-
-    d(alpha) consumes one jet order of alpha = i_Y omega, and dF one of the
-    boundary function, so the fields are seeded at the lowest order from 1 up
-    at which the chart evaluates them (:func:`_at_lowest_order`): order 2
-    where Y or omega takes a partial.  The volume is :func:`_contact_volume`.
-    """
+    """Boundary transversality and uniform nonvanishing of the contact volume (:func:`_contact_volume`)."""
     t = _Tally("contact_boundary", config)
     for cd, rng in t.charts(model):
         if cd.chart.boundary is None:
