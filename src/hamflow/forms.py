@@ -220,10 +220,11 @@ def pullback_values(values: dict[tuple[int, ...], Array], jac: Array) -> dict[tu
             nonzero = minor != 0.0
             if not nonzero.any():
                 continue
-            with np.errstate(invalid="ignore"):
+            if nonzero.all():
                 term = v * minor[..., None]
-            if not nonzero.all():
-                term = np.where(nonzero[..., None], term, 0.0)
+            else:
+                with np.errstate(invalid="ignore"):  # inf * 0 on the rows np.where drops
+                    term = np.where(nonzero[..., None], v * minor[..., None], 0.0)
             out[src_idx] = out[src_idx] + term if src_idx in out else term
     return out
 

@@ -356,11 +356,9 @@ def check_invariance(model: HamiltonianModel, config: RunConfig) -> CheckResult:
                 forms.pullback_values({i: c.value.reshape(rows) for i, c in f.items()}, jacs) for f in (omega1, alpha1)
             ]
             omega_res, alpha_res = forms.coeff_residual(pulled[0], omega0), forms.coeff_residual(pulled[1], alpha0)
-            with np.errstate(invalid="ignore", over="ignore"):  # rows outside the margins are never read
-                y_res = np.abs(np.einsum("kij,nj->kni", jacs, y0) - y1.reshape(*rows, -1)).max(axis=2)
-                if g0 is not None:
-                    pulled = congruence(jacs[:, None], g1.reshape(*rows, *g0.shape[1:]))
-                    g_res = np.abs(pulled - g0).max(axis=(2, 3))
+            y_res = np.abs(np.einsum("kij,nj->kni", jacs, y0) - y1.reshape(*rows, -1)).max(axis=2)
+            if g0 is not None:
+                g_res = np.abs(congruence(jacs[:, None], g1.reshape(*rows, *g0.shape[1:])) - g0).max(axis=(2, 3))
             for b in range(len(acts)):
                 keep = mask & inside[b]
                 t.update(omega_res[b], pts)
