@@ -13,7 +13,9 @@ the per-draw fixed-point loop that groups and classifies through
 states a pullback through a map in the package's coefficient-level terms,
 :func:`per_angle_invariance`, the invariance check's earlier loop over the
 verifier's own fields, and :func:`stabilizer_order`, which applies the
-chart's own action maps.
+chart's own action maps.  :func:`jet_action` is the circle action as the
+package ran it on jets before it read the action off the weight table as
+matrices, kept as the reference that ``ChartData.action_map`` is pinned to.
 """
 
 from __future__ import annotations
@@ -26,10 +28,11 @@ from typing import Callable
 import numpy as np
 
 from hamflow import critical, jets, verifier
-from hamflow.chart import sample_domain
+from hamflow.chart import SmoothMap, sample_domain
 from hamflow.errors import ImmediateExit, StiffFlow
 from hamflow.flow import FlowResult
 from hamflow.forms import coeff_residual, field_values, image_jacobian, image_seed, pullback_coeffs
+from hamflow.jets import Jet
 from hamflow.linalg import congruence
 from hamflow.model import moving_keys
 
@@ -63,6 +66,37 @@ def fd_hessian(f: Scalar, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
             ) / (4 * step**2)
             h[i, j] = h[j, i] = mixed
     return h
+
+
+def rotation(theta: float, a: Jet, b: Jet) -> tuple[Jet, Jet]:
+    """Rotate the pair (a, b) by a fixed angle."""
+    c, s = float(np.cos(theta)), float(np.sin(theta))
+    return a * c - b * s, a * s + b * c
+
+
+def jet_action(weights, theta: float) -> Callable[[list[Jet]], list[Jet]]:
+    """The action at ``theta`` of a circle acting by ``weights``, as a map on jets.
+
+    A key ``(i, j)`` rotates the (x_i, x_j) plane by w theta, a key ``(k,)``
+    adds w theta to coordinate k; every other coordinate is fixed.
+    """
+
+    def fwd(jc):
+        out = list(jc)
+        for key, w in weights.items():
+            if len(key) == 1:
+                out[key[0]] = jc[key[0]] + w * theta
+            else:
+                i, j = key
+                out[i], out[j] = rotation(w * theta, jc[i], jc[j])
+        return out
+
+    return fwd
+
+
+def jet_action_map(cd, theta: float) -> SmoothMap:
+    """:func:`jet_action` of a chart's weight table as a chart self-map, for wrapped images and jet Jacobians."""
+    return SmoothMap(source=cd.chart, target=cd.chart, forward=jet_action(cd.weights, theta))
 
 
 def pulled_back(m, coeffs_fn, jc):

@@ -3,7 +3,8 @@
 Each digest covers, for every chart: the box, the domain masks of every
 inequality (and of the boundary-accept filter and the field margins where
 declared) on box-uniform points, and at order-2 jets of domain samples the
-moment map, the generator, the action at a fixed angle, omega, the
+moment map, the generator, the action at a fixed angle (run on jets by
+:func:`oracles.jet_action` from the chart's weight table), omega, the
 Liouville field, the kernel and the metric.  The contact form is left out:
 it is derived from omega and the Liouville field, which are both hashed.  For every transition it covers
 the predicate mask on source-domain samples and the order-2 image jets
@@ -19,6 +20,7 @@ import pytest
 from hamflow import jets, registry
 from hamflow.chart import sample_domain
 from hamflow.jets import Jet
+from oracles import jet_action
 
 ANGLE = 0.7
 
@@ -68,7 +70,7 @@ def _model_digest(model) -> str:
         jc = jets.seed(sample_domain(chart, 40, rng), order=2)
         _feed(h, cd.hamiltonian(jc))
         _feed(h, cd.generator(jc))
-        _feed(h, cd.action(ANGLE)(jc))
+        _feed(h, jet_action(cd.weights, ANGLE)(jc))
         _feed(h, cd.omega.coefficients(jc))
         for field in (cd.liouville, cd.kernel, cd.metric):
             _feed(h, None if field is None else field(jc))
