@@ -68,15 +68,12 @@ class Chart:
     # ------------------------------------------------------------------
 
     def wrap(self, points: Array) -> Array:
-        """Reduce periodic coordinates to [0, 2*pi)."""
+        """Reduce periodic coordinates, the last axis of ``points``, to [0, 2*pi)."""
         pts = np.array(points, dtype=float, copy=True)
-        flat = pts.ndim == 1
-        if flat:
-            pts = pts[None, :]
         for j, per in enumerate(self.periodic):
             if per:
-                pts[:, j] = np.mod(pts[:, j], TWO_PI)
-        return pts[0] if flat else pts
+                pts[..., j] = np.mod(pts[..., j], TWO_PI)
+        return pts
 
     def displacement(self, a: Array, b: Array) -> Array:
         """Componentwise b - a, shortest way around on periodic coordinates."""

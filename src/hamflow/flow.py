@@ -11,9 +11,10 @@ bisection on the step's continuous extension, which asks for no velocity.
 On top of the integrator sit classifiers: the orbit type swept by a
 trajectory under the circle action, a sign portrait of the moment map on
 the boundary, and a detector that finds and groups the closed zero-level
-orbit sets on the boundary, filtering its candidates in batches.  The
-finite stabilizer of a point is exact: a gcd of the weights in the chart's
-table that move it.
+orbit sets on the boundary, filtering its candidates in batches and mapping
+them around their orbits with one read of the chart's weight table
+(``ChartData.action_map``).  The finite stabilizer of a point is exact: a
+gcd of the weights in the chart's table on the keys that move it.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from . import jets
 from .chart import sample_boundary
 from .errors import BoundaryNotFound, ImmediateExit, StiffFlow
 from .forms import field_values
-from .model import ChartData, HamiltonianModel, moving_keys
+from .model import ChartData, HamiltonianModel
 
 Array = np.ndarray
 
@@ -260,12 +261,13 @@ def integrate(
 def stabilizer_of(model: HamiltonianModel, chart_index: int, point: Array) -> int:
     """Order of the finite stabilizer at a point; 0 flags a fixed point.
 
-    It is the gcd of the weights whose keys move the point (see
-    :func:`model.moving_keys`), a rotation plane moving it when its radius
-    exceeds 1e-9.
+    It is the gcd of the weights in the chart's table on the keys that move
+    the point: every translation key, and every rotation plane whose radius
+    exceeds 1e-9 (a weight 0 leaves the gcd as it is).
     """
-    keys = moving_keys(model.charts[chart_index].weights, np.asarray(point, dtype=float), 1e-9)
-    return math.gcd(*(w for _, w in keys))
+    p = np.asarray(point, dtype=float)
+    table = model.charts[chart_index].weights
+    return math.gcd(*(int(w) for key, w in table.items() if len(key) == 1 or math.hypot(*p[list(key)]) > 1e-9))
 
 
 @dataclass
@@ -503,9 +505,9 @@ def _trace_component(
 
 
 def _orbit_images(cd: ChartData, points: Array, angles: int) -> Array:
-    """Action images of each point at ``angles`` equally spaced angles, (k, angles, d)."""
-    thetas = np.linspace(0.0, 2 * np.pi, angles, endpoint=False)
-    return np.stack([cd.action_map(theta).apply(points) for theta in thetas], axis=1)
+    """Wrapped action images of each point at ``angles`` equally spaced angles, (k, angles, d)."""
+    images, _ = cd.action_map(np.linspace(0.0, 2 * np.pi, angles, endpoint=False), points)
+    return cd.chart.wrap(images.swapaxes(0, 1))
 
 
 def _orbit_near(chart, orbit: Array, cloud: Array, radius: float) -> bool:

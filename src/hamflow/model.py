@@ -7,12 +7,14 @@ optionally a compatible metric.  The Liouville field is the one declaration
 of the contact structure: the boundary 1-form is its primitive
 alpha = i_Y omega (:func:`liouville_primitive`), never stored.  The weight
 table is the one declaration of the circle action: a chart refuses a table
-that is not integer or not effective, and :func:`circle_action` turns it
-into both the action, a family of chart self-maps, and its generator, the
-action's derivative at angle 0.  Charts are glued by transitions (smooth
-maps with validity predicates); ``HamiltonianModel.transfers`` is the one
-way across them, for a point batch: flows cross one row at a time, and the
-groupings of :mod:`hamflow.critical` whole clouds.  The structural
+that is not integer or not effective, reads the action at a stack of angles
+off it as matrices (``ChartData.action_map``: every a_theta is
+R(theta) x + b(theta)), and :func:`circle_action` turns it into the
+generator, the action's derivative at angle 0.  Charts are glued by
+transitions (smooth maps with validity predicates);
+``HamiltonianModel.transfers`` is the one way across them, for a point
+batch: flows cross one row at a time, and the groupings of
+:mod:`hamflow.critical` whole clouds.  The structural
 identities tying all of this together are checked by :mod:`hamflow.verifier`,
 not assumed here; the per-sample residuals of the moment and expansion
 identities live here, shared by the verifier and the builders' self-check
@@ -36,22 +38,21 @@ from .jets import Jet
 
 Array = np.ndarray
 
-ActionFamily = Callable[[float], Callable[[Sequence[Jet]], list[Jet]]]
-
 
 @dataclass
 class ChartData:
     """All model structure expressed in one chart.
 
-    ``weights`` declares the circle action (see :func:`circle_action`).  On
+    ``weights`` declares the circle action: :meth:`action_map` reads it off
+    the table, and :func:`circle_action` turns it into the generator.  On
     construction the chart refuses a non-integer weight (a ValueError: its
     rotation has no period 2 pi) and weights that are all zero or share a
-    divisor (IneffectiveAction), then sets ``generator`` and ``action`` from
-    the table, so the generator is the action's derivative at angle 0.  It
-    keeps a read-only copy of the table, so neither the caller's dict nor an
-    assignment can change the action afterwards.  Neither generator nor
-    action is a field: ``dataclasses.replace`` cannot set one apart from the
-    other.  ``boundary_accept``, like :attr:`Transition.valid`, takes a
+    divisor (IneffectiveAction), then sets ``generator`` from the table, so
+    the generator is the action's derivative at angle 0.  It keeps a
+    read-only copy of the table, so neither the caller's dict nor an
+    assignment can change the action afterwards.  The generator is not a
+    field: ``dataclasses.replace`` cannot set it apart from the table.
+    ``boundary_accept``, like :attr:`Transition.valid`, takes a
     point batch of shape ``(n, dim)`` and returns a boolean mask; boundary
     sampling keeps only the points it accepts.
     """
@@ -78,7 +79,7 @@ class ChartData:
         g = math.gcd(*ws)
         if g != 1:
             raise IneffectiveAction(f"weights {ws} have common divisor {g}; the circle acts with a kernel")
-        self.generator, self.action = circle_action(self.weights)
+        self.generator = circle_action(self.weights)
 
     def inside_margin(self, points: Array) -> Array:
         """Mask of the points inside every declared field margin."""
@@ -89,8 +90,29 @@ class ChartData:
                 ok &= fn(jc).value <= 0
         return ok
 
-    def action_map(self, theta: float) -> SmoothMap:
-        return SmoothMap(source=self.chart, target=self.chart, forward=self.action(theta))
+    def action_map(self, thetas: Array, points: Array) -> tuple[Array, Array]:
+        """The action at each angle of ``thetas`` (K,) on ``points`` (n, d), as
+        the unwrapped images (K, n, d) and the Jacobians (K, d, d).
+
+        A key ``(i, j)`` of weight w maps (x_i, x_j) to
+        (x_i c - x_j s, x_i s + x_j c), with c and s the cosine and sine of
+        w theta; a key ``(k,)`` adds w theta to x_k; every other coordinate
+        stays fixed.  Each key reads the input coordinates.
+        """
+        thetas, pts = np.asarray(thetas, dtype=float), np.asarray(points, dtype=float)
+        images = np.repeat(pts[None], thetas.size, axis=0)
+        jacs = np.repeat(np.eye(pts.shape[1])[None], thetas.size, axis=0)
+        for key, w in self.weights.items():
+            angle = w * thetas
+            if len(key) == 1:
+                images[..., key[0]] = pts[:, key[0]] + angle[:, None]
+                continue
+            i, j = key
+            c, s = np.cos(angle), np.sin(angle)
+            images[..., i] = pts[:, i] * c[:, None] - pts[:, j] * s[:, None]
+            images[..., j] = pts[:, i] * s[:, None] + pts[:, j] * c[:, None]
+            jacs[:, i, i], jacs[:, i, j], jacs[:, j, i], jacs[:, j, j] = c, -s, s, c
+        return images, jacs
 
     def gradient_field(self) -> VectorField:
         if self.metric is None:
@@ -231,17 +253,11 @@ def self_check_points(cd: ChartData, n: int = 32, seed: int = 11) -> Array:
     return sample_domain(cd.chart, n, rng)
 
 
-def rotation(theta: float, a: Jet, b: Jet) -> tuple[Jet, Jet]:
-    """Rotate the pair (a, b) by a fixed angle."""
-    c, s = float(np.cos(theta)), float(np.sin(theta))
-    return a * c - b * s, a * s + b * c
-
-
-def circle_action(weights: Mapping[tuple[int, ...], float]) -> tuple[VectorField, ActionFamily]:
-    """The generator and the action of a circle acting by weights.
+def circle_action(weights: Mapping[tuple[int, ...], float]) -> VectorField:
+    """The generator of a circle acting by weights (see :meth:`ChartData.action_map`).
 
     A key ``(i, j)`` rotates the (x_i, x_j) plane with weight w, a key
-    ``(k,)`` shifts coordinate k with speed s; every other coordinate is
+    ``(k,)`` shifts coordinate k at speed w; every other coordinate is
     fixed.  The generator is the action's derivative at angle 0.
     """
     moved = {k for key in weights for k in key}
@@ -257,37 +273,7 @@ def circle_action(weights: Mapping[tuple[int, ...], float]) -> tuple[VectorField
                 out[i], out[j] = jc[j] * (-w), jc[i] * w
         return out
 
-    def action(theta: float) -> Callable[[Sequence[Jet]], list[Jet]]:
-        def fwd(jc: Sequence[Jet]) -> list[Jet]:
-            out = list(jc)
-            for key, w in weights.items():
-                if len(key) == 1:
-                    out[key[0]] = jc[key[0]] + w * theta
-                else:
-                    i, j = key
-                    out[i], out[j] = rotation(w * theta, jc[i], jc[j])
-            return out
-
-        return fwd
-
-    return generator, action
-
-
-def moving_keys(
-    weights: Mapping[tuple[int, ...], float], point: Array, radius: float
-) -> list[tuple[tuple[int, ...], int]]:
-    """The keys of a weight table that move ``point``, each with its weight.
-
-    A rotation key ``(i, j)`` with w != 0 moves the point when its plane
-    radius exceeds ``radius``; a translation key with w != 0 always moves
-    it; a weight-0 key moves nothing.  The point is fixed when the list is
-    empty, and the order of its stabilizer is the gcd of the listed weights.
-    """
-    return [
-        (key, int(w))
-        for key, w in weights.items()
-        if w and (len(key) == 1 or math.hypot(point[key[0]], point[key[1]]) > radius)
-    ]
+    return generator
 
 
 def identity_metric(dim: int, scale: float = 1.0) -> MetricField:

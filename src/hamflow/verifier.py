@@ -326,12 +326,13 @@ def check_invariance(model: HamiltonianModel, config: RunConfig) -> CheckResult:
     """Action invariance of omega, H, alpha and Y, and of g where present.
 
     The angles run in blocks of at most ANGLE_BLOCK_ROWS image rows (at least
-    one angle), whose fields are evaluated once on the concatenated images.
-    The block stacks its K constant Jacobians as (K, d, d): omega and alpha
-    are pulled back for all K angles at once on values, skipping exact zero
-    minors (:func:`hamflow.forms.pullback_values`), Y is pushed forward by one
-    einsum and g pulled back by one :func:`hamflow.linalg.congruence` over the
-    K n rows.  Each angle's rows are then compared in angle order, as omega,
+    one angle).  One :meth:`hamflow.model.ChartData.action_map` call reads a
+    block's K n images and its K constant Jacobians, (K, d, d), off the
+    weight table, and the fields are evaluated once on the images: omega and
+    alpha are pulled back for all K angles at once on values, skipping exact
+    zero minors (:func:`hamflow.forms.pullback_values`), Y is pushed forward
+    by one einsum and g pulled back by one :func:`hamflow.linalg.congruence`
+    over the K n rows.  Each angle's rows are then compared in angle order, as omega,
     H, alpha, Y, g.
     """
     t = _Tally("invariance", config)
@@ -342,15 +343,13 @@ def check_invariance(model: HamiltonianModel, config: RunConfig) -> CheckResult:
         if not mask.all():
             t.note(f"field comparisons on {int(mask.sum())} of {n} samples inside the declared margin")
         order, (h0, omega0, alpha0, y0, g0) = _at_lowest_order(partial(_invariant_fields, cd), pts, 0)
-        jc = jets.seed(pts, order=0)
         per_block = max(1, ANGLE_BLOCK_ROWS // n)
         for first in range(1, INVARIANCE_ANGLES + 1, per_block):
-            ks = range(first, min(first + per_block, INVARIANCE_ANGLES + 1))
-            acts = [cd.action_map(2 * np.pi * k / INVARIANCE_ANGLES) for k in ks]
-            jacs = np.stack([act.jacobian(pts[:1])[0] for act in acts])
-            img_pts = np.concatenate([_values(act.forward(jc)) for act in acts])
+            ks = np.arange(first, min(first + per_block, INVARIANCE_ANGLES + 1))
+            images, jacs = cd.action_map(2 * np.pi * ks / INVARIANCE_ANGLES, pts)
+            img_pts = images.reshape(-1, cd.chart.dim)
             h1, omega1, alpha1, y1, g1 = _invariant_fields(cd, jets.seed(img_pts, order=order))
-            rows = (len(acts), n)
+            rows = (len(ks), n)
             inside = cd.inside_margin(cd.chart.wrap(img_pts)).reshape(rows)
             pulled = [
                 forms.pullback_values({i: c.value.reshape(rows) for i, c in f.items()}, jacs) for f in (omega1, alpha1)
@@ -359,7 +358,7 @@ def check_invariance(model: HamiltonianModel, config: RunConfig) -> CheckResult:
             y_res = np.abs(np.einsum("kij,nj->kni", jacs, y0) - y1.reshape(*rows, -1)).max(axis=2)
             if g0 is not None:
                 g_res = np.abs(congruence(jacs[:, None], g1.reshape(*rows, *g0.shape[1:])) - g0).max(axis=(2, 3))
-            for b in range(len(acts)):
+            for b in range(len(ks)):
                 keep = mask & inside[b]
                 t.update(omega_res[b], pts)
                 t.update(np.abs(h1.reshape(rows)[b] - h0), pts)

@@ -13,7 +13,7 @@ the per-draw fixed-point loop that groups and classifies through
 states a pullback through a map in the package's coefficient-level terms,
 :func:`per_angle_invariance`, the invariance check's earlier loop over the
 verifier's own fields, and :func:`stabilizer_order`, which applies the
-chart's own action maps.  :func:`jet_action` is the circle action as the
+chart's own action map.  :func:`jet_action` is the circle action as the
 package ran it on jets before it read the action off the weight table as
 matrices, kept as the reference that ``ChartData.action_map`` is pinned to.
 """
@@ -34,7 +34,6 @@ from hamflow.flow import FlowResult
 from hamflow.forms import coeff_residual, field_values, image_jacobian, image_seed, pullback_coeffs
 from hamflow.jets import Jet
 from hamflow.linalg import congruence
-from hamflow.model import moving_keys
 
 Scalar = Callable[[np.ndarray], float]
 
@@ -123,7 +122,7 @@ def per_angle_invariance(model, config) -> "verifier.CheckResult":
         order, (h0, omega0, alpha0, y0, g0) = verifier._at_lowest_order(fields, pts, 0)
         jc = jets.seed(pts, order=0)
         for k in range(1, verifier.INVARIANCE_ANGLES + 1):
-            act = cd.action_map(2 * np.pi * k / verifier.INVARIANCE_ANGLES)
+            act = jet_action_map(cd, 2 * np.pi * k / verifier.INVARIANCE_ANGLES)
             jac = act.jacobian(pts[:1])[0]
             img = act.forward(jc)
             img_pts = verifier._values(img)
@@ -179,11 +178,9 @@ def stabilizer_order(cd, point, largest: int = 200, tol: float = 1e-9) -> int:
     """The largest k <= ``largest`` whose turn by 2 pi / k moves ``point`` less
     than ``tol``, by trying every k; 0 when every k fixes the point."""
     p = np.asarray(point, dtype=float)[None, :]
-    fixing = [
-        k for k in range(1, largest + 1)
-        if cd.chart.distance(p, cd.action_map(2 * np.pi / k).apply(p))[0] < tol
-    ]
-    return 0 if len(fixing) == largest else fixing[-1]
+    ks = np.arange(1, largest + 1)
+    fixing = ks[cd.chart.distance(p, cd.action_map(2 * np.pi / ks, p)[0][:, 0]) < tol]
+    return 0 if fixing.size == largest else int(fixing[-1])
 
 
 def union_find_labels(n: int, edges: list[tuple[int, int]]) -> list[int]:
@@ -297,7 +294,9 @@ def merged_groups(model, labeled: list, radius: float, flat_tol: float, value_to
 def fixed_points_by_draw(model, seed: int = 0) -> list:
     """``critical.find_fixed_points`` one draw at a time, with its box test inline.
 
-    Each draw is projected through ``moving_keys``, kept when the chart
+    Each draw is projected by zeroing every rotation plane of nonzero weight
+    (a chart with a translation key of nonzero weight has no fixed point and
+    stops at its first draw), kept when the chart
     contains it within 1e-6 and it lies in the box within 1e-6 (periodic
     coordinates skipped), and dropped when a scalar ``Chart.distance`` puts
     it within 1e-4 of a point kept earlier in its chart.  The kept points are
@@ -311,7 +310,7 @@ def fixed_points_by_draw(model, seed: int = 0) -> list:
         lo, hi = np.asarray(chart.box_lo)[free] - 1e-6, np.asarray(chart.box_hi)[free] + 1e-6
         rng = np.random.default_rng([seed, 23, ci])
         for p in sample_domain(chart, critical.FIXED_POINT_STARTS, rng):
-            keys = [key for key, _ in moving_keys(cd.weights, p, 0.0)]
+            keys = [key for key, w in cd.weights.items() if w]
             if any(len(key) == 1 for key in keys):
                 break
             q = p.copy()

@@ -179,6 +179,27 @@ def test_periodic_wrap_and_distance():
     assert chart.distance(a, b) == pytest.approx(0.2, abs=1e-12)
 
 
+def test_wrap_reduces_the_last_axis_of_any_shape():
+    """A point, a batch and a stack of batches wrap bitwise as their rows do
+    one at a time, periodic coordinates alone, without touching the input."""
+    chart = Chart(
+        name="torus_cyl",
+        coords=("t", "h", "s"),
+        periodic=(True, False, True),
+        box_lo=(0.0, -1.0, 0.0),
+        box_hi=(2 * np.pi, 1.0, 2 * np.pi),
+    )
+    stack = np.random.default_rng(2).uniform(-20.0, 20.0, size=(4, 5, 3))
+    before = stack.copy()
+    want = np.where(chart.periodic, np.mod(stack, 2 * np.pi), stack)
+    batches = np.array([chart.wrap(batch) for batch in stack])
+    points = np.array([[chart.wrap(p) for p in batch] for batch in stack])
+    for got in (chart.wrap(stack), batches, points):
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(stack, before)
+
+
 @pytest.mark.parametrize("lo,hi", [(-np.pi, np.pi), (0.0, np.pi), (0.0, 2 * np.pi + 1e-9)])
 def test_periodic_box_must_be_full_circle(lo, hi):
     with pytest.raises(ValueError, match="periodic"):
@@ -279,17 +300,18 @@ def test_jacobian_of_map():
 
 @pytest.mark.parametrize("spec", registry.ZOO)
 def test_batched_maps_match_one_row_maps(spec):
-    # the Legendrian filters apply action maps and the generator to whole
-    # candidate batches, and the integrator the order-1 gradient to the
-    # requests of one round; each row must be bitwise its one-row result
+    # the Legendrian filters apply the action at many angles and the
+    # generator to whole candidate batches, and the integrator the order-1
+    # gradient to the requests of one round; each row must be bitwise its
+    # one-row, one-angle result
     model = registry.build(spec)
     for ci, cd in enumerate(model.charts):
         pts = sample_domain(cd.chart, 64, np.random.default_rng([5, ci]))
         # two arbitrary irrational turns, 1/phi and sqrt(2) - 1, and one of the 128 orbit angles
-        for theta in (2 * np.pi * 0.6180339887498949, 2 * np.pi * 0.41421356237309515, 2 * np.pi * 5 / 128):
-            amap = cd.action_map(theta)
-            rows = np.concatenate([amap.apply(p) for p in pts])
-            assert np.array_equal(amap.apply(pts), rows, equal_nan=True)
+        thetas = (2 * np.pi * 0.6180339887498949, 2 * np.pi * 0.41421356237309515, 2 * np.pi * 5 / 128)
+        for theta, images in zip(thetas, cd.action_map(thetas, pts)[0]):
+            rows = np.concatenate([cd.action_map([theta], p[None])[0][0] for p in pts])
+            assert np.array_equal(images, rows, equal_nan=True)
         fields = [cd.generator]
         if cd.metric is not None:
             fields.append(cd.gradient_field())

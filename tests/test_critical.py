@@ -12,7 +12,7 @@ from hamflow import basic, critical, jets, registry
 from hamflow.chart import Chart, sample_boundary, sample_domain
 from hamflow.errors import NotCritical
 from hamflow.forms import field_values
-from hamflow.model import HamiltonianModel, moving_keys
+from hamflow.model import HamiltonianModel
 from oracles import fixed_points_by_draw, merged_groups, nearest_neighbour_distances, pairs_within, union_find_labels
 
 
@@ -247,7 +247,7 @@ def test_merge_groups_match_the_pairwise_rule(spec):
     labeled = []
     for ci, cd in enumerate(model.charts):
         for k, p in enumerate(sample_domain(cd.chart, 16, np.random.default_rng([3, ci]))):
-            keys = [key for key, _ in moving_keys(cd.weights, p, 0.0)]
+            keys = [key for key, w in cd.weights.items() if w]
             if k % 2 and not any(len(key) == 1 for key in keys):
                 for key in keys:
                     p[list(key)] = 0.0

@@ -164,8 +164,8 @@ def test_surgery_equivariance():
     pts = _handle_overlap_points(np.random.default_rng(5), count=10)
     to_base = glued.transitions[0]
     theta = 0.8
-    moved_then_mapped = to_base.map.apply(hcd.action_map(theta).apply(pts))
-    mapped_then_moved = bcd.action_map(theta).apply(to_base.map.apply(pts))
+    moved_then_mapped = to_base.map.apply(hcd.action_map([theta], pts)[0][0])
+    mapped_then_moved = bcd.chart.wrap(bcd.action_map([theta], to_base.map.apply(pts))[0][0])
     assert np.abs(moved_then_mapped - mapped_then_moved).max() < 1e-12
 
 

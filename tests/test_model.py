@@ -3,9 +3,10 @@ self-check passes on every catalog chart and raises MomentMapMismatch on
 negated weights or a partly non-finite moment map; a 2-form that needs a
 second jet order raises JetOrderError at order 1 instead of giving a
 residual.  Every chart declares its action by one weight table, which it
-refuses when non-integer or ineffective and keeps as a read-only copy; its
-generator is the derivative of its action at angle 0, and its contact form
-alpha = i_Y omega lists its terms in index order."""
+refuses when non-integer or ineffective and keeps as a read-only copy; the
+action read off the table matches the jet action of :mod:`oracles` bitwise,
+its generator is the derivative of its action at angle 0, and its contact
+form alpha = i_Y omega lists its terms in index order."""
 
 import dataclasses
 
@@ -16,6 +17,7 @@ from hamflow import forms, jets, registry, verifier
 from hamflow.chart import Chart, sample_domain
 from hamflow.errors import IneffectiveAction, JetOrderError, MomentMapMismatch
 from hamflow.model import ChartData, assert_moment, moment_residual, self_check_points
+from oracles import jet_action_map
 
 
 def _nan_above(hamiltonian, cut):
@@ -83,12 +85,11 @@ def _models():
 @pytest.mark.parametrize("name", list(_models()))
 def test_chart_data_declares_one_weight_table(name):
     """The weight table is a chart's only declaration of its action: the
-    generator and the action cannot be replaced on their own, and a table
-    with a non-integer weight or a common divisor is refused."""
+    generator cannot be replaced on its own, and a table with a non-integer
+    weight or a common divisor is refused."""
     for cd in _models()[name]().charts:
-        for derived in ("generator", "action"):
-            with pytest.raises(TypeError):
-                dataclasses.replace(cd, **{derived: getattr(cd, derived)})
+        with pytest.raises(TypeError):
+            dataclasses.replace(cd, generator=cd.generator)
         fractional = {**cd.weights, next(iter(cd.weights)): 1.5}
         with pytest.raises(ValueError, match=r"weight 1\.5 is not an integer"):
             dataclasses.replace(cd, weights=fractional)
@@ -120,11 +121,39 @@ def test_generator_is_the_derivative_of_the_action(name):
     for cd in _models()[name]().charts:
         chart = cd.chart
         pts = sample_domain(chart, 32, np.random.default_rng([3, 1907]))
-        ahead, behind = cd.action_map(h).apply(pts), cd.action_map(-h).apply(pts)
+        (ahead, behind, first, both, full_turn), _ = cd.action_map([h, -h, 1.9, 2.6, 2 * np.pi], pts)
         slope = chart.displacement(behind, ahead) / (2 * h)
         gen = forms.field_values(cd.generator, jets.seed(pts, order=0))
         assert np.max(np.abs(slope - gen)) < 1e-8, chart.name
-        composed = cd.action_map(0.7).apply(cd.action_map(1.9).apply(pts))
-        assert np.max(np.abs(chart.displacement(cd.action_map(2.6).apply(pts), composed))) < 1e-12, chart.name
-        full_turn = cd.action_map(2 * np.pi).apply(pts)
+        composed = cd.action_map([0.7], first)[0][0]
+        assert np.max(np.abs(chart.displacement(both, composed))) < 1e-12, chart.name
         assert np.max(np.abs(chart.displacement(pts, full_turn))) < 1e-12, chart.name
+
+
+# the invariance angles, the detector's 128 and the certificate's 24 orbit
+# angles, and three others: the chart digests' 0.7, a negative turn and 1/phi
+ACTION_ANGLES = np.concatenate([
+    2 * np.pi * np.arange(1, verifier.INVARIANCE_ANGLES + 1) / verifier.INVARIANCE_ANGLES,
+    np.linspace(0.0, 2 * np.pi, 128, endpoint=False),
+    np.linspace(0.0, 2 * np.pi, 24, endpoint=False),
+    [0.7, -1.3, 2 * np.pi * 0.6180339887498949],
+])
+
+
+@pytest.mark.parametrize("name", list(_models()))
+def test_action_map_matches_the_jet_action(name):
+    """The action read off the weight table gives, at 64 samples of every
+    chart and every angle of ACTION_ANGLES, bitwise the unwrapped image
+    values of the jet action of :func:`oracles.jet_action` and exactly its
+    Jacobian at every sample."""
+    for ci, cd in enumerate(_models()[name]().charts):
+        pts = sample_domain(cd.chart, 64, np.random.default_rng([17, ci]))
+        images, jacs = cd.action_map(ACTION_ANGLES, pts)
+        k, d = ACTION_ANGLES.size, cd.chart.dim
+        assert (images.shape, jacs.shape) == ((k, *pts.shape), (k, d, d)), cd.chart.name
+        for theta, image, jac in zip(ACTION_ANGLES, images, jacs):
+            ref = jet_action_map(cd, float(theta))
+            values = np.stack([j.value for j in ref.forward(jets.seed(pts, order=0))], axis=1)
+            assert np.array_equal(image.view(np.uint64), values.view(np.uint64)), (cd.chart.name, theta)
+            ref_jac = ref.jacobian(pts)
+            assert np.array_equal(ref_jac, np.broadcast_to(jac, ref_jac.shape)), (cd.chart.name, theta)

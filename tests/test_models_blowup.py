@@ -113,8 +113,8 @@ def test_transition_intertwines_action(mod):
     pts = _overlap_points(np.random.default_rng(8), count=10)
     fwd = mod.transitions[0].map
     theta = 0.9
-    a_in = mod.charts[0].action_map(theta).apply(pts)
-    a_out = mod.charts[1].action_map(theta).apply(fwd.apply(pts))
+    a_in = mod.charts[0].action_map([theta], pts)[0][0]
+    a_out = mod.charts[1].action_map([theta], fwd.apply(pts))[0][0]
     assert np.abs(fwd.apply(a_in) - a_out).max() < 1e-10
 
 
@@ -149,9 +149,8 @@ def test_exceptional_sphere_pointwise_weight(mod):
     # points with u = 0 rotate only in the v-plane, with weight n - m
     pts = np.array([[0.0, 0.0, 0.5, -0.2]])
     theta = 2 * np.pi / abs(mod.params["n"] - mod.params["m"])
-    moved = mod.charts[0].action_map(theta).apply(pts)
+    moved, partial = mod.charts[0].action_map([theta, theta / 2], pts)[0]
     assert np.abs(moved - pts).max() < 1e-12
-    partial = mod.charts[0].action_map(theta / 2).apply(pts)
     assert np.abs(partial - pts).max() > 0.1
 
 

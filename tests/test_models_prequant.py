@@ -87,8 +87,8 @@ def test_projection_intertwines_the_presentations(model):
         h_q = band.hamiltonian(jets.seed(mapped, order=0)).value
         assert np.max(np.abs(h_t - h_q)) < 1e-13
         theta = 0.9
-        a = pmap.apply(total.action_map(theta).apply(pts))
-        b = band.action_map(theta).apply(pmap.apply(pts))
+        a = pmap.apply(total.action_map([theta], pts)[0][0])
+        b = band.action_map([theta], pmap.apply(pts))[0][0]
         assert np.max(np.abs(band.chart.displacement(a, b))) < 1e-12
 
 

@@ -20,7 +20,7 @@ from hamflow.forms import image_jacobian, pullback_coeffs
 from hamflow.linalg import congruence
 from hamflow.model import liouville_residual, moment_residual
 from hamflow.verifier import NONFINITE_RESIDUAL, RunConfig, run_all
-from oracles import frame_contact_volume, per_angle_invariance
+from oracles import frame_contact_volume, jet_action_map, per_angle_invariance
 
 
 
@@ -308,16 +308,21 @@ MODELS = {spec: partial(registry.build, spec) for spec in registry.ZOO}
 MODELS.update({name: builder for name, (_, builder) in verifier.CONTROLS.items()})
 
 
+INVARIANCE_THETAS = 2 * np.pi * np.arange(1, verifier.INVARIANCE_ANGLES + 1) / verifier.INVARIANCE_ANGLES
+
+
 @pytest.mark.parametrize("spec", list(MODELS))
 def test_action_jacobian_is_the_same_at_every_sample(spec):
     """Every chart's action is linear in its chart coordinates: at each
-    invariance angle, every row of its Jacobian on domain samples is bitwise
-    row 0, so the invariance check reads one Jacobian per angle."""
+    invariance angle, the jet action's Jacobian at every domain sample equals
+    the one Jacobian that ``ChartData.action_map`` reads off the weight table,
+    so the invariance check reads one Jacobian per angle."""
     for ci, cd in enumerate(MODELS[spec]().charts):
         pts = sample_domain(cd.chart, 64, np.random.default_rng([7, ci]))
-        for k in range(1, verifier.INVARIANCE_ANGLES + 1):
-            jac = cd.action_map(2 * np.pi * k / verifier.INVARIANCE_ANGLES).jacobian(pts)
-            assert np.array_equal(jac, np.broadcast_to(jac[:1], jac.shape)), (cd.chart.name, k)
+        _, jacs = cd.action_map(INVARIANCE_THETAS, pts)
+        for k, (theta, jac) in enumerate(zip(INVARIANCE_THETAS, jacs), start=1):
+            ref = jet_action_map(cd, float(theta)).jacobian(pts)
+            assert np.array_equal(ref, np.broadcast_to(jac, ref.shape)), (cd.chart.name, k)
 
 
 def _assert_value_pullback(values, jac, reference):
@@ -351,7 +356,7 @@ def test_value_pullback_matches_the_jet_pullback(spec):
         pts = sample_domain(cd.chart, 64, np.random.default_rng([11, ci]))
         fields = partial(verifier._invariant_fields, cd)
         for k in range(1, verifier.INVARIANCE_ANGLES + 1):
-            act = cd.action_map(2 * np.pi * k / verifier.INVARIANCE_ANGLES)
+            act = jet_action_map(cd, 2 * np.pi * k / verifier.INVARIANCE_ANGLES)
             jac = act.jacobian(pts[:1])[0]
             img = act.forward(jets.seed(pts, order=0))
             _, (_, omega, alpha, _, _) = verifier._at_lowest_order(fields, verifier._values(img), 0)
@@ -393,16 +398,13 @@ def test_stacked_pullbacks_match_one_angle_at_a_time(spec):
     for ci, cd in enumerate(MODELS[spec]().charts):
         pts = sample_domain(cd.chart, 64, np.random.default_rng([13, ci]))
         n = pts.shape[0]
-        angles = range(1, verifier.INVARIANCE_ANGLES + 1)
-        acts = [cd.action_map(2 * np.pi * k / verifier.INVARIANCE_ANGLES) for k in angles]
-        jacs = np.stack([act.jacobian(pts[:1])[0] for act in acts])
-        jc = jets.seed(pts, order=0)
-        img = np.concatenate([verifier._values(act.forward(jc)) for act in acts])
+        img, jacs = cd.action_map(INVARIANCE_THETAS, pts)
+        img = img.reshape(-1, cd.chart.dim)
         _, (_, omega, alpha, _, g) = verifier._at_lowest_order(partial(verifier._invariant_fields, cd), img, 0)
         for coeffs in (omega, alpha):
-            _assert_stacked_pullback({key: c.value.reshape(len(acts), n) for key, c in coeffs.items()}, jacs)
+            _assert_stacked_pullback({key: c.value.reshape(len(jacs), n) for key, c in coeffs.items()}, jacs)
         if g is not None:
-            g = g.reshape(len(acts), n, *g.shape[1:])
+            g = g.reshape(len(jacs), n, *g.shape[1:])
             stacked = congruence(jacs[:, None], g)
             for k, jac in enumerate(jacs):
                 one = congruence(np.broadcast_to(jac, (n, *jac.shape)), g[k])
@@ -415,9 +417,7 @@ def _action_jacobians():
     out = []
     for build in MODELS.values():
         for cd in build().charts:
-            pt = sample_domain(cd.chart, 1, np.random.default_rng(0))
-            for k in range(1, verifier.INVARIANCE_ANGLES + 1):
-                out.append(cd.action_map(2 * np.pi * k / verifier.INVARIANCE_ANGLES).jacobian(pt)[0])
+            out.extend(cd.action_map(INVARIANCE_THETAS, np.zeros((1, cd.chart.dim)))[1])
     return out
 
 
@@ -490,7 +490,7 @@ def test_values_do_not_depend_on_seeded_order(spec):
         if cd.metric is not None:
             probes.append(("g", ("g",), mpts, seeded(lambda jc: forms.metric_matrix(cd.metric, jc))))
         for theta in (2 * np.pi / 16, np.pi, 2 * np.pi * 11 / 16):
-            amap = cd.action_map(theta)
+            amap = jet_action_map(cd, theta)
             probes.append((None, ("omega",), pts, partial(_pulled_back, amap, cd.omega.coefficients)))
             probes.append((None, ("omega", "Y"), mpts, partial(_pulled_back, amap, cd.alpha().coefficients)))
         for name, reads, points, fn in probes:
