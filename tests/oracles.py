@@ -16,6 +16,9 @@ verifier's own fields, and :func:`stabilizer_order`, which applies the
 chart's own action map.  :func:`jet_action` is the circle action as the
 package ran it on jets before it read the action off the weight table as
 matrices, kept as the reference that ``ChartData.action_map`` is pinned to.
+:func:`pfaffian` is the closed-form Pfaffian the package took the
+nondegeneracy floor from before it read |Pf| off the determinant, kept as
+the reference that ``linalg.nondegenerate`` is pinned to.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 
 from hamflow import critical, jets, verifier
 from hamflow.chart import SmoothMap, sample_domain
-from hamflow.errors import ImmediateExit, StiffFlow
+from hamflow.errors import DimensionMismatch, ImmediateExit, StiffFlow
 from hamflow.flow import FlowResult
 from hamflow.forms import coeff_residual, field_values, image_jacobian, image_seed, pullback_coeffs
 from hamflow.jets import Jet
@@ -65,6 +68,45 @@ def fd_hessian(f: Scalar, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
             ) / (4 * step**2)
             h[i, j] = h[j, i] = mixed
     return h
+
+
+def pfaffian(mats: Array) -> Array:
+    """Pfaffian of a batch of antisymmetric matrices, dimensions 2, 4 or 6.
+
+    Closed-form expansions; raises DimensionMismatch for odd or unsupported
+    dimensions.
+    """
+    m = np.asarray(mats, dtype=float)
+    if m.ndim == 2:
+        m = m[None, :, :]
+    d = m.shape[-1]
+    if d % 2 == 1 or d < 2 or d > 6:
+        raise DimensionMismatch(f"Pfaffian defined here for dimensions 2/4/6, got {d}")
+    a = m
+    if d == 2:
+        return a[:, 0, 1]
+    if d == 4:
+        return (
+            a[:, 0, 1] * a[:, 2, 3]
+            - a[:, 0, 2] * a[:, 1, 3]
+            + a[:, 0, 3] * a[:, 1, 2]
+        )
+    # d == 6: expansion along the first row
+    def pf4(idx):
+        i, j, k, l = idx
+        return (
+            a[:, i, j] * a[:, k, l]
+            - a[:, i, k] * a[:, j, l]
+            + a[:, i, l] * a[:, j, k]
+        )
+
+    return (
+        a[:, 0, 1] * pf4((2, 3, 4, 5))
+        - a[:, 0, 2] * pf4((1, 3, 4, 5))
+        + a[:, 0, 3] * pf4((1, 2, 4, 5))
+        - a[:, 0, 4] * pf4((1, 2, 3, 5))
+        + a[:, 0, 5] * pf4((1, 2, 3, 4))
+    )
 
 
 def rotation(theta: float, a: Jet, b: Jet) -> tuple[Jet, Jet]:

@@ -7,8 +7,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hamflow import jets, linalg
+from functools import partial
+
+from hamflow import jets, linalg, registry, verifier
+from hamflow.chart import sample_domain
 from hamflow.errors import DegenerateForm, DimensionMismatch, SingularMetric
+from oracles import pfaffian
 
 
 def _jet_matrix_from_values(vals, like):
@@ -156,16 +160,16 @@ def test_value_solve_passes_nan_pivot_like_jet_solve():
 
 def test_pfaffian_frozen_values():
     j2 = np.array([[0.0, 5.0], [-5.0, 0.0]])
-    assert linalg.pfaffian(j2)[0] == pytest.approx(5.0)
+    assert pfaffian(j2)[0] == pytest.approx(5.0)
     # canonical 4x4 block form has Pfaffian 1
     j4 = np.zeros((4, 4))
     j4[0, 1] = j4[2, 3] = 1.0
     j4 -= j4.T
-    assert linalg.pfaffian(j4)[0] == pytest.approx(1.0)
+    assert pfaffian(j4)[0] == pytest.approx(1.0)
     j6 = np.zeros((6, 6))
     j6[0, 1], j6[2, 3], j6[4, 5] = 2.0, 3.0, 4.0
     j6 -= j6.T
-    assert linalg.pfaffian(j6)[0] == pytest.approx(24.0)
+    assert pfaffian(j6)[0] == pytest.approx(24.0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -174,14 +178,76 @@ def test_pfaffian_squares_to_determinant(seed, dim):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(dim, dim))
     skew = a - a.T
-    pf = linalg.pfaffian(skew)[0]
+    pf = pfaffian(skew)[0]
     det = np.linalg.det(skew)
     assert pf**2 == pytest.approx(det, rel=1e-8, abs=1e-10)
 
 
-def test_pfaffian_odd_dimension_rejected():
+@pytest.mark.parametrize("shape", [(3, 3), (2, 5, 5), (1, 1)])
+def test_nondegenerate_odd_dimension_rejected(shape):
     with pytest.raises(DimensionMismatch):
-        linalg.pfaffian(np.zeros((3, 3)))
+        linalg.nondegenerate(np.zeros(shape))
+
+
+def _pfaffian_floor(mats):
+    """``nondegenerate``'s ``(ok, worst)`` with |Pf| taken from the closed-form oracle."""
+    m = np.asarray(mats, dtype=float)
+    if m.ndim == 2:
+        m = m[None, :, :]
+    d = m.shape[-1]
+    scale = np.maximum(np.sqrt((m**2).sum(axis=(1, 2)) / d), 1e-300)
+    worst = float((np.abs(pfaffian(m)) / scale ** (d / 2)).min())
+    return worst > linalg.NONDEGENERACY_FLOOR, worst
+
+
+def _assert_matches_pfaffian_oracle(mats):
+    ok, worst = linalg.nondegenerate(mats)
+    ref_ok, ref_worst = _pfaffian_floor(mats)
+    assert ok == ref_ok
+    assert worst == pytest.approx(ref_worst, rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.sampled_from([2, 4, 6]),
+    st.integers(min_value=1, max_value=4),
+    st.lists(st.integers(min_value=0, max_value=5), max_size=3),
+)
+def test_nondegenerate_matches_the_pfaffian_oracle(seed, dim, n, zeroed):
+    """|Pf| read off the determinant agrees with the closed-form Pfaffian.
+
+    Each stack holds ``n`` random antisymmetric matrices at scales from 1e-3
+    to 1e3.  Both ways of computing |Pf| lose about eps times the condition
+    number, so only stacks conditioned below 1e3 are drawn, where the two
+    agree to 1e-12.  ``zeroed`` clears those coordinates' rows and columns
+    in the first matrix: a rank-deficient matrix whose |Pf| both ways is
+    exactly 0, so ``worst`` is 0 and ``ok`` false.
+    """
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, dim, dim))
+    m = (a - a.transpose(0, 2, 1)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1, 1))
+    assume(np.linalg.cond(m).max() < 1e3)
+    keep = np.ones(dim, dtype=bool)
+    keep[[k for k in zeroed if k < dim]] = False
+    m[0] *= np.outer(keep, keep)
+    for row in m:
+        _assert_matches_pfaffian_oracle(row)
+    _assert_matches_pfaffian_oracle(m)
+
+
+@pytest.mark.parametrize("spec", list(registry.ZOO) + sorted(verifier.CONTROLS))
+def test_nondegenerate_matches_the_pfaffian_oracle_on_chart_forms(spec):
+    """The symplectic check's ω matrices at seed 1 and 500 samples, on ``kernel_complement`` where declared."""
+    model = verifier.CONTROLS[spec][1]() if spec in verifier.CONTROLS else registry.build(spec)
+    tally = verifier._Tally("symplectic", verifier.RunConfig(seed=1, samples=500))
+    for cd, rng in tally.charts(model):
+        pts = sample_domain(cd.chart, 500, rng)
+        _, (_, om) = verifier._at_lowest_order(partial(verifier._closedness, cd), pts, 1)
+        if cd.kernel_complement is not None:
+            sub = np.asarray(cd.kernel_complement)
+            om = om[:, sub[:, None], sub[None, :]]
+        _assert_matches_pfaffian_oracle(om)
 
 
 def test_nondegenerate_flags_degenerate_form():
@@ -215,7 +281,7 @@ def test_compatible_structure_properties_random(seed):
     metric = (b @ b.T + 5 * np.eye(4))[None]
     skew = rng.normal(size=(4, 4))
     omega = (skew - skew.T)[None]
-    if np.abs(linalg.pfaffian(omega)[0]) < 1e-3:
+    if np.abs(pfaffian(omega)[0]) < 1e-3:
         return
     j = linalg.compatible_structure(omega, metric)[0]
     assert np.allclose(j @ j, -np.eye(4), atol=1e-9)
