@@ -3,9 +3,11 @@
 Fixed points of the circle action coincide with critical points of the
 moment map.  Every chart's action is linear, read off its weight table, so
 its fixed set is a coordinate subspace (empty when a translation moves
-every point): a batch of seeded domain draws is projected onto it exactly,
-by zeroing each rotation plane of nonzero weight, and the projections the
-chart contains are deduplicated greedily within 1e-4.  Projected points are
+every point).  When the rotation planes of nonzero weight cover every
+coordinate, the fixed set is the origin, an isolated point that needs no
+draw; otherwise a batch of seeded domain draws is projected onto it
+exactly, by zeroing each such plane, and the projections the chart
+contains are kept.  Points are
 merged into clusters by one linking rule, :func:`_links`: within a radius in one
 chart, or across a transition (``HamiltonianModel.transfers``) within a
 radius of the image; points whose Hessian carries a null plane also merge
@@ -49,9 +51,9 @@ FIXED_POINT_STARTS = 40
 class CriticalCluster:
     """One critical stratum: representative point plus Morse data.
 
-    ``members`` counts the seeded domain draws whose projection onto a
-    chart's fixed set lies in the domain, deduplicated within 1e-4 per chart
-    and summed over the charts merged into the stratum.
+    ``members`` counts, over the charts merged into the stratum, 1 for each
+    chart whose isolated fixed point is its origin, and each in-domain
+    projection of a seeded domain draw onto a chart's fixed surface.
     """
 
     chart_index: int
@@ -182,25 +184,24 @@ def find_fixed_points(model: HamiltonianModel, seed: int = 0) -> list[CriticalCl
     """Locate and classify the fixed points of the circle action.
 
     Each chart's table is read once: a translation leaves the chart no fixed
-    set, and every other moving key is a rotation plane to zero.  The chart's
-    FIXED_POINT_STARTS seeded domain draws are projected onto the fixed set
-    as one batch, and the projections the chart contains within 1e-6 are
-    kept unless they lie within 1e-4 of a projection kept before them.
+    set, and every other moving key is a rotation plane to zero.  When the
+    planes cover every coordinate, the fixed set is the origin, tested as
+    it is.  Otherwise the chart's FIXED_POINT_STARTS seeded domain draws are
+    projected onto the fixed set as one batch.  Either way the points the
+    chart contains within 1e-6 are kept.
     """
     found: list[tuple[int, Array]] = []
     for ci, cd in enumerate(model.charts):
         moving = [key for key, w in cd.weights.items() if w]
         if any(len(key) == 1 for key in moving):
             continue
-        pts = sample_domain(cd.chart, FIXED_POINT_STARTS, np.random.default_rng([seed, 23, ci]))
-        pts[:, [k for key in moving for k in key]] = 0.0
-        pts = pts[cd.chart.contains(pts, slack=1e-6)]
-        i, j = _pairs_within(cd.chart, pts, pts, 1e-4)
-        kept: list[int] = []
-        for k in range(len(pts)):
-            if not np.isin(j[i == k], kept).any():
-                kept.append(k)
-        found += [(ci, pts[k]) for k in kept]
+        zeroed = [k for key in moving for k in key]
+        if len(set(zeroed)) == cd.chart.dim:
+            pts = np.zeros((1, cd.chart.dim))
+        else:
+            pts = sample_domain(cd.chart, FIXED_POINT_STARTS, np.random.default_rng([seed, 23, ci]))
+            pts[:, zeroed] = 0.0
+        found += [(ci, p) for p in pts[cd.chart.contains(pts, slack=1e-6)]]
     clusters = []
     for group in _merge_groups(model, found):
         ci, p = group[0]

@@ -6,9 +6,10 @@ symmetric positive definite matrices it is used on (metrics); a non-positive
 pivot raises :class:`~hamflow.errors.SingularMetric` instead of silently
 continuing.
 
-Value-level helpers (Pfaffian, linear-algebra polar construction of a
-compatible almost complex structure) operate on numpy stacks of shape
-``(n, d, d)`` so whole sample batches are processed at once.
+Value-level helpers (the nondegeneracy floor, read off the determinant, and
+the linear-algebra polar construction of a compatible almost complex
+structure) operate on numpy stacks of shape ``(n, d, d)`` so whole sample
+batches are processed at once.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .jets import Jet
 
 Array = np.ndarray
 
-# scale-free floor for the normalized |Pfaffian| of a nondegenerate 2-form
+# scale-free floor for the normalized |Pfaffian| = sqrt|det| of a nondegenerate 2-form
 NONDEGENERACY_FLOOR = 1e-6
 
 
@@ -99,61 +100,26 @@ def congruence(jac: Array, m: Array) -> Array:
     return np.ascontiguousarray(np.moveaxis(out, (0, 1), (-2, -1)))
 
 
-def pfaffian(mats: Array) -> Array:
-    """Pfaffian of a batch of antisymmetric matrices, dimensions 2, 4 or 6.
-
-    Closed-form expansions; raises DimensionMismatch for odd or unsupported
-    dimensions.
-    """
-    m = np.asarray(mats, dtype=float)
-    if m.ndim == 2:
-        m = m[None, :, :]
-    d = m.shape[-1]
-    if d % 2 == 1 or d < 2 or d > 6:
-        raise DimensionMismatch(f"Pfaffian defined here for dimensions 2/4/6, got {d}")
-    a = m
-    if d == 2:
-        return a[:, 0, 1]
-    if d == 4:
-        return (
-            a[:, 0, 1] * a[:, 2, 3]
-            - a[:, 0, 2] * a[:, 1, 3]
-            + a[:, 0, 3] * a[:, 1, 2]
-        )
-    # d == 6: expansion along the first row
-    def pf4(idx):
-        i, j, k, l = idx
-        return (
-            a[:, i, j] * a[:, k, l]
-            - a[:, i, k] * a[:, j, l]
-            + a[:, i, l] * a[:, j, k]
-        )
-
-    return (
-        a[:, 0, 1] * pf4((2, 3, 4, 5))
-        - a[:, 0, 2] * pf4((1, 3, 4, 5))
-        + a[:, 0, 3] * pf4((1, 2, 4, 5))
-        - a[:, 0, 4] * pf4((1, 2, 3, 5))
-        + a[:, 0, 5] * pf4((1, 2, 3, 4))
-    )
-
-
 def nondegenerate(omega_mats: Array) -> tuple[bool, float]:
     """Whether a batch of 2-form matrices is uniformly nondegenerate.
 
     Returns ``(ok, worst)`` where ``worst`` is the smallest normalized
     |Pfaffian| over the batch and ``ok`` says it exceeds
-    NONDEGENERACY_FLOOR.  Normalization divides by ``norm^(d/2)`` with
-    ``norm`` the mean Frobenius scale, so the floor is scale-free.
+    NONDEGENERACY_FLOOR.  |Pf| is read off the determinant as sqrt|det|,
+    since Pf² = det for an antisymmetric matrix.  Normalization divides by
+    ``norm^(d/2)`` with ``norm`` the mean Frobenius scale, so the floor is
+    scale-free.  An odd dimension raises DimensionMismatch.
     """
     m = np.asarray(omega_mats, dtype=float)
     if m.ndim == 2:
         m = m[None, :, :]
     d = m.shape[-1]
-    pf = pfaffian(m)
+    if d % 2 == 1:
+        raise DimensionMismatch(f"a nondegenerate 2-form needs an even dimension, got {d}")
     scale = np.sqrt((m**2).sum(axis=(1, 2)) / d)
     scale = np.maximum(scale, 1e-300)
-    normalized = np.abs(pf) / scale ** (d / 2)
+    with np.errstate(invalid="ignore"):  # a non-finite or zero matrix gives NaN, which fails the floor
+        normalized = np.sqrt(np.abs(np.linalg.det(m))) / scale ** (d / 2)
     worst = float(normalized.min())
     return worst > NONDEGENERACY_FLOOR, worst
 

@@ -124,6 +124,28 @@ def test_attachment_creates_one_interior_saddle():
     assert not c.touches_boundary
 
 
+@pytest.mark.parametrize(
+    "spec, draws",
+    [("disc_d4(1,1)", []), ("weinstein_2handle()", []), ("disc_d4(1,0)", [critical.FIXED_POINT_STARTS])],
+)
+def test_isolated_fixed_points_take_no_draws(monkeypatch, spec, draws):
+    """A chart whose weight table moves every coordinate has the origin as its fixed set.
+
+    It is tested as it is, with no domain draw; a chart with a coordinate of
+    weight 0 still draws its FIXED_POINT_STARTS points.
+    """
+    calls = []
+
+    def recorded(chart, n, rng):
+        calls.append(n)
+        return sample_domain(chart, n, rng)
+
+    monkeypatch.setattr(critical, "sample_domain", recorded)
+    clusters = critical.find_fixed_points(registry.build(spec))
+    assert calls == draws
+    assert len(clusters) == 1
+
+
 @pytest.mark.parametrize("spec", ["s1_d3(2,1)", "cotangent_t2(1,0)", "free_action_planar(2)"])
 def test_free_models_have_no_fixed_points(spec):
     assert critical.find_fixed_points(registry.build(spec)) == []

@@ -183,10 +183,10 @@ def test_pfaffian_squares_to_determinant(seed, dim):
     assert pf**2 == pytest.approx(det, rel=1e-8, abs=1e-10)
 
 
-@pytest.mark.parametrize("shape", [(3, 3), (2, 5, 5), (1, 1)])
-def test_nondegenerate_odd_dimension_rejected(shape):
-    with pytest.raises(DimensionMismatch):
-        linalg.nondegenerate(np.zeros(shape))
+def test_nondegenerate_odd_dimension_rejected():
+    for shape in [(3, 3), (2, 5, 5), (1, 1)]:
+        with pytest.raises(DimensionMismatch):
+            linalg.nondegenerate(np.zeros(shape))
 
 
 def _pfaffian_floor(mats):
@@ -220,16 +220,17 @@ def test_nondegenerate_matches_the_pfaffian_oracle(seed, dim, n, zeroed):
     Each stack holds ``n`` random antisymmetric matrices at scales from 1e-3
     to 1e3.  Both ways of computing |Pf| lose about eps times the condition
     number, so only stacks conditioned below 1e3 are drawn, where the two
-    agree to 1e-12.  ``zeroed`` clears those coordinates' rows and columns
-    in the first matrix: a rank-deficient matrix whose |Pf| both ways is
-    exactly 0, so ``worst`` is 0 and ``ok`` false.
+    agree to 1e-12.  Up to ``dim - 2`` coordinates of ``zeroed`` have their
+    rows and columns cleared in the first matrix: a rank-deficient, nonzero
+    matrix whose |Pf| both ways is exactly 0, so ``worst`` is 0 and ``ok``
+    false.
     """
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(n, dim, dim))
     m = (a - a.transpose(0, 2, 1)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1, 1))
     assume(np.linalg.cond(m).max() < 1e3)
     keep = np.ones(dim, dtype=bool)
-    keep[[k for k in zeroed if k < dim]] = False
+    keep[[k for k in zeroed[: dim - 2] if k < dim]] = False
     m[0] *= np.outer(keep, keep)
     for row in m:
         _assert_matches_pfaffian_oracle(row)
@@ -260,6 +261,17 @@ def test_nondegenerate_flags_degenerate_form():
     assert not ok
     ok1, worst1 = linalg.nondegenerate(omegas[:1])
     assert ok1 and worst1 > 0.5
+
+
+def test_nondegenerate_fails_a_nan_form_silently():
+    """A NaN entry fails the floor with a NaN ``worst`` and no RuntimeWarning, as the Pfaffian did."""
+    omegas = np.zeros((2, 4, 4))
+    omegas[:, 0, 1] = omegas[:, 2, 3] = 1.0
+    omegas[1, 0, 2] = np.nan
+    omegas -= omegas.transpose(0, 2, 1)
+    ok, worst = linalg.nondegenerate(omegas)
+    assert not ok and np.isnan(worst)
+    assert np.isnan(_pfaffian_floor(omegas)[1])
 
 
 def test_compatible_structure_standard_pair():
