@@ -64,7 +64,6 @@ def disc_d4(m: int = 1, n: int = 1) -> HamiltonianModel:
         name="disc_d4",
         params={"m": int(m), "n": int(n)},
         charts=[cd],
-        description="weighted plane rotation of the unit 4-ball",
     )
 
 
@@ -120,7 +119,6 @@ def s1_d3(k: int = 1, m: int = 0) -> HamiltonianModel:
         name="s1_d3",
         params={"k": int(k), "m": int(m)},
         charts=[cd],
-        description="loop translation plus plane rotation on a solid-torus thickening",
     )
 
 
@@ -162,5 +160,4 @@ def cotangent_t2(m1: int = 1, m2: int = 0) -> HamiltonianModel:
         name="cotangent_t2",
         params={"m1": int(m1), "m2": int(m2)},
         charts=[cd],
-        description="slope flow on the unit-disc cotangent bundle of the torus",
     )

@@ -365,7 +365,6 @@ def blowup_d4(m: int = 1, n: int = -1, size: float = 0.2) -> HamiltonianModel:
         params={"m": m, "n": n, "size": float(size)},
         charts=charts,
         transitions=transitions,
-        description="weighted ball rotation after blowing up the center",
         meta={
             "center_values": (eps2 * m, eps2 * n),
             "sphere_weight": abs(n - m),

@@ -112,8 +112,6 @@ def weinstein_2handle() -> HamiltonianModel:
         params={},
         charts=[cd],
         transitions=[],
-        description="rotation-invariant saddle block with contact outer face",
-        meta={"saddle_index": 2},
     )
 
 
@@ -166,8 +164,6 @@ def weinstein_1handle(m: int = 1) -> HamiltonianModel:
         params={"m": int(m)},
         charts=[cd],
         transitions=[],
-        description="index-zero block whose moment map vanishes on a fixed surface",
-        meta={"fixed_surface_dim": 2},
     )
 
 
@@ -428,7 +424,6 @@ def attach_2handle(
         params={"base": base.spec_string, "eps": float(eps), "kappa": float(kappa)},
         charts=[patched, handle_cd],
         transitions=transitions,
-        description="base model with a saddle block grafted along a closed boundary orbit",
         meta={
             "base_kind": nbhd.kind,
             "patch_radius2": patch_r2,

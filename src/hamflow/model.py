@@ -143,7 +143,6 @@ class HamiltonianModel:
     params: dict
     charts: list[ChartData]
     transitions: list[Transition] = field(default_factory=list)
-    description: str = ""
     meta: dict = field(default_factory=dict)
 
     @property

@@ -234,7 +234,6 @@ def free_action_planar(k: int = 1, holes=None) -> HamiltonianModel:
         name="free_action_planar",
         params={"k": k},
         charts=[cd],
-        description="free loop translation over a holed planar surface",
         meta={
             "potential_min": pot.minimum,
             "level": pot.level,
@@ -305,7 +304,6 @@ def disc_bundle_over_surface(holes=(), collar: float = 0.1) -> HamiltonianModel:
         name="disc_bundle_over_surface",
         params={"holes": len(holes), "collar": collar},
         charts=[cd],
-        description="fiberwise disc rotation over a holed planar surface",
         meta={
             "potential_min": pot.minimum,
             "box_radius": R,

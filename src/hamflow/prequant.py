@@ -334,7 +334,6 @@ def prequantization_s2() -> HamiltonianModel:
         params={},
         charts=[band, cap_n, cap_s, total_n, total_s],
         transitions=transitions,
-        description="sphere disc-bundle quotient of an invariant contact-type 5-space",
     )
     model.meta["projections"] = [
         (3, 0, _projection(total_n.chart, band.chart, south=False)),

@@ -185,5 +185,4 @@ def cotangent_s2() -> HamiltonianModel:
         params={},
         charts=[eq, north, south],
         transitions=transitions,
-        description="lifted axis rotation of the round sphere's cotangent disc bundle",
     )

@@ -529,7 +529,6 @@ def control_nonclosed_omega() -> HamiltonianModel:
         name="control_nonclosed_omega",
         params={},
         charts=[bent],
-        description="negative control: non-closed 2-form",
     )
 
 
@@ -552,7 +551,6 @@ def control_scaled_liouville() -> HamiltonianModel:
         name="control_scaled_liouville",
         params={},
         charts=[broken],
-        description="negative control: expanding field scaled by 2",
     )
 
 
@@ -574,7 +572,6 @@ def control_unbalanced_handle() -> HamiltonianModel:
         name="control_unbalanced_handle",
         params={},
         charts=[lopsided],
-        description="negative control: handle rotated with weights (1, 2)",
     )
 
 
