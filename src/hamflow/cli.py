@@ -2,7 +2,8 @@
 
 Exit codes follow one contract everywhere: 0 means every requested check
 passed, 1 means a numerical check or integration failed, 2 means the request
-itself was bad (unknown model, malformed arguments, builder preconditions).
+itself was bad (unknown model, malformed arguments, builder preconditions,
+an output path that cannot be written).
 A reader that closes the output pipe early (``hamflow list | head -1``)
 leaves the status as it is.
 All randomness descends from --seed through the documented per-check
@@ -382,8 +383,9 @@ def main(argv=None) -> int:
     except HamflowError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError) as exc:
-        # str() of a KeyError is the repr of its message
+    except (ValueError, KeyError, OSError) as exc:
+        # str() of a KeyError is the repr of its message; an OSError is an
+        # --output or --trajectory path that cannot be written
         print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return 2
 

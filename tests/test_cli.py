@@ -46,6 +46,23 @@ def test_list_into_a_closed_pipe_keeps_its_status():
     assert b"Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["list", "--output", "{missing}"],
+        ["flow", "s1_d3(1,0)", "--start", "0.3,0.2,0.1,0.4", "--trajectory", "{missing}"],
+    ],
+)
+def test_unwritable_output_path_exits_two(tmp_path, capsys, argv):
+    """A path in a directory that does not exist is a bad request, not a failed check."""
+    missing = str(tmp_path / "missing" / "x.json")
+    code, out, err = run(capsys, [a.format(missing=missing) for a in argv])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and missing in err
+    assert "Traceback" not in err
+
+
 def test_list_json_is_machine_readable(capsys):
     code, out, _ = run(capsys, ["list", "--format", "json"])
     assert code == 0
