@@ -7,8 +7,8 @@ every point).  When the rotation planes of nonzero weight cover every
 coordinate, the fixed set is the origin, an isolated point that needs no
 draw; otherwise a batch of seeded domain draws is projected onto it
 exactly, by zeroing each such plane, and the projections the chart
-contains are kept.  Points are
-merged into clusters by one linking rule, :func:`_links`: within a radius in one
+contains are kept.  Points are merged into clusters by one linking rule,
+:func:`_links`: within a radius in one
 chart, or across a transition (``HamiltonianModel.transfers``) within a
 radius of the image; points whose Hessian carries a null plane also merge
 by level value (samples scattered along one critical surface all belong to
@@ -51,9 +51,10 @@ FIXED_POINT_STARTS = 40
 class CriticalCluster:
     """One critical stratum: representative point plus Morse data.
 
-    ``members`` counts, over the charts merged into the stratum, 1 for each
-    chart whose isolated fixed point is its origin, and each in-domain
-    projection of a seeded domain draw onto a chart's fixed surface.
+    ``members`` is summed over the charts merged into the stratum: 1 for a
+    chart whose fixed set is its origin, an isolated point, and the number
+    of in-domain projections of seeded domain draws for a chart whose fixed
+    set is a surface.
     """
 
     chart_index: int
