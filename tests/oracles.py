@@ -38,6 +38,7 @@ from hamflow.forms import coeff_residual, field_values, image_jacobian, image_se
 from hamflow.jets import Jet
 from hamflow.linalg import congruence
 
+Array = np.ndarray
 Scalar = Callable[[np.ndarray], float]
 
 

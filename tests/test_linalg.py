@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-
-from functools import partial
 
 from hamflow import jets, linalg, registry, verifier
 from hamflow.chart import sample_domain
