@@ -19,6 +19,11 @@ matrices, kept as the reference that ``ChartData.action_map`` is pinned to.
 :func:`pfaffian` is the closed-form Pfaffian the package took the
 nondegeneracy floor from before it read |Pf| off the determinant, kept as
 the reference that ``linalg.nondegenerate`` is pinned to.
+:func:`sample_boundary_per_batch` and :func:`bisect_boundary_80` are the
+boundary sampler as it ran before it pooled a request's ray crossings into
+one bisection that stops at the brackets' fixed point: each ray batch
+bisected on its own, always 80 halvings; ``chart.sample_boundary`` and
+``chart._bisect_boundary`` are pinned to them bitwise.
 """
 
 from __future__ import annotations
@@ -31,8 +36,8 @@ from typing import Callable
 import numpy as np
 
 from hamflow import critical, jets, verifier
-from hamflow.chart import SmoothMap, sample_domain
-from hamflow.errors import DimensionMismatch, ImmediateExit, StiffFlow
+from hamflow.chart import Chart, SmoothMap, _others_violated, sample_domain
+from hamflow.errors import BoundaryNotFound, DimensionMismatch, ImmediateExit, StiffFlow
 from hamflow.flow import FlowResult
 from hamflow.forms import coeff_residual, field_values, image_jacobian, image_seed, pullback_coeffs
 from hamflow.jets import Jet
@@ -108,6 +113,92 @@ def pfaffian(mats: Array) -> Array:
         - a[:, 0, 4] * pf4((1, 2, 3, 5))
         + a[:, 0, 5] * pf4((1, 2, 3, 4))
     )
+
+
+def bisect_boundary_80(chart: Chart, inside: Array, outside: Array):
+    """Bisect segment batches [inside, outside] onto the boundary zero level.
+
+    Returns (points, ok_mask) after 80 halvings; rows whose final residual
+    reaches 1e-9 are flagged out instead of raising.
+    """
+    a, b = inside.copy(), outside.copy()
+    fa = chart.boundary(jets.seed(a, order=0)).value
+    for _ in range(80):
+        mid = 0.5 * (a + b)
+        fm = chart.boundary(jets.seed(mid, order=0)).value
+        same = (fm > 0) == (fa > 0)
+        a = np.where(same[:, None], mid, a)
+        fa = np.where(same, fm, fa)
+        b = np.where(same[:, None], b, mid)
+    mid = 0.5 * (a + b)
+    ok = np.abs(chart.boundary(jets.seed(mid, order=0)).value) < 1e-9
+    return mid, ok
+
+
+def sample_boundary_per_batch(
+    chart: Chart,
+    n: int,
+    rng: np.random.Generator,
+    accept: Callable[[Array], Array] | None = None,
+) -> Array:
+    """Draw n points on the boundary zero level by ray casting, bisecting each ray batch on its own."""
+    if chart.boundary is None:
+        raise BoundaryNotFound(f"chart {chart.name!r} has no boundary function")
+    lo = np.asarray(chart.box_lo, dtype=float)
+    hi = np.asarray(chart.box_hi, dtype=float)
+    span = float(np.max(hi - lo))
+    step = 0.01 * span
+    out: list[Array] = []
+    got = 0
+    failures = 0
+    while got < n:
+        if failures >= 1024:
+            raise BoundaryNotFound(
+                f"chart {chart.name!r}: {failures} consecutive rays missed the boundary"
+            )
+        starts = sample_domain(chart, 256, rng)
+        dirs = rng.normal(size=(256, chart.dim))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        inner = np.zeros_like(starts)
+        outer = np.zeros_like(starts)
+        crossed = np.zeros(256, dtype=bool)
+        idx = np.flatnonzero(chart.boundary(jets.seed(starts, order=0)).value <= 0)
+        pos = starts[idx]
+        for done in range(0, 400, 16):
+            if idx.size == 0:
+                break
+            k = min(16, 400 - done)
+            delta = step * dirs[idx]
+            block = np.empty((k + 1,) + pos.shape)
+            block[0] = pos
+            for s in range(k):
+                block[s + 1] = block[s] + delta
+            jc = jets.seed(block[1:].reshape(-1, chart.dim), order=0)
+            hit = (chart.boundary(jc).value >= 0).reshape(k, -1)
+            event = hit | _others_violated(chart, jc).reshape(k, -1)
+            first = event.argmax(axis=0)
+            cols = np.arange(idx.size)
+            ended = event[first, cols]
+            won = ended & hit[first, cols]
+            inner[idx[won]] = block[first[won], cols[won]]
+            outer[idx[won]] = block[first[won] + 1, cols[won]]
+            crossed[idx[won]] = True
+            idx = idx[~ended]
+            pos = block[k, ~ended]
+        batch_pts = np.zeros((0, chart.dim))
+        if crossed.any():
+            found, ok = bisect_boundary_80(chart, inner[crossed], outer[crossed])
+            found = chart.wrap(found[ok])
+            if accept is not None and found.shape[0]:
+                found = found[np.asarray(accept(found), dtype=bool)]
+            batch_pts = found
+        if batch_pts.shape[0]:
+            out.append(batch_pts)
+            got += batch_pts.shape[0]
+            failures = 0
+        else:
+            failures += 256
+    return np.concatenate(out, axis=0)[:n]
 
 
 def rotation(theta: float, a: Jet, b: Jet) -> tuple[Jet, Jet]:

@@ -7,11 +7,15 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from hamflow import chart as chart_module
 from hamflow import jets, registry, verifier
 from hamflow.chart import Chart, SmoothMap, sample_boundary, sample_domain
 from hamflow.errors import BoundaryNotFound, EmptyDomainSuspected
 from hamflow.forms import field_values
+from oracles import bisect_boundary_80, sample_boundary_per_batch
 
 
 def _ball_chart(radius: float = 1.0) -> Chart:
@@ -162,6 +166,119 @@ def test_sample_boundary_matches_pins():
             if cd.chart.boundary is not None:
                 digests[(spec, ci)] = _boundary_digest(cd, ci)
     assert digests == BOUNDARY_SHA256
+
+
+def _boundary_charts():
+    """``(label, chart data)`` of every boundary chart of the ZOO and the controls."""
+    models = [(spec, registry.build(spec)) for spec in registry.ZOO]
+    models += [(name, build()) for name, (_, build) in verifier.CONTROLS.items()]
+    return [
+        pytest.param(cd, id=f"{label}[{ci}]")
+        for label, model in models
+        for ci, cd in enumerate(model.charts)
+        if cd.chart.boundary is not None
+    ]
+
+
+def _draw_both_ways(draw, oracle):
+    """Outcome of both samplers on equal fresh streams: points or the error, and each end state."""
+    outcomes = []
+    for fn in (draw, oracle):
+        rng = np.random.default_rng([7, 29])
+        try:
+            outcomes.append((fn(rng), rng.bit_generator.state))
+        except (BoundaryNotFound, EmptyDomainSuspected) as e:
+            outcomes.append((e, rng.bit_generator.state))
+    return outcomes
+
+
+@pytest.mark.parametrize("cd", _boundary_charts())
+def test_sample_boundary_matches_the_per_batch_sampler(cd):
+    """Pooled crossings and the fixed-point stop give the per-batch, 80-halving
+    sampler's points bit for bit and leave the stream where it left it."""
+    for s in (0, 1, 97):
+        for n in (1, 64, 500, 2000):
+            rng, ref = np.random.default_rng([s, 5, n]), np.random.default_rng([s, 5, n])
+            got = sample_boundary(cd.chart, n, rng, accept=cd.boundary_accept)
+            want = sample_boundary_per_batch(cd.chart, n, ref, accept=cd.boundary_accept)
+            assert got.shape == want.shape == (n, cd.chart.dim), (cd.chart.name, s, n)
+            assert got.tobytes() == want.tobytes(), (cd.chart.name, s, n)
+            assert rng.bit_generator.state == ref.bit_generator.state, (cd.chart.name, s, n)
+
+
+def test_sample_boundary_raises_where_the_per_batch_sampler_does():
+    """A zero level no ray reaches, and an ``accept`` that keeps nothing, both
+    raise the per-batch sampler's error after the same draws."""
+    line = _line_chart(9.01)
+    cases = [
+        (line, None),
+        (_ball_chart(1.3), lambda pts: np.zeros(pts.shape[0], dtype=bool)),
+    ]
+    for chart, accept in cases:
+        (err, state), (want, want_state) = _draw_both_ways(
+            lambda rng: sample_boundary(chart, 5, rng, accept=accept),
+            lambda rng: sample_boundary_per_batch(chart, 5, rng, accept=accept),
+        )
+        assert isinstance(want, BoundaryNotFound)
+        assert type(err) is type(want) and str(err) == str(want)
+        assert state == want_state
+
+
+def _counted_circle():
+    """The unit circle as a 2-d chart's boundary, with a count of boundary evaluations."""
+    calls = []
+
+    def circle(jc):
+        calls.append(jc[0].n)
+        return jc[0].sq() + jc[1].sq() - 1.0
+
+    chart = Chart(
+        name="circle", coords=("x", "y"), periodic=(False, False),
+        box_lo=(-1.0, -1.0), box_hi=(1.0, 1.0), domain=(circle,), boundary=circle,
+    )
+    return chart, calls
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 40),
+    nan_rows=st.lists(st.integers(0, 39), max_size=2),
+    zero_rows=st.lists(st.integers(0, 39), max_size=2),
+)
+@example(seed=0, n=30, nan_rows=[], zero_rows=[])
+@example(seed=1, n=1, nan_rows=[0], zero_rows=[])
+@example(seed=2, n=5, nan_rows=[], zero_rows=[3])
+def test_bisect_boundary_matches_80_halvings(seed, n, nan_rows, zero_rows):
+    """Stopping once no bracket moves gives the 80-halving bisection's points and mask bitwise.
+
+    Rows cross the unit circle from inside.  A NaN row never compares equal,
+    so its batch runs all 80 halvings.  A row whose crossing sits at x = 0
+    (its segment symmetric about (0, 1)) halves toward a coordinate whose
+    neighbouring doubles are far closer than 80 halvings reach, so its batch
+    runs all 80 as well; a batch of ordinary rows stops sooner.
+    """
+    rng = np.random.default_rng(seed)
+    theta = rng.uniform(0.0, 2 * np.pi, n)
+    u = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    inside = u * rng.uniform(0.0, 0.99, (n, 1))
+    outside = u * rng.uniform(1.01, 1.5, (n, 1))
+    for k in zero_rows:
+        w = rng.uniform(1e-6, 0.5)
+        inside[k % n], outside[k % n] = (-w, 1.0 - w), (w, 1.0 + w)
+    for k in nan_rows:
+        inside[k % n, k % 2] = np.nan
+    chart, calls = _counted_circle()
+    got, ok = chart_module._bisect_boundary(chart, inside.copy(), outside.copy())
+    halvings = len(calls) - 2
+    want, want_ok = bisect_boundary_80(chart, inside, outside)
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(ok, want_ok)
+    assert 1 <= halvings <= 80
+    if nan_rows or zero_rows:
+        assert halvings == 80
+    if not (nan_rows or zero_rows) and n == 30:
+        assert halvings < 80
 
 
 def test_periodic_wrap_and_distance():

@@ -1,7 +1,7 @@
 """Point-cloud questions at the edges of a radius-pruned distance sweep.
 
 ``critical._pairs_within``, ``critical._adaptive_radius`` and
-``flow._orbit_near`` are checked against the full distance matrix of
+``flow._orbits_near`` are checked against the full distance matrix of
 ``tests/oracles.py`` on the inputs where pruning along one coordinate could
 go wrong: no coordinate to sweep, no spread to sweep along, pairs at the
 radius itself, non-finite rows, and windows wider than one block's share.
@@ -38,7 +38,10 @@ def _assert_pairs_and_orbit(chart, a, b, r):
     i, j = critical._pairs_within(chart, a, b, r)
     want_i, want_j = pairs_within(chart, a, b, r)
     assert np.array_equal(i, want_i) and np.array_equal(j, want_j)
-    assert flow._orbit_near(chart, a, b, r) is orbit_near(chart, a, b, r)
+    # ``a`` as one orbit, and as one orbit per row
+    for orbits in (a[None], a[:, None]):
+        want = [orbit_near(chart, orbit, b, r) for orbit in orbits]
+        assert flow._orbits_near(chart, orbits, b, r).tolist() == want
 
 
 def _assert_radius(chart, pts):

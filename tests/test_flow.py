@@ -499,28 +499,30 @@ ORBIT_CHART = Chart(
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
+    orbits=st.integers(1, 6),
     angles=st.integers(1, 300),
     n=st.integers(1, 2500),
     nan_row=st.one_of(st.none(), st.integers(0, 299)),
 )
-@example(seed=1, angles=128, n=2000, nan_row=None)
-@example(seed=2, angles=129, n=2000, nan_row=128)
-@example(seed=3, angles=300, n=2001, nan_row=0)
-def test_orbit_near_matches_every_pair(seed, angles, n, nan_row):
+@example(seed=1, orbits=1, angles=128, n=2000, nan_row=None)
+@example(seed=2, orbits=3, angles=129, n=2000, nan_row=128)
+@example(seed=3, orbits=6, angles=300, n=2001, nan_row=0)
+def test_orbit_near_matches_every_pair(seed, orbits, angles, n, nan_row):
+    """Each orbit of a stack is near the cloud exactly when it is on its own."""
     rng = np.random.default_rng(seed)
     lo, hi = ORBIT_CHART.box_lo, ORBIT_CHART.box_hi
-    orbit = rng.uniform(lo, hi, size=(angles, 3))
+    stack = rng.uniform(lo, hi, size=(orbits, angles, 3))
     cloud = rng.uniform(lo, hi, size=(n, 3))
     if nan_row is not None:
-        orbit[nan_row % angles, 1] = np.nan  # a NaN drops that angle
+        stack[nan_row % orbits, nan_row % angles, 1] = np.nan  # a NaN drops that angle
     radius = float(rng.uniform(0.0, 0.3))
-    got = flow._orbit_near(ORBIT_CHART, orbit, cloud, radius)
-    assert got is orbit_near(ORBIT_CHART, orbit, cloud, radius)
+    got = flow._orbits_near(ORBIT_CHART, stack, cloud, radius)
+    assert got.tolist() == [orbit_near(ORBIT_CHART, orbit, cloud, radius) for orbit in stack]
 
 
 def test_orbit_near_drops_an_angle_with_a_nan():
     cloud = np.array([[1.0, 0.0, 0.0], [2.0, 0.5, 0.5]])
-    orbit = np.array([[1.0, np.nan, 0.0], [4.0, 0.0, 0.0]])
-    assert not flow._orbit_near(ORBIT_CHART, orbit, cloud, 0.5)
-    orbit[0, 1] = 0.1
-    assert flow._orbit_near(ORBIT_CHART, orbit, cloud, 0.5)
+    orbits = np.array([[[1.0, np.nan, 0.0], [4.0, 0.0, 0.0]], [[2.0, 0.5, 0.6], [4.0, 0.0, 0.0]]])
+    assert flow._orbits_near(ORBIT_CHART, orbits, cloud, 0.5).tolist() == [False, True]
+    orbits[0, 0, 1] = 0.1
+    assert flow._orbits_near(ORBIT_CHART, orbits, cloud, 0.5).tolist() == [True, True]

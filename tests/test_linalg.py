@@ -195,8 +195,8 @@ def _pfaffian_floor(mats):
     if m.ndim == 2:
         m = m[None, :, :]
     d = m.shape[-1]
-    scale = np.maximum(np.sqrt((m**2).sum(axis=(1, 2)) / d), 1e-300)
-    worst = float((np.abs(pfaffian(m)) / scale ** (d / 2)).min())
+    denominator = np.maximum(np.sqrt((m**2).sum(axis=(1, 2)) / d) ** (d / 2), 1e-300)
+    worst = float((np.abs(pfaffian(m)) / denominator).min())
     return worst > linalg.NONDEGENERACY_FLOOR, worst
 
 
@@ -212,7 +212,7 @@ def _assert_matches_pfaffian_oracle(mats):
     st.integers(min_value=0, max_value=10_000),
     st.sampled_from([2, 4, 6]),
     st.integers(min_value=1, max_value=4),
-    st.lists(st.integers(min_value=0, max_value=5), max_size=3),
+    st.lists(st.integers(min_value=0, max_value=5), max_size=6),
 )
 def test_nondegenerate_matches_the_pfaffian_oracle(seed, dim, n, zeroed):
     """|Pf| read off the determinant agrees with the closed-form Pfaffian.
@@ -220,17 +220,17 @@ def test_nondegenerate_matches_the_pfaffian_oracle(seed, dim, n, zeroed):
     Each stack holds ``n`` random antisymmetric matrices at scales from 1e-3
     to 1e3.  Both ways of computing |Pf| lose about eps times the condition
     number, so only stacks conditioned below 1e3 are drawn, where the two
-    agree to 1e-12.  Up to ``dim - 2`` coordinates of ``zeroed`` have their
-    rows and columns cleared in the first matrix: a rank-deficient, nonzero
-    matrix whose |Pf| both ways is exactly 0, so ``worst`` is 0 and ``ok``
-    false.
+    agree to 1e-12.  The coordinates in ``zeroed`` have their rows and
+    columns cleared in the first matrix: a rank-deficient matrix, all zero
+    when every coordinate is cleared, whose |Pf| both ways is exactly 0, so
+    ``worst`` is 0 and ``ok`` false.
     """
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(n, dim, dim))
     m = (a - a.transpose(0, 2, 1)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1, 1))
     assume(np.linalg.cond(m).max() < 1e3)
     keep = np.ones(dim, dtype=bool)
-    keep[[k for k in zeroed[: dim - 2] if k < dim]] = False
+    keep[[k for k in zeroed if k < dim]] = False
     m[0] *= np.outer(keep, keep)
     for row in m:
         _assert_matches_pfaffian_oracle(row)
@@ -261,6 +261,17 @@ def test_nondegenerate_flags_degenerate_form():
     assert not ok
     ok1, worst1 = linalg.nondegenerate(omegas[:1])
     assert ok1 and worst1 > 0.5
+
+
+def test_nondegenerate_reads_zero_on_an_all_zero_form():
+    """The normalization's power underflows at a zero scale; the floor after it keeps ``worst`` at 0, not NaN."""
+    for d in (2, 4, 6):
+        ok, worst = linalg.nondegenerate(np.zeros((1, d, d)))
+        assert not ok and worst == 0.0
+    tiny = np.zeros((2, 4, 4))
+    tiny[:, 0, 1] = tiny[:, 2, 3] = [1.0, 1e-200]
+    tiny -= tiny.transpose(0, 2, 1)
+    assert linalg.nondegenerate(tiny) == (False, 0.0)
 
 
 def test_nondegenerate_fails_a_nan_form_silently():
