@@ -18,7 +18,8 @@ union-find ``_components``.
 Sampling is rejection sampling against the domain inequalities with a fixed
 candidate stream, so the first n accepted points never depend on how many
 points were requested (prefix stability).  Boundary points come from rays cast
-from interior samples, bisected onto the zero level of ``boundary``.
+from interior samples; a request's crossings are bisected onto the zero level
+of ``boundary`` in one call that stops once no bracket moves.
 """
 
 from __future__ import annotations
@@ -256,8 +257,11 @@ def _others_violated(chart: Chart, jc: Sequence[Jet]) -> Array:
 def _bisect_boundary(chart: Chart, inside: Array, outside: Array):
     """Bisect segment batches [inside, outside] onto the boundary zero level.
 
-    Returns (points, ok_mask) after 80 halvings; rows whose final residual
-    reaches 1e-9 are flagged out instead of raising.
+    Returns (points, ok_mask) after at most 80 halvings; rows whose final
+    residual reaches 1e-9 are flagged out instead of raising.  It stops once
+    a halving moves no bracket, since an unmoved row meets the same midpoint
+    and sign again: the result is 80 halvings' bit for bit.  A NaN row never
+    compares equal, so its batch runs all 80.
     """
     a, b = inside.copy(), outside.copy()
     fa = chart.boundary(jets.seed(a, order=0)).value
@@ -265,9 +269,12 @@ def _bisect_boundary(chart: Chart, inside: Array, outside: Array):
         mid = 0.5 * (a + b)
         fm = chart.boundary(jets.seed(mid, order=0)).value
         same = (fm > 0) == (fa > 0)
+        prev = a, b
         a = np.where(same[:, None], mid, a)
         fa = np.where(same, fm, fa)
         b = np.where(same[:, None], b, mid)
+        if np.array_equal(a, prev[0]) and np.array_equal(b, prev[1]):
+            break
     mid = 0.5 * (a + b)
     ok = np.abs(chart.boundary(jets.seed(mid, order=0)).value) < 1e-9
     return mid, ok
@@ -283,8 +290,9 @@ def sample_boundary(
 
     Each attempt pairs an interior sample with a random direction and marches
     in steps of 1% of the widest box side, at most 400 of them, until the
-    boundary function changes sign (the crossing is then bisected to 1e-10)
-    or until another domain inequality is violated, which abandons the ray.
+    boundary function changes sign or until another domain inequality is
+    violated, which abandons the ray.  A crossing is bisected onto the zero
+    level, and a point whose residual reaches 1e-9 is dropped.
     Rays advance in fixed-size batches so the accepted sequence is
     prefix-stable in n.  Every live ray takes a block of 16 steps per
     evaluation: the block's points come from the same repeated additions
@@ -295,6 +303,11 @@ def sample_boundary(
     batch's points, shape ``(m, dim)``, and returns a boolean mask of the
     ones to keep (glued models use it to mask regions replaced by a handle).
     Raises BoundaryNotFound after 1024 consecutive failed rays, four empty batches.
+    Batches are marched until their crossings could fill the request (a
+    batch yields at most one point per crossing) or spend the failure
+    budget; then all their crossings are bisected in one call, and each
+    batch's points are kept, filtered and counted in batch order, so points,
+    errors and the end state of ``rng`` are a batch-at-a-time loop's bit for bit.
     """
     if chart.boundary is None:
         raise BoundaryNotFound(f"chart {chart.name!r} has no boundary function")
@@ -305,7 +318,26 @@ def sample_boundary(
     out: list[Array] = []
     got = 0
     failures = 0
+    pending: list[tuple[Array, Array]] = []  # crossing segments of each batch not yet bisected
     while got < n:
+        sizes = [inner.shape[0] for inner, _ in pending]
+        if pending and (got + sum(sizes) >= n or failures + _RAY_BATCH * len(pending) >= 1024):
+            found, ok = np.zeros((0, chart.dim)), np.zeros(0, dtype=bool)
+            if sum(sizes):
+                found, ok = _bisect_boundary(chart, *(np.concatenate(s) for s in zip(*pending)))
+            ends = np.cumsum(sizes)[:-1]
+            for pts, keep in zip(np.split(found, ends), np.split(ok, ends)):
+                batch_pts = chart.wrap(pts[keep])
+                if accept is not None and batch_pts.shape[0]:
+                    batch_pts = batch_pts[np.asarray(accept(batch_pts), dtype=bool)]
+                if batch_pts.shape[0]:
+                    out.append(batch_pts)
+                    got += batch_pts.shape[0]
+                    failures = 0
+                else:
+                    failures += _RAY_BATCH
+            pending = []
+            continue
         if failures >= 1024:
             raise BoundaryNotFound(
                 f"chart {chart.name!r}: {failures} consecutive rays missed the boundary"
@@ -341,17 +373,5 @@ def sample_boundary(
             crossed[idx[won]] = True
             idx = idx[~ended]
             pos = block[k, ~ended]
-        batch_pts = np.zeros((0, chart.dim))
-        if crossed.any():
-            found, ok = _bisect_boundary(chart, inner[crossed], outer[crossed])
-            found = chart.wrap(found[ok])
-            if accept is not None and found.shape[0]:
-                found = found[np.asarray(accept(found), dtype=bool)]
-            batch_pts = found
-        if batch_pts.shape[0]:
-            out.append(batch_pts)
-            got += batch_pts.shape[0]
-            failures = 0
-        else:
-            failures += _RAY_BATCH
+        pending.append((inner[crossed], outer[crossed]))
     return np.concatenate(out, axis=0)[:n]

@@ -510,13 +510,13 @@ def _orbit_images(cd: ChartData, points: Array, angles: int) -> Array:
     return cd.chart.wrap(images.swapaxes(0, 1))
 
 
-def _orbit_near(chart, orbit: Array, cloud: Array, radius: float) -> bool:
-    """Whether some point of ``orbit`` (angles, d) lies within ``radius`` of ``cloud``."""
-    for _, _, s in chart.squared_distance_blocks(orbit, cloud, radius):
+def _orbits_near(chart, orbits: Array, cloud: Array, radius: float) -> Array:
+    """Mask of the orbits (k, angles, d) with a point within ``radius`` of ``cloud``."""
+    near = np.zeros(orbits.shape[0], dtype=bool)
+    for ia, _, s in chart.squared_distance_blocks(orbits.reshape(-1, orbits.shape[-1]), cloud, radius):
         # a NaN distance in an angle's row drops that angle, as a scalar min() would
-        if (np.sqrt(s.min(axis=1)) < radius).any():
-            return True
-    return False
+        near[ia[np.sqrt(s.min(axis=1)) < radius] // orbits.shape[1]] = True
+    return near
 
 
 def detect_legendrian_set(model: HamiltonianModel, seed: int = 0) -> LegendrianSet:
@@ -524,9 +524,10 @@ def detect_legendrian_set(model: HamiltonianModel, seed: int = 0) -> LegendrianS
 
     Each chart draws 600 boundary samples, and the 60 with the smallest |H|
     are candidates.  They are projected, filtered and mapped around their orbits
-    at 128 angles in batches per chart; only the claim test (within 2.5
-    steps of a traced cloud) and the tracing, in steps of 0.04, are
-    sequential.
+    at 128 angles in batches per chart.  Only the tracing, in steps of 0.04,
+    is sequential: each traced cloud is tested once against the orbits of
+    every candidate not yet claimed, and a candidate within 2.5 steps of a
+    cloud is claimed and not traced.
     """
     out = LegendrianSet()
     claimed: dict[int, list[Array]] = {}
@@ -551,14 +552,20 @@ def detect_legendrian_set(model: HamiltonianModel, seed: int = 0) -> LegendrianS
         if not len(cands):
             continue
         orbits = _orbit_images(cd, cands, 128)
-        for p, xp, orbit in zip(cands, xv, orbits):
-            if any(_orbit_near(cd.chart, orbit, c, 2.5 * _STEP) for c in claimed.get(ci, [])):
+        skip = np.zeros(len(cands), dtype=bool)
+        for c in claimed.get(ci, []):
+            skip |= _orbits_near(cd.chart, orbits, c, 2.5 * _STEP)
+        for i, (p, xp) in enumerate(zip(cands, xv)):
+            if skip[i]:
                 continue
             alpha = cd.alpha().coefficients(jets.seed(p[None, :], order=1))
             pairing = sum(alpha[key].value[0] * xp[key[0]] for key in alpha)
             traced, closed = _trace_component(model, ci, p, _STEP)
             for chart_idx, cloud in traced.items():
                 claimed.setdefault(chart_idx, []).append(cloud)
+            rest = i + 1 + np.flatnonzero(~skip[i + 1 :])
+            if ci in traced and rest.size:
+                skip[rest] = _orbits_near(cd.chart, orbits[rest], traced[ci], 2.5 * _STEP)
             cert = _torus_certificate(cd, p)
             out.components.append(
                 LegendrianComponent(

@@ -108,7 +108,9 @@ def nondegenerate(omega_mats: Array) -> tuple[bool, float]:
     NONDEGENERACY_FLOOR.  |Pf| is read off the determinant as sqrt|det|,
     since Pf² = det for an antisymmetric matrix.  Normalization divides by
     ``norm^(d/2)`` with ``norm`` the mean Frobenius scale, so the floor is
-    scale-free.  An odd dimension raises DimensionMismatch.
+    scale-free; it is floored at 1e-300 after the power, which underflows
+    for a tiny scale, so an all-zero matrix reads ``worst == 0.0`` and a
+    non-finite one NaN, and both fail.  An odd dimension raises DimensionMismatch.
     """
     m = np.asarray(omega_mats, dtype=float)
     if m.ndim == 2:
@@ -116,10 +118,9 @@ def nondegenerate(omega_mats: Array) -> tuple[bool, float]:
     d = m.shape[-1]
     if d % 2 == 1:
         raise DimensionMismatch(f"a nondegenerate 2-form needs an even dimension, got {d}")
-    scale = np.sqrt((m**2).sum(axis=(1, 2)) / d)
-    scale = np.maximum(scale, 1e-300)
-    with np.errstate(invalid="ignore"):  # a non-finite or zero matrix gives NaN, which fails the floor
-        normalized = np.sqrt(np.abs(np.linalg.det(m))) / scale ** (d / 2)
+    denominator = np.maximum(np.sqrt((m**2).sum(axis=(1, 2)) / d) ** (d / 2), 1e-300)
+    with np.errstate(invalid="ignore"):  # a non-finite matrix gives NaN, which fails the floor
+        normalized = np.sqrt(np.abs(np.linalg.det(m))) / denominator
     worst = float(normalized.min())
     return worst > NONDEGENERACY_FLOOR, worst
 
