@@ -31,6 +31,14 @@ CHART_DATA_SHA256 = {
     "blowup_d4(-1,1,0.1)": "46261906fea406a5ff03335c1a311e3e059a617ef41848c1b3862df0db146748",
     "prequantization_s2()": "307645e347e930f77c7f14322700cd47e8e122f834ade3263007cbf26e58d903",
     "cotangent_s2()": "a7597db0e4471afa17020b0f030aec6112cdb314440e01143e28895ed731888f",
+    "s1_d3(2,1)": "da0964914d52e5beb1b3a8c0e319f05a555c60aa314cf6cf9c15558040025c5d",
+    "disc_d4(1,-1)": "d4662c4161f12c400c4496c42b82bfee7b9738edfecd153760abf0ee2ed5dc9e",
+    "cotangent_t2(1,0)": "d21edfeb115e0aa97b2d09ced324f5a48e2310c28bd91c17145ff3e61ff6a765",
+    "free_action_planar(2)": "52ffc413060886a7f3ebec569f1bb8d52b5d79d36fffbea142aee53d0fd3a083",
+    "disc_bundle_over_surface()": "43bc7ccfd6672f4b82c423b86b3283927be47cfc162b6cf9a4a6b5665812acab",
+    "weinstein_2handle()": "dcb095cd51499815a224713da05de2e00a65f2b68ee6d333de4873504a43a8df",
+    "weinstein_1handle(1)": "3982214876d5f42a879b8ca586a0ba73c04ea53db92e95555479c0ab1e7fb6b1",
+    "attach_2handle(s1_d3(1,0))": "3caea86215bd3e44a3a791a0d2a097da2843a18a49e4bbff0e2ee4ffcd12bd01",
 }
 
 
