@@ -24,6 +24,7 @@ from .model import (
     HamiltonianModel,
     assert_moment,
     identity_metric,
+    symmetric_metric,
 )
 
 
@@ -57,7 +58,7 @@ def disc_d4(m: int = 1, n: int = 1) -> HamiltonianModel:
         hamiltonian=hamiltonian,
         weights={(0, 1): fm, (2, 3): fn},
         liouville=liouville,
-        metric=identity_metric(4),
+        metric=identity_metric(1.0),
     )
     assert_moment(cd)
     return HamiltonianModel(
@@ -92,19 +93,11 @@ def s1_d3(k: int = 1, m: int = 0) -> HamiltonianModel:
         zero = jets.constant(0.0, jc[0])
         return [zero, jc[1] * 0.5, jc[2] * 0.5, jc[3]]
 
-    def metric(jc):
+    @symmetric_metric
+    def metric(_jc):
         # constant compatible metric whose gradient of the boundary function
         # is parallel to the expanding field, so collar flow signs track H
-        two = jets.constant(2.0, jc[0])
-        one = jets.constant(1.0, jc[0])
-        half = jets.constant(0.5, jc[0])
-        zero = jets.constant(0.0, jc[0])
-        return [
-            [two, zero, zero, zero],
-            [zero, one, zero, zero],
-            [zero, zero, one, zero],
-            [zero, zero, zero, half],
-        ]
+        return {(0, 0): 2.0, (1, 1): 1.0, (2, 2): 1.0, (3, 3): 0.5}
 
     cd = ChartData(
         chart=chart,
@@ -153,7 +146,7 @@ def cotangent_t2(m1: int = 1, m2: int = 0) -> HamiltonianModel:
         hamiltonian=hamiltonian,
         weights={(0,): f1, (1,): f2},
         liouville=liouville,
-        metric=identity_metric(4),
+        metric=identity_metric(1.0),
     )
     assert_moment(cd)
     return HamiltonianModel(

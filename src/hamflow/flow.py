@@ -323,36 +323,17 @@ def classify_orbit(model: HamiltonianModel, chart_index: int, point: Array) -> O
 
 
 @dataclass
-class ChartPortrait:
-    chart_index: int
-    n_positive: int
-    n_negative: int
-    n_zero: int
-    sign_mismatches: int | None
-
-
-@dataclass
 class BoundaryPortrait:
-    charts: list[ChartPortrait]
-
-    @property
-    def has_positive(self) -> bool:
-        return any(c.n_positive > 0 for c in self.charts)
-
-    @property
-    def has_negative(self) -> bool:
-        return any(c.n_negative > 0 for c in self.charts)
-
-    @property
-    def total_mismatches(self) -> int:
-        return sum(c.sign_mismatches or 0 for c in self.charts)
+    has_positive: bool
+    has_negative: bool
+    total_mismatches: int
 
 
 def boundary_sign_portrait(
     model: HamiltonianModel, samples: int = 400, seed: int = 0
 ) -> BoundaryPortrait:
     """Sample the boundary and compare moment-map signs with exit directions."""
-    rows = []
+    portrait = BoundaryPortrait(False, False, 0)
     for ci, cd in enumerate(model.charts):
         if cd.chart.boundary is None:
             continue
@@ -363,26 +344,15 @@ def boundary_sign_portrait(
             continue
         jc = jets.seed(pts, order=1)
         hv = cd.hamiltonian(jc).value
-        n_pos = int((hv > 1e-8).sum())
-        n_neg = int((hv < -1e-8).sum())
-        n_zero = int(len(hv) - n_pos - n_neg)
-        mism: int | None = None
+        portrait.has_positive |= bool((hv > 1e-8).any())
+        portrait.has_negative |= bool((hv < -1e-8).any())
         if cd.metric is not None:
             grad = field_values(cd.gradient_field(), jc)
             df = cd.chart.boundary(jc).grad
             out = np.einsum("ni,ni->n", df, grad)
             strong = np.abs(hv) > 1e-6
-            mism = int((np.sign(out[strong]) != np.sign(hv[strong])).sum())
-        rows.append(
-            ChartPortrait(
-                chart_index=ci,
-                n_positive=n_pos,
-                n_negative=n_neg,
-                n_zero=n_zero,
-                sign_mismatches=mism,
-            )
-        )
-    return BoundaryPortrait(charts=rows)
+            portrait.total_mismatches += int((np.sign(out[strong]) != np.sign(hv[strong])).sum())
+    return portrait
 
 
 # ---------------------------------------------------------------------------

@@ -99,7 +99,7 @@ def _saddle_chart_data(scale: float, kappa: float) -> ChartData:
         hamiltonian=hamiltonian,
         weights={(0, 1): 1.0, (2, 3): 1.0},
         liouville=liouville,
-        metric=identity_metric(4, scale=scale),
+        metric=identity_metric(scale),
     )
 
 
@@ -156,7 +156,7 @@ def weinstein_1handle(m: int = 1) -> HamiltonianModel:
         hamiltonian=hamiltonian,
         weights={(0, 1): fm},
         liouville=liouville,
-        metric=identity_metric(4),
+        metric=identity_metric(1.0),
     )
     assert_moment(cd)
     return HamiltonianModel(

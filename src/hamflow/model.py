@@ -275,13 +275,31 @@ def circle_action(weights: Mapping[tuple[int, ...], float]) -> VectorField:
     return generator
 
 
-def identity_metric(dim: int, scale: float = 1.0) -> MetricField:
+def symmetric_metric(entries: Callable[[Sequence[Jet]], Mapping[tuple[int, int], Jet | float]]) -> MetricField:
+    """The metric whose entries (i, j), i <= j, a chart declares as jets or floats.
+
+    Each entry is mirrored to (j, i) and an unlisted entry is 0.  A float
+    becomes a constant jet of the batch's order, one per distinct value and
+    call, so equal floats share it.
+    """
+
     def g(jc: Sequence[Jet]) -> list[list[Jet]]:
-        one = jets.constant(scale, jc[0])
         zero = jets.constant(0.0, jc[0])
-        return [[one if i == j else zero for j in range(dim)] for i in range(dim)]
+        consts = {0.0: zero}
+        mat = [[zero] * len(jc) for _ in jc]
+        for (i, j), v in entries(jc).items():
+            if not isinstance(v, Jet):
+                if v not in consts:
+                    consts[v] = jets.constant(v, jc[0])
+                v = consts[v]
+            mat[i][j] = mat[j][i] = v
+        return mat
 
     return g
+
+
+def identity_metric(scale: float) -> MetricField:
+    return symmetric_metric(lambda jc: {(i, i): scale for i in range(len(jc))})
 
 
 def form_matrix_jets(form: KForm, jc: Sequence[Jet]) -> list[list[Jet]]:

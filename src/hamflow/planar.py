@@ -27,7 +27,7 @@ from .chart import Chart, _components
 from .errors import BadRamp, BadStructureConstant
 from .forms import KForm
 from .jets import Jet
-from .model import ChartData, HamiltonianModel, assert_moment
+from .model import ChartData, HamiltonianModel, assert_moment, symmetric_metric
 
 Array = np.ndarray
 
@@ -210,16 +210,10 @@ def free_action_planar(k: int = 1, holes=None) -> HamiltonianModel:
         lap = pot.laplacian(jc[2], jc[3])
         return [zero, jc[1] * 1.0, f2.partial(2) / lap, f2.partial(3) / lap]
 
+    @symmetric_metric
     def metric(jc):
-        one = jets.constant(1.0, jc[0])
-        zero = jets.constant(0.0, jc[0])
         lap = pot.laplacian(jc[2], jc[3])
-        g = [[zero] * 4 for _ in range(4)]
-        g[0][0] = one
-        g[1][1] = one
-        g[2][2] = lap
-        g[3][3] = lap * 1.0
-        return g
+        return {(0, 0): 1.0, (1, 1): 1.0, (2, 2): lap, (3, 3): lap}
 
     cd = ChartData(
         chart=chart,
@@ -280,16 +274,10 @@ def disc_bundle_over_surface(holes=(), collar: float = 0.1) -> HamiltonianModel:
         lap = pot.laplacian(jc[0], jc[1])
         return [f2.partial(0) / lap, f2.partial(1) / lap, jc[2] * 0.5, jc[3] * 0.5]
 
+    @symmetric_metric
     def metric(jc):
-        one = jets.constant(1.0, jc[0])
-        zero = jets.constant(0.0, jc[0])
         lap = pot.laplacian(jc[0], jc[1])
-        g = [[zero] * 4 for _ in range(4)]
-        g[0][0] = lap
-        g[1][1] = lap * 1.0
-        g[2][2] = one
-        g[3][3] = one
-        return g
+        return {(0, 0): lap, (1, 1): lap, (2, 2): 1.0, (3, 3): 1.0}
 
     cd = ChartData(
         chart=chart,

@@ -29,6 +29,7 @@ from .model import (
     HamiltonianModel,
     Transition,
     assert_moment,
+    symmetric_metric,
 )
 
 H_CHART = 0.8
@@ -94,21 +95,18 @@ def _band_chart_data() -> ChartData:
             (0, 3): -(a1 * w2),
         }
 
+    @symmetric_metric
     def metric(jc):
         w1, w2 = jc[2], jc[3]
         rho2 = w1 * w1 + w2 * w2
         a1 = conn(jc)
         c = (rho2 + 1.0) * 0.25
-        one = jets.constant(1.0, jc[0])
-        zero = jets.constant(0.0, jc[0])
-        g = [[zero] * 4 for _ in range(4)]
-        g[0][0] = c + rho2 * a1 * a1
-        g[1][1] = c * 1.0
-        g[2][2] = one
-        g[3][3] = one * 1.0
-        g[0][2] = g[2][0] = -(a1 * w2)
-        g[0][3] = g[3][0] = a1 * w1
-        return g
+        return {
+            (0, 0): c + rho2 * a1 * a1, (0, 2): -(a1 * w2), (0, 3): a1 * w1,
+            (1, 1): c,
+            (2, 2): 1.0,
+            (3, 3): 1.0,
+        }
 
     return ChartData(
         chart=chart,
@@ -155,24 +153,18 @@ def _cap_chart_data(name: str, south: bool) -> ChartData:
             (1, 3): -(w2 * ab),
         }
 
+    @symmetric_metric
     def metric(jc):
         w1, w2 = jc[2], jc[3]
         aa, ab = conn_ab(jc)
         rho2 = w1 * w1 + w2 * w2
         c2 = (rho2 + 1.0) * 0.5
-        one = jets.constant(1.0, jc[0])
-        zero = jets.constant(0.0, jc[0])
-        g = [[zero] * 4 for _ in range(4)]
-        g[0][0] = c2 + rho2 * aa * aa
-        g[1][1] = c2 + rho2 * ab * ab
-        g[0][1] = g[1][0] = rho2 * aa * ab
-        g[2][2] = one
-        g[3][3] = one * 1.0
-        g[0][2] = g[2][0] = -(w2 * aa)
-        g[1][2] = g[2][1] = -(w2 * ab)
-        g[0][3] = g[3][0] = w1 * aa
-        g[1][3] = g[3][1] = w1 * ab
-        return g
+        return {
+            (0, 0): c2 + rho2 * aa * aa, (0, 1): rho2 * aa * ab, (0, 2): -(w2 * aa), (0, 3): w1 * aa,
+            (1, 1): c2 + rho2 * ab * ab, (1, 2): -(w2 * ab), (1, 3): w1 * ab,
+            (2, 2): 1.0,
+            (3, 3): 1.0,
+        }
 
     return ChartData(
         chart=chart,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import inspect
 from dataclasses import dataclass
 from typing import Callable
@@ -24,14 +25,11 @@ class CatalogEntry:
 
 
 def _disc_bundle(holes=0, collar: float = 0.1):
-    if isinstance(holes, (int, float)):
-        if not float(holes).is_integer():
-            raise ValueError(f"hole count {holes} is not an integer")
-        n = int(holes)
-        if n + 1 not in DEFAULT_HOLES:
-            raise ValueError(f"no default hole layout for {n} holes")
-        holes = DEFAULT_HOLES[n + 1]
-    return disc_bundle_over_surface(holes, collar)
+    if not float(holes).is_integer():
+        raise ValueError(f"hole count {holes} is not an integer")
+    if int(holes) + 1 not in DEFAULT_HOLES:
+        raise ValueError(f"no default hole layout for {int(holes)} holes")
+    return disc_bundle_over_surface(DEFAULT_HOLES[int(holes) + 1], collar)
 
 
 CATALOG: dict[str, CatalogEntry] = {
@@ -129,65 +127,49 @@ ZOO = (
 )
 
 
-def _split_args(text: str) -> list[str]:
-    parts: list[str] = []
-    depth = 0
-    token = ""
-    for ch in text:
-        if ch == "(":
-            depth += 1
-            token += ch
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ValueError(f"unbalanced parentheses in {text!r}")
-            token += ch
-        elif ch == "," and depth == 0:
-            parts.append(token.strip())
-            token = ""
-        else:
-            token += ch
-    if token.strip():
-        parts.append(token.strip())
-    if depth != 0:
-        raise ValueError(f"unbalanced parentheses in {text!r}")
-    return parts
-
-
-def _parse_value(token: str):
-    if "(" in token:
-        return build(token)
-    try:
-        return int(token)
-    except ValueError:
-        pass
-    try:
-        return float(token)
-    except ValueError as exc:
-        raise ValueError(f"cannot parse argument {token!r}") from exc
-
-
 def build(spec: str) -> HamiltonianModel:
-    """Construct a model from its textual spec, e.g. ``"disc_d4(1,-1)"``."""
-    spec = spec.strip()
-    open_idx = spec.find("(")
-    if open_idx < 0 or not spec.endswith(")"):
-        raise ValueError(f"model spec must look like name(args), got {spec!r}")
-    name = spec[:open_idx].strip()
-    if name not in CATALOG:
-        raise KeyError(f"unknown model {name!r}; known: {', '.join(sorted(CATALOG))}")
-    body = spec[open_idx + 1 : -1]
-    args = []
-    kwargs = {}
-    for token in _split_args(body):
-        if "=" in token and "(" not in token.split("=", 1)[0]:
-            key, val = token.split("=", 1)
-            kwargs[key.strip()] = _parse_value(val.strip())
-        else:
-            args.append(_parse_value(token))
-    entry = CATALOG[name]
+    """Construct a model from its textual spec, e.g. ``"disc_d4(1,-1)"``.
+
+    A spec is a Python call expression: a catalog name called with int or
+    float literals, positionally or by keyword, for the parameters its
+    ``CatalogEntry.signature`` lists, and with a nested spec only where the
+    builder takes a model.  Anything else raises ValueError.
+    """
     try:
-        inspect.signature(entry.builder).bind(*args, **kwargs)
+        node = ast.parse(spec.strip(), mode="eval").body
+    except SyntaxError as exc:
+        raise ValueError(f"cannot parse model spec {spec!r}: {exc.msg}") from None
+    return _build_call(node)
+
+
+def _build_call(node: ast.expr) -> HamiltonianModel:
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+        raise ValueError(f"model spec must look like name(args), got {ast.unparse(node)!r}")
+    if node.func.id not in CATALOG:
+        raise KeyError(f"unknown model {node.func.id!r}; known: {', '.join(sorted(CATALOG))}")
+    entry = CATALOG[node.func.id]
+    declared = [p.id for p in ast.parse(entry.signature, mode="eval").body.args]
+    sig = inspect.signature(entry.builder, eval_str=True)
+    sig = sig.replace(parameters=[p for p in sig.parameters.values() if p.name in declared])
+    keywords = {kw.arg: kw.value for kw in node.keywords}
+    try:
+        if None in keywords or len(keywords) < len(node.keywords):
+            raise TypeError("each keyword must be a name, given once")
+        bound = sig.bind(*node.args, **keywords)
     except TypeError as exc:
-        raise ValueError(f"{spec!r} does not match {entry.signature}: {exc}") from None
-    return entry.builder(*args, **kwargs)
+        raise ValueError(f"{ast.unparse(node)!r} does not match {entry.signature}: {exc}") from None
+    kwargs = {}
+    for name, arg in bound.arguments.items():
+        if sig.parameters[name].annotation is HamiltonianModel:
+            if not isinstance(arg, ast.Call):
+                raise ValueError(f"{entry.name}: {name} takes a model spec, got {ast.unparse(arg)!r}")
+            kwargs[name] = _build_call(arg)
+            continue
+        try:
+            value = ast.literal_eval(arg)
+        except (ValueError, TypeError):
+            value = None
+        if type(value) not in (int, float):
+            raise ValueError(f"{entry.name}: {name} takes an int or a float, got {ast.unparse(arg)!r}")
+        kwargs[name] = value
+    return entry.builder(**kwargs)

@@ -21,6 +21,7 @@ from .model import (
     HamiltonianModel,
     Transition,
     assert_moment,
+    symmetric_metric,
 )
 
 U_CHART = 0.8
@@ -62,16 +63,11 @@ def _equator_chart_data() -> ChartData:
     def hamiltonian(jc):
         return jc[2] * 1.0
 
+    @symmetric_metric
     def metric(jc):
         w = -(jc[1] * jc[1]) + 1.0
         winv = 1.0 / w
-        zero = jets.constant(0.0, jc[0])
-        g = [[zero] * 4 for _ in range(4)]
-        g[0][0] = w
-        g[1][1] = winv
-        g[2][2] = winv
-        g[3][3] = w
-        return g
+        return {(0, 0): w, (1, 1): winv, (2, 2): winv, (3, 3): w}
 
     return ChartData(
         chart=chart,
@@ -105,18 +101,16 @@ def _cap_chart_data(name: str) -> ChartData:
     def hamiltonian(jc):
         return jc[0] * jc[3] - jc[1] * jc[2]
 
+    @symmetric_metric
     def metric(jc):
         a, b = jc[0], jc[1]
         w = -(a * a) - b * b + 1.0
-        zero = jets.constant(0.0, jc[0])
-        g = [[zero] * 4 for _ in range(4)]
-        g[0][0] = a * a / w + 1.0
-        g[0][1] = g[1][0] = a * b / w
-        g[1][1] = b * b / w + 1.0
-        g[2][2] = -(a * a) + 1.0
-        g[2][3] = g[3][2] = -(a * b)
-        g[3][3] = -(b * b) + 1.0
-        return g
+        return {
+            (0, 0): a * a / w + 1.0, (0, 1): a * b / w,
+            (1, 1): b * b / w + 1.0,
+            (2, 2): -(a * a) + 1.0, (2, 3): -(a * b),
+            (3, 3): -(b * b) + 1.0,
+        }
 
     return ChartData(
         chart=chart,

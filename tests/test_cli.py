@@ -124,14 +124,26 @@ def test_unknown_model_exits_two(capsys):
         "attach_2handle(s1_d3(1,0)",
         "(1,1)",
         "disc_d4(1))(",
+        "s1_d3(s1_d3(1,0),0)",
+        "attach_2handle(1)",
+        "blowup_d4(1,-1,disc_d4(1,1))",
+        "free_action_planar(2,1)",
+        "disc_d4(True,1)",
+        "disc_d4('a',1)",
+        "disc_d4({[]: 1},1)",
+        "attach_2handle(s1_d3(1,0),eps=disc_d4(1,1))",
+        "free_action_planar(k=2,holes=1)",
+        "disc_d4(m=1,m=2)",
+        "disc_d4(**x)",
     ],
 )
 def test_malformed_spec_exits_two(capsys, spec):
-    """The spec parser refuses a malformed spec with one error line, not a traceback."""
+    """The spec parser refuses a malformed spec, or an argument of the wrong kind, with one error line."""
     code, out, err = run(capsys, ["verify", spec])
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "Traceback" not in err
+    assert err.count("\n") == 1
 
 
 def test_ineffective_weights_exit_two(capsys):
@@ -520,3 +532,15 @@ def test_type_error_inside_a_builder_still_surfaces(monkeypatch):
 def test_build_accepts_keyword_arguments():
     model = registry.build("blowup_d4(1,-1,size=0.3)")
     assert model.params["size"] == pytest.approx(0.3)
+
+
+@pytest.mark.parametrize(
+    "spec, expected",
+    [
+        ("disc_d4(0x1, -1)  # a comment", "disc_d4(1,-1)"),
+        ("disc_d4((1),\n-1)", "disc_d4(1,-1)"),
+        ("attach_2handle(base=s1_d3(k=1, m=0))", "attach_2handle(s1_d3(1,0),0.05,0.55)"),
+    ],
+)
+def test_build_reads_a_spec_as_a_python_call(spec, expected):
+    assert registry.build(spec).spec_string == expected

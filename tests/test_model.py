@@ -6,7 +6,8 @@ residual.  Every chart declares its action by one weight table, which it
 refuses when non-integer or ineffective and keeps as a read-only copy; the
 action read off the table matches the jet action of :mod:`oracles` bitwise,
 its generator is the derivative of its action at angle 0, and its contact
-form alpha = i_Y omega lists its terms in index order."""
+form alpha = i_Y omega lists its terms in index order.  A metric declared by
+its upper-triangle entries comes back as the full mirrored jet matrix."""
 
 import dataclasses
 
@@ -16,7 +17,7 @@ import pytest
 from hamflow import forms, jets, registry, verifier
 from hamflow.chart import Chart, sample_domain
 from hamflow.errors import IneffectiveAction, JetOrderError, MomentMapMismatch
-from hamflow.model import ChartData, assert_moment, moment_residual, self_check_points
+from hamflow.model import ChartData, assert_moment, moment_residual, self_check_points, symmetric_metric
 from oracles import jet_action_map
 
 
@@ -157,3 +158,25 @@ def test_action_map_matches_the_jet_action(name):
             assert np.array_equal(image.view(np.uint64), values.view(np.uint64)), (cd.chart.name, theta)
             ref_jac = ref.jacobian(pts)
             assert np.array_equal(ref_jac, np.broadcast_to(jac, ref_jac.shape)), (cd.chart.name, theta)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_symmetric_metric_mirrors_entries_and_lifts_floats(order):
+    jc = jets.seed(np.array([[0.3, -0.2, 0.5], [0.1, 0.4, -0.6]]), order=order)
+    g = symmetric_metric(lambda jc: {(0, 0): 2.0, (0, 2): jc[1] * 3.0, (1, 1): 2.0, (2, 2): jc[0]})(jc)
+    assert len(g) == 3 and all(len(row) == 3 for row in g)
+    # entries are mirrored, as the same jet
+    assert g[2][0] is g[0][2]
+    np.testing.assert_array_equal(g[0][2].value, jc[1].value * 3.0)
+    assert g[2][2] is jc[0]
+    # unlisted entries are zero jets of the batch's order
+    for i, j in [(0, 1), (1, 0), (1, 2), (2, 1)]:
+        assert g[i][j].order == order
+        np.testing.assert_array_equal(g[i][j].value, [0.0, 0.0])
+        for part in (g[i][j].grad, g[i][j].hess)[:order]:
+            assert not part.any()
+    # a float becomes a constant jet of the batch's order, shared by equal floats
+    assert g[0][0] is g[1][1] and g[0][0].order == order
+    np.testing.assert_array_equal(g[0][0].value, [2.0, 2.0])
+    for part in (g[0][0].grad, g[0][0].hess)[:order]:
+        assert part.shape[0] == 2 and not part.any()
