@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from hamflow import cli, flow, registry
+from hamflow import cli, flow, registry, verifier
 from hamflow.model import HamiltonianModel
 
 
@@ -26,6 +27,20 @@ def test_list_text_shows_catalog_and_examples(capsys):
     assert "disc_d4(m,n)" in out
     assert "prequantization_s2()" in out
     assert "attach_2handle(s1_d3(1,0))" in out
+
+
+LIST_SHA256 = {
+    "text": "02dc4ec8df70c52f4890f96de628fe521a440d83fb97f2a358df9122355603a1",
+    "json": "4e26b0b51ae3addf719aef2ff3a00ee04e0c0aa503718a85b1206d02537052cb",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(LIST_SHA256))
+def test_list_bytes_are_pinned(capsys, fmt):
+    """Each catalog signature is rendered from its builder's parameters, byte for byte as pinned."""
+    code, out, _ = run(capsys, ["list", "--format", fmt])
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == LIST_SHA256[fmt]
 
 
 def test_list_into_a_closed_pipe_keeps_its_status():
@@ -204,7 +219,7 @@ def test_spec_arguments_not_matching_the_builder_exit_two(capsys, spec):
 
 @pytest.mark.parametrize("seed", ["-1", "1.5"])
 @pytest.mark.parametrize(
-    "argv", [["verify", "disc_d4(1,1)"], ["legendrian", "disc_d4(1,1)"], ["build", "free-action"]]
+    "argv", [["verify", "disc_d4(1,1)"], ["legendrian", "disc_d4(1,1)"], ["build", "free_action_planar(1)"]]
 )
 def test_bad_seed_is_refused_by_the_parser(capsys, argv, seed):
     """A negative seed used to reach NumPy and exit 2 with ``expected non-negative integer``, naming no option."""
@@ -305,6 +320,18 @@ def test_flow_wrong_dimension_exits_two(capsys):
     assert "coordinates" in err
 
 
+@pytest.mark.parametrize("command", ["flow", "orbit"])
+@pytest.mark.parametrize(
+    "start, chart, message",
+    [("5,0,0,0", "0", "outside"), ("0.1,0.2", "0", "coordinates"), ("0.1,0,0,0", "1", "out of range")],
+)
+def test_flow_and_orbit_refuse_the_same_bad_starts(capsys, command, start, chart, message):
+    code, out, err = run(capsys, [command, "disc_d4(1,1)", "--start", start, "--chart", chart])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and message in err
+
+
 @pytest.mark.parametrize("budget", ["nan", "-1", "0"])
 def test_flow_rejects_nonpositive_or_nan_max_time(capsys, budget):
     code, out, err = run(
@@ -319,13 +346,21 @@ def test_flow_rejects_nonpositive_or_nan_max_time(capsys, budget):
 def test_classify_orbit_reports_disc(capsys):
     code, out, _ = run(
         capsys,
-        ["flow", "disc_d4(1,1)", "--start", "0.3,0,0,0", "--classify-orbit", "--format", "json"],
+        ["orbit", "disc_d4(1,1)", "--start", "0.3,0,0,0", "--format", "json"],
     )
     assert code == 0
     data = json.loads(out)
     assert data["kind"] == "disc"
     assert data["up_termination"] == "boundary"
     assert data["down_termination"] == "critical_set"
+
+
+def test_flow_no_longer_takes_classify_orbit(capsys):
+    """Orbit classification reads neither --direction, --max-time nor --trajectory, so it is not a flow option."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["flow", "disc_d4(2,3)", "--start", "0.5,0,0,0", "--classify-orbit"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --classify-orbit" in capsys.readouterr().err
 
 
 def test_legendrian_components_and_fields(capsys):
@@ -369,8 +404,7 @@ def test_legendrian_locus_height_for_double_translation_weight(capsys):
 def test_build_blowup_reports_exceptional_stabilizer(capsys):
     code, out, _ = run(
         capsys,
-        ["build", "blowup", "--weights", "3", "1", "--size", "0.1",
-         "--samples", "60", "--format", "json"],
+        ["build", "blowup_d4(3,1,0.1)", "--samples", "60", "--format", "json"],
     )
     assert code == 0
     data = json.loads(out)
@@ -381,7 +415,7 @@ def test_build_blowup_reports_exceptional_stabilizer(capsys):
 def test_build_attach_two_handle_passes(capsys):
     code, out, _ = run(
         capsys,
-        ["build", "attach-2handle", "--base", "s1_d3(1,0)", "--samples", "60", "--format", "json"],
+        ["build", "attach_2handle(s1_d3(1,0))", "--samples", "60", "--format", "json"],
     )
     assert code == 0
     data = json.loads(out)
@@ -390,18 +424,43 @@ def test_build_attach_two_handle_passes(capsys):
 
 
 def test_build_free_action_with_hole_centers(capsys):
+    """Two boundary circles: the default layout puts the one hole center at the origin."""
     code, out, _ = run(
         capsys,
-        ["build", "free-action", "--k", "2", "--holes", "0,0", "--samples", "60"],
+        ["build", "free_action_planar(2)", "--samples", "60"],
     )
     assert code == 0
     assert "overall: pass" in out
 
 
 def test_build_precondition_violation_exits_two(capsys):
-    code, _, err = run(capsys, ["build", "blowup", "--weights", "2", "4"])
+    code, _, err = run(capsys, ["build", "disc_d4(2,4)"])
     assert code == 2
     assert "IneffectiveAction" in err
+
+
+@pytest.mark.parametrize("spec", registry.ZOO)
+def test_build_descriptor_is_canonical_json(spec):
+    """The descriptor ``build`` prints holds only JSON values, for every standard example."""
+    model = registry.build(spec)
+    descriptor = {
+        "name": model.name,
+        "params": model.params,
+        "charts": [cd.chart.name for cd in model.charts],
+        "meta": model.meta,
+    }
+    assert json.loads(verifier.canonical_json(descriptor))["name"] == model.name
+
+
+@pytest.mark.parametrize("spec", registry.ZOO)
+def test_build_takes_every_standard_example(capsys, spec):
+    code, out, err = run(capsys, ["build", spec, "--samples", "50", "--format", "json"])
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert set(data) == {"model", "report"}
+    assert set(data["model"]) == {"name", "params", "charts", "meta"}
+    assert data["model"]["name"] == spec.partition("(")[0]
+    assert data["report"]["overall"] is True
 
 
 def test_decompositions_output(capsys):
@@ -450,10 +509,11 @@ CHEAP_INVOCATIONS = [
     ["verify", "disc_d4(1,1)", "--samples", "20"],
     ["flow", "disc_d4(1,1)", "--start", "0.1,0.05,0,0.02", "--max-time", "0.01"],
     ["legendrian", "disc_d4(1,1)"],
-    ["build", "free-action", "--samples", "20"],
-    ["build", "disc-bundle", "--samples", "20"],
-    ["build", "attach-2handle", "--base", "disc_d4(1,-1)", "--samples", "20"],
-    ["build", "blowup", "--weights", "3", "1", "--samples", "20"],
+    ["orbit", "disc_d4(1,1)", "--start", "0.3,0,0,0", "--chart", "0"],
+    ["build", "free_action_planar(1)", "--samples", "20"],
+    ["build", "disc_bundle_over_surface()", "--samples", "20"],
+    ["build", "attach_2handle(disc_d4(1,-1))", "--samples", "20"],
+    ["build", "blowup_d4(3,1)", "--samples", "20"],
     ["decompositions", "3"],
 ]
 
@@ -472,7 +532,7 @@ def test_every_subcommand_option_is_read(capsys):
         args = cli.build_parser().parse_args(argv, namespace=Recording())
         read.clear()
         assert args.func(args) == 0, argv
-        missed = set(vars(args)) - read - {"func", "command", "builder", "make"}
+        missed = set(vars(args)) - read - {"func", "command"}
         if missed:
             unread[" ".join(argv[:2])] = sorted(missed)
     capsys.readouterr()
@@ -523,7 +583,7 @@ def test_type_error_inside_a_builder_still_surfaces(monkeypatch):
     def broken(m=1):
         raise TypeError(f"broken inside at m={m}")
 
-    entry = registry.CatalogEntry("broken", broken, "broken(m)", "raises inside")
+    entry = registry.CatalogEntry("broken", broken, "raises inside")
     monkeypatch.setitem(registry.CATALOG, "broken", entry)
     with pytest.raises(TypeError, match="broken inside"):
         registry.build("broken(2)")
