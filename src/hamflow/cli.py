@@ -1,4 +1,4 @@
-"""Command-line front end: catalog listing, verification, flows, builders.
+"""Command-line front end: catalog listing, verification, model descriptions, flows, orbits.
 
 Exit codes follow one contract everywhere: 0 means every requested check
 passed, 1 means a numerical check or integration failed, 2 means the request
@@ -22,11 +22,8 @@ import sys
 import numpy as np
 
 from . import critical, flow, jets, registry, verifier
-from .blowup import blowup_d4
 from .errors import HamflowError, ImmediateExit, StiffFlow
-from .handles import attach_2handle
 from .model import HamiltonianModel, enumerate_decompositions
-from .planar import disc_bundle_over_surface, free_action_planar
 
 
 def _csv_text(header, rows) -> str:
@@ -110,7 +107,7 @@ def _verified_report(model: HamiltonianModel, config: verifier.RunConfig):
 
 def cmd_list(args) -> int:
     catalog = [
-        {"name": e.name, "signature": e.signature, "summary": e.summary}
+        {"name": e.name, "signature": e.usage, "summary": e.summary}
         for e in registry.CATALOG.values()
     ]
     zoo = list(registry.ZOO)
@@ -131,32 +128,23 @@ def cmd_verify(args) -> int:
     return 0 if rep.overall else 1
 
 
-def cmd_flow(args) -> int:
+def _start(args) -> tuple[HamiltonianModel, np.ndarray]:
+    """The model of ``args.model`` and ``--start`` wrapped into chart ``--chart``, whose domain must hold it."""
     model = registry.build(args.model)
     if not 0 <= args.chart < len(model.charts):
         raise ValueError(f"chart index {args.chart} out of range for {model.name}")
-    cd = model.charts[args.chart]
+    chart = model.charts[args.chart].chart
     start = np.array([float(tok) for tok in args.start.split(",")], dtype=float)
-    if start.shape[0] != cd.chart.dim:
-        raise ValueError(
-            f"start has {start.shape[0]} coordinates, chart {cd.chart.name!r} has {cd.chart.dim}"
-        )
-    start = cd.chart.wrap(start)
-    if not bool(cd.chart.contains(start[None], slack=1e-9)[0]):
-        raise ValueError(f"start lies outside the domain of chart {cd.chart.name!r}")
+    if start.shape[0] != chart.dim:
+        raise ValueError(f"start has {start.shape[0]} coordinates, chart {chart.name!r} has {chart.dim}")
+    start = chart.wrap(start)
+    if not bool(chart.contains(start[None], slack=1e-9)[0]):
+        raise ValueError(f"start lies outside the domain of chart {chart.name!r}")
+    return model, start
 
-    if args.classify_orbit:
-        oc = flow.classify_orbit(model, args.chart, start)
-        payload = {
-            "kind": oc.kind,
-            "detail": oc.detail,
-            "up_termination": None if oc.upward is None else oc.upward.termination,
-            "down_termination": None if oc.downward is None else oc.downward.termination,
-        }
-        lines = [f"orbit kind: {oc.kind}" + (f" ({oc.detail})" if oc.detail else "")]
-        _render(args, lines, payload, ("field", "value"), sorted(payload.items()))
-        return 0
 
+def cmd_flow(args) -> int:
+    model, start = _start(args)
     direction = 1 if args.direction == "up" else -1
     try:
         res = flow.integrate(model, args.chart, start, direction=direction, max_time=args.max_time)
@@ -204,6 +192,20 @@ def cmd_flow(args) -> int:
     return 0
 
 
+def cmd_orbit(args) -> int:
+    model, start = _start(args)
+    oc = flow.classify_orbit(model, args.chart, start)
+    payload = {
+        "kind": oc.kind,
+        "detail": oc.detail,
+        "up_termination": None if oc.upward is None else oc.upward.termination,
+        "down_termination": None if oc.downward is None else oc.downward.termination,
+    }
+    lines = [f"orbit kind: {oc.kind}" + (f" ({oc.detail})" if oc.detail else "")]
+    _render(args, lines, payload, ("field", "value"), sorted(payload.items()))
+    return 0
+
+
 def cmd_legendrian(args) -> int:
     model = registry.build(args.model)
     found = flow.detect_legendrian_set(model, seed=args.seed)
@@ -242,20 +244,8 @@ def cmd_legendrian(args) -> int:
     return 0
 
 
-def _parse_holes(raw: str | None):
-    if not raw:
-        return None
-    centers = []
-    for part in raw.split(";"):
-        toks = [t for t in part.split(",") if t.strip()]
-        if len(toks) != 2:
-            raise ValueError(f"hole centers need two coordinates, got {part!r}")
-        centers.append((float(toks[0]), float(toks[1])))
-    return tuple(centers)
-
-
 def cmd_build(args) -> int:
-    model = args.make(args)
+    model = registry.build(args.model)
     rep = _verified_report(model, _run_config(args))
     descriptor = {
         "name": model.name,
@@ -306,6 +296,13 @@ def _add_checks(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_start(p: argparse.ArgumentParser) -> None:
+    """The model and start point, for the commands that follow the flow from one point."""
+    p.add_argument("model")
+    p.add_argument("--start", required=True, metavar="X,Y,...", help="comma-separated start coordinates")
+    p.add_argument("--chart", type=int, default=0)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hamflow",
@@ -321,15 +318,21 @@ def build_parser() -> argparse.ArgumentParser:
     _add_checks(p)
     p.set_defaults(func=cmd_verify)
 
+    p = sub.add_parser("build", help="build one model, describe it and run the identity suite")
+    p.add_argument("model", help='model spec, e.g. "blowup_d4(3,1,0.1)"')
+    _add_checks(p)
+    p.set_defaults(func=cmd_build)
+
     p = sub.add_parser("flow", help="integrate one moment-gradient trajectory")
-    p.add_argument("model")
-    p.add_argument("--start", required=True, metavar="X,Y,...", help="comma-separated start coordinates")
-    p.add_argument("--chart", type=int, default=0)
+    _add_start(p)
     p.add_argument("--direction", choices=("up", "down"), default="up")
     p.add_argument("--max-time", type=float, default=60.0)
-    p.add_argument("--classify-orbit", action="store_true", help="report the invariant surface type instead")
     p.add_argument("--trajectory", metavar="PATH", default=None, help="also write the sampled path as CSV")
     p.set_defaults(func=cmd_flow)
+
+    p = sub.add_parser("orbit", help="classify the invariant surface through one start point")
+    _add_start(p)
+    p.set_defaults(func=cmd_orbit)
 
     p = sub.add_parser("legendrian", help="locate zero-level boundary orbit components")
     p.add_argument("model")
@@ -342,35 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     for p in sub.choices.values():
         _add_output(p)
-
-    p = sub.add_parser("build", help="run a constructor and verify the result")
-    p.set_defaults(func=cmd_build)
-    bsub = p.add_subparsers(dest="builder", required=True)
-
-    b = bsub.add_parser("free-action", help="free circle model over a planar potential")
-    b.add_argument("--k", type=int, default=1, help="number of boundary circles of the base")
-    b.add_argument("--holes", default=None, metavar="X,Y;X,Y", help="k-1 hole centers")
-    b.set_defaults(make=lambda a: free_action_planar(a.k, holes=_parse_holes(a.holes)))
-
-    b = bsub.add_parser("disc-bundle", help="rotation-invariant disc bundle over a sublevel surface")
-    b.add_argument("--holes", default=None, metavar="X,Y;X,Y")
-    b.add_argument("--collar", type=float, default=0.1)
-    b.set_defaults(make=lambda a: disc_bundle_over_surface(_parse_holes(a.holes) or (), collar=a.collar))
-
-    b = bsub.add_parser("attach-2handle", help="graft a saddle block along a zero-level boundary orbit")
-    b.add_argument("--base", required=True, metavar="SPEC")
-    b.add_argument("--eps", type=float, default=0.05)
-    b.add_argument("--kappa", type=float, default=0.55)
-    b.set_defaults(make=lambda a: attach_2handle(registry.build(a.base), eps=a.eps, kappa=a.kappa))
-
-    b = bsub.add_parser("blowup", help="replace the origin of the weighted ball by a sphere")
-    b.add_argument("--weights", type=int, nargs=2, required=True, metavar=("M", "N"))
-    b.add_argument("--size", type=float, default=0.2)
-    b.set_defaults(make=lambda a: blowup_d4(a.weights[0], a.weights[1], size=a.size))
-
-    for b in bsub.choices.values():
-        _add_checks(b)
-        _add_output(b)
 
     return parser
 

@@ -160,27 +160,23 @@ def _count_components(mask: Array) -> int:
     return int((labels == np.arange(start.size)).sum())
 
 
-def _resolve_holes(k: int, holes) -> tuple[tuple[float, float], ...]:
-    if holes is None:
-        if k in DEFAULT_HOLES:
-            return DEFAULT_HOLES[k]
-        r = 0.65
-        return tuple(
-            (r * np.cos(2 * np.pi * j / (k - 1)), r * np.sin(2 * np.pi * j / (k - 1)))
-            for j in range(k - 1)
-        )
-    holes = tuple((float(a), float(b)) for a, b in holes)
-    if len(holes) != k - 1:
-        raise ValueError(f"k={k} needs {k - 1} hole centers, got {len(holes)}")
-    return holes
+def _resolve_holes(k: int) -> tuple[tuple[float, float], ...]:
+    """The k - 1 hole centers of a surface with k boundary circles: ``DEFAULT_HOLES``, else a ring."""
+    if k in DEFAULT_HOLES:
+        return DEFAULT_HOLES[k]
+    r = 0.65
+    return tuple(
+        (r * np.cos(2 * np.pi * j / (k - 1)), r * np.sin(2 * np.pi * j / (k - 1)))
+        for j in range(k - 1)
+    )
 
 
-def free_action_planar(k: int = 1, holes=None) -> HamiltonianModel:
+def free_action_planar(k: int = 1) -> HamiltonianModel:
     """Free circle model: loop times a k-boundary planar surface, thickened."""
     if not float(k).is_integer() or k < 1:
         raise ValueError(f"k must be an integer of at least 1, got {k}")
     k = int(k)
-    pot = PitPotential(_resolve_holes(k, holes))
+    pot = PitPotential(_resolve_holes(k))
     R = pot.box_radius
 
     def membrane(jc):
@@ -238,12 +234,14 @@ def free_action_planar(k: int = 1, holes=None) -> HamiltonianModel:
     )
 
 
-def disc_bundle_over_surface(holes=(), collar: float = 0.1) -> HamiltonianModel:
-    """Fiber rotation of a disc bundle over a holed planar surface."""
+def disc_bundle_over_surface(holes: int = 0, collar: float = 0.1) -> HamiltonianModel:
+    """Fiber rotation of a disc bundle over a planar surface with ``holes`` holes."""
+    if not float(holes).is_integer() or holes < 0:
+        raise ValueError(f"hole count must be a non-negative integer, got {holes}")
     if not (0 < collar <= 0.3):
         raise BadRamp(f"collar width must lie in (0, 0.3], got {collar}")
-    holes = tuple((float(a), float(b)) for a, b in holes)
-    pot = PitPotential(holes)
+    holes = int(holes)
+    pot = PitPotential(_resolve_holes(holes + 1))
     R = pot.box_radius
     seam = 0.5 - collar
 
@@ -290,7 +288,7 @@ def disc_bundle_over_surface(holes=(), collar: float = 0.1) -> HamiltonianModel:
     assert_moment(cd)
     return HamiltonianModel(
         name="disc_bundle_over_surface",
-        params={"holes": len(holes), "collar": collar},
+        params={"holes": holes, "collar": collar},
         charts=[cd],
         meta={
             "potential_min": pot.minimum,

@@ -12,9 +12,9 @@ Two presentations of the same construction live side by side in one model:
   fibers the circle rotates.  These charts carry the full package, including
   a compatible metric assembled from the connection splitting.
 
-The projection maps from total to quotient charts are exposed in
-``meta["projections"]`` so the pullback identity tying the two presentations
-together can be tested point-wise.
+:func:`projections` gives the maps from the total charts to the band, so the
+pullback identity tying the two presentations together can be tested
+point-wise.
 """
 
 from __future__ import annotations
@@ -321,14 +321,18 @@ def prequantization_s2() -> HamiltonianModel:
             valid=anywhere,
         ),
     ]
-    model = HamiltonianModel(
+    return HamiltonianModel(
         name="prequantization_s2",
         params={},
         charts=[band, cap_n, cap_s, total_n, total_s],
         transitions=transitions,
     )
-    model.meta["projections"] = [
-        (3, 0, _projection(total_n.chart, band.chart, south=False)),
-        (4, 0, _projection(total_s.chart, band.chart, south=True)),
+
+
+def projections(model: HamiltonianModel) -> list[tuple[int, int, SmoothMap]]:
+    """``(total index, quotient index, map)`` for each total chart of a ``prequantization_s2()`` model."""
+    band = model.charts[0].chart
+    return [
+        (3, 0, _projection(model.charts[3].chart, band, south=False)),
+        (4, 0, _projection(model.charts[4].chart, band, south=True)),
     ]
-    return model

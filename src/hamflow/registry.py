@@ -5,102 +5,51 @@ from __future__ import annotations
 import ast
 import inspect
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 from .basic import cotangent_t2, disc_d4, s1_d3
 from .blowup import blowup_d4
 from .handles import attach_2handle, weinstein_1handle, weinstein_2handle
 from .model import HamiltonianModel
-from .planar import DEFAULT_HOLES, disc_bundle_over_surface, free_action_planar
+from .planar import disc_bundle_over_surface, free_action_planar
 from .prequant import prequantization_s2
 from .sphere import cotangent_s2
 
 
 @dataclass(frozen=True)
 class CatalogEntry:
+    """A catalog name and its builder, whose own parameters are the spec's parameters."""
+
     name: str
     builder: Callable[..., HamiltonianModel]
-    signature: str
     summary: str
 
+    @cached_property
+    def parameters(self) -> inspect.Signature:
+        """The builder's signature with its annotations evaluated, read once per entry."""
+        return inspect.signature(self.builder, eval_str=True)
 
-def _disc_bundle(holes=0, collar: float = 0.1):
-    if not float(holes).is_integer():
-        raise ValueError(f"hole count {holes} is not an integer")
-    if int(holes) + 1 not in DEFAULT_HOLES:
-        raise ValueError(f"no default hole layout for {int(holes)} holes")
-    return disc_bundle_over_surface(DEFAULT_HOLES[int(holes) + 1], collar)
+    @property
+    def usage(self) -> str:
+        """The spec signature, e.g. ``disc_d4(m,n)``."""
+        return f"{self.name}({','.join(self.parameters.parameters)})"
 
 
 CATALOG: dict[str, CatalogEntry] = {
-    e.name: e
-    for e in [
-        CatalogEntry(
-            "disc_d4",
-            disc_d4,
-            "disc_d4(m,n)",
-            "weighted rotation of the round 4-ball",
-        ),
-        CatalogEntry(
-            "s1_d3",
-            s1_d3,
-            "s1_d3(k,m)",
-            "circle times 3-ball with translation and rotation weights",
-        ),
-        CatalogEntry(
-            "cotangent_t2",
-            cotangent_t2,
-            "cotangent_t2(m1,m2)",
-            "momentum-linear flow on the cotangent disc bundle of the 2-torus",
-        ),
-        CatalogEntry(
-            "cotangent_s2",
-            cotangent_s2,
-            "cotangent_s2()",
-            "cosphere-bounded cotangent bundle of the round 2-sphere",
-        ),
-        CatalogEntry(
-            "weinstein_2handle",
-            weinstein_2handle,
-            "weinstein_2handle()",
-            "rotation-invariant saddle block with contact outer face",
-        ),
-        CatalogEntry(
-            "weinstein_1handle",
-            weinstein_1handle,
-            "weinstein_1handle(m)",
-            "index-zero block whose critical set is a fixed surface",
-        ),
-        CatalogEntry(
-            "free_action_planar",
-            free_action_planar,
-            "free_action_planar(k)",
-            "free action over a planar pit potential with k boundary circles",
-        ),
-        CatalogEntry(
-            "disc_bundle_over_surface",
-            _disc_bundle,
-            "disc_bundle_over_surface(holes,collar)",
-            "trivialized disc bundle with fiber rotation over a potential sublevel",
-        ),
-        CatalogEntry(
-            "prequantization_s2",
-            prequantization_s2,
-            "prequantization_s2()",
-            "circle-bundle quotient models over the round sphere",
-        ),
-        CatalogEntry(
-            "blowup_d4",
-            blowup_d4,
-            "blowup_d4(m,n,size)",
-            "weighted ball rotation after blowing up the center",
-        ),
-        CatalogEntry(
-            "attach_2handle",
-            attach_2handle,
-            "attach_2handle(base,eps,kappa)",
-            "base model with a saddle block grafted along a boundary orbit",
-        ),
+    builder.__name__: CatalogEntry(builder.__name__, builder, summary)
+    for builder, summary in [
+        (disc_d4, "weighted rotation of the round 4-ball"),
+        (s1_d3, "circle times 3-ball with translation and rotation weights"),
+        (cotangent_t2, "momentum-linear flow on the cotangent disc bundle of the 2-torus"),
+        (cotangent_s2, "cosphere-bounded cotangent bundle of the round 2-sphere"),
+        (weinstein_2handle, "rotation-invariant saddle block with contact outer face"),
+        (weinstein_1handle, "index-zero block whose critical set is a fixed surface"),
+        (free_action_planar, "free action over a planar pit potential with k boundary circles"),
+        (disc_bundle_over_surface, "trivialized disc bundle with fiber rotation over a potential sublevel"),
+        (prequantization_s2, "circle-bundle quotient models over the round sphere"),
+        (blowup_d4, "weighted ball rotation after blowing up the center"),
+        (attach_2handle, "base model with a saddle block grafted along a boundary orbit"),
     ]
 }
 
@@ -131,9 +80,9 @@ def build(spec: str) -> HamiltonianModel:
     """Construct a model from its textual spec, e.g. ``"disc_d4(1,-1)"``.
 
     A spec is a Python call expression: a catalog name called with int or
-    float literals, positionally or by keyword, for the parameters its
-    ``CatalogEntry.signature`` lists, and with a nested spec only where the
-    builder takes a model.  Anything else raises ValueError.
+    float literals, positionally or by keyword, for the builder's own
+    parameters, and with a nested spec only where the builder takes a model.
+    Anything else raises ValueError.
     """
     try:
         node = ast.parse(spec.strip(), mode="eval").body
@@ -148,16 +97,14 @@ def _build_call(node: ast.expr) -> HamiltonianModel:
     if node.func.id not in CATALOG:
         raise KeyError(f"unknown model {node.func.id!r}; known: {', '.join(sorted(CATALOG))}")
     entry = CATALOG[node.func.id]
-    declared = [p.id for p in ast.parse(entry.signature, mode="eval").body.args]
-    sig = inspect.signature(entry.builder, eval_str=True)
-    sig = sig.replace(parameters=[p for p in sig.parameters.values() if p.name in declared])
+    sig = entry.parameters
     keywords = {kw.arg: kw.value for kw in node.keywords}
     try:
         if None in keywords or len(keywords) < len(node.keywords):
             raise TypeError("each keyword must be a name, given once")
         bound = sig.bind(*node.args, **keywords)
     except TypeError as exc:
-        raise ValueError(f"{ast.unparse(node)!r} does not match {entry.signature}: {exc}") from None
+        raise ValueError(f"{ast.unparse(node)!r} does not match {entry.usage}: {exc}") from None
     kwargs = {}
     for name, arg in bound.arguments.items():
         if sig.parameters[name].annotation is HamiltonianModel:

@@ -110,11 +110,6 @@ def test_collar_width_outside_range_rejected(collar):
         disc_bundle_over_surface(collar=collar)
 
 
-def test_hole_count_mismatch_rejected():
-    with pytest.raises(ValueError):
-        free_action_planar(3, holes=((0.0, 0.0),))
-
-
 @settings(max_examples=150, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),

@@ -7,7 +7,7 @@ from hamflow import forms, jets
 from hamflow.chart import sample_domain
 from hamflow.linalg import compatible_structure
 from hamflow.model import liouville_residual, moment_residual, self_check_points
-from hamflow.prequant import prequantization_s2
+from hamflow.prequant import prequantization_s2, projections
 
 from oracles import pulled_back
 
@@ -75,7 +75,7 @@ def test_every_transition_matches_omega_and_energy(model):
 
 
 def test_projection_intertwines_the_presentations(model):
-    for ti, qi, pmap in model.meta["projections"]:
+    for ti, qi, pmap in projections(model):
         total, band = model.charts[ti], model.charts[qi]
         pts = self_check_points(total, n=50, seed=31)
         jc = jets.seed(pts, order=2)

@@ -25,7 +25,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hamflow"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-SETTABLE_PARAMETERS_PIN = 60
+SETTABLE_PARAMETERS_PIN = 57
 
 
 def _names_read(nodes) -> set[str]:
