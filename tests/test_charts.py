@@ -15,7 +15,8 @@ from hamflow import chart as chart_module
 from hamflow import jets, registry, verifier
 from hamflow.chart import Chart, SmoothMap, sample_boundary, sample_domain
 from hamflow.errors import BoundaryNotFound, EmptyDomainSuspected
-from hamflow.forms import field_values
+from hamflow.forms import constant_form, field_values
+from hamflow.model import ChartData
 from oracles import bisect_boundary_80, sample_boundary_per_batch
 
 
@@ -209,6 +210,58 @@ def test_sample_boundary_raises_where_the_per_batch_sampler_does():
         with pytest.raises(BoundaryNotFound, match=f"^{re.escape(str(want.value))}$"):
             sample_boundary(chart, 5, rng, accept=accept)
         assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def _nan_side(jc):
+    """A side inequality that holds for x >= 0 and is NaN for x < 0."""
+    return jc[0] * 0.0 + np.where(jc[0].value < 0.0, np.nan, -1.0)
+
+
+def test_boundary_samples_stay_where_a_nan_side_inequality_is_not_met():
+    """The unit disc with a side inequality that is NaN on its left half: the
+    domain draws keep no point there, and no ray marches on into it, so every
+    boundary sample is one the chart contains (the march used to read a NaN side
+    as met, and about a third of the samples landed on the left arc)."""
+
+    def disc(jc):
+        return jc[0].sq() + jc[1].sq() - 1.0
+
+    chart = Chart(
+        name="half_disc",
+        coords=("x", "y"),
+        periodic=(False, False),
+        box_lo=(-1.0, -1.0),
+        box_hi=(1.0, 1.0),
+        domain=(disc, _nan_side),
+        boundary=disc,
+    )
+    assert (sample_domain(chart, 500, np.random.default_rng(0))[:, 0] >= 0.0).all()
+    pts = sample_boundary(chart, 500, np.random.default_rng(0))
+    assert chart.contains(pts, slack=1e-9).all()
+
+
+def test_contains_inside_margin_and_the_ray_march_agree_on_a_nan_field():
+    """``Chart.contains``, ``ChartData.inside_margin`` and the ray march's side
+    inequalities all read a NaN field through ``holds``, where it never holds."""
+    ball = lambda jc: jc[0].sq() - 0.81
+    chart = Chart("line", ("x",), (False,), (-1.0,), (1.0,), domain=(ball, _nan_side), boundary=ball)
+    cd = ChartData(
+        chart=chart,
+        omega=constant_form({}),
+        hamiltonian=lambda jc: jc[0],
+        weights={(0,): 1},
+        liouville=lambda jc: [jc[0]],
+        liouville_domain=(_nan_side,),
+    )
+    pts = np.array([[-0.5], [-1e-3], [0.0], [0.5]])
+    want = [False, False, True, True]
+    assert chart_module.holds((_nan_side,), jets.seed(pts, order=0), 0.0).tolist() == want
+    assert chart_module.holds((), jets.seed(pts, order=0), -1.0).tolist() == [True] * 4
+    assert chart.contains(pts).tolist() == want
+    assert cd.inside_margin(pts).tolist() == want
+    # rays that march left reach the NaN half before the zero level at -0.9 and are abandoned
+    found = sample_boundary(chart, 50, np.random.default_rng(4))
+    assert np.allclose(found, 0.9, atol=1e-9)
 
 
 def _counted_circle():

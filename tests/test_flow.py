@@ -368,6 +368,43 @@ def test_integrate_rejects_nonpositive_or_nan_time_budget(max_time):
         flow.integrate(disc_d4(1, 1), 0, [0.1, 0.05, 0.0, 0.02], max_time=max_time)
 
 
+@pytest.mark.parametrize(
+    "chart_index, start, direction, match",
+    [
+        # outside the boundary: the run used to end at once as "boundary", never moving
+        (0, [2.0, 0.0, 0.0, 0.0], -1, "outside the boundary"),
+        (0, [np.nan, 0.0, 0.0, 0.0], 1, "outside the boundary"),
+        # direction 0 used to end as "critical_set" where the gradient is not 0
+        (0, [0.5, 0.0, 0.0, 0.0], 0, "direction"),
+        (0, [0.5, 0.0, 0.0, 0.0], 2, "direction"),
+        # a chart index or start length the chart lacks used to raise IndexError
+        (1, [0.5, 0.0, 0.0, 0.0], 1, "chart index"),
+        (-1, [0.5, 0.0, 0.0, 0.0], 1, "chart index"),
+        (0, [0.5, 0.0, 0.0], 1, "start has shape"),
+    ],
+)
+def test_runs_that_cannot_start_are_refused(chart_index, start, direction, match):
+    model = disc_d4(1, 1)
+    with pytest.raises(ValueError, match=match):
+        flow.integrate(model, chart_index, start, direction=direction)
+    good = (0, [0.1, 0.05, 0.0, 0.02], 1)
+    with pytest.raises(ValueError, match=match):
+        flow.integrate_many(model, [good, (chart_index, start, direction)])
+    if direction == 1:
+        with pytest.raises(ValueError, match=match):
+            flow.classify_orbit(model, chart_index, start)
+
+
+def test_a_start_within_1e_9_past_the_boundary_still_runs():
+    """The start check reads the boundary value against 1e-9, as boundary samples are bisected to it."""
+    model = disc_d4(1, 1)
+    start = np.array([1.0 + 4e-10, 0.0, 0.0, 0.0])
+    assert jets.value_at(model.charts[0].chart.boundary, start) <= 1e-9
+    with pytest.raises(ImmediateExit):
+        flow.integrate(model, 0, start, direction=1)
+    assert flow.integrate(model, 0, start, direction=-1).termination == "critical_set"
+
+
 def test_integrate_accepts_infinite_time_budget():
     res = flow.integrate(disc_d4(1, 1), 0, [0.1, 0.05, 0.0, 0.02], max_time=float("inf"))
     assert res.termination == "boundary"

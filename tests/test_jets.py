@@ -297,3 +297,20 @@ def test_positive_cube_is_a_flat_c2_ramp_reaching_one():
     assert vals[1] == grads[1] == hesss[1] == 0.0
     assert abs(vals[2]) <= 10 * h**3 and abs(grads[2]) <= 10 * h**2 and abs(hesss[2]) <= 10 * h
     assert vals[3] == 1.0
+
+
+def test_value_at_and_values_read_batch_values_bitwise():
+    """``value_at`` is one row of the batch evaluation, and ``values`` stacks components as columns."""
+    pts = np.array([[0.3, -1.2], [2.5, 0.7], [-0.4, 1e-3]])
+
+    def field(jc):
+        return jets.sin(jc[0]) * jc[1] + jets.exp(jc[1])
+
+    batch = field(jets.seed(pts, order=2)).value
+    for p, want in zip(pts, batch):
+        got = jets.value_at(field, p)
+        assert isinstance(got, float) and got == want
+    comps = [field(jets.seed(pts, order=0)), jets.seed(pts, order=0)[0]]
+    stacked = jets.values(comps)
+    assert stacked.shape == (3, 2)
+    assert stacked[:, 0].tobytes() == batch.tobytes() and stacked[:, 1].tobytes() == pts[:, 0].tobytes()

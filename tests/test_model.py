@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from hamflow import forms, jets, registry, verifier
-from hamflow.chart import Chart, sample_domain
+from hamflow.chart import Chart, sample_boundary, sample_domain
 from hamflow.errors import IneffectiveAction, JetOrderError, MomentMapMismatch
 from hamflow.model import ChartData, assert_moment, moment_residual, self_check_points, symmetric_metric
 from oracles import jet_action_map
@@ -180,3 +180,21 @@ def test_symmetric_metric_mirrors_entries_and_lifts_floats(order):
     np.testing.assert_array_equal(g[0][0].value, [2.0, 2.0])
     for part in (g[0][0].grad, g[0][0].hess)[:order]:
         assert part.shape[0] == 2 and not part.any()
+
+
+def test_boundary_clouds_are_direct_draws_of_the_charts_whose_boundary_rays_find():
+    """A chart with no boundary, and one whose zero level no ray reaches, are
+    left out; every other cloud is bitwise ``sample_boundary`` on the stream
+    ``[seed, stream, chart index]`` through the chart's ``boundary_accept``."""
+    glued = registry.build("attach_2handle(s1_d3(1,0))")
+    ball = registry.build("disc_d4(1,1)").charts[0]
+    unbounded = dataclasses.replace(ball, chart=dataclasses.replace(ball.chart, boundary=None))
+    # the zero level r = 10 lies outside the unit ball the rays must stay in
+    far = dataclasses.replace(ball.chart, boundary=lambda jc: sum(c.sq() for c in jc) - 100.0)
+    model = dataclasses.replace(glued, charts=[unbounded, *glued.charts, dataclasses.replace(ball, chart=far)])
+    clouds = list(model.boundary_clouds(120, 7, 41))
+    assert [ci for ci, _, _ in clouds] == [1, 2]
+    for ci, cd, pts in clouds:
+        assert cd is model.charts[ci]
+        want = sample_boundary(cd.chart, 120, np.random.default_rng([7, 41, ci]), accept=cd.boundary_accept)
+        assert pts.tobytes() == want.tobytes(), cd.chart.name

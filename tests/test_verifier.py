@@ -171,6 +171,19 @@ def test_runconfig_names_a_bad_seed_or_sample_count(setting, value):
     assert RunConfig(seed=np.int64(3), samples=np.int64(5)).seed == 3
 
 
+@pytest.mark.parametrize("setting, value", [("seed", True), ("seed", False), ("samples", True)])
+def test_runconfig_refuses_a_boolean_seed_or_sample_count(setting, value):
+    """``bool`` is an ``Integral``: ``seed=True`` used to run as seed 1 and write
+    ``"seed":true`` into the report, whose bytes then differ from seed 1's."""
+    with pytest.raises(ValueError, match=f"^{setting} must be"):
+        RunConfig(**{setting: value})
+
+
+def test_runconfig_refuses_a_boolean_tolerance():
+    with pytest.raises(ValueError, match="finite and positive"):
+        RunConfig(tolerances={"liouville": True})
+
+
 def test_contact_margins_reported():
     rep = run_all(registry.build("disc_d4(1,1)"), RunConfig(samples=80))
     contact = rep.results[-1]
