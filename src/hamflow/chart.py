@@ -5,6 +5,8 @@ flags for angular coordinates.  The domain is the set where every inequality
 function is <= 0; an optional scalar ``boundary`` function cuts the model
 boundary as its zero level (negative inside).  The box is the sampling bound
 and holds the domain, so ``Chart.contains`` is the one membership test.
+Every tuple of inequalities (a domain, a field margin, the ray march's side
+faces) is read by :func:`holds`, where a NaN never holds.
 Every point-cloud question (neighbour pairs, nearest neighbours, orbit
 proximity) reads its distances
 from ``Chart.squared_distance_blocks``.  Given a radius, it compares only
@@ -142,14 +144,16 @@ class Chart:
         return np.sqrt((disp**2).sum(axis=-1))
 
     def contains(self, points: Array, slack: float = 0.0) -> Array:
-        """Boolean mask of points satisfying every domain inequality."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        ok = np.ones(pts.shape[0], dtype=bool)
-        if self.domain:
-            j = jets.seed(pts, order=0)
-            for fn in self.domain:
-                ok &= fn(j).value <= slack
-        return ok
+        """Boolean mask of points satisfying every domain inequality (see :func:`holds`)."""
+        return holds(self.domain, jets.seed(np.atleast_2d(np.asarray(points, dtype=float)), order=0), slack)
+
+
+def holds(fields: Sequence[ScalarField], jc: Sequence[Jet], slack: float) -> Array:
+    """Mask of the seeded points where every field is at most ``slack``; a NaN never holds."""
+    ok = np.ones(jc[0].n, dtype=bool)
+    for fn in fields:
+        ok &= fn(jc).value <= slack
+    return ok
 
 
 @dataclass(frozen=True)
@@ -163,9 +167,7 @@ class SmoothMap:
     def apply(self, points: Array) -> Array:
         """Wrapped image points, from order-0 jets."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        out = self.forward(jets.seed(pts, order=0))
-        res = np.stack([j.value for j in out], axis=1)
-        return self.target.wrap(res)
+        return self.target.wrap(jets.values(self.forward(jets.seed(pts, order=0))))
 
     def jacobian(self, points: Array) -> Array:
         """Stack of forward Jacobians, shape (n, target_dim, source_dim)."""
@@ -244,16 +246,6 @@ _RAY_STEPS = 400
 _RAY_BLOCK = 16
 
 
-def _others_violated(chart: Chart, jc: Sequence[Jet]) -> Array:
-    """Mask of seeded points breaking a domain inequality other than the boundary."""
-    bad = np.zeros(jc[0].n, dtype=bool)
-    for fn in chart.domain:
-        if fn is chart.boundary:
-            continue
-        bad |= fn(jc).value > 0
-    return bad
-
-
 def _bisect_boundary(chart: Chart, inside: Array, outside: Array):
     """Bisect segment batches [inside, outside] onto the boundary zero level.
 
@@ -290,9 +282,9 @@ def sample_boundary(
 
     Each attempt pairs an interior sample with a random direction and marches
     in steps of 1% of the widest box side, at most 400 of them, until the
-    boundary function changes sign or until another domain inequality is
-    violated, which abandons the ray.  A crossing is bisected onto the zero
-    level, and a point whose residual reaches 1e-9 is dropped.
+    boundary function changes sign, or until another domain inequality fails
+    :func:`holds` (as a NaN does), which abandons the ray.  A crossing is
+    bisected onto the zero level; a residual of 1e-9 or more drops the point.
     Rays advance in fixed-size batches so the accepted sequence is
     prefix-stable in n.  Every live ray takes a block of 16 steps per
     evaluation: the block's points come from the same repeated additions
@@ -315,6 +307,7 @@ def sample_boundary(
     hi = np.asarray(chart.box_hi, dtype=float)
     span = float(np.max(hi - lo))
     step = 0.01 * span
+    sides = tuple(fn for fn in chart.domain if fn is not chart.boundary)
     out: list[Array] = []
     got = 0
     failures = 0
@@ -361,7 +354,7 @@ def sample_boundary(
                 block[s + 1] = block[s] + delta
             jc = jets.seed(block[1:].reshape(-1, chart.dim), order=0)
             hit = (chart.boundary(jc).value >= 0).reshape(k, -1)
-            event = hit | _others_violated(chart, jc).reshape(k, -1)
+            event = hit | ~holds(sides, jc, 0.0).reshape(k, -1)
             # each ray's first event; a crossing is kept even if another
             # inequality also trips at the same step
             first = event.argmax(axis=0)

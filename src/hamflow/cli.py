@@ -212,9 +212,7 @@ def cmd_legendrian(args) -> int:
     components = []
     for comp in found.components:
         cd = model.charts[comp.chart_index]
-        h_res = float(
-            np.abs(cd.hamiltonian(jets.seed(comp.representative[None, :], order=0)).value[0])
-        )
+        h_res = abs(jets.value_at(cd.hamiltonian, comp.representative))
         components.append(
             {
                 "chart_index": comp.chart_index,

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import flow, jets
-from .chart import _components, sample_boundary, sample_domain
-from .errors import BoundaryNotFound, NotCritical
+from .chart import _components, sample_domain
+from .errors import NotCritical
 from .model import ChartData, HamiltonianModel
 
 Array = np.ndarray
@@ -209,10 +209,7 @@ def find_fixed_points(model: HamiltonianModel, seed: int = 0) -> list[CriticalCl
         cd = model.charts[ci]
         (value,), (grad_norm,), (eigs,) = _morse(cd, p[None, :])
         index, nullity = _morse_type(grad_norm, eigs)
-        touches = False
-        if cd.chart.boundary is not None:
-            level = cd.chart.boundary(jets.seed(p[None, :], order=0))
-            touches = float(level.value[0]) > -BOUNDARY_TOUCH_TOL
+        touches = cd.chart.boundary is not None and jets.value_at(cd.chart.boundary, p) > -BOUNDARY_TOUCH_TOL
         clusters.append(
             CriticalCluster(
                 chart_index=ci,
@@ -310,24 +307,11 @@ def boundary_connectivity(model: HamiltonianModel, seed: int = 0, samples: int =
 
     Each chart's cloud is joined at its own adaptive radius (see :func:`_links`).
     """
-    with_boundary = [
-        (ci, cd) for ci, cd in enumerate(model.charts) if cd.chart.boundary is not None
-    ]
-    if not with_boundary:
-        return 0
-    per = max(2, samples // len(with_boundary))
-    clouds: dict[int, Array] = {}
-    radii: dict[int, float] = {}
-    for ci, cd in with_boundary:
-        rng = np.random.default_rng([seed, 31, ci])
-        try:
-            pts = sample_boundary(cd.chart, per, rng, accept=cd.boundary_accept)
-        except BoundaryNotFound:
-            continue
-        clouds[ci] = pts
-        radii[ci] = _adaptive_radius(cd.chart, pts)
+    bounded = sum(cd.chart.boundary is not None for cd in model.charts)
+    clouds = {ci: pts for ci, _, pts in model.boundary_clouds(max(2, samples // max(bounded, 1)), seed, 31)}
     if not clouds:
         return 0
+    radii = {ci: _adaptive_radius(model.charts[ci].chart, pts) for ci, pts in clouds.items()}
     total = sum(pts.shape[0] for pts in clouds.values())
     labels = _components(total, *_links(model, clouds, radii))
     return int((labels == np.arange(total)).sum())

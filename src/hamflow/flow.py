@@ -25,8 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jets
-from .chart import sample_boundary
-from .errors import BoundaryNotFound, ImmediateExit, StiffFlow
+from .errors import ImmediateExit, StiffFlow
 from .forms import field_values
 from .model import ChartData, HamiltonianModel
 
@@ -78,24 +77,20 @@ _DP_DENSE = np.array(
 )
 
 
-def _value_at(scalar, p: Array) -> float:
-    return float(scalar(jets.seed(p[None, :], order=0)).value[0])
-
-
 def _trajectory(model: HamiltonianModel, ci: int, start: Array, direction: int, max_time: float):
     """``integrate``'s stepper: yields ``(chart, point)`` per velocity, is sent the gradient."""
     cd = model.charts[ci]
     p = cd.chart.wrap(np.asarray(start, dtype=float))
     k1 = None  # velocity at the current point, once computed
 
-    if cd.chart.boundary is not None and _value_at(cd.chart.boundary, p) > -1e-9:
+    if cd.chart.boundary is not None and jets.value_at(cd.chart.boundary, p) > -1e-9:
         df = cd.chart.boundary(jets.seed(p[None, :], order=1)).grad[0]
         k1 = direction * (yield ci, p)
         if float(df @ k1) >= -1e-8:
             msg = f"start on the boundary of chart {cd.chart.name!r} with outward or grazing initial velocity"
             raise ImmediateExit(msg)
 
-    times, pts, charts, hs = [0.0], [p.copy()], [ci], [_value_at(cd.hamiltonian, p)]
+    times, pts, charts, hs = [0.0], [p.copy()], [ci], [jets.value_at(cd.hamiltonian, p)]
     t, h = 0.0, 1e-3
     monotone = True
     termination = "max_steps"
@@ -124,7 +119,7 @@ def _trajectory(model: HamiltonianModel, ci: int, start: Array, direction: int, 
             if h < 1e-12:
                 raise StiffFlow(f"step size collapsed below 1e-12 in chart {cd.chart.name!r}")
         k1 = k[6]
-        if cd.chart.boundary is not None and _value_at(cd.chart.boundary, p_new) > 0.0:
+        if cd.chart.boundary is not None and jets.value_at(cd.chart.boundary, p_new) > 0.0:
             # bisect theta in [0, 1] on the step's fourth-order dense output
             dy = p_new - p
             r3 = h * k[0] - dy
@@ -133,14 +128,14 @@ def _trajectory(model: HamiltonianModel, ci: int, start: Array, direction: int, 
             lo, hi = 0.0, 1.0
             while lo < (mid := 0.5 * (lo + hi)) < hi:
                 bisections += 1
-                if _value_at(cd.chart.boundary, at(mid)) > 0.0:
+                if jets.value_at(cd.chart.boundary, at(mid)) > 0.0:
                     hi = mid
                 else:
                     lo = mid
             p_new = at(lo)
-            if abs(_value_at(cd.chart.boundary, p_new)) > 1e-10:
+            if abs(jets.value_at(cd.chart.boundary, p_new)) > 1e-10:
                 q = at(hi)
-                if abs(_value_at(cd.chart.boundary, q)) < abs(_value_at(cd.chart.boundary, p_new)):
+                if abs(jets.value_at(cd.chart.boundary, q)) < abs(jets.value_at(cd.chart.boundary, p_new)):
                     p_new = q
             t += lo * h
             termination = "boundary"
@@ -148,7 +143,7 @@ def _trajectory(model: HamiltonianModel, ci: int, start: Array, direction: int, 
             t += h
             h *= fac
         p_new = cd.chart.wrap(p_new)
-        h_new = _value_at(cd.hamiltonian, p_new)
+        h_new = jets.value_at(cd.hamiltonian, p_new)
         gain = direction * (h_new - hs[-1])
         if gain < -1e-12:
             monotone = False
@@ -283,8 +278,7 @@ class OrbitClass:
 def classify_orbit(model: HamiltonianModel, chart_index: int, point: Array) -> OrbitClass:
     cd = model.charts[chart_index]
     p = cd.chart.wrap(np.asarray(point, dtype=float))
-    jc = jets.seed(p[None, :], order=0)
-    if np.abs(field_values(cd.generator, jc)).max() < 1e-8:
+    if np.abs(field_values(cd.generator, jets.seed(p[None, :], order=0))).max() < 1e-8:
         return OrbitClass(kind="fixed_point", upward=None, downward=None)
 
     ends = {}
@@ -312,7 +306,7 @@ def classify_orbit(model: HamiltonianModel, chart_index: int, point: Array) -> O
         kind = "disc"
     else:
         kind = "annulus"
-        h0 = float(cd.hamiltonian(jc).value[0])
+        h0 = jets.value_at(cd.hamiltonian, p)
         span = 0.0
         for res in results.values():
             if res is not None and len(res.points) > 0:
@@ -334,14 +328,7 @@ def boundary_sign_portrait(
 ) -> BoundaryPortrait:
     """Sample the boundary and compare moment-map signs with exit directions."""
     portrait = BoundaryPortrait(False, False, 0)
-    for ci, cd in enumerate(model.charts):
-        if cd.chart.boundary is None:
-            continue
-        rng = np.random.default_rng([seed, 41, ci])
-        try:
-            pts = sample_boundary(cd.chart, samples, rng, accept=cd.boundary_accept)
-        except BoundaryNotFound:
-            continue
+    for _, cd, pts in model.boundary_clouds(samples, seed, 41):
         jc = jets.seed(pts, order=1)
         hv = cd.hamiltonian(jc).value
         portrait.has_positive |= bool((hv > 1e-8).any())
@@ -501,14 +488,7 @@ def detect_legendrian_set(model: HamiltonianModel, seed: int = 0) -> LegendrianS
     """
     out = LegendrianSet()
     claimed: dict[int, list[Array]] = {}
-    for ci, cd in enumerate(model.charts):
-        if cd.chart.boundary is None:
-            continue
-        rng = np.random.default_rng([seed, 97, ci])
-        try:
-            pts = sample_boundary(cd.chart, 600, rng, accept=cd.boundary_accept)
-        except BoundaryNotFound:
-            continue
+    for ci, cd, pts in model.boundary_clouds(600, seed, 97):
         hv = cd.hamiltonian(jets.seed(pts, order=0)).value
         if hv.min() > 1e-8 or hv.max() < -1e-8:
             continue

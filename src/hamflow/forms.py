@@ -174,7 +174,7 @@ def compose_jet(coeff: Jet, img: Sequence[Jet]) -> Jet:
 
 def image_seed(img: Sequence[Jet]) -> list[Jet]:
     """Target-chart jets freshly seeded at a map's image points, at the images' order."""
-    return J.seed(np.stack([j.value for j in img], axis=1), order=min(j.order for j in img))
+    return J.seed(J.values(img), order=min(j.order for j in img))
 
 
 def image_jacobian(img: Sequence[Jet]) -> list[list[Jet]]:
@@ -288,8 +288,7 @@ def metric_matrix(metric: MetricField, jet_coords: Sequence[Jet]) -> Array:
 
 
 def field_values(v: VectorField, jet_coords: Sequence[Jet]) -> Array:
-    comps = v(jet_coords)
-    return np.stack([c.value for c in comps], axis=1)
+    return J.values(v(jet_coords))
 
 
 def coeff_residual(a: Coeffs, b: Coeffs) -> Array:

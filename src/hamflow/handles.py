@@ -353,9 +353,8 @@ def attach_2handle(
 
     # self-checks of the base's reference point: level 0, on the boundary, free orbit
     base_cd = base.charts[0]
-    jc = jets.seed(ref[None, :], order=0)
-    h0 = float(base_cd.hamiltonian(jc).value[0])
-    f0 = float(base_cd.chart.boundary(jc).value[0])
+    h0 = jets.value_at(base_cd.hamiltonian, ref)
+    f0 = jets.value_at(base_cd.chart.boundary, ref)
     if abs(h0) > 1e-10:
         raise NotLegendrian(f"reference point carries moment value {h0:.3e}")
     if abs(f0) > 1e-8:

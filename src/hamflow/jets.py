@@ -294,6 +294,16 @@ def seed(points: Array, order: int) -> list[Jet]:
     return [Jet(values[j], grads[j], hess) for j in range(d)]
 
 
+def values(comps) -> Array:
+    """The values of evaluated components, one column each: shape ``(n, len(comps))``."""
+    return np.stack([c.value for c in comps], axis=1)
+
+
+def value_at(field: Callable[[list[Jet]], Jet], point: Array) -> float:
+    """A scalar field's value at one point, from order-0 jets seeded there."""
+    return float(field(seed(np.asarray(point, dtype=float)[None, :], order=0)).value[0])
+
+
 def constant(value, like: Jet) -> Jet:
     """Constant jet broadcast to the batch of ``like`` (keeps full order)."""
     v = np.broadcast_to(np.asarray(value, dtype=float), like.value.shape).copy()

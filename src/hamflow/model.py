@@ -31,8 +31,8 @@ from typing import Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from . import forms, jets
-from .chart import Chart, SmoothMap, sample_domain
-from .errors import IneffectiveAction, MomentMapMismatch
+from .chart import Chart, SmoothMap, holds, sample_boundary, sample_domain
+from .errors import BoundaryNotFound, IneffectiveAction, MomentMapMismatch
 from .forms import KForm, MetricField, ScalarField, VectorField
 from .jets import Jet
 
@@ -82,13 +82,8 @@ class ChartData:
         self.generator = circle_action(self.weights)
 
     def inside_margin(self, points: Array) -> Array:
-        """Mask of the points inside every declared field margin."""
-        ok = np.ones(points.shape[0], dtype=bool)
-        if self.liouville_domain:
-            jc = jets.seed(points, order=0)
-            for fn in self.liouville_domain:
-                ok &= fn(jc).value <= 0
-        return ok
+        """Mask of the points inside every declared field margin (see :func:`hamflow.chart.holds`)."""
+        return holds(self.liouville_domain, jets.seed(points, order=0), 0.0)
 
     def action_map(self, thetas: Array, points: Array) -> tuple[Array, Array]:
         """The action at each angle of ``thetas`` (K,) on ``points`` (n, d), as
@@ -154,6 +149,17 @@ class HamiltonianModel:
 
     def transitions_from(self, i: int) -> list[Transition]:
         return [t for t in self.transitions if t.src == i]
+
+    def boundary_clouds(self, n: int, seed: int, stream: int) -> Iterator[tuple[int, ChartData, Array]]:
+        """Lazily yield ``(chart index, chart data, points)`` for each chart whose boundary the rays
+        find: ``sample_boundary``'s n points through the chart's ``boundary_accept``, drawn
+        from the stream ``[seed, stream, chart index]``."""
+        for ci, cd in enumerate(self.charts):
+            try:
+                pts = sample_boundary(cd.chart, n, np.random.default_rng([seed, stream, ci]), accept=cd.boundary_accept)
+            except BoundaryNotFound:  # no boundary, or no ray finds it
+                continue
+            yield ci, cd, pts
 
     def transfers(self, ci: int, points: Array, slack: float) -> Iterator[tuple[Transition, Array, Array]]:
         """Lazily yield ``(transition, rows, images)`` for each way out of chart ``ci``.

@@ -381,11 +381,7 @@ def _invariant_fields(cd, jc):
     """H's values, omega's and alpha = i_Y omega's coefficients, Y's values and g's value matrix (or None) at ``jc``."""
     g = None if cd.metric is None else forms.metric_matrix(cd.metric, jc)
     h, omega, y = cd.hamiltonian(jc).value, cd.omega.coefficients(jc), cd.liouville(jc)
-    return h, omega, liouville_primitive(y, omega), _values(y), g
-
-
-def _values(comps) -> Array:
-    return np.stack([c.value for c in comps], axis=1)
+    return h, omega, liouville_primitive(y, omega), jets.values(y), g
 
 
 def check_commutation(model: HamiltonianModel, config: RunConfig) -> CheckResult:
@@ -400,7 +396,7 @@ def check_commutation(model: HamiltonianModel, config: RunConfig) -> CheckResult
             continue
         jc = jets.seed(pts, order=2)
         x, grad = cd.generator(jc), cd.gradient_field()(jc)
-        t.update(np.abs(_values(forms.lie_bracket(x, grad))).max(axis=1), pts)
+        t.update(np.abs(jets.values(forms.lie_bracket(x, grad))).max(axis=1), pts)
         if cd.kernel_complement is not None:
             t.skip("degenerate pairing, no complex structure")
             continue
@@ -408,7 +404,7 @@ def check_commutation(model: HamiltonianModel, config: RunConfig) -> CheckResult
             lambda jc: (forms.form_matrix(cd.omega.coefficients(jc), jc), forms.metric_matrix(cd.metric, jc)), pts, 0
         )
         j_mat = compatible_structure(om, gm)
-        res = np.abs(_values(x) - np.einsum("nij,nj->ni", j_mat, _values(grad))).max(axis=1)
+        res = np.abs(jets.values(x) - np.einsum("nij,nj->ni", j_mat, jets.values(grad))).max(axis=1)
         t.update(res, pts)
     return t.result()
 
@@ -442,7 +438,7 @@ def check_contact_boundary(model: HamiltonianModel, config: RunConfig) -> CheckR
         if signs.max() != signs.min():
             t.passed = False
             t.note("contact volume changes sign")
-        grads, y_vals = _values(df.values()), _values(y)
+        grads, y_vals = jets.values(df.values()), jets.values(y)
         outward = np.einsum("nd,nd->n", grads, y_vals)
         scale_y = np.maximum(np.linalg.norm(grads, axis=1) * np.linalg.norm(y_vals, axis=1), 1e-300)
         short_out = np.maximum(CONTACT_FLOOR - outward / scale_y, 0.0)
@@ -470,7 +466,7 @@ def _contact_volume(df, alpha, dalpha) -> Array:
     4-form takes its top coefficient, and dF ^ beta takes |dF| beta(t1, t2, t3).
     """
     top = forms.wedge_coeffs(df, forms.wedge_coeffs(alpha, dalpha)).get(tuple(range(len(df))))
-    gnorm = np.linalg.norm(_values(df.values()), axis=1)
+    gnorm = np.linalg.norm(jets.values(df.values()), axis=1)
     return np.zeros_like(gnorm) if top is None else top.value / gnorm
 
 

@@ -36,7 +36,7 @@ from typing import Callable
 import numpy as np
 
 from hamflow import critical, jets, verifier
-from hamflow.chart import Chart, SmoothMap, _others_violated, sample_domain
+from hamflow.chart import Chart, SmoothMap, holds, sample_domain
 from hamflow.errors import BoundaryNotFound, DimensionMismatch, ImmediateExit, StiffFlow
 from hamflow.flow import FlowResult
 from hamflow.forms import coeff_residual, field_values, image_jacobian, image_seed, pullback_coeffs
@@ -148,6 +148,7 @@ def sample_boundary_per_batch(
     hi = np.asarray(chart.box_hi, dtype=float)
     span = float(np.max(hi - lo))
     step = 0.01 * span
+    sides = tuple(fn for fn in chart.domain if fn is not chart.boundary)
     out: list[Array] = []
     got = 0
     failures = 0
@@ -175,7 +176,7 @@ def sample_boundary_per_batch(
                 block[s + 1] = block[s] + delta
             jc = jets.seed(block[1:].reshape(-1, chart.dim), order=0)
             hit = (chart.boundary(jc).value >= 0).reshape(k, -1)
-            event = hit | _others_violated(chart, jc).reshape(k, -1)
+            event = hit | ~holds(sides, jc, 0.0).reshape(k, -1)
             first = event.argmax(axis=0)
             cols = np.arange(idx.size)
             ended = event[first, cols]
@@ -259,7 +260,7 @@ def per_angle_invariance(model, config) -> "verifier.CheckResult":
             act = jet_action_map(cd, 2 * np.pi * k / verifier.INVARIANCE_ANGLES)
             jac = act.jacobian(pts[:1])[0]
             img = act.forward(jc)
-            img_pts = verifier._values(img)
+            img_pts = jets.values(img)
             h1, omega1, alpha1, y1, g1 = fields(jets.seed(img_pts, order=order))
             t.update(coeff_residual(pullback_coeffs(omega1, img, jac), omega0), pts)
             t.update(np.abs(h1 - h0), pts)

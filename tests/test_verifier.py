@@ -372,7 +372,7 @@ def test_value_pullback_matches_the_jet_pullback(spec):
             act = jet_action_map(cd, 2 * np.pi * k / verifier.INVARIANCE_ANGLES)
             jac = act.jacobian(pts[:1])[0]
             img = act.forward(jets.seed(pts, order=0))
-            _, (_, omega, alpha, _, _) = verifier._at_lowest_order(fields, verifier._values(img), 0)
+            _, (_, omega, alpha, _, _) = verifier._at_lowest_order(fields, jets.values(img), 0)
             for coeffs in (omega, alpha):
                 values = {key: c.value for key, c in coeffs.items()}
                 _assert_value_pullback(values, jac, pullback_coeffs(coeffs, img, jac))
