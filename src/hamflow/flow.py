@@ -77,6 +77,26 @@ _DP_DENSE = np.array(
 )
 
 
+def _check_start(model: HamiltonianModel, ci: int, start, direction: int) -> None:
+    """Raise ValueError for a run that cannot start.
+
+    The direction must be 1 or -1, the chart index one of the model's, the
+    start one point of the chart's dimension, and the boundary value at its
+    wrap at most 1e-9 (a NaN is not).  No side inequality is read, as boundary
+    samples can lie just past a side face.
+    """
+    if direction not in (1, -1):
+        raise ValueError(f"direction must be 1 or -1, got {direction!r}")
+    if not 0 <= ci < len(model.charts):
+        raise ValueError(f"chart index {ci!r} is not one of the model's {len(model.charts)} charts")
+    chart = model.charts[ci].chart
+    p = np.asarray(start, dtype=float)
+    if p.shape != (chart.dim,):
+        raise ValueError(f"start has shape {p.shape}, chart {chart.name!r} takes {chart.dim} coordinates")
+    if chart.boundary is not None and not jets.value_at(chart.boundary, chart.wrap(p)) <= 1e-9:
+        raise ValueError(f"start lies outside the boundary of chart {chart.name!r}")
+
+
 def _trajectory(model: HamiltonianModel, ci: int, start: Array, direction: int, max_time: float):
     """``integrate``'s stepper: yields ``(chart, point)`` per velocity, is sent the gradient."""
     cd = model.charts[ci]
@@ -195,9 +215,13 @@ def integrate_many(
     Batched rows are bitwise one-row values, so each run is bit for bit its
     lone run.  The list returned is aligned with ``runs``: each run's
     ``FlowResult``, or the ``ImmediateExit``/``StiffFlow`` that ended it.
+    A run that cannot start (:func:`_check_start`) raises ValueError before
+    any run steps.
     """
     if not max_time > 0:
         raise ValueError(f"max_time must be positive, got {max_time!r}")
+    for ci, start, d in runs:
+        _check_start(model, ci, start, d)
     trajs = [_trajectory(model, ci, start, d, max_time) for ci, start, d in runs]
     out: list = [None] * len(runs)
     sent = [0] * len(runs)
@@ -240,7 +264,9 @@ def integrate(
     below 1e-7 and moment gain below 1e-14 in one step), on leaving the
     atlas, when ``max_time`` is used up (``"max_time"``) or after 40,000
     steps (``"max_steps"``).  ``max_time`` must be positive (``inf``
-    allowed), else ``ValueError``.  Starts on (or within 1e-9 of) the
+    allowed), and the run must be able to start (a direction of 1 or -1, a
+    chart of the model, a start of its dimension and boundary value at most
+    1e-9), else ``ValueError``.  Starts on (or within 1e-9 of) the
     boundary are refused with ``ImmediateExit`` when the initial velocity
     points outward or is tangent within 1e-8: a tangent start grazes the
     boundary (the boundary value has a strict minimum there along the
@@ -276,6 +302,8 @@ class OrbitClass:
 
 
 def classify_orbit(model: HamiltonianModel, chart_index: int, point: Array) -> OrbitClass:
+    """The kind of the surface the flow sweeps from ``point``; a point no run can start from is refused as in ``integrate``."""
+    _check_start(model, chart_index, point, 1)
     cd = model.charts[chart_index]
     p = cd.chart.wrap(np.asarray(point, dtype=float))
     if np.abs(field_values(cd.generator, jets.seed(p[None, :], order=0))).max() < 1e-8:

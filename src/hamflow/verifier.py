@@ -99,14 +99,15 @@ class RunConfig:
     tolerances: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not isinstance(self.seed, Integral) or self.seed < 0:
+        # bool is an Integral, yet True would run as 1 and serialize as true: no setting takes one
+        if isinstance(self.seed, bool) or not isinstance(self.seed, Integral) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if not isinstance(self.samples, Integral) or self.samples < 1:
+        if isinstance(self.samples, bool) or not isinstance(self.samples, Integral) or self.samples < 1:
             raise ValueError(f"samples must be an integer of at least 1, got {self.samples!r}")
         for cid, tol in self.tolerances.items():
             if cid not in DEFAULT_TOLERANCES:
                 raise KeyError(f"unknown check {cid!r}; known checks: {', '.join(CHECK_IDS)}")
-            if not (np.isfinite(tol) and tol > 0):
+            if isinstance(tol, bool) or not (np.isfinite(tol) and tol > 0):
                 raise ValueError(f"tolerance for {cid!r} must be finite and positive, got {tol}")
 
     def tolerance(self, check_id: str) -> float:
