@@ -78,13 +78,10 @@ _DP_DENSE = np.array(
 
 
 def _check_start(model: HamiltonianModel, ci: int, start, direction: int) -> None:
-    """Raise ValueError for a run that cannot start.
-
-    The direction must be 1 or -1, the chart index one of the model's, the
-    start one point of the chart's dimension, and the boundary value at its
-    wrap at most 1e-9 (a NaN is not).  No side inequality is read, as boundary
-    samples can lie just past a side face.
-    """
+    """Raise ValueError for a run that cannot start: a direction other than 1 or -1, a chart
+    index the model lacks, a start not of the chart's dimension, or a wrapped start whose
+    boundary value exceeds 1e-9 or is NaN.  No side inequality is read: boundary samples
+    can lie just past a side face."""
     if direction not in (1, -1):
         raise ValueError(f"direction must be 1 or -1, got {direction!r}")
     if not 0 <= ci < len(model.charts):
@@ -302,7 +299,7 @@ class OrbitClass:
 
 
 def classify_orbit(model: HamiltonianModel, chart_index: int, point: Array) -> OrbitClass:
-    """The kind of the surface the flow sweeps from ``point``; a point no run can start from is refused as in ``integrate``."""
+    """The kind of surface the flow sweeps from ``point``, refused as ``integrate`` refuses a start."""
     _check_start(model, chart_index, point, 1)
     cd = model.charts[chart_index]
     p = cd.chart.wrap(np.asarray(point, dtype=float))

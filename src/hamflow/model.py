@@ -14,7 +14,8 @@ generator, the action's derivative at angle 0.  Charts are glued by
 transitions (smooth maps with validity predicates);
 ``HamiltonianModel.transfers`` is the one way across them, for a point
 batch: flows cross one row at a time, and the groupings of
-:mod:`hamflow.critical` whole clouds.  The structural
+:mod:`hamflow.critical` whole clouds.  ``HamiltonianModel.boundary_clouds``
+is the one walk over the charts' seeded boundary draws.  The structural
 identities tying all of this together are checked by :mod:`hamflow.verifier`,
 not assumed here; the per-sample residuals of the moment and expansion
 identities live here, shared by the verifier and the builders' self-check
@@ -83,6 +84,8 @@ class ChartData:
 
     def inside_margin(self, points: Array) -> Array:
         """Mask of the points inside every declared field margin (see :func:`hamflow.chart.holds`)."""
+        if not self.liouville_domain:  # most charts declare none: seed nothing for them
+            return np.ones(points.shape[0], dtype=bool)
         return holds(self.liouville_domain, jets.seed(points, order=0), 0.0)
 
     def action_map(self, thetas: Array, points: Array) -> tuple[Array, Array]:
@@ -155,9 +158,11 @@ class HamiltonianModel:
         find: ``sample_boundary``'s n points through the chart's ``boundary_accept``, drawn
         from the stream ``[seed, stream, chart index]``."""
         for ci, cd in enumerate(self.charts):
+            if cd.chart.boundary is None:
+                continue
             try:
                 pts = sample_boundary(cd.chart, n, np.random.default_rng([seed, stream, ci]), accept=cd.boundary_accept)
-            except BoundaryNotFound:  # no boundary, or no ray finds it
+            except BoundaryNotFound:  # no ray finds the boundary
                 continue
             yield ci, cd, pts
 
