@@ -9,11 +9,12 @@ Every tuple of inequalities (a domain, a field margin, the ray march's side
 faces) is read by :func:`holds`, where a NaN never holds.
 Every point-cloud question (neighbour pairs, nearest neighbours, orbit
 proximity) reads its distances
-from ``Chart.squared_distance_blocks``.  Given a radius, it compares only
-rows that a sorted sweep along one non-periodic coordinate finds within
-that radius there (a fixed-radius near-neighbour sweep, Bentley, Stanat &
-Williams 1977), with a margin that never drops a closer pair; every
-distance it returns is bitwise the full distance matrix's.  Connected
+from ``Chart.squared_distance_blocks``.  Given a radius, it compares a block
+of nearby rows only with the rows inside the block's bounding box widened
+by that radius on every non-periodic coordinate (a fixed-radius
+near-neighbour sweep, Bentley, Stanat & Williams 1977), with a margin that
+never drops a closer pair; every distance it returns is bitwise the full
+distance matrix's.  Connected
 components, of point clusters and of grid row runs alike, come from the one
 union-find ``_components``.
 
@@ -40,6 +41,7 @@ ScalarField = Callable[[Sequence[Jet]], Jet]
 
 TWO_PI = 2.0 * np.pi
 PAIR_BUDGET = 128 * 2000  # most row pairs in one squared_distance_blocks block
+SWEEP_ROWS = 64  # most rows of a in one radius-pruned squared_distance_blocks block
 
 
 @dataclass(frozen=True)
@@ -93,51 +95,85 @@ class Chart:
         to ``b[ib[l]]``, in blocks of at most PAIR_BUDGET pairs (or one row of
         ``a``); no row of ``a`` is in two blocks.
 
-        With a ``radius`` (at least 0), both clouds are sorted along the
-        non-periodic coordinate where ``b`` spreads widest, and a block of
-        sorted ``a`` rows meets only the window of ``b`` rows within
-        ``radius * (1 + 1e-9)`` (plus 2**-50 of the largest magnitude there) of
-        one of them along it; blocks with an empty window are skipped.  The
-        margin outweighs the rounding of ``b - a``, so a pair left out has a
-        rounded squared distance of at least the rounded ``radius**2``.  The
-        window is all of ``b`` when no radius is given, when every coordinate
-        is periodic, or when either cloud has a non-finite entry.
+        With a ``radius`` (at least 0), each non-periodic coordinate has a
+        reach: ``radius * (1 + 1e-9)`` plus 2**-50 of the largest magnitude on
+        it in either cloud.  ``b`` is sorted along the non-periodic coordinate
+        where it spreads widest, the sweep.  The rows of ``a`` are put in cells
+        along the sweep, each as wide as the larger of its reach and the width
+        that holds SWEEP_ROWS rows of ``a`` on average, and each cell is sorted
+        along the next-widest non-periodic coordinate.  A block is at most
+        SWEEP_ROWS rows of one cell, and it meets only the rows of ``b`` inside
+        its bounding box widened by the reach on every non-periodic
+        coordinate (Bentley, Stanat & Williams 1977); blocks that meet none are
+        skipped.  The margin outweighs the rounding of ``b - a``, so a pair
+        left out has a rounded squared distance of at least the rounded
+        ``radius**2``.  Every row of ``b`` is met when no radius is given, when
+        every coordinate is periodic, or when either cloud has a non-finite
+        entry.
 
-        ``s`` is built one coordinate at a time and summed in coordinate
-        order: the operations and order of ``(displacement**2).sum(-1)``, so
-        each value is bitwise the full distance matrix's.
+        ``s`` is :meth:`squared_distances` of the block's rows, so each value
+        is bitwise the full distance matrix's.
         """
-        oa, ob = np.arange(a.shape[0]), np.arange(b.shape[0])
-        lo = np.zeros(a.shape[0], dtype=np.intp)
-        hi = np.full(a.shape[0], b.shape[0], dtype=np.intp)
         free = [j for j, per in enumerate(self.periodic) if not per]
-        if radius is not None and free and b.size and np.isfinite(a).all() and np.isfinite(b).all():
-            k = max(free, key=lambda j: np.ptp(b[:, j]))
-            oa, ob = np.argsort(a[:, k], kind="stable"), np.argsort(b[:, k], kind="stable")
-            ak, bk = a[oa, k], b[ob, k]
-            scale = max(np.abs(bk).max(), np.abs(ak).max(initial=0.0))
-            reach = radius * (1.0 + 1e-9) + 2.0**-50 * scale
-            lo = np.searchsorted(bk, ak - reach, "left")
-            hi = np.searchsorted(bk, ak + reach, "right")
-        at, bt = a[oa].T.copy(), b[ob].T.copy()
-        i0 = 0
-        while i0 < oa.size:
-            # both window ends grow with the row, so the pair count does too
-            pairs = np.arange(1, oa.size - i0 + 1) * (hi[i0:] - lo[i0])
-            i1 = i0 + max(1, int(np.searchsorted(pairs, PAIR_BUDGET, "right")))
-            j0, j1 = lo[i0], hi[i1 - 1]
-            if j1 > j0:
-                s = None
-                for j, per in enumerate(self.periodic):
-                    d = bt[j, None, j0:j1] - at[j, i0:i1, None]
-                    if per:
-                        d += np.pi
-                        np.mod(d, TWO_PI, out=d)
-                        d -= np.pi
-                    d *= d
-                    s = d if s is None else np.add(s, d, out=s)
-                yield oa[i0:i1], ob[j0:j1], s
-            i0 = i1
+        n, m = a.shape[0], b.shape[0]
+        if not (n and m):
+            return
+        if radius is None or not free or not (np.isfinite(a).all() and np.isfinite(b).all()):
+            rows = max(1, PAIR_BUDGET // m)
+            at, bt = a.T.copy()[:, :, None], b.T.copy()[:, None, :]
+            for i0 in range(0, n, rows):
+                yield np.arange(i0, min(i0 + rows, n)), np.arange(m), self.squared_distances(at[:, i0 : i0 + rows], bt)
+            return
+        spread = {j: np.ptp(b[:, j]) for j in free}
+        k, *rest = sorted(free, key=lambda j: -spread[j])
+        scale = np.maximum(np.abs(a[:, free]).max(axis=0), np.abs(b[:, free]).max(axis=0))
+        reach = dict(zip(free, radius * (1.0 + 1e-9) + 2.0**-50 * scale))
+        ob = np.argsort(b[:, k], kind="stable")
+        bt = b[ob].T.copy()
+        width = max(reach[k], np.ptp(a[:, k]) * SWEEP_ROWS / n) or 1.0
+        cell = np.floor((a[:, k] - a[:, k].min()) / width)
+        oa = np.lexsort((a[:, rest[0] if rest else k], cell))
+        at = a[oa].T.copy()
+        # a block starts at each cell's first row and every SWEEP_ROWS rows after it
+        first = np.r_[True, cell[oa][1:] != cell[oa][:-1]]
+        depth = np.arange(n) - np.maximum.accumulate(np.where(first, np.arange(n), 0))
+        starts = np.flatnonzero(depth % SWEEP_ROWS == 0)
+        ends = np.r_[starts[1:], n]
+        box = {
+            j: (np.minimum.reduceat(at[j], starts) - reach[j], np.maximum.reduceat(at[j], starts) + reach[j])
+            for j in free
+        }
+        j0s = np.searchsorted(bt[k], box[k][0], "left")
+        j1s = np.searchsorted(bt[k], box[k][1], "right")
+        for blk, (i0, i1, j0, j1) in enumerate(zip(starts, ends, j0s, j1s)):
+            if j1 <= j0:
+                continue
+            inside = np.ones(j1 - j0, dtype=bool)
+            for j in rest:
+                inside &= (bt[j, j0:j1] >= box[j][0][blk]) & (bt[j, j0:j1] <= box[j][1][blk])
+            cols = j0 + np.flatnonzero(inside)
+            if not cols.size:
+                continue
+            near = bt[:, None, cols]
+            rows = max(1, PAIR_BUDGET // cols.size)
+            for r0 in range(i0, i1, rows):
+                r1 = min(r0 + rows, i1)
+                yield oa[r0:r1], ob[cols], self.squared_distances(at[:, r0:r1, None], near)
+
+    def squared_distances(self, a: Array, b: Array) -> Array:
+        """Squared periodic distances from coordinate stacks ``a`` and ``b``, (dim, ...), that
+        broadcast against each other: coordinate by coordinate and summed in coordinate order,
+        the operations and order of ``(displacement**2).sum(-1)``."""
+        s = None
+        for j, per in enumerate(self.periodic):
+            d = b[j] - a[j]
+            if per:
+                d += np.pi
+                np.mod(d, TWO_PI, out=d)
+                d -= np.pi
+            d *= d
+            s = d if s is None else np.add(s, d, out=s)
+        return s
 
     def distance(self, a: Array, b: Array) -> float | Array:
         disp = self.displacement(a, b)

@@ -45,6 +45,8 @@ SURFACE_VALUE_TOL = 1e-6
 BOUNDARY_TOUCH_TOL = 1e-3
 # domain draws per chart projected onto its fixed set in find_fixed_points
 FIXED_POINT_STARTS = 40
+# neighbours either way in the sort that bound each row's nearest distance in _adaptive_radius
+_SORT_NEIGHBOURS = 16
 
 
 @dataclass
@@ -114,9 +116,9 @@ def hessian_data(model: HamiltonianModel, chart_index: int, point: Array) -> tup
 def _pairs_within(chart, a: Array, b: Array, r: float) -> tuple[Array, Array]:
     """Index pairs (i, j), row-major, with ``a[i]`` closer than ``r`` to ``b[j]``.
 
-    The distance sweep is pruned at ``r`` and visits the rows sorted along
-    one coordinate, so the pairs it keeps are put back in row-major order.
-    Either cloud may be empty.
+    The distance sweep is pruned at ``r`` on every non-periodic coordinate
+    and visits the rows of ``a`` in blocks of its cells, so the pairs it
+    keeps are put back in row-major order.  Either cloud may be empty.
     """
     rows = [np.empty(0, dtype=np.intp)]
     cols = [np.empty(0, dtype=np.intp)]
@@ -291,15 +293,48 @@ def extrema_analysis(model: HamiltonianModel, seed: int = 0, starts: int = 12) -
 
 
 def _adaptive_radius(chart, pts: Array) -> float:
+    """Three times the median distance from each of the first 400 rows to its nearest other row.
+
+    The median reads only the lower half of the nearest-neighbour distances.
+    Each row's squared distance to its 16 neighbours either way in the sort
+    along the widest non-periodic coordinate bounds its nearest one, so the
+    ``n // 2``-th smallest bound ``t`` has at least ``n // 2 + 1`` rows at
+    most ``t`` from a neighbour.  A sweep pruned at ``sqrt(t)`` meets every
+    pair within ``t``, since its relative margin of 1e-9 outweighs the
+    rounding of the root, so a row whose smallest squared distance met is at
+    most ``t`` has its true nearest one, and every other row is set to +inf:
+    the median is the full matrix's float.  A non-finite cloud, or one with
+    fewer than ``n // 2 + 1`` rows resolved, meets every row.
+    """
     m = pts.shape[0]
     if m < 2:
         return CLUSTER_RADIUS
     sample = pts[: min(m, 400)]
-    nn = np.empty(sample.shape[0])
-    for ia, ib, s in chart.squared_distance_blocks(sample, pts):
+    n = sample.shape[0]
+    free = [j for j, per in enumerate(chart.periodic) if not per]
+    if free and np.isfinite(pts).all():
+        order = np.argsort(pts[:, max(free, key=lambda j: np.ptp(pts[:, j]))], kind="stable")
+        place = np.empty(m, dtype=np.intp)
+        place[order] = np.arange(m)
+        near = place[:n, None] + np.r_[-_SORT_NEIGHBOURS:0, 1 : _SORT_NEIGHBOURS + 1]
+        s = chart.squared_distances(sample.T[:, :, None], pts[order[np.clip(near, 0, m - 1)]].transpose(2, 0, 1))
+        s[(near < 0) | (near >= m)] = np.inf
+        t = np.partition(s.min(axis=1), n // 2)[n // 2]
+        nn = _nearest(chart, sample, pts, float(np.sqrt(t)))
+        resolved = nn <= t
+        if np.count_nonzero(resolved) > n // 2:
+            return 3.0 * float(np.median(np.sqrt(np.where(resolved, nn, np.inf))))
+    return 3.0 * float(np.median(np.sqrt(_nearest(chart, sample, pts, None))))
+
+
+def _nearest(chart, sample: Array, pts: Array, r: float | None) -> Array:
+    """Squared distance from ``sample[k]`` to its nearest row of ``pts`` other than ``pts[k]``,
+    over the pairs a sweep pruned at ``r`` meets; +inf where it meets none."""
+    nn = np.full(sample.shape[0], np.inf)
+    for ia, ib, s in chart.squared_distance_blocks(sample, pts, r):
         s[ia[:, None] == ib] = np.inf
-        nn[ia] = np.sqrt(s.min(axis=1))
-    return 3.0 * float(np.median(nn))
+        nn[ia] = s.min(axis=1)
+    return nn
 
 
 def boundary_connectivity(model: HamiltonianModel, seed: int = 0, samples: int = 2000) -> int:

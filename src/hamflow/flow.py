@@ -391,35 +391,60 @@ class LegendrianSet:
         return len(self.components)
 
 
-def _project_to_zero_set(cd: ChartData, p: Array):
-    """At most 60 Newton steps of least norm onto {boundary = 0, moment = 0}, to 1e-10.
+def _project_to_zero_set(cd: ChartData, pts: Array):
+    """At most 60 Newton steps of least norm per row of ``pts`` onto {boundary = 0, moment = 0}, to 1e-10.
 
-    Returns the point, whether it converged, and the converged iteration's
-    (boundary, moment) Jacobian when ``wrap`` left that iteration's point
-    bitwise unchanged, so that it is the Jacobian at the point returned;
-    otherwise None.
+    Returns the points, a mask of the rows that converged, and per row the
+    converged iteration's (boundary, moment) Jacobian when ``wrap`` left that
+    iteration's point bitwise unchanged, so that it is the Jacobian at the
+    point returned; otherwise None.  Every row steps on its own, as it
+    would alone, and leaves the batch when it converges; a row whose Gram
+    matrix is singular stops, unconverged and unwrapped, where it is.
     """
-    q = np.asarray(p, dtype=float).copy()
+    q = np.array(pts, dtype=float)
+    ok = np.zeros(q.shape[0], dtype=bool)
+    jacs: list[Array | None] = [None] * q.shape[0]
+    live, cur = np.arange(q.shape[0]), q.copy()  # the rows still stepping, and their points
     for _ in range(60):
-        jc = jets.seed(q[None, :], order=1)
-        fv = cd.chart.boundary(jc)
-        hv = cd.hamiltonian(jc)
-        vals = np.array([fv.value[0], hv.value[0]])
-        jac = np.stack([fv.grad[0], hv.grad[0]])
-        if np.abs(vals).max() < 1e-10:
-            out = cd.chart.wrap(q)
-            return out, True, (jac if out.tobytes() == q.tobytes() else None)
-        gram = jac @ jac.T
+        if not live.size:
+            return q, ok, jacs
+        jc = jets.seed(cur, order=1)
+        fv, hv = cd.chart.boundary(jc), cd.hamiltonian(jc)
+        vals = np.empty((live.size, 2))
+        vals[:, 0], vals[:, 1] = fv.value, hv.value
+        jac = np.empty((live.size, 2, cur.shape[1]))
+        jac[:, 0], jac[:, 1] = fv.grad, hv.grad
+        done = np.abs(vals).max(axis=1) < 1e-10
+        if done.any():
+            rows, at = live[done], cur[done]
+            q[rows], ok[rows] = cd.chart.wrap(at), True
+            for i, p, jk in zip(rows, at, jac[done]):
+                jacs[i] = jk if q[i].tobytes() == p.tobytes() else None
+            if done.all():
+                return q, ok, jacs
+            live, cur, vals, jac = live[~done], cur[~done], vals[~done], jac[~done]
+        gram = jac @ jac.transpose(0, 2, 1)
         try:
-            lam = np.linalg.solve(gram, -vals)
+            lam = np.linalg.solve(gram, -vals[:, :, None])
         except np.linalg.LinAlgError:
-            return q, False, None
-        delta = jac.T @ lam
-        top = np.abs(delta).max()
-        if top > 0.5:
-            delta *= 0.5 / top
-        q = q + delta
-    return cd.chart.wrap(q), False, None
+            lam = np.empty(vals.shape + (1,))
+            solved = np.ones(live.size, dtype=bool)
+            for k in range(live.size):
+                try:
+                    lam[k, :, 0] = np.linalg.solve(gram[k], -vals[k])
+                except np.linalg.LinAlgError:
+                    solved[k] = False
+            q[live[~solved]] = cur[~solved]
+            live, cur, lam, jac = live[solved], cur[solved], lam[solved], jac[solved]
+        delta = (jac.transpose(0, 2, 1) @ lam)[:, :, 0]
+        top = np.abs(delta).max(axis=1)
+        if (top > 0.5).any():
+            # a step longer than 0.5 in a coordinate shrinks to 0.5 there; the
+            # other rows (NaN rows too) scale by 0.5 / 0.5, which is 1.0 exactly
+            delta *= (0.5 / np.fmax(top, 0.5))[:, None]
+        cur = cur + delta
+    q[live] = cd.chart.wrap(cur)
+    return q, ok, jacs
 
 
 def _transverse_direction(cd: ChartData, p: Array, prev: Array | None, jac: Array | None):
@@ -460,7 +485,7 @@ def _trace_component(
         w = _transverse_direction(cd, p, prev_w, jac)
         if w is None:
             break
-        cand, ok, jac = _project_to_zero_set(cd, cd.chart.wrap(p + step * w))
+        (cand,), (ok,), (jac,) = _project_to_zero_set(cd, cd.chart.wrap(p + step * w)[None])
         if not ok:
             break
         prev_w = w
@@ -505,8 +530,9 @@ def detect_legendrian_set(model: HamiltonianModel, seed: int = 0) -> LegendrianS
     """Find the boundary zero-level orbit sets and group them into components.
 
     Each chart draws 600 boundary samples, and the 60 with the smallest |H|
-    are candidates.  They are projected, filtered and mapped around their orbits
-    at 128 angles in batches per chart.  Only the tracing, in steps of 0.04,
+    are candidates.  They are projected onto the zero set in one batch, each
+    row taking its own Newton steps, then filtered and mapped around their
+    orbits at 128 angles in batches per chart.  Only the tracing, in steps of 0.04,
     is sequential: each traced cloud is tested once against the orbits of
     every candidate not yet claimed, and a candidate within 2.5 steps of a
     cloud is claimed and not traced.
@@ -518,8 +544,8 @@ def detect_legendrian_set(model: HamiltonianModel, seed: int = 0) -> LegendrianS
         if hv.min() > 1e-8 or hv.max() < -1e-8:
             continue
         order = np.argsort(np.abs(hv))[:60]
-        projected = [_project_to_zero_set(cd, pts[idx]) for idx in order]
-        cands = np.array([p for p, ok, _ in projected if ok]).reshape(-1, cd.chart.dim)
+        cands, ok, _ = _project_to_zero_set(cd, pts[order])
+        cands = cands[ok]
         cands = cands[cd.chart.contains(cands, slack=1e-6)]
         xv = field_values(cd.generator, jets.seed(cands, order=0))
         keep = ~(np.abs(xv).max(axis=1) < 1e-8)

@@ -19,6 +19,9 @@ matrices, kept as the reference that ``ChartData.action_map`` is pinned to.
 :func:`pfaffian` is the closed-form Pfaffian the package took the
 nondegeneracy floor from before it read |Pf| off the determinant, kept as
 the reference that ``linalg.nondegenerate`` is pinned to.
+:func:`project_to_zero_set` is the zero-set Newton projection as it ran one
+row at a time, the reference that ``flow._project_to_zero_set``'s batch is
+pinned to bitwise.
 :func:`sample_boundary_per_batch` and :func:`bisect_boundary_80` are the
 boundary sampler as it ran before it pooled a request's ray crossings into
 one bisection that stops at the brackets' fixed point: each ray batch
@@ -307,6 +310,37 @@ def brute_force_decompositions(genus: int) -> list[tuple[int, int]]:
             if 2 * h + k == 1 + genus:
                 out.append((h, k))
     return sorted(out)
+
+
+def project_to_zero_set(cd, p: Array):
+    """At most 60 Newton steps of least norm onto {boundary = 0, moment = 0}, to 1e-10.
+
+    One row at a time, as ``flow._project_to_zero_set`` ran before it took a
+    batch.  Returns the point, whether it converged, and the converged
+    iteration's (boundary, moment) Jacobian when ``wrap`` left that
+    iteration's point bitwise unchanged; otherwise None.
+    """
+    q = np.asarray(p, dtype=float).copy()
+    for _ in range(60):
+        jc = jets.seed(q[None, :], order=1)
+        fv = cd.chart.boundary(jc)
+        hv = cd.hamiltonian(jc)
+        vals = np.array([fv.value[0], hv.value[0]])
+        jac = np.stack([fv.grad[0], hv.grad[0]])
+        if np.abs(vals).max() < 1e-10:
+            out = cd.chart.wrap(q)
+            return out, True, (jac if out.tobytes() == q.tobytes() else None)
+        gram = jac @ jac.T
+        try:
+            lam = np.linalg.solve(gram, -vals)
+        except np.linalg.LinAlgError:
+            return q, False, None
+        delta = jac.T @ lam
+        top = np.abs(delta).max()
+        if top > 0.5:
+            delta *= 0.5 / top
+        q = q + delta
+    return cd.chart.wrap(q), False, None
 
 
 def stabilizer_order(cd, point, largest: int = 200, tol: float = 1e-9) -> int:

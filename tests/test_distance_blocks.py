@@ -2,11 +2,13 @@
 
 ``critical._pairs_within``, ``critical._adaptive_radius`` and
 ``flow._orbits_near`` are checked against the full distance matrix of
-``tests/oracles.py`` on the inputs where pruning along one coordinate could
-go wrong: no coordinate to sweep, no spread to sweep along, pairs at the
-radius itself, non-finite rows, and windows wider than one block's share.
+``tests/oracles.py`` on the inputs where pruning on every non-periodic
+coordinate could go wrong: no coordinate to sweep, no spread to sweep along,
+pairs at the radius itself on each non-periodic coordinate in turn, a 6-dim
+chart with two periodic coordinates, non-finite rows, windows wider than one
+block's share, and a nearest-neighbour sweep that resolves too few rows.
 Non-finite values sit only in non-periodic coordinates, where no ``np.mod``
-sees them.
+sees them.  One test counts the pairs the connectivity sweep compares.
 """
 
 import hashlib
@@ -27,6 +29,10 @@ TORUS = Chart(
 MIXED = Chart(
     name="mixed", coords=("t", "x", "y", "z"), periodic=(True, False, False, False),
     box_lo=(0.0, -1.0, -1.0, -1.0), box_hi=(TWO_PI, 1.0, 1.0, 1.0),
+)
+SIX = Chart(
+    name="six", coords=("s", "x", "t", "y", "z", "w"), periodic=(True, False, True, False, False, False),
+    box_lo=(0.0, -1.0, 0.0, -2.0, -0.5, -1.0), box_hi=(TWO_PI, 1.0, TWO_PI, 2.0, 0.5, 1.0),
 )
 
 
@@ -72,24 +78,48 @@ def test_zero_spread_along_every_free_coordinate(offset):
     _assert_radius(MIXED, np.concatenate([a, b]))
 
 
+def _edge_pairs(a, axis, r):
+    """Rows that differ from a row of ``a`` in coordinate ``axis`` alone, by ``r`` or one ulp either side."""
+    edges = []
+    for row in a:
+        for hi in (row[axis] + r, row[axis] - r):
+            for x in (np.nextafter(hi, -np.inf), hi, np.nextafter(hi, np.inf)):
+                edge = row.copy()
+                edge[axis] = x
+                edges.append(edge)
+    return np.array(edges)
+
+
 @pytest.mark.parametrize("x0, r", [(0.0, 0.1), (0.5, 0.125), (-0.25, 0.3)])
 def test_pairs_at_the_radius_along_the_sweep(x0, r):
-    # x has the widest free spread, so the sweep runs along it; each b row
-    # below differs from its a row in x alone, by r or one ulp either side
+    # x has the widest free spread, so the sweep runs along it; the edge rows
+    # differ from their a row in one free coordinate alone, in turn x (the
+    # sweep), then y and z (pruned by the blocks' boxes)
     rng = np.random.default_rng(7)
     spread = _cloud(MIXED, rng, 1500)
     spread[:, 2:] *= 0.01
     a = np.array([[1.0, x0, 0.0, 0.0], [4.0, x0, 0.003, -0.002]])
-    edges = []
-    for row in a:
-        for hi in (x0 + r, x0 - r):
-            for x in (np.nextafter(hi, -np.inf), hi, np.nextafter(hi, np.inf)):
-                edges.append([row[0], x, row[2], row[3]])
-    b = np.concatenate([spread, edges])
-    rng.shuffle(b)
-    _assert_pairs_and_orbit(MIXED, a, b, r)
-    for orbit in a:
-        _assert_pairs_and_orbit(MIXED, orbit[None, :], b, r)
+    for axis in (1, 2, 3):
+        b = np.concatenate([spread, _edge_pairs(a, axis, r)])
+        rng.shuffle(b)
+        _assert_pairs_and_orbit(MIXED, a, b, r)
+        for orbit in a:
+            _assert_pairs_and_orbit(MIXED, orbit[None, :], b, r)
+
+
+@pytest.mark.parametrize("seed, n_a, n_b", [(29, 400, 2500), (31, 3000, 600)])
+def test_six_dim_chart_with_two_periodic_coordinates(seed, n_a, n_b):
+    rng = np.random.default_rng(seed)
+    a, b = _cloud(SIX, rng, n_a), _cloud(SIX, rng, n_b)
+    for r in (0.15, 0.5, 1.5):
+        _assert_pairs_and_orbit(SIX, a, b, r)
+    _assert_radius(SIX, b)
+    # edge rows on every free coordinate, around rows inside the cloud
+    for axis in (1, 3, 4, 5):
+        edged = np.concatenate([b, _edge_pairs(a[:3], axis, 0.2)])
+        rng.shuffle(edged)
+        _assert_pairs_and_orbit(SIX, a[:3], edged, 0.2)
+        _assert_pairs_and_orbit(SIX, a, edged, 0.2)
 
 
 @pytest.mark.parametrize(
@@ -119,6 +149,21 @@ def test_nan_row_in_the_radius_cloud(row):
     pts = _cloud(MIXED, np.random.default_rng(13), 1200)
     pts[row, 1] = np.nan
     _assert_radius(MIXED, pts)
+
+
+def test_radius_falls_back_to_every_row_when_the_pruned_sweep_resolves_too_few(monkeypatch):
+    # a sweep that meets no pair at the pruning radius leaves every row
+    # unresolved, so the radius comes from the unpruned sweep
+    blocks = Chart.squared_distance_blocks
+    radii = []
+
+    def blind(self, a, b, radius=None):
+        radii.append(radius)
+        return blocks(self, a, b, radius) if radius is None else iter(())
+
+    monkeypatch.setattr(Chart, "squared_distance_blocks", blind)
+    _assert_radius(MIXED, _cloud(MIXED, np.random.default_rng(37), 900))
+    assert len(radii) == 2 and radii[0] > 0 and radii[1] is None
 
 
 @pytest.mark.parametrize("dense", [300, 2000])
@@ -169,6 +214,31 @@ def test_blocks_hold_every_close_pair_once_within_the_budget(radius):
         assert (seen == 1).all()
     else:
         assert (seen[want < radius] == 1).all()
+
+
+def test_connectivity_pairs_compare_under_35_percent_of_the_cloud(monkeypatch):
+    # disc_d4(1,1) has one bounded chart, so boundary_connectivity makes one
+    # _pairs_within call, on its 2,000 samples against themselves
+    blocks, pairs = Chart.squared_distance_blocks, critical._pairs_within
+    calls, within = [], []
+
+    def counted(self, a, b, radius=None):
+        calls.append([a.shape[0] * b.shape[0], 0])
+        for block in blocks(self, a, b, radius):
+            calls[-1][1] += block[2].size
+            yield block
+
+    def record_pairs(*args):
+        start = len(calls)
+        out = pairs(*args)
+        within.extend(calls[start:])
+        return out
+
+    monkeypatch.setattr(Chart, "squared_distance_blocks", counted)
+    monkeypatch.setattr(critical, "_pairs_within", record_pairs)
+    assert critical.boundary_connectivity(registry.build("disc_d4(1,1)"), seed=0) == 1
+    [(full, compared)] = within
+    assert full == 4_000_000 and compared < 0.35 * full
 
 
 # the nine zero_locus models at seed 0: sha256 over every _pairs_within

@@ -15,7 +15,7 @@ from hamflow.chart import Chart, sample_boundary, sample_domain
 from hamflow.errors import ImmediateExit
 from hamflow.forms import field_values
 from hamflow.planar import free_action_planar
-from oracles import orbit_near, reference_integrate, rk4_endpoint, stabilizer_order
+from oracles import orbit_near, project_to_zero_set, reference_integrate, rk4_endpoint, stabilizer_order
 
 
 def test_disc_trajectory_endpoints():
@@ -525,6 +525,55 @@ def test_trace_component_matches_pins(spec):
         assert len(clouds) > 1
         got.append((closed, clouds))
     assert got == TRACE_PINS[spec]
+
+
+# the nine zero_locus census models of the benchmark
+CENSUS_SPECS = [
+    "disc_d4(1,1)", "disc_d4(1,-1)", "cotangent_t2(1,0)", "s1_d3(1,0)", "free_action_planar(1)",
+    "free_action_planar(2)", "free_action_planar(3)", "s1_d3(2,1)", "blowup_d4(1,-1,0.2)",
+]
+
+
+def _assert_projections_match_one_row(cd, rows):
+    q, ok, jacs = flow._project_to_zero_set(cd, rows)
+    assert q.shape == rows.shape and ok.shape == (rows.shape[0],) and len(jacs) == rows.shape[0]
+    for k, p in enumerate(rows):
+        want_q, want_ok, want_jac = project_to_zero_set(cd, p)
+        assert q[k].tobytes() == want_q.tobytes() and ok[k] == want_ok
+        assert (jacs[k] is None) == (want_jac is None)
+        assert want_jac is None or jacs[k].tobytes() == want_jac.tobytes()
+    return q, ok
+
+
+@pytest.mark.parametrize("spec", CENSUS_SPECS)
+def test_batched_projection_matches_one_row_projections(spec):
+    # every candidate detect_legendrian_set projects, as one batch per chart
+    model = registry.build(spec)
+    batches = 0
+    for seed in (0, 1, 97):
+        for _, cd, pts in model.boundary_clouds(600, seed, 97):
+            hv = cd.hamiltonian(jets.seed(pts, order=0)).value
+            if hv.min() > 1e-8 or hv.max() < -1e-8:
+                continue
+            _assert_projections_match_one_row(cd, pts[np.argsort(np.abs(hv))[:60]])
+            batches += 1
+    assert batches >= (0 if spec == "disc_d4(1,1)" else 3)
+
+
+def test_singular_and_nan_rows_leave_the_rest_of_the_batch_alone():
+    # the origin has a zero (boundary, moment) Jacobian, so its first Gram
+    # matrix is singular and it stops unconverged where it is; a NaN row
+    # runs its 60 steps; neither changes another row
+    cd = registry.build("disc_d4(1,-1)").charts[0]
+    rows = sample_boundary(cd.chart, 12, np.random.default_rng(3))
+    planted = np.insert(rows, [4, 9], [[0.0, 0.0, 0.0, 0.0], [0.5, np.nan, 0.1, 0.2]], axis=0)
+    q, ok = _assert_projections_match_one_row(cd, planted)
+    assert not ok[4] and q[4].tobytes() == planted[4].tobytes()
+    assert not ok[10] and np.isnan(q[10]).all()
+    alone, alone_ok, _ = flow._project_to_zero_set(cd, rows)
+    keep = np.ones(len(planted), dtype=bool)
+    keep[[4, 10]] = False
+    assert q[keep].tobytes() == alone.tobytes() and ok[keep].tolist() == alone_ok.tolist() and alone_ok.all()
 
 
 ORBIT_CHART = Chart(
