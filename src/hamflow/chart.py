@@ -124,8 +124,7 @@ class Chart:
             for i0 in range(0, n, rows):
                 yield np.arange(i0, min(i0 + rows, n)), np.arange(m), self.squared_distances(at[:, i0 : i0 + rows], bt)
             return
-        spread = {j: np.ptp(b[:, j]) for j in free}
-        k, *rest = sorted(free, key=lambda j: -spread[j])
+        k, *rest = sorted(free, key=lambda j: -np.ptp(b[:, j]))
         scale = np.maximum(np.abs(a[:, free]).max(axis=0), np.abs(b[:, free]).max(axis=0))
         reach = dict(zip(free, radius * (1.0 + 1e-9) + 2.0**-50 * scale))
         ob = np.argsort(b[:, k], kind="stable")

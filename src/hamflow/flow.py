@@ -410,6 +410,7 @@ def _project_to_zero_set(cd: ChartData, pts: Array):
             return q, ok, jacs
         jc = jets.seed(cur, order=1)
         fv, hv = cd.chart.boundary(jc), cd.hamiltonian(jc)
+        # filled in place: np.stack costs several times more on the tracer's one-row calls
         vals = np.empty((live.size, 2))
         vals[:, 0], vals[:, 1] = fv.value, hv.value
         jac = np.empty((live.size, 2, cur.shape[1]))
