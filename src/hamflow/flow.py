@@ -3,11 +3,14 @@
 The central object is the flow of the metric gradient of the moment map.
 Trajectories are integrated chart by chart with an adaptive Dormand-Prince
 5(4) stepper, written as a generator of velocity requests: many trajectories
-advance in rounds, and each round solves every chart's requests as one batch
-of order-1 gradient rows, bitwise equal to one-row solves.  A step asks for
-six velocities, its first stage being the last of the step before.  Chart
-crossings go through the model's transitions, and a boundary hit is found by
-bisection on the step's continuous extension, which asks for no velocity.
+advance in rounds, and each round makes one metric solve over the requests
+of all charts: each chart's order-1 gradient system (metric values and dH,
+``forms.gradient_system``) is built on its stacked rows, and all of them go
+into one ``solve_spd_values`` call, every row bitwise its one-row solve.  A
+step asks for six velocities, its first stage being the last of the step
+before.  Chart crossings go through the model's transitions, and a boundary
+hit is found by bisection on the step's continuous extension, which asks for
+no velocity.
 On top of the integrator sit classifiers: the orbit type swept by a
 trajectory under the circle action, a sign portrait of the moment map on
 the boundary, and a detector that finds and groups the closed zero-level
@@ -26,7 +29,8 @@ import numpy as np
 
 from . import jets
 from .errors import ImmediateExit, StiffFlow
-from .forms import field_values
+from .forms import field_values, gradient_system
+from .linalg import solve_spd_values
 from .model import ChartData, HamiltonianModel
 
 Array = np.ndarray
@@ -79,14 +83,16 @@ _DP_DENSE = np.array(
 
 def _check_start(model: HamiltonianModel, ci: int, start, direction: int) -> None:
     """Raise ValueError for a run that cannot start: a direction other than 1 or -1, a chart
-    index the model lacks, a start not of the chart's dimension, or a wrapped start whose
-    boundary value exceeds 1e-9 or is NaN.  No side inequality is read: boundary samples
-    can lie just past a side face."""
+    index the model lacks, a chart with no metric, a start not of the chart's dimension, or a
+    wrapped start whose boundary value exceeds 1e-9 or is NaN.  No side inequality is read:
+    boundary samples can lie just past a side face."""
     if direction not in (1, -1):
         raise ValueError(f"direction must be 1 or -1, got {direction!r}")
     if not 0 <= ci < len(model.charts):
         raise ValueError(f"chart index {ci!r} is not one of the model's {len(model.charts)} charts")
     chart = model.charts[ci].chart
+    if model.charts[ci].metric is None:
+        raise ValueError(f"chart {chart.name!r} carries no metric")
     p = np.asarray(start, dtype=float)
     if p.shape != (chart.dim,):
         raise ValueError(f"start has shape {p.shape}, chart {chart.name!r} takes {chart.dim} coordinates")
@@ -208,10 +214,12 @@ def integrate_many(
     """Integrate all ``(chart index, start, direction)`` runs as one batch.
 
     In each round every live run steps to its next velocity request, and
-    each chart's gradient is evaluated once on that chart's stacked rows.
-    Batched rows are bitwise one-row values, so each run is bit for bit its
-    lone run.  The list returned is aligned with ``runs``: each run's
-    ``FlowResult``, or the ``ImmediateExit``/``StiffFlow`` that ended it.
+    one metric solve over all charts answers them: each chart's order-1
+    system is built on that chart's stacked rows, and the systems of all
+    charts are solved as one stack.  Batched rows are bitwise one-row
+    values, so each run is bit for bit its lone run.  The list returned is
+    aligned with ``runs``: each run's ``FlowResult``, or the
+    ``ImmediateExit``/``StiffFlow`` that ended it.
     A run that cannot start (:func:`_check_start`) raises ValueError before
     any run steps.
     """
@@ -223,7 +231,6 @@ def integrate_many(
     out: list = [None] * len(runs)
     sent = [0] * len(runs)
     waiting: dict[int, tuple[int, Array]] = {}  # run index -> (chart, point) it asks about
-    grads = {}
 
     def advance(i: int, row: Array | None) -> None:
         try:
@@ -237,14 +244,21 @@ def integrate_many(
     for i in range(len(runs)):
         advance(i, None)
     while waiting:
-        for ci in {c for c, _ in waiting.values()}:
-            idx = [i for i, (c, _) in waiting.items() if c == ci]
-            if ci not in grads:
-                grads[ci] = model.charts[ci].gradient_field()
-            stack = np.stack([waiting.pop(i)[1] for i in idx])
-            for i, row in zip(idx, field_values(grads[ci], jets.seed(stack, order=1))):
-                sent[i] += 1
-                advance(i, row)
+        by_chart: dict[int, list[int]] = {}
+        for i, (ci, _) in waiting.items():
+            by_chart.setdefault(ci, []).append(i)
+        mats, dhs = [], []
+        for ci, idx in by_chart.items():
+            cd = model.charts[ci]
+            jc = jets.seed(np.stack([waiting[i][1] for i in idx]), order=1)
+            mat, dh = gradient_system(cd.metric, cd.hamiltonian(jc), jc)
+            mats.append(mat)
+            dhs.append(dh)
+        grads = solve_spd_values(np.concatenate(mats), np.concatenate(dhs))
+        waiting.clear()
+        for i, row in zip((i for idx in by_chart.values() for i in idx), grads):
+            sent[i] += 1
+            advance(i, row)
     return out
 
 
@@ -355,11 +369,12 @@ def boundary_sign_portrait(
     portrait = BoundaryPortrait(False, False, 0)
     for _, cd, pts in model.boundary_clouds(samples, seed, 41):
         jc = jets.seed(pts, order=1)
-        hv = cd.hamiltonian(jc).value
+        h = cd.hamiltonian(jc)
+        hv = h.value
         portrait.has_positive |= bool((hv > 1e-8).any())
         portrait.has_negative |= bool((hv < -1e-8).any())
         if cd.metric is not None:
-            grad = field_values(cd.gradient_field(), jc)
+            grad = solve_spd_values(*gradient_system(cd.metric, h, jc))
             df = cd.chart.boundary(jc).grad
             out = np.einsum("ni,ni->n", df, grad)
             strong = np.abs(hv) > 1e-6

@@ -254,12 +254,21 @@ def metric_gradient(metric: MetricField, scalar: ScalarField, dim: int) -> Vecto
     def fn(jc: Sequence[Jet]) -> list[Jet]:
         h = scalar(jc)
         if h.order == 1:
-            x = solve_spd_values(metric_matrix(metric, jc), h.grad)
+            x = solve_spd_values(*gradient_system(metric, h, jc))
             return [Jet(x[:, i], None, None) for i in range(dim)]
         dh = [h.partial(i) for i in range(dim)]
         return solve_spd_jet(metric(jc), dh)
 
     return fn
+
+
+def gradient_system(metric: MetricField, h: Jet, jet_coords: Sequence[Jet]) -> tuple[Array, Array]:
+    """The order-1 gradient system of ``h`` at seeded jets: the metric's values ``(n, d, d)`` and dh ``(n, d)``.
+
+    ``solve_spd_values`` solves it row by row, so the systems of several
+    charts stack into one solve with every row bitwise its own.
+    """
+    return metric_matrix(metric, jet_coords), h.grad
 
 
 # ----------------------------------------------------------------------
@@ -277,6 +286,11 @@ def form_matrix(coeffs: Coeffs, jet_coords: Sequence[Jet]) -> Array:
 
 
 def metric_matrix(metric: MetricField, jet_coords: Sequence[Jet]) -> Array:
+    """Value matrix (n, d, d) of a metric at seeded jets: its ``values`` read where it has one
+    (:func:`hamflow.model.symmetric_metric`), else its jet matrix's values, every entry read."""
+    values = getattr(metric, "values", None)
+    if values is not None:
+        return values(jet_coords)
     g = metric(jet_coords)
     d = len(g)
     n = jet_coords[0].n

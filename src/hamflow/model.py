@@ -291,8 +291,17 @@ def symmetric_metric(entries: Callable[[Sequence[Jet]], Mapping[tuple[int, int],
 
     Each entry is mirrored to (j, i) and an unlisted entry is 0.  A float
     becomes a constant jet of the batch's order, one per distinct value and
-    call, so equal floats share it.
+    call, so equal floats share it.  The metric's ``values(jc)`` is its values
+    read, the ``(n, d, d)`` matrix taken straight from the entries: a float as
+    it is, a jet's value, +0.0 where unlisted.  It builds no constant jet and
+    equals the jet matrix's values bitwise.
     """
+
+    def values(jc: Sequence[Jet]) -> Array:
+        out = np.zeros((jc[0].n, len(jc), len(jc)))
+        for (i, j), v in entries(jc).items():
+            out[:, i, j] = out[:, j, i] = v.value if isinstance(v, Jet) else v
+        return out
 
     def g(jc: Sequence[Jet]) -> list[list[Jet]]:
         zero = jets.constant(0.0, jc[0])
@@ -306,6 +315,7 @@ def symmetric_metric(entries: Callable[[Sequence[Jet]], Mapping[tuple[int, int],
             mat[i][j] = mat[j][i] = v
         return mat
 
+    g.values = values
     return g
 
 

@@ -332,6 +332,15 @@ def test_flow_and_orbit_refuse_the_same_bad_starts(capsys, command, start, chart
     assert err.startswith("error:") and message in err
 
 
+@pytest.mark.parametrize("command", ["flow", "orbit"])
+def test_flow_and_orbit_refuse_a_chart_with_no_metric(capsys, command):
+    start = "4.0,-0.37,0.26,0.02,5.1"  # inside the domain of prequantization_s2()'s chart 3
+    code, out, err = run(capsys, [command, "prequantization_s2()", "--chart", "3", "--start", start])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "chart 'total_north' carries no metric" in err
+
+
 @pytest.mark.parametrize("budget", ["nan", "-1", "0"])
 def test_flow_rejects_nonpositive_or_nan_max_time(capsys, budget):
     code, out, err = run(

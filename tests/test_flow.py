@@ -395,6 +395,17 @@ def test_runs_that_cannot_start_are_refused(chart_index, start, direction, match
             flow.classify_orbit(model, chart_index, start)
 
 
+def test_a_batch_with_a_metricless_chart_is_refused_before_any_run_steps(monkeypatch):
+    model = registry.build("prequantization_s2()")
+    assert model.charts[0].metric is not None and model.charts[3].metric is None
+    p0 = sample_domain(model.charts[0].chart, 1, np.random.default_rng(0))[0]
+    p3 = sample_domain(model.charts[3].chart, 1, np.random.default_rng(0))[0]
+    # every run is built before it asks for its first velocity
+    monkeypatch.setattr(flow, "_trajectory", lambda *args: pytest.fail("a run was built"))
+    with pytest.raises(ValueError, match="chart 'total_north' carries no metric"):
+        flow.integrate_many(model, [(0, p0, 1), (3, p3, 1)])
+
+
 def test_a_start_within_1e_9_past_the_boundary_still_runs():
     """The start check reads the boundary value against 1e-9, as boundary samples are bisected to it."""
     model = disc_d4(1, 1)

@@ -7,7 +7,8 @@ refuses when non-integer or ineffective and keeps as a read-only copy; the
 action read off the table matches the jet action of :mod:`oracles` bitwise,
 its generator is the derivative of its action at angle 0, and its contact
 form alpha = i_Y omega lists its terms in index order.  A metric declared by
-its upper-triangle entries comes back as the full mirrored jet matrix."""
+its upper-triangle entries comes back as the full mirrored jet matrix, and
+its values read is that matrix's values bitwise."""
 
 import dataclasses
 
@@ -163,7 +164,14 @@ def test_action_map_matches_the_jet_action(name):
 @pytest.mark.parametrize("order", [0, 1, 2])
 def test_symmetric_metric_mirrors_entries_and_lifts_floats(order):
     jc = jets.seed(np.array([[0.3, -0.2, 0.5], [0.1, 0.4, -0.6]]), order=order)
-    g = symmetric_metric(lambda jc: {(0, 0): 2.0, (0, 2): jc[1] * 3.0, (1, 1): 2.0, (2, 2): jc[0]})(jc)
+    metric = symmetric_metric(lambda jc: {(0, 0): 2.0, (0, 2): jc[1] * 3.0, (1, 1): 2.0, (2, 2): jc[0]})
+    g = metric(jc)
+    # the values read: floats as they are, jets' values, +0.0 where unlisted
+    expect = np.zeros((2, 3, 3))
+    expect[:, 0, 0] = expect[:, 1, 1] = 2.0
+    expect[:, 0, 2] = expect[:, 2, 0] = jc[1].value * 3.0
+    expect[:, 2, 2] = jc[0].value
+    assert metric.values(jc).tobytes() == expect.tobytes()
     assert len(g) == 3 and all(len(row) == 3 for row in g)
     # entries are mirrored, as the same jet
     assert g[2][0] is g[0][2]
@@ -180,6 +188,31 @@ def test_symmetric_metric_mirrors_entries_and_lifts_floats(order):
     np.testing.assert_array_equal(g[0][0].value, [2.0, 2.0])
     for part in (g[0][0].grad, g[0][0].hess)[:order]:
         assert part.shape[0] == 2 and not part.any()
+
+
+# the blow-up core charts' Kahler pairing is computed from omega as a full matrix
+CORE_CHARTS = {"blowup_d4(1,-1,0.2)": ("inner", "outer")}
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("name", list(_models()))
+def test_metric_values_read_is_the_jet_matrix_value(name, order):
+    """``forms.metric_matrix`` reads a declared metric's values without jets, bitwise the
+    jet matrix's values, the sign of a zero included."""
+    for ci, cd in enumerate(_models()[name]().charts):
+        if cd.metric is None:
+            continue
+        core = cd.chart.name in CORE_CHARTS.get(name, ())
+        assert hasattr(cd.metric, "values") != core, cd.chart.name
+        jc = jets.seed(sample_domain(cd.chart, 64, np.random.default_rng([13, ci])), order=order)
+        if core and order == 0:  # the pairing takes partials of omega
+            with pytest.raises(JetOrderError):
+                forms.metric_matrix(cd.metric, jc)
+            continue
+        full = np.stack([np.stack([e.value for e in row], axis=-1) for row in cd.metric(jc)], axis=-2)
+        assert forms.metric_matrix(cd.metric, jc).tobytes() == full.tobytes(), cd.chart.name
+        if core:  # its mirrored entries differ in bits, so it is not read off one triangle
+            assert full.tobytes() != full.transpose(0, 2, 1).tobytes(), cd.chart.name
 
 
 def test_boundary_clouds_are_direct_draws_of_the_charts_whose_boundary_rays_find():
