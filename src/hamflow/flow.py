@@ -3,14 +3,13 @@
 The central object is the flow of the metric gradient of the moment map.
 Trajectories are integrated chart by chart with an adaptive Dormand-Prince
 5(4) stepper, written as a generator of velocity requests: many trajectories
-advance in rounds, and each round makes one metric solve over the requests
-of all charts: each chart's order-1 gradient system (metric values and dH,
-``forms.gradient_system``) is built on its stacked rows, and all of them go
-into one ``solve_spd_values`` call, every row bitwise its one-row solve.  A
-step asks for six velocities, its first stage being the last of the step
-before.  Chart crossings go through the model's transitions, and a boundary
-hit is found by bisection on the step's continuous extension, which asks for
-no velocity.
+advance in rounds, and each round makes one metric solve over all charts:
+each chart's order-1 gradient system (``forms.gradient_system``) is built on
+its stacked rows, and one ``solve_spd_values`` call solves them all, every
+row bitwise its one-row solve.  A step asks for six velocities, its first
+stage being the last of the step before.  Chart crossings go through the
+model's transitions, and a boundary hit is found by bisection on the step's
+continuous extension, which asks for no velocity.
 On top of the integrator sit classifiers: the orbit type swept by a
 trajectory under the circle action, a sign portrait of the moment map on
 the boundary, and a detector that finds and groups the closed zero-level
@@ -247,13 +246,12 @@ def integrate_many(
         by_chart: dict[int, list[int]] = {}
         for i, (ci, _) in waiting.items():
             by_chart.setdefault(ci, []).append(i)
-        mats, dhs = [], []
+        systems = []
         for ci, idx in by_chart.items():
             cd = model.charts[ci]
             jc = jets.seed(np.stack([waiting[i][1] for i in idx]), order=1)
-            mat, dh = gradient_system(cd.metric, cd.hamiltonian(jc), jc)
-            mats.append(mat)
-            dhs.append(dh)
+            systems.append(gradient_system(cd.metric, cd.hamiltonian(jc), jc))
+        mats, dhs = zip(*systems)
         grads = solve_spd_values(np.concatenate(mats), np.concatenate(dhs))
         waiting.clear()
         for i, row in zip((i for idx in by_chart.values() for i in idx), grads):
@@ -276,8 +274,8 @@ def integrate(
     atlas, when ``max_time`` is used up (``"max_time"``) or after 40,000
     steps (``"max_steps"``).  ``max_time`` must be positive (``inf``
     allowed), and the run must be able to start (a direction of 1 or -1, a
-    chart of the model, a start of its dimension and boundary value at most
-    1e-9), else ``ValueError``.  Starts on (or within 1e-9 of) the
+    chart of the model with a metric, a start of its dimension and boundary
+    value at most 1e-9), else ``ValueError``.  Starts on (or within 1e-9 of) the
     boundary are refused with ``ImmediateExit`` when the initial velocity
     points outward or is tangent within 1e-8: a tangent start grazes the
     boundary (the boundary value has a strict minimum there along the
