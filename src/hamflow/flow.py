@@ -275,8 +275,8 @@ def integrate(
     steps (``"max_steps"``).  ``max_time`` must be positive (``inf``
     allowed), and the run must be able to start (a direction of 1 or -1, a
     chart of the model with a metric, a start of its dimension and boundary
-    value at most 1e-9), else ``ValueError``.  Starts on (or within 1e-9 of) the
-    boundary are refused with ``ImmediateExit`` when the initial velocity
+    value at most 1e-9), else ``ValueError``.  Starts on (or within 1e-9 of)
+    the boundary are refused with ``ImmediateExit`` when the initial velocity
     points outward or is tangent within 1e-8: a tangent start grazes the
     boundary (the boundary value has a strict minimum there along the
     flow), so the maximal trajectory inside the domain is the constant

@@ -294,7 +294,8 @@ def symmetric_metric(entries: Callable[[Sequence[Jet]], Mapping[tuple[int, int],
     call, so equal floats share it.  The metric's ``values(jc)`` is its values
     read, the ``(n, d, d)`` matrix taken straight from the entries: a float as
     it is, a jet's value, +0.0 where unlisted.  It builds no constant jet and
-    equals the jet matrix's values bitwise.
+    equals the jet matrix's values bitwise, except for a float entry -0.0,
+    which the jet matrix shares with its +0.0 zero.
     """
 
     def values(jc: Sequence[Jet]) -> Array:
