@@ -28,7 +28,7 @@ from . import jets
 from .basic import disc_d4
 from .chart import Chart, SmoothMap
 from .errors import SurfaceBlowupUnsupported
-from .forms import KForm, _acc, d_coeffs, image_jacobian, image_seed, pullback_coeffs
+from .forms import KForm, _acc, d_coeffs, form_matrix, image_jacobian, image_seed, pullback_coeffs
 from .jets import Jet
 from .linalg import solve_spd_jet
 from .model import (
@@ -55,6 +55,9 @@ _CORE_IN = 0.92
 _J0 = np.array(
     [[0.0, -1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, -1.0], [0.0, 0.0, 1.0, 0.0]]
 )
+# the row of each column's one nonzero entry, and that entry
+_J0_ROW = np.argmax(_J0 != 0.0, axis=0)
+_J0_SIGN = _J0[_J0_ROW, np.arange(4)]
 
 
 def _r2(jc, pair):
@@ -225,6 +228,9 @@ def _corrected(down, flat_coeffs, term, correction):
 
 
 def _kahler_metric(omega: KForm):
+    """g = omega(., J0 .) as a jet matrix; ``values`` repeats its one-term sums
+    0 * x0 + om[i][k] J0[k, j] on omega's values, so it gives the same bits."""
+
     def metric(jc):
         om = form_matrix_jets(omega, jc)
         return [
@@ -233,6 +239,11 @@ def _kahler_metric(omega: KForm):
             for i in range(4)
         ]
 
+    def values(jc):
+        om = form_matrix(omega.coefficients(jc), jc)
+        return jc[0].value[:, None, None] * 0.0 + om[:, :, _J0_ROW] * _J0_SIGN
+
+    metric.values = values
     return metric
 
 

@@ -4,9 +4,9 @@ The central object is the flow of the metric gradient of the moment map.
 Trajectories are integrated chart by chart with an adaptive Dormand-Prince
 5(4) stepper, written as a generator of velocity requests: many trajectories
 advance in rounds, and each round makes one metric solve over all charts:
-each chart's order-1 gradient system (``forms.gradient_system``) is built on
-its stacked rows, and one ``solve_spd_values`` call solves them all, every
-row bitwise its one-row solve.  A step asks for six velocities, its first
+each chart's metric values (``forms.metric_matrix``) and dH are read on its
+stacked rows, and one ``solve_spd_values`` call solves them all, every row
+bitwise its one-row solve.  A step asks for six velocities, its first
 stage being the last of the step before.  Chart crossings go through the
 model's transitions, and a boundary hit is found by bisection on the step's
 continuous extension, which asks for no velocity.
@@ -28,7 +28,7 @@ import numpy as np
 
 from . import jets
 from .errors import ImmediateExit, StiffFlow
-from .forms import field_values, gradient_system
+from .forms import field_values, metric_matrix
 from .linalg import solve_spd_values
 from .model import ChartData, HamiltonianModel
 
@@ -250,7 +250,7 @@ def integrate_many(
         for ci, idx in by_chart.items():
             cd = model.charts[ci]
             jc = jets.seed(np.stack([waiting[i][1] for i in idx]), order=1)
-            systems.append(gradient_system(cd.metric, cd.hamiltonian(jc), jc))
+            systems.append((metric_matrix(cd.metric, jc), cd.hamiltonian(jc).grad))
         mats, dhs = zip(*systems)
         grads = solve_spd_values(np.concatenate(mats), np.concatenate(dhs))
         waiting.clear()
@@ -372,7 +372,7 @@ def boundary_sign_portrait(
         portrait.has_positive |= bool((hv > 1e-8).any())
         portrait.has_negative |= bool((hv < -1e-8).any())
         if cd.metric is not None:
-            grad = solve_spd_values(*gradient_system(cd.metric, h, jc))
+            grad = solve_spd_values(metric_matrix(cd.metric, jc), h.grad)
             df = cd.chart.boundary(jc).grad
             out = np.einsum("ni,ni->n", df, grad)
             strong = np.abs(hv) > 1e-6

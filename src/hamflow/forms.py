@@ -30,11 +30,13 @@ import numpy as np
 
 from . import jets as J
 from .jets import Jet
-from .linalg import congruence, solve_spd_jet, solve_spd_values
+from .linalg import congruence
 
 Array = np.ndarray
 Coeffs = dict[tuple[int, ...], Jet]
 VectorField = Callable[[Sequence[Jet]], list[Jet]]
+# a metric is its jet matrix's function, and carries ``values(jet_coords)``, the
+# matrix's values (n, d, d) read with no jet built (see :func:`metric_matrix`)
 MetricField = Callable[[Sequence[Jet]], list[list[Jet]]]
 ScalarField = Callable[[Sequence[Jet]], Jet]
 
@@ -241,36 +243,6 @@ def lie_bracket(vc: Sequence[Jet], wc: Sequence[Jet]) -> list[Jet]:
     return out
 
 
-def metric_gradient(metric: MetricField, scalar: ScalarField, dim: int) -> VectorField:
-    """Gradient field of a scalar with respect to a Riemannian metric.
-
-    ``dh`` is one jet order lower than the coordinates.  Order-1 jets thus
-    give an order-0 gradient, solved on metric values (``solve_spd_values``,
-    bitwise the jet solve's values); order 2 keeps the jet LU, whose result
-    carries first derivatives.  The metric always sees the given jets: some
-    metrics need order-1 coordinates.
-    """
-
-    def fn(jc: Sequence[Jet]) -> list[Jet]:
-        h = scalar(jc)
-        if h.order == 1:
-            x = solve_spd_values(*gradient_system(metric, h, jc))
-            return [Jet(x[:, i], None, None) for i in range(dim)]
-        dh = [h.partial(i) for i in range(dim)]
-        return solve_spd_jet(metric(jc), dh)
-
-    return fn
-
-
-def gradient_system(metric: MetricField, h: Jet, jet_coords: Sequence[Jet]) -> tuple[Array, Array]:
-    """The order-1 gradient system of ``h`` at seeded jets: the metric's values ``(n, d, d)`` and dh ``(n, d)``.
-
-    ``solve_spd_values`` solves it row by row, so the systems of several
-    charts stack into one solve with every row bitwise its own.
-    """
-    return metric_matrix(metric, jet_coords), h.grad
-
-
 # ----------------------------------------------------------------------
 # evaluation helpers
 
@@ -286,19 +258,8 @@ def form_matrix(coeffs: Coeffs, jet_coords: Sequence[Jet]) -> Array:
 
 
 def metric_matrix(metric: MetricField, jet_coords: Sequence[Jet]) -> Array:
-    """Value matrix (n, d, d) of a metric at seeded jets: its ``values`` read where it has one
-    (:func:`hamflow.model.symmetric_metric`), else its jet matrix's values, every entry read."""
-    values = getattr(metric, "values", None)
-    if values is not None:
-        return values(jet_coords)
-    g = metric(jet_coords)
-    d = len(g)
-    n = jet_coords[0].n
-    out = np.empty((n, d, d))
-    for i in range(d):
-        for j in range(d):
-            out[:, i, j] = g[i][j].value
-    return out
+    """Value matrix (n, d, d) of a metric at seeded jets: its ``values`` read."""
+    return metric.values(jet_coords)
 
 
 def field_values(v: VectorField, jet_coords: Sequence[Jet]) -> Array:

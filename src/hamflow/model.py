@@ -36,6 +36,7 @@ from .chart import Chart, SmoothMap, holds, sample_boundary, sample_domain
 from .errors import BoundaryNotFound, IneffectiveAction, MomentMapMismatch
 from .forms import KForm, MetricField, ScalarField, VectorField
 from .jets import Jet
+from .linalg import solve_spd_jet
 
 Array = np.ndarray
 
@@ -113,9 +114,16 @@ class ChartData:
         return images, jacs
 
     def gradient_field(self) -> VectorField:
+        """The metric gradient of H solved on the metric's jet matrix, one jet order lower than
+        the coordinates; its values are bitwise ``solve_spd_values`` on the metric's values."""
         if self.metric is None:
             raise ValueError(f"chart {self.chart.name!r} carries no metric")
-        return forms.metric_gradient(self.metric, self.hamiltonian, self.chart.dim)
+
+        def grad(jc: Sequence[Jet]) -> list[Jet]:
+            h = self.hamiltonian(jc)
+            return solve_spd_jet(self.metric(jc), [h.partial(i) for i in range(self.chart.dim)])
+
+        return grad
 
     def alpha(self) -> KForm:
         """The Liouville primitive alpha = i_Y omega (see :func:`liouville_primitive`)."""
@@ -291,11 +299,10 @@ def symmetric_metric(entries: Callable[[Sequence[Jet]], Mapping[tuple[int, int],
 
     Each entry is mirrored to (j, i) and an unlisted entry is 0.  A float
     becomes a constant jet of the batch's order, one per distinct value and
-    call, so equal floats share it.  The metric's ``values(jc)`` is its values
-    read, the ``(n, d, d)`` matrix taken straight from the entries: a float as
-    it is, a jet's value, +0.0 where unlisted.  It builds no constant jet and
-    equals the jet matrix's values bitwise, except for a float entry -0.0,
-    which the jet matrix shares with its +0.0 zero.
+    call (-0.0 apart from 0.0), so equal floats share it.  The metric's
+    ``values(jc)`` is its values read, the ``(n, d, d)`` matrix taken straight
+    from the entries: a float as it is, a jet's value, +0.0 where unlisted.
+    It builds no constant jet and equals the jet matrix's values bitwise.
     """
 
     def values(jc: Sequence[Jet]) -> Array:
@@ -306,13 +313,14 @@ def symmetric_metric(entries: Callable[[Sequence[Jet]], Mapping[tuple[int, int],
 
     def g(jc: Sequence[Jet]) -> list[list[Jet]]:
         zero = jets.constant(0.0, jc[0])
-        consts = {0.0: zero}
+        consts = {(0.0, 1.0): zero}  # keyed by value and sign, so -0.0 gets its own jet
         mat = [[zero] * len(jc) for _ in jc]
         for (i, j), v in entries(jc).items():
             if not isinstance(v, Jet):
-                if v not in consts:
-                    consts[v] = jets.constant(v, jc[0])
-                v = consts[v]
+                key = (v, math.copysign(1.0, v))
+                if key not in consts:
+                    consts[key] = jets.constant(v, jc[0])
+                v = consts[key]
             mat[i][j] = mat[j][i] = v
         return mat
 

@@ -42,9 +42,9 @@ from hamflow import critical, jets, verifier
 from hamflow.chart import Chart, SmoothMap, holds, sample_domain
 from hamflow.errors import BoundaryNotFound, DimensionMismatch, ImmediateExit, StiffFlow
 from hamflow.flow import FlowResult
-from hamflow.forms import coeff_residual, field_values, image_jacobian, image_seed, pullback_coeffs
+from hamflow.forms import coeff_residual, image_jacobian, image_seed, metric_matrix, pullback_coeffs
 from hamflow.jets import Jet
-from hamflow.linalg import congruence
+from hamflow.linalg import congruence, solve_spd_values
 
 Array = np.ndarray
 Scalar = Callable[[np.ndarray], float]
@@ -666,15 +666,20 @@ def reference_seed(points: np.ndarray, order: int) -> list[tuple]:
 # one-row value), and returns a ``flow.FlowResult``.
 
 
+def values_gradient(cd, points: np.ndarray) -> np.ndarray:
+    """The metric gradient of H at ``points`` (n, d) as the integrator solves it:
+    metric values and dH on order-1 jets, one ``solve_spd_values`` call."""
+    jc = jets.seed(points, order=1)
+    return solve_spd_values(metric_matrix(cd.metric, jc), cd.hamiltonian(jc).grad)
+
+
 def reference_integrate(model, ci: int, start, direction: int = 1, max_time: float = 60.0):
-    grads = {}
     sent = 0
 
     def velocity(c: int, q: np.ndarray) -> np.ndarray:
         nonlocal sent
         sent += 1
-        grad = grads.setdefault(c, model.charts[c].gradient_field())
-        return direction * field_values(grad, jets.seed(q[None, :], order=1))[0]
+        return direction * values_gradient(model.charts[c], q[None, :])[0]
 
     def rk4(c: int, q: np.ndarray, h: float, k1: np.ndarray) -> np.ndarray:
         k2 = velocity(c, q + 0.5 * h * k1)

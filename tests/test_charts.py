@@ -17,7 +17,7 @@ from hamflow.chart import Chart, SmoothMap, sample_boundary, sample_domain
 from hamflow.errors import BoundaryNotFound, EmptyDomainSuspected
 from hamflow.forms import constant_form, field_values
 from hamflow.model import ChartData
-from oracles import bisect_boundary_80, sample_boundary_per_batch
+from oracles import bisect_boundary_80, sample_boundary_per_batch, values_gradient
 
 
 def _ball_chart(radius: float = 1.0) -> Chart:
@@ -468,12 +468,12 @@ def test_batched_maps_match_one_row_maps(spec):
         for theta, images in zip(thetas, cd.action_map(thetas, pts)[0]):
             rows = np.concatenate([cd.action_map([theta], p[None])[0][0] for p in pts])
             assert np.array_equal(images, rows, equal_nan=True)
-        fields = [cd.generator]
+        reads = [lambda p: field_values(cd.generator, jets.seed(p, order=1))]
         if cd.metric is not None:
-            fields.append(cd.gradient_field())
-        for fieldfn in fields:
-            rows = np.concatenate([field_values(fieldfn, jets.seed(p[None, :], order=1)) for p in pts])
-            assert np.array_equal(field_values(fieldfn, jets.seed(pts, order=1)), rows, equal_nan=True)
+            reads.append(lambda p: values_gradient(cd, p))
+        for read in reads:
+            rows = np.concatenate([read(p[None, :]) for p in pts])
+            assert np.array_equal(read(pts), rows, equal_nan=True)
 
 
 def test_transfers_follow_model_order_and_skip_rejected_transitions():

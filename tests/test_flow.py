@@ -15,7 +15,7 @@ from hamflow.chart import Chart, sample_boundary, sample_domain
 from hamflow.errors import ImmediateExit
 from hamflow.forms import field_values
 from hamflow.planar import free_action_planar
-from oracles import orbit_near, project_to_zero_set, reference_integrate, rk4_endpoint, stabilizer_order
+from oracles import orbit_near, project_to_zero_set, reference_integrate, rk4_endpoint, stabilizer_order, values_gradient
 
 
 def test_disc_trajectory_endpoints():
@@ -326,16 +326,14 @@ def test_stepper_matches_reference_within_tolerance():
 
 
 def _drive_alone(model, ci, start, direction):
-    """Run one trajectory generator on one-row gradients; (result, rows sent)."""
+    """Run one trajectory generator on one-row values solves; (result, rows sent)."""
     traj = flow._trajectory(model, ci, start, direction, 60.0)
-    grads = {}
     sent = 0
     try:
         ci, p = next(traj)
         while True:
-            grad = grads.setdefault(ci, model.charts[ci].gradient_field())
             sent += 1
-            ci, p = traj.send(field_values(grad, jets.seed(p[None, :], order=1))[0])
+            ci, p = traj.send(values_gradient(model.charts[ci], p[None, :])[0])
     except StopIteration as stop:
         return stop.value, sent
 

@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 
 from hamflow import forms, jets, registry
 from hamflow.chart import Chart, SmoothMap, sample_domain
+from hamflow.linalg import solve_spd_values
+from hamflow.model import symmetric_metric
 
-from oracles import lie_derivative_poly_form, pulled_back
+from oracles import lie_derivative_poly_form, pulled_back, values_gradient
 
 
 def _chart(dim: int, name: str = "c") -> Chart:
@@ -217,38 +219,26 @@ def test_lie_bracket_frozen():
 
 
 def test_metric_gradient_diagonal_metric():
-    def metric(jc):
-        two = jets.constant(2.0, jc[0])
-        half = jets.constant(0.5, jc[0])
-        zero = jets.constant(0.0, jc[0])
-        return [[two, zero], [zero, half]]
-
-    def scalar(jc):
-        return jc[0].sq() + 3.0 * jc[1]
-
-    grad = forms.metric_gradient(metric, scalar, 2)
-    pts = np.array([[1.1, 0.3]])
-    vals = forms.field_values(grad, jets.seed(pts, order=1))
-    assert vals[0] == pytest.approx([1.1, 6.0], abs=1e-13)
-
-
-def _no_jet_solve(mat, rhs):
-    raise AssertionError("order-1 gradient must not run the jet LU")
+    metric = symmetric_metric(lambda jc: {(0, 0): 2.0, (1, 1): 0.5})
+    jc = jets.seed(np.array([[1.1, 0.3]]), order=1)
+    h = jc[0].sq() + 3.0 * jc[1]
+    grad = solve_spd_values(forms.metric_matrix(metric, jc), h.grad)
+    assert grad[0] == pytest.approx([1.1, 6.0], abs=1e-13)
 
 
 @pytest.mark.parametrize("spec", registry.ZOO)
-def test_order1_gradient_matches_order2(spec, monkeypatch):
-    """The value-level gradient (order-1 jets) gives the jet LU's values bitwise."""
+def test_order1_gradient_matches_order2(spec):
+    """The values solve on order-1 jets, as the integrator and the sign portrait run
+    it, gives the values of the jet gradient bitwise, at order 2 and at order 1."""
     for ci, cd in enumerate(registry.build(spec).charts):
         if cd.metric is None:
             continue
         pts = sample_domain(cd.chart, 64, np.random.default_rng([5, ci]))
+        fast = values_gradient(cd, pts)
         grad = cd.gradient_field()
-        slow = forms.field_values(grad, jets.seed(pts, order=2))
-        with monkeypatch.context() as patch:
-            patch.setattr(forms, "solve_spd_jet", _no_jet_solve)
-            fast = forms.field_values(grad, jets.seed(pts, order=1))
-        assert fast.tobytes() == slow.tobytes(), cd.chart.name
+        for order in (2, 1):
+            slow = forms.field_values(grad, jets.seed(pts, order=order))
+            assert fast.tobytes() == slow.tobytes(), (cd.chart.name, order)
 
 
 # ----------------------------------------------------------------------

@@ -190,20 +190,35 @@ def test_symmetric_metric_mirrors_entries_and_lifts_floats(order):
         assert part.shape[0] == 2 and not part.any()
 
 
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_symmetric_metric_keeps_the_sign_of_a_float_zero(order):
+    """A float entry -0.0 is its own constant jet, not the shared +0.0 zero, so
+    both reads carry its sign bit."""
+    metric = symmetric_metric(lambda jc: {(0, 0): 1.0, (0, 1): -0.0, (1, 1): 1.0})
+    jc = jets.seed(np.array([[0.3, -0.2]]), order=order)
+    g, values = metric(jc), forms.metric_matrix(metric, jc)
+    for i, j in [(0, 1), (1, 0)]:
+        assert np.signbit(g[i][j].value).all() and np.signbit(values[:, i, j]).all()
+    full = np.stack([np.stack([e.value for e in row], axis=-1) for row in g], axis=-2)
+    assert values.tobytes() == full.tobytes()
+
+
 # the blow-up core charts' Kahler pairing is computed from omega as a full matrix
-CORE_CHARTS = {"blowup_d4(1,-1,0.2)": ("inner", "outer")}
+CORE_CHARTS = ("inner", "outer")
+KAHLER_MODELS = ("blowup_d4(3,1,0.2)", "blowup_d4(2,-3,0.25)")
 
 
 @pytest.mark.parametrize("order", [0, 1, 2])
-@pytest.mark.parametrize("name", list(_models()))
+@pytest.mark.parametrize("name", [*_models(), *KAHLER_MODELS])
 def test_metric_values_read_is_the_jet_matrix_value(name, order):
-    """``forms.metric_matrix`` reads a declared metric's values without jets, bitwise the
-    jet matrix's values, the sign of a zero included."""
-    for ci, cd in enumerate(_models()[name]().charts):
+    """Every metric carries a values read, and ``forms.metric_matrix`` takes it,
+    bitwise the jet matrix's values, the sign of a zero included."""
+    model = registry.build(name) if name in KAHLER_MODELS else _models()[name]()
+    for ci, cd in enumerate(model.charts):
         if cd.metric is None:
             continue
-        core = cd.chart.name in CORE_CHARTS.get(name, ())
-        assert hasattr(cd.metric, "values") != core, cd.chart.name
+        assert hasattr(cd.metric, "values"), cd.chart.name
+        core = name.startswith("blowup_d4") and cd.chart.name in CORE_CHARTS
         jc = jets.seed(sample_domain(cd.chart, 64, np.random.default_rng([13, ci])), order=order)
         if core and order == 0:  # the pairing takes partials of omega
             with pytest.raises(JetOrderError):

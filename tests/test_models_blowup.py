@@ -8,7 +8,7 @@ from hamflow.basic import disc_d4
 from hamflow.blowup import blowup_d4
 from hamflow.chart import SmoothMap, sample_domain
 from hamflow.errors import IneffectiveAction, SurfaceBlowupUnsupported
-from hamflow.forms import coeff_residual, field_values, form_matrix, metric_gradient, metric_matrix
+from hamflow.forms import coeff_residual, field_values, form_matrix, metric_matrix
 from hamflow.linalg import compatible_structure, nondegenerate
 from hamflow.model import liouville_residual, moment_residual, self_check_points
 
@@ -39,7 +39,7 @@ def test_metric_is_spd_and_compatible(mod):
         assert ok and worst > 0.01
         J = compatible_structure(Om, G)
         X = field_values(cd.generator, jc)
-        grad = field_values(metric_gradient(cd.metric, cd.hamiltonian, 4), jc)
+        grad = field_values(cd.gradient_field(), jc)
         assert np.abs(X - np.einsum("nij,nj->ni", J, grad)).max() < 1e-12
 
 

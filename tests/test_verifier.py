@@ -577,7 +577,13 @@ def test_nonfinite_residual_fails_closed(spec, chart_index):
 
 
 def _poisoned_metric(metric):
-    return lambda jc: [[c * _poison(jc) for c in row] for row in metric(jc)]
+    """The metric times :func:`_poison`, as its jet matrix and as its ``values`` read."""
+
+    def poisoned(jc):
+        return [[c * _poison(jc) for c in row] for row in metric(jc)]
+
+    poisoned.values = lambda jc: metric.values(jc) * _poison(jc)[:, None, None]
+    return poisoned
 
 
 # chart, poisoned field, non-finite residual count at 60 samples (omega
