@@ -15,8 +15,11 @@ trajectory under the circle action, a sign portrait of the moment map on
 the boundary, and a detector that finds and groups the closed zero-level
 orbit sets on the boundary, filtering its candidates in batches and mapping
 them around their orbits with one read of the chart's weight table
-(``ChartData.action_map``).  The finite stabilizer of a point is exact: a
-gcd of the weights in the chart's table on the keys that move it.
+(``ChartData.action_map``).  Newton projection onto the zero set has two
+routines, by input size: a batch for each chart's candidates, and a one-row
+routine, bitwise the batch's steps, for the walk's one point per step.  The
+finite stabilizer of a point is exact: a gcd of the weights in the chart's
+table on the keys that move it.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 
 from . import jets
 from .errors import ImmediateExit, StiffFlow
-from .forms import field_values, metric_matrix
+from .forms import metric_matrix
 from .linalg import solve_spd_values
 from .model import ChartData, HamiltonianModel
 
@@ -315,7 +318,7 @@ def classify_orbit(model: HamiltonianModel, chart_index: int, point: Array) -> O
     _check_start(model, chart_index, point, 1)
     cd = model.charts[chart_index]
     p = cd.chart.wrap(np.asarray(point, dtype=float))
-    if np.abs(field_values(cd.generator, jets.seed(p[None, :], order=0))).max() < 1e-8:
+    if np.abs(cd.generator_values(p[None])).max() < 1e-8:
         return OrbitClass(kind="fixed_point", upward=None, downward=None)
 
     ends = {}
@@ -407,49 +410,34 @@ class LegendrianSet:
 def _project_to_zero_set(cd: ChartData, pts: Array):
     """At most 60 Newton steps of least norm per row of ``pts`` onto {boundary = 0, moment = 0}, to 1e-10.
 
-    Returns the points, a mask of the rows that converged, and per row the
-    converged iteration's (boundary, moment) Jacobian when ``wrap`` left that
-    iteration's point bitwise unchanged, so that it is the Jacobian at the
-    point returned; otherwise None.  Every row steps on its own, as it
-    would alone, and leaves the batch when it converges; a row whose Gram
+    Returns the points and a mask of the rows that converged.  Each row steps
+    as it would alone and leaves the batch when it converges; a row whose Gram
     matrix is singular stops, unconverged and unwrapped, where it is.
     """
     q = np.array(pts, dtype=float)
     ok = np.zeros(q.shape[0], dtype=bool)
-    jacs: list[Array | None] = [None] * q.shape[0]
     live, cur = np.arange(q.shape[0]), q.copy()  # the rows still stepping, and their points
-    for _ in range(60):
+    for it in range(60):
         if not live.size:
-            return q, ok, jacs
+            return q, ok
         jc = jets.seed(cur, order=1)
         fv, hv = cd.chart.boundary(jc), cd.hamiltonian(jc)
-        # filled in place: np.stack costs several times more on the tracer's one-row calls
         vals = np.empty((live.size, 2))
         vals[:, 0], vals[:, 1] = fv.value, hv.value
         jac = np.empty((live.size, 2, cur.shape[1]))
         jac[:, 0], jac[:, 1] = fv.grad, hv.grad
         done = np.abs(vals).max(axis=1) < 1e-10
         if done.any():
-            rows, at = live[done], cur[done]
-            q[rows], ok[rows] = cd.chart.wrap(at), True
-            for i, p, jk in zip(rows, at, jac[done]):
-                jacs[i] = jk if q[i].tobytes() == p.tobytes() else None
+            q[live[done]], ok[live[done]] = cd.chart.wrap(cur[done]), True
             if done.all():
-                return q, ok, jacs
+                return q, ok
             live, cur, vals, jac = live[~done], cur[~done], vals[~done], jac[~done]
-        gram = jac @ jac.transpose(0, 2, 1)
         try:
-            lam = np.linalg.solve(gram, -vals[:, :, None])
-        except np.linalg.LinAlgError:
-            lam = np.empty(vals.shape + (1,))
-            solved = np.ones(live.size, dtype=bool)
-            for k in range(live.size):
-                try:
-                    lam[k, :, 0] = np.linalg.solve(gram[k], -vals[k])
-                except np.linalg.LinAlgError:
-                    solved[k] = False
-            q[live[~solved]] = cur[~solved]
-            live, cur, lam, jac = live[solved], cur[solved], lam[solved], jac[solved]
+            lam = np.linalg.solve(jac @ jac.transpose(0, 2, 1), -vals[:, :, None])
+        except np.linalg.LinAlgError:  # a singular Gram matrix: each live row finishes alone
+            for k, i in enumerate(live):
+                q[i], ok[i], _ = _project_point(cd, cur[k], 60 - it)
+            return q, ok
         delta = (jac.transpose(0, 2, 1) @ lam)[:, :, 0]
         top = np.abs(delta).max(axis=1)
         if (top > 0.5).any():
@@ -458,21 +446,44 @@ def _project_to_zero_set(cd: ChartData, pts: Array):
             delta *= (0.5 / np.fmax(top, 0.5))[:, None]
         cur = cur + delta
     q[live] = cd.chart.wrap(cur)
-    return q, ok, jacs
+    return q, ok
+
+
+def _project_point(cd: ChartData, p: Array, steps: int):
+    """At most ``steps`` of :func:`_project_to_zero_set`'s Newton steps for one point ``p`` (d,),
+    bitwise, on a batch of one's shapes with no row bookkeeping.  Returns the point, whether
+    it converged, and the converged (boundary, moment) Jacobian, or None when ``wrap`` moved it."""
+    cur = np.array(p, dtype=float)[None]
+    vals, jac = np.empty((1, 2)), np.empty((1, 2, cur.shape[1]))
+    for _ in range(steps):
+        jc = jets.seed(cur, order=1)
+        fv, hv = cd.chart.boundary(jc), cd.hamiltonian(jc)
+        vals[:, 0], vals[:, 1] = fv.value, hv.value
+        jac[:, 0], jac[:, 1] = fv.grad, hv.grad
+        if abs(vals[0, 0]) < 1e-10 and abs(vals[0, 1]) < 1e-10:  # False on a NaN, as the batch's max
+            q = cd.chart.wrap(cur)[0]
+            return q, True, (jac[0] if q.tobytes() == cur[0].tobytes() else None)
+        try:
+            lam = np.linalg.solve(jac @ jac.transpose(0, 2, 1), -vals[:, :, None])
+        except np.linalg.LinAlgError:
+            return cur[0], False, None
+        delta = (jac.transpose(0, 2, 1) @ lam)[:, :, 0]
+        top = np.abs(delta).max()
+        if top > 0.5:
+            delta *= 0.5 / top
+        cur = cur + delta
+    return cd.chart.wrap(cur)[0], False, None
 
 
 def _transverse_direction(cd: ChartData, p: Array, prev: Array | None, jac: Array | None):
-    """Unit tangent of the zero set orthogonal to the action generator.
-
-    ``jac`` is the (boundary, moment) Jacobian at ``p`` if the caller holds
-    it, else None and it is evaluated here.
-    """
+    """Unit tangent of the zero set orthogonal to the action generator; ``jac`` is the
+    (boundary, moment) Jacobian at ``p``, or None to evaluate it here."""
     if jac is None:
         jc = jets.seed(p[None, :], order=1)
         jac = np.stack([cd.chart.boundary(jc).grad[0], cd.hamiltonian(jc).grad[0]])
     _, _, vh = np.linalg.svd(jac)
     basis = vh[2:].T
-    xv = field_values(cd.generator, jets.seed(p[None, :], order=0))[0]
+    xv = cd.generator_values(p[None])[0]
     xk = basis.T @ xv
     norm = np.linalg.norm(xk)
     if norm < 1e-10:
@@ -487,7 +498,10 @@ def _transverse_direction(cd: ChartData, p: Array, prev: Array | None, jac: Arra
 def _trace_component(
     model: HamiltonianModel, ci: int, p0: Array, step: float, max_steps: int = 6000
 ):
-    """Predictor-corrector walk along the zero set, switching charts as needed."""
+    """Predictor-corrector walk along the zero set, switching charts as needed.  Returns the
+    walk's points per chart index, in the order visited, and whether it closed: only a point
+    after step 4 within 0.6 * step of the start *point*, in the start chart, closes it, so a
+    walk that returns to its start orbit elsewhere, or ends in another chart, never closes."""
     samples: dict[int, list[Array]] = {ci: [p0.copy()]}
     start_chart, start_point = ci, p0.copy()
     p = p0.copy()
@@ -499,7 +513,7 @@ def _trace_component(
         w = _transverse_direction(cd, p, prev_w, jac)
         if w is None:
             break
-        (cand,), (ok,), (jac,) = _project_to_zero_set(cd, cd.chart.wrap(p + step * w)[None])
+        cand, ok, jac = _project_point(cd, cd.chart.wrap(p + step * w), 60)
         if not ok:
             break
         prev_w = w
@@ -558,10 +572,10 @@ def detect_legendrian_set(model: HamiltonianModel, seed: int = 0) -> LegendrianS
         if hv.min() > 1e-8 or hv.max() < -1e-8:
             continue
         order = np.argsort(np.abs(hv))[:60]
-        cands, ok, _ = _project_to_zero_set(cd, pts[order])
+        cands, ok = _project_to_zero_set(cd, pts[order])
         cands = cands[ok]
         cands = cands[cd.chart.contains(cands, slack=1e-6)]
-        xv = field_values(cd.generator, jets.seed(cands, order=0))
+        xv = cd.generator_values(cands)
         keep = ~(np.abs(xv).max(axis=1) < 1e-8)
         cands, xv = cands[keep], xv[keep]
         if not len(cands):
@@ -596,7 +610,7 @@ def detect_legendrian_set(model: HamiltonianModel, seed: int = 0) -> LegendrianS
 
 
 def _torus_certificate(cd: ChartData, p: Array) -> bool:
-    """Whole action orbit of a zero-set point stays on the zero set, to 1e-7 at 24 angles."""
+    """Whole action orbit of a zero-set point stays on the zero set, to 1e-7 at 24 angles; a NaN never holds."""
     jc = jets.seed(_orbit_images(cd, p[None, :], 24)[0], order=0)
-    off = (np.abs(cd.chart.boundary(jc).value) > 1e-7) | (np.abs(cd.hamiltonian(jc).value) > 1e-7)
-    return not off.any()
+    on = (np.abs(cd.chart.boundary(jc).value) <= 1e-7) & (np.abs(cd.hamiltonian(jc).value) <= 1e-7)
+    return bool(on.all())

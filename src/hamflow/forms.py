@@ -263,6 +263,8 @@ def metric_matrix(metric: MetricField, jet_coords: Sequence[Jet]) -> Array:
 
 
 def field_values(v: VectorField, jet_coords: Sequence[Jet]) -> Array:
+    """Values (n, d) of a vector field at seeded jets.  No ``src/`` code calls it; it stays
+    for the tests and because ``bench/tracer.py`` wraps it."""
     return J.values(v(jet_coords))
 
 

@@ -113,6 +113,19 @@ class ChartData:
             jacs[:, i, i], jacs[:, i, j], jacs[:, j, i], jacs[:, j, j] = c, -s, s, c
         return images, jacs
 
+    def generator_values(self, points: Array) -> Array:
+        """The generator's values at ``points`` (n, d), read off the weight table with no jet; bitwise
+        :attr:`generator`'s values on order-0 jets, each its product (``x_j * -w``, signed zeros too)."""
+        pts = np.asarray(points, dtype=float)
+        out = np.zeros(pts.shape)
+        for key, w in self.weights.items():
+            if len(key) == 1:
+                out[:, key[0]] = w
+            else:
+                i, j = key
+                out[:, i], out[:, j] = pts[:, j] * float(-w), pts[:, i] * float(w)
+        return out
+
     def gradient_field(self) -> VectorField:
         """The metric gradient of H solved on the metric's jet matrix, one jet order lower than
         the coordinates; its values are bitwise ``solve_spd_values`` on the metric's values."""

@@ -20,8 +20,9 @@ matrices, kept as the reference that ``ChartData.action_map`` is pinned to.
 nondegeneracy floor from before it read |Pf| off the determinant, kept as
 the reference that ``linalg.nondegenerate`` is pinned to.
 :func:`project_to_zero_set` is the zero-set Newton projection as it ran one
-row at a time, the reference that ``flow._project_to_zero_set``'s batch is
-pinned to bitwise.
+row at a time, the reference that both of ``flow``'s projections are pinned
+to bitwise: ``_project_to_zero_set``'s candidate batch (points and flags)
+and ``_project_point``, the walk's one-row step (its Jacobian too).
 :func:`sample_boundary_per_batch` and :func:`bisect_boundary_80` are the
 boundary sampler as it ran before it pooled a request's ray crossings into
 one bisection that stops at the brackets' fixed point: each ray batch

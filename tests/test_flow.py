@@ -1,5 +1,6 @@
 """Gradient-flow integration, orbit classification, boundary censuses."""
 
+import dataclasses
 import hashlib
 import math
 
@@ -536,6 +537,34 @@ def test_trace_component_matches_pins(spec):
     assert got == TRACE_PINS[spec]
 
 
+def _assert_point_matches_one_row(cd, p, got):
+    """``got``, the walk's one-row projection of ``p``, is the one-row oracle's point, flag
+    and Jacobian or None, bitwise."""
+    (got_q, got_ok, got_jac), (want_q, want_ok, want_jac) = got, project_to_zero_set(cd, p)
+    assert got_q.tobytes() == want_q.tobytes() and got_ok == want_ok
+    assert (got_jac is None) == (want_jac is None)
+    assert want_jac is None or got_jac.tobytes() == want_jac.tobytes()
+    return got
+
+
+@pytest.mark.parametrize("spec", list(TRACE_STARTS))
+def test_walk_projections_match_one_row_projections(spec, monkeypatch):
+    # every projection of the pinned cross-chart traces, each step checked as it is taken
+    model = registry.build(spec)
+    seen = []
+    one_row = flow._project_point
+
+    def checked(cd, p, steps):
+        assert steps == 60
+        seen.append(p)
+        return _assert_point_matches_one_row(cd, p, one_row(cd, p, steps))
+
+    monkeypatch.setattr(flow, "_project_point", checked)
+    for ci, start, max_steps in TRACE_STARTS[spec]:
+        flow._trace_component(model, ci, np.array(start), 0.04, max_steps)
+    assert len(seen) > 100
+
+
 # the nine zero_locus census models of the benchmark
 CENSUS_SPECS = [
     "disc_d4(1,1)", "disc_d4(1,-1)", "cotangent_t2(1,0)", "s1_d3(1,0)", "free_action_planar(1)",
@@ -544,13 +573,14 @@ CENSUS_SPECS = [
 
 
 def _assert_projections_match_one_row(cd, rows):
-    q, ok, jacs = flow._project_to_zero_set(cd, rows)
-    assert q.shape == rows.shape and ok.shape == (rows.shape[0],) and len(jacs) == rows.shape[0]
+    """The batch gives each row's one-row oracle point and flag bitwise, and so does the
+    walk's one-row projection, which also gives the oracle's Jacobian or None."""
+    q, ok = flow._project_to_zero_set(cd, rows)
+    assert q.shape == rows.shape and ok.shape == (rows.shape[0],)
     for k, p in enumerate(rows):
-        want_q, want_ok, want_jac = project_to_zero_set(cd, p)
+        want_q, want_ok, _ = project_to_zero_set(cd, p)
         assert q[k].tobytes() == want_q.tobytes() and ok[k] == want_ok
-        assert (jacs[k] is None) == (want_jac is None)
-        assert want_jac is None or jacs[k].tobytes() == want_jac.tobytes()
+        _assert_point_matches_one_row(cd, p, flow._project_point(cd, p, 60))
     return q, ok
 
 
@@ -579,10 +609,32 @@ def test_singular_and_nan_rows_leave_the_rest_of_the_batch_alone():
     q, ok = _assert_projections_match_one_row(cd, planted)
     assert not ok[4] and q[4].tobytes() == planted[4].tobytes()
     assert not ok[10] and np.isnan(q[10]).all()
-    alone, alone_ok, _ = flow._project_to_zero_set(cd, rows)
+    alone, alone_ok = flow._project_to_zero_set(cd, rows)
     keep = np.ones(len(planted), dtype=bool)
     keep[[4, 10]] = False
     assert q[keep].tobytes() == alone.tobytes() and ok[keep].tolist() == alone_ok.tolist() and alone_ok.all()
+    for p in planted[[4, 10]]:
+        assert flow._project_point(cd, p, 60)[1:] == (False, None)
+
+
+def test_torus_certificate_refuses_nan_images():
+    """An orbit image whose boundary or moment value is NaN is not on the zero
+    set: with either made NaN where x1 < -0.3, which 9 of the 24 images of the
+    disc's one component reach, the certificate fails."""
+    model = registry.build("disc_d4(1,-1)")
+    (comp,) = flow.detect_legendrian_set(model, seed=0).components
+    cd, p = model.charts[comp.chart_index], comp.representative
+    assert comp.torus_certified and flow._torus_certificate(cd, p)
+
+    def nan_where_low(field):
+        return lambda jc: field(jc) * np.where(jc[0].value < -0.3, np.nan, 1.0)
+
+    images = jets.seed(flow._orbit_images(cd, p[None], 24)[0], order=0)
+    nan_h = dataclasses.replace(cd, hamiltonian=nan_where_low(cd.hamiltonian))
+    assert np.isnan(nan_h.hamiltonian(images).value).sum() == 9
+    nan_f = dataclasses.replace(cd, chart=dataclasses.replace(cd.chart, boundary=nan_where_low(cd.chart.boundary)))
+    for bad in (nan_h, nan_f):
+        assert not flow._torus_certificate(bad, p)
 
 
 ORBIT_CHART = Chart(

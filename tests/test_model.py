@@ -5,8 +5,9 @@ second jet order raises JetOrderError at order 1 instead of giving a
 residual.  Every chart declares its action by one weight table, which it
 refuses when non-integer or ineffective and keeps as a read-only copy; the
 action read off the table matches the jet action of :mod:`oracles` bitwise,
-its generator is the derivative of its action at angle 0, and its contact
-form alpha = i_Y omega lists its terms in index order.  A metric declared by
+the generator values read off it match the jet generator's bitwise, the
+generator is the derivative of its action at angle 0, and its contact form
+alpha = i_Y omega lists its terms in index order.  A metric declared by
 its upper-triangle entries comes back as the full mirrored jet matrix, and
 its values read is that matrix's values bitwise."""
 
@@ -159,6 +160,25 @@ def test_action_map_matches_the_jet_action(name):
             assert np.array_equal(image.view(np.uint64), values.view(np.uint64)), (cd.chart.name, theta)
             ref_jac = ref.jacobian(pts)
             assert np.array_equal(ref_jac, np.broadcast_to(jac, ref_jac.shape)), (cd.chart.name, theta)
+
+
+@pytest.mark.parametrize("name", list(_models()))
+def test_generator_values_match_the_jet_generator(name):
+    """The generator read off the weight table gives, at 64 domain draws of
+    every chart and at a draw with every rotation plane zeroed (a fixed point
+    where the table has no translation key), once with +0.0 and once with
+    -0.0, the generator's order-0 jet values bitwise, signs of zero included."""
+    for ci, cd in enumerate(_models()[name]().charts):
+        pts = sample_domain(cd.chart, 64, np.random.default_rng([29, ci]))
+        planes = [k for key in cd.weights if len(key) == 2 for k in key]
+        fixed = np.repeat(pts[:1], 2, axis=0)
+        fixed[:, planes] = [[0.0], [-0.0]]
+        pts = np.concatenate([pts, fixed])
+        want = forms.field_values(cd.generator, jets.seed(pts, order=0))
+        got = cd.generator_values(pts)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), cd.chart.name
+        if all(len(key) == 2 for key in cd.weights):
+            assert not got[-2:].any(), cd.chart.name
 
 
 @pytest.mark.parametrize("order", [0, 1, 2])
