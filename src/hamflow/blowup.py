@@ -15,12 +15,16 @@ primitive exists; each core chart solves its expanding field from its own
 primitive, so the field, and the contact form i_Y omega it gives back, are
 chart-local.  Core metrics are the Kahler pairing of
 the 2-form with the standard complex structure, so compatibility is
-structural rather than tuned.
+structural rather than tuned.  The metric, its values read and the
+expanding field all read the 2-form, so a core chart's 2-form is evaluated
+once per batch of jets (:func:`_once_per_batch`) however many of them a
+check asks for there.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import operator
 
 import numpy as np
 
@@ -227,6 +231,22 @@ def _corrected(down, flat_coeffs, term, correction):
     return coeffs
 
 
+def _once_per_batch(coeffs):
+    """``coeffs`` with a one-slot memo: on the very jets of the last call it returns a fresh dict
+    of that call's coefficients, and any other batch is evaluated afresh and takes the slot.
+    Jets are immutable, so the same jets give the same coefficients."""
+    last = [((), {})]  # one (jets, coefficients) pair, read and replaced whole
+
+    def once(jc):
+        key, out = last[0]
+        if len(key) != len(jc) or not all(map(operator.is_, key, jc)):
+            out = coeffs(jc)
+            last[0] = tuple(jc), out
+        return dict(out)
+
+    return once
+
+
 def _kahler_metric(omega: KForm):
     """g = omega(., J0 .) as a jet matrix; ``values`` repeats its one-term sums
     0 * x0 + om[i][k] J0[k, j] on omega's values, so it gives the same bits."""
@@ -299,7 +319,8 @@ def _core_chart_data(keep, scaled, hamiltonian, eps2, flat: ChartData):
     down = _blowdown(keep, scaled)
     psi = _faded_primitive(eps2, keep, scaled)
     fs, rp = _fubini_study(eps2, scaled), _round_primitive(eps2, scaled)
-    omega = KForm(_corrected(down, flat.omega.coefficients, fs, lambda jc: d_coeffs(psi(jc), 4)))
+    body = _corrected(down, flat.omega.coefficients, fs, lambda jc: d_coeffs(psi(jc), 4))
+    omega = KForm(_once_per_batch(body))
     lam = _corrected(down, flat.alpha().coefficients, rp, psi)
     w_keep = flat.weights[keep]
     metric = _kahler_metric(omega)

@@ -178,6 +178,11 @@ class Chart:
         disp = self.displacement(a, b)
         return np.sqrt((disp**2).sum(axis=-1))
 
+    @property
+    def sides(self) -> tuple[ScalarField, ...]:
+        """The domain inequalities other than the boundary function."""
+        return tuple(fn for fn in self.domain if fn is not self.boundary)
+
     def contains(self, points: Array, slack: float = 0.0) -> Array:
         """Boolean mask of points satisfying every domain inequality (see :func:`holds`)."""
         return holds(self.domain, jets.seed(np.atleast_2d(np.asarray(points, dtype=float)), order=0), slack)
@@ -342,7 +347,7 @@ def sample_boundary(
     hi = np.asarray(chart.box_hi, dtype=float)
     span = float(np.max(hi - lo))
     step = 0.01 * span
-    sides = tuple(fn for fn in chart.domain if fn is not chart.boundary)
+    sides = chart.sides
     out: list[Array] = []
     got = 0
     failures = 0

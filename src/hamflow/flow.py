@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jets
+from .chart import holds
 from .errors import ImmediateExit, StiffFlow
 from .forms import metric_matrix
 from .linalg import solve_spd_values
@@ -501,7 +502,9 @@ def _trace_component(
     """Predictor-corrector walk along the zero set, switching charts as needed.  Returns the
     walk's points per chart index, in the order visited, and whether it closed: only a point
     after step 4 within 0.6 * step of the start *point*, in the start chart, closes it, so a
-    walk that returns to its start orbit elsewhere, or ends in another chart, never closes."""
+    walk that returns to its start orbit elsewhere, or ends in another chart, never closes.
+    A projected point that ``wrap`` left in place is tested against the chart's sides alone,
+    its boundary value having just been read below 1e-10; any other against the whole domain."""
     samples: dict[int, list[Array]] = {ci: [p0.copy()]}
     start_chart, start_point = ci, p0.copy()
     p = p0.copy()
@@ -517,7 +520,12 @@ def _trace_component(
         if not ok:
             break
         prev_w = w
-        if not cd.chart.contains(cand, slack=1e-9)[0]:
+        if jac is None:
+            inside = cd.chart.contains(cand, slack=1e-9)[0]
+        else:
+            sides = cd.chart.sides
+            inside = not sides or holds(sides, jets.seed(cand[None], order=0), 1e-9)[0]
+        if not inside:
             hit = next(model.transfers(ci, cand[None], 1e-9), None)
             if hit is None:
                 break

@@ -30,8 +30,11 @@ rules, and so are derivatives, with two deliberate differences:
   non-finite.
 
 Derivative arrays are shared between jets, so jets are immutable: no code
-writes into a jet's ``value``, ``grad`` or ``hess`` in place.  NumPy defers
-``ndarray op jet`` to the jet's reflected operators.
+writes into a jet's ``value``, ``grad`` or ``hess`` in place.  Products,
+:func:`_lift` and :func:`atan2` add their terms into the result array they
+have just allocated, in the operation order of the written-out sum, so the
+bits are the sum's; only such a fresh result is ever written in place.
+NumPy defers ``ndarray op jet`` to the jet's reflected operators.
 """
 
 from __future__ import annotations
@@ -142,15 +145,14 @@ class Jet:
         grad = None
         hess = None
         if a.grad is not None and b.grad is not None:
-            grad = a.grad * b.value[:, None] + b.grad * a.value[:, None]
+            grad = a.grad * b.value[:, None]
+            grad += b.grad * a.value[:, None]
             if a.hess is not None and b.hess is not None:
                 cross = a.grad[:, :, None] * b.grad[:, None, :]
-                hess = (
-                    a.hess * b.value[:, None, None]
-                    + b.hess * a.value[:, None, None]
-                    + cross
-                    + np.swapaxes(cross, 1, 2)
-                )
+                hess = a.hess * b.value[:, None, None]
+                hess += b.hess * a.value[:, None, None]
+                hess += cross
+                hess += np.swapaxes(cross, 1, 2)
         return Jet(val, grad, hess)
 
     __rmul__ = __mul__
@@ -201,7 +203,9 @@ def _lift(x: Jet, f: Array, derivs: Callable[[], tuple[Array, Array]]) -> Jet:
         grad = fp[:, None] * x.grad
         if x.hess is not None:
             outer = x.grad[:, :, None] * x.grad[:, None, :]
-            hess = fp[:, None, None] * x.hess + fpp[:, None, None] * outer
+            outer *= fpp[:, None, None]
+            hess = fp[:, None, None] * x.hess
+            hess += outer
     return Jet(f, grad, hess)
 
 
@@ -243,7 +247,8 @@ def atan2(y: Jet, x: Jet) -> Jet:
         r2 = xv**2 + yv**2
         fx = -yv / r2
         fy = xv / r2
-        grad = fx[:, None] * x.grad + fy[:, None] * y.grad
+        grad = fx[:, None] * x.grad
+        grad += fy[:, None] * y.grad
         if x.hess is not None and y.hess is not None:
             r4 = r2**2
             fxx = 2 * xv * yv / r4
@@ -253,13 +258,15 @@ def atan2(y: Jet, x: Jet) -> Jet:
             oxx = gx[:, :, None] * gx[:, None, :]
             oyy = gy[:, :, None] * gy[:, None, :]
             oxy = gx[:, :, None] * gy[:, None, :]
-            hess = (
-                fx[:, None, None] * x.hess
-                + fy[:, None, None] * y.hess
-                + fxx[:, None, None] * oxx
-                + fxy[:, None, None] * (oxy + np.swapaxes(oxy, 1, 2))
-                + fyy[:, None, None] * oyy
-            )
+            sym = oxy + np.swapaxes(oxy, 1, 2)
+            hess = fx[:, None, None] * x.hess
+            hess += fy[:, None, None] * y.hess
+            oxx *= fxx[:, None, None]
+            hess += oxx
+            sym *= fxy[:, None, None]
+            hess += sym
+            oyy *= fyy[:, None, None]
+            hess += oyy
     return Jet(val, grad, hess)
 
 

@@ -85,19 +85,44 @@ def congruence(jac: Array, m: Array) -> Array:
     pairwise sum each move the last bits.  The row axes sit innermost, so each
     step works on contiguous rows.  Like the einsum, it stays silent on
     non-finite products.
+
+    Products with an exactly zero Jacobian factor are skipped: row t of the
+    Jacobian contributes only its span of columns, from the first to the last
+    column that is nonzero on some row, and a row that is zero everywhere
+    contributes nothing (the action Jacobians are block rotations).  When
+    ``max|jac| * max|m|`` is finite, every skipped product is an exact ±0,
+    and adding ±0 to a sum that starts at +0.0 never changes its bits (no
+    such sum is ever -0.0).  A non-finite or overflowing bound, or a
+    Jacobian whose every row spans all columns, forms all d⁴ products.
     """
     j = np.ascontiguousarray(np.moveaxis(jac, (-2, -1), (0, 1)))  # (t, a, ...)
     mm = np.ascontiguousarray(np.moveaxis(m, (-2, -1), (0, 1)))  # (t, u, ...)
-    t, a = j.shape[:2]
+    a = j.shape[1]
     out = np.zeros((a, a, *np.broadcast_shapes(j.shape[2:], mm.shape[2:])))
     left, prod = np.empty((a, 1, *out.shape[2:])), np.empty_like(out)
+    spans = [(i, s) for i, s in enumerate(_column_spans(j, mm)) if s is not None]
     with np.errstate(invalid="ignore", over="ignore"):
-        for i in range(t):
-            for u in range(t):
-                np.multiply(j[i, :, None], mm[i, u], out=left)
-                np.multiply(left, j[u, None, :], out=prod)
-                out += prod
+        for i, si in spans:
+            for u, su in spans:
+                np.multiply(j[i, si, None], mm[i, u], out=left[si])
+                np.multiply(left[si], j[u, None, su], out=prod[si, su])
+                out[si, su] += prod[si, su]
     return np.ascontiguousarray(np.moveaxis(out, (0, 1), (-2, -1)))
+
+
+def _column_spans(j: Array, mm: Array) -> list[slice | None]:
+    """Per row of ``j`` (t, a, ...), the columns from its first to its last nonzero one, or None
+    for a zero row; every row spans all columns unless ``max|j| * max|mm|`` is finite."""
+    t, a = j.shape[:2]
+    with np.errstate(invalid="ignore", over="ignore"):
+        bound = np.max(np.abs(j), initial=0.0) * np.max(np.abs(mm), initial=0.0)
+    if not np.isfinite(bound):
+        return [slice(0, a)] * t
+    spans = []
+    for row in (j != 0.0).any(axis=tuple(range(2, j.ndim))):
+        cols = np.flatnonzero(row)
+        spans.append(slice(cols[0], cols[-1] + 1) if cols.size else None)
+    return spans
 
 
 def nondegenerate(omega_mats: Array) -> tuple[bool, float]:

@@ -28,18 +28,21 @@ boundary sampler as it ran before it pooled a request's ray crossings into
 one bisection that stops at the brackets' fixed point: each ray batch
 bisected on its own, always 80 halvings; ``chart.sample_boundary`` and
 ``chart._bisect_boundary`` are pinned to them bitwise.
+:func:`catalog_action_jacobians` is not an oracle but a shared input: the
+action Jacobians that ``check_invariance`` hands ``linalg.congruence``,
+read off every catalog chart's own weight table.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from functools import partial
+from functools import cache, partial
 from itertools import combinations, permutations
 from typing import Callable
 
 import numpy as np
 
-from hamflow import critical, jets, verifier
+from hamflow import critical, jets, registry, verifier
 from hamflow.chart import Chart, SmoothMap, holds, sample_domain
 from hamflow.errors import BoundaryNotFound, DimensionMismatch, ImmediateExit, StiffFlow
 from hamflow.flow import FlowResult
@@ -235,6 +238,21 @@ def jet_action(weights, theta: float) -> Callable[[list[Jet]], list[Jet]]:
 def jet_action_map(cd, theta: float) -> SmoothMap:
     """:func:`jet_action` of a chart's weight table as a chart self-map, for wrapped images and jet Jacobians."""
     return SmoothMap(source=cd.chart, target=cd.chart, forward=jet_action(cd.weights, theta))
+
+
+@cache
+def catalog_action_jacobians() -> tuple[Array, ...]:
+    """Every chart's action Jacobian at the invariance angles, over the ZOO and the controls."""
+    thetas = 2 * np.pi * np.arange(1, verifier.INVARIANCE_ANGLES + 1) / verifier.INVARIANCE_ANGLES
+    builds = [partial(registry.build, spec) for spec in registry.ZOO]
+    builds += [build for _, build in verifier.CONTROLS.values()]
+    out = []
+    for build in builds:
+        for cd in build().charts:
+            jacs = cd.action_map(thetas, np.zeros((1, cd.chart.dim)))[1]
+            jacs.setflags(write=False)  # shared by every caller of the cache
+            out.extend(jacs)
+    return tuple(out)
 
 
 def pulled_back(m, coeffs_fn, jc):

@@ -314,3 +314,47 @@ def test_value_at_and_values_read_batch_values_bitwise():
     stacked = jets.values(comps)
     assert stacked.shape == (3, 2)
     assert stacked[:, 0].tobytes() == batch.tobytes() and stacked[:, 1].tobytes() == pts[:, 0].tobytes()
+
+
+_OPERATIONS = {
+    "a*b": lambda a, b: a * b,
+    "a*a": lambda a, b: a * a,
+    "a.sq()": lambda a, b: a.sq(),
+    "a/b": lambda a, b: a / b,
+    "a**1.5": lambda a, b: a**1.5,
+    "sqrt": lambda a, b: jets.sqrt(a),
+    "exp": lambda a, b: jets.exp(a),
+    "log": lambda a, b: jets.log(a),
+    "sin": lambda a, b: jets.sin(a),
+    "cos": lambda a, b: jets.cos(a),
+    "atan2": lambda a, b: jets.atan2(a, b),
+    "positive_cube": lambda a, b: jets.positive_cube(a - 1.0),
+}
+
+
+def _snapshot(jet: jets.Jet) -> tuple:
+    return tuple(None if arr is None else arr.tobytes() for arr in (jet.value, jet.grad, jet.hess))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    order=st.integers(0, 2),
+    rows=st.integers(1, 5),
+    d=st.integers(1, 4),
+    op=st.sampled_from(sorted(_OPERATIONS)),
+    picks=st.tuples(st.integers(0, 5), st.integers(0, 5)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_operations_leave_their_operands_untouched(order, rows, d, op, picks, seed):
+    """Products, quotients, ``_lift``-based functions and atan2 write only into the
+    arrays they allocate: coordinate jets from ``seed`` (views of shared arrays)
+    and derived jets keep every byte of their value, gradient and Hessian."""
+    pts = np.random.default_rng(seed).uniform(0.5, 2.0, (rows, d))
+    jc = jets.seed(pts, order=order)
+    derived = [jc[0] * jc[-1] + 0.5, jets.sin(jc[0]) + 1.5]
+    pool = [*jc, *derived]
+    a, b = pool[picks[0] % len(pool)], pool[picks[1] % len(pool)]
+    before = [_snapshot(j) for j in pool]
+    _OPERATIONS[op](a, b)
+    assert [_snapshot(j) for j in pool] == before
+

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hamflow import jets, linalg, registry, verifier
 from hamflow.chart import sample_domain
 from hamflow.errors import DegenerateForm, DimensionMismatch, SingularMetric
-from oracles import pfaffian
+from oracles import catalog_action_jacobians, pfaffian
 
 
 def _jet_matrix_from_values(vals, like):
@@ -134,6 +134,50 @@ def test_congruence_matches_three_operand_einsum(seed, t, a, square, n, layouts,
         np.einsum("ntu,nta,nub->nab", m, jac, jac),
     ):
         assert got.shape == want.shape == (n, a, a)
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+_METRIC_SPECIALS = np.array([np.nan, np.inf, -np.inf, 1e300, -1e300])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    blocks=st.integers(min_value=1, max_value=4),
+    n=st.sampled_from([1, 2, 7, 40]),
+    special=st.sampled_from([0.0, 0.0, 0.02, 0.3]),
+    scale=st.sampled_from([1.0, 1.0, 1e10]),
+)
+def test_congruence_skip_path_matches_both_einsums(data, blocks, n, special, scale):
+    """The shapes that skip zero products: K stacked action Jacobians of one
+    dimension from the catalog charts as ``(K, 1, d, d)``, some with all-zero
+    columns or rows, against ``(K, n, d, d)`` metrics.  NaN, ±inf and ±1e300
+    metric entries fall anywhere, so also into skipped products, and a scale
+    of 1e10 on the Jacobian makes a 1e300 entry overflow a product with a
+    zero factor into NaN.  The result must be bitwise both einsums, with
+    their NaN positions."""
+    first = data.draw(st.sampled_from(catalog_action_jacobians()))
+    same_dim = [j for j in catalog_action_jacobians() if j.shape == first.shape]
+    jacs = np.stack([first, *(data.draw(st.sampled_from(same_dim)) for _ in range(blocks - 1))]) * scale
+    d = first.shape[0]
+    index = st.lists(st.integers(min_value=0, max_value=d - 1), max_size=2, unique=True)
+    jacs[:, :, data.draw(index)] = 0.0
+    jacs[:, data.draw(index), :] = 0.0
+    rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    m = rng.normal(size=(blocks, n, d, d))
+    hit = rng.random(m.shape) < special
+    m[hit] = rng.choice(_METRIC_SPECIALS, size=int(hit.sum()))
+    got = linalg.congruence(jacs[:, None], m).reshape(-1, d, d)
+    flat_jac = np.repeat(jacs, n, axis=0)
+    flat_m = m.reshape(-1, d, d)
+    with np.errstate(invalid="ignore", over="ignore"):
+        wants = (
+            np.einsum("nji,njk,nkl->nil", flat_jac, flat_m, flat_jac),
+            np.einsum("ntu,nta,nub->nab", flat_m, flat_jac, flat_jac),
+        )
+    for want in wants:
         nan = np.isnan(want)
         assert np.array_equal(np.isnan(got), nan)
         assert got[~nan].tobytes() == want[~nan].tobytes()

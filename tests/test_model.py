@@ -16,7 +16,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from hamflow import forms, jets, registry, verifier
+from hamflow import blowup, forms, jets, registry, verifier
 from hamflow.chart import Chart, sample_boundary, sample_domain
 from hamflow.errors import IneffectiveAction, JetOrderError, MomentMapMismatch
 from hamflow.model import ChartData, assert_moment, moment_residual, self_check_points, symmetric_metric
@@ -248,6 +248,72 @@ def test_metric_values_read_is_the_jet_matrix_value(name, order):
         assert forms.metric_matrix(cd.metric, jc).tobytes() == full.tobytes(), cd.chart.name
         if core:  # its mirrored entries differ in bits, so it is not read off one triangle
             assert full.tobytes() != full.transpose(0, 2, 1).tobytes(), cd.chart.name
+
+
+_ONCE_PER_BATCH = blowup._once_per_batch
+
+
+def _core_omega_counted(monkeypatch, memo: bool):
+    """``blowup_d4(1,-1,0.2)`` with a counter on its core charts' 2-form body, inside the
+    one-slot memo or in its place; each run lists its jet order and points."""
+    runs = []
+
+    def counted(coeffs):
+        def body(jc):
+            runs.append((jc[0].order, jets.values(jc).tobytes()))
+            return coeffs(jc)
+
+        return _ONCE_PER_BATCH(body) if memo else body
+
+    monkeypatch.setattr(blowup, "_once_per_batch", counted)
+    return blowup.blowup_d4(1, -1, 0.2), runs
+
+
+def _assert_coeffs_bitwise(got, want):
+    assert list(got) == list(want)
+    for key, c in want.items():
+        for arr, ref in zip((got[key].value, got[key].grad, got[key].hess), (c.value, c.grad, c.hess)):
+            assert (arr is None) == (ref is None)
+            assert arr is None or arr.tobytes() == ref.tobytes()
+
+
+def test_core_omega_memo_evaluates_every_new_batch_afresh(monkeypatch):
+    """Batches jc1 and jc2, then jc1's points seeded again as a new list and at
+    another order: each result is bitwise an unmemoised evaluation's."""
+    memo = blowup.blowup_d4(1, -1, 0.2)
+    plain, _ = _core_omega_counted(monkeypatch, memo=False)
+    for ci in (0, 1):
+        cd, ref = memo.charts[ci], plain.charts[ci]
+        rng = np.random.default_rng([29, ci])
+        p1, p2 = sample_domain(cd.chart, 40, rng), sample_domain(cd.chart, 40, rng)
+        for jc in (jets.seed(p1, 2), jets.seed(p2, 2), jets.seed(p1, 2), jets.seed(p1, 1), jets.seed(p2, 1)):
+            _assert_coeffs_bitwise(cd.omega.coefficients(jc), ref.omega.coefficients(jc))
+
+
+def test_core_omega_memo_returns_independent_dicts():
+    """Writing into a returned dict leaves the next call on the same jets unchanged."""
+    cd = blowup.blowup_d4(1, -1, 0.2).charts[0]
+    jc = jets.seed(sample_domain(cd.chart, 40, np.random.default_rng(31)), order=1)
+    first = cd.omega.coefficients(jc)
+    want = dict(first)
+    first[(0, 1)] = first[(0, 1)] * 2.0
+    first.pop((2, 3))
+    first[(0, 3, 5)] = jc[0]
+    second = cd.omega.coefficients(jc)
+    assert second is not first
+    _assert_coeffs_bitwise(second, want)
+
+
+def test_core_omega_runs_once_per_batch_in_a_verify_pass(monkeypatch):
+    """Over one seed-1, 500-sample ``run_all``, the core charts' 2-form body runs
+    once per distinct batch; without the memo 26 runs repeat a batch."""
+    config = verifier.RunConfig(seed=1, samples=500)
+    repeats = {}
+    for memo in (False, True):
+        model, runs = _core_omega_counted(monkeypatch, memo)
+        assert verifier.run_all(model, config).overall
+        repeats[memo] = len(runs) - len(set(runs))
+    assert repeats == {False: 26, True: 0}
 
 
 def test_boundary_clouds_are_direct_draws_of_the_charts_whose_boundary_rays_find():

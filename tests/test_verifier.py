@@ -2,7 +2,6 @@
 pinned bytes, order-independent values, fail-closed non-finite residuals."""
 
 import dataclasses
-import functools
 import hashlib
 import json
 from functools import partial
@@ -20,7 +19,7 @@ from hamflow.forms import image_jacobian, pullback_coeffs
 from hamflow.linalg import congruence
 from hamflow.model import liouville_residual, moment_residual
 from hamflow.verifier import NONFINITE_RESIDUAL, RunConfig, run_all
-from oracles import frame_contact_volume, jet_action_map, per_angle_invariance
+from oracles import catalog_action_jacobians, frame_contact_volume, jet_action_map, per_angle_invariance
 
 
 
@@ -424,16 +423,6 @@ def test_stacked_pullbacks_match_one_angle_at_a_time(spec):
                 assert np.array_equal(stacked[k].view(np.uint64), one.view(np.uint64)), (cd.chart.name, k)
 
 
-@functools.cache
-def _action_jacobians():
-    """Every chart's action Jacobian at the invariance angles, over the ZOO and the controls."""
-    out = []
-    for build in MODELS.values():
-        for cd in build().charts:
-            out.extend(cd.action_map(INVARIANCE_THETAS, np.zeros((1, cd.chart.dim)))[1])
-    return out
-
-
 _COEFFICIENT = st.one_of(
     st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf])
 )
@@ -446,8 +435,8 @@ def test_value_pullback_matches_on_nonfinite_rows(data, degree, rows, angles):
     key order, through the action Jacobians of every catalog chart: one at a
     time against the jet pullback, and as a stack of Jacobians of one
     dimension, some from other charts, against the one-at-a-time pullback."""
-    jac = data.draw(st.sampled_from(_action_jacobians()))
-    same_dim = [j for j in _action_jacobians() if j.shape == jac.shape]
+    jac = data.draw(st.sampled_from(catalog_action_jacobians()))
+    same_dim = [j for j in catalog_action_jacobians() if j.shape == jac.shape]
     jacs = np.stack([jac, *(data.draw(st.sampled_from(same_dim)) for _ in range(angles - 1))])
     keys = data.draw(st.permutations(list(combinations(range(jac.shape[0]), degree))))
     keys = keys[: data.draw(st.integers(1, len(keys)))]
